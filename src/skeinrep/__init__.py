@@ -22,8 +22,8 @@ from .invariants import (ShadowInvariants, VerificationReport, commutant_dimensi
                          extract_invariants, verify_relations)
 from .representation import Representation
 from .scalars import (BigComplex, CyclotomicNumber, RootSystem, Scalar, Tolerance,
-                      approx_eq, cyclotomic_polynomial, field_ops, make_root_system,
-                      nth_root, numeric_bridge, solve_quadratic)
+                      approx_eq, cyclotomic_polynomial, make_root_system, nth_root,
+                      numeric_bridge, solve_quadratic)
 from .sphere import (LadderScalars, SphereParams, build_sphere_rep,
                      build_sphere_rep_from_params, build_sphere_rep_with_u,
                      ladder_product_closed_form, ladder_scalars_sphere,

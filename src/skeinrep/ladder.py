@@ -1,0 +1,151 @@
+"""The eigenline ladder shared by the punctured torus and the four-puncture sphere.
+
+Both constructions store the X3 image diagonal, with the eigenvalue tower
+
+    lambda_k = x3 A^{tk} + x3^{-1} A^{-tk},   k = 1..N,
+
+twisted by t = 2 on the torus and t = 4 on the sphere, and write X1 and X2 as
+the same cyclic up/down ladder between the eigenlines.  With
+d_k = x3 A^{tk} - x3^{-1} A^{-tk} and h = t/2,
+
+    X1 v_k = au_k * [ladder up] + ad_k * [ladder down]
+    X2 v_k = (-1/d_k) * [ladder up] + (1/d_k) * [ladder down]
+
+where au_k = -x3^{-1} A^{-tk-h} / d_k and ad_k = x3 A^{tk-h} / d_k.  The up
+step sends v_k to v_{k+1} (u v_1 at the wraparound); the down step sends v_k
+to down_k v_{k-1} (down_1/u v_N at the wraparound).  The surfaces differ only
+in the twist, the down scalars and the sphere's diagonal offsets beta_k^+/-,
+which the sphere adds on top of this assembly.
+
+The ladder operators U_k = A^h X1 - x3 A^{tk} X2 + beta_k^+ and
+D_k = A^h X1 - x3^{-1} A^{-tk} X2 + beta_k^- shift the k-th eigenline one
+step up and one step down.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from . import matrices
+from .errors import DegenerateShadow, EigenstructureMismatch
+from .scalars import Scalar, approx_eq
+
+
+def check_nondegenerate_t3(t3, rs):
+    """Raise DegenerateShadow at t3 = +/-2, where the X3 spectrum degenerates."""
+    two = rs.scalar(2)
+    if approx_eq(t3, two) or approx_eq(t3, -two):
+        raise DegenerateShadow(f"t3 = {t3} is at +/-2; the X3 spectrum degenerates")
+
+
+def eigenvalue_tower(rs, twist, x3):
+    """lambda_k = x3 A^{tk} + x3^{-1} A^{-tk} for k = 1..N."""
+    x3i = x3 ** (-1)
+    return [x3 * rs.a_pow(twist * k) + x3i * rs.a_pow(-twist * k) for k in range(1, rs.N + 1)]
+
+
+def ladder_matrices(rs, twist, x3, u, down):
+    """X1, X2, X3 of the ladder, and the gaps d_k = x3 A^{tk} - x3^{-1} A^{-tk}.
+
+    ``down[k - 1]`` is the down scalar of column k; column 1 divides it by u.
+    """
+    n = rs.N
+    x3i = x3 ** (-1)
+    half = twist // 2
+    lam = eigenvalue_tower(rs, twist, x3)
+    d = [x3 * rs.a_pow(twist * k) - x3i * rs.a_pow(-twist * k) for k in range(1, n + 1)]
+
+    m1 = matrices.zeros(rs, n)
+    m2 = matrices.zeros(rs, n)
+    m3 = matrices.diagonal(lam)
+    for k in range(1, n + 1):
+        dk = d[k - 1]
+        au = -x3i * rs.a_pow(-twist * k - half) / dk
+        ad = x3 * rs.a_pow(twist * k - half) / dk
+        up_row = k if k < n else 0           # v_k -> v_{k+1}, wrapping to v_1
+        up_scale = rs.one if k < n else u
+        m1[up_row, k - 1] = m1[up_row, k - 1] + au * up_scale
+        m2[up_row, k - 1] = m2[up_row, k - 1] + (-rs.one / dk) * up_scale
+        down_row = k - 2 if k >= 2 else n - 1  # v_k -> v_{k-1}, wrapping to v_N
+        down_scale = down[k - 1] if k >= 2 else down[0] / u
+        m1[down_row, k - 1] = m1[down_row, k - 1] + ad * down_scale
+        m2[down_row, k - 1] = m2[down_row, k - 1] + (rs.one / dk) * down_scale
+    return m1, m2, m3, d
+
+
+@dataclass(frozen=True)
+class LadderSystem:
+    """Up/down operators cyclically shifting the eigenlines of the X3 image.
+
+    ``twist`` is the exponent step of the eigenvalue tower: 2 on the torus,
+    4 on the four-puncture sphere.  ``u`` is the scalar by which the N-step
+    up cycle acts on the first eigenline.
+    """
+
+    twist: int
+    eigenvalues: tuple
+    up: tuple
+    down: tuple
+    u: Scalar
+
+
+def _check_eigenstructure(rep, lam):
+    """Require the X3 image to be diagonal with the expected eigenvalue order."""
+    m3 = rep.matrix("X3")
+    n = rep.dim
+    zero = rep.rs.zero
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                if not approx_eq(m3[i, i], lam[i]):
+                    raise EigenstructureMismatch(
+                        f"X3 eigenvalue {m3[i, i]} at position {i + 1} does not match {lam[i]}")
+            elif not approx_eq(m3[i, j], zero):
+                raise EigenstructureMismatch("X3 image is not diagonal in this basis")
+
+
+def _check_ladder_property(ups, downs, rep):
+    zero = rep.rs.zero
+    n = rep.dim
+    for k in range(1, n + 1):
+        up_col = [ups[k - 1][i, k - 1] for i in range(n)]
+        down_col = [downs[k - 1][i, k - 1] for i in range(n)]
+        up_target = k % n
+        down_target = (k - 2) % n
+        for i in range(n):
+            if i != up_target and not approx_eq(up_col[i], zero):
+                raise EigenstructureMismatch(
+                    f"up operator {k} leaks outside eigenline {up_target + 1}")
+            if i != down_target and not approx_eq(down_col[i], zero):
+                raise EigenstructureMismatch(
+                    f"down operator {k} leaks outside eigenline {down_target + 1}")
+
+
+def ladder_system(rep, twist, x3, beta_plus=None, beta_minus=None) -> LadderSystem:
+    """Extract and validate U_k, D_k; the offsets beta^+/- default to none.
+
+    Validates that the X3 image is diagonal with the eigenvalue tower of
+    ``twist`` and that each operator shifts the corresponding eigenline by
+    one step.
+    """
+    rs = rep.rs
+    n = rep.dim
+    x3i = x3 ** (-1)
+    lam = eigenvalue_tower(rs, twist, x3)
+    _check_eigenstructure(rep, lam)
+    m1, m2 = rep.matrix("X1"), rep.matrix("X2")
+    scaled_m1 = matrices.mat_scale(rs.a_pow(twist // 2), m1)
+    ups, downs = [], []
+    for k in range(1, n + 1):
+        up = scaled_m1 - matrices.mat_scale(x3 * rs.a_pow(twist * k), m2)
+        down = scaled_m1 - matrices.mat_scale(x3i * rs.a_pow(-twist * k), m2)
+        if beta_plus is not None:
+            up = up + matrices.scalar_matrix(beta_plus[k - 1], n)
+            down = down + matrices.scalar_matrix(beta_minus[k - 1], n)
+        ups.append(up)
+        downs.append(down)
+    _check_ladder_property(ups, downs, rep)
+    u = rep.provenance.get("gauge", {}).get("u")
+    if u is None:
+        u = ups[n - 1][0, n - 1]
+    return LadderSystem(twist, tuple(lam), tuple(ups), tuple(downs), u)

@@ -142,6 +142,14 @@ def residual_report(mat):
     return m == 0, float(m)
 
 
+def _diagonal_mean(mat, rs):
+    n = mat.shape[0]
+    mean = mat[0, 0]
+    for i in range(1, n):
+        mean = mean + mat[i, i]
+    return mean / rs.scalar(n)
+
+
 def read_scalar_matrix(mat, rs, tol=None):
     """The scalar lambda with mat = lambda * Id, or raise NonScalarChebyshev.
 
@@ -152,10 +160,7 @@ def read_scalar_matrix(mat, rs, tol=None):
     from .scalars import approx_eq
 
     n = mat.shape[0]
-    mean = mat[0, 0]
-    for i in range(1, n):
-        mean = mean + mat[i, i]
-    mean = mean / rs.scalar(n)
+    mean = _diagonal_mean(mat, rs)
     zero = rs.zero
     for i in range(n):
         for j in range(n):
@@ -169,10 +174,7 @@ def read_scalar_matrix(mat, rs, tol=None):
 def scalar_deviation(mat, rs):
     """Float magnitude of the worst deviation of mat from (mean diagonal) * Id."""
     n = mat.shape[0]
-    mean = mat[0, 0]
-    for i in range(1, n):
-        mean = mean + mat[i, i]
-    mean = mean / rs.scalar(n)
+    mean = _diagonal_mean(mat, rs)
     worst = 0.0
     for i in range(n):
         for j in range(n):
@@ -186,11 +188,14 @@ def scalar_deviation(mat, rs):
 # ---------------------------------------------------------------------------
 
 def to_complex128(mat):
+    """Double-precision image; exact entries are bridged at 64 bits."""
     n, m = mat.shape
     out = np.empty((n, m), dtype=np.complex128)
     for i in range(n):
         for j in range(m):
             e = mat[i, j]
+            if isinstance(e, CyclotomicNumber):
+                e = numeric_bridge(e, 64)
             out[i, j] = complex(float(e.re), float(e.im))
     return out
 
@@ -212,17 +217,6 @@ def from_mp_vector(rs: RootSystem, vec, length):
         for i in range(length):
             z = mpmath.mpc(vec[i])
             out[i] = BigComplex(rs, z.real, z.imag)
-    return out
-
-
-def embed_matrix(mat, precision_bits=None):
-    """Entrywise numeric bridge of an exact matrix."""
-    n, m = mat.shape
-    out = np.empty((n, m), dtype=object)
-    for i in range(n):
-        for j in range(m):
-            out[i, j] = numeric_bridge(mat[i, j], precision_bits) if precision_bits \
-                else numeric_bridge(mat[i, j])
     return out
 
 

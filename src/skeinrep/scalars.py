@@ -556,25 +556,6 @@ Scalar = Union[CyclotomicNumber, BigComplex]
 # module-level operations
 # ---------------------------------------------------------------------------
 
-_FIELD_OPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-}
-
-
-def field_ops(a: Scalar, b, op: str):
-    """Dispatch add/sub/mul/div/pow on scalars of one root system."""
-    if op == "pow":
-        return a ** b
-    try:
-        fn = _FIELD_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown field op {op!r}") from None
-    return fn(a, b)
-
-
 def numeric_bridge(c: Scalar, precision_bits: int = DEFAULT_PRECISION_BITS) -> BigComplex:
     """Embed a scalar into the bigfloat backend (A goes to exp(i*pi/N))."""
     target = c.rs.bigfloat_companion(precision_bits)

@@ -1,13 +1,14 @@
 """Representations of the four-puncture sphere algebra from invariants.
 
-The eigenvalue tower of the X3 image is twisted by A^4 here:
-lambda_k = x3 A^{4k} + x3^{-1} A^{-4k}.  The ladder operators acquire scalar
-offsets beta_k^+/- built from the symmetric puncture combinations
+The representation is the eigenline ladder of :mod:`skeinrep.ladder` with
+twist A^4.  Its ladder operators acquire scalar offsets beta_k^+/- built from
+the symmetric puncture combinations
 
     q1 = p0 p1 + p2 p3,  q2 = p0 p2 + p1 p3,  q3 = p0 p3 + p1 p2,
     Delta = p0 p1 p2 p3 + p0^2 + p1^2 + p2^2 + p3^2,
 
-and the down-then-up composite acts on the k-th eigenline by the scalar R_k.
+and the down-then-up composite acts on the k-th eigenline by the scalar R_k,
+which is the down scalar of column k + 1.
 The product of all R_k has a closed form in terms of T_N at the four roots
 of (r^2 + p0 p3 r + p0^2 + p3^2 - 4)(r^2 + p1 p2 r + p1^2 + p2^2 - 4); its
 nonvanishing, together with t3 != +/-2, is the genericity condition under
@@ -32,10 +33,10 @@ from . import matrices
 from .chebyshev import chebyshev_eval, solve_chebyshev
 from .errors import (DegenerateShadow, NoConsistentRoot, NonScalarChebyshev,
                      VanishingCycle)
+from .ladder import LadderSystem, check_nondegenerate_t3, ladder_matrices, ladder_system
 from .representation import Representation, assemble
 from .scalars import BigComplex, RootSystem, Scalar, approx_eq, solve_quadratic
 from .surfaces import SPHERE4, sphere_k
-from .torus import LadderSystem, _check_eigenstructure, _check_ladder_property
 
 
 def sphere_aux_invariants(p0, p1, p2, p3):
@@ -150,26 +151,12 @@ def build_sphere_rep_with_u(params: SphereParams, u: Scalar,
         ladder = ladder_scalars_sphere(params)
     x3 = params.x3
     x3i = x3 ** (-1)
-    lam = [x3 * rs.a_pow(4 * k) + x3i * rs.a_pow(-4 * k) for k in range(1, n + 1)]
-    e = [x3 * rs.a_pow(4 * k) - x3i * rs.a_pow(-4 * k) for k in range(1, n + 1)]
-
-    m1 = matrices.zeros(rs, n)
-    m2 = matrices.zeros(rs, n)
-    m3 = matrices.diagonal(lam)
+    r = ladder.r_scalars  # column k steps down by R_{k-1}, column 1 by R_N / u
+    m1, m2, m3, e = ladder_matrices(rs, 4, x3, u, r[n - 1:] + r[:n - 1])
     for k in range(1, n + 1):
         ek = e[k - 1]
         bp, bm = ladder.beta_plus[k - 1], ladder.beta_minus[k - 1]
-        au = -x3i * rs.a_pow(-4 * k - 2) / ek
-        ad = x3 * rs.a_pow(4 * k - 2) / ek
-        up_row = k if k < n else 0
-        up_scale = rs.one if k < n else u
-        down_row = k - 2 if k >= 2 else n - 1
-        down_scale = ladder.r_scalars[k - 2] if k >= 2 else ladder.r_scalars[n - 1] / u
-        m1[up_row, k - 1] = m1[up_row, k - 1] + au * up_scale
-        m1[down_row, k - 1] = m1[down_row, k - 1] + ad * down_scale
         m1[k - 1, k - 1] = m1[k - 1, k - 1] + (x3i * rs.a_pow(-4 * k - 2) * bp - x3 * rs.a_pow(4 * k - 2) * bm) / ek
-        m2[up_row, k - 1] = m2[up_row, k - 1] + (-rs.one / ek) * up_scale
-        m2[down_row, k - 1] = m2[down_row, k - 1] + (rs.one / ek) * down_scale
         m2[k - 1, k - 1] = m2[k - 1, k - 1] + (bp - bm) / ek
 
     punctures = dict(zip(SPHERE4.punctures, params.punctures))
@@ -265,17 +252,9 @@ def build_sphere_rep(p0, p1, p2, p3, t1, t2, t3) -> Representation:
     rs = t3.rs
     if not isinstance(t3, BigComplex):
         raise TypeError("sphere reconstruction requires the bigfloat backend")
-    two = rs.scalar(2)
-    if approx_eq(t3, two) or approx_eq(t3, -two):
-        raise DegenerateShadow(f"t3 = {t3} is at +/-2; the X3 spectrum degenerates")
+    check_nondegenerate_t3(t3, rs)
     x3 = solve_chebyshev(t3).base
-    params = make_sphere_params(p0, p1, p2, p3, t1, t2, x3)
-    ladder = ladder_scalars_sphere(params)
-    closed = ladder_product_closed_form(params)
-    if closed.is_zero():
-        raise VanishingCycle("the ladder cycle product vanishes for these invariants")
-    u = solve_u(params, t1, t2, ladder)
-    return build_sphere_rep_with_u(params, u, ladder)
+    return build_sphere_rep_from_params(make_sphere_params(p0, p1, p2, p3, t1, t2, x3))
 
 
 def build_sphere_rep_from_params(params: SphereParams) -> Representation:
@@ -310,25 +289,5 @@ def ladder_system_sphere(rep: Representation, params: SphereParams) -> LadderSys
     U_k = A^2 X1 - x3 A^{4k} X2 + beta_k^+,
     D_k = A^2 X1 - x3^{-1} A^{-4k} X2 + beta_k^-.
     """
-    rs = rep.rs
-    n = rep.dim
-    x3 = params.x3
-    x3i = x3 ** (-1)
-    lam = [x3 * rs.a_pow(4 * k) + x3i * rs.a_pow(-4 * k) for k in range(1, n + 1)]
-    _check_eigenstructure(rep, lam)
-    ladder = ladder_scalars_sphere(params)
-    m1, m2 = rep.matrix("X1"), rep.matrix("X2")
-    a2_m1 = matrices.mat_scale(rs.a_pow(2), m1)
-    ups, downs = [], []
-    for k in range(1, n + 1):
-        up = a2_m1 - matrices.mat_scale(x3 * rs.a_pow(4 * k), m2) \
-            + matrices.scalar_matrix(ladder.beta_plus[k - 1], n)
-        down = a2_m1 - matrices.mat_scale(x3i * rs.a_pow(-4 * k), m2) \
-            + matrices.scalar_matrix(ladder.beta_minus[k - 1], n)
-        ups.append(up)
-        downs.append(down)
-    _check_ladder_property(ups, downs, rep)
-    u = rep.provenance.get("gauge", {}).get("u")
-    if u is None:
-        u = ups[n - 1][0, n - 1]
-    return LadderSystem(4, tuple(lam), tuple(ups), tuple(downs), u)
+    offsets = ladder_scalars_sphere(params)
+    return ladder_system(rep, 4, params.x3, offsets.beta_plus, offsets.beta_minus)

@@ -2,19 +2,10 @@
 
 The construction is parametrized by a gauge scalar x3 with
 t3 = x3^N + x3^{-N}, the puncture scalar p, and the wraparound constant u of
-the eigenline ladder.  In the eigenbasis of the X3 image the matrices are
+the eigenline ladder of :mod:`skeinrep.ladder` with twist A^2.  The down step
+of column k carries
 
-    X3 v_k = (x3 A^{2k} + x3^{-1} A^{-2k}) v_k
-    X1 v_k = au_k * [ladder up] + ad_k * [ladder down]
-    X2 v_k = (-1/d_k) * [ladder up] + (1/d_k) * [ladder down]
-
-with d_k = x3 A^{2k} - x3^{-1} A^{-2k}, au_k = -x3^{-1} A^{-2k-1} / d_k and
-ad_k = x3 A^{2k-1} / d_k.  The up step sends v_k to v_{k+1} (u*v_1 at the
-wraparound), the down step sends v_k to c_k*v_{k-1} with
-
-    c_k = -(p + x3^2 A^{4k-2} + x3^{-2} A^{-4k+2})
-
-and c_1/u at the wraparound.
+    c_k = -(p + x3^2 A^{4k-2} + x3^{-2} A^{-4k+2}).
 
 Sign conventions.  Writing K = -(T_N(p) + x3^{2N} + x3^{-2N}) and
 s = x3^N - x3^{-N}, the traces realized by the construction are
@@ -31,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import matrices
+from . import ladder
 from .chebyshev import chebyshev_eval, solve_chebyshev
-from .errors import (DegenerateShadow, EigenstructureMismatch, IncompatiblePuncture,
-                     VanishingCycle)
+from .errors import DegenerateShadow, IncompatiblePuncture, VanishingCycle
+from .ladder import LadderSystem
 from .representation import Representation, assemble
 from .scalars import BigComplex, RootSystem, Scalar, approx_eq
 from .surfaces import TORUS0, TORUS1
@@ -71,12 +62,6 @@ class TorusParams:
         return -self.t1 - self.t2 * self.x3 ** self.rs.N
 
 
-def _check_nondegenerate_t3(t3, rs):
-    two = rs.scalar(2)
-    if approx_eq(t3, two) or approx_eq(t3, -two):
-        raise DegenerateShadow(f"t3 = {t3} is at +/-2; the X3 spectrum degenerates")
-
-
 def torus_params_from_shadow(t1, t2, t3, p) -> TorusParams:
     """Choose the canonical gauge for a shadow and validate it.
 
@@ -88,7 +73,7 @@ def torus_params_from_shadow(t1, t2, t3, p) -> TorusParams:
     if not isinstance(t1, BigComplex):
         raise TypeError("shadow reconstruction requires the bigfloat backend; "
                         "use torus_params_exact for the exact family")
-    _check_nondegenerate_t3(t3, rs)
+    ladder.check_nondegenerate_t3(t3, rs)
     cyc = cycle_scalar(t1, t2, t3)
     if cyc.is_zero():
         raise VanishingCycle("t1 t2 t3 + t1^2 + t2^2 = 0; the ladder cycle vanishes")
@@ -124,34 +109,15 @@ def torus_params_exact(x3, p, u) -> TorusParams:
 
 def _torus_matrices(params: TorusParams):
     rs = params.rs
-    n = rs.N
     x3 = params.x3
     x3i = x3 ** (-1)
     p = params.p
     u = params.u
     if u.is_zero():
         raise VanishingCycle("t1 + t2 x3^N = 0; the wraparound constant vanishes")
-
-    lam = [x3 * rs.a_pow(2 * k) + x3i * rs.a_pow(-2 * k) for k in range(1, n + 1)]
-    d = [x3 * rs.a_pow(2 * k) - x3i * rs.a_pow(-2 * k) for k in range(1, n + 1)]
     c = [-(p + x3 * x3 * rs.a_pow(4 * k - 2) + x3i * x3i * rs.a_pow(-4 * k + 2))
-         for k in range(1, n + 1)]
-
-    m1 = matrices.zeros(rs, n)
-    m2 = matrices.zeros(rs, n)
-    m3 = matrices.diagonal(lam)
-    for k in range(1, n + 1):
-        dk = d[k - 1]
-        au = -x3i * rs.a_pow(-2 * k - 1) / dk
-        ad = x3 * rs.a_pow(2 * k - 1) / dk
-        up_row = k if k < n else 0           # v_k -> v_{k+1}, wrapping to v_1
-        up_scale = rs.one if k < n else u
-        m1[up_row, k - 1] = m1[up_row, k - 1] + au * up_scale
-        m2[up_row, k - 1] = m2[up_row, k - 1] + (-rs.one / dk) * up_scale
-        down_row = k - 2 if k >= 2 else n - 1  # v_k -> v_{k-1}, wrapping to v_N
-        down_scale = c[k - 1] if k >= 2 else c[0] / u
-        m1[down_row, k - 1] = m1[down_row, k - 1] + ad * down_scale
-        m2[down_row, k - 1] = m2[down_row, k - 1] + (rs.one / dk) * down_scale
+         for k in range(1, rs.N + 1)]
+    m1, m2, m3, _ = ladder.ladder_matrices(rs, 2, x3, u, c)
     return m1, m2, m3
 
 
@@ -167,77 +133,9 @@ def build_torus_rep(params: TorusParams, surface=TORUS1) -> Representation:
                     {"X1": m1, "X2": m2, "X3": m3}, punctures, provenance)
 
 
-@dataclass(frozen=True)
-class LadderSystem:
-    """Up/down operators cyclically shifting the eigenlines of the X3 image.
-
-    ``twist`` is the exponent step of the eigenvalue tower: 2 on the torus,
-    4 on the four-puncture sphere.  ``u`` is the scalar by which the N-step
-    up cycle acts on the first eigenline.
-    """
-
-    twist: int
-    eigenvalues: tuple
-    up: tuple
-    down: tuple
-    u: Scalar
-
-
-def _check_eigenstructure(rep, lam):
-    """Require the X3 image to be diagonal with the expected eigenvalue order."""
-    m3 = rep.matrix("X3")
-    n = rep.dim
-    zero = rep.rs.zero
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                if not approx_eq(m3[i, i], lam[i]):
-                    raise EigenstructureMismatch(
-                        f"X3 eigenvalue {m3[i, i]} at position {i + 1} does not match {lam[i]}")
-            elif not approx_eq(m3[i, j], zero):
-                raise EigenstructureMismatch("X3 image is not diagonal in this basis")
-
-
-def _check_ladder_property(ups, downs, rep):
-    zero = rep.rs.zero
-    n = rep.dim
-    for k in range(1, n + 1):
-        up_col = [ups[k - 1][i, k - 1] for i in range(n)]
-        down_col = [downs[k - 1][i, k - 1] for i in range(n)]
-        up_target = k % n
-        down_target = (k - 2) % n
-        for i in range(n):
-            if i != up_target and not approx_eq(up_col[i], zero):
-                raise EigenstructureMismatch(
-                    f"up operator {k} leaks outside eigenline {up_target + 1}")
-            if i != down_target and not approx_eq(down_col[i], zero):
-                raise EigenstructureMismatch(
-                    f"down operator {k} leaks outside eigenline {down_target + 1}")
-
-
 def ladder_system_torus(rep: Representation, x3) -> LadderSystem:
-    """Ladder operators U_k = A X1 - x3 A^{2k} X2, D_k = A X1 - x3^{-1} A^{-2k} X2.
-
-    Validates that the X3 image is diagonal with eigenvalues
-    x3 A^{2k} + x3^{-1} A^{-2k} and that each operator shifts the
-    corresponding eigenline by one step.
-    """
-    rs = rep.rs
-    n = rep.dim
-    x3i = x3 ** (-1)
-    lam = [x3 * rs.a_pow(2 * k) + x3i * rs.a_pow(-2 * k) for k in range(1, n + 1)]
-    _check_eigenstructure(rep, lam)
-    m1, m2 = rep.matrix("X1"), rep.matrix("X2")
-    a_m1 = matrices.mat_scale(rs.A, m1)
-    ups, downs = [], []
-    for k in range(1, n + 1):
-        ups.append(a_m1 - matrices.mat_scale(x3 * rs.a_pow(2 * k), m2))
-        downs.append(a_m1 - matrices.mat_scale(x3i * rs.a_pow(-2 * k), m2))
-    _check_ladder_property(ups, downs, rep)
-    u = rep.provenance.get("gauge", {}).get("u")
-    if u is None:
-        u = ups[n - 1][0, n - 1]
-    return LadderSystem(2, tuple(lam), tuple(ups), tuple(downs), u)
+    """Ladder operators U_k = A X1 - x3 A^{2k} X2, D_k = A X1 - x3^{-1} A^{-2k} X2."""
+    return ladder.ladder_system(rep, 2, x3)
 
 
 def closed_torus_rep(t1, t2, t3) -> Representation:
@@ -255,7 +153,7 @@ def closed_torus_rep(t1, t2, t3) -> Representation:
     if not approx_eq(rs.scalar(-2), expected):
         raise IncompatiblePuncture(
             "closed-torus shadows must satisfy t1 t2 t3 + t1^2 + t2^2 + t3^2 = 4")
-    _check_nondegenerate_t3(t3, rs)
+    ladder.check_nondegenerate_t3(t3, rs)
     cyc = cycle_scalar(t1, t2, t3)
     if cyc.is_zero():
         raise VanishingCycle("t1 t2 t3 + t1^2 + t2^2 = 0; the ladder cycle vanishes")

@@ -65,8 +65,8 @@ def intertwiner_residuals(m, rep_a: Representation, rep_b: Representation) -> di
     return out
 
 
-def _condition_estimate(m) -> float:
-    md = matrices.to_complex128(m)
+def _condition_estimate(md) -> float:
+    """Ratio of the extreme singular values of a complex128 matrix."""
     svals = np.linalg.svd(md, compute_uv=False)
     if svals[-1] == 0:
         return math.inf
@@ -88,7 +88,7 @@ def _normalize_by_largest(m):
 
 def _certificate(m, rep_a, rep_b):
     """Normalized certificate for a candidate m, or None when m is not invertible."""
-    cond = _condition_estimate(m)
+    cond = _condition_estimate(matrices.to_complex128(m))
     if not math.isfinite(cond) or cond > 1e12:
         return None
     m = _normalize_by_largest(m)
@@ -402,18 +402,6 @@ def _mp_worst_residual(m, images_a, images_b, prec):
     return float(worst)
 
 
-def _mp_cond(m) -> float:
-    n = m.rows
-    md = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            md[i, j] = complex(float(m[i, j].real), float(m[i, j].imag))
-    svals = np.linalg.svd(md, compute_uv=False)
-    if svals[-1] == 0:
-        return math.inf
-    return float(svals[0] / svals[-1])
-
-
 def _build_variant_reps(surface, variants):
     reps = []
     for v in variants:
@@ -496,7 +484,7 @@ def uniqueness_experiment(config: ExperimentConfig) -> ExperimentReport:
                                     inverses[i] = base_m[i] ** -1
                                 m = base_m[j] * inverses[i]
                         res = _mp_worst_residual(m, images[i], images[j], prec)
-                        cond = _mp_cond(m)
+                        cond = _condition_estimate(np.array(m.tolist(), dtype=np.complex128))
                         worst_residual = max(worst_residual, res)
                         pairs_checked += 1
                         if not math.isfinite(cond):

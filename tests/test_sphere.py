@@ -9,7 +9,7 @@ from skeinrep.errors import (DegenerateShadow, NoConsistentRoot, UnsupportedExac
                              VanishingCycle)
 from skeinrep.expressions import evaluate, relation_defects
 from skeinrep.invariants import extract_invariants
-from skeinrep.scalars import approx_eq, make_root_system, solve_quadratic
+from skeinrep.scalars import CyclotomicNumber, approx_eq, make_root_system, solve_quadratic
 from skeinrep.sphere import (build_sphere_rep, build_sphere_rep_from_params,
                              build_sphere_rep_with_u, ladder_product_closed_form,
                              ladder_scalars_sphere, ladder_system_sphere, make_sphere_params,
@@ -31,6 +31,11 @@ def random_params(rs, rng):
     p = [rnd_scalar(rs, rng) for _ in range(4)]
     x3 = rs.scalar(complex(rng.uniform(1.05, 1.6), rng.uniform(0.1, 0.6)))
     return make_sphere_params(*p, rs.zero, rs.zero, x3)
+
+
+def random_exact(rs, rng, height=5):
+    return CyclotomicNumber(rs, tuple(Fraction(rng.randint(-height, height), rng.randint(1, height))
+                                      for _ in range(rs.degree)))
 
 
 def relation_residual(rep):
@@ -155,6 +160,20 @@ def test_down_up_composite_acts_by_r(rs3):
         for i in range(n):
             target = ladder.r_scalars[k - 1] if i == k - 1 else rs3.zero
             assert approx_eq(comp[i, k - 1], target)
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_exact_relations_identically_zero(N):
+    # exact arithmetic catches any index or sign slip in the ladder assembly
+    rs = make_root_system(N)
+    rng = random.Random(40 + N)
+    p = [random_exact(rs, rng) for _ in range(4)]
+    x3, u = random_exact(rs, rng), random_exact(rs, rng)
+    params = make_sphere_params(*p, rs.zero, rs.zero, x3)
+    rep = build_sphere_rep_with_u(params, u)
+    for expr in relation_defects(rep.surface, rs).values():
+        assert matrices.is_zero_matrix(evaluate(expr, rep))
+    assert ladder_system_sphere(rep, params).u == u
 
 
 def test_zero_wraparound_rejected(rs3):

@@ -181,6 +181,17 @@ def test_distinct_t3_refused_by_spectrum(rs, monkeypatch):
     assert intertwiner_search(rep_a, rep_b) is None
 
 
+def test_exact_backend_certificates():
+    rs = make_root_system(3)
+    params = torus_params_exact(rs.scalar(2), rs.scalar(1), rs.scalar(3))
+    rep = build_torus_rep(params)
+    gauge = build_torus_rep(gauge_orbit(params)[1])  # x3 -> x3 A^2
+    for other in (rep, gauge):
+        cert = intertwiner_search(rep, other)
+        assert cert is not None
+        assert all(r == 0.0 for r in cert.residuals.values())
+
+
 # ---------------------------------------------------------------------------
 # gauge orbit
 # ---------------------------------------------------------------------------
