@@ -48,20 +48,15 @@ def chebyshev_coeffs(n: int) -> ChebyshevPoly:
 def chebyshev_eval(n: int, arg):
     """T_n at a scalar or a square matrix, by the three-term recurrence.
 
-    Matrix evaluation costs n multiplications and avoids expanding the
-    coefficient form.
+    Matrix evaluation costs n - 1 multiplications and avoids expanding the
+    coefficient form.  It runs in :func:`matrices.chebyshev_matrix`, which in
+    the bigfloat backend fuses each step T_{k+1} = arg T_k - T_{k-1} into one
+    raw-value product and returns the same bits as the object recurrence.
     """
     if isinstance(arg, np.ndarray):
         if arg.ndim != 2 or arg.shape[0] != arg.shape[1]:
             raise ValueError(f"matrix argument must be square, got shape {arg.shape}")
-        rs = arg.flat[0].rs
-        two_id = matrices.mat_scale(rs.scalar(2), matrices.identity(rs, arg.shape[0]))
-        if n == 0:
-            return two_id
-        prev2, prev1 = two_id, arg
-        for _ in range(n - 1):
-            prev2, prev1 = prev1, matrices.matmul(arg, prev1) - prev2
-        return prev1
+        return matrices.chebyshev_matrix(n, arg)
     rs = arg.rs
     if n == 0:
         return rs.scalar(2)

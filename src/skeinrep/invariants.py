@@ -189,17 +189,23 @@ def commuting_system(rep_a: Representation, rep_b: Representation):
         else:
             dense_gens.append(g)
     system = matrices.zeros(rs, len(dense_gens) * n * n + len(scalar_rows) * n * n, n * n)
+    zero = rs.zero
     row = 0
     for g in dense_gens:
         ma, mb = rep_a.matrix(g), rep_b.matrix(g)
+        # entries pass through 0 + x and 0 - x, which round them to the
+        # working precision exactly as the accumulating form did
+        plus = [[zero + e for e in r] for r in ma]
+        minus = [[zero - e for e in r] for r in mb]
         for i in range(n):
             for l in range(n):
-                # sum_j M[i,j] * ma[j,l] - sum_j mb[i,j] * M[j,l] = 0
+                # sum_j M[i,j] * ma[j,l] - sum_j mb[i,j] * M[j,l] = 0; only
+                # column i*n + l receives two terms, ma[l,l] - mb[i,i], which
+                # is correctly rounded in either order of accumulation
                 for j in range(n):
-                    col = i * n + j
-                    system[row, col] = system[row, col] + ma[j, l]
-                    col = j * n + l
-                    system[row, col] = system[row, col] - mb[i, j]
+                    system[row, i * n + j] = plus[j][l]
+                    system[row, j * n + l] = minus[i][j]
+                system[row, i * n + l] = ma[l, l] - mb[i, i]
                 row += 1
     for diff in scalar_rows:
         for entry in range(n * n):

@@ -31,10 +31,15 @@ from .errors import DegenerateShadow, EigenstructureMismatch
 from .scalars import Scalar, approx_eq
 
 
-def check_nondegenerate_t3(t3, rs):
-    """Raise DegenerateShadow at t3 = +/-2, where the X3 spectrum degenerates."""
+def is_pm2(t, rs, tol=None) -> bool:
+    """Whether the trace t is +/-2 within ``tol``; at t3 = +/-2 the X3 spectrum degenerates."""
     two = rs.scalar(2)
-    if approx_eq(t3, two) or approx_eq(t3, -two):
+    return approx_eq(t, two, tol) or approx_eq(t, -two, tol)
+
+
+def check_nondegenerate_t3(t3, rs, tol=None):
+    """Raise DegenerateShadow at t3 = +/-2, where the X3 spectrum degenerates."""
+    if is_pm2(t3, rs, tol):
         raise DegenerateShadow(f"t3 = {t3} is at +/-2; the X3 spectrum degenerates")
 
 

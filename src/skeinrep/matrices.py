@@ -1,12 +1,20 @@
 """Dense matrices over backend scalars, plus numerical-rank utilities.
 
 Matrices are numpy object arrays whose entries are scalars of a single root
-system; ``@`` works on them directly.  Rank and nullspace decisions follow a
-two-stage scheme: singular values of a double-precision image of the matrix
-decide the candidate nullity, every requested nullvector is then refined by
-inverse iteration at full working precision and certified against the root
-system's tolerance.  Ambiguous singular-value profiles or failed
-certifications fall back to a full arbitrary-precision SVD.
+system; ``@`` works on them directly.  Bigfloat products and the T_n matrix
+recurrence run on the raw libmp values inside the entries instead: each
+entry is read once as its pair of ``_mpf_`` tuples, every dot product is
+accumulated with ``mpf_mul`` / ``mpf_add`` / ``mpf_sub`` in the order and
+rounding of the object arithmetic, and only the results are wrapped back
+into ``BigComplex``.  The outputs are bit-identical to ``acc += a * b`` on
+``mpc`` values under the root system's working precision.
+
+Rank and nullspace decisions follow a two-stage scheme: singular values of a
+double-precision image of the matrix decide the candidate nullity, every
+requested nullvector is then refined by inverse iteration at full working
+precision and certified against the root system's tolerance.  Ambiguous
+singular-value profiles or failed certifications fall back to a full
+arbitrary-precision SVD.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 import mpmath
 from mpmath import mp
+from mpmath.libmp import fzero, from_int, mpf_add, mpf_mul, mpf_pos, mpf_sub
 
 from .scalars import BigComplex, CyclotomicNumber, RootSystem, numeric_bridge
 
@@ -75,32 +84,124 @@ def mat_scale(s, mat):
     return out
 
 
-def matmul(a, b):
-    """Matrix product; bigfloat entries take a single-context fast path.
+def _raw_rows(mat, prec, rnd):
+    """Rows of (re, im) libmp pairs, or None for an exact zero entry.
 
-    Performing the whole contraction under one working-precision block is
-    about four times faster than elementwise operator dispatch and produces
-    bitwise-identical results.
+    A part with more mantissa bits than ``prec`` is rounded first, as
+    ``BigComplex.mpc()`` rounds it under ``mp.workprec(prec)``.
+    """
+    rows = []
+    for row in mat:
+        out = []
+        for e in row:
+            re, im = e.re._mpf_, e.im._mpf_
+            if re[3] > prec:
+                re = mpf_pos(re, prec, rnd)
+            if im[3] > prec:
+                im = mpf_pos(im, prec, rnd)
+            out.append(None if re == fzero and im == fzero else (re, im))
+        rows.append(out)
+    return rows
+
+
+def _wrap(rs, rows):
+    """Object array of BigComplex from raw rows."""
+    out = np.empty((len(rows), len(rows[0])), dtype=object)
+    make, zero = mp.make_mpf, rs.zero
+    for i, row in enumerate(rows):
+        for j, z in enumerate(row):
+            out[i, j] = zero if z is None else BigComplex(rs, make(z[0]), make(z[1]))
+    return out
+
+
+def _raw_product(a_rows, b_rows, prec, rnd, minus=None):
+    """Raw rows of A B, or of A B - C when ``minus`` holds the rows of C.
+
+    Each dot product runs over the nonzero entries of the row of A, in
+    increasing column order, as ``acc += a * b`` does on mpc values: the
+    complex product is four exact ``mpf_mul`` followed by one rounded
+    subtraction (real part) and one rounded addition (imaginary part), and
+    each accumulation is one rounded ``mpf_add`` per part.  A zero term
+    leaves a rounded accumulator unchanged, and mpmath has no signed zero,
+    so skipping exact zeros moves no bit; neither does starting the sum at
+    the first term instead of at 0.  The fused subtraction is one rounded
+    ``mpf_sub`` per part, as ``BigComplex.__sub__`` performs it.
+    """
+    m = len(b_rows[0])
+    cols = range(m)
+    out = []
+    for i, a_row in enumerate(a_rows):
+        terms = [(b_rows[l], z[0], z[1]) for l, z in enumerate(a_row) if z is not None]
+        row = []
+        for j in cols:
+            acc_re = acc_im = None
+            for b_row, ar, ai in terms:
+                b = b_row[j]
+                if b is None:
+                    continue
+                br, bi = b
+                re = mpf_sub(mpf_mul(ar, br), mpf_mul(ai, bi), prec, rnd)
+                im = mpf_add(mpf_mul(ar, bi), mpf_mul(ai, br), prec, rnd)
+                if acc_re is None:
+                    acc_re, acc_im = re, im
+                else:
+                    acc_re = mpf_add(acc_re, re, prec, rnd)
+                    acc_im = mpf_add(acc_im, im, prec, rnd)
+            c = None if minus is None else minus[i][j]
+            if c is not None:
+                if acc_re is None:
+                    acc_re = acc_im = fzero
+                acc_re = mpf_sub(acc_re, c[0], prec, rnd)
+                acc_im = mpf_sub(acc_im, c[1], prec, rnd)
+            if acc_re is None or (acc_re == fzero and acc_im == fzero):
+                row.append(None)
+            else:
+                row.append((acc_re, acc_im))
+        out.append(row)
+    return out
+
+
+def matmul(a, b):
+    """Matrix product; bigfloat entries go through the raw libmp kernel.
+
+    The exact backend multiplies the object arrays.  Bigfloat entries are
+    unpacked once, multiplied by :func:`_raw_product` at the root system's
+    precision and the context's rounding mode, and wrapped once; the result
+    is bit-identical to accumulating mpc products under ``mp.workprec``.
     """
     if isinstance(a.flat[0], CyclotomicNumber):
         return a @ b
-    rs = a.flat[0].rs
-    n, k = a.shape
-    k2, m = b.shape
-    if k != k2:
+    if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    out = np.empty((n, m), dtype=object)
-    with mp.workprec(rs.precision_bits):
-        am = [[a[i, j].mpc() for j in range(k)] for i in range(n)]
-        bm = [[b[i, j].mpc() for j in range(m)] for i in range(k)]
-        for i in range(n):
-            ai = am[i]
-            for j in range(m):
-                acc = mpmath.mpc(0)
-                for l in range(k):
-                    acc += ai[l] * bm[l][j]
-                out[i, j] = BigComplex(rs, acc.real, acc.imag)
-    return out
+    rs = a.flat[0].rs
+    prec, rnd = rs.precision_bits, mp._prec_rounding[1]
+    return _wrap(rs, _raw_product(_raw_rows(a, prec, rnd), _raw_rows(b, prec, rnd), prec, rnd))
+
+
+def chebyshev_matrix(n: int, arg):
+    """T_n of a square matrix by T_{k+1} = arg T_k - T_{k-1}, T_0 = 2 Id.
+
+    The exact backend runs the recurrence on object arrays.  In the bigfloat
+    backend every step is one fused :func:`_raw_product` call and only T_n
+    is wrapped into ``BigComplex``; each step rounds as ``matmul`` followed
+    by an entrywise ``BigComplex`` subtraction does.
+    """
+    if n == 1:
+        return arg
+    rs = arg.flat[0].rs
+    size = arg.shape[0]
+    if isinstance(arg.flat[0], CyclotomicNumber):
+        prev2, prev1 = scalar_matrix(rs.scalar(2), size), arg
+        for _ in range(n - 1):
+            prev2, prev1 = prev1, matmul(arg, prev1) - prev2
+        return prev2 if n == 0 else prev1
+    prec, rnd = rs.precision_bits, mp._prec_rounding[1]
+    two = (from_int(2), fzero)
+    prev2 = [[two if i == j else None for j in range(size)] for i in range(size)]
+    prev1 = a_rows = _raw_rows(arg, prec, rnd)
+    for _ in range(n - 1):
+        prev2, prev1 = prev1, _raw_product(a_rows, prev1, prec, rnd, minus=prev2)
+    return _wrap(rs, prev2 if n == 0 else prev1)
 
 
 # ---------------------------------------------------------------------------

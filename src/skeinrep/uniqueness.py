@@ -31,6 +31,7 @@ from . import matrices, serialize
 from .chebyshev import chebyshev_eval, solve_chebyshev
 from .errors import SkeinError
 from .invariants import commuting_system, extract_invariants
+from .ladder import is_pm2
 from .representation import Representation
 from .scalars import (CyclotomicNumber, RootSystem, Tolerance, approx_eq, make_root_system,
                       solve_quadratic)
@@ -227,9 +228,8 @@ class GenericityReport:
 
 
 def _torus_exceptional(t1, t2, t3, rs, tol):
-    two = rs.scalar(2)
-    is_pm2 = [approx_eq(t, two, tol) or approx_eq(t, -two, tol) for t in (t1, t2, t3)]
-    all_pm2 = all(is_pm2)
+    pm2 = [is_pm2(t, rs, tol) for t in (t1, t2, t3)]
+    all_pm2 = all(pm2)
     all_zero = all(t.is_zero() for t in (t1, t2, t3))
     # one trace at +/-2, the others squaring to -4/3, with product -8/3
     minus43 = rs.scalar(-4) / rs.scalar(3)
@@ -237,7 +237,7 @@ def _torus_exceptional(t1, t2, t3, rs, tol):
     mixed = False
     for i in range(3):
         others = [j for j in range(3) if j != i]
-        if is_pm2[i] and all(squares[j] for j in others):
+        if pm2[i] and all(squares[j] for j in others):
             prod = t1 * t2 * t3
             if approx_eq(prod, rs.scalar(-8) / rs.scalar(3), tol):
                 mixed = True
@@ -257,9 +257,8 @@ def genericity_check(surface: Surface, invariants: dict, tol: Tolerance = None) 
     if surface.kind in ("torus1", "torus0"):
         t1, t2, t3 = invariants["t1"], invariants["t2"], invariants["t3"]
         rs = t1.rs
-        two = rs.scalar(2)
         checks = {
-            "t3_not_pm2": not (approx_eq(t3, two, tol) or approx_eq(t3, -two, tol)),
+            "t3_not_pm2": not is_pm2(t3, rs, tol),
             "ladder_cycle_nonzero": not cycle_scalar(t1, t2, t3).is_zero(),
         }
         exceptional = _torus_exceptional(t1, t2, t3, rs, tol)
@@ -269,9 +268,8 @@ def genericity_check(surface: Surface, invariants: dict, tol: Tolerance = None) 
     if surface.kind == "sphere4":
         t3 = invariants["t3"]
         rs = t3.rs
-        two = rs.scalar(2)
         p = [invariants[f"p{i}"] for i in range(4)]
-        nondegenerate = not (approx_eq(t3, two, tol) or approx_eq(t3, -two, tol))
+        nondegenerate = not is_pm2(t3, rs, tol)
         checks = {"t3_not_pm2": nondegenerate}
         details = {}
         if nondegenerate:

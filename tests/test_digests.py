@@ -1,0 +1,85 @@
+"""Pinned sha256 digests of serialized representations.
+
+Every bigfloat operation in the construction and verification pipeline is
+deterministic, so seeded inputs give byte-identical artifacts.  These
+digests pin that: a change meant to be a pure refactor or a bit-exact speed-up
+must leave them alone, and a change that moves a bit must say so and repin.
+
+Nothing here reads a nullvector seeded by LAPACK, whose low bits can depend
+on the BLAS; the commutant dimension in the CLI verification block is a
+count.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from skeinrep.chebyshev import chebyshev_eval
+from skeinrep.cli import main
+from skeinrep.scalars import make_root_system
+from skeinrep.serialize import _mpf_to_str, dumps_canonical, rep_to_json, scalar_to_json
+from skeinrep.sphere import build_sphere_rep
+from skeinrep.torus import build_torus_rep, torus_params_from_shadow
+from skeinrep.uniqueness import sample_sphere_invariants, sample_torus_shadow
+
+TORUS_KEYS = ("t1", "t2", "t3", "p")
+SPHERE_KEYS = ("p0", "p1", "p2", "p3", "t1", "t2", "t3")
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _flag(s):
+    re_s = _mpf_to_str(s.re, s.prec_bits)
+    im_s = _mpf_to_str(s.im, s.prec_bits)
+    if im_s.startswith("-"):
+        return f"{re_s} - {im_s[1:]} i"
+    return f"{re_s} + {im_s} i"
+
+
+def _invariants(kind, n, seed):
+    rs = make_root_system(n, "bigfloat", 256)
+    sample = sample_torus_shadow if kind == "torus" else sample_sphere_invariants
+    return sample(rs, random.Random(seed))
+
+
+def _build(kind, inv):
+    if kind == "torus":
+        return build_torus_rep(torus_params_from_shadow(*(inv[k] for k in TORUS_KEYS)))
+    return build_sphere_rep(*(inv[k] for k in SPHERE_KEYS))
+
+
+def _tn_text(rep):
+    n = rep.rs.N
+    return dumps_canonical({g: [[scalar_to_json(e) for e in row]
+                                for row in chebyshev_eval(n, rep.matrix(g))]
+                            for g in sorted(rep.matrices)})
+
+
+# (kind, N, seed): digests of the rep JSON, of T_N of every generator image,
+# and of the CLI build output for the same invariants
+CASES = {
+    ("torus", 3, 41): ("6fff5bcdec9b5bbc", "08d0218c47f32655", "d3a527d23704cfa6"),
+    ("torus", 5, 42): ("a14ff7df1d105b5a", "9091bd3e6bb55301", "e1366c62bf0bebc5"),
+    ("sphere", 3, 43): ("818ffb46ca104389", "b6bb88f50cc35f5e", "8fc4fb7bc9366a6c"),
+    ("sphere", 5, 44): ("d4733dfcdd538834", "53f29cffa370226d", "4b242ecd4469f09d"),
+}
+
+
+@pytest.mark.parametrize("kind,n,seed", sorted(CASES))
+def test_seeded_artifact_digests(kind, n, seed, tmp_path):
+    rep_digest, tn_digest, cli_digest = CASES[kind, n, seed]
+    inv = _invariants(kind, n, seed)
+    rep = _build(kind, inv)
+    assert _digest(dumps_canonical(rep_to_json(rep))) == rep_digest
+    assert _digest(_tn_text(rep)) == tn_digest
+
+    out = tmp_path / "rep.json"
+    keys = TORUS_KEYS if kind == "torus" else SPHERE_KEYS
+    args = [f"build-{kind}", "--N", str(n), "--out", str(out)]
+    for key in keys:
+        args += [f"--{key}", _flag(inv[key])]
+    assert main(args) == 0
+    assert _digest(out.read_text()) == cli_digest

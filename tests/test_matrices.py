@@ -1,0 +1,298 @@
+"""Bit-identity of the raw-value matrix kernel against the object arithmetic.
+
+The references below are the mpc-under-``workprec`` product, the object
+T_n recurrence and the accumulating commutant assembly that the kernel
+replaced.  Every comparison is on the ``_mpf_`` tuples of each entry.
+"""
+
+import dataclasses
+import random
+from fractions import Fraction
+
+import mpmath
+import numpy as np
+import pytest
+from mpmath import mp
+
+from skeinrep import matrices
+from skeinrep.chebyshev import chebyshev_eval
+from skeinrep.invariants import commuting_system
+from skeinrep.scalars import BigComplex, CyclotomicNumber, make_root_system
+from skeinrep.sphere import build_sphere_rep
+from skeinrep.torus import build_torus_rep, torus_params_exact, torus_params_from_shadow
+from skeinrep.uniqueness import sample_sphere_invariants, sample_torus_shadow
+
+
+# ---------------------------------------------------------------------------
+# references
+# ---------------------------------------------------------------------------
+
+def reference_matmul(a, b):
+    rs = a.flat[0].rs
+    n, k = a.shape
+    m = b.shape[1]
+    out = np.empty((n, m), dtype=object)
+    with mp.workprec(rs.precision_bits):
+        am = [[a[i, j].mpc() for j in range(k)] for i in range(n)]
+        bm = [[b[i, j].mpc() for j in range(m)] for i in range(k)]
+        for i in range(n):
+            for j in range(m):
+                acc = mpmath.mpc(0)
+                for l in range(k):
+                    acc += am[i][l] * bm[l][j]
+                out[i, j] = BigComplex(rs, acc.real, acc.imag)
+    return out
+
+
+def reference_chebyshev(n, arg):
+    rs = arg.flat[0].rs
+    two_id = matrices.mat_scale(rs.scalar(2), matrices.identity(rs, arg.shape[0]))
+    if n == 0:
+        return two_id
+    prev2, prev1 = two_id, arg
+    for _ in range(n - 1):
+        prev2, prev1 = prev1, reference_matmul(arg, prev1) - prev2
+    return prev1
+
+
+def reference_commuting_system(rep_a, rep_b):
+    n = rep_a.dim
+    rs = rep_a.rs
+    dense_gens, scalar_rows = [], []
+    for g in rep_a.surface.generators:
+        if g in rep_a.puncture_scalars:
+            diff = rep_a.puncture_scalars[g] - rep_b.puncture_scalars[g]
+            if not diff.is_zero():
+                scalar_rows.append(diff)
+        else:
+            dense_gens.append(g)
+    system = matrices.zeros(rs, (len(dense_gens) + len(scalar_rows)) * n * n, n * n)
+    row = 0
+    for g in dense_gens:
+        ma, mb = rep_a.matrix(g), rep_b.matrix(g)
+        for i in range(n):
+            for l in range(n):
+                for j in range(n):
+                    col = i * n + j
+                    system[row, col] = system[row, col] + ma[j, l]
+                    col = j * n + l
+                    system[row, col] = system[row, col] - mb[i, j]
+                row += 1
+    for diff in scalar_rows:
+        for entry in range(n * n):
+            system[row, entry] = diff
+            row += 1
+    return system
+
+
+def bits(mat):
+    return [(e.re._mpf_, e.im._mpf_) for e in mat.flat]
+
+
+# ---------------------------------------------------------------------------
+# inputs
+# ---------------------------------------------------------------------------
+
+def rs_of(n, prec=256):
+    return make_root_system(n, "bigfloat", prec)
+
+
+def full_mpf(rng, prec):
+    """A random mpf carrying ``prec`` mantissa bits."""
+    man = rng.getrandbits(prec) | (1 << (prec - 1)) | 1
+    return mp.mpf((-man if rng.random() < 0.5 else man, -prec + rng.randint(-4, 4)))
+
+
+def dense(rs, rng, n, m, prec=None):
+    prec = prec or rs.precision_bits
+    out = np.empty((n, m), dtype=object)
+    with mp.workprec(prec):
+        for i in range(n):
+            for j in range(m):
+                out[i, j] = BigComplex(rs, full_mpf(rng, prec), full_mpf(rng, prec))
+    return out
+
+
+def torus_rep(n, seed):
+    rs = rs_of(n)
+    inv = sample_torus_shadow(rs, random.Random(seed))
+    return build_torus_rep(torus_params_from_shadow(inv["t1"], inv["t2"], inv["t3"], inv["p"]))
+
+
+def sphere_rep(n, seed):
+    rs = rs_of(n)
+    inv = sample_sphere_invariants(rs, random.Random(seed))
+    return build_sphere_rep(*(inv[k] for k in ("p0", "p1", "p2", "p3", "t1", "t2", "t3")))
+
+
+# ---------------------------------------------------------------------------
+# matmul
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_ladder_products_bit_identical(n):
+    rep = torus_rep(n, 10 + n)
+    gens = [rep.matrix(g) for g in ("X1", "X2", "X3")]
+    for a in gens:
+        for b in gens:
+            assert bits(matrices.matmul(a, b)) == bits(reference_matmul(a, b))
+
+
+def test_dense_products_bit_identical():
+    rs = rs_of(5)
+    rng = random.Random(1)
+    for size in (1, 2, 4, 7):
+        a, b = dense(rs, rng, size, size), dense(rs, rng, size, size)
+        assert bits(matrices.matmul(a, b)) == bits(reference_matmul(a, b))
+
+
+def test_zero_row_and_column():
+    rs = rs_of(3)
+    rng = random.Random(2)
+    a, b = dense(rs, rng, 4, 4), dense(rs, rng, 4, 4)
+    for j in range(4):
+        a[2, j] = rs.zero
+        b[j, 1] = rs.zero
+    got, want = matrices.matmul(a, b), reference_matmul(a, b)
+    assert bits(got) == bits(want)
+    assert all(e.re == 0 and e.im == 0 for e in list(got[2, :]) + list(got[:, 1]))
+
+
+def test_cancelling_and_real_entries():
+    rs = rs_of(3)
+    rng = random.Random(3)
+    a = dense(rs, rng, 3, 3)
+    a[0, 1] = BigComplex(rs, a[0, 1].re, mp.mpf(0))
+    b = dense(rs, rng, 3, 3)
+    # row 1 of a times column 0 of b cancels exactly
+    a[1, :] = [rs.one, rs.one, rs.zero]
+    b[0, 0], b[1, 0] = rs.scalar(complex(1.5, -2.0)), rs.scalar(complex(-1.5, 2.0))
+    got = matrices.matmul(a, b)
+    assert bits(got) == bits(reference_matmul(a, b))
+    assert got[1, 0].re == 0 and got[1, 0].im == 0
+
+
+def test_non_square_shapes():
+    rs = rs_of(3)
+    rng = random.Random(4)
+    a, b = dense(rs, rng, 3, 5), dense(rs, rng, 5, 2)
+    got = matrices.matmul(a, b)
+    assert got.shape == (3, 2)
+    assert bits(got) == bits(reference_matmul(a, b))
+    row, col = dense(rs, rng, 1, 6), dense(rs, rng, 6, 1)
+    assert bits(matrices.matmul(row, col)) == bits(reference_matmul(row, col))
+    assert bits(matrices.matmul(col, row)) == bits(reference_matmul(col, row))
+
+
+def test_shape_mismatch_raises():
+    rs = rs_of(3)
+    rng = random.Random(5)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        matrices.matmul(dense(rs, rng, 3, 4), dense(rs, rng, 3, 4))
+
+
+def test_entries_above_working_precision_are_rounded_first():
+    rs = rs_of(3, 256)
+    rng = random.Random(6)
+    a, b = dense(rs, rng, 3, 3), dense(rs, rng, 3, 3)
+    wide = dense(rs, rng, 3, 3, prec=512)
+    a[0, 0], a[1, 2], b[2, 1] = wide[0, 0], wide[1, 1], wide[2, 2]
+    assert a[0, 0].re._mpf_[3] > 256
+    assert bits(matrices.matmul(a, b)) == bits(reference_matmul(a, b))
+    assert bits(matrices.matmul(wide, wide)) == bits(reference_matmul(wide, wide))
+
+
+def test_lower_precision_system():
+    rs = rs_of(5, 96)
+    rng = random.Random(7)
+    a, b = dense(rs, rng, 4, 4, prec=200), dense(rs, rng, 4, 4)
+    assert bits(matrices.matmul(a, b)) == bits(reference_matmul(a, b))
+
+
+def test_exact_backend_passthrough():
+    rs = make_root_system(3)
+    rng = random.Random(8)
+
+    def exact(n, m):
+        out = np.empty((n, m), dtype=object)
+        for i in range(n):
+            for j in range(m):
+                out[i, j] = CyclotomicNumber(rs, tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+                                                       for _ in range(rs.degree)))
+        return out
+
+    a, b = exact(3, 4), exact(4, 2)
+    got, want = matrices.matmul(a, b), a @ b
+    assert got.shape == want.shape
+    assert all(x == y for x, y in zip(got.flat, want.flat))
+
+
+# ---------------------------------------------------------------------------
+# T_n of a matrix
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_chebyshev_matrix_bit_identical(n):
+    rep = torus_rep(n, 20 + n)
+    rng = random.Random(n)
+    args = [rep.matrix(g) for g in ("X1", "X2", "X3")]
+    args.append(dense(rep.rs, rng, n, n))
+    args.append(matrices.matmul(rep.matrix("X1"), rep.matrix("X2")))
+    for arg in args:
+        assert bits(chebyshev_eval(n, arg)) == bits(reference_chebyshev(n, arg))
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_chebyshev_matrix_sphere_bit_identical(n):
+    rep = sphere_rep(n, 30 + n)
+    for g in ("X1", "X2", "X3"):
+        arg = rep.matrix(g)
+        assert bits(chebyshev_eval(n, arg)) == bits(reference_chebyshev(n, arg))
+
+
+def test_chebyshev_matrix_low_degrees_and_wide_entries():
+    rs = rs_of(3)
+    rng = random.Random(9)
+    arg = dense(rs, rng, 3, 3, prec=512)
+    for k in (0, 1, 2, 4):
+        assert bits(chebyshev_eval(k, arg)) == bits(reference_chebyshev(k, arg))
+    assert chebyshev_eval(1, arg) is arg
+
+
+def test_chebyshev_matrix_exact_backend():
+    rs = make_root_system(5)
+    rep = build_torus_rep(torus_params_exact(rs.A + 1, rs.A - 2, rs.scalar(Fraction(3, 2))))
+    arg = rep.matrix("X1")
+    two_id = matrices.scalar_matrix(rs.scalar(2), rep.dim)
+    prev2, prev1 = two_id, arg
+    for _ in range(rs.N - 1):
+        prev2, prev1 = prev1, arg @ prev1 - prev2
+    got = chebyshev_eval(rs.N, arg)
+    assert all(x == y for x, y in zip(got.flat, prev1.flat))
+    assert all(x == y for x, y in zip(chebyshev_eval(0, arg).flat, two_id.flat))
+
+
+# ---------------------------------------------------------------------------
+# commutant system
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_commuting_system_bit_identical(n):
+    a, b = torus_rep(n, 40 + n), torus_rep(n, 50 + n)
+    for rep_a, rep_b in ((a, a), (a, b), (b, a)):
+        assert bits(commuting_system(rep_a, rep_b)) == bits(reference_commuting_system(rep_a, rep_b))
+
+
+def test_commuting_system_sphere_with_scalar_rows():
+    a, b = sphere_rep(3, 61), sphere_rep(3, 62)
+    got, want = commuting_system(a, b), reference_commuting_system(a, b)
+    assert got.shape == want.shape and got.shape[0] > 3 * 9
+    assert bits(got) == bits(want)
+
+
+def test_commuting_system_wide_entries():
+    rep = torus_rep(3, 70)
+    rng = random.Random(10)
+    wide = dense(rep.rs, rng, 3, 3, prec=512)
+    rep = dataclasses.replace(rep, matrices=dict(rep.matrices, X2=wide))
+    assert bits(commuting_system(rep, rep)) == bits(reference_commuting_system(rep, rep))
