@@ -37,9 +37,9 @@ def is_pm2(t, rs, tol=None) -> bool:
     return approx_eq(t, two, tol) or approx_eq(t, -two, tol)
 
 
-def check_nondegenerate_t3(t3, rs, tol=None):
+def check_nondegenerate_t3(t3, rs):
     """Raise DegenerateShadow at t3 = +/-2, where the X3 spectrum degenerates."""
-    if is_pm2(t3, rs, tol):
+    if is_pm2(t3, rs):
         raise DegenerateShadow(f"t3 = {t3} is at +/-2; the X3 spectrum degenerates")
 
 

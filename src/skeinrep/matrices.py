@@ -84,6 +84,15 @@ def mat_scale(s, mat):
     return out
 
 
+def _prec_rnd(rs):
+    """Working precision of ``rs`` and the context's rounding mode.
+
+    The mode is read from mpmath's private ``mp._prec_rounding`` (mpmath 1.3),
+    which is what ``mpc`` arithmetic under ``mp.workprec`` rounds with.
+    """
+    return rs.precision_bits, mp._prec_rounding[1]
+
+
 def _raw_rows(mat, prec, rnd):
     """Rows of (re, im) libmp pairs, or None for an exact zero entry.
 
@@ -174,7 +183,7 @@ def matmul(a, b):
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
     rs = a.flat[0].rs
-    prec, rnd = rs.precision_bits, mp._prec_rounding[1]
+    prec, rnd = _prec_rnd(rs)
     return _wrap(rs, _raw_product(_raw_rows(a, prec, rnd), _raw_rows(b, prec, rnd), prec, rnd))
 
 
@@ -195,7 +204,7 @@ def chebyshev_matrix(n: int, arg):
         for _ in range(n - 1):
             prev2, prev1 = prev1, matmul(arg, prev1) - prev2
         return prev2 if n == 0 else prev1
-    prec, rnd = rs.precision_bits, mp._prec_rounding[1]
+    prec, rnd = _prec_rnd(rs)
     two = (from_int(2), fzero)
     prev2 = [[two if i == j else None for j in range(size)] for i in range(size)]
     prev1 = a_rows = _raw_rows(arg, prec, rnd)
