@@ -330,6 +330,22 @@ def from_mp_vector(rs: RootSystem, vec, length):
     return out
 
 
+def inverse(mat):
+    """Inverse of a square bigfloat matrix by mpmath's LU at the working precision.
+
+    The LU carries guard bits; each entry is rounded once to the working
+    precision on the way back, as ``matmul`` would round it on input.
+    """
+    rs = mat.flat[0].rs
+    n = mat.shape[0]
+    with mp.workprec(rs.precision_bits):
+        inv = to_mp_matrix(mat) ** -1
+    out = np.empty((n, n), dtype=object)
+    for i in range(n):
+        out[i] = from_mp_vector(rs, [inv[i, j] for j in range(n)], n)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # nullspace: exact backend
 # ---------------------------------------------------------------------------

@@ -124,19 +124,32 @@ def ladder_scalars_sphere(params: SphereParams) -> LadderScalars:
     return LadderScalars(tuple(beta_plus), tuple(beta_minus), tuple(r_scalars))
 
 
-def ladder_product_closed_form(params: SphereParams) -> Scalar:
-    """Closed form of prod_k R_k through T_N at four quadratic roots."""
+def chebyshev_at_puncture_roots(params: SphereParams) -> tuple:
+    """T_N at the roots r0, r1, r2, r3 of the two puncture quadratics.
+
+    r0, r3 solve r^2 + p0 p3 r + p0^2 + p3^2 - 4 = 0 and r1, r2 solve
+    r^2 + p1 p2 r + p1^2 + p2^2 - 4 = 0.
+    """
     rs = params.rs
-    n = rs.N
-    t3 = params.t3
-    one = rs.one
-    r0, r3 = solve_quadratic(one, params.p0 * params.p3,
+    r0, r3 = solve_quadratic(rs.one, params.p0 * params.p3,
                              params.p0 ** 2 + params.p3 ** 2 - 4)
-    r1, r2 = solve_quadratic(one, params.p1 * params.p2,
+    r1, r2 = solve_quadratic(rs.one, params.p1 * params.p2,
                              params.p1 ** 2 + params.p2 ** 2 - 4)
-    num = one
-    for r in (r0, r1, r2, r3):
-        num = num * (t3 - chebyshev_eval(n, r))
+    return tuple(chebyshev_eval(rs.N, r) for r in (r0, r1, r2, r3))
+
+
+def ladder_product_closed_form(params: SphereParams, tn_roots: tuple = None) -> Scalar:
+    """Closed form of prod_k R_k through T_N at four quadratic roots.
+
+    ``tn_roots`` passes in :func:`chebyshev_at_puncture_roots` when the
+    caller already has it.
+    """
+    if tn_roots is None:
+        tn_roots = chebyshev_at_puncture_roots(params)
+    t3 = params.t3
+    num = params.rs.one
+    for v in tn_roots:
+        num = num * (t3 - v)
     return -num / (t3 * t3 - 4)
 
 
@@ -168,35 +181,6 @@ def build_sphere_rep_with_u(params: SphereParams, u: Scalar,
     return assemble(SPHERE4, rs, n, {"X1": m1, "X2": m2, "X3": m3}, punctures, provenance)
 
 
-def _trace_scalar(rep, name):
-    """Read T_N of a generator image, requiring it to be scalar.
-
-    Runs the three-term recurrence on an mpmath matrix; this sits on the hot
-    path of the u determination.
-    """
-    import mpmath
-    from mpmath import mp
-
-    rs = rep.rs
-    n = rs.N
-    m = matrices.to_mp_matrix(rep.matrix(name))
-    with mp.workprec(rs.precision_bits):
-        prev2 = 2 * mp.eye(rep.dim)
-        prev1 = m
-        for _ in range(n - 1):
-            prev2, prev1 = prev1, m * prev1 - prev2
-        mean = sum(prev1[i, i] for i in range(rep.dim)) / rep.dim
-        eps = mp.mpf(rs.tolerance.rel_eps)
-        for i in range(rep.dim):
-            for j in range(rep.dim):
-                target = mean if i == j else mpmath.mpc(0)
-                bound = eps * max(mp.mpf(1), abs(prev1[i, j]), abs(target))
-                if abs(prev1[i, j] - target) >= bound:
-                    raise NonScalarChebyshev(
-                        f"T_N({name}) is not scalar at the trial wraparound value")
-        return BigComplex(rs, mean.real, mean.imag)
-
-
 def solve_u(params: SphereParams, t1_target, t2_target,
             ladder: LadderScalars = None) -> Scalar:
     """Determine the wraparound constant from the two target traces.
@@ -224,8 +208,8 @@ def solve_u(params: SphereParams, t1_target, t2_target,
     for trial in (rs.one, rs.A):
         try:
             trial_rep = build_sphere_rep_with_u(params, trial, ladder)
-            t1_trial = _trace_scalar(trial_rep, "X1")
-            t2_trial = _trace_scalar(trial_rep, "X2")
+            t1_trial = matrices.read_scalar_matrix(chebyshev_eval(n, trial_rep.matrix("X1")), rs)
+            t2_trial = matrices.read_scalar_matrix(chebyshev_eval(n, trial_rep.matrix("X2")), rs)
             break
         except NonScalarChebyshev as exc:  # retry once with a shifted trial value
             trial_errors.append(exc)

@@ -14,7 +14,10 @@ The gauge scalar x3 of a construction is determined only up to the 2N moves
 x3 -> x3 A^{2l} and x3 -> x3^{-1} A^{2l}, all preserving t3 = x3^N + x3^{-N}.
 The uniqueness experiment samples random generic invariants, builds the
 representation through every gauge variant, and certifies that all variants
-are pairwise isomorphic while the invariants round-trip.
+are pairwise isomorphic while the invariants round-trip.  Its pair
+certificates are composed and checked on the same object arrays as every
+other bigfloat matrix, through ``matrices.matmul``, ``matrices.inverse`` and
+:func:`intertwiner_residuals`.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp
 
 from . import matrices, serialize
 from .chebyshev import chebyshev_eval, solve_chebyshev
@@ -33,10 +35,9 @@ from .errors import SkeinError
 from .invariants import commuting_system, extract_invariants
 from .ladder import is_pm2
 from .representation import Representation
-from .scalars import (CyclotomicNumber, RootSystem, Tolerance, approx_eq, make_root_system,
-                      solve_quadratic)
+from .scalars import CyclotomicNumber, RootSystem, Tolerance, approx_eq, make_root_system
 from .sphere import (build_sphere_rep_from_params, build_sphere_rep_with_u,
-                     ladder_product_closed_form, make_sphere_params)
+                     chebyshev_at_puncture_roots, ladder_product_closed_form, make_sphere_params)
 from .surfaces import Surface
 from .torus import (TorusParams, build_torus_rep, cycle_scalar, puncture_chebyshev_value,
                     torus_params_from_shadow)
@@ -275,11 +276,9 @@ def genericity_check(surface: Surface, invariants: dict, tol: Tolerance = None) 
         if nondegenerate:
             x3 = solve_chebyshev(t3).base
             params = make_sphere_params(*p, rs.zero, rs.zero, x3)
-            closed = ladder_product_closed_form(params)
+            tn_roots = list(chebyshev_at_puncture_roots(params))
+            closed = ladder_product_closed_form(params, tn_roots)
             checks["ladder_product_nonzero"] = not closed.is_zero()
-            r0, r3 = solve_quadratic(rs.one, p[0] * p[3], p[0] ** 2 + p[3] ** 2 - 4)
-            r1, r2 = solve_quadratic(rs.one, p[1] * p[2], p[1] ** 2 + p[2] ** 2 - 4)
-            tn_roots = [chebyshev_eval(rs.N, r) for r in (r0, r1, r2, r3)]
             # record the hypothesis under both sign conventions for the trace
             details.update({
                 "ladder_product_closed_form": closed,
@@ -298,6 +297,10 @@ def genericity_check(surface: Surface, invariants: dict, tol: Tolerance = None) 
 # random generic invariants
 # ---------------------------------------------------------------------------
 
+# rejection distance, in magnitude, from the degenerate loci
+_MARGIN = 1e-5
+
+
 def _annulus_draw(rng, lo=0.5, hi=2.0):
     radius = math.exp(rng.uniform(math.log(lo), math.log(hi)))
     angle = rng.uniform(0.0, 2.0 * math.pi)
@@ -309,23 +312,28 @@ def _trace_draw(rs, rng):
     return a + a ** (-1)
 
 
-def sample_torus_shadow(rs: RootSystem, rng, margin: float = 1e-5):
+def _near_pm2(t, two):
+    """Whether t lies within _MARGIN of 2 or -2 (a rejection test, not a decision)."""
+    return float((t - two).magnitude()) < _MARGIN or float((t + two).magnitude()) < _MARGIN
+
+
+def sample_torus_shadow(rs: RootSystem, rng):
     """Random generic torus invariants (t1, t2, t3, p), rejection-sampled."""
     two = rs.scalar(2)
     while True:
         t1, t2, t3 = (_trace_draw(rs, rng) for _ in range(3))
-        if float((t3 - two).magnitude()) < margin or float((t3 + two).magnitude()) < margin:
+        if _near_pm2(t3, two):
             continue
-        if float(cycle_scalar(t1, t2, t3).magnitude()) < margin:
+        if float(cycle_scalar(t1, t2, t3).magnitude()) < _MARGIN:
             continue
         w = puncture_chebyshev_value(t1, t2, t3)
-        if float((w - two).magnitude()) < margin or float((w + two).magnitude()) < margin:
+        if _near_pm2(w, two):
             continue  # keep the N puncture solutions distinct
         p = solve_chebyshev(w).values[rng.randrange(rs.N)]
         return {"t1": t1, "t2": t2, "t3": t3, "p": p}
 
 
-def sample_sphere_invariants(rs: RootSystem, rng, margin: float = 1e-5):
+def sample_sphere_invariants(rs: RootSystem, rng):
     """Random generic sphere invariants (p0..p3, t1, t2, t3).
 
     The traces t1, t2 are realized (not free): they are read off a
@@ -338,12 +346,12 @@ def sample_sphere_invariants(rs: RootSystem, rng, margin: float = 1e-5):
              for _ in range(4)]
         a = rs.scalar(_annulus_draw(rng))
         t3 = a ** rs.N + a ** (-rs.N)
-        if float((t3 - two).magnitude()) < margin or float((t3 + two).magnitude()) < margin:
+        if _near_pm2(t3, two):
             continue
         x3 = solve_chebyshev(t3).base
         params = make_sphere_params(*p, rs.zero, rs.zero, x3)
         closed = ladder_product_closed_form(params)
-        if float(closed.magnitude()) < margin:
+        if float(closed.magnitude()) < _MARGIN:
             continue
         u = rs.scalar(_annulus_draw(rng))
         rep = build_sphere_rep_with_u(params, u)
@@ -383,23 +391,6 @@ class ExperimentReport:
         }
 
 
-def _mp_images(rep):
-    """Generator images as mpmath matrices, for fast residual arithmetic."""
-    return {g: matrices.to_mp_matrix(rep.matrix(g)) for g in rep.surface.generators}
-
-
-def _mp_worst_residual(m, images_a, images_b, prec):
-    worst = 0.0
-    with mp.workprec(prec):
-        for g, ma in images_a.items():
-            defect = m * ma - images_b[g] * m
-            for entry in defect:
-                mag = abs(entry)
-                if mag > worst:
-                    worst = mag
-    return float(worst)
-
-
 def _build_variant_reps(surface, variants):
     reps = []
     for v in variants:
@@ -425,8 +416,10 @@ def uniqueness_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Sample generic invariants and certify the whole gauge orbit isomorphic.
 
     Per sample: build the representation from every gauge variant, solve for
-    base intertwiners against the first variant, compose them into an
-    intertwiner for every pair, and verify each pair's residual.  Any failed
+    base intertwiners M_j against the first variant, compose M_j M_i^{-1}
+    into an intertwiner for every pair i < j, and verify each pair's
+    residual (the largest of :func:`intertwiner_residuals`) and its
+    double-precision condition estimate.  Any failed
     certificate, oversized residual or failed invariant round-trip marks the
     report failed with full reproduction data.
     """
@@ -466,23 +459,14 @@ def uniqueness_experiment(config: ExperimentConfig) -> ExperimentReport:
                 base_certs[j] = cert
             pairs_checked = 0
             if not failures:
-                prec = rs.precision_bits
-                images = [_mp_images(r) for r in reps]
-                with mp.workprec(prec):
-                    base_m = [mp.eye(reps[0].dim)]
-                    base_m += [matrices.to_mp_matrix(c.matrix) for c in base_certs[1:]]
-                    inverses = {}
-                for i in range(len(reps)):
+                for i in range(len(reps) - 1):
+                    inv_i = matrices.inverse(base_certs[i].matrix) if i else None
                     for j in range(i + 1, len(reps)):
-                        with mp.workprec(prec):
-                            if i == 0:
-                                m = base_m[j]
-                            else:
-                                if i not in inverses:
-                                    inverses[i] = base_m[i] ** -1
-                                m = base_m[j] * inverses[i]
-                        res = _mp_worst_residual(m, images[i], images[j], prec)
-                        cond = _condition_estimate(np.array(m.tolist(), dtype=np.complex128))
+                        m = base_certs[j].matrix
+                        if i:
+                            m = matrices.matmul(m, inv_i)
+                        res = max(intertwiner_residuals(m, reps[i], reps[j]).values())
+                        cond = _condition_estimate(matrices.to_complex128(m))
                         worst_residual = max(worst_residual, res)
                         pairs_checked += 1
                         if not math.isfinite(cond):

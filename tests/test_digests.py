@@ -65,6 +65,9 @@ CASES = {
     ("torus", 5, 42): ("a14ff7df1d105b5a", "9091bd3e6bb55301", "e1366c62bf0bebc5"),
     ("sphere", 3, 43): ("818ffb46ca104389", "b6bb88f50cc35f5e", "8fc4fb7bc9366a6c"),
     ("sphere", 5, 44): ("d4733dfcdd538834", "53f29cffa370226d", "4b242ecd4469f09d"),
+    # u moves in its last bits when solve_u reads T_N through chebyshev_eval
+    ("sphere", 3, 0): ("27735dcce5066130", "2b996077db35c42d", "6804bd69e7d907e9"),
+    ("sphere", 5, 0): ("dc7d92a0c41757a7", "42be082da2665a54", "56875feac720caaa"),
 }
 
 

@@ -197,18 +197,7 @@ def test_commutant_basis_change_invariant(rs, torus_rep):
     for i in range(n):
         for j in range(n):
             g[i, j] = rs.scalar(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-    from mpmath import mp
-
-    with mp.workprec(rs.precision_bits):
-        gm = matrices.to_mp_matrix(g) ** -1
-    g_inv = np.empty((n, n), dtype=object)
-    from skeinrep.scalars import BigComplex
-
-    with mp.workprec(rs.precision_bits):
-        for i in range(n):
-            for j in range(n):
-                z = gm[i, j]
-                g_inv[i, j] = BigComplex(rs, z.real, z.imag)
+    g_inv = matrices.inverse(g)
     mats = {}
     for name, m in rep.matrices.items():
         mats[name] = matrices.freeze(matrices.matmul(matrices.matmul(g, m), g_inv))

@@ -2,10 +2,12 @@
 
 The references below are the mpc-under-``workprec`` product, the object
 T_n recurrence and the accumulating commutant assembly that the kernel
-replaced.  Every comparison is on the ``_mpf_`` tuples of each entry.
+replaced, and the mpmath-matrix inversion that ``matrices.inverse`` wraps.
+Every comparison is on the ``_mpf_`` tuples of each entry.
 """
 
 import dataclasses
+import pathlib
 import random
 from fractions import Fraction
 
@@ -14,13 +16,15 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+import skeinrep
 from skeinrep import matrices
 from skeinrep.chebyshev import chebyshev_eval
 from skeinrep.invariants import commuting_system
-from skeinrep.scalars import BigComplex, CyclotomicNumber, make_root_system
+from skeinrep.scalars import BigComplex, CyclotomicNumber, approx_eq, make_root_system
 from skeinrep.sphere import build_sphere_rep
 from skeinrep.torus import build_torus_rep, torus_params_exact, torus_params_from_shadow
-from skeinrep.uniqueness import sample_sphere_invariants, sample_torus_shadow
+from skeinrep.uniqueness import (gauge_orbit, intertwiner_search, sample_sphere_invariants,
+                                 sample_torus_shadow)
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +87,19 @@ def reference_commuting_system(rep_a, rep_b):
             system[row, entry] = diff
             row += 1
     return system
+
+
+def reference_inverse(g):
+    rs = g.flat[0].rs
+    n = g.shape[0]
+    out = np.empty((n, n), dtype=object)
+    with mp.workprec(rs.precision_bits):
+        gm = matrices.to_mp_matrix(g) ** -1
+        for i in range(n):
+            for j in range(n):
+                z = gm[i, j]
+                out[i, j] = BigComplex(rs, z.real, z.imag)
+    return out
 
 
 def bits(mat):
@@ -296,3 +313,71 @@ def test_commuting_system_wide_entries():
     wide = dense(rep.rs, rng, 3, 3, prec=512)
     rep = dataclasses.replace(rep, matrices=dict(rep.matrices, X2=wide))
     assert bits(commuting_system(rep, rep)) == bits(reference_commuting_system(rep, rep))
+
+
+# ---------------------------------------------------------------------------
+# inverse
+# ---------------------------------------------------------------------------
+
+def assert_matches_reference(g_inv, g):
+    """Entries are the LU inverse rounded once to working precision.
+
+    mpmath's LU carries guard bits into its result; ``matmul`` rounds such
+    wide entries to working precision first, so products agree bit for bit.
+    """
+    rs = g.flat[0].rs
+    ref = reference_inverse(g)
+    with mp.workprec(rs.precision_bits):
+        assert bits(g_inv) == [((+e.re)._mpf_, (+e.im)._mpf_) for e in ref.flat]
+    x = dense(rs, random.Random(1), 2, g.shape[0])
+    assert bits(matrices.matmul(x, g_inv)) == bits(matrices.matmul(x, ref))
+
+
+def assert_identity(mat, rs):
+    n = mat.shape[0]
+    for i in range(n):
+        for j in range(n):
+            assert approx_eq(mat[i, j], rs.one if i == j else rs.zero)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_inverse_of_dense_matrix(n):
+    rs = rs_of(n)
+    rng = random.Random(80 + n)
+    g = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            g[i, j] = rs.scalar(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+    g_inv = matrices.inverse(g)
+    assert_matches_reference(g_inv, g)
+    assert_identity(matrices.matmul(g, g_inv), rs)
+    assert_identity(matrices.matmul(g_inv, g), rs)
+
+
+def test_inverse_of_monomial_certificate():
+    rs = rs_of(3)
+    inv = sample_torus_shadow(rs, random.Random(90))
+    variants = gauge_orbit(torus_params_from_shadow(inv["t1"], inv["t2"], inv["t3"], inv["p"]))
+    cert = intertwiner_search(build_torus_rep(variants[0]), build_torus_rep(variants[4]))
+    assert cert is not None
+    m = cert.matrix
+    assert sum(1 for e in m.flat if e.re or e.im) == 3  # one entry per row and column
+    m_inv = matrices.inverse(m)
+    assert_matches_reference(m_inv, m)
+    assert_identity(matrices.matmul(m, m_inv), rs)
+
+
+# ---------------------------------------------------------------------------
+# one bigfloat matrix representation
+# ---------------------------------------------------------------------------
+
+def test_mpmath_matrices_stay_inside_matrices_module():
+    package = pathlib.Path(skeinrep.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) > 10
+    for path in sources:
+        if path.name == "matrices.py":
+            continue
+        text = path.read_text()
+        for token in ("to_mp_matrix", "mpmath.matrix", "mp.eye"):
+            assert token not in text, f"{path.name} mentions {token}"

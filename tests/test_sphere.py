@@ -5,8 +5,8 @@ import pytest
 
 from skeinrep import matrices
 from skeinrep.chebyshev import chebyshev_eval, solve_chebyshev
-from skeinrep.errors import (DegenerateShadow, NoConsistentRoot, UnsupportedExactOperation,
-                             VanishingCycle)
+from skeinrep.errors import (DegenerateShadow, NoConsistentRoot, NonScalarChebyshev,
+                             UnsupportedExactOperation, VanishingCycle)
 from skeinrep.expressions import evaluate, relation_defects
 from skeinrep.invariants import extract_invariants
 from skeinrep.scalars import CyclotomicNumber, approx_eq, make_root_system, solve_quadratic
@@ -249,6 +249,46 @@ def test_solve_u_bitwise_deterministic(rs3):
     first = solve_u(params, t1, t2)
     second = solve_u(params, t1, t2)
     assert first.re == second.re and first.im == second.im
+
+
+def failing_reads(monkeypatch, fail_calls):
+    """Make the listed calls (1-based) of the T_N scalar read raise."""
+    original = matrices.read_scalar_matrix
+    calls = []
+
+    def read(mat, rs, tol=None):
+        calls.append(None)
+        if len(calls) in fail_calls:
+            raise NonScalarChebyshev(f"read {len(calls)}")
+        return original(mat, rs, tol)
+
+    monkeypatch.setattr(matrices, "read_scalar_matrix", read)
+    return calls
+
+
+def traced_params(rs, seed):
+    rng = random.Random(seed)
+    params = random_params(rs, rng)
+    rep = build_sphere_rep_with_u(params, rnd_scalar(rs, rng, 0.5, 1.5))
+    t1 = matrices.read_scalar_matrix(chebyshev_eval(3, rep.matrix("X1")), rs)
+    t2 = matrices.read_scalar_matrix(chebyshev_eval(3, rep.matrix("X2")), rs)
+    return params, t1, t2
+
+
+def test_solve_u_retries_with_second_trial(rs3, monkeypatch):
+    params, t1, t2 = traced_params(rs3, 17)
+    expected = solve_u(params, t1, t2)
+    calls = failing_reads(monkeypatch, {1})
+    retried = solve_u(params, t1, t2)
+    assert len(calls) == 3  # X1 of the first trial, then X1 and X2 of the second
+    assert approx_eq(retried, expected)
+
+
+def test_solve_u_two_failed_trials_raise_the_last(rs3, monkeypatch):
+    params, t1, t2 = traced_params(rs3, 17)
+    failing_reads(monkeypatch, {1, 2})
+    with pytest.raises(NonScalarChebyshev, match="^read 2$"):
+        solve_u(params, t1, t2)
 
 
 def test_solve_u_rejects_inconsistent_traces(rs3):

@@ -5,7 +5,7 @@ import pytest
 
 from skeinrep import matrices, uniqueness
 from skeinrep.chebyshev import solve_chebyshev
-from skeinrep.scalars import BigComplex, Tolerance, approx_eq, make_root_system
+from skeinrep.scalars import Tolerance, approx_eq, make_root_system
 from skeinrep.serialize import dumps_canonical
 from skeinrep.sphere import build_sphere_rep_from_params, make_sphere_params
 from skeinrep.surfaces import SPHERE4, TORUS1
@@ -38,20 +38,11 @@ def conjugate(rep, g, g_inv):
 
 
 def random_invertible(rs, n, rng):
-    from mpmath import mp
-
     g = np.empty((n, n), dtype=object)
     for i in range(n):
         for j in range(n):
             g[i, j] = rs.scalar(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-    with mp.workprec(rs.precision_bits):
-        gm = matrices.to_mp_matrix(g) ** -1
-        g_inv = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                z = gm[i, j]
-                g_inv[i, j] = BigComplex(rs, z.real, z.imag)
-    return g, g_inv
+    return g, matrices.inverse(g)
 
 
 # ---------------------------------------------------------------------------
