@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import matrices
 from .chebyshev import chebyshev_eval
 from .expressions import evaluate, relation_defects
@@ -20,6 +22,11 @@ from .scalars import Tolerance, approx_eq
 from .torus import puncture_chebyshev_value
 
 TRACE_CONVENTION = "traces store Tr r(X) = -t where T_N(rho(X)) = t*Id"
+
+# a nonzero off-diagonal entry or X3 eigenvalue gap below this fraction of
+# the largest entry sits in or near the nullspace prescreen's ambiguous band
+# (matrices._AMBIGUOUS_HIGH), so the commutant leaves it to the nullspace
+_SUPPORT_MARGIN = 1e-8
 
 
 @dataclass
@@ -214,13 +221,77 @@ def commuting_system(rep_a: Representation, rep_b: Representation):
     return system
 
 
+def _clear(e, cut):
+    """True for a nonzero at least ``cut`` in magnitude, False for an exact zero, else None.
+
+    ``cut`` is None in the exact backend, where every nonzero is clear.
+    """
+    if cut is None:
+        return not e.is_zero()
+    if not (e.re or e.im):
+        return False
+    return True if abs(complex(float(e.re), float(e.im))) >= cut else None
+
+
+def _support_commutant(rep):
+    """Commutant dimension read off the support graph, or None where it does not apply.
+
+    When the X3 image is exactly diagonal with pairwise distinct eigenvalues,
+    a commuting M is diagonal, and D X = X D holds exactly when D_i = D_l at
+    every nonzero off-diagonal X[i, l].  The commutant is then the diagonals
+    constant on each connected component of the graph of those entries of
+    the other images, and its dimension is the component count.  In the
+    bigfloat backend every off-diagonal entry must be an exact zero or at
+    least _SUPPORT_MARGIN times the largest entry, and every eigenvalue gap
+    must clear the same cut, so that the count agrees with the nullspace's
+    rank decision; any other rep returns None.
+    """
+    gens = rep.surface.x_generators
+    if "X3" not in gens:
+        return None
+    n = rep.dim
+    cut = None
+    if rep.rs.backend != "exact":
+        cut = _SUPPORT_MARGIN * max(np.abs(matrices.to_complex128(rep.matrix(g))).max()
+                                    for g in gens)
+        if not cut > 0.0:
+            return None
+    x3 = rep.matrix("X3")
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    if any(_clear(x3[i, j], cut) is not False for i, j in pairs):
+        return None
+    if any(_clear(x3[i, i] - x3[j, j], cut) is not True for i, j in pairs if i < j):
+        return None
+    root = list(range(n))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for image in [rep.matrix(g) for g in gens if g != "X3"]:
+        for i, j in pairs:
+            state = _clear(image[i, j], cut)
+            if state is None:
+                return None
+            if state:
+                root[find(i)] = find(j)
+    return sum(1 for i in range(n) if find(i) == i)
+
+
 def commutant_dimension(rep: Representation, tol: Tolerance = None) -> int:
     """Dimension of {M : M commutes with every generator image}.
 
-    Equals 1 exactly when the representation is irreducible.
+    Equals 1 exactly when the representation is irreducible.  A diagonal X3
+    image with a simple spectrum reduces this to a component count on the
+    support graph of the other images (:func:`_support_commutant`); every
+    other rep solves the commuting system with ``matrices.nullspace``.
     """
     if not rep.surface.generators:
         return rep.dim * rep.dim
+    components = _support_commutant(rep)
+    if components is not None:
+        return components
     system = commuting_system(rep, rep)
     if system.shape[0] == 0:
         # only scalar generators, all matching: every matrix commutes,

@@ -22,7 +22,8 @@ from __future__ import annotations
 import numpy as np
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fzero, from_int, mpf_add, mpf_mul, mpf_pos, mpf_sub
+from mpmath.libmp import (fzero, from_int, mpc_abs, mpf_add, mpf_gt, mpf_mul, mpf_pos, mpf_sub,
+                          to_float)
 
 from .scalars import BigComplex, CyclotomicNumber, RootSystem, numeric_bridge
 
@@ -236,6 +237,35 @@ def max_magnitude_mpf(mat):
             if m > best:
                 best = m
     return best
+
+
+def intertwining_defects(m, pairs):
+    """Float magnitude of the largest entry of M A - B M for each (A, B) in ``pairs``.
+
+    Each float equals ``residual_report(matmul(m, a) - matmul(b, m))[1]``.
+    Bigfloat defects are formed on raw values: M is unpacked once, each
+    defect is one fused ``_raw_product(M, A, minus=B M)``, whose entries are
+    the object path's entries bit for bit, and its largest ``mpc_abs`` is
+    rounded to float once, as ``float(mpf)`` rounds it.  The exact backend
+    keeps the object path.
+    """
+    if isinstance(m.flat[0], CyclotomicNumber):
+        return [residual_report(matmul(m, a) - matmul(b, m))[1] for a, b in pairs]
+    prec, rnd = _prec_rnd(m.flat[0].rs)
+    m_rows = _raw_rows(m, prec, rnd)
+    out = []
+    for a, b in pairs:
+        b_m = _raw_product(_raw_rows(b, prec, rnd), m_rows, prec, rnd)
+        defect = _raw_product(m_rows, _raw_rows(a, prec, rnd), prec, rnd, minus=b_m)
+        worst = fzero
+        for row in defect:
+            for z in row:
+                if z is not None:
+                    mag = mpc_abs(z, prec, rnd)
+                    if mpf_gt(mag, worst):
+                        worst = mag
+        out.append(to_float(worst, rnd=rnd))
+    return out
 
 
 def is_zero_matrix(mat) -> bool:

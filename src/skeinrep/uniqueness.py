@@ -4,20 +4,22 @@ An isomorphism between two representations is certified by an invertible
 intertwiner M with M rho(g) = rho'(g) M for every generator.  The
 constructions store X3 diagonal with simple spectrum whenever t3 != +/-2, so
 M X3 = X3' M forces M to be a permutation of the eigenlines times a diagonal:
-the solver matches the two X3 spectra and solves a nullspace problem in dim
-unknowns.  Only a non-diagonal X3 image or a repeated spectrum falls back to
-the dense problem in dim^2 unknowns.  For irreducible representations the
-solution space has dimension at most one and the certificate is unique up to
-scale.
+the solver matches the two X3 spectra and walks the nonzero ladder entries
+of the other images, fixing the dim diagonal scalars with dim - 1 divisions.
+Only a non-diagonal X3 image, a repeated spectrum or a line the walk cannot
+reach falls back to the dense problem in dim^2 unknowns.  For irreducible
+representations the solution space has dimension at most one and the
+certificate is unique up to scale.
 
 The gauge scalar x3 of a construction is determined only up to the 2N moves
 x3 -> x3 A^{2l} and x3 -> x3^{-1} A^{2l}, all preserving t3 = x3^N + x3^{-N}.
 The uniqueness experiment samples random generic invariants, builds the
 representation through every gauge variant, and certifies that all variants
 are pairwise isomorphic while the invariants round-trip.  Its pair
-certificates are composed and checked on the same object arrays as every
-other bigfloat matrix, through ``matrices.matmul``, ``matrices.inverse`` and
-:func:`intertwiner_residuals`.
+certificates M_j M_i^{-1} of two monomial certificates are again monomial
+and take dim divisions; a dense certificate goes through ``matrices.inverse``
+and ``matrices.matmul``.  Every pair is checked by
+:func:`intertwiner_residuals` on the raw libmp kernel.
 """
 
 from __future__ import annotations
@@ -59,12 +61,15 @@ class IsomorphismCertificate:
 
 
 def intertwiner_residuals(m, rep_a: Representation, rep_b: Representation) -> dict:
-    out = {}
-    for g in rep_a.surface.generators:
-        defect = matrices.matmul(m, rep_a.matrix(g)) - matrices.matmul(rep_b.matrix(g), m)
-        _, mag = matrices.residual_report(defect)
-        out[g] = mag
-    return out
+    """Largest entry magnitude of M rho_a(g) - rho_b(g) M, as a float, per generator.
+
+    Bigfloat defects run on the raw libmp kernel through
+    :func:`matrices.intertwining_defects`, bit-identical to
+    ``residual_report(matmul(m, g_a) - matmul(g_b, m))``.
+    """
+    gens = rep_a.surface.generators
+    pairs = [(rep_a.matrix(g), rep_b.matrix(g)) for g in gens]
+    return dict(zip(gens, matrices.intertwining_defects(m, pairs)))
 
 
 def _condition_estimate(md) -> float:
@@ -98,14 +103,16 @@ def _certificate(m, rep_a, rep_b):
     return IsomorphismCertificate(matrices.freeze(m), residuals, cond)
 
 
+def _exact_zero(e) -> bool:
+    return e.is_zero() if isinstance(e, CyclotomicNumber) else not (e.re or e.im)
+
+
 def _exact_diagonal(m):
     """Diagonal of m when every off-diagonal entry is exactly zero, else None."""
     n = m.shape[0]
     for i in range(n):
         for j in range(n):
-            e = m[i, j]
-            exact_zero = e.is_zero() if isinstance(e, CyclotomicNumber) else not (e.re or e.im)
-            if i != j and not exact_zero:
+            if i != j and not _exact_zero(m[i, j]):
                 return None
     return [m[i, i] for i in range(n)]
 
@@ -131,32 +138,52 @@ def _dense_intertwiner(rep_a, rep_b, tol):
     return None
 
 
+def _within_gate(cert, rep_a, rep_b, tol) -> bool:
+    """Whether every residual is below rel_eps * max(1, largest generator entry).
+
+    The exact backend requires every residual to be exactly zero.
+    """
+    if rep_a.rs.backend == "exact":
+        return cert.worst_residual == 0.0
+    rel_eps = tol.rel_eps if tol is not None else rep_a.rs.tolerance.rel_eps
+    scale = max(float(np.abs(matrices.to_complex128(rep.matrix(g))).max())
+                for rep in (rep_a, rep_b) for g in rep.surface.generators)
+    return cert.worst_residual < rel_eps * max(1.0, scale)
+
+
 def _monomial_intertwiner(rep_a, rep_b, sigma, tol):
-    """Solve for M = P_sigma diag(m), where lam_b[sigma[k]] = lam_a[k] on X3.
+    """Walk for M = P_sigma diag(m), where lam_b[sigma[k]] = lam_a[k] on X3.
 
     Entry (sigma[r], l) of M g_a - g_b M is m_r g_a[r, l] - g_b[sigma[r], sigma[l]] m_l,
-    so each remaining generator contributes dim^2 equations in dim unknowns.
+    so an entry g_a[r, l] that is nonzero at working precision fixes
+    m_r = g_b[sigma[r], sigma[l]] m_l / g_a[r, l].  A breadth-first walk from
+    m_0 = 1 over the non-X3 images (for the ladders, X1 steps) takes dim - 1
+    divisions.  A line the walk cannot reach goes to the dense system.  Up to
+    scale the walk's M is the only monomial candidate, so it is accepted only
+    when :func:`_certificate` accepts it and its residuals over every
+    generator pass :func:`_within_gate`; otherwise no intertwiner exists.
     """
     n = rep_a.dim
-    gens = [g for g in rep_a.surface.x_generators if g != "X3"]
-    system = matrices.zeros(rep_a.rs, len(gens) * n * n, n)
-    row = 0
-    for g in gens:
-        ga, gb = rep_a.matrix(g), rep_b.matrix(g)
-        for r in range(n):
-            for l in range(n):
-                system[row, r] = system[row, r] + ga[r, l]
-                system[row, l] = system[row, l] - gb[sigma[r], sigma[l]]
-                row += 1
-    _, vectors = matrices.nullspace(system, tol)
-    for vec in vectors:
-        m = matrices.zeros(rep_a.rs, n)
-        for k in range(n):
-            m[sigma[k], k] = vec[k]
-        cert = _certificate(m, rep_a, rep_b)
-        if cert is not None:
-            return cert
-    return None
+    images = [(rep_a.matrix(g), rep_b.matrix(g))
+              for g in rep_a.surface.x_generators if g != "X3"]
+    m = [None] * n
+    m[0] = rep_a.rs.one
+    reached = [0]
+    for l in reached:  # grows while it is walked
+        for ga, gb in images:
+            for r in range(n):
+                if m[r] is None and not ga[r, l].is_zero():
+                    m[r] = gb[sigma[r], sigma[l]] * m[l] / ga[r, l]
+                    reached.append(r)
+    if len(reached) < n:
+        return _dense_intertwiner(rep_a, rep_b, tol)
+    candidate = matrices.zeros(rep_a.rs, n)
+    for k in range(n):
+        candidate[sigma[k], k] = m[k]
+    cert = _certificate(candidate, rep_a, rep_b)
+    if cert is None or not _within_gate(cert, rep_a, rep_b, tol):
+        return None
+    return cert
 
 
 def intertwiner_search(rep_a: Representation, rep_b: Representation,
@@ -166,11 +193,14 @@ def intertwiner_search(rep_a: Representation, rep_b: Representation,
     Distinct central characters (puncture scalars) refuse at once.  When both
     X3 images are exactly diagonal, M X3_a = X3_b M forces M to be monomial:
     an X3 eigenvalue of ``rep_a`` without a partner in ``rep_b`` refuses, and
-    a simple spectrum fixes the eigenline permutation, leaving dim unknowns
-    solved from the remaining generators.  Only a non-diagonal X3 image or a
-    spectrum repeating within tolerance goes to the dense commuting system
-    with dim^2 unknowns.  Certificates are normalized so the largest entry
-    is 1, and carry residuals over every generator.
+    a simple spectrum fixes the eigenline permutation.  The dim unknowns are
+    then walked along the nonzero entries of the other images from m_0 = 1
+    (:func:`_monomial_intertwiner`), and the candidate must pass the
+    residual gate over every generator, at ``tol`` or the root system's
+    tolerance.  A non-diagonal X3 image, a spectrum repeating within
+    tolerance or a line the walk cannot reach goes to the dense commuting
+    system with dim^2 unknowns.  Certificates are normalized so the largest
+    entry is 1, and carry residuals over every generator.
     """
     if rep_a.surface != rep_b.surface:
         raise ValueError("representations live on different surfaces")
@@ -401,6 +431,31 @@ def _build_variant_reps(surface, variants):
     return reps
 
 
+def _monomial_parts(m):
+    """(sigma, entries) with m[sigma[k], k] = entries[k] when m is monomial, else None."""
+    n = m.shape[0]
+    sigma, entries = [], []
+    for k in range(n):
+        rows = [i for i in range(n) if not _exact_zero(m[i, k])]
+        if len(rows) != 1:
+            return None
+        sigma.append(rows[0])
+        entries.append(m[rows[0], k])
+    return (sigma, entries) if len(set(sigma)) == n else None
+
+
+def _pair_matrix(m_j, m_i, rs):
+    """M_j M_i^{-1}; two monomials give entry m_j[k] / m_i[k] at (sigma_j(k), sigma_i(k))."""
+    parts_j, parts_i = _monomial_parts(m_j), _monomial_parts(m_i)
+    if parts_j is None or parts_i is None:
+        return matrices.matmul(m_j, matrices.inverse(m_i))
+    (sigma_j, e_j), (sigma_i, e_i) = parts_j, parts_i
+    out = matrices.zeros(rs, len(e_j))
+    for k in range(len(e_j)):
+        out[sigma_j[k], sigma_i[k]] = e_j[k] / e_i[k]
+    return out
+
+
 def _roundtrip_ok(rep, invariants, tol):
     shadow = extract_invariants(rep)
     ok = True
@@ -417,11 +472,12 @@ def uniqueness_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     Per sample: build the representation from every gauge variant, solve for
     base intertwiners M_j against the first variant, compose M_j M_i^{-1}
-    into an intertwiner for every pair i < j, and verify each pair's
-    residual (the largest of :func:`intertwiner_residuals`) and its
-    double-precision condition estimate.  Any failed
-    certificate, oversized residual or failed invariant round-trip marks the
-    report failed with full reproduction data.
+    into an intertwiner for every pair i < j (:func:`_pair_matrix`), and
+    verify each pair's residual (the largest of
+    :func:`intertwiner_residuals`) and its double-precision condition
+    estimate.  Any failed certificate, oversized residual or failed
+    invariant round-trip marks the report failed with full reproduction
+    data.
     """
     rs = make_root_system(config.N, "bigfloat", config.precision_bits)
     rng = random.Random(config.seed)
@@ -460,11 +516,10 @@ def uniqueness_experiment(config: ExperimentConfig) -> ExperimentReport:
             pairs_checked = 0
             if not failures:
                 for i in range(len(reps) - 1):
-                    inv_i = matrices.inverse(base_certs[i].matrix) if i else None
                     for j in range(i + 1, len(reps)):
                         m = base_certs[j].matrix
                         if i:
-                            m = matrices.matmul(m, inv_i)
+                            m = _pair_matrix(m, base_certs[i].matrix, rs)
                         res = max(intertwiner_residuals(m, reps[i], reps[j]).values())
                         cond = _condition_estimate(matrices.to_complex128(m))
                         worst_residual = max(worst_residual, res)

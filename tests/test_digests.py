@@ -6,8 +6,9 @@ digests pin that: a change meant to be a pure refactor or a bit-exact speed-up
 must leave them alone, and a change that moves a bit must say so and repin.
 
 Nothing here reads a nullvector seeded by LAPACK, whose low bits can depend
-on the BLAS; the commutant dimension in the CLI verification block is a
-count.
+on the BLAS: the commutant dimension in the CLI verification block is a
+count, and the experiment's certificates are walked along the ladder and
+composed as monomials, so its JSON, residual digits included, is pinned too.
 """
 
 import hashlib
@@ -86,3 +87,19 @@ def test_seeded_artifact_digests(kind, n, seed, tmp_path):
         args += [f"--{key}", _flag(inv[key])]
     assert main(args) == 0
     assert _digest(out.read_text()) == cli_digest
+
+
+# (surface, N, samples): digest of the CLI experiment output for seed 11
+EXPERIMENTS = {
+    ("torus1", 3, 5): "d6d8c24e01605685",
+    ("sphere4", 3, 5): "0be559ecd533aa40",
+}
+
+
+@pytest.mark.parametrize("surface,n,samples", sorted(EXPERIMENTS))
+def test_seeded_experiment_digests(surface, n, samples, tmp_path):
+    out = tmp_path / "experiment.json"
+    args = ["experiment", "--surface", surface, "--N", str(n), "--samples", str(samples),
+            "--seed", "11", "--out", str(out)]
+    assert main(args) == 0
+    assert _digest(out.read_text()) == EXPERIMENTS[surface, n, samples]

@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from skeinrep import matrices
+from skeinrep import invariants, matrices
 from skeinrep.errors import NonScalarChebyshev
-from skeinrep.invariants import (commutant_dimension, extract_invariants, verify_relations)
+from skeinrep.invariants import (_support_commutant, commutant_dimension, commuting_system,
+                                 extract_invariants, verify_relations)
 from skeinrep.representation import Representation, assemble
 from skeinrep.scalars import approx_eq, make_root_system
 from skeinrep.sphere import build_sphere_rep_with_u, make_sphere_params, small_sphere_rep
@@ -202,4 +203,47 @@ def test_commutant_basis_change_invariant(rs, torus_rep):
     for name, m in rep.matrices.items():
         mats[name] = matrices.freeze(matrices.matmul(matrices.matmul(g, m), g_inv))
     conjugated = Representation(rep.surface, rs, n, mats, rep.puncture_scalars, {})
+    assert commutant_dimension(conjugated) == 1
+
+
+def _nullspace_commutant(rep):
+    system = commuting_system(rep, rep)
+    return matrices.nullspace(system, None, want_vectors=False)[0]
+
+
+def test_support_commutant_matches_nullspace(torus_rep, rs):
+    rep, _ = torus_rep
+    exact = build_torus_rep(torus_params_exact(*(make_root_system(3).scalar(v) for v in (2, 1, 3))))
+    for r in (rep, sphere_rep(rs), exact):
+        assert _support_commutant(r) == _nullspace_commutant(r) == 1
+
+
+def test_verify_skips_commuting_system_on_ladders(torus_rep, rs, monkeypatch):
+    def no_system(*_args):
+        raise AssertionError("the commuting system was built")
+
+    monkeypatch.setattr(invariants, "commuting_system", no_system)
+    for rep in (torus_rep[0], sphere_rep(rs)):
+        assert verify_relations(rep).commutant_dim == 1
+
+
+def test_support_commutant_declines(torus_rep, rs):
+    rep, _ = torus_rep
+    # a repeated X3 spectrum
+    assert _support_commutant(direct_sum(rep)) is None
+    # a nonzero off-diagonal entry far below the nullspace prescreen's cut
+    x1 = matrices.zeros(rs, 3)
+    x1[1, 0], x1[2, 1], x1[0, 2] = rs.one, rs.scalar(1e-20), rs.one
+    mats = dict(rep.matrices, X1=matrices.freeze(x1),
+                X2=matrices.freeze(matrices.diagonal([rs.one, rs.scalar(2), rs.scalar(3)])))
+    near_cut = Representation(rep.surface, rs, 3, mats, rep.puncture_scalars, {})
+    assert _support_commutant(near_cut) is None
+    # X3 no longer diagonal
+    g = matrices.identity(rs, 3)
+    g[0, 1] = rs.scalar(complex(0.5, 0.25))
+    g_inv = matrices.inverse(g)
+    conj = {name: matrices.freeze(matrices.matmul(matrices.matmul(g, m), g_inv))
+            for name, m in rep.matrices.items()}
+    conjugated = Representation(rep.surface, rs, 3, conj, rep.puncture_scalars, {})
+    assert _support_commutant(conjugated) is None
     assert commutant_dimension(conjugated) == 1

@@ -1,9 +1,11 @@
 """Bit-identity of the raw-value matrix kernel against the object arithmetic.
 
 The references below are the mpc-under-``workprec`` product, the object
-T_n recurrence and the accumulating commutant assembly that the kernel
-replaced, and the mpmath-matrix inversion that ``matrices.inverse`` wraps.
-Every comparison is on the ``_mpf_`` tuples of each entry.
+T_n recurrence, the accumulating commutant assembly and the object-array
+intertwiner defect that the kernel replaced, and the mpmath-matrix
+inversion that ``matrices.inverse`` wraps.
+Every comparison is on the ``_mpf_`` tuples of each entry, or on the
+residual floats.
 """
 
 import dataclasses
@@ -23,8 +25,8 @@ from skeinrep.invariants import commuting_system
 from skeinrep.scalars import BigComplex, CyclotomicNumber, approx_eq, make_root_system
 from skeinrep.sphere import build_sphere_rep
 from skeinrep.torus import build_torus_rep, torus_params_exact, torus_params_from_shadow
-from skeinrep.uniqueness import (gauge_orbit, intertwiner_search, sample_sphere_invariants,
-                                 sample_torus_shadow)
+from skeinrep.uniqueness import (gauge_orbit, intertwiner_residuals, intertwiner_search,
+                                 sample_sphere_invariants, sample_torus_shadow)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +367,49 @@ def test_inverse_of_monomial_certificate():
     m_inv = matrices.inverse(m)
     assert_matches_reference(m_inv, m)
     assert_identity(matrices.matmul(m, m_inv), rs)
+
+
+# ---------------------------------------------------------------------------
+# fused intertwiner residuals
+# ---------------------------------------------------------------------------
+
+def reference_residuals(m, rep_a, rep_b):
+    out = {}
+    for g in rep_a.surface.generators:
+        defect = matrices.matmul(m, rep_a.matrix(g)) - matrices.matmul(rep_b.matrix(g), m)
+        out[g] = matrices.residual_report(defect)[1]
+    return out
+
+
+def gauge_pairs(n, seed):
+    """Variant 0 against variants 1, N and N + 1 of a torus gauge orbit."""
+    inv = sample_torus_shadow(rs_of(n), random.Random(seed))
+    variants = gauge_orbit(torus_params_from_shadow(inv["t1"], inv["t2"], inv["t3"], inv["p"]))
+    reps = [build_torus_rep(v) for v in variants]
+    return [(reps[0], reps[j]) for j in (1, n, n + 1)]
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_intertwiner_residuals_bit_identical(n):
+    for rep_a, rep_b in gauge_pairs(n, 60 + n):
+        cert = intertwiner_search(rep_a, rep_b)
+        assert cert is not None
+        for m in (cert.matrix, dense(rep_a.rs, random.Random(n), n, n)):
+            fused = intertwiner_residuals(m, rep_a, rep_b)
+            assert fused == reference_residuals(m, rep_a, rep_b)
+            assert all(isinstance(v, float) for v in fused.values())
+
+
+def test_intertwiner_residuals_exact_backend():
+    rs = make_root_system(3)
+    params = torus_params_exact(rs.scalar(2), rs.scalar(1), rs.scalar(3))
+    rep = build_torus_rep(params)
+    gauge = build_torus_rep(gauge_orbit(params)[1])
+    m = intertwiner_search(rep, gauge).matrix
+    for other in (rep, gauge):
+        assert intertwiner_residuals(m, rep, other) == reference_residuals(m, rep, other)
+    assert all(v == 0.0 for v in intertwiner_residuals(m, rep, gauge).values())
+    assert any(v > 0.0 for v in intertwiner_residuals(m, rep, rep).values())
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,68 @@ def test_exact_backend_certificates():
         assert all(r == 0.0 for r in cert.residuals.values())
 
 
+def with_matrices(rep, **images):
+    from skeinrep.representation import Representation
+
+    mats = dict(rep.matrices)
+    mats.update({g: matrices.freeze(m) for g, m in images.items()})
+    return Representation(rep.surface, rep.rs, rep.dim, mats, rep.puncture_scalars, {})
+
+
+def test_walk_refuses_perturbed_x2(base_rep, monkeypatch):
+    rep, _, _ = base_rep
+    x2 = np.array(rep.matrix("X2"), dtype=object)
+    x2[0, 1] = x2[0, 1] * rep.rs.scalar(complex(1, 1e-10))
+    other = with_matrices(rep, X2=x2)
+    accepted = []
+    real_certificate = uniqueness._certificate
+
+    def spy(m, rep_a, rep_b):
+        cert = real_certificate(m, rep_a, rep_b)
+        accepted.append(cert is not None)
+        return cert
+
+    monkeypatch.setattr(uniqueness, "_certificate", spy)
+    # same X3 and puncture scalars, so the walk runs; its candidate is
+    # invertible, and only the residual gate refuses it
+    assert intertwiner_search(rep, other) is None
+    assert accepted == [True]
+
+
+def test_walk_unreachable_line_goes_dense(base_rep, monkeypatch):
+    rep, _, _ = base_rep
+    rs, n = rep.rs, rep.dim
+    # a cyclic up-ladder whose step from line 1 to line 2 is exactly zero:
+    # lines are only reached from line 0 through X1[1, 0]
+    x1 = matrices.zeros(rs, n)
+    x1[1, 0] = rs.scalar(complex(0.7, 0.2))
+    x1[0, 2] = rs.scalar(complex(-0.4, 1.1))
+    hand_built = with_matrices(rep, X1=x1, X2=matrices.mat_scale(rs.scalar(2), x1))
+    calls = []
+    real_dense = uniqueness._dense_intertwiner
+
+    def spy(rep_a, rep_b, tol):
+        calls.append((rep_a, rep_b))
+        return real_dense(rep_a, rep_b, tol)
+
+    monkeypatch.setattr(uniqueness, "_dense_intertwiner", spy)
+    cert = intertwiner_search(hand_built, hand_built)
+    assert calls == [(hand_built, hand_built)]
+    assert cert is not None and cert.worst_residual < 1e-40
+
+
+def _no_nullspace(*_args, **_kwargs):
+    raise AssertionError("matrices.nullspace was called")
+
+
+@pytest.mark.parametrize("surface", [TORUS1, SPHERE4])
+def test_experiment_runs_without_nullspace(surface, monkeypatch):
+    monkeypatch.setattr(matrices, "nullspace", _no_nullspace)
+    report = uniqueness_experiment(ExperimentConfig(surface, 3, 2, seed=11))
+    assert report.passed, [r["failures"] for r in report.records]
+    assert all(rec["pairs_checked"] == 15 for rec in report.records)
+
+
 # ---------------------------------------------------------------------------
 # gauge orbit
 # ---------------------------------------------------------------------------
