@@ -11,15 +11,22 @@ Normalization rewrites every word into the ordered-monomial form
 X1^a X2^b X3^c times a monomial in the central puncture generators, using
 the oriented q-commutation rules of the surface presentation.  Every rule
 output either sorts the contracted pair or strictly lowers the word degree,
-so rewriting terminates; the empirical confluence suite checks independence
-of the rewrite order.
+so the key (word length, inversion count) strictly falls and rewriting
+terminates; the empirical confluence suite checks independence of the
+rewrite order.  Like terms merge within one call: words are contracted in
+decreasing key order, so each is contracted once, with its full merged
+coefficient.  Exact normal forms are the same as term-by-term rewriting
+gives; bigfloat coefficients round in merge order.
 """
 
 from __future__ import annotations
 
+import heapq
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import matrices
 from .errors import ExponentOverflow, ParseError, UnknownGenerator
@@ -324,31 +331,44 @@ class NormalForm:
 
 
 def _expand(node, rs):
-    """Expand a syntax tree into (coefficient, word) pairs."""
-    if isinstance(node, Lit):
-        return [(node.value, ())]
-    if isinstance(node, Gen):
-        return [(rs.one, (node.name,))]
-    if isinstance(node, Sum):
-        out = []
-        for t in node.terms:
-            out.extend(_expand(t, rs))
-        return out
-    if isinstance(node, Prod):
-        out = [(rs.one, ())]
-        for f in node.factors:
-            rhs = _expand(f, rs)
-            out = [(c1 * c2, w1 + w2) for (c1, w1) in out for (c2, w2) in rhs]
-        return out
-    if isinstance(node, Power):
-        if node.exponent > EXPONENT_CAP:
-            raise ExponentOverflow(f"exponent {node.exponent} exceeds the cap {EXPONENT_CAP}")
-        out = [(rs.one, ())]
-        base = _expand(node.base, rs)
-        for _ in range(node.exponent):
-            out = [(c1 * c2, w1 + w2) for (c1, w1) in out for (c2, w2) in base]
-        return out
-    raise TypeError(f"not an expression node: {node!r}")
+    """Expand a syntax tree into (coefficient, word) pairs.
+
+    A word without a literal carries one shared ``rs.one``, and products with
+    it are skipped: multiplying by one changes no value, since every literal's
+    parts are already at the working precision.
+    """
+    one = rs.one
+
+    def times(c1, c2):
+        return c2 if c1 is one else c1 if c2 is one else c1 * c2
+
+    def expand(node):
+        if isinstance(node, Lit):
+            return [(node.value, ())]
+        if isinstance(node, Gen):
+            return [(one, (node.name,))]
+        if isinstance(node, Sum):
+            out = []
+            for t in node.terms:
+                out.extend(expand(t))
+            return out
+        if isinstance(node, Prod):
+            out = [(one, ())]
+            for f in node.factors:
+                rhs = expand(f)
+                out = [(times(c1, c2), w1 + w2) for (c1, w1) in out for (c2, w2) in rhs]
+            return out
+        if isinstance(node, Power):
+            if node.exponent > EXPONENT_CAP:
+                raise ExponentOverflow(f"exponent {node.exponent} exceeds the cap {EXPONENT_CAP}")
+            out = [(one, ())]
+            base = expand(node.base)
+            for _ in range(node.exponent):
+                out = [(times(c1, c2), w1 + w2) for (c1, w1) in out for (c2, w2) in base]
+            return out
+        raise TypeError(f"not an expression node: {node!r}")
+
+    return expand(node)
 
 
 def _find_redex(word, rules, order):
@@ -359,11 +379,29 @@ def _find_redex(word, rules, order):
     return None
 
 
-def normalize(expr: SkeinExpr, rsys: RewriteSystem = None, order: str = "leftmost") -> NormalForm:
-    """Rewrite to the ordered-monomial normal form.
+def _inversions(word, rank):
+    """Number of out-of-order letter pairs of ``word``, in one pass over it."""
+    seen = [0] * len(rank)
+    count = 0
+    for g in word:
+        r = rank[g]
+        count += sum(seen[r + 1:])
+        seen[r] += 1
+    return count
 
-    ``order`` selects which innermost redex is contracted first; the result
-    is independent of the choice (checked empirically by the test suite).
+
+def normalize(expr: SkeinExpr, rsys: RewriteSystem = None, order: str = "leftmost") -> NormalForm:
+    """Rewrite to the ordered-monomial normal form, merging like terms as it goes.
+
+    Every (letter word, puncture vector) pair carries one merged coefficient.
+    Words are contracted in decreasing (length, inversion count) order: every
+    rule output either swaps one out-of-order pair or is shorter, so once a
+    word is taken off the heap nothing can add to it again.  A merged
+    coefficient that is exactly zero (exact backend only) is dropped; bigfloat
+    coefficients round in merge order, and the finished normal form drops
+    coefficients that are zero within tolerance.  ``order`` selects which
+    redex of a word is contracted; the result is independent of the choice
+    (checked empirically by the test suite).  No state is kept between calls.
     """
     if rsys is None:
         rsys = RewriteSystem(expr.surface, expr.rs)
@@ -373,9 +411,20 @@ def normalize(expr: SkeinExpr, rsys: RewriteSystem = None, order: str = "leftmos
     rules = rsys.rules
     punctures = surface.punctures
     xnames = surface.x_generators
+    rank = {g: i for i, g in enumerate(xnames)}
+    exact = rs.backend == "exact"
 
-    result = {}
-    stack = []
+    pending = {}  # (word, pvec) -> merged coefficient, not yet contracted
+    heap = []
+
+    def add(coeff, word, pvec):
+        key = (word, pvec)
+        if key in pending:
+            pending[key] = pending[key] + coeff
+        else:
+            pending[key] = coeff
+            heapq.heappush(heap, (-len(word), -_inversions(word, rank), word, pvec))
+
     for coeff, word in _expand(expr.node, rs):
         pvec = [0] * len(punctures)
         letters = []
@@ -384,24 +433,24 @@ def normalize(expr: SkeinExpr, rsys: RewriteSystem = None, order: str = "leftmos
                 pvec[punctures.index(g)] += 1
             else:
                 letters.append(g)
-        stack.append((coeff, tuple(pvec), tuple(letters)))
+        add(coeff, tuple(letters), tuple(pvec))
 
-    while stack:
-        coeff, pvec, word = stack.pop()
+    result = {}
+    while heap:
+        _, _, word, pvec = heapq.heappop(heap)
+        coeff = pending.pop((word, pvec))
+        if exact and coeff.is_zero():
+            continue
         pos = _find_redex(word, rules, order)
         if pos is None:
             xexp = tuple(word.count(n) for n in xnames)
             if any(e > EXPONENT_CAP for e in xexp) or any(e > EXPONENT_CAP for e in pvec):
                 raise ExponentOverflow("monomial exponent exceeds the cap")
-            key = (xexp, pvec)
-            if key in result:
-                result[key] = result[key] + coeff
-            else:
-                result[key] = coeff
+            result[(xexp, pvec)] = coeff  # one sorted word per monomial
             continue
         for scal, repl, pdelta in rules[(word[pos], word[pos + 1])]:
             new_p = tuple(p + d for p, d in zip(pvec, pdelta))
-            stack.append((coeff * scal, new_p, word[:pos] + repl + word[pos + 2:]))
+            add(coeff * scal, word[:pos] + repl + word[pos + 2:], new_p)
 
     cleaned = {k: v for k, v in result.items() if not v.is_zero()}
     return NormalForm(surface, rs, cleaned)
@@ -463,32 +512,52 @@ def evaluate(expr: SkeinExpr, rep):
 
 
 def evaluate_normal_form(nf: NormalForm, rep):
-    """Direct evaluation of an ordered normal form, with cached generator powers."""
+    """Direct evaluation of an ordered normal form, with cached generator powers.
+
+    Each term is coeff * Id times its generator powers (X letters, then
+    punctures), added to the running total in the order of ``nf.terms``; a
+    power G^e is Id * G * ... * G, multiplied left to right.
+    Bigfloat representations run these steps on the raw libmp kernel of
+    :mod:`matrices`: each generator is unpacked once, products are
+    ``_raw_product`` calls, each sum is one rounded ``mpf_add`` per part and
+    the total is wrapped once, bit-identical to the same steps on
+    ``BigComplex`` object arrays.  The exact backend runs them on the object
+    arrays.
+    """
     if nf.surface != rep.surface:
         raise ValueError("surface mismatch")
-    dim = rep.dim
-    power_cache = {}
+    rs, dim = rep.rs, rep.dim
+    if rs.backend == "exact":
+        def unpack(mat):
+            return mat
+        wrap, mul, add = unpack, matrices.matmul, operator.add
+    else:
+        prec, rnd = matrices._prec_rnd(rs)
+        unpack = partial(matrices._raw_rows, prec=prec, rnd=rnd)
+        mul = partial(matrices._raw_product, prec=prec, rnd=rnd)
+        add = partial(matrices._raw_sum, prec=prec, rnd=rnd)
+        wrap = partial(matrices._wrap, rs)
+
+    ident = unpack(matrices.identity(rs, dim))
+    bases, powers = {}, {}
 
     def gen_power(name, e):
-        if (name, e) not in power_cache:
-            acc = matrices.identity(rep.rs, dim)
-            base = rep.matrix(name)
-            for _ in range(e):
-                acc = matrices.matmul(acc, base)
-            power_cache[(name, e)] = acc
-        return power_cache[(name, e)]
+        # G^e extends G^(e-1): the same products as Id * G * ... * G
+        if (name, e) not in powers:
+            if name not in bases:
+                bases[name] = unpack(rep.matrix(name))
+            below = ident if e == 1 else gen_power(name, e - 1)
+            powers[(name, e)] = mul(below, bases[name])
+        return powers[(name, e)]
 
-    total = matrices.zeros(rep.rs, dim)
+    total = unpack(matrices.zeros(rs, dim))
     for (xexp, pexp), coeff in nf.terms.items():
-        term = matrices.scalar_matrix(coeff, dim)
-        for name, e in zip(nf.surface.x_generators, xexp):
+        term = unpack(matrices.scalar_matrix(coeff, dim))
+        for name, e in zip(nf.surface.generators, xexp + pexp):
             if e:
-                term = matrices.matmul(term, gen_power(name, e))
-        for name, e in zip(nf.surface.punctures, pexp):
-            if e:
-                term = matrices.matmul(term, gen_power(name, e))
-        total = total + term
-    return total
+                term = mul(term, gen_power(name, e))
+        total = add(total, term)
+    return wrap(total)
 
 
 # ---------------------------------------------------------------------------

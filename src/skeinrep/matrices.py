@@ -1,8 +1,8 @@
 """Dense matrices over backend scalars, plus numerical-rank utilities.
 
 Matrices are numpy object arrays whose entries are scalars of a single root
-system; ``@`` works on them directly.  Bigfloat products and the T_n matrix
-recurrence run on the raw libmp values inside the entries instead: each
+system; ``@`` works on them directly.  Bigfloat products, sums and the T_n
+matrix recurrence run on the raw libmp values inside the entries instead: each
 entry is read once as its pair of ``_mpf_`` tuples, every dot product is
 accumulated with ``mpf_mul`` / ``mpf_add`` / ``mpf_sub`` in the order and
 rounding of the object arithmetic, and only the results are wrapped back
@@ -94,6 +94,9 @@ def _prec_rnd(rs):
     return rs.precision_bits, mp._prec_rounding[1]
 
 
+_RAW_ZERO = (fzero, fzero)
+
+
 def _raw_rows(mat, prec, rnd):
     """Rows of (re, im) libmp pairs, or None for an exact zero entry.
 
@@ -167,6 +170,26 @@ def _raw_product(a_rows, b_rows, prec, rnd, minus=None):
                 row.append(None)
             else:
                 row.append((acc_re, acc_im))
+        out.append(row)
+    return out
+
+
+def _raw_sum(a_rows, b_rows, prec, rnd):
+    """Raw rows of A + B, rounded as ``BigComplex.__add__`` rounds each entry.
+
+    Each part is one rounded ``mpf_add``, with an exact zero read as 0.
+    """
+    out = []
+    for a_row, b_row in zip(a_rows, b_rows):
+        row = []
+        for a, b in zip(a_row, b_row):
+            if a is None and b is None:
+                row.append(None)
+                continue
+            ar, ai = a or _RAW_ZERO
+            br, bi = b or _RAW_ZERO
+            re, im = mpf_add(ar, br, prec, rnd), mpf_add(ai, bi, prec, rnd)
+            row.append(None if re == fzero and im == fzero else (re, im))
         out.append(row)
     return out
 

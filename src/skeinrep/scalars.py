@@ -234,7 +234,7 @@ def make_root_system(N: int, backend: str = "exact", precision_bits=None) -> Roo
 
 def _reduce_mod(coeffs, modulus, degree):
     """Reduce a Fraction/int coefficient list modulo the monic modulus."""
-    coeffs = [Fraction(c) for c in coeffs]
+    coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
     for i in range(len(coeffs) - 1, degree - 1, -1):
         c = coeffs[i]
         if c:
@@ -460,7 +460,8 @@ class BigComplex:
 
     def is_zero(self) -> bool:
         eps = self.rs.tolerance.rel_eps
-        return float(self.magnitude()) < eps * (1.0 + float(self.magnitude()))
+        mag = float(self.magnitude())
+        return mag < eps * (1.0 + mag)
 
     def magnitude(self):
         with mp.workprec(self.prec_bits):
@@ -501,10 +502,11 @@ class BigComplex:
     def _check_divisor(self, denom, numer):
         eps = self.rs.tolerance.rel_eps
         with mp.workprec(self.prec_bits):
-            scale = 1 + max(abs(numer.mpc()), abs(denom.mpc()))
-            if abs(denom.mpc()) < eps * scale:
+            denom_mag = abs(denom.mpc())
+            scale = 1 + max(abs(numer.mpc()), denom_mag)
+            if denom_mag < eps * scale:
                 raise ZeroDivisionError(
-                    f"division by a scalar of magnitude {mpmath.nstr(abs(denom.mpc()), 8)} "
+                    f"division by a scalar of magnitude {mpmath.nstr(denom_mag, 8)} "
                     f"below the zero threshold")
 
     def __truediv__(self, other):
@@ -585,6 +587,29 @@ def approx_eq(a: Scalar, b: Scalar, tol: Tolerance = None) -> bool:
         diff = abs(a.mpc() - o.mpc())
         scale = max(mp.mpf(1), abs(a.mpc()), abs(o.mpc()))
         return diff < mp.mpf(eps) * scale
+
+
+def approx_matches(xs, ys, tol: Tolerance = None):
+    """For each x in ``xs``, the indices j with ``approx_eq(ys[j], x, tol)``.
+
+    The same decisions as the len(xs) * len(ys) calls to :func:`approx_eq`,
+    with each bigfloat magnitude taken once instead of once per pair.
+    """
+    if isinstance(xs[0], CyclotomicNumber):
+        return [[j for j, y in enumerate(ys) if y == x] for x in xs]
+    rs = xs[0].rs
+    with mp.workprec(rs.precision_bits):
+        eps = mp.mpf((tol or rs.tolerance).rel_eps)
+        one = mp.mpf(1)
+        zy = [y.mpc() for y in ys]
+        mag_y = [abs(z) for z in zy]
+        out = []
+        for x in xs:
+            z = x.mpc()
+            mag = abs(z)
+            out.append([j for j, (w, m) in enumerate(zip(zy, mag_y))
+                        if abs(w - z) < eps * max(one, m, mag)])
+        return out
 
 
 def solve_quadratic(a: Scalar, b: Scalar, c: Scalar):

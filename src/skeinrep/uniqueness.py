@@ -37,7 +37,8 @@ from .errors import SkeinError
 from .invariants import commuting_system, extract_invariants
 from .ladder import is_pm2
 from .representation import Representation
-from .scalars import CyclotomicNumber, RootSystem, Tolerance, approx_eq, make_root_system
+from .scalars import (CyclotomicNumber, RootSystem, Tolerance, approx_eq, approx_matches,
+                      make_root_system)
 from .sphere import (build_sphere_rep_from_params, build_sphere_rep_with_u,
                      chebyshev_at_puncture_roots, ladder_product_closed_form, make_sphere_params)
 from .surfaces import Surface
@@ -216,7 +217,7 @@ def intertwiner_search(rep_a: Representation, rep_b: Representation,
     if lam_a is None or lam_b is None:
         return _dense_intertwiner(rep_a, rep_b, tol)
     n = rep_a.dim
-    partners = [[i for i in range(n) if approx_eq(lam_b[i], la, tol)] for la in lam_a]
+    partners = approx_matches(lam_a, lam_b, tol)
     if not all(partners):
         return None  # similar diagonal matrices share their spectrum
     sigma = [p[0] for p in partners]

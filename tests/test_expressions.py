@@ -1,18 +1,20 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from skeinrep import matrices
 from skeinrep.errors import ExponentOverflow, ParseError, UnknownGenerator
-from skeinrep.expressions import (evaluate, evaluate_normal_form, normal_form_to_expr,
-                                  normalize, parse, parse_scalar, puncture_element,
-                                  random_word_expression, relation_defects)
+from skeinrep.expressions import (Gen, Lit, NormalForm, Prod, RewriteSystem, Sum,
+                                  _expand, _find_redex, _inversions, evaluate, evaluate_normal_form,
+                                  normal_form_to_expr, normalize, parse, parse_scalar,
+                                  puncture_element, random_word_expression, relation_defects)
 from skeinrep.representation import assemble
 from skeinrep.scalars import approx_eq, make_root_system
 from skeinrep.surfaces import SPHERE4, TORUS0, TORUS1, sphere_k
 from skeinrep.torus import build_torus_rep, puncture_chebyshev_value, torus_params_exact
-from skeinrep.sphere import build_sphere_rep_with_u, make_sphere_params
+from skeinrep.sphere import build_sphere_rep_with_u, make_sphere_params, small_sphere_rep
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +159,160 @@ def test_evaluate_normal_form_matches_expr_route(rs3f):
     b = evaluate(normal_form_to_expr(nf), rep)
     _, mag = matrices.residual_report(a - b)
     assert mag < 1e-40
+
+
+# ---------------------------------------------------------------------------
+# like-term merging against the term-by-term references
+# ---------------------------------------------------------------------------
+
+def _product_expand(node, rs):
+    """Reference expansion: every coefficient product is formed, ones included."""
+    if isinstance(node, Lit):
+        return [(node.value, ())]
+    if isinstance(node, Gen):
+        return [(rs.one, (node.name,))]
+    if isinstance(node, Sum):
+        return [pair for t in node.terms for pair in _product_expand(t, rs)]
+    factors = node.factors if isinstance(node, Prod) else (node.base,) * node.exponent
+    out = [(rs.one, ())]
+    for f in factors:
+        rhs = _product_expand(f, rs)
+        out = [(c1 * c2, w1 + w2) for (c1, w1) in out for (c2, w2) in rhs]
+    return out
+
+
+def _stack_normalize(expr, rsys, order):
+    """Reference: every term rewritten separately on a stack, merged only at the leaves."""
+    surface, rs = expr.surface, expr.rs
+    rules = rsys.rules
+    punctures = surface.punctures
+    stack = []
+    for coeff, word in _product_expand(expr.node, rs):
+        pvec = [0] * len(punctures)
+        letters = []
+        for g in word:
+            if g in punctures:
+                pvec[punctures.index(g)] += 1
+            else:
+                letters.append(g)
+        stack.append((coeff, tuple(pvec), tuple(letters)))
+    result = {}
+    while stack:
+        coeff, pvec, word = stack.pop()
+        pos = _find_redex(word, rules, order)
+        if pos is None:
+            key = (tuple(word.count(n) for n in surface.x_generators), pvec)
+            result[key] = result[key] + coeff if key in result else coeff
+            continue
+        for scal, repl, pdelta in rules[(word[pos], word[pos + 1])]:
+            new_p = tuple(p + d for p, d in zip(pvec, pdelta))
+            stack.append((coeff * scal, new_p, word[:pos] + repl + word[pos + 2:]))
+    return NormalForm(surface, rs, {k: v for k, v in result.items() if not v.is_zero()})
+
+
+def _object_evaluate_normal_form(nf, rep):
+    """Reference: the evaluation steps on BigComplex object arrays."""
+    dim = rep.dim
+    total = matrices.zeros(rep.rs, dim)
+    for (xexp, pexp), coeff in nf.terms.items():
+        term = matrices.scalar_matrix(coeff, dim)
+        for name, e in zip(nf.surface.generators, xexp + pexp):
+            if e:
+                power = matrices.identity(rep.rs, dim)
+                for _ in range(e):
+                    power = matrices.matmul(power, rep.matrix(name))
+                term = matrices.matmul(term, power)
+        total = total + term
+    return total
+
+
+def _criterion9_words(surface, count, seed):
+    rng = random.Random(seed)
+    return [random_word_expression(surface, rng, max_word_len=8) for _ in range(count)]
+
+
+@pytest.mark.parametrize("surface", [TORUS1, TORUS0, SPHERE4, sphere_k(3)], ids=lambda s: s.tag)
+def test_merged_normalize_matches_stack_reference(rs3, surface):
+    rsys = RewriteSystem(surface, rs3)
+    for text in _criterion9_words(surface, 40, 909):
+        expr = parse(text, surface, rs3)
+        for order in ("leftmost", "rightmost"):
+            merged = normalize(expr, rsys, order=order)
+            reference = _stack_normalize(expr, rsys, order)
+            assert merged.terms == reference.terms, (text, order)
+            assert str(merged) == str(reference), (text, order)
+
+
+def test_expand_skips_only_products_with_one(rs3, rs3f):
+    for rs in (rs3, rs3f):
+        for surface in (TORUS1, SPHERE4):
+            for text in _criterion9_words(surface, 30, 13) + ["(2 + A^-1)^3 X1 (1/3 X2 - A)"]:
+                if rs is rs3f:
+                    text += " + 0.1 i X3"
+                node = parse(text, surface, rs).node
+                got = _expand(node, rs)
+                want = _product_expand(node, rs)
+                assert [w for _, w in got] == [w for _, w in want]
+                if rs is rs3:
+                    assert [c for c, _ in got] == [c for c, _ in want]
+                else:
+                    assert [(c.re._mpf_, c.im._mpf_) for c, _ in got] == \
+                        [(c.re._mpf_, c.im._mpf_) for c, _ in want]
+
+
+def _raw_parts(mat):
+    return [(e.re._mpf_, e.im._mpf_) for e in mat.flat]
+
+
+def test_evaluate_normal_form_bit_identical_to_object_path(rs3f):
+    rng = random.Random(31)
+    reps = {
+        TORUS1: torus_rep_fixture(rs3f),
+        SPHERE4: sphere_rep_fixture(rs3f),
+        sphere_k(3): small_sphere_rep([rs3f.scalar(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+                                       for _ in range(3)]),
+    }
+    for surface, rep in reps.items():
+        extra = ["3/4", "X3^3 X1 + 2"] if surface.x_generators else ["3/4"]
+        for text in _criterion9_words(surface, 15, 77) + extra:
+            nf = normalize(parse(text, surface, rs3f))
+            assert _raw_parts(evaluate_normal_form(nf, rep)) == \
+                _raw_parts(_object_evaluate_normal_form(nf, rep)), (surface.tag, text)
+
+
+@pytest.mark.parametrize("backend", ["exact", "bigfloat"])
+def test_every_rule_output_lowers_length_and_inversions(backend):
+    rs = make_root_system(3, backend)
+    for surface in (TORUS1, TORUS0, SPHERE4, sphere_k(3)):
+        rsys = RewriteSystem(surface, rs)
+        rank = {g: i for i, g in enumerate(surface.x_generators)}
+        for pair, outputs in rsys.rules.items():
+            key = (len(pair), _inversions(pair, rank))
+            for _, repl, _ in outputs:
+                assert (len(repl), _inversions(repl, rank)) < key, (surface.tag, pair, repl)
+
+
+def test_normalize_keeps_no_state_on_its_rewrite_system(rs3):
+    rsys = RewriteSystem(SPHERE4, rs3)
+    attributes = dict(vars(rsys))
+    rules = {pair: list(outputs) for pair, outputs in rsys.rules.items()}
+    for text in _criterion9_words(SPHERE4, 10, 5):
+        normalize(parse(text, SPHERE4, rs3), rsys)
+    assert vars(rsys) == attributes
+    assert rsys.rules == rules
+
+
+def test_long_alternating_word_both_orders(rs3):
+    # the stack reference is exponential here (12 letters take about 30 s on
+    # a 2-core machine); merging keeps the contractions polynomial in the length
+    expr = parse(" ".join(["X2", "X1"] * 12), TORUS1, rs3)
+    start = time.perf_counter()
+    left = normalize(expr, order="leftmost")
+    right = normalize(expr, order="rightmost")
+    assert time.perf_counter() - start < 60
+    assert left == right
+    # the top monomial takes only swaps, each X2 past each later X1: A^2 each
+    assert left.terms[((12, 12, 0), (0,))] == rs3.a_pow(2 * 78)
 
 
 def test_surface_mismatch_rejected(rs3, rs3f):

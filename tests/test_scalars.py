@@ -13,6 +13,7 @@ from skeinrep.scalars import (
     CyclotomicNumber,
     Tolerance,
     approx_eq,
+    approx_matches,
     cyclotomic_polynomial,
     make_root_system,
     nth_root,
@@ -152,8 +153,11 @@ def test_division_by_zero_is_reported():
     rsf = make_root_system(3, "bigfloat", 128)
     with pytest.raises(ZeroDivisionError):
         rsf.one / rsf.scalar(0)
-    with pytest.raises(ZeroDivisionError):
+    message = "division by a scalar of magnitude 1.0e-60 below the zero threshold"
+    with pytest.raises(ZeroDivisionError, match=message):
         rsf.one / rsf.scalar(1e-60)
+    with pytest.raises(ZeroDivisionError, match=message):
+        rsf.scalar(1e-60) ** -2
 
 
 def test_backend_mixing_rejected():
@@ -212,6 +216,26 @@ def test_approx_eq_reflexive_and_threshold():
     with mpmath.mp.workprec(128):
         shifted = rs.scalar(mpmath.mpf(1) + 2 * mpmath.mpf(eps))
     assert not approx_eq(one, shifted)
+
+
+@pytest.mark.parametrize("tol", [None, Tolerance(1e-3)])
+def test_approx_matches_agrees_with_pairwise_approx_eq(tol):
+    rs = make_root_system(3, "bigfloat", 128)
+    rng = random.Random(12)
+    eps = (tol or rs.tolerance).rel_eps
+    xs = [rs.scalar(complex(rng.uniform(-3, 3), rng.uniform(-3, 3))) for _ in range(6)]
+    xs.append(xs[0])  # a repeated eigenvalue
+    with mpmath.mp.workprec(128):
+        # one partner just inside and one just outside the relative threshold
+        near = [rs.scalar(x.mpc() * (1 + mpmath.mpf(eps) * f)) for x, f in zip(xs, (0.5, 1.5))]
+    ys = list(reversed(xs)) + near + [rs.zero, rs.scalar(1e-50)]
+    xs += [rs.zero]
+    assert approx_matches(xs, ys, tol) == [[j for j, y in enumerate(ys) if approx_eq(y, x, tol)]
+                                           for x in xs]
+    exact = make_root_system(3)
+    cs = [random_exact(exact, rng) for _ in range(4)]
+    assert approx_matches(cs, cs[::-1] + cs[:1]) == [[3 - i, 4] if i == 0 else [3 - i]
+                                                     for i in range(4)]
 
 
 # ---------------------------------------------------------------------------
