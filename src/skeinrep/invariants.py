@@ -23,9 +23,13 @@ from .torus import puncture_chebyshev_value
 
 TRACE_CONVENTION = "traces store Tr r(X) = -t where T_N(rho(X)) = t*Id"
 
-# a nonzero off-diagonal entry or X3 eigenvalue gap below this fraction of
-# the largest entry sits in or near the nullspace prescreen's ambiguous band
-# (matrices._AMBIGUOUS_HIGH), so the commutant leaves it to the nullspace
+# the support-graph count trusts a nonzero off-diagonal entry or X3
+# eigenvalue gap only at or above this fraction of the largest entry.  The
+# nullspace SVD counts a singular value as zero below rel_eps * sigma_max,
+# with rel_eps = 2^-(prec/2): 2.3e-10 at the 64-bit minimum and 2.9e-39 at
+# the default 256 bits.  An entry this large sits far above that cut at the
+# default precision, so the graph count and the SVD's rank agree; smaller
+# nonzero entries are left to the SVD, which decides them at working precision.
 _SUPPORT_MARGIN = 1e-8
 
 
@@ -243,8 +247,8 @@ def _support_commutant(rep):
     the other images, and its dimension is the component count.  In the
     bigfloat backend every off-diagonal entry must be an exact zero or at
     least _SUPPORT_MARGIN times the largest entry, and every eigenvalue gap
-    must clear the same cut, so that the count agrees with the nullspace's
-    rank decision; any other rep returns None.
+    must clear the same cut, far above the nullspace SVD's rel_eps * sigma_max,
+    so that the count agrees with the SVD's rank; any other rep returns None.
     """
     gens = rep.surface.x_generators
     if "X3" not in gens:

@@ -9,12 +9,10 @@ rounding of the object arithmetic, and only the results are wrapped back
 into ``BigComplex``.  The outputs are bit-identical to ``acc += a * b`` on
 ``mpc`` values under the root system's working precision.
 
-Rank and nullspace decisions follow a two-stage scheme: singular values of a
-double-precision image of the matrix decide the candidate nullity, every
-requested nullvector is then refined by inverse iteration at full working
-precision and certified against the root system's tolerance.  Ambiguous
-singular-value profiles or failed certifications fall back to a full
-arbitrary-precision SVD.
+Bigfloat rank and nullspace decisions come from one SVD at the root
+system's working precision: singular values below rel_eps * sigma_max count
+as zero, and the nullvectors are the matching right singular vectors.  The
+exact backend eliminates over the cyclotomic field.
 """
 
 from __future__ import annotations
@@ -26,12 +24,6 @@ from mpmath.libmp import (fzero, from_int, mpc_abs, mpf_add, mpf_gt, mpf_mul, mp
                           to_float)
 
 from .scalars import BigComplex, CyclotomicNumber, RootSystem, numeric_bridge
-
-# singular values below this fraction of the largest are treated as zero in
-# the double-precision prescreen; values between the two bounds are ambiguous
-_PRESCREEN_CUT = 1e-9
-_AMBIGUOUS_LOW = 1e-13
-_AMBIGUOUS_HIGH = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +242,16 @@ def entry_magnitude(s) -> float:
     return float(s.magnitude())
 
 
-def max_magnitude_mpf(mat):
-    """Largest entry magnitude as an mpf (bigfloat entries only)."""
-    rs = mat.flat[0].rs
-    with mp.workprec(rs.precision_bits):
-        best = mp.mpf(0)
-        for e in mat.flat:
-            m = abs(e.mpc())
-            if m > best:
-                best = m
-    return best
+def _raw_max_abs(rows, prec, rnd):
+    """Largest ``mpc_abs`` over raw rows, as a raw mpf (fzero for no entry)."""
+    worst = fzero
+    for row in rows:
+        for z in row:
+            if z is not None:
+                mag = mpc_abs(z, prec, rnd)
+                if mpf_gt(mag, worst):
+                    worst = mag
+    return worst
 
 
 def intertwining_defects(m, pairs):
@@ -280,14 +272,7 @@ def intertwining_defects(m, pairs):
     for a, b in pairs:
         b_m = _raw_product(_raw_rows(b, prec, rnd), m_rows, prec, rnd)
         defect = _raw_product(m_rows, _raw_rows(a, prec, rnd), prec, rnd, minus=b_m)
-        worst = fzero
-        for row in defect:
-            for z in row:
-                if z is not None:
-                    mag = mpc_abs(z, prec, rnd)
-                    if mpf_gt(mag, worst):
-                        worst = mag
-        out.append(to_float(worst, rnd=rnd))
+        out.append(to_float(_raw_max_abs(defect, prec, rnd), rnd=rnd))
     return out
 
 
@@ -301,8 +286,9 @@ def residual_report(mat):
     if isinstance(mat.flat[0], CyclotomicNumber):
         exact = is_zero_matrix(mat)
         return exact, 0.0 if exact else max(entry_magnitude(e) for e in mat.flat)
-    m = max_magnitude_mpf(mat)
-    return m == 0, float(m)
+    prec, rnd = _prec_rnd(mat.flat[0].rs)
+    worst = _raw_max_abs(_raw_rows(mat, prec, rnd), prec, rnd)
+    return worst == fzero, to_float(worst, rnd=rnd)
 
 
 def _diagonal_mean(mat, rs):
@@ -447,134 +433,39 @@ def exact_nullspace(mat):
 # ---------------------------------------------------------------------------
 
 def _mp_svd_nullspace(mat, rel_eps, want_vectors):
-    """Full-precision SVD fallback with the tolerance-scaled threshold."""
+    """(nullity, orthonormal nullvectors) from one SVD at working precision.
+
+    The rank is the count of nonzero singular values at or above
+    rel_eps * sigma_max, and the nullity is the column count minus the rank,
+    so a wide matrix also counts the columns it has no singular value for.
+    A rank-only call computes the singular values alone; otherwise the
+    nullvectors are the conjugated rows of V past the rank (A = U S V).
+    """
     rs = mat.flat[0].rs
+    rows, cols = mat.shape
     A = to_mp_matrix(mat)
     with mp.workprec(rs.precision_bits):
-        U, S, V = mp.svd_c(A)
-        smax = max(S[i] for i in range(len(S)))
-        if smax == 0:
-            nullity = mat.shape[1]
+        if want_vectors:
+            _, S, V = mp.svd_c(A, full_matrices=rows < cols)
         else:
-            threshold = mp.mpf(rel_eps) * smax
-            nullity = sum(1 for i in range(len(S)) if S[i] < threshold)
-        if not want_vectors or nullity == 0:
-            return nullity, []
-        cols = mat.shape[1]
-        vectors = []
-        for i in range(cols - nullity, cols):
-            vectors.append(from_mp_vector(rs, [mp.conj(V[i, j]) for j in range(cols)], cols))
-    return nullity, vectors
-
-
-def _sparse_rows(mat):
-    """Nonzero entries per row as (column, mpc) pairs.
-
-    Zero detection is exact: system matrices only contain exact zeros where
-    nothing was written.
-    """
-    rows, cols = mat.shape
-    out = []
-    for i in range(rows):
-        entries = []
-        for j in range(cols):
-            e = mat[i, j]
-            if e.re or e.im:
-                entries.append((j, e.mpc()))
-        out.append(entries)
-    return out
-
-
-def _sparse_normal_matrix(sprows, cols):
-    """B = A^H A accumulated over the sparse rows."""
-    B = mpmath.matrix(cols, cols)
-    for entries in sprows:
-        for c1, v1 in entries:
-            v1c = mp.conj(v1)
-            for c2, v2 in entries:
-                B[c1, c2] = B[c1, c2] + v1c * v2
-    return B
-
-
-def _sparse_apply_max(sprows, v):
-    """max_i |(A v)_i| over the sparse rows."""
-    worst = mp.mpf(0)
-    for entries in sprows:
-        acc = mp.mpc(0)
-        for c, a in entries:
-            acc += a * v[c]
-        mag = abs(acc)
-        if mag > worst:
-            worst = mag
-    return worst
-
-
-def numeric_nullspace(mat, tol=None, want_vectors=True):
-    """(nullity, orthonormal nullvectors) of a bigfloat object matrix.
-
-    Rank is decided on double-precision singular values; requested vectors
-    are refined by inverse iteration on the normal equations at the root
-    system's precision and certified to satisfy |A v| < rel_eps * scale
-    entrywise.  Ambiguous singular-value profiles or failed certification
-    fall back to the arbitrary-precision SVD.
-    """
-    rs = mat.flat[0].rs
-    rel_eps = (tol.rel_eps if tol is not None else rs.tolerance.rel_eps)
-    rows, cols = mat.shape
-    A_d = to_complex128(mat)
-    scale = np.max(np.abs(A_d)) if A_d.size else 0.0
-    if scale == 0.0 or not np.isfinite(scale):
-        return _mp_svd_nullspace(mat, rel_eps, want_vectors)
-    svals = np.linalg.svd(A_d / scale, compute_uv=False)
-    smax = svals[0]
-    ratios = svals / smax
-    if any(_AMBIGUOUS_LOW < r < _AMBIGUOUS_HIGH for r in ratios):
-        return _mp_svd_nullspace(mat, rel_eps, want_vectors)
-    nullity = int(np.sum(ratios < _PRESCREEN_CUT))
-    if nullity == 0 or not want_vectors:
-        return nullity, []
-
-    _, _, Vh = np.linalg.svd(A_d / scale, full_matrices=True)
-    seeds = [Vh[idx].conj() for idx in range(cols - nullity, cols)]
-    refined = []
-    with mp.workprec(rs.precision_bits):
-        sprows = _sparse_rows(mat)
-        Bmp = _sparse_normal_matrix(sprows, cols)
-        a_scale = mp.mpf(float(scale))
-        floor = mp.mpf(0.5) ** (rs.precision_bits // 2)
-        threshold = mp.mpf(rel_eps) * a_scale
-        for seed in seeds:
-            v = mpmath.matrix([mpmath.mpc(x) for x in seed])
-            ok = False
-            for _ in range(2):
-                try:
-                    v = mp.lu_solve(Bmp, v)
-                except ZeroDivisionError:
-                    break
-                norm = mp.norm(v)
-                if norm == 0:
-                    break
-                v = v / norm
-                for w in refined:
-                    proj = sum(mp.conj(w[i]) * v[i] for i in range(cols))
-                    v = mpmath.matrix([v[i] - proj * w[i] for i in range(cols)])
-                norm = mp.norm(v)
-                if norm < floor:
-                    break
-                v = v / norm
-                if _sparse_apply_max(sprows, v) < threshold:
-                    ok = True
-                    break
-            if not ok:
-                return _mp_svd_nullspace(mat, rel_eps, want_vectors)
-            refined.append(v)
-    vectors = [from_mp_vector(rs, v, cols) for v in refined]
-    return nullity, vectors
+            S = mp.svd_c(A, compute_uv=False)
+        threshold = mp.mpf(rel_eps) * max(S)
+        rank = sum(1 for s in S if s > 0 and s >= threshold)
+        if not want_vectors:
+            return cols - rank, []
+        vectors = [from_mp_vector(rs, [mp.conj(V[i, j]) for j in range(cols)], cols)
+                   for i in range(rank, cols)]
+    return cols - rank, vectors
 
 
 def nullspace(mat, tol=None, want_vectors=True):
-    """Backend dispatch for kernel computations."""
+    """(nullity, kernel basis): exact elimination, or one working-precision SVD.
+
+    Bigfloat singular values below ``tol.rel_eps`` (default: the root
+    system's) times the largest count as zero.
+    """
     if isinstance(mat.flat[0], CyclotomicNumber):
         basis = exact_nullspace(mat)
         return len(basis), (basis if want_vectors else [])
-    return numeric_nullspace(mat, tol, want_vectors)
+    rel_eps = tol.rel_eps if tol is not None else mat.flat[0].rs.tolerance.rel_eps
+    return _mp_svd_nullspace(mat, rel_eps, want_vectors)

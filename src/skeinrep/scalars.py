@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 from typing import Union
 
@@ -154,11 +154,12 @@ class RootSystem:
 
     # -- construction of scalars -----------------------------------------------
 
-    @property
+    # scalars are immutable, so one zero and one one serve every caller
+    @cached_property
     def zero(self):
         return self.scalar(0)
 
-    @property
+    @cached_property
     def one(self):
         return self.scalar(1)
 

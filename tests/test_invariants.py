@@ -231,7 +231,7 @@ def test_support_commutant_declines(torus_rep, rs):
     rep, _ = torus_rep
     # a repeated X3 spectrum
     assert _support_commutant(direct_sum(rep)) is None
-    # a nonzero off-diagonal entry far below the nullspace prescreen's cut
+    # a nonzero off-diagonal entry far below _SUPPORT_MARGIN, left to the SVD
     x1 = matrices.zeros(rs, 3)
     x1[1, 0], x1[2, 1], x1[0, 2] = rs.one, rs.scalar(1e-20), rs.one
     mats = dict(rep.matrices, X1=matrices.freeze(x1),

@@ -5,7 +5,8 @@ T_n recurrence, the accumulating commutant assembly and the object-array
 intertwiner defect that the kernel replaced, and the mpmath-matrix
 inversion that ``matrices.inverse`` wraps.
 Every comparison is on the ``_mpf_`` tuples of each entry, or on the
-residual floats.
+residual floats.  The nullspace tests plant singular values on either side
+of the working-precision cut rel_eps * sigma_max.
 """
 
 import dataclasses
@@ -410,6 +411,102 @@ def test_intertwiner_residuals_exact_backend():
         assert intertwiner_residuals(m, rep, other) == reference_residuals(m, rep, other)
     assert all(v == 0.0 for v in intertwiner_residuals(m, rep, gauge).values())
     assert any(v > 0.0 for v in intertwiner_residuals(m, rep, rep).values())
+
+
+def reference_residual_report(mat):
+    """The mpc-under-``workprec`` largest magnitude the raw reduction replaced."""
+    with mp.workprec(mat.flat[0].rs.precision_bits):
+        best = max((abs(e.mpc()) for e in mat.flat), default=mp.mpf(0))
+        return best == 0, float(best)
+
+
+def test_residual_report_bit_identical():
+    rs = rs_of(5)
+    rng = random.Random(11)
+    mats = [dense(rs, rng, 3, 4), dense(rs, rng, 2, 2, prec=512), matrices.zeros(rs, 2, 3)]
+    mats[0][1, 2] = rs.zero
+    for mat in mats:
+        assert matrices.residual_report(mat) == reference_residual_report(mat)
+    assert matrices.residual_report(mats[2]) == (True, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# nullspace: one SVD at working precision
+# ---------------------------------------------------------------------------
+
+def planted(rs, rng, rows, svals):
+    """U diag(svals) V^H with U, V from QR of random complex matrices at working precision."""
+    k = len(svals)
+
+    def unitary(n, m):
+        g = mpmath.matrix(n, m)
+        for i in range(n):
+            for j in range(m):
+                g[i, j] = mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        return mp.qr(g, mode="skinny")[0]
+
+    out = np.empty((rows, k), dtype=object)
+    with mp.workprec(rs.precision_bits):
+        u, v = unitary(rows, k), unitary(k, k)
+        a = u * mp.diag(svals) * v.H
+        for i in range(rows):
+            for j in range(k):
+                out[i, j] = BigComplex(rs, a[i, j].real, a[i, j].imag)
+    return out
+
+
+def worst_image(system, vec):
+    """max_i |(A v)_i| as a float."""
+    column = np.empty((len(vec), 1), dtype=object)
+    column[:, 0] = vec
+    return matrices.residual_report(matrices.matmul(system, column))[1]
+
+
+def assert_nullspace_consistent(system, nullity):
+    """Both modes give ``nullity``, and every returned vector is a unit nullvector."""
+    rs = system.flat[0].rs
+    assert matrices.nullspace(system, want_vectors=False) == (nullity, [])
+    got, vectors = matrices.nullspace(system)
+    assert got == nullity == len(vectors)
+    cut = rs.tolerance.rel_eps * matrices.residual_report(system)[1]
+    for vec in vectors:
+        assert worst_image(system, vec) < cut
+        with mp.workprec(rs.precision_bits):
+            assert abs(mp.fsum(abs(e.mpc()) ** 2 for e in vec) - 1) < rs.tolerance.rel_eps
+
+
+@pytest.mark.parametrize("rows", [4, 6])
+def test_planted_singular_value_above_cut_is_not_null(rows):
+    rs = rs_of(3)
+    # 1e-20 is far below any double-precision cut, but genuine at 256 bits
+    system = planted(rs, random.Random(rows), rows, [1, 0.5, 0.25, mp.mpf("1e-20")])
+    assert_nullspace_consistent(system, 0)
+
+
+@pytest.mark.parametrize("rows", [4, 6])
+def test_planted_singular_value_below_cut_is_null(rows):
+    rs = rs_of(3)
+    assert rs.tolerance.rel_eps > 1e-40
+    system = planted(rs, random.Random(rows), rows, [1, 0.5, 0.25, mp.mpf("1e-45")])
+    assert_nullspace_consistent(system, 1)
+
+
+def test_nullspace_of_wide_and_zero_matrices():
+    rs = rs_of(3)
+    wide = matrices.zeros(rs, 2, 3)
+    wide[0, 0], wide[1, 1] = rs.one, rs.scalar(2)
+    assert_nullspace_consistent(wide, 1)
+    assert matrices.nullspace(wide)[1][0][2].magnitude() > 0.5
+    assert matrices.nullspace(matrices.zeros(rs, 3, 2), want_vectors=False) == (2, [])
+
+
+def test_commuting_system_nullity_agrees_between_modes():
+    a, b = torus_rep(3, 43), torus_rep(3, 53)
+    for rep_a, rep_b, nullity in ((a, a, 1), (a, b, 0), (b, b, 1)):
+        assert_nullspace_consistent(commuting_system(rep_a, rep_b), nullity)
+    a, b = sphere_rep(3, 61), sphere_rep(3, 62)
+    for rep_a, rep_b, nullity in ((a, a, 1), (a, b, 0)):
+        assert_nullspace_consistent(commuting_system(rep_a, rep_b), nullity)
 
 
 # ---------------------------------------------------------------------------
