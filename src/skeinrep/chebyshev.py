@@ -49,9 +49,9 @@ def chebyshev_eval(n: int, arg):
     """T_n at a scalar or a square matrix, by the three-term recurrence.
 
     Matrix evaluation costs n - 1 multiplications and avoids expanding the
-    coefficient form.  It runs in :func:`matrices.chebyshev_matrix`, which in
-    the bigfloat backend fuses each step T_{k+1} = arg T_k - T_{k-1} into one
-    raw-value product and returns the same bits as the object recurrence.
+    coefficient form.  It runs in :func:`matrices.chebyshev_matrix`, which
+    fuses each step T_{k+1} = arg T_k - T_{k-1} into one product of the root
+    system's matrix kernel and returns the same bits as the object recurrence.
     """
     if isinstance(arg, np.ndarray):
         if arg.ndim != 2 or arg.shape[0] != arg.shape[1]:

@@ -17,16 +17,20 @@ rewrite order.  Like terms merge within one call: words are contracted in
 decreasing key order, so each is contracted once, with its full merged
 coefficient.  Exact normal forms are the same as term-by-term rewriting
 gives; bigfloat coefficients round in merge order.
+
+Evaluation in a representation walks the syntax tree on the root system's
+matrix kernel (:func:`matrices.kernel`: raw libmp rows in the bigfloat
+backend) and wraps only the result, bit-identical to the same steps on
+object arrays.  A normal form is evaluated as its expression.
 """
 
 from __future__ import annotations
 
 import heapq
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import reduce
 
 from . import matrices
 from .errors import ExponentOverflow, ParseError, UnknownGenerator
@@ -457,14 +461,11 @@ def normalize(expr: SkeinExpr, rsys: RewriteSystem = None, order: str = "leftmos
 
 
 def normal_form_to_expr(nf: NormalForm) -> SkeinExpr:
+    """The normal form as a sum of coeff * generator powers, in ``nf.terms`` order."""
     terms = []
-    for key in nf.monomial_keys():
-        xexp, pexp = key
-        factors = [Lit(nf.terms[key])]
-        for name, e in zip(nf.surface.x_generators, xexp):
-            if e:
-                factors.append(Power(Gen(name), e) if e > 1 else Gen(name))
-        for name, e in zip(nf.surface.punctures, pexp):
+    for (xexp, pexp), coeff in nf.terms.items():
+        factors = [Lit(coeff)]
+        for name, e in zip(nf.surface.generators, xexp + pexp):
             if e:
                 factors.append(Power(Gen(name), e) if e > 1 else Gen(name))
         terms.append(Prod(tuple(factors)) if len(factors) > 1 else factors[0])
@@ -478,86 +479,58 @@ def normal_form_to_expr(nf: NormalForm) -> SkeinExpr:
 # evaluation in a representation
 # ---------------------------------------------------------------------------
 
-def _eval_node(node, rep):
-    if isinstance(node, Lit):
-        return matrices.scalar_matrix(node.value, rep.dim)
-    if isinstance(node, Gen):
-        return rep.matrix(node.name)
-    if isinstance(node, Sum):
-        acc = _eval_node(node.terms[0], rep)
-        for t in node.terms[1:]:
-            acc = acc + _eval_node(t, rep)
-        return acc
-    if isinstance(node, Prod):
-        acc = _eval_node(node.factors[0], rep)
-        for f in node.factors[1:]:
-            acc = matrices.matmul(acc, _eval_node(f, rep))
-        return acc
-    if isinstance(node, Power):
-        acc = matrices.identity(rep.rs, rep.dim)
-        base = _eval_node(node.base, rep)
-        for _ in range(node.exponent):
-            acc = matrices.matmul(acc, base)
-        return acc
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 def evaluate(expr: SkeinExpr, rep):
-    """Homomorphic evaluation: sums to matrix sums, products to products."""
+    """Homomorphic evaluation: sums to matrix sums, products to products.
+
+    The tree is walked on the root system's :func:`matrices.kernel` and only
+    the result is wrapped.  A literal is value * Id; sums and products run
+    left to right; a power G^e is Id * G * ... * G multiplied left to right.
+    A generator power starts from the highest lower power of that generator
+    already formed in the call, and only requested powers are kept.  The
+    bits are those of the same steps on object arrays.
+    """
     if expr.surface != rep.surface:
         raise ValueError(f"expression over {expr.surface.tag} evaluated in {rep.surface.tag}")
     if not expr.rs.compatible(rep.rs):
         raise ValueError("expression and representation use different root systems")
-    return _eval_node(expr.node, rep)
+    rs, dim = rep.rs, rep.dim
+    k = matrices.kernel(rs)
+    gens, powers = {}, {}  # unpacked generators; name -> {exponent: power}
+
+    def walk(node):
+        if isinstance(node, Lit):
+            return k.unpack(matrices.scalar_matrix(node.value, dim))
+        if isinstance(node, Gen):
+            if node.name not in gens:
+                gens[node.name] = k.unpack(rep.matrix(node.name))
+            return gens[node.name]
+        if isinstance(node, Sum):
+            return reduce(k.add, map(walk, node.terms))
+        if isinstance(node, Prod):
+            return reduce(k.product, map(walk, node.factors))
+        if isinstance(node, Power):
+            return power(node.base, node.exponent)
+        raise TypeError(f"not an expression node: {node!r}")
+
+    def power(base, e):
+        if e == 0:
+            return k.unpack(matrices.identity(rs, dim))
+        done = powers.setdefault(base.name, {}) if isinstance(base, Gen) else {}
+        if e not in done:
+            g = walk(base)
+            start = max((d for d in done if d < e), default=1)
+            acc = done.get(start, g)  # Id * G is G: its entries are at working precision
+            for _ in range(e - start):
+                acc = k.product(acc, g)
+            done[e] = acc
+        return done[e]
+
+    return k.wrap(walk(expr.node))
 
 
 def evaluate_normal_form(nf: NormalForm, rep):
-    """Direct evaluation of an ordered normal form, with cached generator powers.
-
-    Each term is coeff * Id times its generator powers (X letters, then
-    punctures), added to the running total in the order of ``nf.terms``; a
-    power G^e is Id * G * ... * G, multiplied left to right.
-    Bigfloat representations run these steps on the raw libmp kernel of
-    :mod:`matrices`: each generator is unpacked once, products are
-    ``_raw_product`` calls, each sum is one rounded ``mpf_add`` per part and
-    the total is wrapped once, bit-identical to the same steps on
-    ``BigComplex`` object arrays.  The exact backend runs them on the object
-    arrays.
-    """
-    if nf.surface != rep.surface:
-        raise ValueError("surface mismatch")
-    rs, dim = rep.rs, rep.dim
-    if rs.backend == "exact":
-        def unpack(mat):
-            return mat
-        wrap, mul, add = unpack, matrices.matmul, operator.add
-    else:
-        prec, rnd = matrices._prec_rnd(rs)
-        unpack = partial(matrices._raw_rows, prec=prec, rnd=rnd)
-        mul = partial(matrices._raw_product, prec=prec, rnd=rnd)
-        add = partial(matrices._raw_sum, prec=prec, rnd=rnd)
-        wrap = partial(matrices._wrap, rs)
-
-    ident = unpack(matrices.identity(rs, dim))
-    bases, powers = {}, {}
-
-    def gen_power(name, e):
-        # G^e extends G^(e-1): the same products as Id * G * ... * G
-        if (name, e) not in powers:
-            if name not in bases:
-                bases[name] = unpack(rep.matrix(name))
-            below = ident if e == 1 else gen_power(name, e - 1)
-            powers[(name, e)] = mul(below, bases[name])
-        return powers[(name, e)]
-
-    total = unpack(matrices.zeros(rs, dim))
-    for (xexp, pexp), coeff in nf.terms.items():
-        term = unpack(matrices.scalar_matrix(coeff, dim))
-        for name, e in zip(nf.surface.generators, xexp + pexp):
-            if e:
-                term = mul(term, gen_power(name, e))
-        total = add(total, term)
-    return wrap(total)
+    """:func:`evaluate` of the normal form's expression (terms in ``nf.terms`` order)."""
+    return evaluate(normal_form_to_expr(nf), rep)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Dense matrices over backend scalars, plus numerical-rank utilities.
 
 Matrices are numpy object arrays whose entries are scalars of a single root
-system; ``@`` works on them directly.  Bigfloat products, sums and the T_n
-matrix recurrence run on the raw libmp values inside the entries instead: each
-entry is read once as its pair of ``_mpf_`` tuples, every dot product is
-accumulated with ``mpf_mul`` / ``mpf_add`` / ``mpf_sub`` in the order and
-rounding of the object arithmetic, and only the results are wrapped back
-into ``BigComplex``.  The outputs are bit-identical to ``acc += a * b`` on
-``mpc`` values under the root system's working precision.
+system.  Products, sums, the T_n recurrence and residuals go through
+:func:`kernel`, the one place that picks a backend's working format: the
+object arrays themselves (exact), or the raw libmp values inside the entries
+(bigfloat).  Bigfloat entries are read once as pairs of ``_mpf_`` tuples,
+dot products and sums are accumulated with ``mpf_mul`` / ``mpf_add`` /
+``mpf_sub`` in the order and rounding of the object arithmetic, and only
+the results are wrapped back into ``BigComplex``, bit-identical to the same
+steps on ``mpc`` values under the root system's working precision.
 
 Bigfloat rank and nullspace decisions come from one SVD at the root
 system's working precision: singular values below rel_eps * sigma_max count
@@ -17,11 +18,14 @@ exact backend eliminates over the cyclotomic field.
 
 from __future__ import annotations
 
+import operator
+from collections import namedtuple
+from functools import partial
+
 import numpy as np
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (fzero, from_int, mpc_abs, mpf_add, mpf_gt, mpf_mul, mpf_pos, mpf_sub,
-                          to_float)
+from mpmath.libmp import fzero, mpc_abs, mpf_add, mpf_gt, mpf_mul, mpf_pos, mpf_sub, to_float
 
 from .scalars import BigComplex, CyclotomicNumber, RootSystem, numeric_bridge
 
@@ -76,6 +80,10 @@ def mat_scale(s, mat):
             out[i, j] = s * mat[i, j]
     return out
 
+
+# ---------------------------------------------------------------------------
+# kernels: one working format per backend
+# ---------------------------------------------------------------------------
 
 def _prec_rnd(rs):
     """Working precision of ``rs`` and the context's rounding mode.
@@ -186,52 +194,21 @@ def _raw_sum(a_rows, b_rows, prec, rnd):
     return out
 
 
-def matmul(a, b):
-    """Matrix product; bigfloat entries go through the raw libmp kernel.
+def _raw_worst(rows, prec, rnd):
+    """(exactly zero, float magnitude of the largest entry) of raw rows.
 
-    The exact backend multiplies the object arrays.  Bigfloat entries are
-    unpacked once, multiplied by :func:`_raw_product` at the root system's
-    precision and the context's rounding mode, and wrapped once; the result
-    is bit-identical to accumulating mpc products under ``mp.workprec``.
+    The largest ``mpc_abs`` is found as a raw mpf and rounded to float once,
+    as ``float(mpf)`` rounds it.
     """
-    if isinstance(a.flat[0], CyclotomicNumber):
-        return a @ b
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    rs = a.flat[0].rs
-    prec, rnd = _prec_rnd(rs)
-    return _wrap(rs, _raw_product(_raw_rows(a, prec, rnd), _raw_rows(b, prec, rnd), prec, rnd))
+    worst = fzero
+    for row in rows:
+        for z in row:
+            if z is not None:
+                mag = mpc_abs(z, prec, rnd)
+                if mpf_gt(mag, worst):
+                    worst = mag
+    return worst == fzero, to_float(worst, rnd=rnd)
 
-
-def chebyshev_matrix(n: int, arg):
-    """T_n of a square matrix by T_{k+1} = arg T_k - T_{k-1}, T_0 = 2 Id.
-
-    The exact backend runs the recurrence on object arrays.  In the bigfloat
-    backend every step is one fused :func:`_raw_product` call and only T_n
-    is wrapped into ``BigComplex``; each step rounds as ``matmul`` followed
-    by an entrywise ``BigComplex`` subtraction does.
-    """
-    if n == 1:
-        return arg
-    rs = arg.flat[0].rs
-    size = arg.shape[0]
-    if isinstance(arg.flat[0], CyclotomicNumber):
-        prev2, prev1 = scalar_matrix(rs.scalar(2), size), arg
-        for _ in range(n - 1):
-            prev2, prev1 = prev1, matmul(arg, prev1) - prev2
-        return prev2 if n == 0 else prev1
-    prec, rnd = _prec_rnd(rs)
-    two = (from_int(2), fzero)
-    prev2 = [[two if i == j else None for j in range(size)] for i in range(size)]
-    prev1 = a_rows = _raw_rows(arg, prec, rnd)
-    for _ in range(n - 1):
-        prev2, prev1 = prev1, _raw_product(a_rows, prev1, prec, rnd, minus=prev2)
-    return _wrap(rs, prev2 if n == 0 else prev1)
-
-
-# ---------------------------------------------------------------------------
-# magnitudes and residuals
-# ---------------------------------------------------------------------------
 
 def entry_magnitude(s) -> float:
     """Float magnitude of a scalar; exact scalars are bridged at 64 bits."""
@@ -242,53 +219,93 @@ def entry_magnitude(s) -> float:
     return float(s.magnitude())
 
 
-def _raw_max_abs(rows, prec, rnd):
-    """Largest ``mpc_abs`` over raw rows, as a raw mpf (fzero for no entry)."""
-    worst = fzero
-    for row in rows:
-        for z in row:
-            if z is not None:
-                mag = mpc_abs(z, prec, rnd)
-                if mpf_gt(mag, worst):
-                    worst = mag
-    return worst
-
-
-def intertwining_defects(m, pairs):
-    """Float magnitude of the largest entry of M A - B M for each (A, B) in ``pairs``.
-
-    Each float equals ``residual_report(matmul(m, a) - matmul(b, m))[1]``.
-    Bigfloat defects are formed on raw values: M is unpacked once, each
-    defect is one fused ``_raw_product(M, A, minus=B M)``, whose entries are
-    the object path's entries bit for bit, and its largest ``mpc_abs`` is
-    rounded to float once, as ``float(mpf)`` rounds it.  The exact backend
-    keeps the object path.
-    """
-    if isinstance(m.flat[0], CyclotomicNumber):
-        return [residual_report(matmul(m, a) - matmul(b, m))[1] for a, b in pairs]
-    prec, rnd = _prec_rnd(m.flat[0].rs)
-    m_rows = _raw_rows(m, prec, rnd)
-    out = []
-    for a, b in pairs:
-        b_m = _raw_product(_raw_rows(b, prec, rnd), m_rows, prec, rnd)
-        defect = _raw_product(m_rows, _raw_rows(a, prec, rnd), prec, rnd, minus=b_m)
-        out.append(to_float(_raw_max_abs(defect, prec, rnd), rnd=rnd))
-    return out
-
-
 def is_zero_matrix(mat) -> bool:
     """Identically-zero test; exact in the exact backend."""
     return all(e.is_zero() for e in mat.flat)
 
 
+def _same(mat):
+    return mat
+
+
+def _exact_product(a, b, minus=None):
+    return a @ b if minus is None else a @ b - minus
+
+
+def _exact_worst(mat):
+    exact = is_zero_matrix(mat)
+    return exact, 0.0 if exact else max(entry_magnitude(e) for e in mat.flat)
+
+
+Kernel = namedtuple("Kernel", "unpack wrap product add worst")
+_EXACT_KERNEL = Kernel(_same, _same, _exact_product, operator.add, _exact_worst)
+
+
+def kernel(rs: RootSystem) -> Kernel:
+    """Matrix arithmetic in the working format of ``rs``.
+
+    ``unpack`` and ``wrap`` convert from and to object arrays, ``product(a, b,
+    minus=None)`` is A B or A B - C, ``add`` is A + B, and ``worst`` is
+    (exactly zero, float magnitude of the largest entry).  The exact kernel
+    works on the object arrays as they are; the bigfloat kernel is the
+    raw-row functions above at the working precision and the context's
+    rounding mode.
+    """
+    if rs.backend == "exact":
+        return _EXACT_KERNEL
+    prec, rnd = _prec_rnd(rs)
+    return Kernel(partial(_raw_rows, prec=prec, rnd=rnd), partial(_wrap, rs),
+                  partial(_raw_product, prec=prec, rnd=rnd), partial(_raw_sum, prec=prec, rnd=rnd),
+                  partial(_raw_worst, prec=prec, rnd=rnd))
+
+
+# ---------------------------------------------------------------------------
+# products and residuals
+# ---------------------------------------------------------------------------
+
+def matmul(a, b):
+    """Matrix product, bit-identical to accumulating products entrywise."""
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
+    k = kernel(a.flat[0].rs)
+    return k.wrap(k.product(k.unpack(a), k.unpack(b)))
+
+
+def chebyshev_matrix(n: int, arg):
+    """T_n of a square matrix by T_{k+1} = arg T_k - T_{k-1}, T_0 = 2 Id.
+
+    Every step is one fused ``product(arg, T_k, minus=T_{k-1})`` of the
+    kernel, and only T_n is wrapped; each step rounds as ``matmul`` followed
+    by an entrywise subtraction does.
+    """
+    if n == 1:
+        return arg
+    rs = arg.flat[0].rs
+    k = kernel(rs)
+    prev2 = k.unpack(scalar_matrix(rs.scalar(2), arg.shape[0]))
+    prev1 = a = k.unpack(arg)
+    for _ in range(n - 1):
+        prev2, prev1 = prev1, k.product(a, prev1, minus=prev2)
+    return k.wrap(prev2 if n == 0 else prev1)
+
+
+def intertwining_defects(m, pairs):
+    """Float magnitude of the largest entry of M A - B M for each (A, B) in ``pairs``.
+
+    Each float equals ``residual_report(matmul(m, a) - matmul(b, m))[1]``:
+    M is unpacked once and each defect is one fused
+    ``product(M, A, minus=B M)`` of the kernel.
+    """
+    k = kernel(m.flat[0].rs)
+    m_rows = k.unpack(m)
+    return [k.worst(k.product(m_rows, k.unpack(a), minus=k.product(k.unpack(b), m_rows)))[1]
+            for a, b in pairs]
+
+
 def residual_report(mat):
     """(exactly_zero, float magnitude of the largest entry) for a defect matrix."""
-    if isinstance(mat.flat[0], CyclotomicNumber):
-        exact = is_zero_matrix(mat)
-        return exact, 0.0 if exact else max(entry_magnitude(e) for e in mat.flat)
-    prec, rnd = _prec_rnd(mat.flat[0].rs)
-    worst = _raw_max_abs(_raw_rows(mat, prec, rnd), prec, rnd)
-    return worst == fzero, to_float(worst, rnd=rnd)
+    k = kernel(mat.flat[0].rs)
+    return k.worst(k.unpack(mat))
 
 
 def _diagonal_mean(mat, rs):

@@ -24,6 +24,7 @@ from typing import Union
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import mpc_to_str
 
 from .errors import BackendMismatch, UnsupportedExactOperation
 
@@ -549,7 +550,8 @@ class BigComplex:
         return hash((self.rs.key(), self.re, self.im))
 
     def __repr__(self):
-        return f"({mpmath.nstr(self.mpc(), 12)})"
+        # nstr's digits without its parentheses, bare like CyclotomicNumber's
+        return mpc_to_str(self.mpc()._mpc_, 12)
 
 
 Scalar = Union[CyclotomicNumber, BigComplex]

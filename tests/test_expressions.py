@@ -151,6 +151,20 @@ def test_soundness_against_evaluation(rs3f):
             assert mag < 1e-40, f"{text}: {mag}"
 
 
+def test_normal_form_to_expr_keeps_term_order(rs3):
+    nf = normalize(parse("X2 X1 + X3^2 + 1", TORUS1, rs3))
+    again = normal_form_to_expr(nf)
+    assert [t.factors[0].value if isinstance(t, Prod) else t.value
+            for t in again.node.terms] == list(nf.terms.values())
+
+
+def test_evaluate_normal_form_rejects_other_backend(rs3, rs3f):
+    rep = torus_rep_fixture(rs3f)
+    nf = normalize(parse("X2 X1", TORUS1, rs3))
+    with pytest.raises(ValueError):
+        evaluate_normal_form(nf, rep)
+
+
 def test_evaluate_normal_form_matches_expr_route(rs3f):
     rep = torus_rep_fixture(rs3f)
     expr = parse("X2 X1 X2 X1", TORUS1, rs3f)
@@ -226,6 +240,29 @@ def _object_evaluate_normal_form(nf, rep):
     return total
 
 
+def _object_evaluate(node, rep):
+    """Reference: the expression tree walked on object arrays."""
+    if isinstance(node, Lit):
+        return matrices.scalar_matrix(node.value, rep.dim)
+    if isinstance(node, Gen):
+        return rep.matrix(node.name)
+    if isinstance(node, Sum):
+        acc = _object_evaluate(node.terms[0], rep)
+        for t in node.terms[1:]:
+            acc = acc + _object_evaluate(t, rep)
+        return acc
+    if isinstance(node, Prod):
+        acc = _object_evaluate(node.factors[0], rep)
+        for f in node.factors[1:]:
+            acc = matrices.matmul(acc, _object_evaluate(f, rep))
+        return acc
+    acc = matrices.identity(rep.rs, rep.dim)
+    base = _object_evaluate(node.base, rep)
+    for _ in range(node.exponent):
+        acc = matrices.matmul(acc, base)
+    return acc
+
+
 def _criterion9_words(surface, count, seed):
     rng = random.Random(seed)
     return [random_word_expression(surface, rng, max_word_len=8) for _ in range(count)]
@@ -278,6 +315,26 @@ def test_evaluate_normal_form_bit_identical_to_object_path(rs3f):
             nf = normalize(parse(text, surface, rs3f))
             assert _raw_parts(evaluate_normal_form(nf, rep)) == \
                 _raw_parts(_object_evaluate_normal_form(nf, rep)), (surface.tag, text)
+
+
+def test_evaluate_bit_identical_to_object_path(rs3f):
+    rng = random.Random(41)
+    torus = torus_rep_fixture(rs3f)
+    reps = {
+        TORUS1: torus,
+        TORUS0: assemble(TORUS0, rs3f, torus.dim, {g: torus.matrix(g) for g in TORUS0.generators}, {}),
+        SPHERE4: sphere_rep_fixture(rs3f),
+        sphere_k(3): small_sphere_rep([rs3f.scalar(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+                                       for _ in range(3)]),
+    }
+    for surface, rep in reps.items():
+        g1, g2 = surface.generators[:2]
+        # powers reused out of order, and an input with no generator at all
+        extra = [f"({g1} + 2)^3", f"{g1}^3 + {g1}^2 {g2} + {g1}^5", "3/4 - A^2 (1 + A)"]
+        for text in _criterion9_words(surface, 15, 77) + extra:
+            expr = parse(text, surface, rs3f)
+            assert _raw_parts(evaluate(expr, rep)) == \
+                _raw_parts(_object_evaluate(expr.node, rep)), (surface.tag, text)
 
 
 @pytest.mark.parametrize("backend", ["exact", "bigfloat"])

@@ -12,6 +12,7 @@ of the working-precision cut rel_eps * sigma_max.
 import dataclasses
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -523,3 +524,28 @@ def test_mpmath_matrices_stay_inside_matrices_module():
         text = path.read_text()
         for token in ("to_mp_matrix", "mpmath.matrix", "mp.eye"):
             assert token not in text, f"{path.name} mentions {token}"
+
+
+def test_raw_kernel_names_stay_inside_matrices_module():
+    package = pathlib.Path(skeinrep.__file__).parent
+    private = re.compile(r"\b(_raw_rows|_raw_product|_raw_sum|_wrap|_prec_rnd)\b")
+    for path in sorted(package.glob("*.py")):
+        if path.name != "matrices.py":
+            found = private.search(path.read_text())
+            assert found is None, f"{path.name} names {found.group()}"
+
+
+@pytest.mark.parametrize("backend", ["exact", "bigfloat"])
+def test_kernel_round_trip_and_arithmetic(backend):
+    rs = make_root_system(3, backend)
+    k = matrices.kernel(rs)
+    two = matrices.scalar_matrix(rs.scalar(2), 2)
+    ident = matrices.identity(rs, 2)
+    assert list(k.wrap(k.unpack(two)).flat) == list(two.flat)
+    three = k.wrap(k.add(k.unpack(two), k.unpack(ident)))
+    assert list(three.flat) == list(matrices.scalar_matrix(rs.scalar(3), 2).flat)
+    # 2 Id 2 Id - 4 Id is exactly zero
+    four = k.unpack(matrices.scalar_matrix(rs.scalar(4), 2))
+    assert k.worst(k.product(k.unpack(two), k.unpack(two), minus=four)) == (True, 0.0)
+    assert k.worst(k.unpack(two)) == (False, 2.0)
+

@@ -288,3 +288,10 @@ def test_nth_root_exact_unsupported():
     rs = make_root_system(5)
     with pytest.raises(UnsupportedExactOperation):
         nth_root(rs.one, 5)
+
+
+def test_bigfloat_repr_is_bare():
+    rs = make_root_system(3, "bigfloat", 64)
+    assert repr(rs.one) == "1.0 + 0.0j"
+    assert repr(rs.scalar(complex(1.5, -0.25))) == "1.5 - 0.25j"
+

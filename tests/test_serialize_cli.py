@@ -188,6 +188,15 @@ def test_cli_normalize(capsys):
     assert "X3" in out
 
 
+def test_cli_normalize_bigfloat_prints_bare_coefficients(capsys):
+    status = main(["normalize", "--surface", "torus1", "--N", "3", "--backend", "bigfloat",
+                   "--expr", "X2 X1"])
+    assert status == 0
+    out = capsys.readouterr().out
+    assert "(1.5 - 0.866025403784j) X3" in out
+    assert "((" not in out
+
+
 def test_cli_normalize_json(tmp_path):
     out = tmp_path / "nf.json"
     status = main(["normalize", "--surface", "sphere4", "--N", "5",
