@@ -25,16 +25,13 @@ from .uniqueness import ExperimentConfig, intertwiner_search, uniqueness_experim
 PASS, FAIL, USAGE = 0, 1, 2
 
 
-def _add_backend_flags(sub, default_backend="bigfloat"):
+def _add_system_flags(sub):
     sub.add_argument("--N", type=int, default=3, help="odd order of the root of -1")
-    sub.add_argument("--backend", choices=("exact", "bigfloat"), default=default_backend)
     sub.add_argument("--precision", type=int, default=256, help="bits for the bigfloat backend")
-    sub.add_argument("--tol", type=float, default=None, help="override the relative tolerance")
 
 
-def _root_system(args):
-    prec = args.precision if args.backend == "bigfloat" else None
-    return make_root_system(args.N, args.backend, prec)
+def _root_system(args, backend="bigfloat"):
+    return make_root_system(args.N, backend, args.precision if backend == "bigfloat" else None)
 
 
 def _tolerance(args):
@@ -133,7 +130,7 @@ def _cmd_isomorphic(args):
 
 
 def _cmd_normalize(args):
-    rs = _root_system(args)
+    rs = _root_system(args, args.backend)
     surface = surface_from_tag(args.surface)
     expr = parse(args.expr, surface, rs)
     nf = normalize(expr)
@@ -173,26 +170,22 @@ def build_parser():
                     "of small surfaces at odd roots of unity")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    bt = sub.add_parser("build-torus", help="N-dimensional punctured-torus representation")
-    _add_backend_flags(bt)
-    for flag in ("--t1", "--t2", "--t3", "--p"):
-        bt.add_argument(flag, required=True)
-    bt.add_argument("--out")
-    bt.set_defaults(fn=_cmd_build_torus)
-
-    bct = sub.add_parser("build-closed-torus", help="unpunctured-torus representation")
-    _add_backend_flags(bct)
-    for flag in ("--t1", "--t2", "--t3"):
-        bct.add_argument(flag, required=True)
-    bct.add_argument("--out")
-    bct.set_defaults(fn=_cmd_build_closed_torus)
-
-    bs = sub.add_parser("build-sphere", help="four-puncture sphere representation")
-    _add_backend_flags(bs)
-    for flag in ("--p0", "--p1", "--p2", "--p3", "--t1", "--t2", "--t3"):
-        bs.add_argument(flag, required=True)
-    bs.add_argument("--out")
-    bs.set_defaults(fn=_cmd_build_sphere)
+    builds = (
+        ("build-torus", "N-dimensional punctured-torus representation",
+         ("--t1", "--t2", "--t3", "--p"), _cmd_build_torus),
+        ("build-closed-torus", "unpunctured-torus representation",
+         ("--t1", "--t2", "--t3"), _cmd_build_closed_torus),
+        ("build-sphere", "four-puncture sphere representation",
+         ("--p0", "--p1", "--p2", "--p3", "--t1", "--t2", "--t3"), _cmd_build_sphere),
+    )
+    for name, help_text, flags, fn in builds:
+        build = sub.add_parser(name, help=help_text)
+        _add_system_flags(build)
+        build.add_argument("--tol", type=float, default=None, help="override the relative tolerance")
+        for flag in flags:
+            build.add_argument(flag, required=True)
+        build.add_argument("--out")
+        build.set_defaults(fn=fn)
 
     vf = sub.add_parser("verify", help="check the presentation relations of a stored representation")
     vf.add_argument("rep")
@@ -214,7 +207,8 @@ def build_parser():
     iso.set_defaults(fn=_cmd_isomorphic)
 
     nm = sub.add_parser("normalize", help="rewrite an expression to ordered-monomial form")
-    _add_backend_flags(nm, default_backend="exact")
+    _add_system_flags(nm)
+    nm.add_argument("--backend", choices=("exact", "bigfloat"), default="exact")
     nm.add_argument("--surface", required=True)
     nm.add_argument("--expr", required=True)
     nm.add_argument("--out")

@@ -548,15 +548,21 @@ def _torus_puncture_polynomial(rs):
     ))
 
 
+# q1, q2, q3 of the sphere relations
+_SPHERE_Q = (
+    Sum((Prod((Gen("P0"), Gen("P1"))), Prod((Gen("P2"), Gen("P3"))))),
+    Sum((Prod((Gen("P0"), Gen("P2"))), Prod((Gen("P1"), Gen("P3"))))),
+    Sum((Prod((Gen("P0"), Gen("P3"))), Prod((Gen("P1"), Gen("P2"))))),
+)
+
+
 def _sphere_relation_defect(rs):
     """Left minus right side of the degree-three sphere relation.
 
     Evaluates to zero in every representation of the four-puncture sphere
     algebra.
     """
-    q1 = Sum((Prod((Gen("P0"), Gen("P1"))), Prod((Gen("P2"), Gen("P3")))))
-    q2 = Sum((Prod((Gen("P0"), Gen("P2"))), Prod((Gen("P1"), Gen("P3")))))
-    q3 = Sum((Prod((Gen("P0"), Gen("P3"))), Prod((Gen("P1"), Gen("P2")))))
+    q1, q2, q3 = _SPHERE_Q
     square = rs.a_pow(2) + rs.a_pow(-2)
     return Sum((
         Prod((Lit(rs.a_pow(2)), Gen("X1"), Gen("X2"), Gen("X3"))),
@@ -619,9 +625,7 @@ def relation_defects(surface: Surface, rs: RootSystem) -> dict:
                 Lit(rs.a_pow(2) + rs.a_pow(-2)),
             ))
     elif surface.kind == "sphere4":
-        q1 = Sum((Prod((Gen("P0"), Gen("P1"))), Prod((Gen("P2"), Gen("P3")))))
-        q2 = Sum((Prod((Gen("P0"), Gen("P2"))), Prod((Gen("P1"), Gen("P3")))))
-        q3 = Sum((Prod((Gen("P0"), Gen("P3"))), Prod((Gen("P1"), Gen("P2")))))
+        q1, q2, q3 = _SPHERE_Q
         defects["qcomm_12"] = _qcomm(rs, 2, "X1", "X2", "X3", q3)
         defects["qcomm_23"] = _qcomm(rs, 2, "X2", "X3", "X1", q1)
         defects["qcomm_31"] = _qcomm(rs, 2, "X3", "X1", "X2", q2)

@@ -3,12 +3,12 @@
 Matrices are numpy object arrays whose entries are scalars of a single root
 system.  Products, sums, the T_n recurrence and residuals go through
 :func:`kernel`, the one place that picks a backend's working format: the
-object arrays themselves (exact), or the raw libmp values inside the entries
-(bigfloat).  Bigfloat entries are read once as pairs of ``_mpf_`` tuples,
-dot products and sums are accumulated with ``mpf_mul`` / ``mpf_add`` /
-``mpf_sub`` in the order and rounding of the object arithmetic, and only
-the results are wrapped back into ``BigComplex``, bit-identical to the same
-steps on ``mpc`` values under the root system's working precision.
+object arrays themselves (exact), or the libmp pairs the entries hold
+(bigfloat).  Bigfloat entries are read once at the working precision, dot
+products and sums make the same libmp calls as ``BigComplex`` arithmetic,
+in the same order, and only the results are wrapped back into
+``BigComplex``, so every entry is bit-identical to the entrywise object
+arithmetic.
 
 Bigfloat rank and nullspace decisions come from one SVD at the root
 system's working precision: singular values below rel_eps * sigma_max count
@@ -25,9 +25,11 @@ from functools import partial
 import numpy as np
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fzero, mpc_abs, mpf_add, mpf_gt, mpf_mul, mpf_pos, mpf_sub, to_float
+from mpmath.libmp import fzero, mpc_abs, mpf_add, mpf_gt, mpf_mul, mpf_sub, to_float
 
-from .scalars import BigComplex, CyclotomicNumber, RootSystem, numeric_bridge
+from .errors import NonScalarChebyshev
+from .scalars import (RND, CyclotomicNumber, RootSystem, approx_eq, from_pair,
+                      numeric_bridge, working_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -85,34 +87,17 @@ def mat_scale(s, mat):
 # kernels: one working format per backend
 # ---------------------------------------------------------------------------
 
-def _prec_rnd(rs):
-    """Working precision of ``rs`` and the context's rounding mode.
-
-    The mode is read from mpmath's private ``mp._prec_rounding`` (mpmath 1.3),
-    which is what ``mpc`` arithmetic under ``mp.workprec`` rounds with.
-    """
-    return rs.precision_bits, mp._prec_rounding[1]
-
-
 _RAW_ZERO = (fzero, fzero)
 
 
-def _raw_rows(mat, prec, rnd):
-    """Rows of (re, im) libmp pairs, or None for an exact zero entry.
-
-    A part with more mantissa bits than ``prec`` is rounded first, as
-    ``BigComplex.mpc()`` rounds it under ``mp.workprec(prec)``.
-    """
+def _raw_rows(mat, prec):
+    """Rows of libmp pairs read at the working precision, or None for an exact zero."""
     rows = []
     for row in mat:
         out = []
         for e in row:
-            re, im = e.re._mpf_, e.im._mpf_
-            if re[3] > prec:
-                re = mpf_pos(re, prec, rnd)
-            if im[3] > prec:
-                im = mpf_pos(im, prec, rnd)
-            out.append(None if re == fzero and im == fzero else (re, im))
+            z = working_pair(e.pair, prec)
+            out.append(None if z == _RAW_ZERO else z)
         rows.append(out)
     return rows
 
@@ -120,14 +105,14 @@ def _raw_rows(mat, prec, rnd):
 def _wrap(rs, rows):
     """Object array of BigComplex from raw rows."""
     out = np.empty((len(rows), len(rows[0])), dtype=object)
-    make, zero = mp.make_mpf, rs.zero
+    zero = rs.zero
     for i, row in enumerate(rows):
         for j, z in enumerate(row):
-            out[i, j] = zero if z is None else BigComplex(rs, make(z[0]), make(z[1]))
+            out[i, j] = zero if z is None else from_pair(rs, z)
     return out
 
 
-def _raw_product(a_rows, b_rows, prec, rnd, minus=None):
+def _raw_product(a_rows, b_rows, prec, minus=None):
     """Raw rows of A B, or of A B - C when ``minus`` holds the rows of C.
 
     Each dot product runs over the nonzero entries of the row of A, in
@@ -153,19 +138,19 @@ def _raw_product(a_rows, b_rows, prec, rnd, minus=None):
                 if b is None:
                     continue
                 br, bi = b
-                re = mpf_sub(mpf_mul(ar, br), mpf_mul(ai, bi), prec, rnd)
-                im = mpf_add(mpf_mul(ar, bi), mpf_mul(ai, br), prec, rnd)
+                re = mpf_sub(mpf_mul(ar, br), mpf_mul(ai, bi), prec, RND)
+                im = mpf_add(mpf_mul(ar, bi), mpf_mul(ai, br), prec, RND)
                 if acc_re is None:
                     acc_re, acc_im = re, im
                 else:
-                    acc_re = mpf_add(acc_re, re, prec, rnd)
-                    acc_im = mpf_add(acc_im, im, prec, rnd)
+                    acc_re = mpf_add(acc_re, re, prec, RND)
+                    acc_im = mpf_add(acc_im, im, prec, RND)
             c = None if minus is None else minus[i][j]
             if c is not None:
                 if acc_re is None:
                     acc_re = acc_im = fzero
-                acc_re = mpf_sub(acc_re, c[0], prec, rnd)
-                acc_im = mpf_sub(acc_im, c[1], prec, rnd)
+                acc_re = mpf_sub(acc_re, c[0], prec, RND)
+                acc_im = mpf_sub(acc_im, c[1], prec, RND)
             if acc_re is None or (acc_re == fzero and acc_im == fzero):
                 row.append(None)
             else:
@@ -174,7 +159,7 @@ def _raw_product(a_rows, b_rows, prec, rnd, minus=None):
     return out
 
 
-def _raw_sum(a_rows, b_rows, prec, rnd):
+def _raw_sum(a_rows, b_rows, prec):
     """Raw rows of A + B, rounded as ``BigComplex.__add__`` rounds each entry.
 
     Each part is one rounded ``mpf_add``, with an exact zero read as 0.
@@ -188,13 +173,13 @@ def _raw_sum(a_rows, b_rows, prec, rnd):
                 continue
             ar, ai = a or _RAW_ZERO
             br, bi = b or _RAW_ZERO
-            re, im = mpf_add(ar, br, prec, rnd), mpf_add(ai, bi, prec, rnd)
+            re, im = mpf_add(ar, br, prec, RND), mpf_add(ai, bi, prec, RND)
             row.append(None if re == fzero and im == fzero else (re, im))
         out.append(row)
     return out
 
 
-def _raw_worst(rows, prec, rnd):
+def _raw_worst(rows, prec):
     """(exactly zero, float magnitude of the largest entry) of raw rows.
 
     The largest ``mpc_abs`` is found as a raw mpf and rounded to float once,
@@ -204,10 +189,10 @@ def _raw_worst(rows, prec, rnd):
     for row in rows:
         for z in row:
             if z is not None:
-                mag = mpc_abs(z, prec, rnd)
+                mag = mpc_abs(z, prec, RND)
                 if mpf_gt(mag, worst):
                     worst = mag
-    return worst == fzero, to_float(worst, rnd=rnd)
+    return worst == fzero, to_float(worst, rnd=RND)
 
 
 def entry_magnitude(s) -> float:
@@ -248,15 +233,14 @@ def kernel(rs: RootSystem) -> Kernel:
     minus=None)`` is A B or A B - C, ``add`` is A + B, and ``worst`` is
     (exactly zero, float magnitude of the largest entry).  The exact kernel
     works on the object arrays as they are; the bigfloat kernel is the
-    raw-row functions above at the working precision and the context's
-    rounding mode.
+    raw-row functions above at the working precision.
     """
     if rs.backend == "exact":
         return _EXACT_KERNEL
-    prec, rnd = _prec_rnd(rs)
-    return Kernel(partial(_raw_rows, prec=prec, rnd=rnd), partial(_wrap, rs),
-                  partial(_raw_product, prec=prec, rnd=rnd), partial(_raw_sum, prec=prec, rnd=rnd),
-                  partial(_raw_worst, prec=prec, rnd=rnd))
+    prec = rs.precision_bits
+    return Kernel(partial(_raw_rows, prec=prec), partial(_wrap, rs),
+                  partial(_raw_product, prec=prec), partial(_raw_sum, prec=prec),
+                  partial(_raw_worst, prec=prec))
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +306,6 @@ def read_scalar_matrix(mat, rs, tol=None):
     The scalar is read as the mean of the diagonal, which is the least
     rounding-sensitive choice; every entry is then validated against it.
     """
-    from .errors import NonScalarChebyshev
-    from .scalars import approx_eq
-
     n = mat.shape[0]
     mean = _diagonal_mean(mat, rs)
     zero = rs.zero
@@ -381,8 +362,7 @@ def from_mp_vector(rs: RootSystem, vec, length):
     out = np.empty(length, dtype=object)
     with mp.workprec(rs.precision_bits):
         for i in range(length):
-            z = mpmath.mpc(vec[i])
-            out[i] = BigComplex(rs, z.real, z.imag)
+            out[i] = from_pair(rs, mpmath.mpc(vec[i])._mpc_)
     return out
 
 

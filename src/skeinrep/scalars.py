@@ -7,8 +7,12 @@ backends are provided:
 * ``exact``: elements of Q(A) as rational coefficient vectors reduced modulo
   the 2N-th cyclotomic polynomial.  Arithmetic is exact and canonical, so
   equality is coefficient equality.
-* ``bigfloat``: arbitrary-precision complex numbers (mpmath) at a fixed
-  number of bits, with A = exp(i*pi/N).
+* ``bigfloat``: arbitrary-precision complex numbers at a fixed number of
+  bits, with A = exp(i*pi/N).  Each is one libmp pair of ``_mpf_`` tuples,
+  and every operation calls libmp at the working precision with mpmath's
+  round-to-nearest, as ``mpc`` arithmetic under ``mp.workprec`` does; the
+  matrix kernel in :mod:`matrices` works on the same pairs with the same
+  calls.
 
 All scalars are immutable and carry a reference to their root system;
 mixing scalars from incompatible systems raises :class:`BackendMismatch`.
@@ -24,13 +28,17 @@ from typing import Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import mpc_to_str
+from mpmath.libmp import (fone, from_float, fzero, mpc_abs, mpc_add, mpc_div, mpc_mul, mpc_neg,
+                          mpc_pow_int, mpc_sub, mpc_to_str, mpf_add, mpf_gt, mpf_lt, mpf_mul,
+                          mpf_pos, round_nearest, to_float, to_str)
 
 from .errors import BackendMismatch, UnsupportedExactOperation
 
 DEFAULT_PRECISION_BITS = 256
 
-RationalLike = Union[int, Fraction]
+# mpmath 1.3's context has no public rounding setter and always rounds to
+# nearest, so this is the mode of mpc arithmetic under mp.workprec
+RND = round_nearest
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +189,15 @@ class RootSystem:
                 return CyclotomicNumber(self, tuple(coeffs))
             raise TypeError(f"cannot place {type(value).__name__} in the exact backend")
         with mp.workprec(self.precision_bits):
-            if isinstance(value, (int, Fraction)):
-                re = mp.mpf(value.numerator) / value.denominator if isinstance(value, Fraction) else mp.mpf(value)
-                return BigComplex(self, re, mp.mpf(0))
-            if isinstance(value, float):
-                return BigComplex(self, mp.mpf(value), mp.mpf(0))
-            if isinstance(value, complex):
-                return BigComplex(self, mp.mpf(value.real), mp.mpf(value.imag))
-            if isinstance(value, mpmath.mpf):
-                return BigComplex(self, value, mp.mpf(0))
-            if isinstance(value, mpmath.mpc):
-                return BigComplex(self, value.real, value.imag)
+            if isinstance(value, Fraction):
+                value = mp.mpf(value.numerator) / value.denominator
+            elif isinstance(value, (int, float, complex)):
+                value = mp.mpc(value)
+        # an mpf or mpc is kept as given
+        if isinstance(value, mpmath.mpf):
+            return from_pair(self, (value._mpf_, fzero))
+        if isinstance(value, mpmath.mpc):
+            return from_pair(self, value._mpc_)
         raise TypeError(f"cannot place {type(value).__name__} in the bigfloat backend")
 
     def a_pow(self, k: int):
@@ -207,7 +213,7 @@ class RootSystem:
         else:
             with mp.workprec(self.precision_bits):
                 z = mp.expjpi(mp.mpf(k) / self.N)
-            value = BigComplex(self, z.real, z.imag)
+            value = from_pair(self, z._mpc_)
         self._apow_cache[k] = value
         return value
 
@@ -433,20 +439,29 @@ def _frac_poly_sub(a, b):
 # ---------------------------------------------------------------------------
 
 class BigComplex:
-    """Arbitrary-precision complex number pinned to its root system's precision."""
+    """Arbitrary-precision complex number pinned to its root system's precision.
 
-    __slots__ = ("rs", "re", "im")
+    The value is one libmp pair ``(re, im)`` of ``_mpf_`` tuples, kept as
+    given.  Every operation reads both parts at the working precision
+    (:func:`working_pair`) and makes the libmp call that ``mpc`` arithmetic
+    under ``mp.workprec`` makes, so results carry the same bits.
+    """
+
+    __slots__ = ("rs", "pair")
 
     def __init__(self, rs: RootSystem, re, im):
         self.rs = rs
-        self.re = re
-        self.im = im
+        self.pair = (re._mpf_, im._mpf_)
+
+    re = property(lambda self: mp.make_mpf(self.pair[0]))
+    im = property(lambda self: mp.make_mpf(self.pair[1]))
 
     @property
     def prec_bits(self) -> int:
         return self.rs.precision_bits
 
     def mpc(self):
+        """The value as an ``mpc``, rounded to the ambient context precision."""
         return mpmath.mpc(self.re, self.im)
 
     def _coerce(self, other):
@@ -460,70 +475,64 @@ class BigComplex:
             raise BackendMismatch("cannot mix exact and bigfloat scalars")
         return None
 
+    def _abs(self):
+        prec = self.rs.precision_bits
+        return mpc_abs(working_pair(self.pair, prec), prec, RND)
+
     def is_zero(self) -> bool:
         eps = self.rs.tolerance.rel_eps
-        mag = float(self.magnitude())
+        mag = to_float(self._abs(), rnd=RND)
         return mag < eps * (1.0 + mag)
 
     def magnitude(self):
-        with mp.workprec(self.prec_bits):
-            return abs(self.mpc())
+        return mp.make_mpf(self._abs())
 
     # -- arithmetic --------------------------------------------------------------
 
-    def _binary(self, other, fn):
+    def _apply(self, fn, other, reflected=False):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        with mp.workprec(self.prec_bits):
-            z = fn(self.mpc(), o.mpc())
-        return BigComplex(self.rs, z.real, z.imag)
+        a, b = (o, self) if reflected else (self, o)
+        if fn is mpc_div:
+            b._check_divisor(a)
+        prec = self.rs.precision_bits
+        return from_pair(self.rs, fn(working_pair(a.pair, prec), working_pair(b.pair, prec), prec, RND))
 
     def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
+        return self._apply(mpc_add, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
+        return self._apply(mpc_sub, other)
 
     def __rsub__(self, other):
-        return self._binary(other, lambda a, b: b - a)
+        return self._apply(mpc_sub, other, reflected=True)
 
     def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
+        return self._apply(mpc_mul, other)
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        # negate under the working precision; mpmath rounds unary minus
-        # to the ambient context otherwise
-        with mp.workprec(self.prec_bits):
-            return BigComplex(self.rs, -self.re, -self.im)
-
-    def _check_divisor(self, denom, numer):
-        eps = self.rs.tolerance.rel_eps
-        with mp.workprec(self.prec_bits):
-            denom_mag = abs(denom.mpc())
-            scale = 1 + max(abs(numer.mpc()), denom_mag)
-            if denom_mag < eps * scale:
-                raise ZeroDivisionError(
-                    f"division by a scalar of magnitude {mpmath.nstr(denom_mag, 8)} "
-                    f"below the zero threshold")
-
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        self._check_divisor(o, self)
-        return self._binary(o, lambda a, b: a / b)
+        return self._apply(mpc_div, other)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        o._check_divisor(self, o)
-        return self._binary(o, lambda a, b: b / a)
+        return self._apply(mpc_div, other, reflected=True)
+
+    def __neg__(self):
+        # the rounding of a negated part is the negated rounding
+        return from_pair(self.rs, mpc_neg(self.pair, self.rs.precision_bits, RND))
+
+    def _check_divisor(self, numer):
+        """Refuse to divide ``numer`` by a scalar below the zero threshold."""
+        prec = self.rs.precision_bits
+        mag, numer_mag = self._abs(), numer._abs()
+        scale = mpf_add(mag if mpf_gt(mag, numer_mag) else numer_mag, fone, prec, RND)
+        if mpf_lt(mag, mpf_mul(scale, from_float(self.rs.tolerance.rel_eps), prec, RND)):
+            raise ZeroDivisionError(
+                f"division by a scalar of magnitude {to_str(mag, 8)} below the zero threshold")
 
     def inverse(self):
         return self.rs.one / self
@@ -531,11 +540,10 @@ class BigComplex:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
-        with mp.workprec(self.prec_bits):
-            if exponent < 0:
-                self._check_divisor(self, self.rs.one)
-            z = self.mpc() ** exponent
-        return BigComplex(self.rs, z.real, z.imag)
+        if exponent < 0:
+            self._check_divisor(self.rs.one)
+        prec = self.rs.precision_bits
+        return from_pair(self.rs, mpc_pow_int(working_pair(self.pair, prec), exponent, prec, RND))
 
     # -- comparison / display ----------------------------------------------------
 
@@ -544,14 +552,39 @@ class BigComplex:
             other = self.rs.scalar(other)
         if not isinstance(other, BigComplex):
             return NotImplemented
-        return self.rs.compatible(other.rs) and mpmath.mpf(self.re) == other.re and mpmath.mpf(self.im) == other.im
+        prec = self.rs.precision_bits
+        return (self.rs.compatible(other.rs)
+                and working_pair(self.pair, prec) == working_pair(other.pair, prec))
 
     def __hash__(self):
-        return hash((self.rs.key(), self.re, self.im))
+        return hash((self.rs.key(), working_pair(self.pair, self.rs.precision_bits)))
 
     def __repr__(self):
         # nstr's digits without its parentheses, bare like CyclotomicNumber's
         return mpc_to_str(self.mpc()._mpc_, 12)
+
+
+def from_pair(rs: RootSystem, pair) -> BigComplex:
+    """The BigComplex holding the libmp pair ``pair`` as given."""
+    z = object.__new__(BigComplex)
+    z.rs = rs
+    z.pair = pair
+    return z
+
+
+def working_pair(pair, prec):
+    """``pair`` with each part wider than ``prec`` bits rounded to ``prec``.
+
+    This is how ``mpc()`` reads a part under ``mp.workprec(prec)``; a part
+    that already fits is returned unchanged, since libmp values are
+    normalized.
+    """
+    re, im = pair
+    if re[3] > prec:
+        re = mpf_pos(re, prec, RND)
+    if im[3] > prec:
+        im = mpf_pos(im, prec, RND)
+    return re, im
 
 
 Scalar = Union[CyclotomicNumber, BigComplex]
@@ -567,14 +600,13 @@ def numeric_bridge(c: Scalar, precision_bits: int = DEFAULT_PRECISION_BITS) -> B
     if isinstance(c, BigComplex):
         if target is c.rs:
             return c
-        with mp.workprec(target.precision_bits):
-            return BigComplex(target, mp.mpf(c.re), mp.mpf(c.im))
+        return from_pair(target, working_pair(c.pair, target.precision_bits))
     with mp.workprec(target.precision_bits):
         a = mp.expjpi(mp.mpf(1) / c.rs.N)
         acc = mp.mpc(0)
         for coeff in reversed(c.coeffs):
             acc = acc * a + mp.mpf(coeff.numerator) / coeff.denominator
-    return BigComplex(target, acc.real, acc.imag)
+    return from_pair(target, acc._mpc_)
 
 
 def approx_eq(a: Scalar, b: Scalar, tol: Tolerance = None) -> bool:
@@ -585,34 +617,15 @@ def approx_eq(a: Scalar, b: Scalar, tol: Tolerance = None) -> bool:
     if isinstance(a, CyclotomicNumber):
         return a == b
     o = a._coerce(b)
-    eps = (tol or a.rs.tolerance).rel_eps
-    with mp.workprec(a.prec_bits):
-        diff = abs(a.mpc() - o.mpc())
-        scale = max(mp.mpf(1), abs(a.mpc()), abs(o.mpc()))
-        return diff < mp.mpf(eps) * scale
-
-
-def approx_matches(xs, ys, tol: Tolerance = None):
-    """For each x in ``xs``, the indices j with ``approx_eq(ys[j], x, tol)``.
-
-    The same decisions as the len(xs) * len(ys) calls to :func:`approx_eq`,
-    with each bigfloat magnitude taken once instead of once per pair.
-    """
-    if isinstance(xs[0], CyclotomicNumber):
-        return [[j for j, y in enumerate(ys) if y == x] for x in xs]
-    rs = xs[0].rs
-    with mp.workprec(rs.precision_bits):
-        eps = mp.mpf((tol or rs.tolerance).rel_eps)
-        one = mp.mpf(1)
-        zy = [y.mpc() for y in ys]
-        mag_y = [abs(z) for z in zy]
-        out = []
-        for x in xs:
-            z = x.mpc()
-            mag = abs(z)
-            out.append([j for j, (w, m) in enumerate(zip(zy, mag_y))
-                        if abs(w - z) < eps * max(one, m, mag)])
-        return out
+    prec = a.rs.precision_bits
+    x, y = working_pair(a.pair, prec), working_pair(o.pair, prec)
+    diff = mpc_abs(mpc_sub(x, y, prec, RND), prec, RND)
+    scale = fone
+    for mag in (mpc_abs(x, prec, RND), mpc_abs(y, prec, RND)):
+        if mpf_gt(mag, scale):
+            scale = mag
+    eps = from_float((tol or a.rs.tolerance).rel_eps)
+    return mpf_lt(diff, mpf_mul(eps, scale, prec, RND))
 
 
 def solve_quadratic(a: Scalar, b: Scalar, c: Scalar):
@@ -646,7 +659,7 @@ def solve_quadratic(a: Scalar, b: Scalar, c: Scalar):
         sq = mp.sqrt(bm * bm - 4 * am * cm)
         r1 = (-bm + sq) / (2 * am)
         r2 = (-bm - sq) / (2 * am)
-    return (BigComplex(rs, r1.real, r1.imag), BigComplex(rs, r2.real, r2.imag))
+    return from_pair(rs, r1._mpc_), from_pair(rs, r2._mpc_)
 
 
 def nth_root(y: Scalar, n: int) -> Scalar:
@@ -656,4 +669,4 @@ def nth_root(y: Scalar, n: int) -> Scalar:
     rs = y.rs
     with mp.workprec(rs.precision_bits):
         z = mp.root(y.mpc(), n)
-    return BigComplex(rs, z.real, z.imag)
+    return from_pair(rs, z._mpc_)

@@ -37,8 +37,7 @@ from .errors import SkeinError
 from .invariants import commuting_system, extract_invariants
 from .ladder import is_pm2
 from .representation import Representation
-from .scalars import (CyclotomicNumber, RootSystem, Tolerance, approx_eq, approx_matches,
-                      make_root_system)
+from .scalars import CyclotomicNumber, RootSystem, Tolerance, approx_eq, make_root_system
 from .sphere import (build_sphere_rep_from_params, build_sphere_rep_with_u,
                      chebyshev_at_puncture_roots, ladder_product_closed_form, make_sphere_params)
 from .surfaces import Surface
@@ -217,7 +216,7 @@ def intertwiner_search(rep_a: Representation, rep_b: Representation,
     if lam_a is None or lam_b is None:
         return _dense_intertwiner(rep_a, rep_b, tol)
     n = rep_a.dim
-    partners = approx_matches(lam_a, lam_b, tol)
+    partners = [[j for j, y in enumerate(lam_b) if approx_eq(y, x, tol)] for x in lam_a]
     if not all(partners):
         return None  # similar diagonal matrices share their spectrum
     sigma = [p[0] for p in partners]
@@ -289,12 +288,13 @@ def genericity_check(surface: Surface, invariants: dict, tol: Tolerance = None) 
     if surface.kind in ("torus1", "torus0"):
         t1, t2, t3 = invariants["t1"], invariants["t2"], invariants["t3"]
         rs = t1.rs
+        cycle = cycle_scalar(t1, t2, t3)
         checks = {
             "t3_not_pm2": not is_pm2(t3, rs, tol),
-            "ladder_cycle_nonzero": not cycle_scalar(t1, t2, t3).is_zero(),
+            "ladder_cycle_nonzero": not cycle.is_zero(),
         }
         exceptional = _torus_exceptional(t1, t2, t3, rs, tol)
-        details = {"cycle_scalar": cycle_scalar(t1, t2, t3)}
+        details = {"cycle_scalar": cycle}
         generic = all(checks.values())
         return GenericityReport(surface.tag, checks, exceptional, details, generic)
     if surface.kind == "sphere4":
@@ -422,7 +422,7 @@ class ExperimentReport:
         }
 
 
-def _build_variant_reps(surface, variants):
+def _build_variant_reps(variants):
     reps = []
     for v in variants:
         if isinstance(v, TorusParams):
@@ -503,7 +503,7 @@ def uniqueness_experiment(config: ExperimentConfig) -> ExperimentReport:
         failures = []
         worst_residual = 0.0
         try:
-            reps = _build_variant_reps(config.surface, variants)
+            reps = _build_variant_reps(variants)
             roundtrip = _roundtrip_ok(reps[0], inv, tol)
             if not roundtrip:
                 failures.append("invariant round-trip failed")

@@ -535,6 +535,13 @@ def test_raw_kernel_names_stay_inside_matrices_module():
             assert found is None, f"{path.name} names {found.group()}"
 
 
+def test_no_module_reads_the_context_rounding():
+    # the rounding mode is libmp's round_nearest constant, not mpmath's private context state
+    package = pathlib.Path(skeinrep.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        assert "_prec_rounding" not in path.read_text(), path.name
+
+
 @pytest.mark.parametrize("backend", ["exact", "bigfloat"])
 def test_kernel_round_trip_and_arithmetic(backend):
     rs = make_root_system(3, backend)

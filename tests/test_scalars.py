@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from math import isqrt
@@ -8,18 +9,21 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skeinrep.chebyshev import solve_chebyshev
 from skeinrep.errors import BackendMismatch, UnsupportedExactOperation
+from skeinrep.expressions import normalize, parse
 from skeinrep.scalars import (
+    BigComplex,
     CyclotomicNumber,
     Tolerance,
     approx_eq,
-    approx_matches,
     cyclotomic_polynomial,
     make_root_system,
     nth_root,
     numeric_bridge,
     solve_quadratic,
 )
+from skeinrep.surfaces import TORUS1
 
 
 def random_exact(rs, rng, height=9):
@@ -209,33 +213,170 @@ def test_bridge_changes_precision_of_bigfloat():
 
 def test_approx_eq_reflexive_and_threshold():
     rs = make_root_system(3, "bigfloat", 128)
+    rng = random.Random(12)
     x = rs.scalar(complex(1.25, -0.5))
     assert approx_eq(x, x)
+    xs = [rs.scalar(complex(rng.uniform(1, 3), rng.uniform(-3, 3))) for _ in range(6)]
+    for tol in (None, Tolerance(1e-3)):
+        eps = (tol or rs.tolerance).rel_eps
+        with mpmath.mp.workprec(128):
+            shifted = rs.scalar(mpmath.mpf(1) + 2 * mpmath.mpf(eps))
+        assert not approx_eq(rs.one, shifted, tol)
+        # above magnitude 1 the threshold is relative: a partner just inside
+        # and one just outside it, in both argument orders
+        for x in xs:
+            with mpmath.mp.workprec(128):
+                inside, outside = (rs.scalar(x.mpc() * (1 + mpmath.mpf(eps) * f)) for f in (0.5, 1.5))
+            assert approx_eq(x, inside, tol) and approx_eq(inside, x, tol)
+            assert not approx_eq(x, outside, tol) and not approx_eq(outside, x, tol)
+            assert not any(approx_eq(x, y, tol) for y in xs if y is not x)
+        # below magnitude 1 it is absolute
+        assert approx_eq(rs.zero, rs.scalar(1e-50), tol)
+        assert not approx_eq(rs.zero, rs.scalar(2 * eps), tol)
+    exact = make_root_system(3)
+    cs = [random_exact(exact, rng) for _ in range(4)]
+    assert [[j for j, y in enumerate(cs) if approx_eq(y, c)] for c in cs] == [[i] for i in range(4)]
+
+
+# ---------------------------------------------------------------------------
+# bigfloat scalars against mpc arithmetic under mp.workprec
+# ---------------------------------------------------------------------------
+
+def _full_mpf(rng, bits):
+    """A random mpf carrying ``bits`` mantissa bits (call under a wide enough workprec)."""
+    man = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+    return mpmath.mpf((-man if rng.random() < 0.5 else man, -bits + rng.randint(-4, 4)))
+
+
+def _parts(z):
+    return z.re._mpf_, z.im._mpf_
+
+
+@pytest.fixture(scope="module")
+def reference_inputs():
+    """Random 256-bit values, 512-bit parts and a solve_chebyshev base in a 256-bit system."""
+    rs = make_root_system(3, "bigfloat", 256)
+    rng = random.Random(21)
+    with mpmath.mp.workprec(256):
+        plain = [BigComplex(rs, _full_mpf(rng, 256), _full_mpf(rng, 256)) for _ in range(4)]
+    with mpmath.mp.workprec(512):
+        wide = [BigComplex(rs, _full_mpf(rng, 512), _full_mpf(rng, 512)) for _ in range(3)]
+    base = solve_chebyshev(rs.scalar(complex(1.7, -0.6))).base
+    assert max(part[3] for part in _parts(base)) > 256
+    small = [rs.zero, rs.scalar(3), rs.scalar(complex(0, 1e-50))]
+    return rs, plain + wide + [base] + small
+
+
+def _reference_divisor_message(denom, numer):
+    """The divisor check on mpc values: None, or the ZeroDivisionError message."""
+    eps = denom.rs.tolerance.rel_eps
+    with mpmath.mp.workprec(denom.prec_bits):
+        denom_mag = abs(denom.mpc())
+        scale = 1 + max(abs(numer.mpc()), denom_mag)
+        if denom_mag < eps * scale:
+            return (f"division by a scalar of magnitude {mpmath.nstr(denom_mag, 8)} "
+                    f"below the zero threshold")
+    return None
+
+
+def _divisor_message(denom, numer):
+    try:
+        numer / denom
+    except ZeroDivisionError as exc:
+        return str(exc)
+    return None
+
+
+def _reference_approx_eq(a, b, tol):
+    eps = (tol or a.rs.tolerance).rel_eps
+    with mpmath.mp.workprec(a.prec_bits):
+        diff = abs(a.mpc() - b.mpc())
+        scale = max(mpmath.mpf(1), abs(a.mpc()), abs(b.mpc()))
+        return diff < mpmath.mpf(eps) * scale
+
+
+def test_bigfloat_ops_match_mpc_arithmetic(reference_inputs):
+    rs, xs = reference_inputs
+    prec = rs.precision_bits
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv)
+    for a in xs:
+        for b in xs + [rs.scalar(2), rs.scalar(Fraction(-5, 3))]:
+            for op in ops:
+                if op is operator.truediv and _reference_divisor_message(b, a):
+                    continue
+                with mpmath.mp.workprec(prec):
+                    want = op(a.mpc(), b.mpc())._mpc_
+                assert _parts(op(a, b)) == want, (op, a, b)
+        for k in (2, -7):
+            for op in ops:
+                if op is operator.truediv and _reference_divisor_message(a, rs.scalar(k)):
+                    continue
+                with mpmath.mp.workprec(prec):
+                    want = op(rs.scalar(k).mpc(), a.mpc())._mpc_
+                assert _parts(op(k, a)) == want, (op, k, a)
+        with mpmath.mp.workprec(prec):
+            assert _parts(-a) == (-a.mpc())._mpc_
+            assert a.magnitude()._mpf_ == abs(a.mpc())._mpf_
+            mag = float(abs(a.mpc()))
+        assert a.is_zero() == (mag < rs.tolerance.rel_eps * (1.0 + mag))
+        for e in (0, 1, 2, 3, 5, -1, -2, -3):
+            if e < 0 and _reference_divisor_message(a, rs.one):
+                continue
+            with mpmath.mp.workprec(prec):
+                want = (a.mpc() ** e)._mpc_
+            assert _parts(a ** e) == want, (e, a)
+
+
+def test_bigfloat_divisor_check_matches_mpc_arithmetic(reference_inputs):
+    rs, xs = reference_inputs
     eps = rs.tolerance.rel_eps
-    one = rs.one
-    with mpmath.mp.workprec(128):
-        shifted = rs.scalar(mpmath.mpf(1) + 2 * mpmath.mpf(eps))
-    assert not approx_eq(one, shifted)
+    denominators = list(xs)
+    for numer in xs[:3] + [rs.one]:
+        # magnitudes one ulp-scale step either side of eps * (1 + |numer|)
+        with mpmath.mp.workprec(rs.precision_bits):
+            threshold = mpmath.mpf(eps) * (1 + abs(numer.mpc()))
+            for f in (-2 ** -250, 0, 2 ** -250):
+                denominators.append(rs.scalar(threshold * (1 + mpmath.mpf(f))))
+    decisions = set()
+    for numer in xs[:3] + [rs.one]:
+        for denom in denominators:
+            want = _reference_divisor_message(denom, numer)
+            assert _divisor_message(denom, numer) == want, (denom, numer)
+            decisions.add(want is None)
+    assert decisions == {True, False}
+    with pytest.raises(ZeroDivisionError) as exc:
+        rs.scalar(1e-45) ** -2
+    assert str(exc.value) == _reference_divisor_message(rs.scalar(1e-45), rs.one)
 
 
 @pytest.mark.parametrize("tol", [None, Tolerance(1e-3)])
-def test_approx_matches_agrees_with_pairwise_approx_eq(tol):
-    rs = make_root_system(3, "bigfloat", 128)
-    rng = random.Random(12)
+def test_bigfloat_approx_eq_matches_mpc_arithmetic(reference_inputs, tol):
+    rs, xs = reference_inputs
     eps = (tol or rs.tolerance).rel_eps
-    xs = [rs.scalar(complex(rng.uniform(-3, 3), rng.uniform(-3, 3))) for _ in range(6)]
-    xs.append(xs[0])  # a repeated eigenvalue
-    with mpmath.mp.workprec(128):
-        # one partner just inside and one just outside the relative threshold
-        near = [rs.scalar(x.mpc() * (1 + mpmath.mpf(eps) * f)) for x, f in zip(xs, (0.5, 1.5))]
-    ys = list(reversed(xs)) + near + [rs.zero, rs.scalar(1e-50)]
-    xs += [rs.zero]
-    assert approx_matches(xs, ys, tol) == [[j for j, y in enumerate(ys) if approx_eq(y, x, tol)]
-                                           for x in xs]
-    exact = make_root_system(3)
-    cs = [random_exact(exact, rng) for _ in range(4)]
-    assert approx_matches(cs, cs[::-1] + cs[:1]) == [[3 - i, 4] if i == 0 else [3 - i]
-                                                     for i in range(4)]
+    ys = list(xs)
+    for x in xs:
+        with mpmath.mp.workprec(rs.precision_bits):
+            ys += [rs.scalar(x.mpc() * (1 + mpmath.mpf(eps) * f)) for f in (0.5, 1.0, 1.5)]
+    decisions = set()
+    for x in xs:
+        for y in ys:
+            want = _reference_approx_eq(x, y, tol)
+            assert approx_eq(x, y, tol) == want, (x, y)
+            decisions.add(want)
+    assert decisions == {True, False}
+
+
+def test_bigfloat_equality_reads_working_precision(reference_inputs):
+    rs, xs = reference_inputs
+    third = rs.one / 3
+    assert third == third + 0 and hash(third) == hash(third + 0)
+    assert rs.A == rs.A
+    for x in xs:
+        # x + 0 is x rounded to the working precision
+        assert x == x + 0 and hash(x) == hash(x + 0)
+        assert x != x + rs.scalar(complex(0, 1e-60))
+    nf = normalize(parse("X2 X1", TORUS1, rs))
+    assert nf == normalize(parse("X2 X1", TORUS1, rs))
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,19 @@ def test_cli_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["build-torus", "--backend", "exact", "--t1", "3", "--t2", "1/2", "--t3", "5", "--p", "1"],
+    ["build-sphere", "--backend", "exact", *[f for k in ("p0", "p1", "p2", "p3", "t1", "t2", "t3")
+                                             for f in (f"--{k}", "1")]],
+    ["normalize", "--surface", "torus1", "--expr", "X2 X1", "--tol", "1e-9"],
+])
+def test_cli_rejects_removed_options(argv):
+    # every build is bigfloat-only, and normalize has no tolerance to set
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_cli_unknown_generator_message(capsys):
     status = main(["normalize", "--surface", "torus1", "--N", "3", "--expr", "X9"])
     assert status == 1

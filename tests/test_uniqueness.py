@@ -233,6 +233,23 @@ def test_walk_unreachable_line_goes_dense(base_rep, monkeypatch):
     assert cert is not None and cert.worst_residual < 1e-40
 
 
+def test_spectrum_repeating_within_tolerance_goes_dense(base_rep, monkeypatch):
+    rep, _, _ = base_rep
+    rs = rep.rs
+    lam = rs.scalar(complex(0.6, 0.8))
+    with_repeat = with_matrices(rep, X3=matrices.diagonal(
+        [lam, lam * rs.scalar(complex(1, 1e-60)), rs.scalar(complex(-1.2, 0.1))]))
+    calls = []
+
+    def spy(rep_a, rep_b, tol):
+        calls.append((rep_a, rep_b))
+        return None
+
+    monkeypatch.setattr(uniqueness, "_dense_intertwiner", spy)
+    assert intertwiner_search(with_repeat, with_repeat) is None
+    assert calls == [(with_repeat, with_repeat)]
+
+
 def _no_nullspace(*_args, **_kwargs):
     raise AssertionError("matrices.nullspace was called")
 
