@@ -14,7 +14,7 @@ from .chebyshev import ChebyshevPoly, ChebyshevRoots, chebyshev_coeffs, chebyshe
 from .errors import (BackendMismatch, DegenerateShadow, EigenstructureMismatch,
                      ExponentOverflow, IncompatiblePuncture, NoConsistentRoot,
                      NonScalarChebyshev, ParseError, SkeinError, UnknownGenerator,
-                     UnsupportedExactOperation, VanishingCycle)
+                     UnsupportedExactOperation, VanishingCycle, VanishingDivisor)
 from .expressions import (NormalForm, RewriteSystem, SkeinExpr, evaluate,
                           evaluate_normal_form, normalize, parse, parse_scalar,
                           puncture_element, random_word_expression, relation_defects)

@@ -68,21 +68,20 @@ def chebyshev_eval(n: int, arg):
 
 @dataclass(frozen=True)
 class ChebyshevRoots:
-    """All N solutions of T_N(x) = t, plus the choices made along the way.
+    """All N solutions of T_N(x) = t.
 
     ``base`` is the principal N-th root of the larger-magnitude root of
     y^2 - t*y + 1 = 0; the solution list is base*A^{2k} + base^{-1}*A^{-2k}
-    for k = 1..N.  Both quadratic roots are kept so that gauge enumeration
-    can revisit the choice.
+    for k = 1..N.  The other quadratic root is 1/y, whose N-th roots are the
+    inverses base^{-1}*A^{-2k}, so the same list covers both choices.
     """
 
     values: tuple
     base: Scalar
-    quadratic_roots: tuple
 
 
-def solve_chebyshev(t: Scalar, N: int = None) -> ChebyshevRoots:
-    """Solve T_N(x) = t in the bigfloat backend.
+def solve_chebyshev(t: Scalar) -> ChebyshevRoots:
+    """Solve T_N(x) = t in the bigfloat backend, with N that of t's root system.
 
     The solutions are pairwise distinct iff t != +/-2; at t = +/-2 they are
     returned with multiplicity.
@@ -90,13 +89,9 @@ def solve_chebyshev(t: Scalar, N: int = None) -> ChebyshevRoots:
     rs = t.rs
     if not isinstance(t, BigComplex):
         raise UnsupportedExactOperation("solving T_N(x) = t needs the bigfloat backend")
-    if N is None:
-        N = rs.N
-    if N != rs.N:
-        raise ValueError(f"N={N} does not match the root system (N={rs.N})")
     y1, y2 = solve_quadratic(rs.one, -t, rs.one)
     y = y1 if float(y1.magnitude()) >= float(y2.magnitude()) else y2
-    base = nth_root(y, N)
+    base = nth_root(y, rs.N)
     base_inv = base.inverse()
-    values = tuple(base * rs.a_pow(2 * k) + base_inv * rs.a_pow(-2 * k) for k in range(1, N + 1))
-    return ChebyshevRoots(values, base, (y1, y2))
+    values = tuple(base * rs.a_pow(2 * k) + base_inv * rs.a_pow(-2 * k) for k in range(1, rs.N + 1))
+    return ChebyshevRoots(values, base)

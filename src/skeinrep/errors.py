@@ -13,6 +13,10 @@ class UnsupportedExactOperation(SkeinError):
     """Operation requires root extraction not available in the exact backend."""
 
 
+class VanishingDivisor(SkeinError, ZeroDivisionError):
+    """A divisor is zero: exactly in Q(A), below the bigfloat zero threshold, or an LU pivot."""
+
+
 class DegenerateShadow(SkeinError):
     """A trace parameter sits at +/-2, where the eigenvalue ladder collapses."""
 

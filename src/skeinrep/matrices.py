@@ -27,7 +27,7 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import fzero, mpc_abs, mpf_add, mpf_gt, mpf_mul, mpf_sub, to_float
 
-from .errors import NonScalarChebyshev
+from .errors import NonScalarChebyshev, VanishingDivisor
 from .scalars import (RND, CyclotomicNumber, RootSystem, approx_eq, from_pair,
                       numeric_bridge, working_pair)
 
@@ -370,12 +370,16 @@ def inverse(mat):
     """Inverse of a square bigfloat matrix by mpmath's LU at the working precision.
 
     The LU carries guard bits; each entry is rounded once to the working
-    precision on the way back, as ``matmul`` would round it on input.
+    precision on the way back, as ``matmul`` would round it on input.  A
+    numerically singular matrix raises :class:`VanishingDivisor`.
     """
     rs = mat.flat[0].rs
     n = mat.shape[0]
     with mp.workprec(rs.precision_bits):
-        inv = to_mp_matrix(mat) ** -1
+        try:
+            inv = to_mp_matrix(mat) ** -1
+        except ZeroDivisionError as exc:
+            raise VanishingDivisor(f"inverse of a singular matrix: {exc}") from exc
     out = np.empty((n, n), dtype=object)
     for i in range(n):
         out[i] = from_mp_vector(rs, [inv[i, j] for j in range(n)], n)

@@ -8,14 +8,17 @@ backends are provided:
   the 2N-th cyclotomic polynomial.  Arithmetic is exact and canonical, so
   equality is coefficient equality.
 * ``bigfloat``: arbitrary-precision complex numbers at a fixed number of
-  bits, with A = exp(i*pi/N).  Each is one libmp pair of ``_mpf_`` tuples,
-  and every operation calls libmp at the working precision with mpmath's
-  round-to-nearest, as ``mpc`` arithmetic under ``mp.workprec`` does; the
-  matrix kernel in :mod:`matrices` works on the same pairs with the same
-  calls.
+  bits, with A = exp(i*pi/N).  Each is one libmp pair of ``_mpf_`` tuples.
+  Every operation, coercion, power of A and root calls libmp at the working
+  precision with mpmath's round-to-nearest, giving the bits of the ``mpc``
+  expression at that context precision; the matrix kernel in
+  :mod:`matrices` works on the same pairs with the same calls.
 
-All scalars are immutable and carry a reference to their root system;
-mixing scalars from incompatible systems raises :class:`BackendMismatch`.
+``is_zero()`` is the one zero test of a divisor (``|d| < rel_eps * (1 + |d|)``
+for a bigfloat); every refusal to divide raises :class:`VanishingDivisor`.
+Scalars are immutable, compare equal only to scalars (so equal values hash
+alike) and carry their root system; mixing scalars from incompatible systems
+raises :class:`BackendMismatch`.
 """
 
 from __future__ import annotations
@@ -28,16 +31,17 @@ from typing import Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (fone, from_float, fzero, mpc_abs, mpc_add, mpc_div, mpc_mul, mpc_neg,
-                          mpc_pow_int, mpc_sub, mpc_to_str, mpf_add, mpf_gt, mpf_lt, mpf_mul,
-                          mpf_pos, round_nearest, to_float, to_str)
+from mpmath.libmp import (fone, from_float, from_int, fzero, mpc_abs, mpc_add, mpc_div, mpc_expjpi,
+                          mpc_mul, mpc_neg, mpc_nthroot, mpc_pow_int, mpc_sqrt, mpc_sub, mpc_to_str,
+                          mpf_div, mpf_gt, mpf_lt, mpf_mul, mpf_pos, round_nearest, to_float,
+                          to_str)
 
-from .errors import BackendMismatch, UnsupportedExactOperation
+from .errors import BackendMismatch, UnsupportedExactOperation, VanishingDivisor
 
 DEFAULT_PRECISION_BITS = 256
 
 # mpmath 1.3's context has no public rounding setter and always rounds to
-# nearest, so this is the mode of mpc arithmetic under mp.workprec
+# nearest, so this is the mode of mpc arithmetic at any context precision
 RND = round_nearest
 
 
@@ -177,7 +181,10 @@ class RootSystem:
         return self.a_pow(1)
 
     def scalar(self, value):
-        """Coerce an int, Fraction, float or complex into this backend."""
+        """Coerce an int, Fraction, float or complex into this backend.
+
+        An ``mpf`` or ``mpc`` is kept as given in the bigfloat backend.
+        """
         if isinstance(value, (CyclotomicNumber, BigComplex)):
             if not self.compatible(value.rs):
                 raise BackendMismatch(f"scalar from {value.rs!r} used in {self!r}")
@@ -188,17 +195,21 @@ class RootSystem:
                 coeffs[0] = Fraction(value)
                 return CyclotomicNumber(self, tuple(coeffs))
             raise TypeError(f"cannot place {type(value).__name__} in the exact backend")
-        with mp.workprec(self.precision_bits):
-            if isinstance(value, Fraction):
-                value = mp.mpf(value.numerator) / value.denominator
-            elif isinstance(value, (int, float, complex)):
-                value = mp.mpc(value)
-        # an mpf or mpc is kept as given
-        if isinstance(value, mpmath.mpf):
-            return from_pair(self, (value._mpf_, fzero))
-        if isinstance(value, mpmath.mpc):
-            return from_pair(self, value._mpc_)
-        raise TypeError(f"cannot place {type(value).__name__} in the bigfloat backend")
+        prec = self.precision_bits
+        if isinstance(value, Fraction):
+            pair = (mpf_div(from_int(value.numerator, prec, RND), from_int(value.denominator), prec, RND),
+                    fzero)
+        elif isinstance(value, int):
+            pair = (from_int(value, prec, RND), fzero)
+        elif isinstance(value, (float, complex)):
+            pair = (from_float(value.real, prec, RND), from_float(value.imag, prec, RND))
+        elif isinstance(value, mpmath.mpf):
+            pair = (value._mpf_, fzero)
+        elif isinstance(value, mpmath.mpc):
+            pair = value._mpc_
+        else:
+            raise TypeError(f"cannot place {type(value).__name__} in the bigfloat backend")
+        return from_pair(self, pair)
 
     def a_pow(self, k: int):
         """A^k, canonically reduced.  Exponents live modulo 2N."""
@@ -211,9 +222,9 @@ class RootSystem:
             coeffs[k] = 1
             value = CyclotomicNumber(self, _reduce_mod(coeffs, self.modulus, self.degree))
         else:
-            with mp.workprec(self.precision_bits):
-                z = mp.expjpi(mp.mpf(k) / self.N)
-            value = from_pair(self, z._mpc_)
+            prec = self.precision_bits
+            angle = mpf_div(from_int(k), from_int(self.N), prec, RND)
+            value = from_pair(self, mpc_expjpi((angle, fzero), prec, RND))
         self._apow_cache[k] = value
         return value
 
@@ -328,7 +339,7 @@ class CyclotomicNumber:
     def inverse(self):
         """Multiplicative inverse via the extended Euclidean algorithm in Q[x]."""
         if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in the cyclotomic field")
+            raise VanishingDivisor("inverse of zero in the cyclotomic field")
 
         def trim(p):
             while p and p[-1] == 0:
@@ -379,8 +390,6 @@ class CyclotomicNumber:
     # -- comparison / display ----------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.rs.scalar(other)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         return self.rs.compatible(other.rs) and self.coeffs == other.coeffs
@@ -444,7 +453,7 @@ class BigComplex:
     The value is one libmp pair ``(re, im)`` of ``_mpf_`` tuples, kept as
     given.  Every operation reads both parts at the working precision
     (:func:`working_pair`) and makes the libmp call that ``mpc`` arithmetic
-    under ``mp.workprec`` makes, so results carry the same bits.
+    at that context precision makes, so results carry the same bits.
     """
 
     __slots__ = ("rs", "pair")
@@ -495,7 +504,7 @@ class BigComplex:
             return NotImplemented
         a, b = (o, self) if reflected else (self, o)
         if fn is mpc_div:
-            b._check_divisor(a)
+            b._check_divisor()
         prec = self.rs.precision_bits
         return from_pair(self.rs, fn(working_pair(a.pair, prec), working_pair(b.pair, prec), prec, RND))
 
@@ -525,14 +534,11 @@ class BigComplex:
         # the rounding of a negated part is the negated rounding
         return from_pair(self.rs, mpc_neg(self.pair, self.rs.precision_bits, RND))
 
-    def _check_divisor(self, numer):
-        """Refuse to divide ``numer`` by a scalar below the zero threshold."""
-        prec = self.rs.precision_bits
-        mag, numer_mag = self._abs(), numer._abs()
-        scale = mpf_add(mag if mpf_gt(mag, numer_mag) else numer_mag, fone, prec, RND)
-        if mpf_lt(mag, mpf_mul(scale, from_float(self.rs.tolerance.rel_eps), prec, RND)):
-            raise ZeroDivisionError(
-                f"division by a scalar of magnitude {to_str(mag, 8)} below the zero threshold")
+    def _check_divisor(self):
+        """Refuse to divide by a scalar that :meth:`is_zero`."""
+        if self.is_zero():
+            raise VanishingDivisor(
+                f"division by a scalar of magnitude {to_str(self._abs(), 8)} below the zero threshold")
 
     def inverse(self):
         return self.rs.one / self
@@ -541,15 +547,13 @@ class BigComplex:
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
-            self._check_divisor(self.rs.one)
+            self._check_divisor()
         prec = self.rs.precision_bits
         return from_pair(self.rs, mpc_pow_int(working_pair(self.pair, prec), exponent, prec, RND))
 
     # -- comparison / display ----------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, float, complex)):
-            other = self.rs.scalar(other)
         if not isinstance(other, BigComplex):
             return NotImplemented
         prec = self.rs.precision_bits
@@ -575,7 +579,7 @@ def from_pair(rs: RootSystem, pair) -> BigComplex:
 def working_pair(pair, prec):
     """``pair`` with each part wider than ``prec`` bits rounded to ``prec``.
 
-    This is how ``mpc()`` reads a part under ``mp.workprec(prec)``; a part
+    This is how ``mpc()`` reads a part at context precision ``prec``; a part
     that already fits is returned unchanged, since libmp values are
     normalized.
     """
@@ -601,12 +605,11 @@ def numeric_bridge(c: Scalar, precision_bits: int = DEFAULT_PRECISION_BITS) -> B
         if target is c.rs:
             return c
         return from_pair(target, working_pair(c.pair, target.precision_bits))
-    with mp.workprec(target.precision_bits):
-        a = mp.expjpi(mp.mpf(1) / c.rs.N)
-        acc = mp.mpc(0)
-        for coeff in reversed(c.coeffs):
-            acc = acc * a + mp.mpf(coeff.numerator) / coeff.denominator
-    return from_pair(target, acc._mpc_)
+    # Horner in A, on the target's own arithmetic
+    acc = target.zero
+    for coeff in reversed(c.coeffs):
+        acc = acc * target.A + coeff
+    return acc
 
 
 def approx_eq(a: Scalar, b: Scalar, tol: Tolerance = None) -> bool:
@@ -629,44 +632,32 @@ def approx_eq(a: Scalar, b: Scalar, tol: Tolerance = None) -> bool:
 
 
 def solve_quadratic(a: Scalar, b: Scalar, c: Scalar):
-    """Both roots of a*y^2 + b*y + c = 0.
+    """Both roots (-b +/- sqrt(b^2 - 4ac)) / 2a of a*y^2 + b*y + c = 0.
 
-    In the bigfloat backend the discriminant square root uses the principal
-    branch.  The exact backend only handles discriminants that are perfect
-    squares of rationals (enough for the degenerate and unit cases); anything
-    else raises :class:`UnsupportedExactOperation`.
+    In the bigfloat backend the square root takes the principal branch.  The
+    exact backend only handles discriminants that are perfect squares of
+    rationals (enough for the degenerate and unit cases); anything else
+    raises :class:`UnsupportedExactOperation`.  A zero leading coefficient
+    is refused by the division, with :class:`VanishingDivisor`.
     """
     rs = a.rs
-    if isinstance(a, CyclotomicNumber):
-        if a.is_zero():
-            raise ZeroDivisionError("leading coefficient is zero")
-        disc = b * b - 4 * a * c
+    disc = b * b - 4 * a * c
+    if isinstance(disc, CyclotomicNumber):
         rat = disc.is_rational()
-        if rat is None:
-            raise UnsupportedExactOperation(
-                "exact quadratic requires a rational perfect-square discriminant")
-        root = _fraction_sqrt(rat)
+        root = None if rat is None else _fraction_sqrt(rat)
         if root is None:
             raise UnsupportedExactOperation(
-                f"discriminant {rat} has no rational square root")
+                f"exact quadratic requires a rational perfect-square discriminant, got {disc!r}")
         sq = rs.scalar(root)
-        inv2a = (2 * a).inverse()
-        return ((-b + sq) * inv2a, (-b - sq) * inv2a)
-    with mp.workprec(rs.precision_bits):
-        am, bm, cm = a.mpc(), b.mpc(), c.mpc()
-        if abs(am) < rs.tolerance.rel_eps * (1 + max(abs(am), abs(bm), abs(cm))):
-            raise ZeroDivisionError("leading coefficient is numerically zero")
-        sq = mp.sqrt(bm * bm - 4 * am * cm)
-        r1 = (-bm + sq) / (2 * am)
-        r2 = (-bm - sq) / (2 * am)
-    return from_pair(rs, r1._mpc_), from_pair(rs, r2._mpc_)
+    else:
+        sq = from_pair(rs, mpc_sqrt(disc.pair, rs.precision_bits, RND))
+    two_a = 2 * a
+    return (-b + sq) / two_a, (-b - sq) / two_a
 
 
 def nth_root(y: Scalar, n: int) -> Scalar:
     """Principal n-th root (argument in (-pi/n, pi/n]).  Bigfloat backend only."""
     if isinstance(y, CyclotomicNumber):
         raise UnsupportedExactOperation("n-th roots are not supported in the exact backend")
-    rs = y.rs
-    with mp.workprec(rs.precision_bits):
-        z = mp.root(y.mpc(), n)
-    return from_pair(rs, z._mpc_)
+    prec = y.rs.precision_bits
+    return from_pair(y.rs, mpc_nthroot(working_pair(y.pair, prec), n, prec, RND))

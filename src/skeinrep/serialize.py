@@ -11,13 +11,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-import mpmath
-from mpmath import mp
-
 import numpy as np
+from mpmath.libmp import from_str, to_str
 
 from .representation import Representation
-from .scalars import BigComplex, CyclotomicNumber, RootSystem, make_root_system
+from .scalars import RND, BigComplex, CyclotomicNumber, RootSystem, from_pair, make_root_system
 from .surfaces import surface_from_tag
 
 
@@ -27,8 +25,7 @@ def _decimal_digits(prec_bits: int) -> int:
 
 
 def _mpf_to_str(x, prec_bits):
-    with mp.workprec(prec_bits):
-        return mpmath.nstr(x, _decimal_digits(prec_bits), strip_zeros=True)
+    return to_str(x._mpf_, _decimal_digits(prec_bits), strip_zeros=True)
 
 
 def scalar_to_json(s):
@@ -51,8 +48,8 @@ def scalar_from_json(rs: RootSystem, obj):
         return CyclotomicNumber(rs, coeffs)
     if rs.backend != "bigfloat":
         raise ValueError("decimal scalar needs a bigfloat root system")
-    with mp.workprec(rs.precision_bits):
-        return BigComplex(rs, mp.mpf(obj["re"]), mp.mpf(obj["im"]))
+    prec = rs.precision_bits
+    return from_pair(rs, (from_str(obj["re"], prec, RND), from_str(obj["im"], prec, RND)))
 
 
 def to_jsonable(value):

@@ -23,6 +23,7 @@ from mpmath import mp
 import skeinrep
 from skeinrep import matrices
 from skeinrep.chebyshev import chebyshev_eval
+from skeinrep.errors import VanishingDivisor
 from skeinrep.invariants import commuting_system
 from skeinrep.scalars import BigComplex, CyclotomicNumber, approx_eq, make_root_system
 from skeinrep.sphere import build_sphere_rep
@@ -356,6 +357,13 @@ def test_inverse_of_dense_matrix(n):
     assert_matches_reference(g_inv, g)
     assert_identity(matrices.matmul(g, g_inv), rs)
     assert_identity(matrices.matmul(g_inv, g), rs)
+
+
+def test_inverse_of_singular_matrix_is_refused():
+    rs = rs_of(3)
+    g = np.array([[rs.one, rs.A], [rs.one, rs.A]], dtype=object)
+    with pytest.raises(VanishingDivisor):
+        matrices.inverse(g)
 
 
 def test_inverse_of_monomial_certificate():

@@ -2,6 +2,7 @@ import operator
 import random
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -9,8 +10,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import skeinrep
 from skeinrep.chebyshev import solve_chebyshev
-from skeinrep.errors import BackendMismatch, UnsupportedExactOperation
+from skeinrep.errors import BackendMismatch, SkeinError, UnsupportedExactOperation, VanishingDivisor
 from skeinrep.expressions import normalize, parse
 from skeinrep.scalars import (
     BigComplex,
@@ -23,6 +25,7 @@ from skeinrep.scalars import (
     numeric_bridge,
     solve_quadratic,
 )
+from skeinrep.serialize import scalar_from_json, scalar_to_json
 from skeinrep.surfaces import TORUS1
 
 
@@ -267,15 +270,14 @@ def reference_inputs():
     return rs, plain + wide + [base] + small
 
 
-def _reference_divisor_message(denom, numer):
-    """The divisor check on mpc values: None, or the ZeroDivisionError message."""
+def _reference_divisor_message(denom):
+    """The zero rule |d| < eps * (1 + |d|) on mpc values: None, or the refusal message."""
     eps = denom.rs.tolerance.rel_eps
     with mpmath.mp.workprec(denom.prec_bits):
         denom_mag = abs(denom.mpc())
-        scale = 1 + max(abs(numer.mpc()), denom_mag)
-        if denom_mag < eps * scale:
-            return (f"division by a scalar of magnitude {mpmath.nstr(denom_mag, 8)} "
-                    f"below the zero threshold")
+    mag = float(denom_mag)
+    if mag < eps * (1.0 + mag):
+        return f"division by a scalar of magnitude {mpmath.nstr(denom_mag, 8)} below the zero threshold"
     return None
 
 
@@ -302,14 +304,14 @@ def test_bigfloat_ops_match_mpc_arithmetic(reference_inputs):
     for a in xs:
         for b in xs + [rs.scalar(2), rs.scalar(Fraction(-5, 3))]:
             for op in ops:
-                if op is operator.truediv and _reference_divisor_message(b, a):
+                if op is operator.truediv and _reference_divisor_message(b):
                     continue
                 with mpmath.mp.workprec(prec):
                     want = op(a.mpc(), b.mpc())._mpc_
                 assert _parts(op(a, b)) == want, (op, a, b)
         for k in (2, -7):
             for op in ops:
-                if op is operator.truediv and _reference_divisor_message(a, rs.scalar(k)):
+                if op is operator.truediv and _reference_divisor_message(a):
                     continue
                 with mpmath.mp.workprec(prec):
                     want = op(rs.scalar(k).mpc(), a.mpc())._mpc_
@@ -320,7 +322,7 @@ def test_bigfloat_ops_match_mpc_arithmetic(reference_inputs):
             mag = float(abs(a.mpc()))
         assert a.is_zero() == (mag < rs.tolerance.rel_eps * (1.0 + mag))
         for e in (0, 1, 2, 3, 5, -1, -2, -3):
-            if e < 0 and _reference_divisor_message(a, rs.one):
+            if e < 0 and _reference_divisor_message(a):
                 continue
             with mpmath.mp.workprec(prec):
                 want = (a.mpc() ** e)._mpc_
@@ -331,22 +333,64 @@ def test_bigfloat_divisor_check_matches_mpc_arithmetic(reference_inputs):
     rs, xs = reference_inputs
     eps = rs.tolerance.rel_eps
     denominators = list(xs)
-    for numer in xs[:3] + [rs.one]:
-        # magnitudes one ulp-scale step either side of eps * (1 + |numer|)
-        with mpmath.mp.workprec(rs.precision_bits):
-            threshold = mpmath.mpf(eps) * (1 + abs(numer.mpc()))
-            for f in (-2 ** -250, 0, 2 ** -250):
-                denominators.append(rs.scalar(threshold * (1 + mpmath.mpf(f))))
+    # magnitudes an ulp-scale and a double-scale step either side of the
+    # threshold eps / (1 - eps), where |d| = eps * (1 + |d|)
+    with mpmath.mp.workprec(rs.precision_bits):
+        threshold = mpmath.mpf(eps) / (1 - mpmath.mpf(eps))
+        for f in (-2 ** -52, -2 ** -250, 0, 2 ** -250, 2 ** -52):
+            denominators.append(rs.scalar(threshold * (1 + mpmath.mpf(f))))
     decisions = set()
-    for numer in xs[:3] + [rs.one]:
+    # the numerator, however large, does not move the decision
+    for numer in xs[:3] + [rs.one, rs.scalar(1e60)]:
         for denom in denominators:
-            want = _reference_divisor_message(denom, numer)
+            want = _reference_divisor_message(denom)
             assert _divisor_message(denom, numer) == want, (denom, numer)
+            assert denom.is_zero() == (want is not None)
             decisions.add(want is None)
     assert decisions == {True, False}
-    with pytest.raises(ZeroDivisionError) as exc:
+    with pytest.raises(VanishingDivisor) as exc:
         rs.scalar(1e-45) ** -2
-    assert str(exc.value) == _reference_divisor_message(rs.scalar(1e-45), rs.one)
+    assert str(exc.value) == _reference_divisor_message(rs.scalar(1e-45))
+
+
+def test_generic_divisors_are_not_refused():
+    # the two divisions that Sphere4 draws at N = 37 were refused for: by
+    # t3^2 - 4 = 52,487 under a numerator of 2.4e45, and a quadratic whose
+    # leading coefficient 8e-19 sits beside |b|, |c| near 1e25
+    rs = make_root_system(37, "bigfloat", 256)
+    num, den = rs.scalar(2.37e45), rs.scalar(52487.686)
+    assert approx_eq(num / den * den, num)
+    a = rs.scalar(complex(8.0e-19, -3.1e-19))
+    b = rs.scalar(complex(1.2e25, -0.7e25))
+    c = rs.scalar(complex(-0.9e25, 0.4e25))
+    roots = solve_quadratic(a, b, c)
+    assert not approx_eq(*roots)
+    for r in roots:
+        residual = (a * r * r + b * r + c).magnitude()
+        scale = (a * r * r).magnitude() + (b * r).magnitude() + c.magnitude()
+        # the textbook formula cancels about 43 digits in the small root
+        assert residual < 1e-30 * scale
+
+
+@pytest.mark.parametrize("backend,prec", [("exact", None), ("bigfloat", 128)])
+def test_every_refusal_is_a_vanishing_divisor(backend, prec):
+    assert issubclass(VanishingDivisor, SkeinError) and issubclass(VanishingDivisor, ZeroDivisionError)
+    rs = make_root_system(3, backend, prec)
+    tiny = rs.zero if backend == "exact" else rs.scalar(1e-60)
+    refusals = (lambda: rs.one / rs.zero, lambda: rs.zero.inverse(), lambda: tiny ** -1,
+                lambda: 2 / tiny, lambda: solve_quadratic(rs.zero, rs.one, rs.one),
+                lambda: solve_quadratic(tiny, rs.one, rs.one))
+    for refusal in refusals:
+        with pytest.raises(VanishingDivisor):
+            refusal()
+
+
+@pytest.mark.parametrize("backend,prec", [("exact", None), ("bigfloat", 128)])
+def test_scalar_equality_agrees_with_hashing(backend, prec):
+    rs = make_root_system(3, backend, prec)
+    for value, number in ((rs.one, 1), (rs.zero, 0), (rs.scalar(-2), -2)):
+        assert ({value: 0}.get(number) is not None) == (value == number)
+        assert value == rs.scalar(number) and hash(value) == hash(rs.scalar(number))
 
 
 @pytest.mark.parametrize("tol", [None, Tolerance(1e-3)])
@@ -377,6 +421,96 @@ def test_bigfloat_equality_reads_working_precision(reference_inputs):
         assert x != x + rs.scalar(complex(0, 1e-60))
     nf = normalize(parse("X2 X1", TORUS1, rs))
     assert nf == normalize(parse("X2 X1", TORUS1, rs))
+
+
+# ---------------------------------------------------------------------------
+# libmp ports of the former mpc expressions, pinned bit for bit
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("prec", [64, 256])
+def test_scalar_coercion_matches_mpc(prec):
+    rs = make_root_system(3, "bigfloat", prec)
+    rng = random.Random(prec)
+    values = [0, 1, -7, 3 ** 300, -(2 ** 300 + 1), 0.1, -1e-300, 1e300, complex(0.3, -1e-20),
+              complex(-2.5, 7), Fraction(-5, 3), Fraction(3 ** 200, 7 ** 90), Fraction(1, 3 ** 170)]
+    # numerators wider than the precision, so that their rounding shows
+    values += [Fraction(rng.getrandbits(400) - 2 ** 399, rng.getrandbits(200) | 1) for _ in range(20)]
+    for value in values:
+        with mpmath.mp.workprec(prec):
+            if isinstance(value, Fraction):
+                want = ((mpmath.mp.mpf(value.numerator) / value.denominator)._mpf_, mpmath.libmp.fzero)
+            else:
+                want = mpmath.mp.mpc(value)._mpc_
+        assert rs.scalar(value).pair == want, value
+
+
+@pytest.mark.parametrize("n,prec", [(3, 128), (37, 256)])
+def test_a_pow_matches_mpc(n, prec):
+    rs = make_root_system(n, "bigfloat", prec)
+    for k in range(-2 * n, 2 * n):
+        with mpmath.mp.workprec(prec):
+            want = mpmath.mp.expjpi(mpmath.mp.mpf(k % (2 * n)) / n)._mpc_
+        assert rs.a_pow(k).pair == want, k
+
+
+def test_nth_root_matches_mpc(reference_inputs):
+    rs, xs = reference_inputs
+    for y in xs:
+        for n in (1, 3, 5, 37):
+            with mpmath.mp.workprec(rs.precision_bits):
+                want = mpmath.mp.root(y.mpc(), n)._mpc_
+            assert nth_root(y, n).pair == want, (y, n)
+
+
+@pytest.mark.parametrize("n,prec", [(5, 192), (37, 256)])
+def test_numeric_bridge_matches_mpc(n, prec):
+    rs = make_root_system(n)
+    rng = random.Random(n)
+    values = [random_exact(rs, rng, height=10 ** 6) for _ in range(4)] + [rs.zero, rs.one, rs.A]
+    for c in values:
+        with mpmath.mp.workprec(prec):
+            a = mpmath.mp.expjpi(mpmath.mp.mpf(1) / n)
+            acc = mpmath.mp.mpc(0)
+            for coeff in reversed(c.coeffs):
+                acc = acc * a + mpmath.mp.mpf(coeff.numerator) / coeff.denominator
+        assert numeric_bridge(c, prec).pair == acc._mpc_, c
+
+
+def test_solve_quadratic_matches_mpc(reference_inputs):
+    rs, xs = reference_inputs
+    rng = random.Random(5)
+    triples = [tuple(rng.sample(xs, 3)) for _ in range(40)]
+    triples.append((rs.one, -rs.scalar(complex(1.7, -0.6)), rs.one))
+    for a, b, c in triples:
+        if a.is_zero():
+            continue
+        with mpmath.mp.workprec(rs.precision_bits):
+            am, bm, cm = a.mpc(), b.mpc(), c.mpc()
+            sq = mpmath.mp.sqrt(bm * bm - 4 * am * cm)
+            want = (((-bm + sq) / (2 * am))._mpc_, ((-bm - sq) / (2 * am))._mpc_)
+        assert tuple(r.pair for r in solve_quadratic(a, b, c)) == want, (a, b, c)
+
+
+def test_serialize_round_trip_matches_mpc(reference_inputs):
+    rs, xs = reference_inputs
+    digits = int(rs.precision_bits * 0.30103) + 8
+    for x in xs:
+        obj = scalar_to_json(x)
+        with mpmath.mp.workprec(rs.precision_bits):
+            assert obj == {"re": mpmath.nstr(x.re, digits, strip_zeros=True),
+                           "im": mpmath.nstr(x.im, digits, strip_zeros=True),
+                           "prec_bits": rs.precision_bits}
+            want = BigComplex(rs, mpmath.mp.mpf(obj["re"]), mpmath.mp.mpf(obj["im"])).pair
+        back = scalar_from_json(rs, obj)
+        assert back.pair == want and back == x, x
+
+
+def test_only_the_matrix_bridge_enters_workprec():
+    # the scalar layer computes on libmp pairs, and refusals to divide are typed
+    for path in sorted(Path(skeinrep.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        assert path.name == "matrices.py" or "workprec" not in text, path.name
+        assert "raise ZeroDivisionError" not in text, path.name
 
 
 # ---------------------------------------------------------------------------
