@@ -3,9 +3,12 @@
 The shadow of a representation is read off through the degree-N Chebyshev
 polynomial: T_N of each loop generator image must be a scalar t, and the
 stored trace is Tr r(X) = -t.  Each puncture generator must act by a scalar
-p with T_N(p) = -Tr r(P).  Presentation relations are checked as defect
-expressions evaluated through the expression module, and irreducibility is
-decided by the dimension of the commutant.
+p with T_N(p) = -Tr r(P).  Both checks read T_N of a generator from the
+representation's memo (:meth:`Representation.chebyshev`), so verifying and
+extracting one representation evaluates it once, and both read scalar
+matrices with the raw-pair read-outs of :mod:`matrices`.  Presentation
+relations are checked as defect expressions evaluated through the expression
+module, and irreducibility is decided by the dimension of the commutant.
 """
 
 from __future__ import annotations
@@ -79,16 +82,13 @@ def verify_relations(rep: Representation, tol: Tolerance = None,
 
     cheb_devs = {}
     for name in rep.surface.x_generators:
-        tn = chebyshev_eval(rs.N, rep.matrix(name))
-        _, worst = matrices.scalar_deviation(tn, rs)
+        _, worst = matrices.scalar_deviation(rep.chebyshev(name), rs)
         cheb_devs[name] = worst
         checks[f"T_N({name}) scalar"] = _passes(rep, worst == 0.0, worst, rel_eps)
 
     punct_devs = {}
     for name in rep.surface.punctures:
-        target = matrices.scalar_matrix(rep.puncture_scalars[name], rep.dim)
-        defect = rep.matrix(name) - target
-        exact_zero, mag = matrices.residual_report(defect)
+        exact_zero, mag = matrices.scalar_residual(rep.matrix(name), rep.puncture_scalars[name])
         punct_devs[name] = mag
         checks[f"{name} scalar"] = _passes(rep, exact_zero, mag, rel_eps)
 
@@ -153,8 +153,7 @@ def extract_invariants(rep: Representation, tol: Tolerance = None) -> ShadowInva
     traces = {}
     t_vals = {}
     for name in rep.surface.x_generators:
-        tn = chebyshev_eval(rs.N, rep.matrix(name))
-        t = matrices.read_scalar_matrix(tn, rs, tol)
+        t = matrices.read_scalar_matrix(rep.chebyshev(name), rs, tol)
         t_vals[name] = t
         traces[name] = -t
     puncture_values = {}

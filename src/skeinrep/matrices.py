@@ -8,7 +8,10 @@ object arrays themselves (exact), or the libmp pairs the entries hold
 products and sums make the same libmp calls as ``BigComplex`` arithmetic,
 in the same order, and only the results are wrapped back into
 ``BigComplex``, so every entry is bit-identical to the entrywise object
-arithmetic.
+arithmetic.  The scalar read-outs (:func:`read_scalar_matrix`,
+:func:`scalar_deviation`, :func:`scalar_residual`) likewise read each entry's
+pair once and give the decisions, messages and floats of their entrywise
+``approx_eq`` and ``BigComplex`` forms.
 
 Bigfloat rank and nullspace decisions come from one SVD at the root
 system's working precision: singular values below rel_eps * sigma_max count
@@ -25,7 +28,8 @@ from functools import partial
 import numpy as np
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fzero, mpc_abs, mpf_add, mpf_gt, mpf_mul, mpf_sub, to_float
+from mpmath.libmp import (fone, from_float, fzero, mpc_abs, mpc_sub, mpf_add, mpf_gt, mpf_lt, mpf_mul,
+                          mpf_sub, to_float)
 
 from .errors import NonScalarChebyshev, VanishingDivisor
 from .scalars import (RND, CyclotomicNumber, RootSystem, approx_eq, from_pair,
@@ -300,34 +304,75 @@ def _diagonal_mean(mat, rs):
     return mean / rs.scalar(n)
 
 
+def _first_nonscalar_entry(mat, mean, rel_eps):
+    """(i, j) of the first entry, row by row, that ``approx_eq`` rejects against mean * Id.
+
+    The comparison is ``approx_eq``'s, |x - y| < rel_eps * max(1, |x|, |y|),
+    on each entry's working pair: |mean| is taken once, an off-diagonal
+    entry (y = 0, so |x - y| = |x|) takes one ``mpc_abs`` and a diagonal
+    entry two, |x - mean| and |x|.
+    """
+    prec = mean.rs.precision_bits
+    m = working_pair(mean.pair, prec)
+    eps = from_float(rel_eps)
+    unit_cut = mpf_mul(eps, fone, prec, RND)
+    mean_abs = mpc_abs(m, prec, RND)
+    mean_scale = mean_abs if mpf_gt(mean_abs, fone) else fone
+    for i, row in enumerate(mat):
+        for j, e in enumerate(row):
+            x = working_pair(e.pair, prec)
+            if i == j:
+                diff = mpc_abs(mpc_sub(x, m, prec, RND), prec, RND)
+                mag = mpc_abs(x, prec, RND)
+                cut = mpf_mul(eps, mag if mpf_gt(mag, mean_scale) else mean_scale, prec, RND)
+            else:
+                diff = mpc_abs(x, prec, RND)
+                cut = mpf_mul(eps, diff, prec, RND) if mpf_gt(diff, fone) else unit_cut
+            if not mpf_lt(diff, cut):
+                return i, j
+    return None
+
+
 def read_scalar_matrix(mat, rs, tol=None):
     """The scalar lambda with mat = lambda * Id, or raise NonScalarChebyshev.
 
     The scalar is read as the mean of the diagonal, which is the least
-    rounding-sensitive choice; every entry is then validated against it.
+    rounding-sensitive choice; every entry is then validated against it with
+    ``approx_eq``'s decision, on raw pairs in the bigfloat backend.
     """
-    n = mat.shape[0]
     mean = _diagonal_mean(mat, rs)
-    zero = rs.zero
-    for i in range(n):
-        for j in range(n):
-            target = mean if i == j else zero
-            if not approx_eq(mat[i, j], target, tol):
-                raise NonScalarChebyshev(
-                    f"entry ({i}, {j}) = {mat[i, j]} deviates from scalar structure")
+    if rs.backend == "exact":
+        bad = next(((i, j) for (i, j), e in np.ndenumerate(mat)
+                    if not approx_eq(e, mean if i == j else rs.zero, tol)), None)
+    else:
+        bad = _first_nonscalar_entry(mat, mean, (tol or rs.tolerance).rel_eps)
+    if bad is not None:
+        i, j = bad
+        raise NonScalarChebyshev(f"entry ({i}, {j}) = {mat[i, j]} deviates from scalar structure")
     return mean
+
+
+def scalar_residual(mat, s):
+    """``residual_report(mat - scalar_matrix(s, n))``: (exactly zero, largest magnitude).
+
+    The bigfloat backend reads each entry's pair once and subtracts s from
+    the diagonal only, rounded as ``BigComplex.__sub__`` rounds it.
+    """
+    rs = s.rs
+    if rs.backend == "exact":
+        return residual_report(mat - scalar_matrix(s, mat.shape[0]))
+    prec = rs.precision_bits
+    target = working_pair(s.pair, prec)
+    rows = _raw_rows(mat, prec)
+    for i, row in enumerate(rows):
+        row[i] = mpc_sub(row[i] or _RAW_ZERO, target, prec, RND)
+    return _raw_worst(rows, prec)
 
 
 def scalar_deviation(mat, rs):
     """Float magnitude of the worst deviation of mat from (mean diagonal) * Id."""
-    n = mat.shape[0]
     mean = _diagonal_mean(mat, rs)
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            target = mean if i == j else rs.zero
-            worst = max(worst, entry_magnitude(mat[i, j] - target))
-    return mean, worst
+    return mean, scalar_residual(mat, mean)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 A representation assigns one square matrix to every generator of its surface
 vocabulary; puncture generators always map to their scalar times the
-identity, and that scalar is also stored separately.
+identity, and that scalar is also stored separately.  T_N of each frozen
+loop image is computed once and kept (:meth:`Representation.chebyshev`).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import matrices
+from .chebyshev import chebyshev_eval
 from .scalars import RootSystem
 from .surfaces import Surface
 
@@ -22,12 +24,30 @@ class Representation:
     matrices: dict
     puncture_scalars: dict
     provenance: dict = field(default_factory=dict)
+    # name -> T_N of its frozen image; neither compared, repr'd nor serialized,
+    # and empty again in a dataclasses.replace copy
+    _chebyshev: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def matrix(self, name: str):
         try:
             return self.matrices[name]
         except KeyError:
             raise KeyError(f"generator {name!r} not in {self.surface.tag} representation") from None
+
+    def chebyshev(self, name: str):
+        """T_N of the image of ``name``, through ``chebyshev_eval`` once per frozen image.
+
+        Images are frozen by :func:`assemble` and ``rep_from_json``, so a
+        kept T_N cannot go stale; it is kept frozen as well.  A writeable
+        image is evaluated on every call.
+        """
+        tn = self._chebyshev.get(name)
+        if tn is None:
+            mat = self.matrix(name)
+            tn = chebyshev_eval(self.rs.N, mat)
+            if not mat.flags.writeable:
+                self._chebyshev[name] = matrices.freeze(tn)
+        return tn
 
 
 def assemble(surface, rs, dim, x_matrices, puncture_scalars, provenance=None):

@@ -208,8 +208,8 @@ def solve_u(params: SphereParams, t1_target, t2_target,
     for trial in (rs.one, rs.A):
         try:
             trial_rep = build_sphere_rep_with_u(params, trial, ladder)
-            t1_trial = matrices.read_scalar_matrix(chebyshev_eval(n, trial_rep.matrix("X1")), rs)
-            t2_trial = matrices.read_scalar_matrix(chebyshev_eval(n, trial_rep.matrix("X2")), rs)
+            t1_trial = matrices.read_scalar_matrix(trial_rep.chebyshev("X1"), rs)
+            t2_trial = matrices.read_scalar_matrix(trial_rep.chebyshev("X2"), rs)
             break
         except NonScalarChebyshev as exc:  # retry once with a shifted trial value
             trial_errors.append(exc)

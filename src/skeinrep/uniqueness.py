@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrices, serialize
-from .chebyshev import chebyshev_eval, solve_chebyshev
+from .chebyshev import solve_chebyshev
 from .errors import SkeinError
 from .invariants import commuting_system, extract_invariants
 from .ladder import is_pm2
@@ -386,8 +386,8 @@ def sample_sphere_invariants(rs: RootSystem, rng):
             continue
         u = rs.scalar(_annulus_draw(rng))
         rep = build_sphere_rep_with_u(params, u)
-        t1 = matrices.read_scalar_matrix(chebyshev_eval(rs.N, rep.matrix("X1")), rs)
-        t2 = matrices.read_scalar_matrix(chebyshev_eval(rs.N, rep.matrix("X2")), rs)
+        t1 = matrices.read_scalar_matrix(rep.chebyshev("X1"), rs)
+        t2 = matrices.read_scalar_matrix(rep.chebyshev("X2"), rs)
         return {"p0": p[0], "p1": p[1], "p2": p[2], "p3": p[3],
                 "t1": t1, "t2": t2, "t3": t3}
 

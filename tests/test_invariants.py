@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -5,11 +7,13 @@ import numpy as np
 import pytest
 
 from skeinrep import invariants, matrices
+from skeinrep.chebyshev import chebyshev_eval
 from skeinrep.errors import NonScalarChebyshev
 from skeinrep.invariants import (_support_commutant, commutant_dimension, commuting_system,
                                  extract_invariants, verify_relations)
 from skeinrep.representation import Representation, assemble
 from skeinrep.scalars import approx_eq, make_root_system
+from skeinrep.serialize import rep_to_json
 from skeinrep.sphere import build_sphere_rep_with_u, make_sphere_params, small_sphere_rep
 from skeinrep.surfaces import TORUS1
 from skeinrep.torus import build_torus_rep, torus_params_exact, torus_params_from_shadow
@@ -33,6 +37,10 @@ def sphere_rep(rs, seed=2):
     p = [rs.scalar(complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for _ in range(4)]
     params = make_sphere_params(*p, rs.zero, rs.zero, rs.scalar(complex(1.25, 0.35)))
     return build_sphere_rep_with_u(params, rs.scalar(complex(0.8, 0.3)))
+
+
+def bits(mat):
+    return [e.pair for e in mat.flat]
 
 
 def perturbed(rep, name, eps=1e-3):
@@ -156,6 +164,94 @@ def test_nonscalar_chebyshev_on_mixed_sum(rs, torus_rep):
     glued = Representation(rep.surface, rs, 2 * n, mats, rep.puncture_scalars, {})
     with pytest.raises(NonScalarChebyshev):
         extract_invariants(glued)
+
+
+# ---------------------------------------------------------------------------
+# one T_N per generator per representation
+# ---------------------------------------------------------------------------
+
+def counted_chebyshev(monkeypatch):
+    """Record the argument of every matrix T_N evaluation."""
+    original = matrices.chebyshev_matrix
+    args = []
+
+    def count(n, arg):
+        args.append(arg)
+        return original(n, arg)
+
+    monkeypatch.setattr(matrices, "chebyshev_matrix", count)
+    return args
+
+
+def fresh_torus_rep(rs, seed=1):
+    inv = sample_torus_shadow(rs, random.Random(seed))
+    return build_torus_rep(torus_params_from_shadow(inv["t1"], inv["t2"], inv["t3"], inv["p"]))
+
+
+@pytest.mark.parametrize("kind", ["torus1", "sphere4"])
+def test_verify_then_extract_evaluate_each_generator_once(rs, monkeypatch, kind):
+    rep = fresh_torus_rep(rs) if kind == "torus1" else sphere_rep(rs)
+    args = counted_chebyshev(monkeypatch)
+    report = verify_relations(rep)
+    extract_invariants(rep)
+    verify_relations(rep, include_commutant=False)
+    gens = rep.surface.x_generators
+    assert report.passed
+    assert len(args) == len(gens)
+    assert all(a is rep.matrix(g) for a, g in zip(args, gens))
+
+
+def test_replaced_rep_evaluates_its_own_chebyshev(rs, monkeypatch):
+    rep = fresh_torus_rep(rs)
+    extract_invariants(rep)
+    args = counted_chebyshev(monkeypatch)
+    copy = dataclasses.replace(rep, matrices=dict(rep.matrices))
+    extract_invariants(copy)
+    assert len(args) == len(rep.surface.x_generators)
+    moved = perturbed(rep, "X1")
+    moved_copy = dataclasses.replace(rep, matrices=moved.matrices)
+    assert bits(moved_copy.chebyshev("X1")) == bits(chebyshev_eval(rs.N, moved.matrix("X1")))
+    assert bits(moved_copy.chebyshev("X1")) != bits(rep.chebyshev("X1"))
+
+
+def test_chebyshev_memo_is_frozen_and_skips_writeable_images(rs, monkeypatch):
+    rep = fresh_torus_rep(rs)
+    with pytest.raises(ValueError):
+        rep.chebyshev("X1")[0, 0] = rs.zero
+    writeable = {g: np.array(m, dtype=object) for g, m in rep.matrices.items()}
+    loose = Representation(rep.surface, rs, rep.dim, writeable, rep.puncture_scalars, {})
+    args = counted_chebyshev(monkeypatch)
+    first = loose.chebyshev("X1")
+    loose.matrix("X1")[0, 1] = loose.matrix("X1")[0, 1] + rs.one
+    second = loose.chebyshev("X1")
+    assert len(args) == 2
+    assert bits(second) == bits(chebyshev_eval(rs.N, loose.matrix("X1")))
+    assert bits(first) != bits(second)
+
+
+def test_puncture_deviations_keep_their_float_bits(rs):
+    rep = sphere_rep(rs)
+    p = rep.puncture_scalars["P1"]
+    moved = matrices.scalar_matrix(p, rep.dim)
+    moved[0, 0] = p + rs.scalar(complex(3e-40, -1e-40))
+    moved[1, 2] = rs.scalar(complex(0, 2e-41))
+    mats = dict(rep.matrices, P1=matrices.freeze(moved))
+    rep = Representation(rep.surface, rs, rep.dim, mats, rep.puncture_scalars, {})
+    report = verify_relations(rep, include_commutant=False)
+    for name in rep.surface.punctures:
+        target = matrices.scalar_matrix(rep.puncture_scalars[name], rep.dim)
+        assert report.puncture_deviations[name] == matrices.residual_report(rep.matrix(name) - target)[1]
+    assert report.puncture_deviations["P1"] > 0.0 and report.checks["P1 scalar"]
+
+
+def test_chebyshev_memo_is_not_a_field(rs):
+    rep = fresh_torus_rep(rs)
+    blank = dataclasses.replace(rep)
+    before = (repr(rep), rep_to_json(rep))
+    extract_invariants(rep)
+    assert rep == blank
+    assert (repr(rep), rep_to_json(rep)) == before == (repr(blank), rep_to_json(blank))
+    assert "chebyshev" not in repr(rep) and "chebyshev" not in json.dumps(rep_to_json(rep))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Bit-identity of the raw-value matrix kernel against the object arithmetic.
 
 The references below are the mpc-under-``workprec`` product, the object
-T_n recurrence, the accumulating commutant assembly and the object-array
-intertwiner defect that the kernel replaced, and the mpmath-matrix
-inversion that ``matrices.inverse`` wraps.
+T_n recurrence, the accumulating commutant assembly, the entrywise scalar
+read-outs and the object-array intertwiner defect that the kernel replaced,
+and the mpmath-matrix inversion that ``matrices.inverse`` wraps.
 Every comparison is on the ``_mpf_`` tuples of each entry, or on the
 residual floats.  The nullspace tests plant singular values on either side
 of the working-precision cut rel_eps * sigma_max.
@@ -23,9 +23,9 @@ from mpmath import mp
 import skeinrep
 from skeinrep import matrices
 from skeinrep.chebyshev import chebyshev_eval
-from skeinrep.errors import VanishingDivisor
+from skeinrep.errors import NonScalarChebyshev, VanishingDivisor
 from skeinrep.invariants import commuting_system
-from skeinrep.scalars import BigComplex, CyclotomicNumber, approx_eq, make_root_system
+from skeinrep.scalars import BigComplex, CyclotomicNumber, Tolerance, approx_eq, make_root_system
 from skeinrep.sphere import build_sphere_rep
 from skeinrep.torus import build_torus_rep, torus_params_exact, torus_params_from_shadow
 from skeinrep.uniqueness import (gauge_orbit, intertwiner_residuals, intertwiner_search,
@@ -92,6 +92,32 @@ def reference_commuting_system(rep_a, rep_b):
             system[row, entry] = diff
             row += 1
     return system
+
+
+def reference_read_scalar_matrix(mat, rs, tol=None):
+    """The entrywise ``approx_eq`` read-out that the raw-pair one replaced."""
+    n = mat.shape[0]
+    mean = matrices._diagonal_mean(mat, rs)
+    zero = rs.zero
+    for i in range(n):
+        for j in range(n):
+            target = mean if i == j else zero
+            if not approx_eq(mat[i, j], target, tol):
+                raise NonScalarChebyshev(
+                    f"entry ({i}, {j}) = {mat[i, j]} deviates from scalar structure")
+    return mean
+
+
+def reference_scalar_deviation(mat, rs):
+    """The entrywise ``entry_magnitude`` deviation that the raw-pair one replaced."""
+    n = mat.shape[0]
+    mean = matrices._diagonal_mean(mat, rs)
+    worst = 0.0
+    for i in range(n):
+        for j in range(n):
+            target = mean if i == j else rs.zero
+            worst = max(worst, matrices.entry_magnitude(mat[i, j] - target))
+    return mean, worst
 
 
 def reference_inverse(g):
@@ -437,6 +463,130 @@ def test_residual_report_bit_identical():
     for mat in mats:
         assert matrices.residual_report(mat) == reference_residual_report(mat)
     assert matrices.residual_report(mats[2]) == (True, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# scalar read-outs on raw pairs
+# ---------------------------------------------------------------------------
+
+def placed(rs, mean, where, factor, eps, outward=False):
+    """3x3 mean * Id with one entry at ``factor`` times its ``approx_eq`` cut.
+
+    An off-diagonal entry gets magnitude eps * factor, its cut below 1.  A
+    diagonal (k, k) moves by delta towards 0, where the cut is
+    eps * max(1, |mean|), or away from it (``outward``), where the entry's
+    own magnitude can set the cut: |delta| = eps * max(1, |mean| / (1 - eps))
+    * factor.  The other two diagonal entries move by -delta / 2, within
+    their cuts, so the diagonal mean stays at ``mean`` up to rounding.
+    """
+    mat = matrices.scalar_matrix(mean, 3)
+    mag = float(mean.magnitude())
+    unit = mean * rs.scalar(1.0 / mag)
+    i, j = where
+    if i != j:
+        mat[i, j] = unit * rs.scalar(eps * factor)
+        return mat
+    scale = max(1.0, mag / (1 - eps)) if outward else max(1.0, mag)
+    delta = unit * rs.scalar(eps * scale * factor)
+    if not outward:
+        delta = -delta
+    for k in range(3):
+        mat[k, k] = mean + delta if k == i else mean - delta * rs.scalar(0.5)
+    return mat
+
+
+def widened(mat, rng):
+    """``mat`` with 512-bit parts, each off by about 2^-280 of its own scale."""
+    rs = mat.flat[0].rs
+    out = np.empty(mat.shape, dtype=object)
+    with mp.workprec(512):
+        for (i, j), e in np.ndenumerate(mat):
+            out[i, j] = BigComplex(rs, e.re + full_mpf(rng, 512) * mp.mpf(2) ** -280,
+                                   e.im + full_mpf(rng, 512) * mp.mpf(2) ** -280)
+    return out
+
+
+def read_outcome(read, mat, rs, tol=None):
+    try:
+        value = read(mat, rs, tol)
+    except NonScalarChebyshev as exc:
+        return "refused", str(exc)
+    return "read", value.pair if isinstance(value, BigComplex) else value
+
+
+def assert_read_outs_agree(mat, rs, tol=None):
+    """Same decision, message and bits as the references; returns the decision."""
+    got = read_outcome(matrices.read_scalar_matrix, mat, rs, tol)
+    assert got == read_outcome(reference_read_scalar_matrix, mat, rs, tol)
+    mean, worst = matrices.scalar_deviation(mat, rs)
+    ref_mean, ref_worst = reference_scalar_deviation(mat, rs)
+    assert mean == ref_mean and worst == ref_worst
+    assert type(worst) is float
+    return got[0]
+
+
+@pytest.mark.parametrize("tol", [None, Tolerance(1e-30), Tolerance(2.0 ** -4)])
+@pytest.mark.parametrize("mean", [complex(0.3, -0.4), complex(3.0, 4.0)])
+def test_read_outs_match_entrywise_at_the_cut(mean, tol):
+    rs = rs_of(3)
+    rng = random.Random(12)
+    eps = (tol or rs.tolerance).rel_eps
+    mean = rs.scalar(mean)
+    for where, outward in (((0, 1), False), ((1, 2), False), ((2, 0), False),
+                           ((0, 0), False), ((0, 0), True), ((1, 1), False), ((1, 1), True)):
+        for factor in (1 - 2.0 ** -20, 1 + 2.0 ** -20):
+            mat = placed(rs, mean, where, factor, eps, outward)
+            for m in (mat, widened(mat, rng)):
+                assert assert_read_outs_agree(m, rs, tol) == ("read" if factor < 1 else "refused")
+                if tol is not None:
+                    assert_read_outs_agree(m, rs)
+
+
+def test_read_outs_match_entrywise_on_chebyshev_images():
+    rng = random.Random(13)
+    reps = [torus_rep(5, 14), sphere_rep(3, 15)]
+    for rep in reps:
+        for g in ("X1", "X2", "X3"):
+            tn = chebyshev_eval(rep.rs.N, rep.matrix(g))
+            assert assert_read_outs_agree(tn, rep.rs) == "read"
+            assert assert_read_outs_agree(widened(tn, rng), rep.rs) == "read"
+    rs = rs_of(3)
+    noisy = dense(rs, rng, 3, 3)
+    assert assert_read_outs_agree(noisy, rs) == "refused"
+    assert assert_read_outs_agree(dense(rs, rng, 3, 3, prec=512), rs) == "refused"
+    assert assert_read_outs_agree(matrices.zeros(rs, 3), rs) == "read"
+
+
+def test_read_outs_match_entrywise_exact_backend():
+    rs = make_root_system(3)
+    mean = rs.A + rs.scalar(Fraction(1, 3))
+    scalar = matrices.scalar_matrix(mean, 3)
+    off = matrices.scalar_matrix(mean, 3)
+    off[2, 1] = rs.A
+    diag = matrices.scalar_matrix(mean, 3)
+    diag[1, 1] = mean + rs.scalar(Fraction(1, 10 ** 30))
+    assert [assert_read_outs_agree(m, rs) for m in (scalar, off, diag)] == ["read", "refused", "refused"]
+
+
+def test_scalar_residual_matches_entrywise_subtraction():
+    rs = rs_of(3)
+    rng = random.Random(16)
+    p = rs.scalar(complex(0.7, -1.2))
+    mats = [matrices.scalar_matrix(p, 3), placed(rs, p, (0, 0), 1.5, 1e-30),
+            placed(rs, p, (1, 2), 1.5, 1e-30), dense(rs, rng, 3, 3)]
+    mats += [widened(m, rng) for m in mats]
+    for mat in mats:
+        for s in (p, rs.zero, p + rs.scalar(1e-45)):
+            want = matrices.residual_report(mat - matrices.scalar_matrix(s, 3))
+            assert matrices.scalar_residual(mat, s) == want
+    assert matrices.scalar_residual(mats[0], p) == (True, 0.0)
+    exact = make_root_system(3)
+    q = exact.A - exact.one
+    shifted = matrices.scalar_matrix(q, 2)
+    shifted[0, 1] = exact.one
+    for mat in (matrices.scalar_matrix(q, 2), shifted):
+        assert (matrices.scalar_residual(mat, q)
+                == matrices.residual_report(mat - matrices.scalar_matrix(q, 2)))
 
 
 # ---------------------------------------------------------------------------
