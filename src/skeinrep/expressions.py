@@ -90,11 +90,10 @@ def _tokenize(text):
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
-            if text[pos:].strip() == "":
+            rest = text[pos:].lstrip()
+            if not rest:
                 break
-            raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
-        if m.lastgroup is None and m.group().strip() == "":
-            break
+            raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
         kind = m.lastgroup
         tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
@@ -102,14 +101,15 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, tokens, surface, rs):
+    def __init__(self, tokens, end, surface, rs):
         self.tokens = tokens
+        self.end = end  # the position reported at the end of input
         self.i = 0
         self.surface = surface
         self.rs = rs
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, None)
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, self.end)
 
     def next(self):
         tok = self.peek()
@@ -123,26 +123,16 @@ class _Parser:
 
     def parse_expr(self):
         terms = []
-        sign = 1
-        kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
-            self.next()
-            sign = -1 if val == "-" else 1
-        terms.append(self._signed(self.parse_term(), sign))
         while True:
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
+            signed = kind == "op" and val in "+-"
+            if signed:
                 self.next()
-                term = self.parse_term()
-                terms.append(self._signed(term, -1 if val == "-" else 1))
-            else:
+            elif terms:
                 break
+            term = self.parse_term()
+            terms.append(Prod((Lit(self.rs.scalar(-1)), term)) if signed and val == "-" else term)
         return terms[0] if len(terms) == 1 else Sum(tuple(terms))
-
-    def _signed(self, node, sign):
-        if sign == 1:
-            return node
-        return Prod((Lit(self.rs.scalar(-1)), node))
 
     def parse_term(self):
         factors = [self.parse_factor()]
@@ -173,21 +163,11 @@ class _Parser:
         return atom
 
     def parse_exponent(self):
-        kind, val, pos = self.next()
-        if kind == "op" and val == "(":
-            inner, _ = self._signed_int()
-            self.expect_op(")")
-            return inner, pos
-        if kind == "op" and val == "-":
-            kind2, val2, pos2 = self.next()
-            if kind2 != "num" or not val2.isdigit():
-                raise ParseError("expected an integer exponent", pos2)
-            return -int(val2), pos
-        if kind == "num" and val.isdigit():
-            return int(val), pos
-        raise ParseError("expected an integer exponent", pos)
-
-    def _signed_int(self):
+        """An exponent k, -k, (k) or (-k), and the position of its first token."""
+        start = self.peek()
+        paren = start[:2] == ("op", "(")
+        if paren:
+            self.next()
         kind, val, pos = self.next()
         sign = 1
         if kind == "op" and val == "-":
@@ -195,7 +175,9 @@ class _Parser:
             kind, val, pos = self.next()
         if kind != "num" or not val.isdigit():
             raise ParseError("expected an integer exponent", pos)
-        return sign * int(val), pos
+        if paren:
+            self.expect_op(")")
+        return sign * int(val), start[2]
 
     def parse_atom(self):
         kind, val, pos = self.next()
@@ -222,7 +204,7 @@ def parse(text: str, surface: Surface, rs: RootSystem) -> SkeinExpr:
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression", 0)
-    parser = _Parser(tokens, surface, rs)
+    parser = _Parser(tokens, len(text), surface, rs)
     node = parser.parse_expr()
     if parser.i != len(tokens):
         raise ParseError(f"trailing input {parser.peek()[1]!r}", parser.peek()[2])
@@ -314,18 +296,9 @@ class NormalForm:
 
     def monomial_string(self, key) -> str:
         xexp, pexp = key
-        factors = []
-        for name, e in zip(self.surface.x_generators, xexp):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        for name, e in zip(self.surface.punctures, pexp):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        return " ".join(factors) if factors else "1"
+        factors = [name if e == 1 else f"{name}^{e}"
+                   for name, e in zip(self.surface.generators, xexp + pexp) if e]
+        return " ".join(factors) or "1"
 
     def __str__(self):
         if not self.terms:

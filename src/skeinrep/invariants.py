@@ -22,6 +22,7 @@ from .chebyshev import chebyshev_eval
 from .expressions import evaluate, relation_defects
 from .representation import Representation
 from .scalars import Tolerance, approx_eq
+from .sphere import sphere_aux_invariants
 from .torus import puncture_chebyshev_value
 
 TRACE_CONVENTION = "traces store Tr r(X) = -t where T_N(rho(X)) = t*Id"
@@ -131,11 +132,7 @@ class ShadowInvariants:
 
 def _sphere_classical_relation_ok(t_vals, p_vals, rs, tol):
     """Trace relation of the four-puncture sphere at the classical level."""
-    tp = [chebyshev_eval(rs.N, p) for p in p_vals]
-    q1 = tp[0] * tp[1] + tp[2] * tp[3]
-    q2 = tp[0] * tp[2] + tp[1] * tp[3]
-    q3 = tp[0] * tp[3] + tp[1] * tp[2]
-    delta = tp[0] * tp[1] * tp[2] * tp[3] + tp[0] ** 2 + tp[1] ** 2 + tp[2] ** 2 + tp[3] ** 2
+    q1, q2, q3, delta = sphere_aux_invariants(*(chebyshev_eval(rs.N, p) for p in p_vals))
     t1, t2, t3 = t_vals
     lhs = (t1 * t2 * t3 - t1 * t1 - t2 * t2 - t3 * t3
            - q1 * t1 - q2 * t2 - q3 * t3 + 4)

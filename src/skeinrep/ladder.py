@@ -15,7 +15,7 @@ where au_k = -x3^{-1} A^{-tk-h} / d_k and ad_k = x3 A^{tk-h} / d_k.  The up
 step sends v_k to v_{k+1} (u v_1 at the wraparound); the down step sends v_k
 to down_k v_{k-1} (down_1/u v_N at the wraparound).  The surfaces differ only
 in the twist, the down scalars and the sphere's diagonal offsets beta_k^+/-,
-which the sphere adds on top of this assembly.
+which the same assembly adds on the diagonal (the torus has none).
 
 The ladder operators U_k = A^h X1 - x3 A^{tk} X2 + beta_k^+ and
 D_k = A^h X1 - x3^{-1} A^{-tk} X2 + beta_k^- shift the k-th eigenline one
@@ -49,33 +49,36 @@ def eigenvalue_tower(rs, twist, x3):
     return [x3 * rs.a_pow(twist * k) + x3i * rs.a_pow(-twist * k) for k in range(1, rs.N + 1)]
 
 
-def ladder_matrices(rs, twist, x3, u, down):
-    """X1, X2, X3 of the ladder, and the gaps d_k = x3 A^{tk} - x3^{-1} A^{-tk}.
+def ladder_matrices(rs, twist, x3, u, down, beta_plus=None, beta_minus=None):
+    """X1, X2, X3 of the ladder, with the diagonal offsets beta^+/- if given.
 
     ``down[k - 1]`` is the down scalar of column k; column 1 divides it by u.
+    Column k adds (x3^{-1} A^{-tk-h} beta_k^+ - x3 A^{tk-h} beta_k^-) / d_k to
+    X1 and (beta_k^+ - beta_k^-) / d_k to X2 on the diagonal.
     """
     n = rs.N
     x3i = x3 ** (-1)
     half = twist // 2
-    lam = eigenvalue_tower(rs, twist, x3)
-    d = [x3 * rs.a_pow(twist * k) - x3i * rs.a_pow(-twist * k) for k in range(1, n + 1)]
-
     m1 = matrices.zeros(rs, n)
     m2 = matrices.zeros(rs, n)
-    m3 = matrices.diagonal(lam)
+    m3 = matrices.diagonal(eigenvalue_tower(rs, twist, x3))
     for k in range(1, n + 1):
-        dk = d[k - 1]
-        au = -x3i * rs.a_pow(-twist * k - half) / dk
-        ad = x3 * rs.a_pow(twist * k - half) / dk
+        dk = x3 * rs.a_pow(twist * k) - x3i * rs.a_pow(-twist * k)
+        lo = x3i * rs.a_pow(-twist * k - half)
+        hi = x3 * rs.a_pow(twist * k - half)
         up_row = k if k < n else 0           # v_k -> v_{k+1}, wrapping to v_1
         up_scale = rs.one if k < n else u
-        m1[up_row, k - 1] = m1[up_row, k - 1] + au * up_scale
+        m1[up_row, k - 1] = m1[up_row, k - 1] + (-lo / dk) * up_scale
         m2[up_row, k - 1] = m2[up_row, k - 1] + (-rs.one / dk) * up_scale
         down_row = k - 2 if k >= 2 else n - 1  # v_k -> v_{k-1}, wrapping to v_N
         down_scale = down[k - 1] if k >= 2 else down[0] / u
-        m1[down_row, k - 1] = m1[down_row, k - 1] + ad * down_scale
+        m1[down_row, k - 1] = m1[down_row, k - 1] + (hi / dk) * down_scale
         m2[down_row, k - 1] = m2[down_row, k - 1] + (rs.one / dk) * down_scale
-    return m1, m2, m3, d
+        if beta_plus is not None:
+            bp, bm = beta_plus[k - 1], beta_minus[k - 1]
+            m1[k - 1, k - 1] = m1[k - 1, k - 1] + (lo * bp - hi * bm) / dk
+            m2[k - 1, k - 1] = m2[k - 1, k - 1] + (bp - bm) / dk
+    return m1, m2, m3
 
 
 @dataclass(frozen=True)

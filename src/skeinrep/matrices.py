@@ -51,11 +51,7 @@ def zeros(rs: RootSystem, n: int, m: int = None):
 
 
 def identity(rs: RootSystem, n: int):
-    out = zeros(rs, n)
-    one = rs.one
-    for i in range(n):
-        out[i, i] = one
-    return out
+    return scalar_matrix(rs.one, n)
 
 
 def scalar_matrix(s, n: int):

@@ -49,22 +49,6 @@ RND = round_nearest
 # integer polynomial helpers (coefficient lists, index = power)
 # ---------------------------------------------------------------------------
 
-def _poly_divmod(num, den):
-    """Exact division of integer coefficient lists; den must be monic tail-trimmed."""
-    num = list(num)
-    dden = len(den) - 1
-    out = [0] * (len(num) - dden)
-    for i in range(len(num) - 1, dden - 1, -1):
-        c = num[i]
-        if c:
-            out[i - dden] = c
-            for j, d in enumerate(den):
-                num[i - dden + j] -= c * d
-    while num and num[-1] == 0:
-        num.pop()
-    return out, num
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple:
     """Integer coefficients of the n-th cyclotomic polynomial, low power first.
@@ -78,9 +62,9 @@ def cyclotomic_polynomial(n: int) -> tuple:
     poly[0], poly[n] = -1, 1
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _poly_divmod(poly, list(cyclotomic_polynomial(d)))
-            assert not rem, f"cyclotomic division left a remainder at n={n}, d={d}"
-    return tuple(poly)
+            poly, rem = _frac_poly_divmod(poly, cyclotomic_polynomial(d))
+            assert not any(rem), f"cyclotomic division left a remainder at n={n}, d={d}"
+    return tuple(int(c) for c in poly)
 
 
 def _fraction_sqrt(q: Fraction):

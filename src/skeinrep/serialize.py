@@ -92,18 +92,28 @@ def rep_to_json(rep: Representation):
 
 
 def rep_from_json(obj) -> Representation:
-    rs = root_system_from_json(obj["root_system"])
-    surface = surface_from_tag(obj["surface"])
-    dim = obj["dim"]
-    mats = {}
-    for name, rows in obj["generators"].items():
-        mat = np.empty((dim, dim), dtype=object)
-        for i in range(dim):
-            for j in range(dim):
-                mat[i, j] = scalar_from_json(rs, rows[i][j])
-        mat.flags.writeable = False
-        mats[name] = mat
-    punctures = {name: scalar_from_json(rs, s) for name, s in obj["punctures"].items()}
+    """Read :func:`rep_to_json` output; a ValueError names a missing key or a bad shape."""
+    try:
+        rs = root_system_from_json(obj["root_system"])
+        surface = surface_from_tag(obj["surface"])
+        dim = obj["dim"]
+        for field, names in (("generators", surface.generators), ("punctures", surface.punctures)):
+            if sorted(obj[field]) != sorted(names):
+                raise ValueError(f"{field} {sorted(obj[field])} are not the {surface.tag} "
+                                 f"names {sorted(names)}")
+        mats = {}
+        for name, rows in obj["generators"].items():
+            if len(rows) != dim or any(len(row) != dim for row in rows):
+                raise ValueError(f"generator {name} is not a {dim} x {dim} matrix")
+            mat = np.empty((dim, dim), dtype=object)
+            for i in range(dim):
+                for j in range(dim):
+                    mat[i, j] = scalar_from_json(rs, rows[i][j])
+            mat.flags.writeable = False
+            mats[name] = mat
+        punctures = {name: scalar_from_json(rs, s) for name, s in obj["punctures"].items()}
+    except KeyError as exc:
+        raise ValueError(f"representation JSON is missing the key {exc}") from None
     return Representation(surface, rs, dim, mats, punctures, obj.get("provenance", {}))
 
 

@@ -1,8 +1,9 @@
 """Representations of the four-puncture sphere algebra from invariants.
 
 The representation is the eigenline ladder of :mod:`skeinrep.ladder` with
-twist A^4.  Its ladder operators acquire scalar offsets beta_k^+/- built from
-the symmetric puncture combinations
+twist A^4, which the ladder assembles together with the scalar offsets
+beta_k^+/- of its ladder operators.  The offsets are built from the symmetric
+puncture combinations
 
     q1 = p0 p1 + p2 p3,  q2 = p0 p2 + p1 p3,  q3 = p0 p3 + p1 p2,
     Delta = p0 p1 p2 p3 + p0^2 + p1^2 + p2^2 + p3^2,
@@ -138,17 +139,11 @@ def chebyshev_at_puncture_roots(params: SphereParams) -> tuple:
     return tuple(chebyshev_eval(rs.N, r) for r in (r0, r1, r2, r3))
 
 
-def ladder_product_closed_form(params: SphereParams, tn_roots: tuple = None) -> Scalar:
-    """Closed form of prod_k R_k through T_N at four quadratic roots.
-
-    ``tn_roots`` passes in :func:`chebyshev_at_puncture_roots` when the
-    caller already has it.
-    """
-    if tn_roots is None:
-        tn_roots = chebyshev_at_puncture_roots(params)
+def ladder_product_closed_form(params: SphereParams) -> Scalar:
+    """Closed form of prod_k R_k through T_N at four quadratic roots."""
     t3 = params.t3
     num = params.rs.one
-    for v in tn_roots:
+    for v in chebyshev_at_puncture_roots(params):
         num = num * (t3 - v)
     return -num / (t3 * t3 - 4)
 
@@ -162,16 +157,9 @@ def build_sphere_rep_with_u(params: SphereParams, u: Scalar,
         raise VanishingCycle("the wraparound constant u must be nonzero")
     if ladder is None:
         ladder = ladder_scalars_sphere(params)
-    x3 = params.x3
-    x3i = x3 ** (-1)
     r = ladder.r_scalars  # column k steps down by R_{k-1}, column 1 by R_N / u
-    m1, m2, m3, e = ladder_matrices(rs, 4, x3, u, r[n - 1:] + r[:n - 1])
-    for k in range(1, n + 1):
-        ek = e[k - 1]
-        bp, bm = ladder.beta_plus[k - 1], ladder.beta_minus[k - 1]
-        m1[k - 1, k - 1] = m1[k - 1, k - 1] + (x3i * rs.a_pow(-4 * k - 2) * bp - x3 * rs.a_pow(4 * k - 2) * bm) / ek
-        m2[k - 1, k - 1] = m2[k - 1, k - 1] + (bp - bm) / ek
-
+    m1, m2, m3 = ladder_matrices(rs, 4, params.x3, u, r[n - 1:] + r[:n - 1],
+                                 ladder.beta_plus, ladder.beta_minus)
     punctures = dict(zip(SPHERE4.punctures, params.punctures))
     provenance = {
         "params": {"p0": params.p0, "p1": params.p1, "p2": params.p2, "p3": params.p3,

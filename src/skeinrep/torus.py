@@ -117,8 +117,7 @@ def _torus_matrices(params: TorusParams):
         raise VanishingCycle("t1 + t2 x3^N = 0; the wraparound constant vanishes")
     c = [-(p + x3 * x3 * rs.a_pow(4 * k - 2) + x3i * x3i * rs.a_pow(-4 * k + 2))
          for k in range(1, rs.N + 1)]
-    m1, m2, m3, _ = ladder.ladder_matrices(rs, 2, x3, u, c)
-    return m1, m2, m3
+    return ladder.ladder_matrices(rs, 2, x3, u, c)
 
 
 def build_torus_rep(params: TorusParams, surface=TORUS1) -> Representation:
@@ -146,17 +145,11 @@ def closed_torus_rep(t1, t2, t3) -> Representation:
     satisfy t1 t2 t3 + t1^2 + t2^2 + t3^2 - 4 = 0.
     """
     rs = t1.rs
-    p = -(rs.a_pow(2) + rs.a_pow(-2))
     # T_N(p) = -2 for every odd N, so compatibility degenerates to a polynomial
-    # condition on the shadow alone
-    expected = puncture_chebyshev_value(t1, t2, t3)
-    if not approx_eq(rs.scalar(-2), expected):
+    # condition on the shadow alone, which implies the T_N(p) check of
+    # torus_params_from_shadow
+    if not approx_eq(rs.scalar(-2), puncture_chebyshev_value(t1, t2, t3)):
         raise IncompatiblePuncture(
             "closed-torus shadows must satisfy t1 t2 t3 + t1^2 + t2^2 + t3^2 = 4")
-    ladder.check_nondegenerate_t3(t3, rs)
-    cyc = cycle_scalar(t1, t2, t3)
-    if cyc.is_zero():
-        raise VanishingCycle("t1 t2 t3 + t1^2 + t2^2 = 0; the ladder cycle vanishes")
-    x3 = solve_chebyshev(t3).base
-    params = TorusParams(rs, t1, t2, x3, p)
-    return build_torus_rep(params, surface=TORUS0)
+    p = -(rs.a_pow(2) + rs.a_pow(-2))
+    return build_torus_rep(torus_params_from_shadow(t1, t2, t3, p), surface=TORUS0)

@@ -308,7 +308,7 @@ def genericity_check(surface: Surface, invariants: dict, tol: Tolerance = None) 
             x3 = solve_chebyshev(t3).base
             params = make_sphere_params(*p, rs.zero, rs.zero, x3)
             tn_roots = list(chebyshev_at_puncture_roots(params))
-            closed = ladder_product_closed_form(params, tn_roots)
+            closed = ladder_product_closed_form(params)
             checks["ladder_product_nonzero"] = not closed.is_zero()
             # record the hypothesis under both sign conventions for the trace
             details.update({
@@ -414,12 +414,7 @@ class ExperimentReport:
     worst_residual: float
 
     def to_json(self):
-        return {
-            "config": self.config,
-            "records": self.records,
-            "passed": self.passed,
-            "worst_residual": self.worst_residual,
-        }
+        return dataclasses.asdict(self)
 
 
 def _build_variant_reps(variants):
@@ -548,12 +543,5 @@ def uniqueness_experiment(config: ExperimentConfig) -> ExperimentReport:
             "failures": failures,
         })
 
-    config_json = {
-        "surface": config.surface.tag,
-        "N": config.N,
-        "samples": config.samples,
-        "seed": config.seed,
-        "precision_bits": config.precision_bits,
-        "residual_threshold": config.residual_threshold,
-    }
+    config_json = dict(dataclasses.asdict(config), surface=config.surface.tag)
     return ExperimentReport(config_json, records, passed, worst_overall)

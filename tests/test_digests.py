@@ -13,15 +13,16 @@ composed as monomials, so its JSON, residual digits included, is pinned too.
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
 from skeinrep.chebyshev import chebyshev_eval
 from skeinrep.cli import main
-from skeinrep.scalars import make_root_system
+from skeinrep.scalars import approx_eq, make_root_system, solve_quadratic
 from skeinrep.serialize import _mpf_to_str, dumps_canonical, rep_to_json, scalar_to_json
-from skeinrep.sphere import build_sphere_rep
-from skeinrep.torus import build_torus_rep, torus_params_from_shadow
+from skeinrep.sphere import build_sphere_rep, build_sphere_rep_with_u, make_sphere_params
+from skeinrep.torus import build_torus_rep, cycle_scalar, torus_params_from_shadow
 from skeinrep.uniqueness import sample_sphere_invariants, sample_torus_shadow
 
 TORUS_KEYS = ("t1", "t2", "t3", "p")
@@ -103,3 +104,41 @@ def test_seeded_experiment_digests(surface, n, samples, tmp_path):
             "--seed", "11", "--out", str(out)]
     assert main(args) == 0
     assert _digest(out.read_text()) == EXPERIMENTS[surface, n, samples]
+
+
+def test_closed_torus_cli_digest(tmp_path):
+    rs = make_root_system(3, "bigfloat", 256)
+    rng = random.Random(45)
+    two = rs.scalar(2)
+    t3 = None
+    while t3 is None:
+        a1, a2 = (rs.scalar(complex(rng.uniform(0.6, 1.8), rng.uniform(-0.8, 0.8)))
+                  for _ in range(2))
+        t1, t2 = a1 + a1 ** -1, a2 + a2 ** -1
+        # t3 solves the closed-shadow relation t1 t2 t3 + t1^2 + t2^2 + t3^2 = 4
+        ok = [t for t in solve_quadratic(rs.one, t1 * t2, t1 * t1 + t2 * t2 - 4)
+              if not (approx_eq(t, two) or approx_eq(t, -two))
+              and not cycle_scalar(t1, t2, t).is_zero()]
+        t3 = ok[0] if ok else None
+    out = tmp_path / "closed.json"
+    assert main(["build-closed-torus", "--N", "3", "--out", str(out),
+                 "--t1", _flag(t1), "--t2", _flag(t2), "--t3", _flag(t3)]) == 0
+    assert _digest(out.read_text()) == "15b80e3dab87358b"
+
+
+def test_normalize_cli_digest(tmp_path):
+    out = tmp_path / "nf.json"
+    expr = "X2 X1 P0 + (X3 X2 - A^2 X1 P3) (X3 X1 P1 P2 - 2/3 X2^2) - P0^2 X3 X1"
+    assert main(["normalize", "--surface", "sphere4", "--N", "5", "--out", str(out),
+                 "--expr", expr]) == 0
+    assert _digest(out.read_text()) == "1e48edb8a0ab9557"
+
+
+# at N = 1 every ladder step lands on the diagonal, beside the offsets
+@pytest.mark.parametrize("n,digest", [(1, "879dd3a82b2c938f"), (3, "e085d6103e761ed2")])
+def test_exact_sphere_rep_digest(n, digest):
+    rs = make_root_system(n, "exact")
+    p = [rs.scalar(Fraction(c)) for c in ("1/2", "-2/3", "3/4", "5/7")]
+    params = make_sphere_params(*p, rs.zero, rs.zero, rs.scalar(3) + rs.A)
+    rep = build_sphere_rep_with_u(params, rs.scalar(Fraction(3, 5)) - rs.A)
+    assert _digest(dumps_canonical(rep_to_json(rep))) == digest

@@ -79,10 +79,16 @@ def test_parse_imaginary_literal(rs3, rs3f):
         parse_scalar("i", rs3)
 
 
-def test_parse_error_position(rs3):
+@pytest.mark.parametrize("text,position", [
+    ("X1 + ?", 5), ("X1 $", 3), ("X1    #", 6),
+    ("X1 +", 4), ("(X1", 3), ("X1^", 3), ("X1^-", 4),
+], ids=["question-mark", "dollar", "hash-after-spaces",
+        "end-after-plus", "end-in-paren", "end-after-caret", "end-after-minus"])
+def test_parse_error_position(rs3, text, position):
+    # the offending character's own offset, or len(text) at the end of input
     with pytest.raises(ParseError) as err:
-        parse("X1 + ?", TORUS1, rs3)
-    assert err.value.position is not None
+        parse(text, TORUS1, rs3)
+    assert err.value.position == position
 
 
 def test_parse_negative_power_of_generator_rejected(rs3):

@@ -235,6 +235,29 @@ def test_cli_verify_fails_on_tampered_rep(tmp_path):
     assert main(["verify", str(tampered)]) == 1
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda rep: rep.pop("dim"), "missing the key 'dim'"),
+    (lambda rep: rep["generators"]["X1"].pop(), "generator X1 is not a 3 x 3 matrix"),
+    (lambda rep: rep["generators"].pop("X2"),
+     "generators ['P', 'X1', 'X3'] are not the Torus1 names"),
+    (lambda rep: rep.update(punctures={}), "punctures [] are not the Torus1 names ['P']"),
+    (lambda rep: rep["generators"]["X3"][1][1].pop("im"), "missing the key 'im'"),
+], ids=["no-dim", "short-matrix", "no-X2", "no-punctures", "no-im"])
+def test_cli_verify_reports_malformed_rep(tmp_path, capsys, edit, message):
+    from skeinrep.serialize import write_json
+
+    status, out = _build_rep_file(tmp_path)
+    assert status == 0
+    payload = read_json(out)
+    edit(payload)
+    broken = tmp_path / "broken.json"
+    write_json(broken, payload)
+    capsys.readouterr()
+    assert main(["verify", str(broken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_cli_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["build-torus", "--N", "3"])  # missing required flags

@@ -271,6 +271,13 @@ def test_closed_torus_properties():
         assert relation_residual(rep) < 1e-60
 
 
+def test_closed_torus_rejects_exact_shadow():
+    # (1, -1, -1) is a closed shadow; like every shadow it is read in the bigfloat backend only
+    rs = make_root_system(3)
+    with pytest.raises(TypeError):
+        closed_torus_rep(rs.scalar(1), rs.scalar(-1), rs.scalar(-1))
+
+
 def test_closed_torus_rejects_incompatible_shadow():
     rs = make_root_system(3, "bigfloat", 256)
     t = rs.scalar(complex(0.5, 0.2))
