@@ -4,9 +4,11 @@ A root system fixes an odd integer N and the scalar A, a primitive N-th root
 of -1 (equivalently a primitive 2N-th root of unity).  Two interchangeable
 backends are provided:
 
-* ``exact``: elements of Q(A) as rational coefficient vectors reduced modulo
-  the 2N-th cyclotomic polynomial.  Arithmetic is exact and canonical, so
-  equality is coefficient equality.
+* ``exact``: elements of Q(A) as integer numerators over one positive
+  denominator in lowest terms, reduced modulo the 2N-th cyclotomic
+  polynomial.  Sums, products and comparisons run on Python ints (only the
+  inverse's Euclid and the ``coeffs`` read-out build Fractions); the form is
+  canonical, so equality is field equality.
 * ``bigfloat``: arbitrary-precision complex numbers at a fixed number of
   bits, with A = exp(i*pi/N).  Each is one libmp pair of ``_mpf_`` tuples.
   Every operation, coercion, power of A and root calls libmp at the working
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Union
 
 import mpmath
@@ -46,7 +48,7 @@ RND = round_nearest
 
 
 # ---------------------------------------------------------------------------
-# integer polynomial helpers (coefficient lists, index = power)
+# cyclotomic polynomials
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -62,9 +64,9 @@ def cyclotomic_polynomial(n: int) -> tuple:
     poly[0], poly[n] = -1, 1
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _frac_poly_divmod(poly, cyclotomic_polynomial(d))
+            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
             assert not any(rem), f"cyclotomic division left a remainder at n={n}, d={d}"
-    return tuple(int(c) for c in poly)
+    return tuple(poly)
 
 
 def _fraction_sqrt(q: Fraction):
@@ -175,9 +177,7 @@ class RootSystem:
             return value
         if self.backend == "exact":
             if isinstance(value, (int, Fraction)):
-                coeffs = [Fraction(0)] * self.degree
-                coeffs[0] = Fraction(value)
-                return CyclotomicNumber(self, tuple(coeffs))
+                return _from_ints(self, (value.numerator,) + (0,) * (self.degree - 1), value.denominator)
             raise TypeError(f"cannot place {type(value).__name__} in the exact backend")
         prec = self.precision_bits
         if isinstance(value, Fraction):
@@ -204,7 +204,7 @@ class RootSystem:
         if self.backend == "exact":
             coeffs = [0] * (k + 1)
             coeffs[k] = 1
-            value = CyclotomicNumber(self, _reduce_mod(coeffs, self.modulus, self.degree))
+            value = _from_ints(self, _reduce_mod(coeffs, self.modulus, self.degree), 1)
         else:
             prec = self.precision_bits
             angle = mpf_div(from_int(k), from_int(self.N), prec, RND)
@@ -236,33 +236,62 @@ def make_root_system(N: int, backend: str = "exact", precision_bits=None) -> Roo
 # ---------------------------------------------------------------------------
 
 def _reduce_mod(coeffs, modulus, degree):
-    """Reduce a Fraction/int coefficient list modulo the monic modulus."""
-    coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+    """The integer list ``coeffs`` reduced modulo the monic ``modulus``, padded to ``degree``.
+
+    Reduces in place, without dividing, and returns a tuple.
+    """
     for i in range(len(coeffs) - 1, degree - 1, -1):
         c = coeffs[i]
         if c:
             for j in range(degree):
                 coeffs[i - degree + j] -= c * modulus[j]
-        coeffs[i] = Fraction(0)
-    out = coeffs[:degree]
-    out.extend([Fraction(0)] * (degree - len(out)))
-    return tuple(out)
+    out = tuple(coeffs[:degree])
+    return out + (0,) * (degree - len(out))
+
+
+def _from_ints(rs, nums, den):
+    """The CyclotomicNumber nums / den (den > 0), brought to lowest terms."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple(n // g for n in nums)
+            den //= g
+    z = object.__new__(CyclotomicNumber)
+    z.rs = rs
+    z.nums = nums
+    z.den = den
+    return z
 
 
 class CyclotomicNumber:
-    """Element of Q(A), stored canonically as phi(2N) rational coefficients."""
+    """Element of Q(A), stored canonically as phi(2N) integer numerators over one denominator.
 
-    __slots__ = ("rs", "coeffs")
+    The value is sum(nums[i] * A^i) / den with den > 0 and gcd(den, *nums) = 1,
+    so equal values have equal fields.  ``coeffs`` reads the Fraction
+    coefficients; the constructor takes ints or Fractions, in powers of A that
+    it reduces modulo the cyclotomic polynomial.
+    """
+
+    __slots__ = ("rs", "nums", "den")
 
     def __init__(self, rs: RootSystem, coeffs):
-        self.rs = rs
-        self.coeffs = tuple(coeffs)
+        coeffs = tuple(coeffs)
+        den = lcm(*(c.denominator for c in coeffs))
+        nums = _reduce_mod([c.numerator * (den // c.denominator) for c in coeffs], rs.modulus, rs.degree)
+        g = gcd(den, *nums)
+        self.rs, self.nums, self.den = rs, tuple(n // g for n in nums), den // g
+
+    @property
+    def coeffs(self):
+        """The Fraction coefficients of 1, A, ..., A^(phi(2N)-1)."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
 
     # -- helpers ---------------------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, CyclotomicNumber):
-            if not self.rs.compatible(other.rs):
+            if other.rs is not self.rs and not self.rs.compatible(other.rs):
                 raise BackendMismatch("cyclotomic scalars from different root systems")
             return other
         if isinstance(other, (int, Fraction)):
@@ -272,32 +301,42 @@ class CyclotomicNumber:
         return None
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self):
         """The rational value if the element is rational, else None."""
-        if all(c == 0 for c in self.coeffs[1:]):
-            return self.coeffs[0]
+        if not any(self.nums[1:]):
+            return Fraction(self.nums[0], self.den)
         return None
 
     # -- arithmetic --------------------------------------------------------------
+
+    def _combine(self, o, sign):
+        """self + sign * o: numerators add directly over a shared denominator."""
+        da, db = self.den, o.den
+        if da == db:
+            nums = tuple(a + sign * b for a, b in zip(self.nums, o.nums))
+        else:
+            nums = tuple(a * db + sign * b * da for a, b in zip(self.nums, o.nums))
+            da *= db
+        return _from_ints(self.rs, nums, da)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CyclotomicNumber(self.rs, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._combine(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.rs, tuple(-a for a in self.coeffs))
+        return _from_ints(self.rs, tuple(-a for a in self.nums), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CyclotomicNumber(self.rs, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._combine(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -309,14 +348,9 @@ class CyclotomicNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self.rs.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        return CyclotomicNumber(self.rs, _reduce_mod(prod, self.rs.modulus, d))
+        rs = self.rs
+        prod = _poly_mul(self.nums, o.nums)
+        return _from_ints(rs, _reduce_mod(prod, rs.modulus, rs.degree), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -330,19 +364,18 @@ class CyclotomicNumber:
                 p.pop()
             return p
 
-        # invariant: r_i = t_i * f modulo the modulus; the gcd is a nonzero
-        # constant because the modulus is irreducible over Q
-        r0 = trim([Fraction(c) for c in self.rs.modulus])
-        r1 = trim(list(self.coeffs))
-        t0, t1 = [Fraction(0)], [Fraction(1)]
+        # invariant: r_i = t_i * (den * self) modulo the modulus; the gcd is a
+        # nonzero constant because the modulus is irreducible over Q
+        r0 = trim(list(self.rs.modulus))
+        r1 = trim(list(self.nums))
+        t0, t1 = [0], [1]
         while len(r1) > 1:
-            q, rem = _frac_poly_divmod(r0, r1)
+            q, rem = _poly_divmod(r0, r1)
             r0, r1 = r1, trim(rem)
-            t0, t1 = t1, trim(_frac_poly_sub(t0, _frac_poly_mul(q, t1)))
+            t0, t1 = t1, trim(_poly_sub(t0, _poly_mul(q, t1)))
             assert r1, "zero remainder while inverting in an irreducible quotient"
-        c = r1[0]
-        inv_coeffs = [x / c for x in t1]
-        return CyclotomicNumber(self.rs, _reduce_mod(inv_coeffs, self.rs.modulus, self.rs.degree))
+        scale = Fraction(self.den) / r1[0]
+        return CyclotomicNumber(self.rs, [x * scale for x in t1])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -376,10 +409,10 @@ class CyclotomicNumber:
     def __eq__(self, other):
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        return self.rs.compatible(other.rs) and self.coeffs == other.coeffs
+        return self.rs.compatible(other.rs) and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.rs.key(), self.coeffs))
+        return hash((self.rs.key(), self.nums, self.den))
 
     def __repr__(self):
         terms = []
@@ -395,15 +428,18 @@ class CyclotomicNumber:
         return " + ".join(terms) if terms else "0"
 
 
-def _frac_poly_divmod(num, den):
-    num = [Fraction(c) for c in num]
+# polynomial helpers on coefficient lists (index = power) of ints or Fractions
+
+def _poly_divmod(num, den):
+    """(quotient, remainder) of num by den; a monic den keeps integer inputs in integers."""
+    num = list(num)
     dden = len(den) - 1
     lead = den[-1]
     if len(num) - 1 < dden:
-        return [Fraction(0)], num
-    out = [Fraction(0)] * (len(num) - dden)
+        return [0], num
+    out = [0] * (len(num) - dden)
     for i in range(len(num) - 1, dden - 1, -1):
-        c = num[i] / lead
+        c = num[i] if lead == 1 else Fraction(num[i]) / lead
         if c:
             out[i - dden] = c
             for j, d in enumerate(den):
@@ -411,8 +447,8 @@ def _frac_poly_divmod(num, den):
     return out, num[:dden]
 
 
-def _frac_poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else [Fraction(0)]
+def _poly_mul(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -420,10 +456,10 @@ def _frac_poly_mul(a, b):
     return out
 
 
-def _frac_poly_sub(a, b):
+def _poly_sub(a, b):
     n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
+    a = list(a) + [0] * (n - len(a))
+    b = list(b) + [0] * (n - len(b))
     return [x - y for x, y in zip(a, b)]
 
 

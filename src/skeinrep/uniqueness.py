@@ -470,10 +470,10 @@ def uniqueness_experiment(config: ExperimentConfig) -> ExperimentReport:
     base intertwiners M_j against the first variant, compose M_j M_i^{-1}
     into an intertwiner for every pair i < j (:func:`_pair_matrix`), and
     verify each pair's residual (the largest of
-    :func:`intertwiner_residuals`) and its double-precision condition
-    estimate.  Any failed certificate, oversized residual or failed
-    invariant round-trip marks the report failed with full reproduction
-    data.
+    :func:`intertwiner_residuals`; a pair (0, j) takes its certificate's)
+    and its double-precision condition estimate.  Any failed certificate,
+    oversized residual or failed invariant round-trip marks the report
+    failed with full reproduction data.
     """
     rs = make_root_system(config.N, "bigfloat", config.precision_bits)
     rng = random.Random(config.seed)
@@ -513,10 +513,11 @@ def uniqueness_experiment(config: ExperimentConfig) -> ExperimentReport:
             if not failures:
                 for i in range(len(reps) - 1):
                     for j in range(i + 1, len(reps)):
-                        m = base_certs[j].matrix
+                        # a base pair's residuals are its certificate's own
+                        m, res = base_certs[j].matrix, base_certs[j].worst_residual
                         if i:
                             m = _pair_matrix(m, base_certs[i].matrix, rs)
-                        res = max(intertwiner_residuals(m, reps[i], reps[j]).values())
+                            res = max(intertwiner_residuals(m, reps[i], reps[j]).values())
                         cond = _condition_estimate(matrices.to_complex128(m))
                         worst_residual = max(worst_residual, res)
                         pairs_checked += 1

@@ -1,7 +1,8 @@
+import json
 import operator
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from pathlib import Path
 
 import mpmath
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import skeinrep
 from skeinrep.chebyshev import solve_chebyshev
 from skeinrep.errors import BackendMismatch, SkeinError, UnsupportedExactOperation, VanishingDivisor
-from skeinrep.expressions import normalize, parse
+from skeinrep.expressions import normalize, parse, random_word_expression
 from skeinrep.scalars import (
     BigComplex,
     CyclotomicNumber,
@@ -26,7 +27,7 @@ from skeinrep.scalars import (
     solve_quadratic,
 )
 from skeinrep.serialize import scalar_from_json, scalar_to_json
-from skeinrep.surfaces import TORUS1
+from skeinrep.surfaces import SPHERE4, TORUS0, TORUS1, sphere_k
 
 
 def random_exact(rs, rng, height=9):
@@ -38,7 +39,7 @@ def random_exact(rs, rng, height=9):
 # root system construction
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [2, 6, 10, 14, 18, 22])
+@pytest.mark.parametrize("n", [2, 6, 10, 14, 18, 22, 202, 998])
 def test_cyclotomic_polynomial_matches_sympy(n):
     ours = cyclotomic_polynomial(n)
     theirs = sympy.Poly(sympy.cyclotomic_poly(n, sympy.Symbol("x")), sympy.Symbol("x"))
@@ -151,6 +152,118 @@ def test_canonical_form_association(ca, cb, cc):
     c = CyclotomicNumber(rs, tuple(Fraction(c) for c in cc))
     assert ((a + b) + c).coeffs == (a + (b + c)).coeffs
     assert ((a * b) * c).coeffs == (a * (b * c)).coeffs
+
+
+def reference_convolve(ca, cb):
+    prod = [Fraction(0)] * (len(ca) + len(cb) - 1)
+    for i, x in enumerate(ca):
+        for j, y in enumerate(cb):
+            prod[i + j] += x * y
+    return prod
+
+
+def reference_mul(ca, cb, modulus):
+    """Fraction product of two coefficient vectors, reduced modulo the monic modulus."""
+    d = len(modulus) - 1
+    prod = reference_convolve(ca, cb)
+    for i in range(len(prod) - 1, d - 1, -1):
+        for j in range(d):
+            prod[i - d + j] -= prod[i] * modulus[j]
+    return tuple(prod[:d])
+
+
+def reference_pow(c, e, modulus):
+    acc = (Fraction(1),) + (Fraction(0),) * (len(modulus) - 2)
+    for _ in range(e):
+        acc = reference_mul(acc, c, modulus)
+    return acc
+
+
+@st.composite
+def exact_pairs(draw):
+    """Two exact scalars: free denominators, one shared denominator, or b = +/-a."""
+    rs = make_root_system(draw(st.sampled_from([3, 5, 7, 9, 15])))
+    nums = st.lists(st.integers(-30, 30), min_size=rs.degree, max_size=rs.degree)
+    dens = st.integers(1, 12)
+    mode = draw(st.sampled_from(["free", "shared", "cancel"]))
+    if mode == "free":
+        a, b = (CyclotomicNumber(rs, [Fraction(n, draw(dens)) for n in draw(nums)]) for _ in range(2))
+    else:
+        den = draw(dens)
+        a, b = (CyclotomicNumber(rs, [Fraction(n, den) for n in draw(nums)]) for _ in range(2))
+        if mode == "cancel":
+            b = a if draw(st.booleans()) else -a
+    return rs, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_pairs(), st.integers(-3, 4))
+def test_exact_ops_match_fraction_reference(pair, e):
+    rs, a, b = pair
+    ca, cb, mod = a.coeffs, b.coeffs, rs.modulus
+    assert (a + b).coeffs == tuple(x + y for x, y in zip(ca, cb))
+    assert (a - b).coeffs == tuple(x - y for x, y in zip(ca, cb))
+    assert (-a).coeffs == tuple(-x for x in ca)
+    assert (a * b).coeffs == reference_mul(ca, cb, mod)
+    if not b.is_zero():
+        assert reference_mul((a / b).coeffs, cb, mod) == ca
+    if e >= 0:
+        assert (a ** e).coeffs == reference_pow(ca, e, mod)
+    elif not a.is_zero():
+        assert reference_mul((a ** e).coeffs, reference_pow(ca, -e, mod), mod) == rs.one.coeffs
+    for value in (a + b, a - b, a * b):
+        assert value.den > 0 and gcd(value.den, *value.nums) == 1
+    # equal values built by other routes hash alike
+    product = a * b
+    for other in (b * a, a * (b + rs.one) - a, CyclotomicNumber(rs, reference_convolve(ca, cb)),
+                  CyclotomicNumber(rs, reference_mul(ca, cb, mod))):
+        assert other == product and hash(other) == hash(product)
+    for value in (a, a + b, a - b, product):
+        obj = scalar_to_json(value)
+        back = scalar_from_json(rs, obj)
+        assert back == value
+        assert json.dumps(scalar_to_json(back)) == json.dumps(obj)
+
+
+@pytest.mark.parametrize("a,b,nums,den", [
+    # one shared denominator, then a gcd that clears it
+    ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(-1, 2)), (1, 0), 1),
+    ((Fraction(1, 6), Fraction(1, 3)), (Fraction(5, 6), Fraction(2, 3)), (1, 1), 1),
+    # cross-multiplied denominators 2 and 6, reduced from 12 to 6
+    ((Fraction(1, 2), Fraction(0)), (Fraction(1, 3), Fraction(1, 6)), (5, 1), 6),
+    # cancellation to the canonical zero
+    ((Fraction(3, 4), Fraction(1, 4)), (Fraction(-3, 4), Fraction(-1, 4)), (0, 0), 1),
+])
+def test_exact_sum_reduces_to_lowest_terms(a, b, nums, den):
+    rs = make_root_system(3)
+    total = CyclotomicNumber(rs, a) + CyclotomicNumber(rs, b)
+    assert (total.nums, total.den) == (nums, den)
+    assert total.coeffs == tuple(p + q for p, q in zip(a, b))
+
+
+def test_exact_arithmetic_builds_no_fraction(monkeypatch):
+    """Sums, products, negation, comparison and exact normalize stay on integers."""
+    rs = make_root_system(5)
+    rng = random.Random(3)
+    values = [random_exact(rs, rng) for _ in range(6)] + [rs.A, rs.zero, rs.scalar(Fraction(2, 3))]
+    words = [parse(random_word_expression(surface, random.Random(9)), surface, make_root_system(3))
+             for surface in (TORUS1, TORUS0, SPHERE4, sphere_k(3))]
+    made = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    results = []
+    for a in values:
+        for b in values:
+            results.append((a + b, a - b, a * b, -a, a == b, hash(a), a.is_zero(), 2 * a, a - 1))
+    for expr in words:
+        for order in ("leftmost", "rightmost"):
+            normalize(expr, order=order)
+    assert not made
 
 
 def test_division_by_zero_is_reported():
