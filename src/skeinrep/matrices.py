@@ -4,14 +4,16 @@ Matrices are numpy object arrays whose entries are scalars of a single root
 system.  Products, sums, the T_n recurrence and residuals go through
 :func:`kernel`, the one place that picks a backend's working format: the
 object arrays themselves (exact), or the libmp pairs the entries hold
-(bigfloat).  Bigfloat entries are read once at the working precision, dot
-products and sums make the same libmp calls as ``BigComplex`` arithmetic,
-in the same order, and only the results are wrapped back into
-``BigComplex``, so every entry is bit-identical to the entrywise object
-arithmetic.  The scalar read-outs (:func:`read_scalar_matrix`,
-:func:`scalar_deviation`, :func:`scalar_residual`) likewise read each entry's
-pair once and give the decisions, messages and floats of their entrywise
-``approx_eq`` and ``BigComplex`` forms.
+(bigfloat).  Bigfloat entries are read once at the working precision, and
+dot products and sums round as ``BigComplex`` arithmetic rounds, in the same
+order: products on Python ints with libmp's rounding (:func:`_add`), sums
+with ``mpf_add``.  Only the results are wrapped back into ``BigComplex``, so
+every entry is bit-identical to the entrywise object arithmetic.  The
+scalar read-outs (:func:`read_scalar_matrix`, :func:`scalar_deviation`,
+:func:`scalar_residual`) likewise read each entry's pair once and give the
+decisions, messages and floats of their entrywise ``approx_eq`` and
+``BigComplex`` forms, deciding magnitudes from the parts' exponents and
+taking ``mpc_abs`` only near a cut.
 
 Bigfloat rank and nullspace decisions come from one SVD at the root
 system's working precision: singular values below rel_eps * sigma_max count
@@ -28,12 +30,11 @@ from functools import partial
 import numpy as np
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (fone, from_float, fzero, mpc_abs, mpc_sub, mpf_add, mpf_gt, mpf_lt, mpf_mul,
-                          mpf_sub, to_float)
+from mpmath.libmp import fzero, mpc_abs, mpc_sub, mpf_add, mpf_gt, mpf_mul, mpf_sub, to_float
 
 from .errors import NonScalarChebyshev, VanishingDivisor
-from .scalars import (RND, CyclotomicNumber, RootSystem, approx_eq, from_pair,
-                      numeric_bridge, working_pair)
+from .scalars import (RND, CyclotomicNumber, RootSystem, approx_eq, below_cut, from_pair,
+                      magnitude_exponent, numeric_bridge, working_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -112,49 +113,153 @@ def _wrap(rs, rows):
     return out
 
 
+# an entry with an inf or nan part, which the native product leaves to libmp
+_SPECIAL = object()
+
+
+def _ints(z):
+    """(re man, re exp, im man, im exp) of a raw pair, mantissas signed.
+
+    None for an exact zero, ``_SPECIAL`` when a part is inf or nan.
+    """
+    if z is None:
+        return None
+    (rsign, rman, rexp, _), (isign, iman, iexp, _) = z
+    if (not rman and rexp) or (not iman and iexp):
+        return _SPECIAL
+    return (-rman if rsign else rman), rexp, (-iman if isign else iman), iexp
+
+
+def _add(m1, e1, m2, e2, prec):
+    """``mpf_add`` of m1 2^e1 and m2 2^e2 at ``prec`` bits, on signed mantissas.
+
+    Returns the signed mantissa and exponent of the rounded, normalized sum.
+    The exact sum is rounded half to even and stripped of trailing zeros, as
+    libmp's ``normalize`` does.  When one operand's exponent exceeds the
+    other's by more than 100 and its leading bit lies more than prec + 4 bits
+    above, libmp replaces the smaller operand by one unit of its sign,
+    prec + 4 bits below the last bit of the larger one, and so does this.  A
+    zero operand leaves the other one rounded.
+    """
+    if not m1:
+        m, e = m2, e2
+    elif not m2:
+        m, e = m1, e1
+    else:
+        d = e1 - e2
+        if d > 0:
+            if d > 100 and m1.bit_length() - m2.bit_length() + d > prec + 4:
+                m, e = (m1 << prec + 4) + (1 if m2 > 0 else -1), e1 - prec - 4
+            else:
+                m, e = (m1 << d) + m2, e2
+        elif d < 0:
+            if d < -100 and m2.bit_length() - m1.bit_length() - d > prec + 4:
+                m, e = (m2 << prec + 4) + (1 if m1 > 0 else -1), e2 - prec - 4
+            else:
+                m, e = m1 + (m2 << -d), e1
+        else:
+            m, e = m1 + m2, e1
+    if not m:
+        return 0, 0
+    man = -m if m < 0 else m
+    n = man.bit_length() - prec
+    if n > 0:
+        t = man >> n - 1
+        if t & 1 and (t & 2 or man & (1 << n - 1) - 1):
+            man = (t >> 1) + 1
+        else:
+            man = t >> 1
+        e += n
+    if not man & 1:
+        z = (man & -man).bit_length() - 1
+        man >>= z
+        e += z
+    return (-man if m < 0 else man), e
+
+
+def _mpf(m, e):
+    """The normalized ``_mpf_`` tuple of a signed mantissa and exponent from ``_add``."""
+    if m < 0:
+        return 1, -m, e, (-m).bit_length()
+    return (0, m, e, m.bit_length()) if m else fzero
+
+
+def _libmp_entry(a_row, b_rows, j, c, prec):
+    """Entry j of a row of A B - C by ``BigComplex``'s libmp calls, for inf and nan parts."""
+    acc_re = acc_im = None
+    for a, b_row in zip(a_row, b_rows):
+        b = b_row[j]
+        if a is None or b is None:
+            continue
+        (ar, ai), (br, bi) = a, b
+        re = mpf_sub(mpf_mul(ar, br), mpf_mul(ai, bi), prec, RND)
+        im = mpf_add(mpf_mul(ar, bi), mpf_mul(ai, br), prec, RND)
+        if acc_re is None:
+            acc_re, acc_im = re, im
+        else:
+            acc_re = mpf_add(acc_re, re, prec, RND)
+            acc_im = mpf_add(acc_im, im, prec, RND)
+    if c is not None:
+        if acc_re is None:
+            acc_re = acc_im = fzero
+        acc_re = mpf_sub(acc_re, c[0], prec, RND)
+        acc_im = mpf_sub(acc_im, c[1], prec, RND)
+    if acc_re is None or (acc_re == fzero and acc_im == fzero):
+        return None
+    return acc_re, acc_im
+
+
 def _raw_product(a_rows, b_rows, prec, minus=None):
     """Raw rows of A B, or of A B - C when ``minus`` holds the rows of C.
 
-    Each dot product runs over the nonzero entries of the row of A, in
-    increasing column order, as ``acc += a * b`` does on mpc values: the
-    complex product is four exact ``mpf_mul`` followed by one rounded
-    subtraction (real part) and one rounded addition (imaginary part), and
-    each accumulation is one rounded ``mpf_add`` per part.  A zero term
-    leaves a rounded accumulator unchanged, and mpmath has no signed zero,
-    so skipping exact zeros moves no bit; neither does starting the sum at
-    the first term instead of at 0.  The fused subtraction is one rounded
-    ``mpf_sub`` per part, as ``BigComplex.__sub__`` performs it.
+    Every entry has the bits of ``acc += a * b`` on mpc values over the
+    nonzero entries of the row of A, in increasing column order: each part
+    of a complex product is two exact mantissa products and one rounded
+    ``mpf_sub`` (real) or ``mpf_add`` (imaginary), and each accumulation and
+    the fused subtraction of C are one rounded ``mpf_add`` or ``mpf_sub`` per
+    part, as ``BigComplex`` makes them.  These run on Python ints through
+    :func:`_add`.  A zero term leaves a rounded accumulator unchanged, and
+    mpmath has no signed zero, so skipping exact zeros moves no bit; neither
+    does starting the sum at the first term instead of at 0.  An entry whose
+    row of A, column of B or entry of C holds inf or nan makes the libmp
+    calls themselves.
     """
-    m = len(b_rows[0])
-    cols = range(m)
+    b_ints = [[_ints(z) for z in row] for row in b_rows]
+    special_cols = {j for row in b_ints for j, z in enumerate(row) if z is _SPECIAL}
+    cols = range(len(b_rows[0]))
     out = []
     for i, a_row in enumerate(a_rows):
-        terms = [(b_rows[l], z[0], z[1]) for l, z in enumerate(a_row) if z is not None]
+        a_ints = [_ints(z) for z in a_row]
+        special_row = any(z is _SPECIAL for z in a_ints)
+        terms = [(b_row, z) for b_row, z in zip(b_ints, a_ints) if z is not None]
+        c_row = None if minus is None else minus[i]
         row = []
         for j in cols:
-            acc_re = acc_im = None
-            for b_row, ar, ai in terms:
+            c = None if c_row is None else c_row[j]
+            c_ints = _ints(c)
+            if special_row or j in special_cols or c_ints is _SPECIAL:
+                row.append(_libmp_entry(a_row, b_rows, j, c, prec))
+                continue
+            re = im = None
+            for b_row, (ar, er, ai, ei) in terms:
                 b = b_row[j]
                 if b is None:
                     continue
-                br, bi = b
-                re = mpf_sub(mpf_mul(ar, br), mpf_mul(ai, bi), prec, RND)
-                im = mpf_add(mpf_mul(ar, bi), mpf_mul(ai, br), prec, RND)
-                if acc_re is None:
-                    acc_re, acc_im = re, im
+                br, fr, bi, fi = b
+                tr, te = _add(ar * br, er + fr, -ai * bi, ei + fi, prec)
+                ti, tf = _add(ar * bi, er + fi, ai * br, ei + fr, prec)
+                if re is None:
+                    re, e, im, f = tr, te, ti, tf
                 else:
-                    acc_re = mpf_add(acc_re, re, prec, RND)
-                    acc_im = mpf_add(acc_im, im, prec, RND)
-            c = None if minus is None else minus[i][j]
-            if c is not None:
-                if acc_re is None:
-                    acc_re = acc_im = fzero
-                acc_re = mpf_sub(acc_re, c[0], prec, RND)
-                acc_im = mpf_sub(acc_im, c[1], prec, RND)
-            if acc_re is None or (acc_re == fzero and acc_im == fzero):
-                row.append(None)
-            else:
-                row.append((acc_re, acc_im))
+                    re, e = _add(re, e, tr, te, prec)
+                    im, f = _add(im, f, ti, tf, prec)
+            if c_ints is not None:
+                cr, cre, ci, cie = c_ints
+                if re is None:
+                    re = e = im = f = 0
+                re, e = _add(re, e, -cr, cre, prec)
+                im, f = _add(im, f, -ci, cie, prec)
+            row.append(None if re is None or not (re or im) else (_mpf(re, e), _mpf(im, f)))
         out.append(row)
     return out
 
@@ -183,15 +288,20 @@ def _raw_worst(rows, prec):
     """(exactly zero, float magnitude of the largest entry) of raw rows.
 
     The largest ``mpc_abs`` is found as a raw mpf and rounded to float once,
-    as ``float(mpf)`` rounds it.
+    as ``float(mpf)`` rounds it.  An entry whose magnitude exponent lies 2 or
+    more below the largest one cannot exceed that entry's ``mpc_abs``, so
+    only the others take it; with an inf or nan part every entry does.
     """
+    found = [(magnitude_exponent(z), z) for row in rows for z in row
+             if z is not None and z != _RAW_ZERO]
+    exps = [e for e, _ in found]
+    cut = max(exps) - 1 if found and None not in exps else None
     worst = fzero
-    for row in rows:
-        for z in row:
-            if z is not None:
-                mag = mpc_abs(z, prec, RND)
-                if mpf_gt(mag, worst):
-                    worst = mag
+    for e, z in found:
+        if cut is None or e >= cut:
+            mag = mpc_abs(z, prec, RND)
+            if mpf_gt(mag, worst):
+                worst = mag
     return worst == fzero, to_float(worst, rnd=RND)
 
 
@@ -304,27 +414,17 @@ def _first_nonscalar_entry(mat, mean, rel_eps):
     """(i, j) of the first entry, row by row, that ``approx_eq`` rejects against mean * Id.
 
     The comparison is ``approx_eq``'s, |x - y| < rel_eps * max(1, |x|, |y|),
-    on each entry's working pair: |mean| is taken once, an off-diagonal
-    entry (y = 0, so |x - y| = |x|) takes one ``mpc_abs`` and a diagonal
-    entry two, |x - mean| and |x|.
+    on each entry's working pair through :func:`below_cut`: a diagonal entry
+    compares x - mean against x and mean, an off-diagonal entry (y = 0) x
+    against itself.
     """
     prec = mean.rs.precision_bits
     m = working_pair(mean.pair, prec)
-    eps = from_float(rel_eps)
-    unit_cut = mpf_mul(eps, fone, prec, RND)
-    mean_abs = mpc_abs(m, prec, RND)
-    mean_scale = mean_abs if mpf_gt(mean_abs, fone) else fone
     for i, row in enumerate(mat):
         for j, e in enumerate(row):
             x = working_pair(e.pair, prec)
-            if i == j:
-                diff = mpc_abs(mpc_sub(x, m, prec, RND), prec, RND)
-                mag = mpc_abs(x, prec, RND)
-                cut = mpf_mul(eps, mag if mpf_gt(mag, mean_scale) else mean_scale, prec, RND)
-            else:
-                diff = mpc_abs(x, prec, RND)
-                cut = mpf_mul(eps, diff, prec, RND) if mpf_gt(diff, fone) else unit_cut
-            if not mpf_lt(diff, cut):
+            d, scales = (mpc_sub(x, m, prec, RND), (x, m)) if i == j else (x, (x,))
+            if not below_cut(d, scales, rel_eps, prec):
                 return i, j
     return None
 

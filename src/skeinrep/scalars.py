@@ -14,7 +14,9 @@ backends are provided:
   Every operation, coercion, power of A and root calls libmp at the working
   precision with mpmath's round-to-nearest, giving the bits of the ``mpc``
   expression at that context precision; the matrix kernel in
-  :mod:`matrices` works on the same pairs with the same calls.
+  :mod:`matrices` works on the same pairs and rounds them the same way.
+  Magnitude decisions read the parts' exponents first
+  (:func:`magnitude_exponent`) and take ``mpc_abs`` only near a cut.
 
 ``is_zero()`` is the one zero test of a divisor (``|d| < rel_eps * (1 + |d|)``
 for a bigfloat); every refusal to divide raises :class:`VanishingDivisor`.
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, isqrt, lcm
+from math import frexp, gcd, inf, isqrt, lcm
 from typing import Union
 
 import mpmath
@@ -45,6 +47,10 @@ DEFAULT_PRECISION_BITS = 256
 # mpmath 1.3's context has no public rounding setter and always rounds to
 # nearest, so this is the mode of mpc arithmetic at any context precision
 RND = round_nearest
+
+_ZERO_PAIR = (fzero, fzero)
+# the smallest normal float: is_zero's exponent bounds hold for any tolerance above it
+_MIN_NORMAL = 2.0 ** -1022
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +155,7 @@ class RootSystem:
         return f"RootSystem(N={self.N}, bigfloat@{self.precision_bits})"
 
     def compatible(self, other: "RootSystem") -> bool:
-        return self.key() == other.key()
+        return other is self or self.key() == other.key()
 
     # -- construction of scalars -----------------------------------------------
 
@@ -509,8 +515,23 @@ class BigComplex:
         return mpc_abs(working_pair(self.pair, prec), prec, RND)
 
     def is_zero(self) -> bool:
+        """|d| < rel_eps * (1 + |d|) on floats, settled from the exponents when far from the cut.
+
+        With 2^(k-1) <= rel_eps < 2^k: E <= k - 3 puts |d| below 2^(k-2), under
+        the cut; E >= k + 2 puts it at or above 2^(k+1), over the cut once
+        rel_eps < 1/2.  Only the four exponents between take ``mpc_abs``.
+        """
         eps = self.rs.tolerance.rel_eps
-        mag = to_float(self._abs(), rnd=RND)
+        prec = self.rs.precision_bits
+        z = working_pair(self.pair, prec)
+        e = magnitude_exponent(z)
+        if e is not None and _MIN_NORMAL <= eps < 0.5:
+            k = frexp(eps)[1]
+            if e <= k - 3:
+                return True
+            if e >= k + 2:
+                return False
+        mag = to_float(mpc_abs(z, prec, RND), rnd=RND)
         return mag < eps * (1.0 + mag)
 
     def magnitude(self):
@@ -596,6 +617,66 @@ def from_pair(rs: RootSystem, pair) -> BigComplex:
     return z
 
 
+def magnitude_exponent(pair):
+    """E with 2^(E-1) <= |z| < 2^(E+1), read from the parts' exp + bc; None for 0, inf or nan.
+
+    A nonzero part lies in [2^(exp+bc-1), 2^(exp+bc)), and |z| is at least
+    its larger part and below sqrt(2) times it.  The bounds are powers of
+    two, so ``mpc_abs`` rounded to nearest also lies in [2^(E-1), 2^(E+1)].
+    """
+    (_, rm, re, rb), (_, im, ie, ib) = pair
+    if rm:
+        if im:
+            return max(re + rb, ie + ib)
+        return None if ie else re + rb
+    return ie + ib if im and not re else None
+
+
+def _settled_below(d, scales, rel_eps):
+    """:func:`below_cut` when the exponents settle it, else None.
+
+    With 2^(k-1) <= rel_eps < 2^k and 2^lo <= max(1, |s|, ...) <= 2^hi, the
+    cut lies in [2^(k-1+lo), 2^(k+hi)] and |d| in [2^(E-1), 2^(E+1)].
+    """
+    if not 0.0 < rel_eps < inf:
+        return None
+    lo = hi = 0
+    for s in scales:
+        e = magnitude_exponent(s)
+        if e is not None:
+            lo, hi = max(lo, e - 1), max(hi, e + 1)
+        elif s != _ZERO_PAIR:
+            return None
+    e = magnitude_exponent(d)
+    if e is None:
+        return True if d == _ZERO_PAIR else None
+    k = frexp(rel_eps)[1]
+    if e + 2 < k + lo:
+        return True
+    if e - 1 >= k + hi:
+        return False
+    return None
+
+
+def below_cut(d, scales, rel_eps, prec):
+    """|d| < rel_eps * max(1, |s| for s in ``scales``) on working pairs: ``approx_eq``'s decision.
+
+    Each magnitude is one rounded ``mpc_abs`` and the cut one rounded
+    product, but the parts' exponents settle the decision unless |d| lies
+    within a factor of about 4 of the cut; only then are the magnitudes
+    taken.
+    """
+    settled = _settled_below(d, scales, rel_eps)
+    if settled is not None:
+        return settled
+    scale = fone
+    for s in scales:
+        mag = mpc_abs(s, prec, RND)
+        if mpf_gt(mag, scale):
+            scale = mag
+    return mpf_lt(mpc_abs(d, prec, RND), mpf_mul(from_float(rel_eps), scale, prec, RND))
+
+
 def working_pair(pair, prec):
     """``pair`` with each part wider than ``prec`` bits rounded to ``prec``.
 
@@ -642,13 +723,7 @@ def approx_eq(a: Scalar, b: Scalar, tol: Tolerance = None) -> bool:
     o = a._coerce(b)
     prec = a.rs.precision_bits
     x, y = working_pair(a.pair, prec), working_pair(o.pair, prec)
-    diff = mpc_abs(mpc_sub(x, y, prec, RND), prec, RND)
-    scale = fone
-    for mag in (mpc_abs(x, prec, RND), mpc_abs(y, prec, RND)):
-        if mpf_gt(mag, scale):
-            scale = mag
-    eps = from_float((tol or a.rs.tolerance).rel_eps)
-    return mpf_lt(diff, mpf_mul(eps, scale, prec, RND))
+    return below_cut(mpc_sub(x, y, prec, RND), (x, y), (tol or a.rs.tolerance).rel_eps, prec)
 
 
 def solve_quadratic(a: Scalar, b: Scalar, c: Scalar):

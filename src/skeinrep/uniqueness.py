@@ -470,10 +470,10 @@ def uniqueness_experiment(config: ExperimentConfig) -> ExperimentReport:
     base intertwiners M_j against the first variant, compose M_j M_i^{-1}
     into an intertwiner for every pair i < j (:func:`_pair_matrix`), and
     verify each pair's residual (the largest of
-    :func:`intertwiner_residuals`; a pair (0, j) takes its certificate's)
-    and its double-precision condition estimate.  Any failed certificate,
-    oversized residual or failed invariant round-trip marks the report
-    failed with full reproduction data.
+    :func:`intertwiner_residuals`) and its double-precision condition
+    estimate; a pair (0, j) takes both from its certificate.  Any failed
+    certificate, oversized residual or failed invariant round-trip marks the
+    report failed with full reproduction data.
     """
     rs = make_root_system(config.N, "bigfloat", config.precision_bits)
     rng = random.Random(config.seed)
@@ -513,12 +513,13 @@ def uniqueness_experiment(config: ExperimentConfig) -> ExperimentReport:
             if not failures:
                 for i in range(len(reps) - 1):
                     for j in range(i + 1, len(reps)):
-                        # a base pair's residuals are its certificate's own
-                        m, res = base_certs[j].matrix, base_certs[j].worst_residual
+                        # a base pair's residuals and condition estimate are its certificate's own
+                        base = base_certs[j]
+                        res, cond = base.worst_residual, base.condition_estimate
                         if i:
-                            m = _pair_matrix(m, base_certs[i].matrix, rs)
+                            m = _pair_matrix(base.matrix, base_certs[i].matrix, rs)
                             res = max(intertwiner_residuals(m, reps[i], reps[j]).values())
-                        cond = _condition_estimate(matrices.to_complex128(m))
+                            cond = _condition_estimate(matrices.to_complex128(m))
                         worst_residual = max(worst_residual, res)
                         pairs_checked += 1
                         if not math.isfinite(cond):

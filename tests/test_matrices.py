@@ -6,10 +6,13 @@ read-outs and the object-array intertwiner defect that the kernel replaced,
 and the mpmath-matrix inversion that ``matrices.inverse`` wraps.
 Every comparison is on the ``_mpf_`` tuples of each entry, or on the
 residual floats.  The nullspace tests plant singular values on either side
-of the working-precision cut rel_eps * sigma_max.
+of the working-precision cut rel_eps * sigma_max.  The native-int rounding
+is checked against the libmp calls it replaced, and the exponent-first
+read-outs against ``mpc_abs``, with hypothesis.
 """
 
 import dataclasses
+import math
 import pathlib
 import random
 import re
@@ -18,14 +21,20 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import (finf, fnan, fninf, from_man_exp, fzero, mpc_abs, mpc_sub, mpf_add, mpf_gt,
+                          mpf_mul, mpf_sub, to_float)
 
 import skeinrep
 from skeinrep import matrices
+from skeinrep import scalars as scalars_module
 from skeinrep.chebyshev import chebyshev_eval
 from skeinrep.errors import NonScalarChebyshev, VanishingDivisor
 from skeinrep.invariants import commuting_system
-from skeinrep.scalars import BigComplex, CyclotomicNumber, Tolerance, approx_eq, make_root_system
+from skeinrep.scalars import (RND, BigComplex, CyclotomicNumber, Tolerance, approx_eq, from_pair,
+                              make_root_system)
 from skeinrep.sphere import build_sphere_rep
 from skeinrep.torus import build_torus_rep, torus_params_exact, torus_params_from_shadow
 from skeinrep.uniqueness import (gauge_orbit, intertwiner_residuals, intertwiner_search,
@@ -714,3 +723,262 @@ def test_kernel_round_trip_and_arithmetic(backend):
     assert k.worst(k.product(k.unpack(two), k.unpack(two), minus=four)) == (True, 0.0)
     assert k.worst(k.unpack(two)) == (False, 2.0)
 
+
+# ---------------------------------------------------------------------------
+# native-int rounding against the libmp call sequence
+# ---------------------------------------------------------------------------
+
+PRECS = (64, 256, 512)
+SPECIALS = (finf, fninf, fnan)
+
+
+def libmp_product(a_rows, b_rows, prec, minus=None):
+    """The libmp product that the native kernel replaced: mpc_mul's calls, then one mpf_add per part."""
+    out = []
+    for i, a_row in enumerate(a_rows):
+        row = []
+        for j in range(len(b_rows[0])):
+            acc_re = acc_im = None
+            for a, b_row in zip(a_row, b_rows):
+                b = b_row[j]
+                if a is None or b is None:
+                    continue
+                (ar, ai), (br, bi) = a, b
+                re = mpf_sub(mpf_mul(ar, br), mpf_mul(ai, bi), prec, RND)
+                im = mpf_add(mpf_mul(ar, bi), mpf_mul(ai, br), prec, RND)
+                if acc_re is None:
+                    acc_re, acc_im = re, im
+                else:
+                    acc_re, acc_im = mpf_add(acc_re, re, prec, RND), mpf_add(acc_im, im, prec, RND)
+            c = None if minus is None else minus[i][j]
+            if c is not None:
+                if acc_re is None:
+                    acc_re = acc_im = fzero
+                acc_re, acc_im = mpf_sub(acc_re, c[0], prec, RND), mpf_sub(acc_im, c[1], prec, RND)
+            zero = acc_re is None or (acc_re == fzero and acc_im == fzero)
+            row.append(None if zero else (acc_re, acc_im))
+        out.append(row)
+    return out
+
+
+def signed(x):
+    sign, man, exp, _ = x
+    return (-man if sign else man), exp
+
+
+@st.composite
+def finite_mpf(draw, prec, top=None):
+    """A normalized finite nonzero mpf; ``top`` fixes exp + bc."""
+    bits = draw(st.sampled_from([1, 2, 3, prec - 1, prec, prec + 1, 2 * prec]))
+    if draw(st.booleans()):
+        man = (1 << bits) - 1
+    else:
+        man = draw(st.integers(0, (1 << bits) - 1)) | 1 | (1 << (bits - 1))
+    exp = draw(st.integers(-3 * prec, 3 * prec)) if top is None else top - bits
+    return (draw(st.integers(0, 1)), man, exp, bits)
+
+
+@st.composite
+def add_operands(draw):
+    """(prec, s, t) for mpf_add(s, t, prec): overlapping, cancelling, carrying and far-apart pairs."""
+    prec = draw(st.sampled_from(PRECS))
+    s = draw(finite_mpf(prec))
+    kind = draw(st.sampled_from(["near", "cancel", "carry", "gap", "zero"]))
+    sign, man, exp, bc = s
+    if kind == "cancel":
+        return prec, s, (1 - sign, man, exp, bc)
+    if kind == "carry":
+        # prec + 1 ones round up to a power of two
+        return prec, (sign, (1 << prec) - 1, exp, prec), (sign, 1, exp - 1, 1)
+    if kind == "zero":
+        return prec, s, fzero
+    if kind == "near":
+        t = draw(finite_mpf(prec, top=exp + bc + draw(st.integers(-3, 3))))
+        return prec, s, t
+    if draw(st.booleans()):
+        # a few units from a rounding midpoint, where libmp's stand-in for a
+        # far smaller operand can round otherwise than the exact sum
+        r = draw(st.sampled_from([8, prec // 2, prec]))
+        hi = draw(st.integers(1 << (prec - 1), (1 << prec) - 1))
+        man, bc = (hi << r | 1 << (r - 1)) + draw(st.sampled_from([-3, -1, 1, 3])), prec + r
+        s = (sign, man, exp, bc)
+    # exponent gaps either side of 100, leading bits either side of prec + 4 apart
+    offset = draw(st.sampled_from([99, 100, 101, 102, 180, 700]))
+    delta = draw(st.sampled_from([prec + 3, prec + 4, prec + 5, prec + 60, 40]))
+    tbc = bc + offset - delta
+    assume(tbc >= 1)
+    tman = draw(st.integers(0, (1 << tbc) - 1)) | 1 | (1 << (tbc - 1))
+    t = (draw(st.integers(0, 1)), tman, exp - offset, tbc)
+    return (prec, t, s) if draw(st.booleans()) else (prec, s, t)
+
+
+@settings(max_examples=400, deadline=None)
+@given(add_operands())
+def test_native_add_matches_mpf_add(operands):
+    prec, s, t = operands
+    neg_t = (1 - t[0],) + t[1:] if t[1] else t
+    for x, y in ((s, t), (t, s), (s, neg_t)):
+        got = matrices._mpf(*matrices._add(*signed(x), *signed(y), prec))
+        assert got == mpf_add(x, y, prec, RND), (prec, x, y)
+    assert matrices._mpf(*matrices._add(*signed(s), *signed(t), prec)) == mpf_sub(s, neg_t, prec, RND)
+
+
+@st.composite
+def raw_factors(draw):
+    """(prec, A rows, B rows, C rows or None) over pairs from ``add_operands``, zeros and specials."""
+    prec = draw(st.sampled_from(PRECS))
+    n, k, m = (draw(st.integers(1, 3)) for _ in range(3))
+
+    def part():
+        kind = draw(st.sampled_from(["finite", "finite", "finite", "zero", "special"]))
+        if kind == "zero":
+            return fzero
+        return draw(st.sampled_from(SPECIALS)) if kind == "special" else draw(finite_mpf(prec))
+
+    def rows(r, c, specials):
+        out = []
+        for _ in range(r):
+            row = []
+            for _ in range(c):
+                z = (part(), part())
+                if not specials and any(p[1] == 0 and p[2] for p in z):
+                    z = (fzero, fzero)
+                row.append(None if z == (fzero, fzero) else z)
+            out.append(row)
+        return out
+
+    specials = draw(st.integers(0, 4)) == 0
+    minus = rows(n, m, specials) if draw(st.booleans()) else None
+    return prec, rows(n, k, specials), rows(k, m, specials), minus
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_factors())
+def test_raw_product_matches_libmp_oracle(factors):
+    prec, a, b, c = factors
+    assert matrices._raw_product(a, b, prec, minus=c) == libmp_product(a, b, prec, minus=c)
+
+
+def test_raw_product_rounds_gaps_and_carries_like_libmp():
+    """Terms that cancel, carry to a power of two, or lie past libmp's prec + 4 perturbation.
+
+    Entry (0, 1) adds about 3 * 2^-656 to 1 - 2^-256: an exponent gap above
+    100 with leading bits more than prec + 4 apart.
+    """
+    prec = 256
+    one = (0, 1, 0, 1)
+    ones = (0, (1 << prec) - 1, -prec, prec)
+    half_ulp = (0, 1, -prec - 1, 1)
+    far = (1, 3, -prec - 400, 2)
+    a = [[(ones, fzero), (half_ulp, far)], [(one, one), (one, one)]]
+    b = [[(one, fzero), (one, far)], [(one, fzero), (far, one)]]
+    c = [[(half_ulp, far), None], [((1, 1, 1, 1), fzero), None]]
+    got = matrices._raw_product(a, b, prec, minus=c)
+    assert got == libmp_product(a, b, prec, minus=c)
+    # (1 - 2^-256) + 2^-257 carries to 1, and taking 2^-257 off again rounds back to 1
+    assert got[0][0][0] == (0, 1, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# exponent-first read-outs against mpc_abs
+# ---------------------------------------------------------------------------
+
+def mpc_approx_eq(x, y, rel_eps):
+    """approx_eq's rule on mpc values: |x - y| < rel_eps * max(1, |x|, |y|)."""
+    with mp.workprec(x.rs.precision_bits):
+        diff = abs(x.mpc() - y.mpc())
+        return diff < mp.mpf(rel_eps) * max(mp.mpf(1), abs(x.mpc()), abs(y.mpc()))
+
+
+def mpc_first_nonscalar_entry(mat, rs, tol):
+    rel_eps = (tol or rs.tolerance).rel_eps
+    mean = matrices._diagonal_mean(mat, rs)
+    return next(((i, j) for (i, j), e in np.ndenumerate(mat)
+                 if not mpc_approx_eq(e, mean if i == j else rs.zero, rel_eps)), None)
+
+
+def mpc_worst(rows, prec):
+    """The largest mpc_abs over every entry, rounded to float once."""
+    worst = fzero
+    for row in rows:
+        for z in row:
+            if z is not None:
+                mag = mpc_abs(z, prec, RND)
+                if mpf_gt(mag, worst):
+                    worst = mag
+    return worst == fzero, to_float(worst, rnd=RND)
+
+
+@st.composite
+def near_cut_entry(draw, rs, log2_mag):
+    """A scalar of magnitude about 2^log2_mag: one part zero, tied exponents or apart; or zero."""
+    prec = rs.precision_bits
+    kind = draw(st.sampled_from(["zero", "real", "imag", "tied", "apart"]))
+    if kind == "zero":
+        return rs.zero
+
+    def part(log2):
+        bits = draw(st.sampled_from([1, prec - 1, prec]))
+        man = draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1
+        return from_man_exp(-man if draw(st.booleans()) else man, log2 - bits + draw(st.integers(-1, 1)))
+
+    re, im = part(log2_mag), part(log2_mag - (0 if kind == "tied" else draw(st.integers(0, 8))))
+    return from_pair(rs, (fzero if kind == "imag" else re, fzero if kind == "real" else im))
+
+
+@st.composite
+def near_scalar_matrices(draw):
+    """(rs, tol, 3x3 matrix): mean * Id with up to three entries moved by about the cut."""
+    rs = rs_of(3, draw(st.sampled_from([64, 256])))
+    tol = draw(st.sampled_from([None, Tolerance(1e-20)]))
+    k = math.frexp((tol or rs.tolerance).rel_eps)[1]
+    anchor = draw(st.sampled_from([0, k, 3]))
+    mat = matrices.scalar_matrix(draw(near_cut_entry(rs, anchor)), 3)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        step = k + (max(0, anchor) if i == j else 0) + draw(st.integers(-6, 6))
+        mat[i, j] = mat[i, j] + draw(near_cut_entry(rs, step))
+    return rs, tol, mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_scalar_matrices())
+def test_read_outs_match_mpc_abs_near_the_cut(case):
+    rs, tol, mat = case
+    bad = mpc_first_nonscalar_entry(mat, rs, tol)
+    try:
+        matrices.read_scalar_matrix(mat, rs, tol)
+        assert bad is None
+    except NonScalarChebyshev as exc:
+        assert bad is not None and str(exc).startswith(f"entry {bad} = ")
+    prec = rs.precision_bits
+    rows = matrices._raw_rows(mat, prec)
+    assert matrices._raw_worst(rows, prec) == mpc_worst(rows, prec)
+    mean = matrices._diagonal_mean(mat, rs)
+    shifted = [[mpc_sub(z or (fzero, fzero), mean.pair, prec, RND) if i == j else z
+                for j, z in enumerate(row)] for i, row in enumerate(rows)]
+    assert matrices.scalar_deviation(mat, rs)[1] == mpc_worst(shifted, prec)[1]
+
+
+def test_kernel_makes_no_libmp_arithmetic_calls(monkeypatch):
+    """Finite products round on ints, and read-outs far from the cut take no mpc_abs."""
+    rs = rs_of(5)
+    rng = random.Random(17)
+    a, b = dense(rs, rng, 4, 4), dense(rs, rng, 4, 4)
+    a[1, 2] = rs.zero
+    rep = torus_rep(3, 18)
+    calls = []
+
+    def counting(name):
+        return lambda *args: calls.append(name)
+
+    for name in ("mpf_add", "mpf_sub", "mpf_mul", "mpc_abs"):
+        monkeypatch.setattr(matrices, name, counting(name))
+    monkeypatch.setattr(scalars_module, "mpc_abs", counting("scalars.mpc_abs"))
+    matrices.matmul(a, b)
+    matrices.chebyshev_matrix(5, a)
+    t = matrices.chebyshev_matrix(3, rep.matrix("X1"))
+    matrices.read_scalar_matrix(t, rep.rs)
+    with pytest.raises(NonScalarChebyshev):
+        matrices.read_scalar_matrix(a, rs)
+    assert not calls

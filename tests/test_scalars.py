@@ -2,7 +2,7 @@ import json
 import operator
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import frexp, gcd, isqrt
 from pathlib import Path
 
 import mpmath
@@ -10,8 +10,10 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, fzero
 
 import skeinrep
+from skeinrep import scalars
 from skeinrep.chebyshev import solve_chebyshev
 from skeinrep.errors import BackendMismatch, SkeinError, UnsupportedExactOperation, VanishingDivisor
 from skeinrep.expressions import normalize, parse, random_word_expression
@@ -21,6 +23,7 @@ from skeinrep.scalars import (
     Tolerance,
     approx_eq,
     cyclotomic_polynomial,
+    from_pair,
     make_root_system,
     nth_root,
     numeric_bridge,
@@ -683,3 +686,78 @@ def test_bigfloat_repr_is_bare():
     assert repr(rs.one) == "1.0 + 0.0j"
     assert repr(rs.scalar(complex(1.5, -0.25))) == "1.5 - 0.25j"
 
+
+# ---------------------------------------------------------------------------
+# exponent-first magnitude decisions against mpc_abs
+# ---------------------------------------------------------------------------
+
+@st.composite
+def near_cut_scalars(draw, rs, log2_mag):
+    """A bigfloat scalar of magnitude about 2^log2_mag, or an exact zero.
+
+    The parts may be one zero, tied in exponent, or apart; mantissas are
+    short or full, and all-ones mantissas sit just under a power of two.
+    """
+    prec = rs.precision_bits
+    kind = draw(st.sampled_from(["zero", "real", "imag", "tied", "apart"]))
+    if kind == "zero":
+        return rs.zero
+
+    def part(log2):
+        bits = draw(st.sampled_from([1, 3, prec - 1, prec]))
+        man = (1 << bits) - 1 if draw(st.booleans()) else draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1
+        exp = log2 - bits + draw(st.integers(-1, 1))
+        return from_man_exp(-man if draw(st.booleans()) else man, exp)
+
+    re = part(log2_mag)
+    im = part(log2_mag if kind == "tied" else log2_mag - draw(st.integers(0, 8)))
+    if kind == "real":
+        im = fzero
+    elif kind == "imag":
+        re = fzero
+    return from_pair(rs, (re, im))
+
+
+@st.composite
+def near_cut_cases(draw):
+    """(rs, tol, a, b): |a| within 2^+-6 of rel_eps or of 1, and |a - b| within 2^+-6 of the cut."""
+    rs = make_root_system(3, "bigfloat", draw(st.sampled_from([64, 256])))
+    tol = draw(st.sampled_from([None, Tolerance(1e-20)]))
+    k = frexp((tol or rs.tolerance).rel_eps)[1]
+    anchor = draw(st.sampled_from([k, 0]))
+    a = draw(near_cut_scalars(rs, anchor + draw(st.integers(-6, 6))))
+    if draw(st.integers(0, 5)) == 0:
+        return rs, tol, a, rs.zero
+    d = draw(near_cut_scalars(rs, k + max(0, anchor) + draw(st.integers(-6, 6))))
+    return rs, tol, a, a + d
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_cut_cases())
+def test_exponent_decisions_match_mpc_abs(case):
+    rs, tol, a, b = case
+    eps = rs.tolerance.rel_eps
+    for x in (a, b, a - b):
+        with mpmath.mp.workprec(rs.precision_bits):
+            mag = float(abs(x.mpc()))
+        assert x.is_zero() == (mag < eps * (1.0 + mag)), x
+    assert approx_eq(a, b, tol) == _reference_approx_eq(a, b, tol), (a, b)
+    assert approx_eq(b, a) == _reference_approx_eq(b, a, None), (a, b)
+
+
+def test_far_decisions_take_no_mpc_abs(monkeypatch):
+    """is_zero and approx_eq settle values far from their cuts from the exponents alone."""
+    rs = make_root_system(3, "bigfloat", 256)
+    eps = rs.tolerance.rel_eps
+    values = [rs.scalar(complex(0.3, -1.7)), rs.scalar(1e30), rs.scalar(complex(0, eps / 64)),
+              rs.scalar(eps * 64), rs.A]
+    pairs = [(x, x + rs.scalar(eps / 64)) for x in values] + [(x, x * 2) for x in values]
+    calls = []
+    monkeypatch.setattr(scalars, "mpc_abs", lambda *args: calls.append(args))
+    zeros = [x.is_zero() for x in values]
+    same = [approx_eq(x, y) for x, y in pairs] + [approx_eq(x, y, Tolerance(1e-20)) for x, y in pairs]
+    assert not calls
+    assert zeros == [False, False, True, False, False]
+    # x + eps / 64 passes every cut; 2x lies |x| away, within eps only for |x| = eps / 64,
+    # and within 1e-20 for 64 eps as well
+    assert same == [True] * 5 + [False, False, True, False, False] + [True] * 5 + [False, False, True, True, False]
