@@ -13,7 +13,7 @@ construction.
 from .chebyshev import ChebyshevPoly, ChebyshevRoots, chebyshev_coeffs, chebyshev_eval, solve_chebyshev
 from .errors import (BackendMismatch, DegenerateShadow, EigenstructureMismatch,
                      ExponentOverflow, IncompatiblePuncture, NoConsistentRoot,
-                     NonScalarChebyshev, ParseError, SkeinError, UnknownGenerator,
+                     NonFiniteScalar, NonScalarChebyshev, ParseError, SkeinError, UnknownGenerator,
                      UnsupportedExactOperation, VanishingCycle, VanishingDivisor)
 from .expressions import (NormalForm, RewriteSystem, SkeinExpr, evaluate,
                           evaluate_normal_form, normalize, parse, parse_scalar,

@@ -17,6 +17,10 @@ class VanishingDivisor(SkeinError, ZeroDivisionError):
     """A divisor is zero: exactly in Q(A), below the bigfloat zero threshold, or an LU pivot."""
 
 
+class NonFiniteScalar(SkeinError):
+    """A bigfloat value with an inf or nan part, refused where it enters a root system."""
+
+
 class DegenerateShadow(SkeinError):
     """A trace parameter sits at +/-2, where the eigenvalue ladder collapses."""
 

@@ -68,12 +68,14 @@ def ladder_matrices(rs, twist, x3, u, down, beta_plus=None, beta_minus=None):
         hi = x3 * rs.a_pow(twist * k - half)
         up_row = k if k < n else 0           # v_k -> v_{k+1}, wrapping to v_1
         up_scale = rs.one if k < n else u
+        # round-to-nearest is symmetric, so -(1 / d_k) has the bits of -1 / d_k
+        inv = rs.one / dk
         m1[up_row, k - 1] = m1[up_row, k - 1] + (-lo / dk) * up_scale
-        m2[up_row, k - 1] = m2[up_row, k - 1] + (-rs.one / dk) * up_scale
+        m2[up_row, k - 1] = m2[up_row, k - 1] + (-inv) * up_scale
         down_row = k - 2 if k >= 2 else n - 1  # v_k -> v_{k-1}, wrapping to v_N
         down_scale = down[k - 1] if k >= 2 else down[0] / u
         m1[down_row, k - 1] = m1[down_row, k - 1] + (hi / dk) * down_scale
-        m2[down_row, k - 1] = m2[down_row, k - 1] + (rs.one / dk) * down_scale
+        m2[down_row, k - 1] = m2[down_row, k - 1] + inv * down_scale
         if beta_plus is not None:
             bp, bm = beta_plus[k - 1], beta_minus[k - 1]
             m1[k - 1, k - 1] = m1[k - 1, k - 1] + (lo * bp - hi * bm) / dk

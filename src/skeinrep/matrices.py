@@ -6,8 +6,8 @@ system.  Products, sums, the T_n recurrence and residuals go through
 object arrays themselves (exact), or the libmp pairs the entries hold
 (bigfloat).  Bigfloat entries are read once at the working precision, and
 dot products and sums round as ``BigComplex`` arithmetic rounds, in the same
-order: products on Python ints with libmp's rounding (:func:`_add`), sums
-with ``mpf_add``.  Only the results are wrapped back into ``BigComplex``, so
+order and with the same primitive: ``scalars._add``, libmp's rounding on
+Python ints.  Only the results are wrapped back into ``BigComplex``, so
 every entry is bit-identical to the entrywise object arithmetic.  The
 scalar read-outs (:func:`read_scalar_matrix`, :func:`scalar_deviation`,
 :func:`scalar_residual`) likewise read each entry's pair once and give the
@@ -30,11 +30,11 @@ from functools import partial
 import numpy as np
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fzero, mpc_abs, mpc_sub, mpf_add, mpf_gt, mpf_mul, mpf_sub, to_float
+from mpmath.libmp import fzero, mpc_abs, mpf_gt, to_float
 
 from .errors import NonScalarChebyshev, VanishingDivisor
-from .scalars import (RND, CyclotomicNumber, RootSystem, approx_eq, below_cut, from_pair,
-                      magnitude_exponent, numeric_bridge, working_pair)
+from .scalars import (RND, CyclotomicNumber, RootSystem, _add, _ints, _mpf, approx_eq, below_cut,
+                      from_pair, magnitude_exponent, numeric_bridge, pair_add, pair_sub, working_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -113,133 +113,28 @@ def _wrap(rs, rows):
     return out
 
 
-# an entry with an inf or nan part, which the native product leaves to libmp
-_SPECIAL = object()
-
-
-def _ints(z):
-    """(re man, re exp, im man, im exp) of a raw pair, mantissas signed.
-
-    None for an exact zero, ``_SPECIAL`` when a part is inf or nan.
-    """
-    if z is None:
-        return None
-    (rsign, rman, rexp, _), (isign, iman, iexp, _) = z
-    if (not rman and rexp) or (not iman and iexp):
-        return _SPECIAL
-    return (-rman if rsign else rman), rexp, (-iman if isign else iman), iexp
-
-
-def _add(m1, e1, m2, e2, prec):
-    """``mpf_add`` of m1 2^e1 and m2 2^e2 at ``prec`` bits, on signed mantissas.
-
-    Returns the signed mantissa and exponent of the rounded, normalized sum.
-    The exact sum is rounded half to even and stripped of trailing zeros, as
-    libmp's ``normalize`` does.  When one operand's exponent exceeds the
-    other's by more than 100 and its leading bit lies more than prec + 4 bits
-    above, libmp replaces the smaller operand by one unit of its sign,
-    prec + 4 bits below the last bit of the larger one, and so does this.  A
-    zero operand leaves the other one rounded.
-    """
-    if not m1:
-        m, e = m2, e2
-    elif not m2:
-        m, e = m1, e1
-    else:
-        d = e1 - e2
-        if d > 0:
-            if d > 100 and m1.bit_length() - m2.bit_length() + d > prec + 4:
-                m, e = (m1 << prec + 4) + (1 if m2 > 0 else -1), e1 - prec - 4
-            else:
-                m, e = (m1 << d) + m2, e2
-        elif d < 0:
-            if d < -100 and m2.bit_length() - m1.bit_length() - d > prec + 4:
-                m, e = (m2 << prec + 4) + (1 if m1 > 0 else -1), e2 - prec - 4
-            else:
-                m, e = m1 + (m2 << -d), e1
-        else:
-            m, e = m1 + m2, e1
-    if not m:
-        return 0, 0
-    man = -m if m < 0 else m
-    n = man.bit_length() - prec
-    if n > 0:
-        t = man >> n - 1
-        if t & 1 and (t & 2 or man & (1 << n - 1) - 1):
-            man = (t >> 1) + 1
-        else:
-            man = t >> 1
-        e += n
-    if not man & 1:
-        z = (man & -man).bit_length() - 1
-        man >>= z
-        e += z
-    return (-man if m < 0 else man), e
-
-
-def _mpf(m, e):
-    """The normalized ``_mpf_`` tuple of a signed mantissa and exponent from ``_add``."""
-    if m < 0:
-        return 1, -m, e, (-m).bit_length()
-    return (0, m, e, m.bit_length()) if m else fzero
-
-
-def _libmp_entry(a_row, b_rows, j, c, prec):
-    """Entry j of a row of A B - C by ``BigComplex``'s libmp calls, for inf and nan parts."""
-    acc_re = acc_im = None
-    for a, b_row in zip(a_row, b_rows):
-        b = b_row[j]
-        if a is None or b is None:
-            continue
-        (ar, ai), (br, bi) = a, b
-        re = mpf_sub(mpf_mul(ar, br), mpf_mul(ai, bi), prec, RND)
-        im = mpf_add(mpf_mul(ar, bi), mpf_mul(ai, br), prec, RND)
-        if acc_re is None:
-            acc_re, acc_im = re, im
-        else:
-            acc_re = mpf_add(acc_re, re, prec, RND)
-            acc_im = mpf_add(acc_im, im, prec, RND)
-    if c is not None:
-        if acc_re is None:
-            acc_re = acc_im = fzero
-        acc_re = mpf_sub(acc_re, c[0], prec, RND)
-        acc_im = mpf_sub(acc_im, c[1], prec, RND)
-    if acc_re is None or (acc_re == fzero and acc_im == fzero):
-        return None
-    return acc_re, acc_im
-
-
 def _raw_product(a_rows, b_rows, prec, minus=None):
     """Raw rows of A B, or of A B - C when ``minus`` holds the rows of C.
 
     Every entry has the bits of ``acc += a * b`` on mpc values over the
     nonzero entries of the row of A, in increasing column order: each part
-    of a complex product is two exact mantissa products and one rounded
-    ``mpf_sub`` (real) or ``mpf_add`` (imaginary), and each accumulation and
-    the fused subtraction of C are one rounded ``mpf_add`` or ``mpf_sub`` per
-    part, as ``BigComplex`` makes them.  These run on Python ints through
-    :func:`_add`.  A zero term leaves a rounded accumulator unchanged, and
-    mpmath has no signed zero, so skipping exact zeros moves no bit; neither
-    does starting the sum at the first term instead of at 0.  An entry whose
-    row of A, column of B or entry of C holds inf or nan makes the libmp
-    calls themselves.
+    of a complex product is two exact mantissa products and one rounded sum,
+    and each accumulation and the fused subtraction of C are one rounded sum
+    per part, as ``BigComplex`` makes them (:func:`scalars.pair_mul`,
+    :func:`scalars.pair_add`).  All run on Python ints through
+    ``scalars._add``.  A zero term leaves a rounded accumulator unchanged,
+    and mpmath has no signed zero, so skipping exact zeros moves no bit;
+    neither does starting the sum at the first term instead of at 0.
     """
     b_ints = [[_ints(z) for z in row] for row in b_rows]
-    special_cols = {j for row in b_ints for j, z in enumerate(row) if z is _SPECIAL}
     cols = range(len(b_rows[0]))
     out = []
     for i, a_row in enumerate(a_rows):
-        a_ints = [_ints(z) for z in a_row]
-        special_row = any(z is _SPECIAL for z in a_ints)
-        terms = [(b_row, z) for b_row, z in zip(b_ints, a_ints) if z is not None]
+        terms = [(b_row, z) for b_row, z in zip(b_ints, map(_ints, a_row)) if z is not None]
         c_row = None if minus is None else minus[i]
         row = []
         for j in cols:
-            c = None if c_row is None else c_row[j]
-            c_ints = _ints(c)
-            if special_row or j in special_cols or c_ints is _SPECIAL:
-                row.append(_libmp_entry(a_row, b_rows, j, c, prec))
-                continue
+            c_ints = None if c_row is None else _ints(c_row[j])
             re = im = None
             for b_row, (ar, er, ai, ei) in terms:
                 b = b_row[j]
@@ -267,19 +162,14 @@ def _raw_product(a_rows, b_rows, prec, minus=None):
 def _raw_sum(a_rows, b_rows, prec):
     """Raw rows of A + B, rounded as ``BigComplex.__add__`` rounds each entry.
 
-    Each part is one rounded ``mpf_add``, with an exact zero read as 0.
+    Each entry is one ``scalars.pair_add``, with an exact zero read as 0.
     """
     out = []
     for a_row, b_row in zip(a_rows, b_rows):
         row = []
         for a, b in zip(a_row, b_row):
-            if a is None and b is None:
-                row.append(None)
-                continue
-            ar, ai = a or _RAW_ZERO
-            br, bi = b or _RAW_ZERO
-            re, im = mpf_add(ar, br, prec, RND), mpf_add(ai, bi, prec, RND)
-            row.append(None if re == fzero and im == fzero else (re, im))
+            z = None if a is None and b is None else pair_add(a or _RAW_ZERO, b or _RAW_ZERO, prec)
+            row.append(None if z == _RAW_ZERO else z)
         out.append(row)
     return out
 
@@ -290,15 +180,14 @@ def _raw_worst(rows, prec):
     The largest ``mpc_abs`` is found as a raw mpf and rounded to float once,
     as ``float(mpf)`` rounds it.  An entry whose magnitude exponent lies 2 or
     more below the largest one cannot exceed that entry's ``mpc_abs``, so
-    only the others take it; with an inf or nan part every entry does.
+    only the others take it.
     """
-    found = [(magnitude_exponent(z), z) for row in rows for z in row
-             if z is not None and z != _RAW_ZERO]
-    exps = [e for e, _ in found]
-    cut = max(exps) - 1 if found and None not in exps else None
+    found = [(e, z) for row in rows for z in row
+             if z is not None and (e := magnitude_exponent(z)) is not None]
+    cut = max((e for e, _ in found), default=0) - 1
     worst = fzero
     for e, z in found:
-        if cut is None or e >= cut:
+        if e >= cut:
             mag = mpc_abs(z, prec, RND)
             if mpf_gt(mag, worst):
                 worst = mag
@@ -423,7 +312,7 @@ def _first_nonscalar_entry(mat, mean, rel_eps):
     for i, row in enumerate(mat):
         for j, e in enumerate(row):
             x = working_pair(e.pair, prec)
-            d, scales = (mpc_sub(x, m, prec, RND), (x, m)) if i == j else (x, (x,))
+            d, scales = (pair_sub(x, m, prec), (x, m)) if i == j else (x, (x,))
             if not below_cut(d, scales, rel_eps, prec):
                 return i, j
     return None
@@ -461,7 +350,7 @@ def scalar_residual(mat, s):
     target = working_pair(s.pair, prec)
     rows = _raw_rows(mat, prec)
     for i, row in enumerate(rows):
-        row[i] = mpc_sub(row[i] or _RAW_ZERO, target, prec, RND)
+        row[i] = pair_sub(row[i] or _RAW_ZERO, target, prec)
     return _raw_worst(rows, prec)
 
 

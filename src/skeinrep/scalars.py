@@ -10,13 +10,14 @@ backends are provided:
   inverse's Euclid and the ``coeffs`` read-out build Fractions); the form is
   canonical, so equality is field equality.
 * ``bigfloat``: arbitrary-precision complex numbers at a fixed number of
-  bits, with A = exp(i*pi/N).  Each is one libmp pair of ``_mpf_`` tuples.
-  Every operation, coercion, power of A and root calls libmp at the working
-  precision with mpmath's round-to-nearest, giving the bits of the ``mpc``
-  expression at that context precision; the matrix kernel in
-  :mod:`matrices` works on the same pairs and rounds them the same way.
-  Magnitude decisions read the parts' exponents first
-  (:func:`magnitude_exponent`) and take ``mpc_abs`` only near a cut.
+  bits, with A = exp(i*pi/N).  Each is one libmp pair of finite ``_mpf_``
+  tuples (:func:`finite_pair` refuses inf and nan where values enter).
+  Sums, differences and products round on Python ints through :func:`_add`,
+  which the matrix kernel in :mod:`matrices` shares; the rest calls libmp.
+  Every operation gives the bits of the ``mpc`` expression at the working
+  precision with mpmath's round-to-nearest.  Magnitude decisions read the
+  parts' exponents first (:func:`magnitude_exponent`) and take ``mpc_abs``
+  only near a cut.
 
 ``is_zero()`` is the one zero test of a divisor (``|d| < rel_eps * (1 + |d|)``
 for a bigfloat); every refusal to divide raises :class:`VanishingDivisor`.
@@ -35,12 +36,11 @@ from typing import Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (fone, from_float, from_int, fzero, mpc_abs, mpc_add, mpc_div, mpc_expjpi,
-                          mpc_mul, mpc_neg, mpc_nthroot, mpc_pow_int, mpc_sqrt, mpc_sub, mpc_to_str,
-                          mpf_div, mpf_gt, mpf_lt, mpf_mul, mpf_pos, round_nearest, to_float,
-                          to_str)
+from mpmath.libmp import (fone, from_float, from_int, fzero, mpc_abs, mpc_div, mpc_expjpi, mpc_neg,
+                          mpc_nthroot, mpc_pow_int, mpc_sqrt, mpc_to_str, mpf_div, mpf_gt, mpf_lt,
+                          mpf_mul, mpf_pos, round_nearest, to_float, to_str)
 
-from .errors import BackendMismatch, UnsupportedExactOperation, VanishingDivisor
+from .errors import BackendMismatch, NonFiniteScalar, UnsupportedExactOperation, VanishingDivisor
 
 DEFAULT_PRECISION_BITS = 256
 
@@ -48,7 +48,6 @@ DEFAULT_PRECISION_BITS = 256
 # nearest, so this is the mode of mpc arithmetic at any context precision
 RND = round_nearest
 
-_ZERO_PAIR = (fzero, fzero)
 # the smallest normal float: is_zero's exponent bounds hold for any tolerance above it
 _MIN_NORMAL = 2.0 ** -1022
 
@@ -96,8 +95,8 @@ class Tolerance:
     rel_eps: float
 
     def __post_init__(self):
-        if self.rel_eps < 0:
-            raise ValueError("rel_eps must be nonnegative")
+        if not 0.0 <= self.rel_eps < inf:
+            raise ValueError(f"rel_eps must be finite and nonnegative, got {self.rel_eps}")
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +174,8 @@ class RootSystem:
     def scalar(self, value):
         """Coerce an int, Fraction, float or complex into this backend.
 
-        An ``mpf`` or ``mpc`` is kept as given in the bigfloat backend.
+        An ``mpf`` or ``mpc`` is kept as given in the bigfloat backend.  A
+        value with an inf or nan part raises :class:`NonFiniteScalar`.
         """
         if isinstance(value, (CyclotomicNumber, BigComplex)):
             if not self.compatible(value.rs):
@@ -199,7 +199,7 @@ class RootSystem:
             pair = value._mpc_
         else:
             raise TypeError(f"cannot place {type(value).__name__} in the bigfloat backend")
-        return from_pair(self, pair)
+        return from_pair(self, finite_pair(pair))
 
     def a_pow(self, k: int):
         """A^k, canonically reduced.  Exponents live modulo 2N."""
@@ -476,17 +476,18 @@ def _poly_sub(a, b):
 class BigComplex:
     """Arbitrary-precision complex number pinned to its root system's precision.
 
-    The value is one libmp pair ``(re, im)`` of ``_mpf_`` tuples, kept as
-    given.  Every operation reads both parts at the working precision
-    (:func:`working_pair`) and makes the libmp call that ``mpc`` arithmetic
-    at that context precision makes, so results carry the same bits.
+    The value is one libmp pair ``(re, im)`` of finite ``_mpf_`` tuples,
+    kept as given.  Every operation reads both parts at the working
+    precision (:func:`working_pair`) and rounds as ``mpc`` arithmetic at
+    that context precision does: + - * on ints (:func:`pair_mul`), the rest
+    by libmp's own calls.
     """
 
     __slots__ = ("rs", "pair")
 
     def __init__(self, rs: RootSystem, re, im):
         self.rs = rs
-        self.pair = (re._mpf_, im._mpf_)
+        self.pair = finite_pair((re._mpf_, im._mpf_))
 
     re = property(lambda self: mp.make_mpf(self.pair[0]))
     im = property(lambda self: mp.make_mpf(self.pair[1]))
@@ -544,32 +545,32 @@ class BigComplex:
         if o is None:
             return NotImplemented
         a, b = (o, self) if reflected else (self, o)
-        if fn is mpc_div:
+        if fn is _pair_div:
             b._check_divisor()
         prec = self.rs.precision_bits
-        return from_pair(self.rs, fn(working_pair(a.pair, prec), working_pair(b.pair, prec), prec, RND))
+        return from_pair(self.rs, fn(working_pair(a.pair, prec), working_pair(b.pair, prec), prec))
 
     def __add__(self, other):
-        return self._apply(mpc_add, other)
+        return self._apply(pair_add, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._apply(mpc_sub, other)
+        return self._apply(pair_sub, other)
 
     def __rsub__(self, other):
-        return self._apply(mpc_sub, other, reflected=True)
+        return self._apply(pair_sub, other, reflected=True)
 
     def __mul__(self, other):
-        return self._apply(mpc_mul, other)
+        return self._apply(pair_mul, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._apply(mpc_div, other)
+        return self._apply(_pair_div, other)
 
     def __rtruediv__(self, other):
-        return self._apply(mpc_div, other, reflected=True)
+        return self._apply(_pair_div, other, reflected=True)
 
     def __neg__(self):
         # the rounding of a negated part is the negated rounding
@@ -610,15 +611,120 @@ class BigComplex:
 
 
 def from_pair(rs: RootSystem, pair) -> BigComplex:
-    """The BigComplex holding the libmp pair ``pair`` as given."""
+    """The BigComplex holding the finite libmp pair ``pair`` as given."""
     z = object.__new__(BigComplex)
     z.rs = rs
     z.pair = pair
     return z
 
 
+def finite_pair(pair):
+    """``pair`` as given, or raise :class:`NonFiniteScalar` if a part is inf or nan."""
+    (_, rm, re, _), (_, im, ie, _) = pair
+    if (re and not rm) or (ie and not im):  # libmp's inf and nan: zero mantissa, nonzero exponent
+        raise NonFiniteScalar(f"scalar {mpc_to_str(pair, 8)} is not finite")
+    return pair
+
+
+# ---------------------------------------------------------------------------
+# finite pairs: one int rounding for sums, differences and products; magnitudes from exponents
+# ---------------------------------------------------------------------------
+
+def _ints(z):
+    """(re man, re exp, im man, im exp) of a finite pair, mantissas signed; None for None."""
+    if z is None:
+        return None
+    (rsign, rman, rexp, _), (isign, iman, iexp, _) = z
+    return (-rman if rsign else rman), rexp, (-iman if isign else iman), iexp
+
+
+def _add(m1, e1, m2, e2, prec):
+    """m1 2^e1 + m2 2^e2 rounded to ``prec`` bits as libmp adds two mpf values, on ints.
+
+    Returns the signed mantissa and exponent of the rounded, normalized sum.
+    The exact sum is rounded half to even and stripped of trailing zeros, as
+    libmp's ``normalize`` does.  When one operand's exponent exceeds the
+    other's by more than 100 and its leading bit lies more than prec + 4 bits
+    above, libmp replaces the smaller operand by one unit of its sign,
+    prec + 4 bits below the last bit of the larger one, and so does this.  A
+    zero operand leaves the other one rounded.
+    """
+    if not m1:
+        m, e = m2, e2
+    elif not m2:
+        m, e = m1, e1
+    else:
+        d = e1 - e2
+        if d > 0:
+            if d > 100 and m1.bit_length() - m2.bit_length() + d > prec + 4:
+                m, e = (m1 << prec + 4) + (1 if m2 > 0 else -1), e1 - prec - 4
+            else:
+                m, e = (m1 << d) + m2, e2
+        elif d < 0:
+            if d < -100 and m2.bit_length() - m1.bit_length() - d > prec + 4:
+                m, e = (m2 << prec + 4) + (1 if m1 > 0 else -1), e2 - prec - 4
+            else:
+                m, e = m1 + (m2 << -d), e1
+        else:
+            m, e = m1 + m2, e1
+    if not m:
+        return 0, 0
+    man = -m if m < 0 else m
+    n = man.bit_length() - prec
+    if n > 0:
+        t = man >> n - 1
+        if t & 1 and (t & 2 or man & (1 << n - 1) - 1):
+            man = (t >> 1) + 1
+        else:
+            man = t >> 1
+        e += n
+    if not man & 1:
+        z = (man & -man).bit_length() - 1
+        man >>= z
+        e += z
+    return (-man if m < 0 else man), e
+
+
+def _mpf(m, e):
+    """The normalized ``_mpf_`` tuple of a signed mantissa and exponent from ``_add``."""
+    if m < 0:
+        return 1, -m, e, (-m).bit_length()
+    return (0, m, e, m.bit_length()) if m else fzero
+
+
+def pair_add(x, y, prec):
+    """x + y for finite pairs at ``prec`` bits, as ``mpc`` adds: one rounded :func:`_add` per part."""
+    (xs, xm, xe, _), (xt, xn, xf, _) = x
+    (ys, ym, ye, _), (yt, yn, yf, _) = y
+    re, e = _add(-xm if xs else xm, xe, -ym if ys else ym, ye, prec)
+    im, f = _add(-xn if xt else xn, xf, -yn if yt else yn, yf, prec)
+    return _mpf(re, e), _mpf(im, f)
+
+
+def pair_sub(x, y, prec):
+    """x - y for finite pairs at ``prec`` bits, as ``mpc`` subtracts: one :func:`_add` per part."""
+    (xs, xm, xe, _), (xt, xn, xf, _) = x
+    (ys, ym, ye, _), (yt, yn, yf, _) = y
+    re, e = _add(-xm if xs else xm, xe, ym if ys else -ym, ye, prec)
+    im, f = _add(-xn if xt else xn, xf, yn if yt else -yn, yf, prec)
+    return _mpf(re, e), _mpf(im, f)
+
+
+def pair_mul(x, y, prec):
+    """x y at ``prec`` bits as ``mpc`` multiplies: per part, two exact products and one rounded :func:`_add`."""
+    ar, er, ai, ei = _ints(x)
+    br, fr, bi, fi = _ints(y)
+    re, e = _add(ar * br, er + fr, -ai * bi, ei + fi, prec)
+    im, f = _add(ar * bi, er + fi, ai * br, ei + fr, prec)
+    return _mpf(re, e), _mpf(im, f)
+
+
+def _pair_div(x, y, prec):
+    return mpc_div(x, y, prec, RND)
+
+
 def magnitude_exponent(pair):
-    """E with 2^(E-1) <= |z| < 2^(E+1), read from the parts' exp + bc; None for 0, inf or nan.
+    """E with 2^(E-1) <= |z| < 2^(E+1), read from the parts' exp + bc; None for zero.
 
     A nonzero part lies in [2^(exp+bc-1), 2^(exp+bc)), and |z| is at least
     its larger part and below sqrt(2) times it.  The bounds are powers of
@@ -626,10 +732,8 @@ def magnitude_exponent(pair):
     """
     (_, rm, re, rb), (_, im, ie, ib) = pair
     if rm:
-        if im:
-            return max(re + rb, ie + ib)
-        return None if ie else re + rb
-    return ie + ib if im and not re else None
+        return max(re + rb, ie + ib) if im else re + rb
+    return ie + ib if im else None
 
 
 def _settled_below(d, scales, rel_eps):
@@ -638,18 +742,16 @@ def _settled_below(d, scales, rel_eps):
     With 2^(k-1) <= rel_eps < 2^k and 2^lo <= max(1, |s|, ...) <= 2^hi, the
     cut lies in [2^(k-1+lo), 2^(k+hi)] and |d| in [2^(E-1), 2^(E+1)].
     """
-    if not 0.0 < rel_eps < inf:
+    if rel_eps == 0.0:
         return None
     lo = hi = 0
     for s in scales:
         e = magnitude_exponent(s)
         if e is not None:
             lo, hi = max(lo, e - 1), max(hi, e + 1)
-        elif s != _ZERO_PAIR:
-            return None
     e = magnitude_exponent(d)
     if e is None:
-        return True if d == _ZERO_PAIR else None
+        return True
     k = frexp(rel_eps)[1]
     if e + 2 < k + lo:
         return True
@@ -723,7 +825,7 @@ def approx_eq(a: Scalar, b: Scalar, tol: Tolerance = None) -> bool:
     o = a._coerce(b)
     prec = a.rs.precision_bits
     x, y = working_pair(a.pair, prec), working_pair(o.pair, prec)
-    return below_cut(mpc_sub(x, y, prec, RND), (x, y), (tol or a.rs.tolerance).rel_eps, prec)
+    return below_cut(pair_sub(x, y, prec), (x, y), (tol or a.rs.tolerance).rel_eps, prec)
 
 
 def solve_quadratic(a: Scalar, b: Scalar, c: Scalar):

@@ -2,7 +2,8 @@
 
 Exact scalars serialize as coefficient vectors of "num/den" strings;
 bigfloat scalars as decimal strings with enough digits to round-trip the
-binary value exactly.  Serialization is canonical: equal values produce
+binary value exactly; reading refuses "nan", "inf" and "-inf" with
+``NonFiniteScalar``.  Serialization is canonical: equal values produce
 byte-identical text.
 """
 
@@ -15,7 +16,7 @@ import numpy as np
 from mpmath.libmp import from_str, to_str
 
 from .representation import Representation
-from .scalars import RND, BigComplex, CyclotomicNumber, RootSystem, from_pair, make_root_system
+from .scalars import RND, BigComplex, CyclotomicNumber, RootSystem, finite_pair, from_pair, make_root_system
 from .surfaces import surface_from_tag
 
 
@@ -49,7 +50,7 @@ def scalar_from_json(rs: RootSystem, obj):
     if rs.backend != "bigfloat":
         raise ValueError("decimal scalar needs a bigfloat root system")
     prec = rs.precision_bits
-    return from_pair(rs, (from_str(obj["re"], prec, RND), from_str(obj["im"], prec, RND)))
+    return from_pair(rs, finite_pair((from_str(obj["re"], prec, RND), from_str(obj["im"], prec, RND))))
 
 
 def to_jsonable(value):

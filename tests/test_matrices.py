@@ -7,12 +7,15 @@ and the mpmath-matrix inversion that ``matrices.inverse`` wraps.
 Every comparison is on the ``_mpf_`` tuples of each entry, or on the
 residual floats.  The nullspace tests plant singular values on either side
 of the working-precision cut rel_eps * sigma_max.  The native-int rounding
+(``scalars._add``, which ``BigComplex`` sums, differences and products share)
 is checked against the libmp calls it replaced, and the exponent-first
 read-outs against ``mpc_abs``, with hypothesis.
 """
 
+import ast
 import dataclasses
 import math
+import operator
 import pathlib
 import random
 import re
@@ -24,8 +27,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import (finf, fnan, fninf, from_man_exp, fzero, mpc_abs, mpc_sub, mpf_add, mpf_gt,
-                          mpf_mul, mpf_sub, to_float)
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_abs, mpc_add, mpc_mul, mpc_sub, mpf_add,
+                          mpf_gt, mpf_mul, mpf_sub, to_float)
 
 import skeinrep
 from skeinrep import matrices
@@ -34,7 +37,7 @@ from skeinrep.chebyshev import chebyshev_eval
 from skeinrep.errors import NonScalarChebyshev, VanishingDivisor
 from skeinrep.invariants import commuting_system
 from skeinrep.scalars import (RND, BigComplex, CyclotomicNumber, Tolerance, approx_eq, from_pair,
-                              make_root_system)
+                              make_root_system, working_pair)
 from skeinrep.sphere import build_sphere_rep
 from skeinrep.torus import build_torus_rep, torus_params_exact, torus_params_from_shadow
 from skeinrep.uniqueness import (gauge_orbit, intertwiner_residuals, intertwiner_search,
@@ -702,6 +705,20 @@ def test_raw_kernel_names_stay_inside_matrices_module():
             assert found is None, f"{path.name} names {found.group()}"
 
 
+def test_one_rounding_primitive_lives_in_scalars():
+    # sums, differences and products of bigfloat pairs round through scalars._add alone,
+    # and no module keeps a path for inf or nan parts
+    package = pathlib.Path(skeinrep.__file__).parent
+    libmp_rounding = re.compile(r"\b(mpc_add|mpc_sub|mpc_mul|mpf_add|mpf_sub|_SPECIAL)\b")
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        found = libmp_rounding.search(text)
+        assert found is None, f"{path.name} names {found.group()}"
+        defined = {node.name for node in ast.parse(text).body if isinstance(node, ast.FunctionDef)}
+        primitives = defined & {"_add", "_ints", "_mpf"}
+        assert primitives == ({"_add", "_ints", "_mpf"} if path.name == "scalars.py" else set()), path.name
+
+
 def test_no_module_reads_the_context_rounding():
     # the rounding mode is libmp's round_nearest constant, not mpmath's private context state
     package = pathlib.Path(skeinrep.__file__).parent
@@ -729,7 +746,6 @@ def test_kernel_round_trip_and_arithmetic(backend):
 # ---------------------------------------------------------------------------
 
 PRECS = (64, 256, 512)
-SPECIALS = (finf, fninf, fnan)
 
 
 def libmp_product(a_rows, b_rows, prec, minus=None):
@@ -779,9 +795,9 @@ def finite_mpf(draw, prec, top=None):
 
 
 @st.composite
-def add_operands(draw):
+def add_operands(draw, prec=None):
     """(prec, s, t) for mpf_add(s, t, prec): overlapping, cancelling, carrying and far-apart pairs."""
-    prec = draw(st.sampled_from(PRECS))
+    prec = draw(st.sampled_from(PRECS)) if prec is None else prec
     s = draw(finite_mpf(prec))
     kind = draw(st.sampled_from(["near", "cancel", "carry", "gap", "zero"]))
     sign, man, exp, bc = s
@@ -818,38 +834,65 @@ def test_native_add_matches_mpf_add(operands):
     prec, s, t = operands
     neg_t = (1 - t[0],) + t[1:] if t[1] else t
     for x, y in ((s, t), (t, s), (s, neg_t)):
-        got = matrices._mpf(*matrices._add(*signed(x), *signed(y), prec))
+        got = scalars_module._mpf(*scalars_module._add(*signed(x), *signed(y), prec))
         assert got == mpf_add(x, y, prec, RND), (prec, x, y)
-    assert matrices._mpf(*matrices._add(*signed(s), *signed(t), prec)) == mpf_sub(s, neg_t, prec, RND)
+    got = scalars_module._mpf(*scalars_module._add(*signed(s), *signed(t), prec))
+    assert got == mpf_sub(s, neg_t, prec, RND)
+
+
+@st.composite
+def complex_operands(draw):
+    """(prec, x, y): pairs whose parts come from ``add_operands``.
+
+    A part may be zero or the other part, and y may be x or x with its parts
+    swapped, so that the products' real parts cancel exactly.
+    """
+    prec, xr, yr = draw(add_operands())
+    _, xi, yi = draw(add_operands(prec))
+    x = draw(st.sampled_from([(xr, xi), (xi, xr), (xr, fzero), (fzero, xi)]))
+    y = draw(st.sampled_from([(yr, yi), (yi, fzero), x, (x[1], x[0])]))
+    return prec, x, y
+
+
+@settings(max_examples=400, deadline=None)
+@given(complex_operands(), st.integers(-(1 << 70), 1 << 70))
+def test_bigcomplex_arithmetic_matches_libmp(operands, n):
+    """``BigComplex`` + - * in both orders, and with reflected ints, against mpc_add/mpc_sub/mpc_mul."""
+    prec, x, y = operands
+    rs = rs_of(3, prec)
+    a, b = from_pair(rs, x), from_pair(rs, y)
+    wx, wy, wn = working_pair(x, prec), working_pair(y, prec), (from_int(n, prec, RND), fzero)
+    cases = [(a + b, mpc_add, wx, wy), (b + a, mpc_add, wy, wx),
+             (a - b, mpc_sub, wx, wy), (b - a, mpc_sub, wy, wx),
+             (a * b, mpc_mul, wx, wy), (b * a, mpc_mul, wy, wx),
+             (n + a, mpc_add, wn, wx), (a + n, mpc_add, wx, wn),
+             (n - a, mpc_sub, wn, wx), (a - n, mpc_sub, wx, wn),
+             (n * a, mpc_mul, wn, wx), (a * n, mpc_mul, wx, wn)]
+    for got, fn, u, v in cases:
+        assert got.pair == fn(u, v, prec, RND), (prec, fn.__name__, u, v)
 
 
 @st.composite
 def raw_factors(draw):
-    """(prec, A rows, B rows, C rows or None) over pairs from ``add_operands``, zeros and specials."""
+    """(prec, A rows, B rows, C rows or None) over finite pairs and zeros."""
     prec = draw(st.sampled_from(PRECS))
     n, k, m = (draw(st.integers(1, 3)) for _ in range(3))
 
     def part():
-        kind = draw(st.sampled_from(["finite", "finite", "finite", "zero", "special"]))
-        if kind == "zero":
-            return fzero
-        return draw(st.sampled_from(SPECIALS)) if kind == "special" else draw(finite_mpf(prec))
+        return fzero if draw(st.integers(0, 3)) == 0 else draw(finite_mpf(prec))
 
-    def rows(r, c, specials):
+    def rows(r, c):
         out = []
         for _ in range(r):
             row = []
             for _ in range(c):
                 z = (part(), part())
-                if not specials and any(p[1] == 0 and p[2] for p in z):
-                    z = (fzero, fzero)
                 row.append(None if z == (fzero, fzero) else z)
             out.append(row)
         return out
 
-    specials = draw(st.integers(0, 4)) == 0
-    minus = rows(n, m, specials) if draw(st.booleans()) else None
-    return prec, rows(n, k, specials), rows(k, m, specials), minus
+    minus = rows(n, m) if draw(st.booleans()) else None
+    return prec, rows(n, k), rows(k, m), minus
 
 
 @settings(max_examples=300, deadline=None)
@@ -961,7 +1004,7 @@ def test_read_outs_match_mpc_abs_near_the_cut(case):
 
 
 def test_kernel_makes_no_libmp_arithmetic_calls(monkeypatch):
-    """Finite products round on ints, and read-outs far from the cut take no mpc_abs."""
+    """Products, sums and scalar + - * round on ints, and read-outs far from the cut take no mpc_abs."""
     rs = rs_of(5)
     rng = random.Random(17)
     a, b = dense(rs, rng, 4, 4), dense(rs, rng, 4, 4)
@@ -972,9 +1015,16 @@ def test_kernel_makes_no_libmp_arithmetic_calls(monkeypatch):
     def counting(name):
         return lambda *args: calls.append(name)
 
-    for name in ("mpf_add", "mpf_sub", "mpf_mul", "mpc_abs"):
-        monkeypatch.setattr(matrices, name, counting(name))
-    monkeypatch.setattr(scalars_module, "mpc_abs", counting("scalars.mpc_abs"))
+    monkeypatch.setattr(matrices, "mpc_abs", counting("mpc_abs"))
+    for name in ("mpc_abs", "mpf_mul", "mpf_pos"):
+        monkeypatch.setattr(scalars_module, name, counting(f"scalars.{name}"))
+    x, y = a[0, 0], b[0, 0]
+    for op in (operator.add, operator.sub, operator.mul):
+        op(x, y)
+        op(2, x)
+        op(x, 3)
+    k = matrices.kernel(rs)
+    k.add(k.unpack(a), k.unpack(b))
     matrices.matmul(a, b)
     matrices.chebyshev_matrix(5, a)
     t = matrices.chebyshev_matrix(3, rep.matrix("X1"))

@@ -2,7 +2,7 @@ import json
 import operator
 import random
 from fractions import Fraction
-from math import frexp, gcd, isqrt
+from math import frexp, gcd, inf, isqrt, nan
 from pathlib import Path
 
 import mpmath
@@ -15,7 +15,8 @@ from mpmath.libmp import from_man_exp, fzero
 import skeinrep
 from skeinrep import scalars
 from skeinrep.chebyshev import solve_chebyshev
-from skeinrep.errors import BackendMismatch, SkeinError, UnsupportedExactOperation, VanishingDivisor
+from skeinrep.errors import (BackendMismatch, NonFiniteScalar, SkeinError, UnsupportedExactOperation,
+                             VanishingDivisor)
 from skeinrep.expressions import normalize, parse, random_word_expression
 from skeinrep.scalars import (
     BigComplex,
@@ -281,6 +282,31 @@ def test_division_by_zero_is_reported():
         rsf.one / rsf.scalar(1e-60)
     with pytest.raises(ZeroDivisionError, match=message):
         rsf.scalar(1e-60) ** -2
+
+
+@pytest.mark.parametrize("value", [nan, complex(inf, 0), mpmath.mpf("-inf"), mpmath.mpc(0, nan)],
+                         ids=["float-nan", "complex-inf", "mpf-minus-inf", "mpc-nan"])
+def test_scalar_refuses_non_finite_values(value):
+    rs = make_root_system(3, "bigfloat", 128)
+    with pytest.raises(NonFiniteScalar, match="is not finite"):
+        rs.scalar(value)
+    with pytest.raises(NonFiniteScalar):
+        rs.one + value
+
+
+@pytest.mark.parametrize("part", ["nan", "inf", "-inf"])
+def test_non_finite_parts_are_refused_at_every_door(part):
+    rs = make_root_system(3, "bigfloat", 128)
+    with pytest.raises(NonFiniteScalar, match="is not finite"):
+        scalar_from_json(rs, {"re": "1.5", "im": part, "prec_bits": 128})
+    with pytest.raises(NonFiniteScalar):
+        BigComplex(rs, mpmath.mpf(part), mpmath.mpf(0))
+
+
+@pytest.mark.parametrize("rel_eps", [-1e-9, inf, nan])
+def test_tolerance_refuses_negative_and_non_finite_values(rel_eps):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        Tolerance(rel_eps)
 
 
 def test_backend_mixing_rejected():

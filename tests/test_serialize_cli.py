@@ -242,7 +242,12 @@ def test_cli_verify_fails_on_tampered_rep(tmp_path):
      "generators ['P', 'X1', 'X3'] are not the Torus1 names"),
     (lambda rep: rep.update(punctures={}), "punctures [] are not the Torus1 names ['P']"),
     (lambda rep: rep["generators"]["X3"][1][1].pop("im"), "missing the key 'im'"),
-], ids=["no-dim", "short-matrix", "no-X2", "no-punctures", "no-im"])
+    (lambda rep: rep["punctures"]["P"].update(im="nan"), "is not finite"),
+    (lambda rep: rep["generators"]["X1"][0][1].update(re="nan"), "is not finite"),
+    (lambda rep: rep["generators"]["X2"][1][2].update(im="inf"), "is not finite"),
+    (lambda rep: rep["generators"]["X3"][2][2].update(re="-inf"), "is not finite"),
+], ids=["no-dim", "short-matrix", "no-X2", "no-punctures", "no-im",
+        "nan-puncture", "nan-X1", "inf-X2", "minus-inf-X3"])
 def test_cli_verify_reports_malformed_rep(tmp_path, capsys, edit, message):
     from skeinrep.serialize import write_json
 
@@ -256,6 +261,42 @@ def test_cli_verify_reports_malformed_rep(tmp_path, capsys, edit, message):
     assert main(["verify", str(broken)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def _edited_rep_file(tmp_path, path, name, entry, part, text):
+    from skeinrep.serialize import write_json
+
+    payload = read_json(path)
+    payload["generators"][entry[0]][entry[1]][entry[2]][part] = text
+    edited = tmp_path / name
+    write_json(edited, payload)
+    return edited
+
+
+def _assert_refused(capsys, argv, message):
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert not captured.out
+
+
+def test_cli_isomorphic_refuses_non_finite_entry(tmp_path, capsys):
+    status, out = _build_rep_file(tmp_path)
+    assert status == 0
+    nan_rep = _edited_rep_file(tmp_path, out, "nan.json", ("X1", 0, 1), "re", "nan")
+    _assert_refused(capsys, ["isomorphic", str(out), str(nan_rep)], "is not finite")
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["verify", "isomorphic", "invariants"])
+def test_cli_refuses_non_finite_tolerance(tmp_path, capsys, command, tol):
+    # with --tol inf every residual would pass, so a tampered rep would verify
+    status, out = _build_rep_file(tmp_path)
+    assert status == 0
+    tampered = _edited_rep_file(tmp_path, out, "tampered.json", ("X2", 1, 2), "re", "7.5")
+    files = [str(out), str(tampered)] if command == "isomorphic" else [str(tampered)]
+    _assert_refused(capsys, [command, *files, "--tol", tol], "rel_eps must be finite and nonnegative")
 
 
 def test_cli_usage_error():
