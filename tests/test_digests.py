@@ -70,6 +70,9 @@ CASES = {
     # u moves in its last bits when solve_u reads T_N through chebyshev_eval
     ("sphere", 3, 0): ("27735dcce5066130", "2b996077db35c42d", "6804bd69e7d907e9"),
     ("sphere", 5, 0): ("dc7d92a0c41757a7", "42be082da2665a54", "56875feac720caaa"),
+    # at N = 1 the up step, the down step and the sphere's offsets share one entry
+    ("torus", 1, 0): ("f267c742b62b3d1e", "955e6528547c3e3a", "51270614e0df3642"),
+    ("sphere", 1, 0): ("b4062b3bf3d8c3ae", "e768fb948e3cf570", "e2985851298805fd"),
 }
 
 
@@ -94,6 +97,7 @@ def test_seeded_artifact_digests(kind, n, seed, tmp_path):
 EXPERIMENTS = {
     ("torus1", 3, 5): "d6d8c24e01605685",
     ("sphere4", 3, 5): "0be559ecd533aa40",
+    ("sphere4", 1, 5): "595da670269313db",
 }
 
 
