@@ -17,6 +17,11 @@ to down_k v_{k-1} (down_1/u v_N at the wraparound).  The surfaces differ only
 in the twist, the down scalars and the sphere's diagonal offsets beta_k^+/-,
 which the same assembly adds on the diagonal (the torus has none).
 
+Only the two wraparound steps involve u, so :func:`ladder_assembly` computes
+every column's terms once and :meth:`LadderAssembly.matrices` fills just the
+cells they land in for each u; a construction that tries one u and then
+builds at another assembles once.
+
 The ladder operators U_k = A^h X1 - x3 A^{tk} X2 + beta_k^+ and
 D_k = A^h X1 - x3^{-1} A^{-tk} X2 + beta_k^- shift the k-th eigenline one
 step up and one step down.
@@ -49,38 +54,85 @@ def eigenvalue_tower(rs, twist, x3):
     return [x3 * rs.a_pow(twist * k) + x3i * rs.a_pow(-twist * k) for k in range(1, rs.N + 1)]
 
 
-def ladder_matrices(rs, twist, x3, u, down, beta_plus=None, beta_minus=None):
-    """X1, X2, X3 of the ladder, with the diagonal offsets beta^+/- if given.
+def _cell(terms, scales):
+    """Sum of a cell's (X1, X2) terms in assembly order; power p of u scales by ``scales[p]``.
+
+    The first term is assigned, not added to a zero: every term is already
+    rounded to the working precision, so the two give the same bits.
+    """
+    x1 = x2 = None
+    for t1, t2, power in terms:
+        if power:
+            t1, t2 = t1 * scales[power], t2 * scales[power]
+        x1, x2 = (t1, t2) if x1 is None else (x1 + t1, x2 + t2)
+    return x1, x2
+
+
+@dataclass(frozen=True, eq=False)
+class LadderAssembly:
+    """X1, X2, X3 of a ladder for every wraparound u, from terms computed once.
+
+    ``base1`` and ``base2`` hold every cell whose terms do not involve u;
+    ``wrap`` lists each other cell with its (X1 term, X2 term, power of u)
+    triples, where power 1 scales by u and power -1 by down_1 / u.
+    """
+
+    base1: object
+    base2: object
+    m3: object
+    wrap: tuple
+    down1: Scalar
+
+    def matrices(self, u):
+        """(X1, X2, X3) at wraparound ``u``; only the wraparound cells are computed."""
+        m1, m2 = self.base1.copy(), self.base2.copy()
+        scales = {1: u, -1: self.down1 / u}
+        for (i, j), terms in self.wrap:
+            m1[i, j], m2[i, j] = _cell(terms, scales)
+        return m1, m2, self.m3
+
+
+def ladder_assembly(rs, twist, x3, down, beta_plus=None, beta_minus=None) -> LadderAssembly:
+    """The ladder's column terms, with the diagonal offsets beta^+/- if given.
 
     ``down[k - 1]`` is the down scalar of column k; column 1 divides it by u.
     Column k adds (x3^{-1} A^{-tk-h} beta_k^+ - x3 A^{tk-h} beta_k^-) / d_k to
-    X1 and (beta_k^+ - beta_k^-) / d_k to X2 on the diagonal.
+    X1 and (beta_k^+ - beta_k^-) / d_k to X2 on the diagonal.  Each cell
+    sums its terms in column order, and within a column up, down, diagonal:
+    at N = 1 all three share one cell, at N = 2 the up and down steps do.
     """
     n = rs.N
     x3i = x3 ** (-1)
     half = twist // 2
-    m1 = matrices.zeros(rs, n)
-    m2 = matrices.zeros(rs, n)
-    m3 = matrices.diagonal(eigenvalue_tower(rs, twist, x3))
+    cells = {}  # (row, column) -> [(X1 term, X2 term, power of u)]
     for k in range(1, n + 1):
+        col = k - 1
         dk = x3 * rs.a_pow(twist * k) - x3i * rs.a_pow(-twist * k)
         lo = x3i * rs.a_pow(-twist * k - half)
         hi = x3 * rs.a_pow(twist * k - half)
-        up_row = k if k < n else 0           # v_k -> v_{k+1}, wrapping to v_1
-        up_scale = rs.one if k < n else u
         # round-to-nearest is symmetric, so -(1 / d_k) has the bits of -1 / d_k
         inv = rs.one / dk
-        m1[up_row, k - 1] = m1[up_row, k - 1] + (-lo / dk) * up_scale
-        m2[up_row, k - 1] = m2[up_row, k - 1] + (-inv) * up_scale
-        down_row = k - 2 if k >= 2 else n - 1  # v_k -> v_{k-1}, wrapping to v_N
-        down_scale = down[k - 1] if k >= 2 else down[0] / u
-        m1[down_row, k - 1] = m1[down_row, k - 1] + (hi / dk) * down_scale
-        m2[down_row, k - 1] = m2[down_row, k - 1] + inv * down_scale
+        # v_k -> v_{k+1}, wrapping to u v_1
+        cells.setdefault((k % n, col), []).append((-lo / dk, -inv, 1 if k == n else 0))
+        # v_k -> down_k v_{k-1}, wrapping to down_1 / u v_N
+        if k == 1:
+            cells.setdefault((n - 1, col), []).append((hi / dk, inv, -1))
+        else:
+            d = down[k - 1]
+            cells.setdefault((k - 2, col), []).append(((hi / dk) * d, inv * d, 0))
         if beta_plus is not None:
             bp, bm = beta_plus[k - 1], beta_minus[k - 1]
-            m1[k - 1, k - 1] = m1[k - 1, k - 1] + (lo * bp - hi * bm) / dk
-            m2[k - 1, k - 1] = m2[k - 1, k - 1] + (bp - bm) / dk
-    return m1, m2, m3
+            cells.setdefault((col, col), []).append(((lo * bp - hi * bm) / dk, (bp - bm) / dk, 0))
+    m1 = matrices.zeros(rs, n)
+    m2 = matrices.zeros(rs, n)
+    wrap = []
+    for cell, terms in cells.items():
+        if any(power for _, _, power in terms):
+            wrap.append((cell, tuple(terms)))
+        else:
+            m1[cell], m2[cell] = _cell(terms, None)
+    m3 = matrices.freeze(matrices.diagonal(eigenvalue_tower(rs, twist, x3)))
+    return LadderAssembly(matrices.freeze(m1), matrices.freeze(m2), m3, tuple(wrap), down[0])
 
 
 @dataclass(frozen=True)

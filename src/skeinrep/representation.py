@@ -3,12 +3,15 @@
 A representation assigns one square matrix to every generator of its surface
 vocabulary; puncture generators always map to their scalar times the
 identity, and that scalar is also stored separately.  T_N of each frozen
-loop image is computed once and kept (:meth:`Representation.chebyshev`).
+loop image is computed once and kept (:meth:`Representation.chebyshev`), and
+so is the largest entry magnitude (:meth:`Representation.largest_entry`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import matrices
 from .chebyshev import chebyshev_eval
@@ -24,9 +27,11 @@ class Representation:
     matrices: dict
     puncture_scalars: dict
     provenance: dict = field(default_factory=dict)
-    # name -> T_N of its frozen image; neither compared, repr'd nor serialized,
-    # and empty again in a dataclasses.replace copy
+    # name -> T_N of its frozen image, and the largest entry magnitude once
+    # taken; neither compared, repr'd nor serialized, and empty again in a
+    # dataclasses.replace copy
     _chebyshev: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _largest: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def matrix(self, name: str):
         try:
@@ -48,6 +53,19 @@ class Representation:
             if not mat.flags.writeable:
                 self._chebyshev[name] = matrices.freeze(tn)
         return tn
+
+    def largest_entry(self) -> float:
+        """Largest double-precision magnitude of an entry of any generator image.
+
+        Taken once when every image is frozen, as :meth:`chebyshev` keeps T_N.
+        """
+        if self._largest:
+            return self._largest[0]
+        mats = [self.matrix(g) for g in self.surface.generators]
+        largest = max(float(np.abs(matrices.to_complex128(m)).max()) for m in mats)
+        if not any(m.flags.writeable for m in mats):
+            self._largest.append(largest)
+        return largest
 
 
 def assemble(surface, rs, dim, x_matrices, puncture_scalars, provenance=None):

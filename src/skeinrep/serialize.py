@@ -2,9 +2,10 @@
 
 Exact scalars serialize as coefficient vectors of "num/den" strings;
 bigfloat scalars as decimal strings with enough digits to round-trip the
-binary value exactly; reading refuses "nan", "inf" and "-inf" with
-``NonFiniteScalar``.  Serialization is canonical: equal values produce
-byte-identical text.
+binary value exactly.  Reading refuses a coefficient that is not a number,
+a zero denominator and a bigfloat part that is not a string with
+``ValueError``, and "nan", "inf" and "-inf" with ``NonFiniteScalar``.
+Serialization is canonical: equal values produce byte-identical text.
 """
 
 from __future__ import annotations
@@ -43,14 +44,20 @@ def scalar_from_json(rs: RootSystem, obj):
     if "coeffs" in obj:
         if rs.backend != "exact":
             raise ValueError("coefficient-vector scalar needs an exact root system")
-        coeffs = tuple(Fraction(c) for c in obj["coeffs"])
+        try:
+            coeffs = tuple(Fraction(c) for c in obj["coeffs"])
+        except (TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad exact coefficients {obj['coeffs']!r}: {exc}") from None
         if len(coeffs) != rs.degree:
             raise ValueError(f"expected {rs.degree} coefficients, got {len(coeffs)}")
         return CyclotomicNumber(rs, coeffs)
     if rs.backend != "bigfloat":
         raise ValueError("decimal scalar needs a bigfloat root system")
+    parts = obj["re"], obj["im"]
+    if not all(isinstance(part, str) for part in parts):
+        raise ValueError(f"bigfloat parts must be decimal strings, got {parts[0]!r} and {parts[1]!r}")
     prec = rs.precision_bits
-    return from_pair(rs, finite_pair((from_str(obj["re"], prec, RND), from_str(obj["im"], prec, RND))))
+    return from_pair(rs, finite_pair(tuple(from_str(part, prec, RND) for part in parts)))
 
 
 def to_jsonable(value):

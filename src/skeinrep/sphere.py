@@ -23,18 +23,21 @@ k-step expansion collapses to
 
 with alpha = -x3^{-N}/s, beta = x3^N prod(R)/s, alpha' = -1/s,
 beta' = prod(R)/s, s = x3^N - x3^{-N}; the offsets f, g do not depend on u
-and are measured operationally from a trial construction at u = 1.
+and are measured operationally from T_N of the X1 and X2 images at the
+trial value u = 1.  Only the wraparound entries depend on u, so the trial
+and the final images come from one ladder assembly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import matrices
 from .chebyshev import chebyshev_eval, solve_chebyshev
 from .errors import (DegenerateShadow, NoConsistentRoot, NonScalarChebyshev,
                      VanishingCycle)
-from .ladder import LadderSystem, check_nondegenerate_t3, ladder_matrices, ladder_system
+from .ladder import (LadderAssembly, LadderSystem, check_nondegenerate_t3, ladder_assembly,
+                     ladder_system)
 from .representation import Representation, assemble
 from .scalars import BigComplex, RootSystem, Scalar, approx_eq, solve_quadratic
 from .surfaces import SPHERE4, sphere_k
@@ -85,11 +88,16 @@ def make_sphere_params(p0, p1, p2, p3, t1, t2, x3) -> SphereParams:
 
 @dataclass(frozen=True)
 class LadderScalars:
-    """beta_k^+/- offsets and the composite scalars R_k, k = 1..N."""
+    """beta_k^+/- offsets, the composite scalars R_k, k = 1..N, and their ladder.
+
+    ``assembly`` holds the ladder's u-free terms, so the trial build of
+    :func:`solve_u` and the final build share one assembly.
+    """
 
     beta_plus: tuple
     beta_minus: tuple
     r_scalars: tuple
+    assembly: LadderAssembly = field(repr=False, compare=False)
 
     def cycle_product(self):
         prod = None
@@ -122,7 +130,10 @@ def ladder_scalars_sphere(params: SphereParams) -> LadderScalars:
                + (x3 * rs.a_pow(4 * k + 2) + x3i * rs.a_pow(-4 * k - 2)) * q3
                - bm_next * bp)
         r_scalars.append(rk)
-    return LadderScalars(tuple(beta_plus), tuple(beta_minus), tuple(r_scalars))
+    # column k steps down by R_{k-1}, column 1 by R_N / u
+    assembly = ladder_assembly(rs, 4, x3, r_scalars[n - 1:] + r_scalars[:n - 1],
+                               beta_plus, beta_minus)
+    return LadderScalars(tuple(beta_plus), tuple(beta_minus), tuple(r_scalars), assembly)
 
 
 def chebyshev_at_puncture_roots(params: SphereParams) -> tuple:
@@ -139,11 +150,16 @@ def chebyshev_at_puncture_roots(params: SphereParams) -> tuple:
     return tuple(chebyshev_eval(rs.N, r) for r in (r0, r1, r2, r3))
 
 
-def ladder_product_closed_form(params: SphereParams) -> Scalar:
-    """Closed form of prod_k R_k through T_N at four quadratic roots."""
+def ladder_product_closed_form(params: SphereParams, roots: tuple = None) -> Scalar:
+    """Closed form of prod_k R_k through T_N at four quadratic roots.
+
+    ``roots`` is :func:`chebyshev_at_puncture_roots` of ``params``, computed
+    here when not given; it depends on p0..p3 and N alone, so a gauge orbit
+    shares it.
+    """
     t3 = params.t3
     num = params.rs.one
-    for v in chebyshev_at_puncture_roots(params):
+    for v in roots or chebyshev_at_puncture_roots(params):
         num = num * (t3 - v)
     return -num / (t3 * t3 - 4)
 
@@ -157,9 +173,7 @@ def build_sphere_rep_with_u(params: SphereParams, u: Scalar,
         raise VanishingCycle("the wraparound constant u must be nonzero")
     if ladder is None:
         ladder = ladder_scalars_sphere(params)
-    r = ladder.r_scalars  # column k steps down by R_{k-1}, column 1 by R_N / u
-    m1, m2, m3 = ladder_matrices(rs, 4, params.x3, u, r[n - 1:] + r[:n - 1],
-                                 ladder.beta_plus, ladder.beta_minus)
+    m1, m2, m3 = ladder.assembly.matrices(u)
     punctures = dict(zip(SPHERE4.punctures, params.punctures))
     provenance = {
         "params": {"p0": params.p0, "p1": params.p1, "p2": params.p2, "p3": params.p3,
@@ -173,8 +187,9 @@ def solve_u(params: SphereParams, t1_target, t2_target,
             ladder: LadderScalars = None) -> Scalar:
     """Determine the wraparound constant from the two target traces.
 
-    The u-independent offsets f, g are measured by constructing the
-    representation at a trial value, then the quadratic
+    The u-independent offsets f, g are measured from T_N of the X1 and X2
+    images at a trial value, filled in from ``ladder.assembly`` without
+    building a representation; then the quadratic
     alpha u^2 + (f - t1) u + beta = 0 is solved and the root consistent with
     the t2 equation returned.
     """
@@ -195,9 +210,9 @@ def solve_u(params: SphereParams, t1_target, t2_target,
     trial_errors = []
     for trial in (rs.one, rs.A):
         try:
-            trial_rep = build_sphere_rep_with_u(params, trial, ladder)
-            t1_trial = matrices.read_scalar_matrix(trial_rep.chebyshev("X1"), rs)
-            t2_trial = matrices.read_scalar_matrix(trial_rep.chebyshev("X2"), rs)
+            m1, m2, _ = ladder.assembly.matrices(trial)
+            t1_trial = matrices.read_scalar_matrix(chebyshev_eval(n, m1), rs)
+            t2_trial = matrices.read_scalar_matrix(chebyshev_eval(n, m2), rs)
             break
         except NonScalarChebyshev as exc:  # retry once with a shifted trial value
             trial_errors.append(exc)
@@ -229,10 +244,14 @@ def build_sphere_rep(p0, p1, p2, p3, t1, t2, t3) -> Representation:
     return build_sphere_rep_from_params(make_sphere_params(p0, p1, p2, p3, t1, t2, x3))
 
 
-def build_sphere_rep_from_params(params: SphereParams) -> Representation:
-    """Pipeline for a prescribed gauge x3 (used by gauge-orbit enumeration)."""
+def build_sphere_rep_from_params(params: SphereParams, roots: tuple = None) -> Representation:
+    """Pipeline for a prescribed gauge x3 (used by gauge-orbit enumeration).
+
+    ``roots`` is :func:`chebyshev_at_puncture_roots` of ``params``, which
+    every gauge variant of one shadow shares; it is computed when not given.
+    """
     ladder = ladder_scalars_sphere(params)
-    closed = ladder_product_closed_form(params)
+    closed = ladder_product_closed_form(params, roots)
     if closed.is_zero():
         raise VanishingCycle("the ladder cycle product vanishes for these invariants")
     u = solve_u(params, params.t1, params.t2, ladder)

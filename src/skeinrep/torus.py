@@ -117,7 +117,7 @@ def _torus_matrices(params: TorusParams):
         raise VanishingCycle("t1 + t2 x3^N = 0; the wraparound constant vanishes")
     c = [-(p + x3 * x3 * rs.a_pow(4 * k - 2) + x3i * x3i * rs.a_pow(-4 * k + 2))
          for k in range(1, rs.N + 1)]
-    return ladder.ladder_matrices(rs, 2, x3, u, c)
+    return ladder.ladder_assembly(rs, 2, x3, c).matrices(u)
 
 
 def build_torus_rep(params: TorusParams, surface=TORUS1) -> Representation:

@@ -15,11 +15,22 @@ The gauge scalar x3 of a construction is determined only up to the 2N moves
 x3 -> x3 A^{2l} and x3 -> x3^{-1} A^{2l}, all preserving t3 = x3^N + x3^{-N}.
 The uniqueness experiment samples random generic invariants, builds the
 representation through every gauge variant, and certifies that all variants
-are pairwise isomorphic while the invariants round-trip.  Its pair
-certificates M_j M_i^{-1} of two monomial certificates are again monomial
-and take dim divisions; a dense certificate goes through ``matrices.inverse``
-and ``matrices.matmul``.  Every pair is checked by
-:func:`intertwiner_residuals` on the raw libmp kernel.
+are pairwise isomorphic while the invariants round-trip.  The variants of a
+sphere sample share T_N at the puncture roots, which the gauge moves leave
+alone, and each variant assembles its ladder once.  Its pair certificates
+M_j M_i^{-1} of two monomial certificates are again monomial and take dim
+divisions; a dense certificate goes through ``matrices.inverse`` and
+``matrices.matmul``.  Every pair is checked by :func:`intertwiner_residuals`
+on the raw libmp kernel.
+
+Residuals that are known exactly are not computed.  When a generator's two
+images are one scalar matrix s Id bit for bit (every off-diagonal entry an
+exact zero), as the puncture images of two reps with equal puncture scalars
+are, M s Id - s Id M is exactly zero in the kernel, so its residual is 0.0
+without the two products.  This is read off the images themselves, never
+off ``puncture_scalars``: a rep file may hold any puncture image.  The
+residual gate's scale, the largest entry over a rep's images, is taken once
+per rep (:meth:`Representation.largest_entry`).
 """
 
 from __future__ import annotations
@@ -146,8 +157,7 @@ def _within_gate(cert, rep_a, rep_b, tol) -> bool:
     if rep_a.rs.backend == "exact":
         return cert.worst_residual == 0.0
     rel_eps = tol.rel_eps if tol is not None else rep_a.rs.tolerance.rel_eps
-    scale = max(float(np.abs(matrices.to_complex128(rep.matrix(g))).max())
-                for rep in (rep_a, rep_b) for g in rep.surface.generators)
+    scale = max(rep_a.largest_entry(), rep_b.largest_entry())
     return cert.worst_residual < rel_eps * max(1.0, scale)
 
 
@@ -418,13 +428,15 @@ class ExperimentReport:
 
 
 def _build_variant_reps(variants):
-    reps = []
-    for v in variants:
-        if isinstance(v, TorusParams):
-            reps.append(build_torus_rep(v))
-        else:
-            reps.append(build_sphere_rep_from_params(v))
-    return reps
+    """One representation per gauge variant of one shadow.
+
+    T_N at the sphere's puncture roots depends on p0..p3 alone, which every
+    gauge move keeps, so the orbit computes it once.
+    """
+    if isinstance(variants[0], TorusParams):
+        return [build_torus_rep(v) for v in variants]
+    roots = chebyshev_at_puncture_roots(variants[0])
+    return [build_sphere_rep_from_params(v, roots) for v in variants]
 
 
 def _monomial_parts(m):

@@ -460,6 +460,37 @@ def test_intertwiner_residuals_exact_backend():
     assert any(v > 0.0 for v in intertwiner_residuals(m, rep, rep).values())
 
 
+def spread_entry(rs, rng, prec):
+    """A bigfloat scalar with parts of random sign and far-apart exponents, or a zero part."""
+    parts = []
+    for _ in range(2):
+        x = full_mpf(rng, prec) * mp.mpf(2) ** rng.randint(-300, 300)
+        parts.append(mp.mpf(0) if rng.random() < 0.2 else x)
+    return BigComplex(rs, *parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5), monomial=st.booleans())
+def test_scalar_pair_defect_is_exactly_zero(seed, n, monomial):
+    # the premise of intertwining_defects' shortcut, checked on the fused kernel defect
+    rs = rs_of(3)
+    rng = random.Random(seed)
+    with mp.workprec(rs.precision_bits):
+        m = matrices.zeros(rs, n)
+        sigma = rng.sample(range(n), n)
+        for i in range(n):
+            for j in range(n):
+                if not monomial or sigma[j] == i:
+                    m[i, j] = spread_entry(rs, rng, rs.precision_bits)
+        s = spread_entry(rs, rng, rs.precision_bits)
+    a = matrices.scalar_matrix(s, n)
+    b = matrices.scalar_matrix(from_pair(rs, s.pair), n)  # bit-identical, not the same objects
+    k = matrices.kernel(rs)
+    m_rows = k.unpack(m)
+    assert k.worst(k.product(m_rows, k.unpack(a), minus=k.product(k.unpack(b), m_rows))) == (True, 0.0)
+    assert matrices.intertwining_defects(m, [(a, b)]) == [0.0]
+
+
 def reference_residual_report(mat):
     """The mpc-under-``workprec`` largest magnitude the raw reduction replaced."""
     with mp.workprec(mat.flat[0].rs.precision_bits):

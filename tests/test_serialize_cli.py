@@ -246,8 +246,10 @@ def test_cli_verify_fails_on_tampered_rep(tmp_path):
     (lambda rep: rep["generators"]["X1"][0][1].update(re="nan"), "is not finite"),
     (lambda rep: rep["generators"]["X2"][1][2].update(im="inf"), "is not finite"),
     (lambda rep: rep["generators"]["X3"][2][2].update(re="-inf"), "is not finite"),
+    (lambda rep: rep["generators"]["X1"][0][1].update(re=1.5), "must be decimal strings, got 1.5"),
+    (lambda rep: rep["punctures"]["P"].update(im=None), "must be decimal strings"),
 ], ids=["no-dim", "short-matrix", "no-X2", "no-punctures", "no-im",
-        "nan-puncture", "nan-X1", "inf-X2", "minus-inf-X3"])
+        "nan-puncture", "nan-X1", "inf-X2", "minus-inf-X3", "number-X1", "null-puncture"])
 def test_cli_verify_reports_malformed_rep(tmp_path, capsys, edit, message):
     from skeinrep.serialize import write_json
 
@@ -255,6 +257,23 @@ def test_cli_verify_reports_malformed_rep(tmp_path, capsys, edit, message):
     assert status == 0
     payload = read_json(out)
     edit(payload)
+    broken = tmp_path / "broken.json"
+    write_json(broken, payload)
+    capsys.readouterr()
+    assert main(["verify", str(broken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("coeff,message", [(None, "bad exact coefficients [None,"),
+                                           ("1/0", "bad exact coefficients ['1/0',")])
+def test_cli_verify_reports_malformed_exact_coefficient(tmp_path, capsys, coeff, message):
+    from skeinrep.serialize import write_json
+
+    rs = make_root_system(3)
+    rep = build_torus_rep(torus_params_exact(rs.A + 1, rs.A - 2, rs.scalar(Fraction(3, 2))))
+    payload = rep_to_json(rep)
+    payload["generators"]["X1"][0][1]["coeffs"][0] = coeff
     broken = tmp_path / "broken.json"
     write_json(broken, payload)
     capsys.readouterr()
@@ -286,6 +305,47 @@ def test_cli_isomorphic_refuses_non_finite_entry(tmp_path, capsys):
     assert status == 0
     nan_rep = _edited_rep_file(tmp_path, out, "nan.json", ("X1", 0, 1), "re", "nan")
     _assert_refused(capsys, ["isomorphic", str(out), str(nan_rep)], "is not finite")
+
+
+@pytest.mark.parametrize("edit", ["off-diagonal", "last-bit"])
+def test_cli_isomorphic_measures_edited_puncture_image(tmp_path, capsys, edit):
+    # the exact-zero defect of a scalar puncture pair is decided from the images
+    # the file holds, not from its puncture scalars, which this edit leaves alone
+    from mpmath import mp
+    from mpmath.libmp import from_man_exp
+
+    from skeinrep.serialize import _mpf_to_str, write_json
+    from skeinrep.sphere import build_sphere_rep
+    from skeinrep.uniqueness import intertwiner_residuals, sample_sphere_invariants
+
+    rs = make_root_system(3, "bigfloat", 256)
+    inv = sample_sphere_invariants(rs, random.Random(0))
+    rep = build_sphere_rep(*(inv[k] for k in ("p0", "p1", "p2", "p3", "t1", "t2", "t3")))
+    out, edited = tmp_path / "sphere.json", tmp_path / "edited.json"
+    write_json(out, rep_to_json(rep))
+    payload = read_json(out)
+    if edit == "off-diagonal":
+        payload["generators"]["P0"][0][1]["re"] = "1e-30"
+    else:  # one unit in the last of the 256 bits
+        sign, man, exp, bc = rep.matrix("P0")[1, 1].re._mpf_
+        shift = rs.precision_bits - bc
+        bumped = from_man_exp(((-man if sign else man) << shift) + 1, exp - shift)
+        payload["generators"]["P0"][1][1]["re"] = _mpf_to_str(mp.make_mpf(bumped), 256)
+    write_json(edited, payload)
+    back = rep_from_json(payload)
+    assert back.puncture_scalars == rep.puncture_scalars
+    residual = intertwiner_residuals(matrices.identity(rs, 3), rep, back)["P0"]
+    assert residual > 0.0
+
+    capsys.readouterr()
+    status = main(["isomorphic", str(out), str(edited)])
+    result = json.loads(capsys.readouterr().out)
+    if edit == "off-diagonal":
+        # 1e-30 is far above the gate of 2^-128 times the largest entry
+        assert status == 1 and result == {"isomorphic": False}
+    else:
+        assert status == 0 and result["isomorphic"] is True
+        assert 0.0 < result["residuals"]["P0"] < 1e-70
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan"])

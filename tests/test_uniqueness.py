@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from skeinrep import matrices, uniqueness
+from skeinrep import matrices, sphere, uniqueness
 from skeinrep.chebyshev import solve_chebyshev
 from skeinrep.scalars import Tolerance, approx_eq, make_root_system
 from skeinrep.serialize import dumps_canonical
@@ -362,3 +363,44 @@ def test_experiment_sphere_avoids_dense_system(monkeypatch):
     report = uniqueness_experiment(ExperimentConfig(SPHERE4, 3, 2, seed=5))
     assert report.passed, [r["failures"] for r in report.records]
     assert all(rec["pairs_checked"] == 15 for rec in report.records)
+
+
+def test_sphere_orbit_repeats_no_work(monkeypatch):
+    # one N = 3 sample: each variant assembles its ladder once (solve_u's trial
+    # included), the orbit takes T_N at the puncture roots once, and each rep's
+    # largest entry for the residual gate is taken once
+    calls, inside_variants, converted = Counter(), Counter(), Counter()
+    reps = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def variants(real):
+        def wrapper(params):
+            before = calls.copy()
+            reps.extend(real(params))
+            inside_variants.update(calls - before)
+            return reps
+        return wrapper
+
+    def to_complex128(real):
+        def wrapper(mat):
+            converted[id(mat)] += 1
+            return real(mat)
+        return wrapper
+
+    monkeypatch.setattr(sphere, "ladder_assembly", counting("assembly", sphere.ladder_assembly))
+    roots = counting("roots", sphere.chebyshev_at_puncture_roots)
+    monkeypatch.setattr(sphere, "chebyshev_at_puncture_roots", roots)
+    monkeypatch.setattr(uniqueness, "chebyshev_at_puncture_roots", roots)
+    monkeypatch.setattr(uniqueness, "_build_variant_reps", variants(uniqueness._build_variant_reps))
+    monkeypatch.setattr(matrices, "to_complex128", to_complex128(matrices.to_complex128))
+    report = uniqueness_experiment(ExperimentConfig(SPHERE4, 3, 1, seed=5))
+    assert report.passed
+    assert len(reps) == 6
+    assert inside_variants == {"assembly": 6, "roots": 1}
+    images = [rep.matrix(g) for rep in reps for g in SPHERE4.generators]
+    assert [converted[id(m)] for m in images] == [1] * len(images)
