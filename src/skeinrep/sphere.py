@@ -150,7 +150,7 @@ def chebyshev_at_puncture_roots(params: SphereParams) -> tuple:
     return tuple(chebyshev_eval(rs.N, r) for r in (r0, r1, r2, r3))
 
 
-def ladder_product_closed_form(params: SphereParams, roots: tuple = None) -> Scalar:
+def ladder_product_closed_form(params: SphereParams, roots=None) -> Scalar:
     """Closed form of prod_k R_k through T_N at four quadratic roots.
 
     ``roots`` is :func:`chebyshev_at_puncture_roots` of ``params``, computed
@@ -244,7 +244,7 @@ def build_sphere_rep(p0, p1, p2, p3, t1, t2, t3) -> Representation:
     return build_sphere_rep_from_params(make_sphere_params(p0, p1, p2, p3, t1, t2, x3))
 
 
-def build_sphere_rep_from_params(params: SphereParams, roots: tuple = None) -> Representation:
+def build_sphere_rep_from_params(params: SphereParams, roots=None) -> Representation:
     """Pipeline for a prescribed gauge x3 (used by gauge-orbit enumeration).
 
     ``roots`` is :func:`chebyshev_at_puncture_roots` of ``params``, which

@@ -318,7 +318,7 @@ def genericity_check(surface: Surface, invariants: dict, tol: Tolerance = None) 
             x3 = solve_chebyshev(t3).base
             params = make_sphere_params(*p, rs.zero, rs.zero, x3)
             tn_roots = list(chebyshev_at_puncture_roots(params))
-            closed = ladder_product_closed_form(params)
+            closed = ladder_product_closed_form(params, tn_roots)
             checks["ladder_product_nonzero"] = not closed.is_zero()
             # record the hypothesis under both sign conventions for the trace
             details.update({
