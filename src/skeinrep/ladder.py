@@ -105,9 +105,12 @@ def ladder_assembly(rs, twist, x3, down, beta_plus=None, beta_minus=None) -> Lad
     x3i = x3 ** (-1)
     half = twist // 2
     cells = {}  # (row, column) -> [(X1 term, X2 term, power of u)]
+    tower = []  # the X3 eigenvalues, from the products d_k takes
     for k in range(1, n + 1):
         col = k - 1
-        dk = x3 * rs.a_pow(twist * k) - x3i * rs.a_pow(-twist * k)
+        plus, minus = x3 * rs.a_pow(twist * k), x3i * rs.a_pow(-twist * k)
+        dk = plus - minus
+        tower.append(plus + minus)
         lo = x3i * rs.a_pow(-twist * k - half)
         hi = x3 * rs.a_pow(twist * k - half)
         # round-to-nearest is symmetric, so -(1 / d_k) has the bits of -1 / d_k
@@ -131,7 +134,7 @@ def ladder_assembly(rs, twist, x3, down, beta_plus=None, beta_minus=None) -> Lad
             wrap.append((cell, tuple(terms)))
         else:
             m1[cell], m2[cell] = _cell(terms, None)
-    m3 = matrices.freeze(matrices.diagonal(eigenvalue_tower(rs, twist, x3)))
+    m3 = matrices.freeze(matrices.diagonal(tower))
     return LadderAssembly(matrices.freeze(m1), matrices.freeze(m2), m3, tuple(wrap), down[0])
 
 

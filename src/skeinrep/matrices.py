@@ -13,7 +13,13 @@ scalar read-outs (:func:`read_scalar_matrix`, :func:`scalar_deviation`,
 :func:`scalar_residual`) likewise read each entry's pair once and give the
 decisions, messages and floats of their entrywise ``approx_eq`` and
 ``BigComplex`` forms, deciding magnitudes from the parts' exponents and
-taking ``mpc_abs`` only near a cut.
+taking ``mpc_abs`` only near a cut; the largest entry of a residual takes it
+of two entries at most.
+
+Intertwiner defects M A - B M of a monomial M = P_sigma diag(m), the shape
+every ladder-walk certificate has, are formed from the two terms each entry
+holds, m_k A[k, l] and B[sigma(k), sigma(l)] m_l, with the bits of the fused
+product; a monomial is recognized from its raw rows.
 
 Bigfloat rank and nullspace decisions come from one SVD at the root
 system's working precision: singular values below rel_eps * sigma_max count
@@ -34,7 +40,8 @@ from mpmath.libmp import fzero, mpc_abs, mpf_gt, to_float
 
 from .errors import NonScalarChebyshev, VanishingDivisor
 from .scalars import (RND, CyclotomicNumber, RootSystem, _add, _ints, _mpf, approx_eq, below_cut,
-                      from_pair, magnitude_exponent, numeric_bridge, pair_add, pair_sub, working_pair)
+                      from_pair, magnitude_exponent, numeric_bridge, pair_add, pair_mul, pair_sub,
+                      working_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -174,20 +181,63 @@ def _raw_sum(a_rows, b_rows, prec):
     return out
 
 
+def _hypot2(z, prec):
+    """re^2 + im^2 of a two-part entry rounded down to prec + 4 bits, as (exponent, mantissa).
+
+    This is the sum whose square root ``mpc_abs`` rounds (``mpf_hypot``:
+    exact squares, one round-down add at prec + 4, a correctly rounded
+    sqrt), so an entry with a larger key never has a smaller ``mpc_abs``.
+    The mantissa has exactly prec + 4 bits, so keys compare as tuples.  A
+    square below both the last bit of the other and the prec + 4 bit unit of
+    its binade cannot move the floor and is dropped, which bounds the shift.
+    """
+    (_, rm, re, _), (_, im, ie, _) = z
+    a, ea, b, eb = rm * rm, 2 * re, im * im, 2 * ie
+    p = prec + 4
+    ta, tb = ea + a.bit_length(), eb + b.bit_length()
+    if tb <= min(ea, ta - p):
+        s, e = a, ea
+    elif ta <= min(eb, tb - p):
+        s, e = b, eb
+    else:
+        e = min(ea, eb)
+        s = (a << ea - e) + (b << eb - e)
+    n = s.bit_length() - p
+    return e + n, (s >> n if n >= 0 else s << -n)
+
+
 def _raw_worst(rows, prec):
     """(exactly zero, float magnitude of the largest entry) of raw rows.
 
     The largest ``mpc_abs`` is found as a raw mpf and rounded to float once,
-    as ``float(mpf)`` rounds it.  An entry whose magnitude exponent lies 2 or
-    more below the largest one cannot exceed that entry's ``mpc_abs``, so
-    only the others take it.
+    as ``float(mpf)`` rounds it, and taken of two entries at most.  An
+    entry whose magnitude exponent lies 2 or more below the largest one
+    cannot exceed that entry's ``mpc_abs`` and is passed over.  Of an
+    entry with one nonzero part, ``mpc_abs`` is that part's magnitude
+    rounded to prec bits, so the largest comes from the largest |part|; of
+    an entry with two, it grows with :func:`_hypot2`.  The two groups'
+    winners are compared by their ``mpc_abs``, not by exact magnitude: a
+    one-part entry can round above a two-part entry larger by less than
+    2^-(prec+3) of it.
     """
     found = [(e, z) for row in rows for z in row
              if z is not None and (e := magnitude_exponent(z)) is not None]
     cut = max((e for e, _ in found), default=0) - 1
-    worst = fzero
+    single = single_abs = pair = pair_key = None
     for e, z in found:
         if e >= cut:
+            x, y = z
+            if x == fzero or y == fzero:
+                part = (0,) + (y if x == fzero else x)[1:]
+                if single is None or mpf_gt(part, single_abs):
+                    single, single_abs = z, part
+            else:
+                key = _hypot2(z, prec)
+                if pair is None or key > pair_key:
+                    pair, pair_key = z, key
+    worst = fzero
+    for z in (single, pair):
+        if z is not None:
             mag = mpc_abs(z, prec, RND)
             if mpf_gt(mag, worst):
                 worst = mag
@@ -278,26 +328,67 @@ def _scalar_rows(rows) -> bool:
     return all(z == (s if i == j else None) for i, row in enumerate(rows) for j, z in enumerate(row))
 
 
+def _monomial(rows):
+    """(sigma, m) with rows[sigma[k]][k] = m[k] the only nonzero of its row and column, else None."""
+    n = len(rows)
+    sigma, m = [None] * n, [None] * n
+    for i, row in enumerate(rows):
+        cols = [k for k, z in enumerate(row) if z is not None]
+        if len(cols) != 1 or sigma[cols[0]] is not None:
+            return None
+        k = cols[0]
+        sigma[k], m[k] = i, row[k]
+    return sigma, m
+
+
+def _monomial_defect(sigma, m, a_rows, b_rows, prec):
+    """Raw entries of M A - B M, as one row, for the monomial M[sigma[k], k] = m[k].
+
+    Entry (sigma[k], l) is m_k A[k, l] - B[sigma[k], sigma[l]] m_l: row
+    sigma[k] and column l of M hold one nonzero each, so the fused
+    ``_raw_product(M, A, minus=B M)`` forms exactly these two terms there,
+    rounded by the same ``pair_mul`` and ``pair_sub``.  A term with an exact
+    zero factor is not formed, and an entry with neither term is zero.
+    """
+    out = []
+    for k, (mk, a_row) in enumerate(zip(m, a_rows)):
+        b_row = b_rows[sigma[k]]
+        for l, a in enumerate(a_row):
+            b = b_row[sigma[l]]
+            if a is None and b is None:
+                continue
+            left = _RAW_ZERO if a is None else pair_mul(mk, a, prec)
+            right = _RAW_ZERO if b is None else pair_mul(b, m[l], prec)
+            out.append(pair_sub(left, right, prec))
+    return [out]
+
+
 def intertwining_defects(m, pairs):
     """Float magnitude of the largest entry of M A - B M for each (A, B) in ``pairs``.
 
     Each float equals ``residual_report(matmul(m, a) - matmul(b, m))[1]``:
     M is unpacked once and each defect is one fused
-    ``product(M, A, minus=B M)`` of the kernel.  When A and B read as the
-    same bigfloat scalar matrix s Id, as puncture images do, the defect is
-    exactly zero and 0.0 is returned without the products: the kernel skips
-    zero terms, so entry (i, j) is m_ij s - s m_ij, and ``pair_mul`` rounds
-    both products alike because ``scalars._add`` is symmetric.  The test
-    reads the images themselves, which may come from a file.
+    ``product(M, A, minus=B M)`` of the kernel, or, for a bigfloat M with
+    one nonzero per row and column, the same entries from their two terms
+    (:func:`_monomial_defect`).  When A and B read as the same bigfloat
+    scalar matrix s Id, as puncture images do, the defect is exactly zero
+    and 0.0 is returned without the products: the kernel skips zero terms,
+    so entry (i, j) is m_ij s - s m_ij, and ``pair_mul`` rounds both
+    products alike because ``scalars._add`` is symmetric.  The test reads
+    the images themselves, which may come from a file.
     """
     rs = m.flat[0].rs
     k = kernel(rs)
     m_rows = k.unpack(m)
+    bigfloat, prec = rs.backend == "bigfloat", rs.precision_bits
+    mono = _monomial(m_rows) if bigfloat else None
     out = []
     for a, b in pairs:
         a_rows, b_rows = k.unpack(a), k.unpack(b)
-        if rs.backend == "bigfloat" and a_rows == b_rows and _scalar_rows(a_rows):
+        if bigfloat and a_rows == b_rows and _scalar_rows(a_rows):
             out.append(0.0)
+        elif mono is not None:
+            out.append(_raw_worst(_monomial_defect(*mono, a_rows, b_rows, prec), prec)[1])
         else:
             out.append(k.worst(k.product(m_rows, a_rows, minus=k.product(b_rows, m_rows)))[1])
     return out
@@ -382,16 +473,24 @@ def scalar_deviation(mat, rs):
 # bridges to raw numeric types
 # ---------------------------------------------------------------------------
 
+def to_complex(e) -> complex:
+    """Double-precision value of a scalar, each part rounded to nearest as ``float(mpf)`` rounds it.
+
+    Exact scalars are bridged at 64 bits.
+    """
+    if isinstance(e, CyclotomicNumber):
+        e = numeric_bridge(e, 64)
+    re, im = e.pair
+    return complex(to_float(re, rnd=RND), to_float(im, rnd=RND))
+
+
 def to_complex128(mat):
-    """Double-precision image; exact entries are bridged at 64 bits."""
+    """Double-precision image of a matrix, entry by entry as :func:`to_complex`."""
     n, m = mat.shape
     out = np.empty((n, m), dtype=np.complex128)
     for i in range(n):
         for j in range(m):
-            e = mat[i, j]
-            if isinstance(e, CyclotomicNumber):
-                e = numeric_bridge(e, 64)
-            out[i, j] = complex(float(e.re), float(e.im))
+            out[i, j] = to_complex(mat[i, j])
     return out
 
 

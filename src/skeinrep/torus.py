@@ -107,25 +107,26 @@ def torus_params_exact(x3, p, u) -> TorusParams:
     return TorusParams(rs, t1, t2, x3, p)
 
 
-def _torus_matrices(params: TorusParams):
+def _torus_matrices(params: TorusParams, u):
     rs = params.rs
     x3 = params.x3
     x3i = x3 ** (-1)
     p = params.p
-    u = params.u
     if u.is_zero():
         raise VanishingCycle("t1 + t2 x3^N = 0; the wraparound constant vanishes")
-    c = [-(p + x3 * x3 * rs.a_pow(4 * k - 2) + x3i * x3i * rs.a_pow(-4 * k + 2))
+    x3_sq, x3i_sq = x3 * x3, x3i * x3i
+    c = [-(p + x3_sq * rs.a_pow(4 * k - 2) + x3i_sq * rs.a_pow(-4 * k + 2))
          for k in range(1, rs.N + 1)]
     return ladder.ladder_assembly(rs, 2, x3, c).matrices(u)
 
 
 def build_torus_rep(params: TorusParams, surface=TORUS1) -> Representation:
     """Assemble the representation matrices for a validated parameter set."""
-    m1, m2, m3 = _torus_matrices(params)
+    u = params.u
+    m1, m2, m3 = _torus_matrices(params, u)
     provenance = {
         "params": {"t1": params.t1, "t2": params.t2, "t3": params.t3, "p": params.p},
-        "gauge": {"x3": params.x3, "u": params.u},
+        "gauge": {"x3": params.x3, "u": u},
     }
     punctures = {"P": params.p} if surface is TORUS1 else {}
     return assemble(surface, params.rs, params.rs.N,

@@ -11,14 +11,21 @@ reach falls back to the dense problem in dim^2 unknowns.  For irreducible
 representations the solution space has dimension at most one and the
 certificate is unique up to scale.
 
+A walked certificate keeps its structure as a :class:`Monomial` (sigma, m)
+until it is normalized: the condition estimate converts its dim nonzeros,
+and normalization takes dim magnitudes and dim products, with the bits of
+the dense forms.  Its residuals come from the two terms of each defect
+entry (:func:`matrices.intertwining_defects` recognizes a monomial).
+
 The gauge scalar x3 of a construction is determined only up to the 2N moves
 x3 -> x3 A^{2l} and x3 -> x3^{-1} A^{2l}, all preserving t3 = x3^N + x3^{-N}.
 The uniqueness experiment samples random generic invariants, builds the
 representation through every gauge variant, and certifies that all variants
 are pairwise isomorphic while the invariants round-trip.  The variants of a
 sphere sample share T_N at the puncture roots, which the gauge moves leave
-alone, and each variant assembles its ladder once.  Its pair certificates
-M_j M_i^{-1} of two monomial certificates are again monomial and take dim
+alone, and each variant assembles its ladder once.  Each base certificate
+M_j is taken apart into its :class:`Monomial` once, and the pair
+certificates M_j M_i^{-1} of two monomials are again monomial and take dim
 divisions; a dense certificate goes through ``matrices.inverse`` and
 ``matrices.matmul``.  Every pair is checked by :func:`intertwiner_residuals`
 on the raw libmp kernel.
@@ -38,6 +45,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,12 +112,65 @@ def _normalize_by_largest(m):
     return matrices.mat_scale(best ** (-1), m)
 
 
+class Monomial(namedtuple("Monomial", "sigma entries")):
+    """M = P_sigma diag(entries): M[sigma[k], k] = entries[k], exact zeros elsewhere.
+
+    Every ladder-walk certificate has this shape, and so has the composition
+    of two; these methods give the bits of the dense matrix's
+    ``to_complex128`` and :func:`_normalize_by_largest` from the dim
+    nonzeros alone.
+    """
+
+    __slots__ = ()
+
+    def matrix(self):
+        out = matrices.zeros(self.entries[0].rs, len(self.entries))
+        for k, e in enumerate(self.entries):
+            out[self.sigma[k], k] = e
+        return out
+
+    def complex128(self):
+        n = len(self.entries)
+        out = np.zeros((n, n), dtype=np.complex128)
+        for k, e in enumerate(self.entries):
+            out[self.sigma[k], k] = matrices.to_complex(e)
+        return out
+
+    def normalized(self):
+        """Scaled by the inverse of the first entry, row by row, of the largest float magnitude.
+
+        Row sigma[k] holds only entries[k]; the dense scan's zeros (magnitude
+        0.0) win only when no entry is larger, and then nothing is scaled.
+        """
+        best, best_mag = None, 0.0
+        for k in sorted(range(len(self.sigma)), key=self.sigma.__getitem__):
+            mag = matrices.entry_magnitude(self.entries[k])
+            if mag > best_mag:
+                best, best_mag = self.entries[k], mag
+        if best is None:
+            return self
+        scale = best ** (-1)
+        return Monomial(self.sigma, [scale * e for e in self.entries])
+
+    def over(self, other):
+        """M M_o^{-1}: entry entries[k] / other.entries[k] at (sigma[k], other.sigma[k])."""
+        sigma, entries = [None] * len(self.sigma), [None] * len(self.sigma)
+        for k, col in enumerate(other.sigma):
+            sigma[col], entries[col] = self.sigma[k], self.entries[k] / other.entries[k]
+        return Monomial(sigma, entries)
+
+
 def _certificate(m, rep_a, rep_b):
-    """Normalized certificate for a candidate m, or None when m is not invertible."""
-    cond = _condition_estimate(matrices.to_complex128(m))
+    """Normalized certificate for a candidate m, or None when m is not invertible.
+
+    ``m`` is a dense matrix or a :class:`Monomial`; both give the same
+    certificate for the same matrix.
+    """
+    mono = isinstance(m, Monomial)
+    cond = _condition_estimate(m.complex128() if mono else matrices.to_complex128(m))
     if not math.isfinite(cond) or cond > 1e12:
         return None
-    m = _normalize_by_largest(m)
+    m = m.normalized().matrix() if mono else _normalize_by_largest(m)
     residuals = intertwiner_residuals(m, rep_a, rep_b)
     return IsomorphismCertificate(matrices.freeze(m), residuals, cond)
 
@@ -187,10 +248,7 @@ def _monomial_intertwiner(rep_a, rep_b, sigma, tol):
                     reached.append(r)
     if len(reached) < n:
         return _dense_intertwiner(rep_a, rep_b, tol)
-    candidate = matrices.zeros(rep_a.rs, n)
-    for k in range(n):
-        candidate[sigma[k], k] = m[k]
-    cert = _certificate(candidate, rep_a, rep_b)
+    cert = _certificate(Monomial(sigma, m), rep_a, rep_b)
     if cert is None or not _within_gate(cert, rep_a, rep_b, tol):
         return None
     return cert
@@ -440,7 +498,7 @@ def _build_variant_reps(variants):
 
 
 def _monomial_parts(m):
-    """(sigma, entries) with m[sigma[k], k] = entries[k] when m is monomial, else None."""
+    """The :class:`Monomial` of m when m has one nonzero per row and column, else None."""
     n = m.shape[0]
     sigma, entries = [], []
     for k in range(n):
@@ -449,19 +507,22 @@ def _monomial_parts(m):
             return None
         sigma.append(rows[0])
         entries.append(m[rows[0], k])
-    return (sigma, entries) if len(set(sigma)) == n else None
+    return Monomial(sigma, entries) if len(set(sigma)) == n else None
 
 
-def _pair_matrix(m_j, m_i, rs):
-    """M_j M_i^{-1}; two monomials give entry m_j[k] / m_i[k] at (sigma_j(k), sigma_i(k))."""
-    parts_j, parts_i = _monomial_parts(m_j), _monomial_parts(m_i)
-    if parts_j is None or parts_i is None:
-        return matrices.matmul(m_j, matrices.inverse(m_i))
-    (sigma_j, e_j), (sigma_i, e_i) = parts_j, parts_i
-    out = matrices.zeros(rs, len(e_j))
-    for k in range(len(e_j)):
-        out[sigma_j[k], sigma_i[k]] = e_j[k] / e_i[k]
-    return out
+def _pair_matrix(m_j, m_i):
+    """(M_j M_i^{-1}, its condition estimate) for two base certificates.
+
+    Two :class:`Monomial` certificates compose by dim divisions, and the
+    estimate reads the dim nonzeros; a dense one goes through
+    ``matrices.inverse`` and ``matrices.matmul``.
+    """
+    if isinstance(m_j, Monomial) and isinstance(m_i, Monomial):
+        pair = m_j.over(m_i)
+        return pair.matrix(), _condition_estimate(pair.complex128())
+    dense_j, dense_i = (m.matrix() if isinstance(m, Monomial) else m for m in (m_j, m_i))
+    m = matrices.matmul(dense_j, matrices.inverse(dense_i))
+    return m, _condition_estimate(matrices.to_complex128(m))
 
 
 def _roundtrip_ok(rep, invariants, tol):
@@ -487,6 +548,8 @@ def uniqueness_experiment(config: ExperimentConfig) -> ExperimentReport:
     certificate, oversized residual or failed invariant round-trip marks the
     report failed with full reproduction data.
     """
+    if config.samples < 1:
+        raise ValueError(f"samples must be at least 1, got {config.samples}")
     rs = make_root_system(config.N, "bigfloat", config.precision_bits)
     rng = random.Random(config.seed)
     tol = Tolerance(config.residual_threshold)
@@ -523,15 +586,16 @@ def uniqueness_experiment(config: ExperimentConfig) -> ExperimentReport:
                 base_certs[j] = cert
             pairs_checked = 0
             if not failures:
+                # each base certificate's monomial structure, found once
+                bases = [None] + [_monomial_parts(c.matrix) or c.matrix for c in base_certs[1:]]
                 for i in range(len(reps) - 1):
                     for j in range(i + 1, len(reps)):
                         # a base pair's residuals and condition estimate are its certificate's own
                         base = base_certs[j]
                         res, cond = base.worst_residual, base.condition_estimate
                         if i:
-                            m = _pair_matrix(base.matrix, base_certs[i].matrix, rs)
+                            m, cond = _pair_matrix(bases[j], bases[i])
                             res = max(intertwiner_residuals(m, reps[i], reps[j]).values())
-                            cond = _condition_estimate(matrices.to_complex128(m))
                         worst_residual = max(worst_residual, res)
                         pairs_checked += 1
                         if not math.isfinite(cond):

@@ -37,7 +37,7 @@ from skeinrep.chebyshev import chebyshev_eval
 from skeinrep.errors import NonScalarChebyshev, VanishingDivisor
 from skeinrep.invariants import commuting_system
 from skeinrep.scalars import (RND, BigComplex, CyclotomicNumber, Tolerance, approx_eq, from_pair,
-                              make_root_system, working_pair)
+                              make_root_system, numeric_bridge, working_pair)
 from skeinrep.sphere import build_sphere_rep
 from skeinrep.torus import build_torus_rep, torus_params_exact, torus_params_from_shadow
 from skeinrep.uniqueness import (gauge_orbit, intertwiner_residuals, intertwiner_search,
@@ -489,6 +489,62 @@ def test_scalar_pair_defect_is_exactly_zero(seed, n, monomial):
     m_rows = k.unpack(m)
     assert k.worst(k.product(m_rows, k.unpack(a), minus=k.product(k.unpack(b), m_rows))) == (True, 0.0)
     assert matrices.intertwining_defects(m, [(a, b)]) == [0.0]
+
+
+def nonzero_spread_entry(rs, rng, prec):
+    while True:
+        e = spread_entry(rs, rng, prec)
+        if e.re or e.im:
+            return e
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 7),
+       zero_share=st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+def test_monomial_defect_matches_fused_product(seed, n, zero_share):
+    # parts 2^+-300 apart, and images whose entries are exact zeros at random
+    rs = rs_of(3)
+    prec = rs.precision_bits
+    rng = random.Random(seed)
+    sigma = rng.sample(range(n), n)
+    m = matrices.zeros(rs, n)
+    a, b = matrices.zeros(rs, n), matrices.zeros(rs, n)
+    with mp.workprec(prec):
+        for k in range(n):
+            m[sigma[k], k] = nonzero_spread_entry(rs, rng, prec)
+        for img in (a, b):
+            for i in range(n):
+                for j in range(n):
+                    if rng.random() >= zero_share:
+                        img[i, j] = spread_entry(rs, rng, prec)
+    k = matrices.kernel(rs)
+    m_rows, a_rows, b_rows = k.unpack(m), k.unpack(a), k.unpack(b)
+    mono = matrices._monomial(m_rows)
+    assert mono is not None and mono[0] == sigma
+    fused = k.product(m_rows, a_rows, minus=k.product(b_rows, m_rows))
+    want = {(i, j): z for i, row in enumerate(fused) for j, z in enumerate(row) if z is not None}
+    entries = iter(matrices._monomial_defect(*mono, a_rows, b_rows, prec)[0])
+    got = {}
+    for c in range(n):
+        for l in range(n):
+            if a_rows[c][l] is not None or b_rows[sigma[c]][sigma[l]] is not None:
+                z = next(entries)
+                if z != (fzero, fzero):
+                    got[sigma[c], l] = z
+    assert next(entries, None) is None
+    assert got == want
+    assert matrices.intertwining_defects(m, [(a, b)]) == [mpc_worst(fused, prec)[1]]
+
+
+def test_monomial_detection_refuses_other_shapes():
+    rs = rs_of(3)
+    rng = random.Random(5)
+    k = matrices.kernel(rs)
+    full = dense(rs, rng, 3, 3)
+    two_in_column = matrices.zeros(rs, 3)
+    two_in_column[0, 0], two_in_column[1, 0], two_in_column[2, 1] = full[0, 0], full[1, 0], full[2, 1]
+    for mat in (full, two_in_column, matrices.zeros(rs, 3)):
+        assert matrices._monomial(k.unpack(mat)) is None
 
 
 def reference_residual_report(mat):
@@ -1032,6 +1088,87 @@ def test_read_outs_match_mpc_abs_near_the_cut(case):
     shifted = [[mpc_sub(z or (fzero, fzero), mean.pair, prec, RND) if i == j else z
                 for j, z in enumerate(row)] for i, row in enumerate(rows)]
     assert matrices.scalar_deviation(mat, rs)[1] == mpc_worst(shifted, prec)[1]
+
+
+@st.composite
+def near_tie_rows(draw):
+    """(prec, raw rows): a two-part entry within 2^-(prec+3) of a one-part entry, among others.
+
+    The two-part entry is (x, y) with |y| below |x|, often far below; the
+    one-part entry is x, or x a quarter unit of its last bit away, as its
+    real or imaginary part.  Two-part
+    entries that tie exactly (parts swapped or negated) or differ only below
+    the prec + 4 bit floor, and random entries, ride along.
+    """
+    prec = draw(st.sampled_from(PRECS))
+    top = draw(st.integers(-40, 40))
+
+    def part(top, bits=prec):
+        man = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+        return from_man_exp(-man if draw(st.booleans()) else man, top - bits)
+
+    def moved(x, units):
+        sign, man, exp, _ = x
+        return from_man_exp((-1) ** sign * ((man << 2) + units), exp - 2)
+
+    x = part(top, draw(st.sampled_from([1, 2, prec // 2, prec])))
+    y = part(top - draw(st.integers(2, 2 * prec + 8)), draw(st.sampled_from([1, 3, prec])))
+    single = moved(x, draw(st.sampled_from([-1, 0, 1])))
+    entries = [(x, y), (single, fzero) if draw(st.booleans()) else (fzero, single)]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["swap", "negate", "below", "random", "zero"]))
+        if kind == "swap":
+            entries.append((y, x))
+        elif kind == "negate":
+            entries.append(((1 - x[0],) + x[1:], y))
+        elif kind == "below":
+            entries.append((x, part(top - 2 * prec - 20, 1)))
+        elif kind == "random":
+            entries.append((part(top + draw(st.integers(-3, 1))), part(top + draw(st.integers(-60, 0)))))
+        else:
+            entries.append(None)
+    order = draw(st.permutations(range(len(entries))))
+    return prec, [[entries[i] for i in order]]
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_tie_rows())
+def test_raw_worst_matches_every_entry_mpc_abs_near_ties(case):
+    prec, rows = case
+    assert matrices._raw_worst(rows, prec) == mpc_worst(rows, prec)
+    for z in rows[0]:
+        if z is not None and z[0] != fzero and z[1] != fzero:
+            e, man = matrices._hypot2(z, prec)
+            x, y = z
+            assert from_man_exp(man, e) == mpf_add(mpf_mul(x, x), mpf_mul(y, y), prec + 4)
+            assert man.bit_length() == prec + 4
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_to_complex128_rounds_as_float_of_mpf(prec):
+    # wide parts, parts beyond double range, exact zeros and exact entries
+    rs = rs_of(3, prec)
+    rng = random.Random(prec)
+    mat = np.empty((4, 5), dtype=object)
+    for idx in np.ndindex(mat.shape):
+        parts = []
+        for _ in range(2):
+            bits = rng.choice([1, 53, 54, prec, 2 * prec + 7])
+            man = rng.getrandbits(bits) | 1 << (bits - 1)
+            exp = rng.choice([rng.randint(-80, 80), rng.randint(-1200, 1200)]) - bits
+            parts.append(fzero if rng.random() < 0.15 else from_man_exp(-man if rng.random() < 0.5 else man, exp))
+        mat[idx] = from_pair(rs, tuple(parts))
+    got = matrices.to_complex128(mat)
+    want = np.array([[complex(float(e.re), float(e.im)) for e in row] for row in mat])
+    assert got.tobytes() == want.tobytes()
+    exact = make_root_system(5)
+    cyclo = np.empty((2, 2), dtype=object)
+    for idx in np.ndindex(cyclo.shape):
+        cyclo[idx] = CyclotomicNumber(exact, tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                                   for _ in range(exact.degree)))
+    bridged = [[numeric_bridge(e, 64) for e in row] for row in cyclo]
+    want = np.array([[complex(float(e.re), float(e.im)) for e in row] for row in bridged])
+    assert matrices.to_complex128(cyclo).tobytes() == want.tobytes()
 
 
 def test_kernel_makes_no_libmp_arithmetic_calls(monkeypatch):

@@ -216,6 +216,17 @@ def test_cli_experiment_deterministic(tmp_path):
     assert read_json(out1)["passed"] is True
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_cli_experiment_refuses_no_samples(tmp_path, capsys, samples):
+    # zero records used to print "experiment PASS"
+    out = tmp_path / "e.json"
+    status = main(["experiment", "--surface", "torus1", "--samples", samples, "--out", str(out)])
+    assert status == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: samples must be at least 1, got {samples}\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_cli_build_is_byte_deterministic(tmp_path):
     s1, out1 = _build_rep_file(tmp_path, "a.json")
     s2, out2 = _build_rep_file(tmp_path, "b.json")

@@ -3,10 +3,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from mpmath.libmp import from_man_exp, fzero
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skeinrep import matrices, sphere, uniqueness
 from skeinrep.chebyshev import solve_chebyshev
-from skeinrep.scalars import Tolerance, approx_eq, make_root_system
+from skeinrep.scalars import Tolerance, approx_eq, from_pair, make_root_system
 from skeinrep.serialize import dumps_canonical
 from skeinrep.sphere import build_sphere_rep_from_params, make_sphere_params
 from skeinrep.surfaces import SPHERE4, TORUS1
@@ -161,6 +164,39 @@ def test_monomial_certificate_matches_dense(base_rep, rs, surface):
     for i in range(n):
         for j in range(n):
             assert approx_eq(dense.matrix[i, j], ratio * mono.matrix[i, j], tol)
+
+
+def bits(mat):
+    return [(e.re._mpf_, e.im._mpf_) for e in mat.flat]
+
+
+def tied_entries(rs, rng, n):
+    """n scalars, many of one float magnitude: e, i e, -e, conj e, and e (1 + 2^-100)."""
+    e = rs.scalar(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+    i = rs.scalar(1j)
+    nudge = from_pair(rs, (from_man_exp((1 << 100) + 1, -100), fzero))
+    ties = [e, i * e, -e, rs.scalar(complex(e.re, -e.im)), e * nudge]
+    return [rng.choice(ties) if rng.random() < 0.7 else
+            rs.scalar(complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for _ in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6))
+def test_monomial_normalization_matches_dense(rs, seed, n):
+    rng = random.Random(seed)
+    mono = uniqueness.Monomial(rng.sample(range(n), n), tied_entries(rs, rng, n))
+    dense = mono.matrix()
+    assert bits(mono.normalized().matrix()) == bits(uniqueness._normalize_by_largest(dense))
+    assert mono.complex128().tobytes() == matrices.to_complex128(dense).tobytes()
+
+
+def test_monomial_normalization_matches_dense_exact_backend():
+    # every power of A has magnitude 1, so the first row's entry wins
+    exact = make_root_system(5)
+    mono = uniqueness.Monomial([2, 0, 4, 1, 3], [exact.a_pow(k) for k in (3, 1, 7, 2, 9)])
+    got = mono.normalized().matrix()
+    assert list(got.flat) == list(uniqueness._normalize_by_largest(mono.matrix()).flat)
+    assert got[0, 1] == exact.one
 
 
 def test_distinct_t3_refused_by_spectrum(rs, monkeypatch):
@@ -363,6 +399,34 @@ def test_experiment_sphere_avoids_dense_system(monkeypatch):
     report = uniqueness_experiment(ExperimentConfig(SPHERE4, 3, 2, seed=5))
     assert report.passed, [r["failures"] for r in report.records]
     assert all(rec["pairs_checked"] == 15 for rec in report.records)
+
+
+@pytest.mark.parametrize("surface", [TORUS1, SPHERE4])
+def test_pair_loop_stays_monomial(surface, monkeypatch):
+    # the pair loop starts at the first _monomial_parts call; from there no
+    # dense inverse, matmul or general-kernel product runs, and each of the
+    # 2N - 1 base certificates is taken apart once
+    calls = Counter()
+    real_parts = uniqueness._monomial_parts
+
+    def parts(m):
+        calls["parts"] += 1
+        return real_parts(m)
+
+    def watched(name, fn):
+        def wrapper(*args, **kwargs):
+            if calls["parts"]:
+                calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(uniqueness, "_monomial_parts", parts)
+    for name in ("inverse", "matmul", "_raw_product", "intertwining_defects"):
+        monkeypatch.setattr(matrices, name, watched(name, getattr(matrices, name)))
+    report = uniqueness_experiment(ExperimentConfig(surface, 3, 1, seed=4))
+    assert report.passed and report.records[0]["pairs_checked"] == 15
+    # the 10 pairs (i, j) with 0 < i < j < 6 each take one residual call
+    assert calls == {"parts": 5, "intertwining_defects": 10}
 
 
 def test_sphere_orbit_repeats_no_work(monkeypatch):
