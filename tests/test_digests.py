@@ -98,6 +98,11 @@ EXPERIMENTS = {
     ("torus1", 3, 5): "d6d8c24e01605685",
     ("sphere4", 3, 5): "0be559ecd533aa40",
     ("sphere4", 1, 5): "595da670269313db",
+    # at N = 1 the up step, the down step and the offsets share one cell, and
+    # at N = 5 the ladder reads A^j at exponents past 2N, which wrap to A^(j mod 2N)
+    ("torus1", 1, 5): "3d0837f53d2f938a",
+    ("torus1", 5, 2): "153dde1ae49d2dd5",
+    ("sphere4", 5, 2): "b68d2a9e6be21e4a",
 }
 
 
