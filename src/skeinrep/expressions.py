@@ -455,7 +455,8 @@ def normal_form_to_expr(nf: NormalForm) -> SkeinExpr:
 def evaluate(expr: SkeinExpr, rep):
     """Homomorphic evaluation: sums to matrix sums, products to products.
 
-    The tree is walked on the root system's :func:`matrices.kernel` and only
+    The tree is walked on the root system's :func:`matrices.kernel`, from
+    the generator rows the rep keeps (:meth:`Representation.rows`), and only
     the result is wrapped.  A literal is value * Id; sums and products run
     left to right; a power G^e is Id * G * ... * G multiplied left to right.
     A generator power starts from the highest lower power of that generator
@@ -468,15 +469,13 @@ def evaluate(expr: SkeinExpr, rep):
         raise ValueError("expression and representation use different root systems")
     rs, dim = rep.rs, rep.dim
     k = matrices.kernel(rs)
-    gens, powers = {}, {}  # unpacked generators; name -> {exponent: power}
+    powers = {}  # name -> {exponent: power}
 
     def walk(node):
         if isinstance(node, Lit):
             return k.unpack(matrices.scalar_matrix(node.value, dim))
         if isinstance(node, Gen):
-            if node.name not in gens:
-                gens[node.name] = k.unpack(rep.matrix(node.name))
-            return gens[node.name]
+            return rep.rows(node.name)
         if isinstance(node, Sum):
             return reduce(k.add, map(walk, node.terms))
         if isinstance(node, Prod):

@@ -25,11 +25,19 @@ builds at another assembles once.
 The ladder operators U_k = A^h X1 - x3 A^{tk} X2 + beta_k^+ and
 D_k = A^h X1 - x3^{-1} A^{-tk} X2 + beta_k^- shift the k-th eigenline one
 step up and one step down.
+
+Every scalar above that depends on the gauge alone comes from one
+:class:`Gauge`, which the torus and sphere parameters expose: it takes
+x3^{-1}, x3^N and x3^{-N} once each, and forms each product x3 A^j and
+x3^{-1} A^j once, keyed by j mod 2N (the period of ``rs.a_pow``).  The
+tower, the ladder's column terms and the sphere's offsets read the same
+products, so a construction forms each of them once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import matrices
 from .errors import DegenerateShadow, EigenstructureMismatch
@@ -48,10 +56,67 @@ def check_nondegenerate_t3(t3, rs):
         raise DegenerateShadow(f"t3 = {t3} is at +/-2; the X3 spectrum degenerates")
 
 
-def eigenvalue_tower(rs, twist, x3):
+class Gauge:
+    """A gauge scalar x3 with the powers and A-shifts a ladder reads, each taken once.
+
+    Every value is computed on first use by the operation a construction
+    would make, so it has that operation's bits.
+    """
+
+    def __init__(self, rs, x3):
+        self.rs, self.x3 = rs, x3
+        self._shifted, self._inverse_shifted = {}, {}
+
+    @cached_property
+    def inverse(self):
+        return self.x3 ** (-1)
+
+    @cached_property
+    def power_n(self):
+        return self.x3 ** self.rs.N
+
+    @cached_property
+    def power_minus_n(self):
+        return self.x3 ** (-self.rs.N)
+
+    @cached_property
+    def t3(self):
+        """x3^N + x3^{-N}."""
+        return self.power_n + self.power_minus_n
+
+    @cached_property
+    def s(self):
+        """x3^N - x3^{-N}, zero where x3^N = +/-1 puts t3 at +/-2."""
+        return self.power_n - self.power_minus_n
+
+    @cached_property
+    def square(self):
+        return self.x3 * self.x3
+
+    @cached_property
+    def inverse_square(self):
+        return self.inverse * self.inverse
+
+    def shifted(self, j):
+        """x3 A^j."""
+        return self._times_a_pow(self._shifted, self.x3, j)
+
+    def inverse_shifted(self, j):
+        """x3^{-1} A^j."""
+        return self._times_a_pow(self._inverse_shifted, self.inverse, j)
+
+    def _times_a_pow(self, memo, base, j):
+        key = j % (2 * self.rs.N)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = base * self.rs.a_pow(key)
+        return value
+
+
+def eigenvalue_tower(gauge, twist):
     """lambda_k = x3 A^{tk} + x3^{-1} A^{-tk} for k = 1..N."""
-    x3i = x3 ** (-1)
-    return [x3 * rs.a_pow(twist * k) + x3i * rs.a_pow(-twist * k) for k in range(1, rs.N + 1)]
+    return [gauge.shifted(twist * k) + gauge.inverse_shifted(-twist * k)
+            for k in range(1, gauge.rs.N + 1)]
 
 
 def _cell(terms, scales):
@@ -92,7 +157,7 @@ class LadderAssembly:
         return m1, m2, self.m3
 
 
-def ladder_assembly(rs, twist, x3, down, beta_plus=None, beta_minus=None) -> LadderAssembly:
+def ladder_assembly(gauge, twist, down, beta_plus=None, beta_minus=None) -> LadderAssembly:
     """The ladder's column terms, with the diagonal offsets beta^+/- if given.
 
     ``down[k - 1]`` is the down scalar of column k; column 1 divides it by u.
@@ -101,18 +166,18 @@ def ladder_assembly(rs, twist, x3, down, beta_plus=None, beta_minus=None) -> Lad
     sums its terms in column order, and within a column up, down, diagonal:
     at N = 1 all three share one cell, at N = 2 the up and down steps do.
     """
+    rs = gauge.rs
     n = rs.N
-    x3i = x3 ** (-1)
     half = twist // 2
     cells = {}  # (row, column) -> [(X1 term, X2 term, power of u)]
     tower = []  # the X3 eigenvalues, from the products d_k takes
     for k in range(1, n + 1):
         col = k - 1
-        plus, minus = x3 * rs.a_pow(twist * k), x3i * rs.a_pow(-twist * k)
+        plus, minus = gauge.shifted(twist * k), gauge.inverse_shifted(-twist * k)
         dk = plus - minus
         tower.append(plus + minus)
-        lo = x3i * rs.a_pow(-twist * k - half)
-        hi = x3 * rs.a_pow(twist * k - half)
+        lo = gauge.inverse_shifted(-twist * k - half)
+        hi = gauge.shifted(twist * k - half)
         # round-to-nearest is symmetric, so -(1 / d_k) has the bits of -1 / d_k
         inv = rs.one / dk
         # v_k -> v_{k+1}, wrapping to u v_1
@@ -186,7 +251,7 @@ def _check_ladder_property(ups, downs, rep):
                     f"down operator {k} leaks outside eigenline {down_target + 1}")
 
 
-def ladder_system(rep, twist, x3, beta_plus=None, beta_minus=None) -> LadderSystem:
+def ladder_system(rep, twist, gauge, beta_plus=None, beta_minus=None) -> LadderSystem:
     """Extract and validate U_k, D_k; the offsets beta^+/- default to none.
 
     Validates that the X3 image is diagonal with the eigenvalue tower of
@@ -195,15 +260,14 @@ def ladder_system(rep, twist, x3, beta_plus=None, beta_minus=None) -> LadderSyst
     """
     rs = rep.rs
     n = rep.dim
-    x3i = x3 ** (-1)
-    lam = eigenvalue_tower(rs, twist, x3)
+    lam = eigenvalue_tower(gauge, twist)
     _check_eigenstructure(rep, lam)
     m1, m2 = rep.matrix("X1"), rep.matrix("X2")
     scaled_m1 = matrices.mat_scale(rs.a_pow(twist // 2), m1)
     ups, downs = [], []
     for k in range(1, n + 1):
-        up = scaled_m1 - matrices.mat_scale(x3 * rs.a_pow(twist * k), m2)
-        down = scaled_m1 - matrices.mat_scale(x3i * rs.a_pow(-twist * k), m2)
+        up = scaled_m1 - matrices.mat_scale(gauge.shifted(twist * k), m2)
+        down = scaled_m1 - matrices.mat_scale(gauge.inverse_shifted(-twist * k), m2)
         if beta_plus is not None:
             up = up + matrices.scalar_matrix(beta_plus[k - 1], n)
             down = down + matrices.scalar_matrix(beta_minus[k - 1], n)

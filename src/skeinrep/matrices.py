@@ -19,7 +19,9 @@ of two entries at most.
 Intertwiner defects M A - B M of a monomial M = P_sigma diag(m), the shape
 every ladder-walk certificate has, are formed from the two terms each entry
 holds, m_k A[k, l] and B[sigma(k), sigma(l)] m_l, with the bits of the fused
-product; a monomial is recognized from its raw rows.
+product; a monomial comes in as (sigma, m), or is recognized from the raw
+rows of a dense M.  A and B come in as kernel rows, which a representation
+keeps per frozen image.
 
 Bigfloat rank and nullspace decisions come from one SVD at the root
 system's working precision: singular values below rel_eps * sigma_max count
@@ -363,28 +365,45 @@ def _monomial_defect(sigma, m, a_rows, b_rows, prec):
     return [out]
 
 
+def monomial_matrix(sigma, entries):
+    """The object array P_sigma diag(entries): entry (sigma[k], k) is entries[k]."""
+    out = zeros(entries[0].rs, len(entries))
+    for k, e in enumerate(entries):
+        out[sigma[k], k] = e
+    return out
+
+
 def intertwining_defects(m, pairs):
     """Float magnitude of the largest entry of M A - B M for each (A, B) in ``pairs``.
 
-    Each float equals ``residual_report(matmul(m, a) - matmul(b, m))[1]``:
-    M is unpacked once and each defect is one fused
-    ``product(M, A, minus=B M)`` of the kernel, or, for a bigfloat M with
-    one nonzero per row and column, the same entries from their two terms
-    (:func:`_monomial_defect`).  When A and B read as the same bigfloat
-    scalar matrix s Id, as puncture images do, the defect is exactly zero
-    and 0.0 is returned without the products: the kernel skips zero terms,
-    so entry (i, j) is m_ij s - s m_ij, and ``pair_mul`` rounds both
-    products alike because ``scalars._add`` is symmetric.  The test reads
-    the images themselves, which may come from a file.
+    ``m`` is an object array, or a monomial (sigma, entries) standing for
+    :func:`monomial_matrix`; each pair holds the kernel rows of A and B
+    (``kernel(rs).unpack``).  Each float equals
+    ``residual_report(matmul(m, a) - matmul(b, m))[1]``: M is unpacked once
+    and each defect is one fused ``product(M, A, minus=B M)`` of the kernel,
+    or, for a bigfloat M with one nonzero per row and column, the same
+    entries from their two terms (:func:`_monomial_defect`); a monomial
+    given as such is not scanned for its shape.  When A and B read as the
+    same bigfloat scalar matrix s Id, as puncture images do, the defect is
+    exactly zero and 0.0 is returned without the products: the kernel skips
+    zero terms, so entry (i, j) is m_ij s - s m_ij, and ``pair_mul`` rounds
+    both products alike because ``scalars._add`` is symmetric.  The test
+    reads the images themselves, which may come from a file.
     """
-    rs = m.flat[0].rs
+    given = isinstance(m, tuple)
+    rs = m[1][0].rs if given else m.flat[0].rs
     k = kernel(rs)
-    m_rows = k.unpack(m)
     bigfloat, prec = rs.backend == "bigfloat", rs.precision_bits
-    mono = _monomial(m_rows) if bigfloat else None
+    mono = None
+    if given and bigfloat:
+        raw = [working_pair(e.pair, prec) for e in m[1]]
+        if _RAW_ZERO not in raw:
+            mono = (m[0], raw)
+    if mono is None:
+        m_rows = k.unpack(monomial_matrix(*m) if given else m)
+        mono = _monomial(m_rows) if bigfloat else None
     out = []
-    for a, b in pairs:
-        a_rows, b_rows = k.unpack(a), k.unpack(b)
+    for a_rows, b_rows in pairs:
         if bigfloat and a_rows == b_rows and _scalar_rows(a_rows):
             out.append(0.0)
         elif mono is not None:

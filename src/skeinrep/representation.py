@@ -4,7 +4,9 @@ A representation assigns one square matrix to every generator of its surface
 vocabulary; puncture generators always map to their scalar times the
 identity, and that scalar is also stored separately.  T_N of each frozen
 loop image is computed once and kept (:meth:`Representation.chebyshev`), and
-so is the largest entry magnitude (:meth:`Representation.largest_entry`).
+so are each frozen image's rows in the matrix kernel's working format
+(:meth:`Representation.rows`) and the largest entry magnitude
+(:meth:`Representation.largest_entry`).
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ class Representation:
     matrices: dict
     puncture_scalars: dict
     provenance: dict = field(default_factory=dict)
-    # name -> T_N of its frozen image, and the largest entry magnitude once
-    # taken; neither compared, repr'd nor serialized, and empty again in a
-    # dataclasses.replace copy
+    # name -> T_N of its frozen image, name -> the image's kernel rows, and
+    # the largest entry magnitude once taken; none compared, repr'd nor
+    # serialized, and empty again in a dataclasses.replace copy
     _chebyshev: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _largest: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def matrix(self, name: str):
@@ -53,6 +56,21 @@ class Representation:
             if not mat.flags.writeable:
                 self._chebyshev[name] = matrices.freeze(tn)
         return tn
+
+    def rows(self, name: str):
+        """The image of ``name`` unpacked by :func:`matrices.kernel`, once per frozen image.
+
+        The kernel only reads the rows it is given, so kept rows are shared
+        by every product and residual taken of the image.  A writeable
+        image is unpacked on every call.
+        """
+        rows = self._rows.get(name)
+        if rows is None:
+            mat = self.matrix(name)
+            rows = matrices.kernel(self.rs).unpack(mat)
+            if not mat.flags.writeable:
+                self._rows[name] = rows
+        return rows
 
     def largest_entry(self) -> float:
         """Largest double-precision magnitude of an entry of any generator image.

@@ -26,18 +26,28 @@ beta' = prod(R)/s, s = x3^N - x3^{-N}; the offsets f, g do not depend on u
 and are measured operationally from T_N of the X1 and X2 images at the
 trial value u = 1.  Only the wraparound entries depend on u, so the trial
 and the final images come from one ladder assembly.
+
+Each derived quantity is computed once, at the level it depends on.  The
+gauge's powers and products x3 A^j come from the parameters'
+:class:`~skeinrep.ladder.Gauge`, which the offsets, the R_k, the ladder
+assembly, t3 and :func:`solve_u` share.  (q1, q2, q3, Delta) and T_N at the
+four puncture roots depend on N and p0..p3 alone, which the 2N gauge moves
+keep; they come from one bounded cache keyed by the exact values
+(:func:`puncture_data`), so a gauge orbit, the sampler that drew its
+punctures and the genericity check compute them once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 from . import matrices
 from .chebyshev import chebyshev_eval, solve_chebyshev
 from .errors import (DegenerateShadow, NoConsistentRoot, NonScalarChebyshev,
                      VanishingCycle)
-from .ladder import (LadderAssembly, LadderSystem, check_nondegenerate_t3, ladder_assembly,
-                     ladder_system)
+from .ladder import (Gauge, LadderAssembly, LadderSystem, check_nondegenerate_t3,
+                     ladder_assembly, ladder_system)
 from .representation import Representation, assemble
 from .scalars import BigComplex, RootSystem, Scalar, approx_eq, solve_quadratic
 from .surfaces import SPHERE4, sphere_k
@@ -52,6 +62,47 @@ def sphere_aux_invariants(p0, p1, p2, p3):
     return q1, q2, q3, delta
 
 
+def chebyshev_at_puncture_roots(rs, p0, p1, p2, p3) -> tuple:
+    """T_N at the roots r0, r1, r2, r3 of the two puncture quadratics.
+
+    r0, r3 solve r^2 + p0 p3 r + p0^2 + p3^2 - 4 = 0 and r1, r2 solve
+    r^2 + p1 p2 r + p1^2 + p2^2 - 4 = 0.
+    """
+    r0, r3 = solve_quadratic(rs.one, p0 * p3, p0 ** 2 + p3 ** 2 - 4)
+    r1, r2 = solve_quadratic(rs.one, p1 * p2, p1 ** 2 + p2 ** 2 - 4)
+    return tuple(chebyshev_eval(rs.N, r) for r in (r0, r1, r2, r3))
+
+
+class PunctureData:
+    """(q1, q2, q3, Delta) and T_N at the puncture roots of one p0..p3, each taken on first use.
+
+    T_N at the roots needs the bigfloat backend; an exact construction only
+    reads ``aux``.
+    """
+
+    def __init__(self, rs, punctures):
+        self.rs, self.punctures = rs, punctures
+
+    @cached_property
+    def aux(self):
+        return sphere_aux_invariants(*self.punctures)
+
+    @cached_property
+    def chebyshev_at_roots(self):
+        return chebyshev_at_puncture_roots(self.rs, *self.punctures)
+
+
+@lru_cache(maxsize=64)
+def puncture_data(rs, p0, p1, p2, p3) -> PunctureData:
+    """The one :class:`PunctureData` of (rs, p0..p3), by exact value.
+
+    Scalars compare equal exactly when every operation reads the same bits
+    from them, so a hit gives the values a fresh computation would; the
+    cache keeps the 64 most recently used tuples.
+    """
+    return PunctureData(rs, (p0, p1, p2, p3))
+
+
 @dataclass(frozen=True)
 class SphereParams:
     rs: RootSystem
@@ -63,25 +114,31 @@ class SphereParams:
     t2: Scalar
     x3: Scalar
 
-    @property
-    def t3(self):
-        n = self.rs.N
-        return self.x3 ** n + self.x3 ** (-n)
+    @cached_property
+    def gauge(self) -> Gauge:
+        return Gauge(self.rs, self.x3)
 
     @property
-    def aux(self):
-        return sphere_aux_invariants(self.p0, self.p1, self.p2, self.p3)
+    def t3(self):
+        return self.gauge.t3
 
     @property
     def punctures(self):
         return (self.p0, self.p1, self.p2, self.p3)
 
+    @property
+    def aux(self):
+        return puncture_data(self.rs, *self.punctures).aux
+
+    @property
+    def chebyshev_at_roots(self):
+        """T_N at the puncture roots (:func:`chebyshev_at_puncture_roots`)."""
+        return puncture_data(self.rs, *self.punctures).chebyshev_at_roots
+
 
 def make_sphere_params(p0, p1, p2, p3, t1, t2, x3) -> SphereParams:
-    rs = x3.rs
-    params = SphereParams(rs, p0, p1, p2, p3, t1, t2, x3)
-    s = x3 ** rs.N - x3 ** (-rs.N)
-    if s.is_zero():
+    params = SphereParams(x3.rs, p0, p1, p2, p3, t1, t2, x3)
+    if params.gauge.s.is_zero():
         raise DegenerateShadow("x3^N = +/-1 puts t3 at +/-2")
     return params
 
@@ -107,59 +164,46 @@ class LadderScalars:
 
 
 def ladder_scalars_sphere(params: SphereParams) -> LadderScalars:
+    """The offsets and R_k from the gauge's products x3 A^{4k+2}, x3^{-1} A^{-4k-2}.
+
+    The products, the assembly's hi_{k+1} and lo_k, are formed once, and so
+    is each denominator x3 A^{4k+2} - x3^{-1} A^{-4k-2}, which beta_k^+ and
+    beta_{k+1}^- share: A^{4N+2} = A^2, so beta_1^- takes beta_N^+'s.
+    """
     rs = params.rs
     n = rs.N
-    x3 = params.x3
-    x3i = x3 ** (-1)
+    g = params.gauge
     q1, q2, q3, delta = params.aux
+    up = [g.shifted(4 * k + 2) for k in range(1, n + 1)]
+    down = [g.inverse_shifted(-4 * k - 2) for k in range(1, n + 1)]
+    dens = [a - b for a, b in zip(up, down)]
 
     beta_plus, beta_minus = [], []
     for k in range(1, n + 1):
-        bp = (q2 + x3 * rs.a_pow(4 * k + 2) * q1) / (x3 * rs.a_pow(4 * k + 2) - x3i * rs.a_pow(-4 * k - 2))
-        bm = (-q2 - x3i * rs.a_pow(-4 * k + 2) * q1) / (x3 * rs.a_pow(4 * k - 2) - x3i * rs.a_pow(-4 * k + 2))
-        beta_plus.append(bp)
-        beta_minus.append(bm)
+        beta_plus.append((q2 + up[k - 1] * q1) / dens[k - 1])
+        beta_minus.append((-q2 - down[k - 2] * q1) / dens[k - 2])
 
     r_scalars = []
     for k in range(1, n + 1):
         bp = beta_plus[k - 1]
         bm_next = beta_minus[k % n]          # offsets are N-periodic
         rk = -(delta - 2
-               + x3 * x3 * rs.a_pow(8 * k + 4)
-               + x3i * x3i * rs.a_pow(-8 * k - 4)
-               + (x3 * rs.a_pow(4 * k + 2) + x3i * rs.a_pow(-4 * k - 2)) * q3
+               + g.square * rs.a_pow(8 * k + 4)
+               + g.inverse_square * rs.a_pow(-8 * k - 4)
+               + (up[k - 1] + down[k - 1]) * q3
                - bm_next * bp)
         r_scalars.append(rk)
     # column k steps down by R_{k-1}, column 1 by R_N / u
-    assembly = ladder_assembly(rs, 4, x3, r_scalars[n - 1:] + r_scalars[:n - 1],
+    assembly = ladder_assembly(g, 4, r_scalars[n - 1:] + r_scalars[:n - 1],
                                beta_plus, beta_minus)
     return LadderScalars(tuple(beta_plus), tuple(beta_minus), tuple(r_scalars), assembly)
 
 
-def chebyshev_at_puncture_roots(params: SphereParams) -> tuple:
-    """T_N at the roots r0, r1, r2, r3 of the two puncture quadratics.
-
-    r0, r3 solve r^2 + p0 p3 r + p0^2 + p3^2 - 4 = 0 and r1, r2 solve
-    r^2 + p1 p2 r + p1^2 + p2^2 - 4 = 0.
-    """
-    rs = params.rs
-    r0, r3 = solve_quadratic(rs.one, params.p0 * params.p3,
-                             params.p0 ** 2 + params.p3 ** 2 - 4)
-    r1, r2 = solve_quadratic(rs.one, params.p1 * params.p2,
-                             params.p1 ** 2 + params.p2 ** 2 - 4)
-    return tuple(chebyshev_eval(rs.N, r) for r in (r0, r1, r2, r3))
-
-
-def ladder_product_closed_form(params: SphereParams, roots=None) -> Scalar:
-    """Closed form of prod_k R_k through T_N at four quadratic roots.
-
-    ``roots`` is :func:`chebyshev_at_puncture_roots` of ``params``, computed
-    here when not given; it depends on p0..p3 and N alone, so a gauge orbit
-    shares it.
-    """
+def ladder_product_closed_form(params: SphereParams) -> Scalar:
+    """Closed form of prod_k R_k through T_N at four quadratic roots."""
     t3 = params.t3
     num = params.rs.one
-    for v in roots or chebyshev_at_puncture_roots(params):
+    for v in params.chebyshev_at_roots:
         num = num * (t3 - v)
     return -num / (t3 * t3 - 4)
 
@@ -197,13 +241,13 @@ def solve_u(params: SphereParams, t1_target, t2_target,
     n = rs.N
     if ladder is None:
         ladder = ladder_scalars_sphere(params)
-    x3 = params.x3
-    s = x3 ** n - x3 ** (-n)
+    g = params.gauge
+    s = g.s
     prod_r = ladder.cycle_product()
     if prod_r.is_zero():
         raise VanishingCycle("the ladder cycle product vanishes; u is not determined")
-    alpha = -(x3 ** (-n)) / s
-    beta = x3 ** n * prod_r / s
+    alpha = -g.power_minus_n / s
+    beta = g.power_n * prod_r / s
     alpha2 = -rs.one / s
     beta2 = prod_r / s
 
@@ -244,14 +288,10 @@ def build_sphere_rep(p0, p1, p2, p3, t1, t2, t3) -> Representation:
     return build_sphere_rep_from_params(make_sphere_params(p0, p1, p2, p3, t1, t2, x3))
 
 
-def build_sphere_rep_from_params(params: SphereParams, roots=None) -> Representation:
-    """Pipeline for a prescribed gauge x3 (used by gauge-orbit enumeration).
-
-    ``roots`` is :func:`chebyshev_at_puncture_roots` of ``params``, which
-    every gauge variant of one shadow shares; it is computed when not given.
-    """
+def build_sphere_rep_from_params(params: SphereParams) -> Representation:
+    """Pipeline for a prescribed gauge x3 (used by gauge-orbit enumeration)."""
     ladder = ladder_scalars_sphere(params)
-    closed = ladder_product_closed_form(params, roots)
+    closed = ladder_product_closed_form(params)
     if closed.is_zero():
         raise VanishingCycle("the ladder cycle product vanishes for these invariants")
     u = solve_u(params, params.t1, params.t2, ladder)
@@ -281,4 +321,4 @@ def ladder_system_sphere(rep: Representation, params: SphereParams) -> LadderSys
     D_k = A^2 X1 - x3^{-1} A^{-4k} X2 + beta_k^-.
     """
     offsets = ladder_scalars_sphere(params)
-    return ladder_system(rep, 4, params.x3, offsets.beta_plus, offsets.beta_minus)
+    return ladder_system(rep, 4, params.gauge, offsets.beta_plus, offsets.beta_minus)

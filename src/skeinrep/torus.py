@@ -21,11 +21,12 @@ in the test suite; the opposite pairing fails the trace round-trip.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import ladder
 from .chebyshev import chebyshev_eval, solve_chebyshev
 from .errors import DegenerateShadow, IncompatiblePuncture, VanishingCycle
-from .ladder import LadderSystem
+from .ladder import Gauge, LadderSystem
 from .representation import Representation, assemble
 from .scalars import BigComplex, RootSystem, Scalar, approx_eq
 from .surfaces import TORUS0, TORUS1
@@ -51,15 +52,18 @@ class TorusParams:
     x3: Scalar
     p: Scalar
 
+    @cached_property
+    def gauge(self) -> Gauge:
+        return Gauge(self.rs, self.x3)
+
     @property
     def t3(self):
-        n = self.rs.N
-        return self.x3 ** n + self.x3 ** (-n)
+        return self.gauge.t3
 
     @property
     def u(self):
         """Wraparound constant of the ladder: u = -t1 - t2 x3^N."""
-        return -self.t1 - self.t2 * self.x3 ** self.rs.N
+        return -self.t1 - self.t2 * self.gauge.power_n
 
 
 def torus_params_from_shadow(t1, t2, t3, p) -> TorusParams:
@@ -97,27 +101,26 @@ def torus_params_exact(x3, p, u) -> TorusParams:
         raise VanishingCycle("x3 must be nonzero")
     if u.is_zero():
         raise VanishingCycle("u must be nonzero")
-    s = x3 ** n - x3 ** (-n)
+    gauge = Gauge(rs, x3)
+    s = gauge.s
     if s.is_zero():
         raise DegenerateShadow("x3^N = +/-1 puts t3 at +/-2")
     big_k = -(chebyshev_eval(n, p) + x3 ** (2 * n) + x3 ** (-2 * n))
     u_inv = u ** (-1)
-    t1 = (u * x3 ** (-n) - u_inv * x3 ** n * big_k) / s
+    t1 = (u * gauge.power_minus_n - u_inv * gauge.power_n * big_k) / s
     t2 = (-u + u_inv * big_k) / s
     return TorusParams(rs, t1, t2, x3, p)
 
 
 def _torus_matrices(params: TorusParams, u):
     rs = params.rs
-    x3 = params.x3
-    x3i = x3 ** (-1)
+    gauge = params.gauge
     p = params.p
     if u.is_zero():
         raise VanishingCycle("t1 + t2 x3^N = 0; the wraparound constant vanishes")
-    x3_sq, x3i_sq = x3 * x3, x3i * x3i
-    c = [-(p + x3_sq * rs.a_pow(4 * k - 2) + x3i_sq * rs.a_pow(-4 * k + 2))
+    c = [-(p + gauge.square * rs.a_pow(4 * k - 2) + gauge.inverse_square * rs.a_pow(-4 * k + 2))
          for k in range(1, rs.N + 1)]
-    return ladder.ladder_assembly(rs, 2, x3, c).matrices(u)
+    return ladder.ladder_assembly(gauge, 2, c).matrices(u)
 
 
 def build_torus_rep(params: TorusParams, surface=TORUS1) -> Representation:
@@ -135,7 +138,7 @@ def build_torus_rep(params: TorusParams, surface=TORUS1) -> Representation:
 
 def ladder_system_torus(rep: Representation, x3) -> LadderSystem:
     """Ladder operators U_k = A X1 - x3 A^{2k} X2, D_k = A X1 - x3^{-1} A^{-2k} X2."""
-    return ladder.ladder_system(rep, 2, x3)
+    return ladder.ladder_system(rep, 2, Gauge(rep.rs, x3))
 
 
 def closed_torus_rep(t1, t2, t3) -> Representation:

@@ -58,7 +58,7 @@ from .ladder import is_pm2
 from .representation import Representation
 from .scalars import CyclotomicNumber, RootSystem, Tolerance, approx_eq, make_root_system
 from .sphere import (build_sphere_rep_from_params, build_sphere_rep_with_u,
-                     chebyshev_at_puncture_roots, ladder_product_closed_form, make_sphere_params)
+                     ladder_product_closed_form, make_sphere_params)
 from .surfaces import Surface
 from .torus import (TorusParams, build_torus_rep, cycle_scalar, puncture_chebyshev_value,
                     torus_params_from_shadow)
@@ -82,12 +82,13 @@ class IsomorphismCertificate:
 def intertwiner_residuals(m, rep_a: Representation, rep_b: Representation) -> dict:
     """Largest entry magnitude of M rho_a(g) - rho_b(g) M, as a float, per generator.
 
-    Bigfloat defects run on the raw libmp kernel through
-    :func:`matrices.intertwining_defects`, bit-identical to
+    ``m`` is a dense matrix or a :class:`Monomial`.  Bigfloat defects run on
+    the raw libmp kernel through :func:`matrices.intertwining_defects`, on
+    the rows each rep keeps (:meth:`Representation.rows`), bit-identical to
     ``residual_report(matmul(m, g_a) - matmul(g_b, m))``.
     """
     gens = rep_a.surface.generators
-    pairs = [(rep_a.matrix(g), rep_b.matrix(g)) for g in gens]
+    pairs = [(rep_a.rows(g), rep_b.rows(g)) for g in gens]
     return dict(zip(gens, matrices.intertwining_defects(m, pairs)))
 
 
@@ -124,10 +125,7 @@ class Monomial(namedtuple("Monomial", "sigma entries")):
     __slots__ = ()
 
     def matrix(self):
-        out = matrices.zeros(self.entries[0].rs, len(self.entries))
-        for k, e in enumerate(self.entries):
-            out[self.sigma[k], k] = e
-        return out
+        return matrices.monomial_matrix(self.sigma, self.entries)
 
     def complex128(self):
         n = len(self.entries)
@@ -170,9 +168,9 @@ def _certificate(m, rep_a, rep_b):
     cond = _condition_estimate(m.complex128() if mono else matrices.to_complex128(m))
     if not math.isfinite(cond) or cond > 1e12:
         return None
-    m = m.normalized().matrix() if mono else _normalize_by_largest(m)
+    m = m.normalized() if mono else _normalize_by_largest(m)
     residuals = intertwiner_residuals(m, rep_a, rep_b)
-    return IsomorphismCertificate(matrices.freeze(m), residuals, cond)
+    return IsomorphismCertificate(matrices.freeze(m.matrix() if mono else m), residuals, cond)
 
 
 def _exact_zero(e) -> bool:
@@ -304,10 +302,8 @@ def gauge_orbit(params):
     isomorphic (that isomorphism is exactly what the experiment certifies).
     """
     rs = params.rs
-    x3 = params.x3
-    x3_inv = x3 ** (-1)
     variants = []
-    for base in (x3, x3_inv):
+    for base in (params.x3, params.gauge.inverse):
         for l in range(rs.N):
             variants.append(dataclasses.replace(params, x3=base * rs.a_pow(2 * l)))
     return variants
@@ -375,8 +371,8 @@ def genericity_check(surface: Surface, invariants: dict, tol: Tolerance = None) 
         if nondegenerate:
             x3 = solve_chebyshev(t3).base
             params = make_sphere_params(*p, rs.zero, rs.zero, x3)
-            tn_roots = list(chebyshev_at_puncture_roots(params))
-            closed = ladder_product_closed_form(params, tn_roots)
+            tn_roots = list(params.chebyshev_at_roots)
+            closed = ladder_product_closed_form(params)
             checks["ladder_product_nonzero"] = not closed.is_zero()
             # record the hypothesis under both sign conventions for the trace
             details.update({
@@ -486,15 +482,9 @@ class ExperimentReport:
 
 
 def _build_variant_reps(variants):
-    """One representation per gauge variant of one shadow.
-
-    T_N at the sphere's puncture roots depends on p0..p3 alone, which every
-    gauge move keeps, so the orbit computes it once.
-    """
-    if isinstance(variants[0], TorusParams):
-        return [build_torus_rep(v) for v in variants]
-    roots = chebyshev_at_puncture_roots(variants[0])
-    return [build_sphere_rep_from_params(v, roots) for v in variants]
+    """One representation per gauge variant of one shadow."""
+    build = build_torus_rep if isinstance(variants[0], TorusParams) else build_sphere_rep_from_params
+    return [build(v) for v in variants]
 
 
 def _monomial_parts(m):
@@ -513,13 +503,13 @@ def _monomial_parts(m):
 def _pair_matrix(m_j, m_i):
     """(M_j M_i^{-1}, its condition estimate) for two base certificates.
 
-    Two :class:`Monomial` certificates compose by dim divisions, and the
-    estimate reads the dim nonzeros; a dense one goes through
-    ``matrices.inverse`` and ``matrices.matmul``.
+    Two :class:`Monomial` certificates compose by dim divisions into a
+    :class:`Monomial`, and the estimate reads the dim nonzeros; a dense one
+    goes through ``matrices.inverse`` and ``matrices.matmul``.
     """
     if isinstance(m_j, Monomial) and isinstance(m_i, Monomial):
         pair = m_j.over(m_i)
-        return pair.matrix(), _condition_estimate(pair.complex128())
+        return pair, _condition_estimate(pair.complex128())
     dense_j, dense_i = (m.matrix() if isinstance(m, Monomial) else m for m in (m_j, m_i))
     m = matrices.matmul(dense_j, matrices.inverse(dense_i))
     return m, _condition_estimate(matrices.to_complex128(m))

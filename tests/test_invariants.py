@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from skeinrep import invariants, matrices
 from skeinrep.chebyshev import chebyshev_eval
 from skeinrep.errors import NonScalarChebyshev
+from skeinrep.expressions import evaluate, parse
 from skeinrep.invariants import (_support_commutant, commutant_dimension, commuting_system,
                                  extract_invariants, verify_relations)
 from skeinrep.representation import Representation, assemble
@@ -17,7 +19,7 @@ from skeinrep.serialize import rep_to_json
 from skeinrep.sphere import build_sphere_rep_with_u, make_sphere_params, small_sphere_rep
 from skeinrep.surfaces import TORUS1
 from skeinrep.torus import build_torus_rep, torus_params_exact, torus_params_from_shadow
-from skeinrep.uniqueness import sample_torus_shadow
+from skeinrep.uniqueness import intertwiner_residuals, sample_torus_shadow
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +229,46 @@ def test_chebyshev_memo_is_frozen_and_skips_writeable_images(rs, monkeypatch):
     assert len(args) == 2
     assert bits(second) == bits(chebyshev_eval(rs.N, loose.matrix("X1")))
     assert bits(first) != bits(second)
+
+
+def counted_unpacks(monkeypatch):
+    """Record the argument of every bigfloat kernel unpack."""
+    original = matrices._raw_rows
+    args = []
+
+    def count(mat, prec):
+        args.append(mat)
+        return original(mat, prec)
+
+    monkeypatch.setattr(matrices, "_raw_rows", count)
+    return args
+
+
+def test_rows_memo_reads_frozen_images_once(rs, monkeypatch):
+    rep = fresh_torus_rep(rs)
+    args = counted_unpacks(monkeypatch)
+    first = rep.rows("X1")
+    assert rep.rows("X1") is first
+    intertwiner_residuals(matrices.identity(rs, rep.dim), rep, rep)
+    intertwiner_residuals(matrices.identity(rs, rep.dim), rep, rep)
+    evaluate(parse("X1 X2", TORUS1, rs), rep)
+    reads = Counter(id(a) for a in args)
+    assert [reads[id(rep.matrix(g))] for g in rep.surface.generators] == [1] * len(rep.matrices)
+    assert first == matrices.kernel(rs).unpack(rep.matrix("X1"))
+    copy = dataclasses.replace(rep, matrices=dict(rep.matrices))
+    assert copy.rows("X1") == first and copy.rows("X1") is not first
+
+
+def test_rows_memo_skips_writeable_images(rs, monkeypatch):
+    rep = fresh_torus_rep(rs)
+    writeable = {g: np.array(m, dtype=object) for g, m in rep.matrices.items()}
+    loose = Representation(rep.surface, rs, rep.dim, writeable, rep.puncture_scalars, {})
+    args = counted_unpacks(monkeypatch)
+    first = loose.rows("X1")
+    loose.matrix("X1")[0, 1] = loose.matrix("X1")[0, 1] + rs.one
+    second = loose.rows("X1")
+    assert len(args) == 2
+    assert second == matrices.kernel(rs).unpack(loose.matrix("X1")) and second != first
 
 
 def test_puncture_deviations_keep_their_float_bits(rs):

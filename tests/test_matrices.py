@@ -488,7 +488,7 @@ def test_scalar_pair_defect_is_exactly_zero(seed, n, monomial):
     k = matrices.kernel(rs)
     m_rows = k.unpack(m)
     assert k.worst(k.product(m_rows, k.unpack(a), minus=k.product(k.unpack(b), m_rows))) == (True, 0.0)
-    assert matrices.intertwining_defects(m, [(a, b)]) == [0.0]
+    assert matrices.intertwining_defects(m, [(k.unpack(a), k.unpack(b))]) == [0.0]
 
 
 def nonzero_spread_entry(rs, rng, prec):
@@ -533,7 +533,11 @@ def test_monomial_defect_matches_fused_product(seed, n, zero_share):
                     got[sigma[c], l] = z
     assert next(entries, None) is None
     assert got == want
-    assert matrices.intertwining_defects(m, [(a, b)]) == [mpc_worst(fused, prec)[1]]
+    worst = [mpc_worst(fused, prec)[1]]
+    assert matrices.intertwining_defects(m, [(a_rows, b_rows)]) == worst
+    # the same monomial given as (sigma, entries) is not rebuilt nor scanned
+    entries = [m[sigma[c], c] for c in range(n)]
+    assert matrices.intertwining_defects((sigma, entries), [(a_rows, b_rows)]) == worst
 
 
 def test_monomial_detection_refuses_other_shapes():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -9,10 +10,12 @@ from skeinrep.errors import (DegenerateShadow, NoConsistentRoot, NonScalarChebys
                              UnsupportedExactOperation, VanishingCycle)
 from skeinrep.expressions import evaluate, relation_defects
 from skeinrep.invariants import extract_invariants
-from skeinrep.scalars import CyclotomicNumber, approx_eq, make_root_system, solve_quadratic
+from skeinrep.scalars import (CyclotomicNumber, approx_eq, from_pair, make_root_system,
+                              solve_quadratic)
 from skeinrep.sphere import (build_sphere_rep, build_sphere_rep_from_params,
-                             build_sphere_rep_with_u, ladder_product_closed_form,
-                             ladder_scalars_sphere, ladder_system_sphere, make_sphere_params,
+                             build_sphere_rep_with_u, chebyshev_at_puncture_roots,
+                             ladder_product_closed_form, ladder_scalars_sphere,
+                             ladder_system_sphere, make_sphere_params, puncture_data,
                              small_sphere_rep, solve_u, sphere_aux_invariants)
 from skeinrep.surfaces import sphere_k
 from skeinrep.uniqueness import gauge_orbit, intertwiner_search, sample_sphere_invariants
@@ -69,6 +72,69 @@ def test_aux_invariants_double_transposition_symmetry(rs3):
         permuted = sphere_aux_invariants(p[s[0]], p[s[1]], p[s[2]], p[s[3]])[:3]
         for q in permuted:
             assert any(approx_eq(q, b) for b in base)
+
+
+def pairs(values):
+    return [v.pair for v in values]
+
+
+def test_puncture_data_is_shared_by_exact_value(rs3):
+    rng = random.Random(5)
+    params = random_params(rs3, rng)
+    # equal bits in other objects hit the same entry
+    copies = [from_pair(rs3, p.pair) for p in params.punctures]
+    assert puncture_data(rs3, *copies) is puncture_data(rs3, *params.punctures)
+    assert pairs(params.aux) == pairs(sphere_aux_invariants(*params.punctures))
+    assert pairs(params.chebyshev_at_roots) == pairs(
+        chebyshev_at_puncture_roots(rs3, *params.punctures))
+    assert params.aux is dataclasses.replace(params, x3=params.x3 * rs3.A).aux
+
+
+def test_puncture_data_follows_replaced_punctures(rs3):
+    rng = random.Random(6)
+    params = random_params(rs3, rng)
+    before = params.aux, params.chebyshev_at_roots
+    moved = dataclasses.replace(params, p0=params.p0 + rs3.scalar(complex(0.0, 1e-60)))
+    assert pairs(moved.aux) == pairs(sphere_aux_invariants(*moved.punctures))
+    assert pairs(moved.chebyshev_at_roots) == pairs(
+        chebyshev_at_puncture_roots(rs3, *moved.punctures))
+    assert pairs(moved.aux) != pairs(before[0])
+    assert pairs(moved.chebyshev_at_roots) != pairs(before[1])
+
+
+def test_puncture_data_cache_is_bounded(rs3):
+    rng = random.Random(7)
+    bound = puncture_data.cache_info().maxsize
+    assert bound
+    for _ in range(bound + 5):
+        puncture_data(rs3, *(rnd_scalar(rs3, rng) for _ in range(4)))
+    assert puncture_data.cache_info().currsize == bound
+
+
+def test_exact_params_read_their_puncture_data():
+    rs = make_root_system(3, "exact")
+    p = [rs.scalar(Fraction(c)) for c in ("1/2", "-2/3", "3/4", "5/7")]
+    params = make_sphere_params(*p, rs.zero, rs.zero, rs.scalar(3) + rs.A)
+    assert params.aux == sphere_aux_invariants(*p)
+    assert params.aux is make_sphere_params(*p, rs.zero, rs.zero, rs.scalar(2) - rs.A).aux
+
+
+def test_gauge_takes_each_power_and_product_once(rs3):
+    params = random_params(rs3, random.Random(8))
+    g = params.gauge
+    n, x3 = rs3.N, params.x3
+    assert g is params.gauge
+    assert dataclasses.replace(params, x3=x3 * rs3.A).gauge is not g
+    assert g.inverse is g.inverse
+    assert pairs([g.inverse, g.power_n, g.power_minus_n]) == pairs(
+        [x3 ** -1, x3 ** n, x3 ** -n])
+    assert pairs([g.t3, g.s]) == pairs([x3 ** n + x3 ** -n, x3 ** n - x3 ** -n])
+    for j in range(-4 * n - 2, 4 * n + 3):
+        # A^j has period 2N, and so has each memo
+        assert g.shifted(j) is g.shifted(j + 2 * n)
+        assert g.inverse_shifted(j) is g.inverse_shifted(j - 2 * n)
+        assert pairs([g.shifted(j), g.inverse_shifted(j)]) == pairs(
+            [x3 * rs3.a_pow(j), x3 ** -1 * rs3.a_pow(j)])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from skeinrep import matrices, sphere, uniqueness
 from skeinrep.chebyshev import solve_chebyshev
-from skeinrep.scalars import Tolerance, approx_eq, from_pair, make_root_system
+from skeinrep.scalars import BigComplex, Tolerance, approx_eq, from_pair, make_root_system
 from skeinrep.serialize import dumps_canonical
 from skeinrep.sphere import build_sphere_rep_from_params, make_sphere_params
 from skeinrep.surfaces import SPHERE4, TORUS1
@@ -430,11 +430,12 @@ def test_pair_loop_stays_monomial(surface, monkeypatch):
 
 
 def test_sphere_orbit_repeats_no_work(monkeypatch):
-    # one N = 3 sample: each variant assembles its ladder once (solve_u's trial
-    # included), the orbit takes T_N at the puncture roots once, and each rep's
-    # largest entry for the residual gate is taken once
-    calls, inside_variants, converted = Counter(), Counter(), Counter()
-    reps = []
+    # one N = 3 sample: the sampler's (q1, q2, q3, Delta) and T_N at the
+    # puncture roots serve the whole orbit; each variant assembles its ladder
+    # once (solve_u's trial included) and takes x3^-1, x3^3 and x3^-3 once;
+    # and each rep's largest entry for the residual gate is taken once
+    calls, inside_variants, converted, powers = Counter(), Counter(), Counter(), Counter()
+    reps, orbit = [], []
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -445,6 +446,7 @@ def test_sphere_orbit_repeats_no_work(monkeypatch):
     def variants(real):
         def wrapper(params):
             before = calls.copy()
+            orbit.extend(params)
             reps.extend(real(params))
             inside_variants.update(calls - before)
             return reps
@@ -456,15 +458,29 @@ def test_sphere_orbit_repeats_no_work(monkeypatch):
             return real(mat)
         return wrapper
 
+    def power(real):
+        def wrapper(self, exponent):
+            if orbit and not reps:
+                powers[self.pair, exponent] += 1
+            return real(self, exponent)
+        return wrapper
+
+    sphere.puncture_data.cache_clear()
     monkeypatch.setattr(sphere, "ladder_assembly", counting("assembly", sphere.ladder_assembly))
-    roots = counting("roots", sphere.chebyshev_at_puncture_roots)
-    monkeypatch.setattr(sphere, "chebyshev_at_puncture_roots", roots)
-    monkeypatch.setattr(uniqueness, "chebyshev_at_puncture_roots", roots)
+    monkeypatch.setattr(sphere, "sphere_aux_invariants",
+                        counting("aux", sphere.sphere_aux_invariants))
+    monkeypatch.setattr(sphere, "chebyshev_at_puncture_roots",
+                        counting("roots", sphere.chebyshev_at_puncture_roots))
     monkeypatch.setattr(uniqueness, "_build_variant_reps", variants(uniqueness._build_variant_reps))
     monkeypatch.setattr(matrices, "to_complex128", to_complex128(matrices.to_complex128))
+    monkeypatch.setattr(BigComplex, "__pow__", power(BigComplex.__pow__))
     report = uniqueness_experiment(ExperimentConfig(SPHERE4, 3, 1, seed=5))
     assert report.passed
     assert len(reps) == 6
-    assert inside_variants == {"assembly": 6, "roots": 1}
+    assert calls["aux"] == 1 and calls["roots"] == 1
+    assert inside_variants == {"assembly": 6}
+    x3s = [v.x3.pair for v in orbit]
+    assert {key: c for key, c in powers.items() if key[0] in x3s} == {
+        (x3, e): 1 for x3 in x3s for e in (-1, 3, -3)}
     images = [rep.matrix(g) for rep in reps for g in SPHERE4.generators]
     assert [converted[id(m)] for m in images] == [1] * len(images)
