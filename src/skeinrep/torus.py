@@ -16,6 +16,10 @@ s = x3^N - x3^{-N}, the traces realized by the construction are
 equivalently u = -t1 - t2 x3^N, and then K = t1 t2 t3 + t1^2 + t2^2 with a
 plus sign.  This sign pairing is pinned by brute-force verification at N = 3
 in the test suite; the opposite pairing fails the trace round-trip.
+
+A build takes x3^{-1}, x3^N, x3^{-N} and x3^{+/-2} once each, from the
+parameters' :class:`~skeinrep.ladder.Gauge`, for t3, u, the c_k and the
+ladder assembly alike.
 """
 
 from __future__ import annotations

@@ -15,18 +15,23 @@ A walked certificate keeps its structure as a :class:`Monomial` (sigma, m)
 until it is normalized: the condition estimate converts its dim nonzeros,
 and normalization takes dim magnitudes and dim products, with the bits of
 the dense forms.  Its residuals come from the two terms of each defect
-entry (:func:`matrices.intertwining_defects` recognizes a monomial).
+entry: :func:`matrices.intertwining_defects` takes the (sigma, m) itself,
+and the kernel rows of each rep's images as the rep keeps them
+(:meth:`Representation.rows`), so an image is unpacked once per rep.
 
 The gauge scalar x3 of a construction is determined only up to the 2N moves
 x3 -> x3 A^{2l} and x3 -> x3^{-1} A^{2l}, all preserving t3 = x3^N + x3^{-N}.
 The uniqueness experiment samples random generic invariants, builds the
 representation through every gauge variant, and certifies that all variants
 are pairwise isomorphic while the invariants round-trip.  The variants of a
-sphere sample share T_N at the puncture roots, which the gauge moves leave
-alone, and each variant assembles its ladder once.  Each base certificate
-M_j is taken apart into its :class:`Monomial` once, and the pair
-certificates M_j M_i^{-1} of two monomials are again monomial and take dim
-divisions; a dense certificate goes through ``matrices.inverse`` and
+sphere sample share (q1, q2, q3, Delta) and T_N at the puncture roots, which
+the gauge moves leave alone, with the sampler that drew the punctures: both
+come from :func:`sphere.puncture_data` once per sample.  Each variant takes
+its own gauge's powers once (:class:`ladder.Gauge`) and assembles its ladder
+once.  Each base certificate M_j is taken apart into its :class:`Monomial`
+once, and the pair certificates M_j M_i^{-1} of two monomials are again
+monomial, take dim divisions and reach the residuals as monomials; a dense
+certificate goes through ``matrices.inverse`` and
 ``matrices.matmul``.  Every pair is checked by :func:`intertwiner_residuals`
 on the raw libmp kernel.
 

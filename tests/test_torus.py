@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from skeinrep.chebyshev import chebyshev_eval, solve_chebyshev
 from skeinrep.errors import (DegenerateShadow, EigenstructureMismatch,
                              IncompatiblePuncture, VanishingCycle)
 from skeinrep.expressions import evaluate, relation_defects
-from skeinrep.scalars import CyclotomicNumber, approx_eq, make_root_system
+from skeinrep.scalars import BigComplex, CyclotomicNumber, approx_eq, make_root_system
 from skeinrep.surfaces import TORUS0, TORUS1
 from skeinrep.torus import (build_torus_rep, closed_torus_rep, cycle_scalar,
                             ladder_system_torus, puncture_chebyshev_value,
@@ -51,6 +52,22 @@ def test_from_shadow_gauge_satisfies_t3(rs5):
     roots = solve_chebyshev(inv["t3"])
     assert any(approx_eq(params.x3 * params.x3.rs.a_pow(0), roots.base * roots.base.rs.a_pow(2 * k))
                for k in range(rs5.N + 1))
+
+
+def test_build_takes_each_gauge_power_once(rs5, monkeypatch):
+    params, _ = make_params(rs5, random.Random(2))
+    powers = Counter()
+    real = BigComplex.__pow__
+
+    def power(self, exponent):
+        powers[self.pair, exponent] += 1
+        return real(self, exponent)
+
+    monkeypatch.setattr(BigComplex, "__pow__", power)
+    build_torus_rep(params)
+    x3 = params.x3.pair
+    assert {key: c for key, c in powers.items() if key[0] == x3} == {
+        (x3, -1): 1, (x3, rs5.N): 1, (x3, -rs5.N): 1}
 
 
 def test_degenerate_shadow_rejected(rs5):
