@@ -9,21 +9,26 @@ Nothing here reads a nullvector seeded by LAPACK, whose low bits can depend
 on the BLAS: the commutant dimension in the CLI verification block is a
 count, and the experiment's certificates are walked along the ladder and
 composed as monomials, so its JSON, residual digits included, is pinned too.
+The ``isomorphic`` condition estimate is a LAPACK singular-value ratio, so it
+is compared to a few digits and left out of that command's digest.
 """
 
 import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from skeinrep.chebyshev import chebyshev_eval
+from skeinrep.chebyshev import chebyshev_eval, solve_chebyshev
 from skeinrep.cli import main
 from skeinrep.scalars import approx_eq, make_root_system, solve_quadratic
 from skeinrep.serialize import _mpf_to_str, dumps_canonical, rep_to_json, scalar_to_json
-from skeinrep.sphere import build_sphere_rep, build_sphere_rep_with_u, make_sphere_params
+from skeinrep.sphere import (build_sphere_rep, build_sphere_rep_from_params,
+                             build_sphere_rep_with_u, make_sphere_params)
 from skeinrep.torus import build_torus_rep, cycle_scalar, torus_params_from_shadow
-from skeinrep.uniqueness import sample_sphere_invariants, sample_torus_shadow
+from skeinrep.uniqueness import gauge_orbit, sample_sphere_invariants, sample_torus_shadow
+from test_uniqueness import conjugate, random_invertible
 
 TORUS_KEYS = ("t1", "t2", "t3", "p")
 SPHERE_KEYS = ("p0", "p1", "p2", "p3", "t1", "t2", "t3")
@@ -113,6 +118,46 @@ def test_seeded_experiment_digests(surface, n, samples, tmp_path):
             "--seed", "11", "--out", str(out)]
     assert main(args) == 0
     assert _digest(out.read_text()) == EXPERIMENTS[surface, n, samples]
+
+
+def _gauge_pair(kind, n, seed):
+    """Gauge variants 0 and N + 1 of one sampled shadow: a ladder-walk certificate."""
+    inv = _invariants(kind, n, seed)
+    if kind == "torus":
+        variants = gauge_orbit(torus_params_from_shadow(*(inv[k] for k in TORUS_KEYS)))
+        build = build_torus_rep
+    else:
+        x3 = solve_chebyshev(inv["t3"]).base
+        variants = gauge_orbit(make_sphere_params(*(inv[k] for k in SPHERE_KEYS[:6]), x3))
+        build = build_sphere_rep_from_params
+    return build(variants[0]), build(variants[n + 1])
+
+
+def _dense_pair(kind, n, seed):
+    """A rep and a dense conjugate of it: the dense commuting system's certificate."""
+    rep = _build(kind, _invariants(kind, n, seed))
+    return rep, conjugate(rep, *random_invertible(rep.rs, rep.dim, random.Random(seed)))
+
+
+# (pair, kind, N, seed): digest of the CLI isomorphic output without its
+# condition estimate, and that estimate to 10 digits
+ISOMORPHIC = {
+    ("gauge", "torus", 3, 46): ("58934169aa2e39ef", 4.092438187),
+    ("gauge", "sphere", 3, 47): ("128c7293b6f4d37d", 9.588529592),
+    ("dense", "torus", 3, 48): ("605c823a5d1a2c9f", 3.631305451),
+}
+
+
+@pytest.mark.parametrize("pair,kind,n,seed", sorted(ISOMORPHIC))
+def test_isomorphic_cli_digests(pair, kind, n, seed, tmp_path):
+    digest, cond = ISOMORPHIC[pair, kind, n, seed]
+    paths = [tmp_path / "a.json", tmp_path / "b.json", tmp_path / "iso.json"]
+    for path, rep in zip(paths, (_gauge_pair if pair == "gauge" else _dense_pair)(kind, n, seed)):
+        path.write_text(dumps_canonical(rep_to_json(rep)))
+    assert main(["isomorphic", *map(str, paths[:2]), "--out", str(paths[2])]) == 0
+    payload = json.loads(paths[2].read_text())
+    assert payload.pop("condition_estimate") == pytest.approx(cond, rel=1e-9)
+    assert _digest(dumps_canonical(payload)) == digest
 
 
 def test_closed_torus_cli_digest(tmp_path):
