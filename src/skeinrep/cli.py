@@ -233,10 +233,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SkeinError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAIL
-    except (OSError, ValueError) as exc:
+    except (SkeinError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL
 

@@ -19,9 +19,9 @@ of two entries at most.
 Intertwiner defects M A - B M of a monomial M = P_sigma diag(m), the shape
 every ladder-walk certificate has, are formed from the two terms each entry
 holds, m_k A[k, l] and B[sigma(k), sigma(l)] m_l, with the bits of the fused
-product; a monomial comes in as (sigma, m), or is recognized from the raw
-rows of a dense M.  A and B come in as kernel rows, which a representation
-keeps per frozen image.
+product.  A monomial comes in as its (sigma, m); a dense M takes the fused
+product whatever its shape.  A and B come in as kernel rows, which a
+representation keeps per frozen image.
 
 Bigfloat rank and nullspace decisions come from one SVD at the root
 system's working precision: singular values below rel_eps * sigma_max count
@@ -330,19 +330,6 @@ def _scalar_rows(rows) -> bool:
     return all(z == (s if i == j else None) for i, row in enumerate(rows) for j, z in enumerate(row))
 
 
-def _monomial(rows):
-    """(sigma, m) with rows[sigma[k]][k] = m[k] the only nonzero of its row and column, else None."""
-    n = len(rows)
-    sigma, m = [None] * n, [None] * n
-    for i, row in enumerate(rows):
-        cols = [k for k, z in enumerate(row) if z is not None]
-        if len(cols) != 1 or sigma[cols[0]] is not None:
-            return None
-        k = cols[0]
-        sigma[k], m[k] = i, row[k]
-    return sigma, m
-
-
 def _monomial_defect(sigma, m, a_rows, b_rows, prec):
     """Raw entries of M A - B M, as one row, for the monomial M[sigma[k], k] = m[k].
 
@@ -381,9 +368,10 @@ def intertwining_defects(m, pairs):
     (``kernel(rs).unpack``).  Each float equals
     ``residual_report(matmul(m, a) - matmul(b, m))[1]``: M is unpacked once
     and each defect is one fused ``product(M, A, minus=B M)`` of the kernel,
-    or, for a bigfloat M with one nonzero per row and column, the same
-    entries from their two terms (:func:`_monomial_defect`); a monomial
-    given as such is not scanned for its shape.  When A and B read as the
+    or, for a bigfloat (sigma, entries) with no entry zero at working
+    precision, the same entries from their two terms
+    (:func:`_monomial_defect`).  An object array always takes the fused
+    product, whatever its shape.  When A and B read as the
     same bigfloat scalar matrix s Id, as puncture images do, the defect is
     exactly zero and 0.0 is returned without the products: the kernel skips
     zero terms, so entry (i, j) is m_ij s - s m_ij, and ``pair_mul`` rounds
@@ -401,7 +389,6 @@ def intertwining_defects(m, pairs):
             mono = (m[0], raw)
     if mono is None:
         m_rows = k.unpack(monomial_matrix(*m) if given else m)
-        mono = _monomial(m_rows) if bigfloat else None
     out = []
     for a_rows, b_rows in pairs:
         if bigfloat and a_rows == b_rows and _scalar_rows(a_rows):

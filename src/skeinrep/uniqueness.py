@@ -11,13 +11,15 @@ reach falls back to the dense problem in dim^2 unknowns.  For irreducible
 representations the solution space has dimension at most one and the
 certificate is unique up to scale.
 
-A walked certificate keeps its structure as a :class:`Monomial` (sigma, m)
-until it is normalized: the condition estimate converts its dim nonzeros,
-and normalization takes dim magnitudes and dim products, with the bits of
-the dense forms.  Its residuals come from the two terms of each defect
-entry: :func:`matrices.intertwining_defects` takes the (sigma, m) itself,
-and the kernel rows of each rep's images as the rep keeps them
-(:meth:`Representation.rows`), so an image is unpacked once per rep.
+A walked certificate keeps the :class:`Monomial` (sigma, m) it was found as:
+the condition estimate converts its dim nonzeros, and normalization takes
+dim magnitudes and dim products, with the bits of the dense forms.  Its
+residuals come from the two terms of each defect entry:
+:func:`matrices.intertwining_defects` takes the (sigma, m) itself, and the
+kernel rows of each rep's images as the rep keeps them
+(:meth:`Representation.rows`), so an image is unpacked once per rep.  The
+certificate holds the monomial as its ``intertwiner``; the dense
+``matrix`` is formed only when read, as the ``isomorphic`` command reads it.
 
 The gauge scalar x3 of a construction is determined only up to the 2N moves
 x3 -> x3 A^{2l} and x3 -> x3^{-1} A^{2l}, all preserving t3 = x3^N + x3^{-N}.
@@ -28,10 +30,9 @@ sphere sample share (q1, q2, q3, Delta) and T_N at the puncture roots, which
 the gauge moves leave alone, with the sampler that drew the punctures: both
 come from :func:`sphere.puncture_data` once per sample.  Each variant takes
 its own gauge's powers once (:class:`ladder.Gauge`) and assembles its ladder
-once.  Each base certificate M_j is taken apart into its :class:`Monomial`
-once, and the pair certificates M_j M_i^{-1} of two monomials are again
-monomial, take dim divisions and reach the residuals as monomials; a dense
-certificate goes through ``matrices.inverse`` and
+once.  The pair certificates M_j M_i^{-1} of two base certificates held as
+monomials are again monomial, take dim divisions and reach the residuals
+as monomials; a dense certificate goes through ``matrices.inverse`` and
 ``matrices.matmul``.  Every pair is checked by :func:`intertwiner_residuals`
 on the raw libmp kernel.
 
@@ -52,6 +53,7 @@ import math
 import random
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,9 +77,21 @@ from .torus import (TorusParams, build_torus_rep, cycle_scalar, puncture_chebysh
 
 @dataclass(frozen=True)
 class IsomorphismCertificate:
-    matrix: object
+    """An intertwiner kept as it was found, with its residuals and condition estimate.
+
+    ``intertwiner`` is the :class:`Monomial` of a ladder walk, or the frozen
+    object array of the dense commuting system.
+    """
+
+    intertwiner: object
     residuals: dict
     condition_estimate: float
+
+    @cached_property
+    def matrix(self):
+        """The intertwiner as a frozen object array, formed on first read."""
+        m = self.intertwiner
+        return matrices.freeze(m.matrix()) if isinstance(m, Monomial) else m
 
     @property
     def worst_residual(self) -> float:
@@ -175,11 +189,7 @@ def _certificate(m, rep_a, rep_b):
         return None
     m = m.normalized() if mono else _normalize_by_largest(m)
     residuals = intertwiner_residuals(m, rep_a, rep_b)
-    return IsomorphismCertificate(matrices.freeze(m.matrix() if mono else m), residuals, cond)
-
-
-def _exact_zero(e) -> bool:
-    return e.is_zero() if isinstance(e, CyclotomicNumber) else not (e.re or e.im)
+    return IsomorphismCertificate(m if mono else matrices.freeze(m), residuals, cond)
 
 
 def _exact_diagonal(m):
@@ -187,7 +197,8 @@ def _exact_diagonal(m):
     n = m.shape[0]
     for i in range(n):
         for j in range(n):
-            if i != j and not _exact_zero(m[i, j]):
+            e = m[i, j]
+            if i != j and (not e.is_zero() if isinstance(e, CyclotomicNumber) else e.re or e.im):
                 return None
     return [m[i, i] for i in range(n)]
 
@@ -492,19 +503,6 @@ def _build_variant_reps(variants):
     return [build(v) for v in variants]
 
 
-def _monomial_parts(m):
-    """The :class:`Monomial` of m when m has one nonzero per row and column, else None."""
-    n = m.shape[0]
-    sigma, entries = [], []
-    for k in range(n):
-        rows = [i for i in range(n) if not _exact_zero(m[i, k])]
-        if len(rows) != 1:
-            return None
-        sigma.append(rows[0])
-        entries.append(m[rows[0], k])
-    return Monomial(sigma, entries) if len(set(sigma)) == n else None
-
-
 def _pair_matrix(m_j, m_i):
     """(M_j M_i^{-1}, its condition estimate) for two base certificates.
 
@@ -581,15 +579,13 @@ def uniqueness_experiment(config: ExperimentConfig) -> ExperimentReport:
                 base_certs[j] = cert
             pairs_checked = 0
             if not failures:
-                # each base certificate's monomial structure, found once
-                bases = [None] + [_monomial_parts(c.matrix) or c.matrix for c in base_certs[1:]]
                 for i in range(len(reps) - 1):
                     for j in range(i + 1, len(reps)):
                         # a base pair's residuals and condition estimate are its certificate's own
                         base = base_certs[j]
                         res, cond = base.worst_residual, base.condition_estimate
                         if i:
-                            m, cond = _pair_matrix(bases[j], bases[i])
+                            m, cond = _pair_matrix(base.intertwiner, base_certs[i].intertwiner)
                             res = max(intertwiner_residuals(m, reps[i], reps[j]).values())
                         worst_residual = max(worst_residual, res)
                         pairs_checked += 1

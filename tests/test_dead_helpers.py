@@ -1,4 +1,5 @@
-"""Every top-level function and class of the package has a use somewhere.
+"""Every top-level function and class of the package, and every non-dunder
+method and property of its classes, has a use somewhere.
 
 A use is an identifier outside the definition itself, in ``src/``,
 ``tests/``, ``demos/`` or ``perfbench/``: a name, an attribute, an imported
@@ -37,13 +38,23 @@ def _uses():
     return uses
 
 
-def test_every_top_level_definition_is_used():
+def _definitions(path):
+    """Top-level functions and classes of a module, and the non-dunder methods
+    and properties of its classes."""
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body if isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__")))
+
+
+def test_every_definition_is_used():
     uses = _uses()
     dead = []
     for path in sorted((ROOT / "src" / "skeinrep").glob("*.py")):
-        for node in ast.parse(path.read_text(), str(path)).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                own = range(node.lineno, node.end_lineno + 1)
-                if all(p == path and line in own for p, line in uses.get(node.name, ())):
-                    dead.append(f"{path.name}:{node.lineno} {node.name}")
-    assert not dead, f"top-level definitions with no use: {dead}"
+        for node in _definitions(path):
+            own = range(node.lineno, node.end_lineno + 1)
+            if all(p == path and line in own for p, line in uses.get(node.name, ())):
+                dead.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not dead, f"definitions with no use: {dead}"

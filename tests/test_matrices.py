@@ -519,8 +519,7 @@ def test_monomial_defect_matches_fused_product(seed, n, zero_share):
                         img[i, j] = spread_entry(rs, rng, prec)
     k = matrices.kernel(rs)
     m_rows, a_rows, b_rows = k.unpack(m), k.unpack(a), k.unpack(b)
-    mono = matrices._monomial(m_rows)
-    assert mono is not None and mono[0] == sigma
+    mono = (sigma, [m_rows[sigma[c]][c] for c in range(n)])
     fused = k.product(m_rows, a_rows, minus=k.product(b_rows, m_rows))
     want = {(i, j): z for i, row in enumerate(fused) for j, z in enumerate(row) if z is not None}
     entries = iter(matrices._monomial_defect(*mono, a_rows, b_rows, prec)[0])
@@ -534,21 +533,11 @@ def test_monomial_defect_matches_fused_product(seed, n, zero_share):
     assert next(entries, None) is None
     assert got == want
     worst = [mpc_worst(fused, prec)[1]]
+    # the dense M takes the fused product, and the same monomial given as
+    # (sigma, entries) takes the two-term path without being rebuilt
     assert matrices.intertwining_defects(m, [(a_rows, b_rows)]) == worst
-    # the same monomial given as (sigma, entries) is not rebuilt nor scanned
     entries = [m[sigma[c], c] for c in range(n)]
     assert matrices.intertwining_defects((sigma, entries), [(a_rows, b_rows)]) == worst
-
-
-def test_monomial_detection_refuses_other_shapes():
-    rs = rs_of(3)
-    rng = random.Random(5)
-    k = matrices.kernel(rs)
-    full = dense(rs, rng, 3, 3)
-    two_in_column = matrices.zeros(rs, 3)
-    two_in_column[0, 0], two_in_column[1, 0], two_in_column[2, 1] = full[0, 0], full[1, 0], full[2, 1]
-    for mat in (full, two_in_column, matrices.zeros(rs, 3)):
-        assert matrices._monomial(k.unpack(mat)) is None
 
 
 def reference_residual_report(mat):

@@ -151,6 +151,8 @@ def test_monomial_certificate_matches_dense(base_rep, rs, surface):
     mono = intertwiner_search(rep_a, rep_b)
     dense = uniqueness._dense_intertwiner(rep_a, rep_b, None)
     assert mono is not None and dense is not None
+    assert isinstance(mono.intertwiner, uniqueness.Monomial)
+    assert dense.matrix is dense.intertwiner and not dense.matrix.flags.writeable
     assert mono.worst_residual < 1e-40
     n = rep_a.dim
     for j in range(n):
@@ -403,30 +405,57 @@ def test_experiment_sphere_avoids_dense_system(monkeypatch):
 
 @pytest.mark.parametrize("surface", [TORUS1, SPHERE4])
 def test_pair_loop_stays_monomial(surface, monkeypatch):
-    # the pair loop starts at the first _monomial_parts call; from there no
-    # dense inverse, matmul or general-kernel product runs, and each of the
-    # 2N - 1 base certificates is taken apart once
+    # the pair loop starts when the last of the 2N - 1 base searches returns;
+    # from there no dense inverse, matmul or general-kernel product runs
     calls = Counter()
-    real_parts = uniqueness._monomial_parts
+    real_search = uniqueness.intertwiner_search
 
-    def parts(m):
-        calls["parts"] += 1
-        return real_parts(m)
+    def search(*args, **kwargs):
+        cert = real_search(*args, **kwargs)
+        calls["search"] += 1
+        return cert
 
     def watched(name, fn):
         def wrapper(*args, **kwargs):
-            if calls["parts"]:
+            if calls["search"] == 5:
                 calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(uniqueness, "_monomial_parts", parts)
+    monkeypatch.setattr(uniqueness, "intertwiner_search", search)
     for name in ("inverse", "matmul", "_raw_product", "intertwining_defects"):
         monkeypatch.setattr(matrices, name, watched(name, getattr(matrices, name)))
     report = uniqueness_experiment(ExperimentConfig(surface, 3, 1, seed=4))
     assert report.passed and report.records[0]["pairs_checked"] == 15
     # the 10 pairs (i, j) with 0 < i < j < 6 each take one residual call
-    assert calls == {"parts": 5, "intertwining_defects": 10}
+    assert calls == {"search": 5, "intertwining_defects": 10}
+
+
+@pytest.mark.parametrize("surface", [TORUS1, SPHERE4])
+def test_experiment_forms_no_dense_certificate(surface, monkeypatch):
+    # every base certificate keeps the Monomial its walk found, and the
+    # experiment never reads its dense matrix, which is formed on first read
+    certs, formed = [], Counter()
+    real_search, real_formed = uniqueness.intertwiner_search, matrices.monomial_matrix
+
+    def search(*args, **kwargs):
+        certs.append(real_search(*args, **kwargs))
+        return certs[-1]
+
+    def monomial_matrix(sigma, entries):
+        formed["monomial_matrix"] += 1
+        return real_formed(sigma, entries)
+
+    monkeypatch.setattr(uniqueness, "intertwiner_search", search)
+    monkeypatch.setattr(matrices, "monomial_matrix", monomial_matrix)
+    report = uniqueness_experiment(ExperimentConfig(surface, 3, 1, seed=4))
+    assert report.passed and len(certs) == 5 and not formed
+    for cert in certs:
+        assert isinstance(cert.intertwiner, uniqueness.Monomial)
+        first = cert.matrix
+        assert cert.matrix is first and not first.flags.writeable
+        assert bits(first) == bits(real_formed(*cert.intertwiner))
+    assert formed == {"monomial_matrix": 5}
 
 
 def test_sphere_orbit_repeats_no_work(monkeypatch):
