@@ -3,8 +3,10 @@
 Here the ladder operators carry scalar offsets built from the symmetric
 puncture combinations, and the product of the down-then-up scalars R_k has
 a closed form through T_N at four quadratic roots.  The wraparound constant
-u has no closed form; it is recovered from the two target traces by
-measuring the u-independent offsets on a trial construction.
+u is recovered from the two target traces by solving a quadratic: the
+u-independent trace offsets are closed forms in t3 and T_N of the four
+punctures, read off the character-variety relation, so no trial
+construction is built.
 """
 
 import random

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from . import serialize
 from .errors import SkeinError
@@ -228,9 +229,14 @@ def build_parser():
     return parser
 
 
+@cache
+def _parser():
+    """The one parser :func:`main` reads; parsing leaves a parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (SkeinError, OSError, ValueError) as exc:

@@ -15,12 +15,8 @@ where au_k = -x3^{-1} A^{-tk-h} / d_k and ad_k = x3 A^{tk-h} / d_k.  The up
 step sends v_k to v_{k+1} (u v_1 at the wraparound); the down step sends v_k
 to down_k v_{k-1} (down_1/u v_N at the wraparound).  The surfaces differ only
 in the twist, the down scalars and the sphere's diagonal offsets beta_k^+/-,
-which the same assembly adds on the diagonal (the torus has none).
-
-Only the two wraparound steps involve u, so :func:`ladder_assembly` computes
-every column's terms once and :meth:`LadderAssembly.matrices` fills just the
-cells they land in for each u; a construction that tries one u and then
-builds at another assembles once.
+which the same assembly (:func:`ladder_matrices`) adds on the diagonal (the
+torus has none).
 
 The ladder operators U_k = A^h X1 - x3 A^{tk} X2 + beta_k^+ and
 D_k = A^h X1 - x3^{-1} A^{-tk} X2 + beta_k^- shift the k-th eigenline one
@@ -119,57 +115,33 @@ def eigenvalue_tower(gauge, twist):
             for k in range(1, gauge.rs.N + 1)]
 
 
-def _cell(terms, scales):
-    """Sum of a cell's (X1, X2) terms in assembly order; power p of u scales by ``scales[p]``.
+def _cell(terms):
+    """Sum of a cell's (X1, X2) terms in assembly order.
 
     The first term is assigned, not added to a zero: every term is already
     rounded to the working precision, so the two give the same bits.
     """
-    x1 = x2 = None
-    for t1, t2, power in terms:
-        if power:
-            t1, t2 = t1 * scales[power], t2 * scales[power]
-        x1, x2 = (t1, t2) if x1 is None else (x1 + t1, x2 + t2)
+    x1, x2 = terms[0]
+    for t1, t2 in terms[1:]:
+        x1, x2 = x1 + t1, x2 + t2
     return x1, x2
 
 
-@dataclass(frozen=True, eq=False)
-class LadderAssembly:
-    """X1, X2, X3 of a ladder for every wraparound u, from terms computed once.
+def ladder_matrices(gauge, twist, down, u, beta_plus=None, beta_minus=None):
+    """(X1, X2, X3) of the ladder at wraparound ``u``, with the diagonal offsets beta^+/- if given.
 
-    ``base1`` and ``base2`` hold every cell whose terms do not involve u;
-    ``wrap`` lists each other cell with its (X1 term, X2 term, power of u)
-    triples, where power 1 scales by u and power -1 by down_1 / u.
-    """
-
-    base1: object
-    base2: object
-    m3: object
-    wrap: tuple
-    down1: Scalar
-
-    def matrices(self, u):
-        """(X1, X2, X3) at wraparound ``u``; only the wraparound cells are computed."""
-        m1, m2 = self.base1.copy(), self.base2.copy()
-        scales = {1: u, -1: self.down1 / u}
-        for (i, j), terms in self.wrap:
-            m1[i, j], m2[i, j] = _cell(terms, scales)
-        return m1, m2, self.m3
-
-
-def ladder_assembly(gauge, twist, down, beta_plus=None, beta_minus=None) -> LadderAssembly:
-    """The ladder's column terms, with the diagonal offsets beta^+/- if given.
-
-    ``down[k - 1]`` is the down scalar of column k; column 1 divides it by u.
-    Column k adds (x3^{-1} A^{-tk-h} beta_k^+ - x3 A^{tk-h} beta_k^-) / d_k to
-    X1 and (beta_k^+ - beta_k^-) / d_k to X2 on the diagonal.  Each cell
-    sums its terms in column order, and within a column up, down, diagonal:
-    at N = 1 all three share one cell, at N = 2 the up and down steps do.
+    ``down[k - 1]`` is the down scalar of column k; column 1 divides it by u,
+    and column N's up step is scaled by u.  Column k adds
+    (x3^{-1} A^{-tk-h} beta_k^+ - x3 A^{tk-h} beta_k^-) / d_k to X1 and
+    (beta_k^+ - beta_k^-) / d_k to X2 on the diagonal.  Each cell sums its
+    terms in column order, and within a column up, down, diagonal: at N = 1
+    all three share one cell, at N = 2 the up and down steps do.
     """
     rs = gauge.rs
     n = rs.N
     half = twist // 2
-    cells = {}  # (row, column) -> [(X1 term, X2 term, power of u)]
+    down_wrap = down[0] / u
+    cells = {}  # (row, column) -> [(X1 term, X2 term)]
     tower = []  # the X3 eigenvalues, from the products d_k takes
     for k in range(1, n + 1):
         col = k - 1
@@ -181,26 +153,21 @@ def ladder_assembly(gauge, twist, down, beta_plus=None, beta_minus=None) -> Ladd
         # round-to-nearest is symmetric, so -(1 / d_k) has the bits of -1 / d_k
         inv = rs.one / dk
         # v_k -> v_{k+1}, wrapping to u v_1
-        cells.setdefault((k % n, col), []).append((-lo / dk, -inv, 1 if k == n else 0))
+        up1, up2 = -lo / dk, -inv
+        if k == n:
+            up1, up2 = up1 * u, up2 * u
+        cells.setdefault((k % n, col), []).append((up1, up2))
         # v_k -> down_k v_{k-1}, wrapping to down_1 / u v_N
-        if k == 1:
-            cells.setdefault((n - 1, col), []).append((hi / dk, inv, -1))
-        else:
-            d = down[k - 1]
-            cells.setdefault((k - 2, col), []).append(((hi / dk) * d, inv * d, 0))
+        d = down_wrap if k == 1 else down[k - 1]
+        cells.setdefault(((k - 2) % n, col), []).append(((hi / dk) * d, inv * d))
         if beta_plus is not None:
             bp, bm = beta_plus[k - 1], beta_minus[k - 1]
-            cells.setdefault((col, col), []).append(((lo * bp - hi * bm) / dk, (bp - bm) / dk, 0))
+            cells.setdefault((col, col), []).append(((lo * bp - hi * bm) / dk, (bp - bm) / dk))
     m1 = matrices.zeros(rs, n)
     m2 = matrices.zeros(rs, n)
-    wrap = []
     for cell, terms in cells.items():
-        if any(power for _, _, power in terms):
-            wrap.append((cell, tuple(terms)))
-        else:
-            m1[cell], m2[cell] = _cell(terms, None)
-    m3 = matrices.freeze(matrices.diagonal(tower))
-    return LadderAssembly(matrices.freeze(m1), matrices.freeze(m2), m3, tuple(wrap), down[0])
+        m1[cell], m2[cell] = _cell(terms)
+    return m1, m2, matrices.freeze(matrices.diagonal(tower))
 
 
 @dataclass(frozen=True)

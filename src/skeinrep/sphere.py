@@ -15,39 +15,53 @@ of (r^2 + p0 p3 r + p0^2 + p3^2 - 4)(r^2 + p1 p2 r + p1^2 + p2^2 - 4); its
 nonvanishing, together with t3 != +/-2, is the genericity condition under
 which the construction goes through.
 
-Unlike the torus case the wraparound constant u has no closed form here; it
-is determined numerically from the two target traces.  The trace of the
-k-step expansion collapses to
+The wraparound constant u is fixed by the two target traces.  The trace of
+the k-step expansion collapses to
 
     t1(u) = alpha u + beta / u + f,   t2(u) = alpha' u + beta' / u + g
 
-with alpha = -x3^{-N}/s, beta = x3^N prod(R)/s, alpha' = -1/s,
-beta' = prod(R)/s, s = x3^N - x3^{-N}; the offsets f, g do not depend on u
-and are measured operationally from T_N of the X1 and X2 images at the
-trial value u = 1.  Only the wraparound entries depend on u, so the trial
-and the final images come from one ladder assembly.
+with alpha = -x3^{-N}/s, beta = x3^N P/s, alpha' = -1/s, beta' = P/s,
+s = x3^N - x3^{-N} and P = prod(R).  The offsets f, g do not depend on u and
+have a closed form.  The classical shadow lies on the character variety
+(Bonahon-Wong): with (Q1, Q2, Q3, Delta') the combinations above taken at
+T_N(p0), ..., T_N(p3),
+
+    t1 t2 t3 - t1^2 - t2^2 - t3^2 - Q1 t1 - Q2 t2 - Q3 t3 + 4 = Delta'.
+
+Substituting t1(u), t2(u) and matching the coefficients of u and u^{-1}
+gives, with y = x3^N, the linear system
+
+    -f + y^{-1} g = -(Q1 y^{-1} + Q2) / s,
+    -P f + P y g  =  P (Q1 y + Q2) / s
+
+of determinant -P s, whose solution
+
+    f = (Q2 t3 + 2 Q1) / (t3^2 - 4),   g = (Q1 t3 + 2 Q2) / (t3^2 - 4)
+
+divides only by t3^2 - 4 = s^2, nonzero wherever t3 != +/-2.  f and g
+depend on t3 and the punctures alone, so all 2N gauges share them, and
+:func:`solve_u` reads no matrix.
 
 Each derived quantity is computed once, at the level it depends on.  The
 gauge's powers and products x3 A^j come from the parameters'
 :class:`~skeinrep.ladder.Gauge`, which the offsets, the R_k, the ladder
-assembly, t3 and :func:`solve_u` share.  (q1, q2, q3, Delta) and T_N at the
-four puncture roots depend on N and p0..p3 alone, which the 2N gauge moves
-keep; they come from one bounded cache keyed by the exact values
+assembly, t3 and :func:`solve_u` share.  (q1, q2, q3, Delta), (Q1, Q2) and
+T_N at the four puncture roots depend on N and p0..p3 alone, which the 2N
+gauge moves keep; they come from one bounded cache keyed by the exact values
 (:func:`puncture_data`), so a gauge orbit, the sampler that drew its
 punctures and the genericity check compute them once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from . import matrices
 from .chebyshev import chebyshev_eval, solve_chebyshev
-from .errors import (DegenerateShadow, NoConsistentRoot, NonScalarChebyshev,
-                     VanishingCycle)
-from .ladder import (Gauge, LadderAssembly, LadderSystem, check_nondegenerate_t3,
-                     ladder_assembly, ladder_system)
+from .errors import DegenerateShadow, NoConsistentRoot, VanishingCycle
+from .ladder import (Gauge, LadderSystem, check_nondegenerate_t3, ladder_matrices,
+                     ladder_system)
 from .representation import Representation, assemble
 from .scalars import BigComplex, RootSystem, Scalar, approx_eq, solve_quadratic
 from .surfaces import SPHERE4, sphere_k
@@ -74,10 +88,12 @@ def chebyshev_at_puncture_roots(rs, p0, p1, p2, p3) -> tuple:
 
 
 class PunctureData:
-    """(q1, q2, q3, Delta) and T_N at the puncture roots of one p0..p3, each taken on first use.
+    """The invariants of one p0..p3 that the gauge moves keep, each taken on first use.
 
-    T_N at the roots needs the bigfloat backend; an exact construction only
-    reads ``aux``.
+    ``aux`` is (q1, q2, q3, Delta); ``shadow_aux`` is the same at
+    T_N(p0), ..., T_N(p3), whose (Q1, Q2) give the trace offsets f, g; and
+    ``chebyshev_at_roots`` is T_N at the puncture roots, which needs the
+    bigfloat backend.  An exact construction only reads ``aux``.
     """
 
     def __init__(self, rs, punctures):
@@ -86,6 +102,10 @@ class PunctureData:
     @cached_property
     def aux(self):
         return sphere_aux_invariants(*self.punctures)
+
+    @cached_property
+    def shadow_aux(self):
+        return sphere_aux_invariants(*(chebyshev_eval(self.rs.N, p) for p in self.punctures))
 
     @cached_property
     def chebyshev_at_roots(self):
@@ -131,6 +151,11 @@ class SphereParams:
         return puncture_data(self.rs, *self.punctures).aux
 
     @property
+    def shadow_aux(self):
+        """(Q1, Q2, Q3, Delta') at T_N(p0), ..., T_N(p3) (:class:`PunctureData`)."""
+        return puncture_data(self.rs, *self.punctures).shadow_aux
+
+    @property
     def chebyshev_at_roots(self):
         """T_N at the puncture roots (:func:`chebyshev_at_puncture_roots`)."""
         return puncture_data(self.rs, *self.punctures).chebyshev_at_roots
@@ -145,16 +170,11 @@ def make_sphere_params(p0, p1, p2, p3, t1, t2, x3) -> SphereParams:
 
 @dataclass(frozen=True)
 class LadderScalars:
-    """beta_k^+/- offsets, the composite scalars R_k, k = 1..N, and their ladder.
-
-    ``assembly`` holds the ladder's u-free terms, so the trial build of
-    :func:`solve_u` and the final build share one assembly.
-    """
+    """beta_k^+/- offsets and the composite scalars R_k, k = 1..N."""
 
     beta_plus: tuple
     beta_minus: tuple
     r_scalars: tuple
-    assembly: LadderAssembly = field(repr=False, compare=False)
 
     def cycle_product(self):
         prod = None
@@ -193,10 +213,7 @@ def ladder_scalars_sphere(params: SphereParams) -> LadderScalars:
                + (up[k - 1] + down[k - 1]) * q3
                - bm_next * bp)
         r_scalars.append(rk)
-    # column k steps down by R_{k-1}, column 1 by R_N / u
-    assembly = ladder_assembly(g, 4, r_scalars[n - 1:] + r_scalars[:n - 1],
-                               beta_plus, beta_minus)
-    return LadderScalars(tuple(beta_plus), tuple(beta_minus), tuple(r_scalars), assembly)
+    return LadderScalars(tuple(beta_plus), tuple(beta_minus), tuple(r_scalars))
 
 
 def ladder_product_closed_form(params: SphereParams) -> Scalar:
@@ -217,7 +234,10 @@ def build_sphere_rep_with_u(params: SphereParams, u: Scalar,
         raise VanishingCycle("the wraparound constant u must be nonzero")
     if ladder is None:
         ladder = ladder_scalars_sphere(params)
-    m1, m2, m3 = ladder.assembly.matrices(u)
+    r = ladder.r_scalars
+    # column k steps down by R_{k-1}, column 1 by R_N / u
+    m1, m2, m3 = ladder_matrices(params.gauge, 4, r[n - 1:] + r[:n - 1], u,
+                                 ladder.beta_plus, ladder.beta_minus)
     punctures = dict(zip(SPHERE4.punctures, params.punctures))
     provenance = {
         "params": {"p0": params.p0, "p1": params.p1, "p2": params.p2, "p3": params.p3,
@@ -227,51 +247,50 @@ def build_sphere_rep_with_u(params: SphereParams, u: Scalar,
     return assemble(SPHERE4, rs, n, {"X1": m1, "X2": m2, "X3": m3}, punctures, provenance)
 
 
+class TraceLaw(namedtuple("TraceLaw", "alpha beta offset")):
+    """A trace as a function of the wraparound: t(u) = alpha u + beta / u + offset."""
+
+    __slots__ = ()
+
+    def at(self, u):
+        return self.alpha * u + self.beta * u ** (-1) + self.offset
+
+
+def trace_laws(params: SphereParams, prod_r) -> tuple:
+    """The :class:`TraceLaw` of t1 and of t2 for the cycle product ``prod_r``.
+
+    alpha = -x3^{-N}/s, beta = x3^N prod_r/s, alpha' = -1/s,
+    beta' = prod_r/s, and the offsets are the closed forms
+    f = (Q2 t3 + 2 Q1)/(t3^2 - 4), g = (Q1 t3 + 2 Q2)/(t3^2 - 4) derived in
+    the module docstring, with (Q1, Q2) of ``params.shadow_aux``.
+    """
+    g = params.gauge
+    s, t3 = g.s, g.t3
+    big_q1, big_q2 = params.shadow_aux[:2]
+    den = t3 * t3 - 4
+    return (TraceLaw(-g.power_minus_n / s, g.power_n * prod_r / s,
+                     (big_q2 * t3 + 2 * big_q1) / den),
+            TraceLaw(-params.rs.one / s, prod_r / s, (big_q1 * t3 + 2 * big_q2) / den))
+
+
 def solve_u(params: SphereParams, t1_target, t2_target,
             ladder: LadderScalars = None) -> Scalar:
     """Determine the wraparound constant from the two target traces.
 
-    The u-independent offsets f, g are measured from T_N of the X1 and X2
-    images at a trial value, filled in from ``ladder.assembly`` without
-    building a representation; then the quadratic
-    alpha u^2 + (f - t1) u + beta = 0 is solved and the root consistent with
-    the t2 equation returned.
+    With the laws of :func:`trace_laws` at the ladder's cycle product, whose
+    offsets f = (Q2 t3 + 2 Q1)/(t3^2 - 4) and g = (Q1 t3 + 2 Q2)/(t3^2 - 4)
+    follow from the character-variety relation (module docstring), solve
+    alpha u^2 + (f - t1) u + beta = 0 and return the root whose t2(u)
+    reproduces the second target.  No matrix is built or read.
     """
-    rs = params.rs
-    n = rs.N
     if ladder is None:
         ladder = ladder_scalars_sphere(params)
-    g = params.gauge
-    s = g.s
     prod_r = ladder.cycle_product()
     if prod_r.is_zero():
         raise VanishingCycle("the ladder cycle product vanishes; u is not determined")
-    alpha = -g.power_minus_n / s
-    beta = g.power_n * prod_r / s
-    alpha2 = -rs.one / s
-    beta2 = prod_r / s
-
-    trial_errors = []
-    for trial in (rs.one, rs.A):
-        try:
-            m1, m2, _ = ladder.assembly.matrices(trial)
-            t1_trial = matrices.read_scalar_matrix(chebyshev_eval(n, m1), rs)
-            t2_trial = matrices.read_scalar_matrix(chebyshev_eval(n, m2), rs)
-            break
-        except NonScalarChebyshev as exc:  # retry once with a shifted trial value
-            trial_errors.append(exc)
-    else:
-        raise trial_errors[-1]
-    trial_inv = trial ** (-1)
-    f = t1_trial - alpha * trial - beta * trial_inv
-    g = t2_trial - alpha2 * trial - beta2 * trial_inv
-
-    roots = solve_quadratic(alpha, f - t1_target, beta)
-    for root in roots:
-        if root.is_zero():
-            continue
-        t2_value = alpha2 * root + beta2 * root ** (-1) + g
-        if approx_eq(t2_value, t2_target):
+    law1, law2 = trace_laws(params, prod_r)
+    for root in solve_quadratic(law1.alpha, law1.offset - t1_target, law1.beta):
+        if not root.is_zero() and approx_eq(law2.at(root), t2_target):
             return root
     raise NoConsistentRoot(
         "neither root of the trace quadratic reproduces the second trace; "

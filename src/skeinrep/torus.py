@@ -124,7 +124,7 @@ def _torus_matrices(params: TorusParams, u):
         raise VanishingCycle("t1 + t2 x3^N = 0; the wraparound constant vanishes")
     c = [-(p + gauge.square * rs.a_pow(4 * k - 2) + gauge.inverse_square * rs.a_pow(-4 * k + 2))
          for k in range(1, rs.N + 1)]
-    return ladder.ladder_assembly(gauge, 2, c).matrices(u)
+    return ladder.ladder_matrices(gauge, 2, c, u)
 
 
 def build_torus_rep(params: TorusParams, surface=TORUS1) -> Representation:

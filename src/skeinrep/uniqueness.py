@@ -26,15 +26,17 @@ x3 -> x3 A^{2l} and x3 -> x3^{-1} A^{2l}, all preserving t3 = x3^N + x3^{-N}.
 The uniqueness experiment samples random generic invariants, builds the
 representation through every gauge variant, and certifies that all variants
 are pairwise isomorphic while the invariants round-trip.  The variants of a
-sphere sample share (q1, q2, q3, Delta) and T_N at the puncture roots, which
-the gauge moves leave alone, with the sampler that drew the punctures: both
-come from :func:`sphere.puncture_data` once per sample.  Each variant takes
-its own gauge's powers once (:class:`ladder.Gauge`) and assembles its ladder
-once.  The pair certificates M_j M_i^{-1} of two base certificates held as
-monomials are again monomial, take dim divisions and reach the residuals
-as monomials; a dense certificate goes through ``matrices.inverse`` and
-``matrices.matmul``.  Every pair is checked by :func:`intertwiner_residuals`
-on the raw libmp kernel.
+sphere sample share (q1, q2, q3, Delta), the same at T_N(p0..p3) and T_N at
+the puncture roots, which the gauge moves leave alone, with the sampler that
+drew the punctures: all come from :func:`sphere.puncture_data` once per
+sample, and the orbit starts from the gauge x3 the sampler solved for.  Each
+variant takes its own gauge's powers once (:class:`ladder.Gauge`) and
+assembles its ladder once; the sampler assembles none.  The pair
+certificates M_j M_i^{-1} of two base certificates held as monomials are
+again monomial, take dim divisions and reach the residuals as monomials; a
+dense certificate goes through ``matrices.inverse`` and ``matrices.matmul``.
+Every pair is checked by :func:`intertwiner_residuals` on the raw libmp
+kernel.
 
 Residuals that are known exactly are not computed.  When a generator's two
 images are one scalar matrix s Id bit for bit (every off-diagonal entry an
@@ -64,8 +66,8 @@ from .invariants import commuting_system, extract_invariants
 from .ladder import is_pm2
 from .representation import Representation
 from .scalars import CyclotomicNumber, RootSystem, Tolerance, approx_eq, make_root_system
-from .sphere import (build_sphere_rep_from_params, build_sphere_rep_with_u,
-                     ladder_product_closed_form, make_sphere_params)
+from .sphere import (build_sphere_rep_from_params, ladder_product_closed_form,
+                     make_sphere_params, trace_laws)
 from .surfaces import Surface
 from .torus import (TorusParams, build_torus_rep, cycle_scalar, puncture_chebyshev_value,
                     torus_params_from_shadow)
@@ -445,11 +447,17 @@ def sample_torus_shadow(rs: RootSystem, rng):
 
 
 def sample_sphere_invariants(rs: RootSystem, rng):
-    """Random generic sphere invariants (p0..p3, t1, t2, t3).
+    """Random generic sphere invariants (p0..p3, t1, t2, t3)."""
+    return _sample_sphere(rs, rng)[0]
 
-    The traces t1, t2 are realized (not free): they are read off a
-    representation built from a random wraparound constant, which keeps the
-    sampled tuple on the realizable locus.
+
+def _sample_sphere(rs: RootSystem, rng):
+    """(invariants, x3): :func:`sample_sphere_invariants` with the gauge it solved for.
+
+    The traces t1, t2 are realized (not free): they are the trace laws of
+    :func:`sphere.trace_laws` at the closed-form cycle product and a random
+    wraparound constant u, which keeps the sampled tuple on the realizable
+    locus without building a representation.
     """
     two = rs.scalar(2)
     while True:
@@ -465,11 +473,9 @@ def sample_sphere_invariants(rs: RootSystem, rng):
         if float(closed.magnitude()) < _MARGIN:
             continue
         u = rs.scalar(_annulus_draw(rng))
-        rep = build_sphere_rep_with_u(params, u)
-        t1 = matrices.read_scalar_matrix(rep.chebyshev("X1"), rs)
-        t2 = matrices.read_scalar_matrix(rep.chebyshev("X2"), rs)
+        t1, t2 = (law.at(u) for law in trace_laws(params, closed))
         return {"p0": p[0], "p1": p[1], "p2": p[2], "p3": p[3],
-                "t1": t1, "t2": t2, "t3": t3}
+                "t1": t1, "t2": t2, "t3": t3}, x3
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +561,7 @@ def uniqueness_experiment(config: ExperimentConfig) -> ExperimentReport:
             inv = sample_torus_shadow(rs, rng)
             params = torus_params_from_shadow(inv["t1"], inv["t2"], inv["t3"], inv["p"])
         elif config.surface.kind == "sphere4":
-            inv = sample_sphere_invariants(rs, rng)
-            x3 = solve_chebyshev(inv["t3"]).base
+            inv, x3 = _sample_sphere(rs, rng)
             params = make_sphere_params(inv["p0"], inv["p1"], inv["p2"], inv["p3"],
                                         inv["t1"], inv["t2"], x3)
         else:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from skeinrep import matrices
+from skeinrep import cli, matrices
 from skeinrep.cli import main
 from skeinrep.scalars import CyclotomicNumber, make_root_system
 from skeinrep.serialize import (dumps_canonical, read_json, rep_from_json, rep_to_json,
@@ -374,6 +374,28 @@ def test_cli_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["build-torus", "--N", "3"])  # missing required flags
     assert exc.value.code == 2
+
+
+def test_cli_builds_its_parser_once(capsys, monkeypatch):
+    # main reuses one parser, and a parse leaves no option set for the next
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(None) or real())
+    cli._parser.cache_clear()
+    errs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["build-torus", "--N", "3"])
+        assert exc.value.code == 2
+        usage = capsys.readouterr().err
+        assert main(["normalize", "--surface", "torus1", "--N", "3", "--expr", "X9"]) == 1
+        errs.append((usage, capsys.readouterr().err))
+    assert errs[0] == errs[1] and errs[0][1].startswith("error: unknown generator")
+    verify = ["verify", "rep.json"]
+    assert cli._parser().parse_args([*verify, "--tol", "1e-9"]).tol == 1e-9
+    assert cli._parser().parse_args(verify).tol is None
+    assert len(built) == 1
+    assert real() is not real()
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,12 +2,13 @@ import dataclasses
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from skeinrep import matrices
+from skeinrep import chebyshev, invariants, matrices, representation, sphere, torus, uniqueness
 from skeinrep.chebyshev import chebyshev_eval, solve_chebyshev
-from skeinrep.errors import (DegenerateShadow, NoConsistentRoot, NonScalarChebyshev,
-                             UnsupportedExactOperation, VanishingCycle)
+from skeinrep.errors import (DegenerateShadow, NoConsistentRoot, UnsupportedExactOperation,
+                             VanishingCycle)
 from skeinrep.expressions import evaluate, relation_defects
 from skeinrep.invariants import extract_invariants
 from skeinrep.scalars import (CyclotomicNumber, approx_eq, from_pair, make_root_system,
@@ -16,7 +17,7 @@ from skeinrep.sphere import (build_sphere_rep, build_sphere_rep_from_params,
                              build_sphere_rep_with_u, chebyshev_at_puncture_roots,
                              ladder_product_closed_form, ladder_scalars_sphere,
                              ladder_system_sphere, make_sphere_params, puncture_data,
-                             small_sphere_rep, solve_u, sphere_aux_invariants)
+                             small_sphere_rep, solve_u, sphere_aux_invariants, trace_laws)
 from skeinrep.surfaces import sphere_k
 from skeinrep.uniqueness import gauge_orbit, intertwiner_search, sample_sphere_invariants
 
@@ -317,44 +318,70 @@ def test_solve_u_bitwise_deterministic(rs3):
     assert first.re == second.re and first.im == second.im
 
 
-def failing_reads(monkeypatch, fail_calls):
-    """Make the listed calls (1-based) of the T_N scalar read raise."""
-    original = matrices.read_scalar_matrix
-    calls = []
-
-    def read(mat, rs, tol=None):
-        calls.append(None)
-        if len(calls) in fail_calls:
-            raise NonScalarChebyshev(f"read {len(calls)}")
-        return original(mat, rs, tol)
-
-    monkeypatch.setattr(matrices, "read_scalar_matrix", read)
-    return calls
-
-
-def traced_params(rs, seed):
-    rng = random.Random(seed)
-    params = random_params(rs, rng)
-    rep = build_sphere_rep_with_u(params, rnd_scalar(rs, rng, 0.5, 1.5))
-    t1 = matrices.read_scalar_matrix(chebyshev_eval(3, rep.matrix("X1")), rs)
-    t2 = matrices.read_scalar_matrix(chebyshev_eval(3, rep.matrix("X2")), rs)
-    return params, t1, t2
+@pytest.mark.parametrize("N", [1, 3, 5, 7])
+def test_trace_offsets_match_trial_measurement(N):
+    # oracle: f = T_N(X1(1)) - alpha - beta and g = T_N(X2(1)) - alpha' - beta',
+    # measured from the images at the trial wraparound u = 1 as solve_u once
+    # did, against the closed forms, on every variant of a sampled orbit
+    rs = make_root_system(N, "bigfloat", 256)
+    inv = sample_sphere_invariants(rs, random.Random(30 + N))
+    x3 = solve_chebyshev(inv["t3"]).base
+    base = make_sphere_params(*(inv[k] for k in ("p0", "p1", "p2", "p3", "t1", "t2")), x3)
+    for params in gauge_orbit(base):
+        ladder = ladder_scalars_sphere(params)
+        prod_r = ladder.cycle_product()
+        s = params.x3 ** N - params.x3 ** -N
+        trial = build_sphere_rep_with_u(params, rs.one, ladder)
+        f = matrices.read_scalar_matrix(chebyshev_eval(N, trial.matrix("X1")), rs) - (
+            -(params.x3 ** -N) / s + params.x3 ** N * prod_r / s)
+        g = matrices.read_scalar_matrix(chebyshev_eval(N, trial.matrix("X2")), rs) - (
+            -rs.one / s + prod_r / s)
+        law1, law2 = trace_laws(params, prod_r)
+        assert approx_eq(law1.offset, f) and approx_eq(law2.offset, g)
 
 
-def test_solve_u_retries_with_second_trial(rs3, monkeypatch):
-    params, t1, t2 = traced_params(rs3, 17)
-    expected = solve_u(params, t1, t2)
-    calls = failing_reads(monkeypatch, {1})
-    retried = solve_u(params, t1, t2)
-    assert len(calls) == 3  # X1 of the first trial, then X1 and X2 of the second
-    assert approx_eq(retried, expected)
+@pytest.mark.parametrize("N", [1, 3, 5])
+def test_sampler_traces_match_built_rep(N, monkeypatch):
+    # the sampler's t1, t2 are T_N of the images built at the u it drew
+    rs = make_root_system(N, "bigfloat", 256)
+    draws = []
+
+    def annulus_draw(rng, *args):
+        draws.append(real_draw(rng, *args))
+        return draws[-1]
+
+    real_draw = uniqueness._annulus_draw
+    monkeypatch.setattr(uniqueness, "_annulus_draw", annulus_draw)
+    rng = random.Random(40 + N)
+    for _ in range(3):
+        inv = sample_sphere_invariants(rs, rng)
+        x3 = solve_chebyshev(inv["t3"]).base
+        params = make_sphere_params(*(inv[k] for k in ("p0", "p1", "p2", "p3")),
+                                    rs.zero, rs.zero, x3)
+        rep = build_sphere_rep_with_u(params, rs.scalar(draws[-1]))
+        assert approx_eq(matrices.read_scalar_matrix(rep.chebyshev("X1"), rs), inv["t1"])
+        assert approx_eq(matrices.read_scalar_matrix(rep.chebyshev("X2"), rs), inv["t2"])
 
 
-def test_solve_u_two_failed_trials_raise_the_last(rs3, monkeypatch):
-    params, t1, t2 = traced_params(rs3, 17)
-    failing_reads(monkeypatch, {1, 2})
-    with pytest.raises(NonScalarChebyshev, match="^read 2$"):
-        solve_u(params, t1, t2)
+def test_solve_u_and_sampler_read_no_matrix(rs3, monkeypatch):
+    # T_N is taken of the punctures and their roots only, never of an image,
+    # and no scalar matrix is read
+    args = []
+
+    def counting(n, arg):
+        args.append(arg)
+        return chebyshev_eval(n, arg)
+
+    for module in (chebyshev, sphere, representation, invariants, torus):
+        monkeypatch.setattr(module, "chebyshev_eval", counting)
+    monkeypatch.setattr(matrices, "read_scalar_matrix", None)
+    puncture_data.cache_clear()
+    inv = sample_sphere_invariants(rs3, random.Random(18))
+    x3 = solve_chebyshev(inv["t3"]).base
+    params = make_sphere_params(*(inv[k] for k in ("p0", "p1", "p2", "p3", "t1", "t2")), x3)
+    u = solve_u(params, inv["t1"], inv["t2"])
+    assert not u.is_zero()
+    assert len(args) == 8 and not any(isinstance(a, np.ndarray) for a in args)
 
 
 def test_solve_u_rejects_inconsistent_traces(rs3):

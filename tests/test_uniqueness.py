@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skeinrep import matrices, sphere, uniqueness
-from skeinrep.chebyshev import solve_chebyshev
+from skeinrep.chebyshev import chebyshev_eval, solve_chebyshev
 from skeinrep.scalars import BigComplex, Tolerance, approx_eq, from_pair, make_root_system
 from skeinrep.serialize import dumps_canonical
 from skeinrep.sphere import build_sphere_rep_from_params, make_sphere_params
@@ -459,12 +459,14 @@ def test_experiment_forms_no_dense_certificate(surface, monkeypatch):
 
 
 def test_sphere_orbit_repeats_no_work(monkeypatch):
-    # one N = 3 sample: the sampler's (q1, q2, q3, Delta) and T_N at the
-    # puncture roots serve the whole orbit; each variant assembles its ladder
-    # once (solve_u's trial included) and takes x3^-1, x3^3 and x3^-3 once;
-    # and each rep's largest entry for the residual gate is taken once
+    # one N = 3 sample: the sampler's (Q1, Q2, Q3, Delta') at T_N(p0..p3) and
+    # T_N at the puncture roots serve the whole orbit, and (q1, q2, q3, Delta)
+    # is taken once for it; the sampler assembles no ladder and each variant
+    # assembles one; x3 is solved from t3 once; each variant takes x3^-1,
+    # x3^3 and x3^-3 once; and each rep's largest entry for the residual gate
+    # is taken once
     calls, inside_variants, converted, powers = Counter(), Counter(), Counter(), Counter()
-    reps, orbit = [], []
+    reps, orbit, aux_args = [], [], []
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -495,19 +497,27 @@ def test_sphere_orbit_repeats_no_work(monkeypatch):
         return wrapper
 
     sphere.puncture_data.cache_clear()
-    monkeypatch.setattr(sphere, "ladder_assembly", counting("assembly", sphere.ladder_assembly))
-    monkeypatch.setattr(sphere, "sphere_aux_invariants",
-                        counting("aux", sphere.sphere_aux_invariants))
+    monkeypatch.setattr(sphere, "ladder_matrices", counting("assembly", sphere.ladder_matrices))
+    real_aux = sphere.sphere_aux_invariants
+
+    def aux(*args):
+        aux_args.append(args)
+        return real_aux(*args)
+
+    monkeypatch.setattr(sphere, "sphere_aux_invariants", counting("aux", aux))
     monkeypatch.setattr(sphere, "chebyshev_at_puncture_roots",
                         counting("roots", sphere.chebyshev_at_puncture_roots))
+    monkeypatch.setattr(uniqueness, "solve_chebyshev", counting("x3", uniqueness.solve_chebyshev))
     monkeypatch.setattr(uniqueness, "_build_variant_reps", variants(uniqueness._build_variant_reps))
     monkeypatch.setattr(matrices, "to_complex128", to_complex128(matrices.to_complex128))
     monkeypatch.setattr(BigComplex, "__pow__", power(BigComplex.__pow__))
     report = uniqueness_experiment(ExperimentConfig(SPHERE4, 3, 1, seed=5))
     assert report.passed
     assert len(reps) == 6
-    assert calls["aux"] == 1 and calls["roots"] == 1
-    assert inside_variants == {"assembly": 6}
+    assert calls["roots"] == 1 and calls["x3"] == 1  # the sampler's x3 is the orbit's
+    p = orbit[0].punctures
+    assert aux_args == [tuple(chebyshev_eval(3, v) for v in p), p]
+    assert inside_variants == {"assembly": 6, "aux": 1}
     x3s = [v.x3.pair for v in orbit]
     assert {key: c for key, c in powers.items() if key[0] in x3s} == {
         (x3, e): 1 for x3 in x3s for e in (-1, 3, -3)}
