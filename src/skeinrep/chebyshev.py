@@ -10,7 +10,7 @@ degree-N polynomial factors through the values b*A^{2k} + b^{-1}*A^{-2k}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -71,13 +71,20 @@ class ChebyshevRoots:
     """All N solutions of T_N(x) = t.
 
     ``base`` is the principal N-th root of the larger-magnitude root of
-    y^2 - t*y + 1 = 0; the solution list is base*A^{2k} + base^{-1}*A^{-2k}
-    for k = 1..N.  The other quadratic root is 1/y, whose N-th roots are the
-    inverses base^{-1}*A^{-2k}, so the same list covers both choices.
+    y^2 - t*y + 1 = 0; the solution list ``values`` is base*A^{2k} +
+    base^{-1}*A^{-2k} for k = 1..N, formed on first read.  The other
+    quadratic root is 1/y, whose N-th roots are the inverses
+    base^{-1}*A^{-2k}, so the same list covers both choices.
     """
 
-    values: tuple
     base: Scalar
+
+    @cached_property
+    def values(self) -> tuple:
+        rs = self.base.rs
+        base_inv = self.base.inverse()
+        return tuple(self.base * rs.a_pow(2 * k) + base_inv * rs.a_pow(-2 * k)
+                     for k in range(1, rs.N + 1))
 
 
 def solve_chebyshev(t: Scalar) -> ChebyshevRoots:
@@ -91,7 +98,4 @@ def solve_chebyshev(t: Scalar) -> ChebyshevRoots:
         raise UnsupportedExactOperation("solving T_N(x) = t needs the bigfloat backend")
     y1, y2 = solve_quadratic(rs.one, -t, rs.one)
     y = y1 if float(y1.magnitude()) >= float(y2.magnitude()) else y2
-    base = nth_root(y, rs.N)
-    base_inv = base.inverse()
-    values = tuple(base * rs.a_pow(2 * k) + base_inv * rs.a_pow(-2 * k) for k in range(1, rs.N + 1))
-    return ChebyshevRoots(values, base)
+    return ChebyshevRoots(nth_root(y, rs.N))

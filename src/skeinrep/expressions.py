@@ -20,8 +20,9 @@ gives; bigfloat coefficients round in merge order.
 
 Evaluation in a representation walks the syntax tree on the root system's
 matrix kernel (:func:`matrices.kernel`: raw libmp rows in the bigfloat
-backend) and wraps only the result, bit-identical to the same steps on
-object arrays.  A normal form is evaluated as its expression.
+backend), keeps literals and scalar images as scalars, and wraps only the
+result, bit-identical to the same steps on object arrays.  A normal form is
+evaluated as its expression.
 """
 
 from __future__ import annotations
@@ -452,16 +453,35 @@ def normal_form_to_expr(nf: NormalForm) -> SkeinExpr:
 # evaluation in a representation
 # ---------------------------------------------------------------------------
 
+class _Id:
+    """s Id during :func:`evaluate`, kept as the kernel entry s."""
+
+    __slots__ = ("s",)
+
+    def __init__(self, s):
+        self.s = s
+
+
 def evaluate(expr: SkeinExpr, rep):
     """Homomorphic evaluation: sums to matrix sums, products to products.
 
     The tree is walked on the root system's :func:`matrices.kernel`, from
     the generator rows the rep keeps (:meth:`Representation.rows`), and only
-    the result is wrapped.  A literal is value * Id; sums and products run
-    left to right; a power G^e is Id * G * ... * G multiplied left to right.
-    A generator power starts from the highest lower power of that generator
-    already formed in the call, and only requested powers are kept.  The
-    bits are those of the same steps on object arrays.
+    the result is wrapped, into a new array.  A literal is value * Id; sums
+    and products run left to right; a power G^e is Id * G * ... * G
+    multiplied left to right.  A generator power starts from the highest
+    lower power of that generator already formed in the call, and only
+    requested powers are kept.
+
+    A literal, and a generator whose rows are exactly s Id (a puncture
+    image, in the usual case), stays the one entry s until the result is
+    widened to s Id.  No bit moves, because the kernel skips exact zeros:
+    an entry of (s Id) B or B (s Id) has the one term s B[i, j] or B[i, j] s,
+    so it is that ``pair_mul`` with its operands in that order; s Id + B
+    adds s to the diagonal and leaves each off-diagonal entry e as
+    ``pair_add(0, e)`` leaves it, unchanged at the working precision; two
+    scalars multiply and add as one diagonal entry does, and an exact zero
+    stays one.  So the bits are those of the same steps on object arrays.
     """
     if expr.surface != rep.surface:
         raise ValueError(f"expression over {expr.surface.tag} evaluated in {rep.surface.tag}")
@@ -471,33 +491,45 @@ def evaluate(expr: SkeinExpr, rep):
     k = matrices.kernel(rs)
     powers = {}  # name -> {exponent: power}
 
+    def times(x, y):
+        if isinstance(x, _Id):
+            return _Id(k.times(x.s, y.s)) if isinstance(y, _Id) else k.scale(x.s, y)
+        return k.scale(y.s, x, right=True) if isinstance(y, _Id) else k.product(x, y)
+
+    def plus(x, y):
+        if isinstance(x, _Id):
+            return _Id(k.plus(x.s, y.s)) if isinstance(y, _Id) else k.shift(x.s, y)
+        return k.shift(y.s, x, right=True) if isinstance(y, _Id) else k.add(x, y)
+
     def walk(node):
         if isinstance(node, Lit):
-            return k.unpack(matrices.scalar_matrix(node.value, dim))
+            return _Id(k.entry(node.value))
         if isinstance(node, Gen):
-            return rep.rows(node.name)
+            rows = rep.rows(node.name)
+            return _Id(rows[0][0]) if k.is_scalar(rows) else rows
         if isinstance(node, Sum):
-            return reduce(k.add, map(walk, node.terms))
+            return reduce(plus, map(walk, node.terms))
         if isinstance(node, Prod):
-            return reduce(k.product, map(walk, node.factors))
+            return reduce(times, map(walk, node.factors))
         if isinstance(node, Power):
             return power(node.base, node.exponent)
         raise TypeError(f"not an expression node: {node!r}")
 
     def power(base, e):
         if e == 0:
-            return k.unpack(matrices.identity(rs, dim))
+            return _Id(k.entry(rs.one))
         done = powers.setdefault(base.name, {}) if isinstance(base, Gen) else {}
         if e not in done:
             g = walk(base)
             start = max((d for d in done if d < e), default=1)
             acc = done.get(start, g)  # Id * G is G: its entries are at working precision
             for _ in range(e - start):
-                acc = k.product(acc, g)
+                acc = times(acc, g)
             done[e] = acc
         return done[e]
 
-    return k.wrap(walk(expr.node))
+    value = walk(expr.node)
+    return k.wrap(k.widen(value.s, dim) if isinstance(value, _Id) else value)
 
 
 def evaluate_normal_form(nf: NormalForm, rep):

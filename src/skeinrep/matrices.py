@@ -100,16 +100,15 @@ def mat_scale(s, mat):
 _RAW_ZERO = (fzero, fzero)
 
 
+def _raw_entry(s, prec):
+    """The libmp pair of a scalar read at the working precision, or None for an exact zero."""
+    z = working_pair(s.pair, prec)
+    return None if z == _RAW_ZERO else z
+
+
 def _raw_rows(mat, prec):
-    """Rows of libmp pairs read at the working precision, or None for an exact zero."""
-    rows = []
-    for row in mat:
-        out = []
-        for e in row:
-            z = working_pair(e.pair, prec)
-            out.append(None if z == _RAW_ZERO else z)
-        rows.append(out)
-    return rows
+    """Rows of raw entries (:func:`_raw_entry`)."""
+    return [[_raw_entry(e, prec) for e in row] for row in mat]
 
 
 def _wrap(rs, rows):
@@ -168,19 +167,70 @@ def _raw_product(a_rows, b_rows, prec, minus=None):
     return out
 
 
-def _raw_sum(a_rows, b_rows, prec):
-    """Raw rows of A + B, rounded as ``BigComplex.__add__`` rounds each entry.
+def _raw_plus(a, b, prec):
+    """a + b of two raw entries, rounded as ``BigComplex.__add__`` rounds it.
 
-    Each entry is one ``scalars.pair_add``, with an exact zero read as 0.
+    One ``scalars.pair_add``, with an exact zero read as 0; two exact zeros
+    give one.
     """
-    out = []
-    for a_row, b_row in zip(a_rows, b_rows):
-        row = []
-        for a, b in zip(a_row, b_row):
-            z = None if a is None and b is None else pair_add(a or _RAW_ZERO, b or _RAW_ZERO, prec)
-            row.append(None if z == _RAW_ZERO else z)
-        out.append(row)
+    if a is None and b is None:
+        return None
+    z = pair_add(a or _RAW_ZERO, b or _RAW_ZERO, prec)
+    return None if z == _RAW_ZERO else z
+
+
+def _raw_sum(a_rows, b_rows, prec):
+    """Raw rows of A + B: one :func:`_raw_plus` per entry."""
+    return [[_raw_plus(a, b, prec) for a, b in zip(a_row, b_row)]
+            for a_row, b_row in zip(a_rows, b_rows)]
+
+
+def _raw_times(a, b, prec):
+    """a b of two raw entries: the product entry of the kernel that has this one term.
+
+    ``_raw_product`` forms it with the parts of ``scalars.pair_mul``, a
+    first.  An exact zero factor forms no term and gives None; otherwise the
+    parts round the exact parts of a b, which are not both zero, so neither
+    is the result.
+    """
+    return None if a is None or b is None else pair_mul(a, b, prec)
+
+
+def _raw_scale(s, rows, prec, right=False):
+    """Raw rows of (s Id) B, or of B (s Id) when ``right``, for the raw entry s.
+
+    Entry (i, j) of the kernel's product has the one term s B[i, j], or
+    B[i, j] s, so each is one :func:`_raw_times` with the operands in that
+    order.
+    """
+    if right:
+        return [[_raw_times(e, s, prec) for e in row] for row in rows]
+    return [[_raw_times(s, e, prec) for e in row] for row in rows]
+
+
+def _raw_shift(s, rows, prec, right=False):
+    """Raw rows of s Id + B, or of B + s Id when ``right``, for the raw entry s.
+
+    Only the diagonal is added, by :func:`_raw_plus` in operand order.  An
+    off-diagonal entry of the kernel's sum is ``pair_add(0, e)``, which is
+    e: e already has at most prec bits and an odd mantissa, so ``_add``
+    neither rounds nor strips it.
+    """
+    out = [list(row) for row in rows]
+    for i, row in enumerate(out):
+        row[i] = _raw_plus(row[i], s, prec) if right else _raw_plus(s, row[i], prec)
     return out
+
+
+def _raw_widen(s, n):
+    """Raw rows of s Id in dimension n."""
+    return [[s if i == j else None for j in range(n)] for i in range(n)]
+
+
+def _scalar_rows(rows) -> bool:
+    """Whether raw rows hold s Id: one pair s on the diagonal and exact zeros (None) elsewhere."""
+    s = rows[0][0]
+    return all(z == (s if i == j else None) for i, row in enumerate(rows) for j, z in enumerate(row))
 
 
 def _hypot2(z, prec):
@@ -273,25 +323,50 @@ def _exact_worst(mat):
     return exact, 0.0 if exact else max(entry_magnitude(e) for e in mat.flat)
 
 
-Kernel = namedtuple("Kernel", "unpack wrap product add worst")
-_EXACT_KERNEL = Kernel(_same, _same, _exact_product, operator.add, _exact_worst)
+def _exact_scale(s, mat, right=False):
+    return mat_scale(s, mat)  # exact products commute
+
+
+def _exact_shift(s, mat, right=False):
+    return mat + scalar_matrix(s, mat.shape[0])  # exact sums commute
+
+
+def _exact_is_scalar(mat):
+    s = mat[0, 0]
+    return all(e == s if i == j else e.is_zero() for (i, j), e in np.ndenumerate(mat))
+
+
+Kernel = namedtuple("Kernel", "unpack wrap product add worst "
+                               "entry times plus scale shift widen is_scalar")
+_EXACT_KERNEL = Kernel(_same, np.copy, _exact_product, operator.add, _exact_worst,
+                       _same, operator.mul, operator.add, _exact_scale, _exact_shift, scalar_matrix,
+                       _exact_is_scalar)
 
 
 def kernel(rs: RootSystem) -> Kernel:
-    """Matrix arithmetic in the working format of ``rs``.
+    """Matrix and scalar arithmetic in the working format of ``rs``.
 
-    ``unpack`` and ``wrap`` convert from and to object arrays, ``product(a, b,
-    minus=None)`` is A B or A B - C, ``add`` is A + B, and ``worst`` is
-    (exactly zero, float magnitude of the largest entry).  The exact kernel
-    works on the object arrays as they are; the bigfloat kernel is the
-    raw-row functions above at the working precision.
+    ``unpack`` reads an object array into the working format and ``wrap``
+    makes a new object array of a result; ``product(a, b, minus=None)`` is
+    A B or A B - C, ``add`` is A + B, and ``worst`` is (exactly zero, float
+    magnitude of the largest entry).  A scalar s stands for s Id: ``entry``
+    reads it, ``times`` and ``plus`` multiply and add two of them,
+    ``scale(s, B, right=False)`` is (s Id) B or B (s Id), ``shift(s, B,
+    right=False)`` is s Id + B or B + s Id, ``widen(s, n)`` is s Id, and
+    ``is_scalar(B)`` tells whether B is exactly s Id, with s = B[0][0].
+    Each gives the bits the matrix operation on s Id gives.  The exact
+    kernel works on object arrays and scalars as they are; the bigfloat
+    kernel is the raw-row functions above at the working precision.
     """
     if rs.backend == "exact":
         return _EXACT_KERNEL
     prec = rs.precision_bits
     return Kernel(partial(_raw_rows, prec=prec), partial(_wrap, rs),
                   partial(_raw_product, prec=prec), partial(_raw_sum, prec=prec),
-                  partial(_raw_worst, prec=prec))
+                  partial(_raw_worst, prec=prec), partial(_raw_entry, prec=prec),
+                  partial(_raw_times, prec=prec), partial(_raw_plus, prec=prec),
+                  partial(_raw_scale, prec=prec), partial(_raw_shift, prec=prec), _raw_widen,
+                  _scalar_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +389,7 @@ def chebyshev_matrix(n: int, arg):
     by an entrywise subtraction does.
     """
     if n == 1:
-        return arg
+        return arg.copy()  # a new array, as for every other n; the entries are immutable
     rs = arg.flat[0].rs
     k = kernel(rs)
     prev2 = k.unpack(scalar_matrix(rs.scalar(2), arg.shape[0]))
@@ -322,12 +397,6 @@ def chebyshev_matrix(n: int, arg):
     for _ in range(n - 1):
         prev2, prev1 = prev1, k.product(a, prev1, minus=prev2)
     return k.wrap(prev2 if n == 0 else prev1)
-
-
-def _scalar_rows(rows) -> bool:
-    """Whether raw rows hold s Id: one pair s on the diagonal and exact zeros (None) elsewhere."""
-    s = rows[0][0]
-    return all(z == (s if i == j else None) for i, row in enumerate(rows) for j, z in enumerate(row))
 
 
 def _monomial_defect(sigma, m, a_rows, b_rows, prec):

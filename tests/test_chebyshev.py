@@ -145,6 +145,18 @@ def test_roots_satisfy_equation():
             assert approx_eq(chebyshev_eval(5, v), t)
 
 
+def test_roots_are_formed_on_first_read(monkeypatch):
+    # a solve that reads only the base forms no root and no inverse of it
+    rs = make_root_system(3, "bigfloat", 256)
+    t = rs.scalar(complex(1.7, -0.6))
+    roots = solve_chebyshev(t)
+    assert "values" not in vars(roots)
+    base, base_inv = roots.base, roots.base.inverse()
+    want = [(base * rs.a_pow(2 * k) + base_inv * rs.a_pow(-2 * k)).pair for k in range(1, 4)]
+    assert [v.pair for v in roots.values] == want
+    assert roots.values is roots.values and roots == solve_chebyshev(t)
+
+
 def test_solve_requires_bigfloat():
     rs = make_root_system(3)
     with pytest.raises(UnsupportedExactOperation):

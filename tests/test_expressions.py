@@ -1,10 +1,11 @@
+import dataclasses
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from skeinrep import matrices
+from skeinrep import invariants, matrices
 from skeinrep.errors import ExponentOverflow, ParseError, UnknownGenerator
 from skeinrep.expressions import (Gen, Lit, NormalForm, Prod, RewriteSystem, Sum,
                                   _expand, _find_redex, _inversions, evaluate, evaluate_normal_form,
@@ -13,8 +14,11 @@ from skeinrep.expressions import (Gen, Lit, NormalForm, Prod, RewriteSystem, Sum
 from skeinrep.representation import assemble
 from skeinrep.scalars import approx_eq, make_root_system
 from skeinrep.surfaces import SPHERE4, TORUS0, TORUS1, sphere_k
-from skeinrep.torus import build_torus_rep, puncture_chebyshev_value, torus_params_exact
-from skeinrep.sphere import build_sphere_rep_with_u, make_sphere_params, small_sphere_rep
+from skeinrep.torus import (build_torus_rep, puncture_chebyshev_value, torus_params_exact,
+                            torus_params_from_shadow)
+from skeinrep.sphere import (build_sphere_rep, build_sphere_rep_with_u, make_sphere_params,
+                             small_sphere_rep)
+from skeinrep.uniqueness import sample_sphere_invariants, sample_torus_shadow
 
 
 @pytest.fixture(scope="module")
@@ -307,6 +311,38 @@ def _raw_parts(mat):
     return [(e.re._mpf_, e.im._mpf_) for e in mat.flat]
 
 
+def _entries(mat):
+    """Every bit of a matrix: libmp parts of bigfloat entries, canonical fields of exact ones."""
+    if mat.flat[0].rs.backend == "exact":
+        return [(e.nums, e.den) for e in mat.flat]
+    return _raw_parts(mat)
+
+
+def ladder_rep(kind, n, seed):
+    """A Torus1 or Sphere4 ladder rep from sampled invariants, as construct_verify builds it."""
+    rs = make_root_system(n, "bigfloat", 256)
+    rng = random.Random(seed)
+    if kind == "torus1":
+        inv = sample_torus_shadow(rs, rng)
+        return build_torus_rep(torus_params_from_shadow(inv["t1"], inv["t2"], inv["t3"], inv["p"]))
+    inv = sample_sphere_invariants(rs, rng)
+    return build_sphere_rep(*(inv[k] for k in ("p0", "p1", "p2", "p3", "t1", "t2", "t3")))
+
+
+def exact_torus_rep(rs):
+    return build_torus_rep(torus_params_exact(rs.A + 1, rs.A - 2, rs.scalar(Fraction(3, 2))))
+
+
+def exact_sphere_rep(n):
+    rs = make_root_system(n, "exact")
+    p = [rs.scalar(Fraction(c)) for c in ("1/2", "-2/3", "3/4", "5/7")]
+    params = make_sphere_params(*p, rs.zero, rs.zero, rs.scalar(3) + rs.A)
+    return build_sphere_rep_with_u(params, rs.scalar(Fraction(3, 5)) - rs.A)
+
+
+CONSTRUCT_SHAPES = [("torus1", 3), ("torus1", 5), ("torus1", 7), ("sphere4", 3), ("sphere4", 5)]
+
+
 def test_evaluate_normal_form_bit_identical_to_object_path(rs3f):
     rng = random.Random(31)
     reps = {
@@ -323,24 +359,91 @@ def test_evaluate_normal_form_bit_identical_to_object_path(rs3f):
                 _raw_parts(_object_evaluate_normal_form(nf, rep)), (surface.tag, text)
 
 
-def test_evaluate_bit_identical_to_object_path(rs3f):
+def test_evaluate_bit_identical_to_object_path(rs3f, rs3):
     rng = random.Random(41)
     torus = torus_rep_fixture(rs3f)
-    reps = {
-        TORUS1: torus,
-        TORUS0: assemble(TORUS0, rs3f, torus.dim, {g: torus.matrix(g) for g in TORUS0.generators}, {}),
-        SPHERE4: sphere_rep_fixture(rs3f),
-        sphere_k(3): small_sphere_rep([rs3f.scalar(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-                                       for _ in range(3)]),
-    }
-    for surface, rep in reps.items():
+    reps = [
+        torus,
+        assemble(TORUS0, rs3f, torus.dim, {g: torus.matrix(g) for g in TORUS0.generators}, {}),
+        sphere_rep_fixture(rs3f),
+        small_sphere_rep([rs3f.scalar(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+                          for _ in range(3)]),
+        ladder_rep("torus1", 5, 3), ladder_rep("torus1", 7, 4), ladder_rep("sphere4", 5, 5),
+        exact_torus_rep(rs3), exact_sphere_rep(3),
+    ]
+    for rep in reps:
+        surface = rep.surface
         g1, g2 = surface.generators[:2]
-        # powers reused out of order, and an input with no generator at all
-        extra = [f"({g1} + 2)^3", f"{g1}^3 + {g1}^2 {g2} + {g1}^5", "3/4 - A^2 (1 + A)"]
+        # powers reused out of order, an input with no generator at all, a
+        # zero literal, and words whose value is scalar
+        extra = [f"({g1} + 2)^3", f"{g1}^3 + {g1}^2 {g2} + {g1}^5", "3/4 - A^2 (1 + A)", "3/4",
+                 f"0 {g1} {g2} + {surface.generators[-1]}", f"{g2}^0 {g1} - 0"]
+        if surface.punctures:
+            p, q = surface.punctures[0], surface.punctures[-1]
+            extra += [f"{p} {q} - 2", f"{p}^2 (A - {q}) + 0 {p}", f"0 {g1} {g2} + {p}"]
         for text in _criterion9_words(surface, 15, 77) + extra:
-            expr = parse(text, surface, rs3f)
-            assert _raw_parts(evaluate(expr, rep)) == \
-                _raw_parts(_object_evaluate(expr.node, rep)), (surface.tag, text)
+            expr = parse(text, surface, rep.rs)
+            assert _entries(evaluate(expr, rep)) == _entries(_object_evaluate(expr.node, rep)), \
+                (surface.tag, rep.rs.N, rep.rs.backend, text)
+
+
+@pytest.mark.parametrize("backend", ["exact", "bigfloat"])
+def test_evaluate_returns_a_new_array(backend):
+    rs = make_root_system(3, backend)
+    rep = exact_torus_rep(rs) if backend == "exact" else torus_rep_fixture(rs)
+    for text, name in (("X1", "X1"), ("X1^1", "X1"), ("(X1)", "X1"), ("P", "P")):
+        out = evaluate(parse(text, TORUS1, rs), rep)
+        assert out is not rep.matrix(name) and out.flags.writeable, text
+        assert _entries(out) == _entries(rep.matrix(name)), text
+    assert not rep.matrix("X1").flags.writeable
+
+
+@pytest.mark.parametrize("kind,n", CONSTRUCT_SHAPES + [("exact sphere4", 3)])
+def test_verify_relations_matches_object_evaluation(kind, n):
+    rep = exact_sphere_rep(n) if kind == "exact sphere4" else ladder_rep(kind, n, 20 + n)
+    report = invariants.verify_relations(rep, include_commutant=False)
+    for name, expr in relation_defects(rep.surface, rep.rs).items():
+        exact_zero, mag = matrices.residual_report(_object_evaluate(expr.node, rep))
+        assert report.relation_exact[name] == exact_zero, name
+        assert report.relation_residuals[name] == mag, name
+    assert report.passed
+
+
+def test_central_defects_of_a_nonscalar_puncture_are_evaluated():
+    rep = ladder_rep("sphere4", 3, 6)
+    rs = rep.rs
+    p0 = rep.matrix("P0").copy()
+    p0[0, 1] = rs.scalar(1e-20)
+    bad = dataclasses.replace(rep, matrices=dict(rep.matrices, P0=matrices.freeze(p0)))
+    report = invariants.verify_relations(bad, include_commutant=False)
+    for x in rep.surface.x_generators:
+        name = f"central_P0_{x}"
+        expr = relation_defects(rep.surface, rs)[name]
+        assert (report.relation_exact[name], report.relation_residuals[name]) == \
+            matrices.residual_report(_object_evaluate(expr.node, bad))
+        assert report.relation_residuals[name] > 0.0 and not report.checks[f"relation {name}"]
+        other = f"central_P1_{x}"
+        assert report.relation_exact[other] and report.relation_residuals[other] == 0.0
+    assert not report.passed
+
+
+def test_verify_relations_kernel_products(monkeypatch):
+    # Sphere4 N = 5 after its T_N memo is read: 2 products per q-commutator
+    # and 5 for the cubic (X1 X2 X3 and three squares).  Evaluating scalars
+    # as dense s Id, with the twelve central defects, took 93.
+    rep = ladder_rep("sphere4", 5, 7)
+    for x in rep.surface.x_generators:
+        rep.chebyshev(x)
+    original = matrices._raw_product
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(matrices, "_raw_product", counting)
+    assert invariants.verify_relations(rep).passed
+    assert len(calls) == 11
 
 
 @pytest.mark.parametrize("backend", ["exact", "bigfloat"])

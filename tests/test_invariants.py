@@ -259,6 +259,15 @@ def test_rows_memo_reads_frozen_images_once(rs, monkeypatch):
     assert copy.rows("X1") == first and copy.rows("X1") is not first
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_chebyshev_leaves_writeable_images_writeable(n):
+    rep = fresh_torus_rep(make_root_system(n, "bigfloat", 256))
+    loose = dataclasses.replace(rep, matrices={g: m.copy() for g, m in rep.matrices.items()})
+    t_n = loose.chebyshev("X1")
+    assert loose.matrix("X1").flags.writeable and t_n is not loose.matrix("X1")
+    assert [e.pair for e in t_n.flat] == [e.pair for e in rep.chebyshev("X1").flat]
+
+
 def test_rows_memo_skips_writeable_images(rs, monkeypatch):
     rep = fresh_torus_rep(rs)
     writeable = {g: np.array(m, dtype=object) for g, m in rep.matrices.items()}
