@@ -13,8 +13,8 @@ scalar read-outs (:func:`read_scalar_matrix`, :func:`scalar_deviation`,
 :func:`scalar_residual`) likewise read each entry's pair once and give the
 decisions, messages and floats of their entrywise ``approx_eq`` and
 ``BigComplex`` forms, deciding magnitudes from the parts' exponents and
-taking ``mpc_abs`` only near a cut; the largest entry of a residual takes it
-of two entries at most.
+taking :func:`scalars.pair_abs` only near a cut; the largest entry of a
+residual takes it of two entries at most.
 
 Intertwiner defects M A - B M of a monomial M = P_sigma diag(m), the shape
 every ladder-walk certificate has, are formed from the two terms each entry
@@ -38,12 +38,12 @@ from functools import partial
 import numpy as np
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fzero, mpc_abs, mpf_gt, to_float
+from mpmath.libmp import fzero, mpf_gt, to_float
 
 from .errors import NonScalarChebyshev, VanishingDivisor
 from .scalars import (RND, CyclotomicNumber, RootSystem, _add, _ints, _mpf, approx_eq, below_cut,
-                      from_pair, magnitude_exponent, numeric_bridge, pair_add, pair_mul, pair_sub,
-                      working_pair)
+                      from_pair, magnitude_exponent, numeric_bridge, pair_abs, pair_add, pair_mul,
+                      pair_sub, working_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -236,39 +236,29 @@ def _scalar_rows(rows) -> bool:
 def _hypot2(z, prec):
     """re^2 + im^2 of a two-part entry rounded down to prec + 4 bits, as (exponent, mantissa).
 
-    This is the sum whose square root ``mpc_abs`` rounds (``mpf_hypot``:
-    exact squares, one round-down add at prec + 4, a correctly rounded
-    sqrt), so an entry with a larger key never has a smaller ``mpc_abs``.
-    The mantissa has exactly prec + 4 bits, so keys compare as tuples.  A
-    square below both the last bit of the other and the prec + 4 bit unit of
-    its binade cannot move the floor and is dropped, which bounds the shift.
+    This is the sum whose square root :func:`scalars.pair_abs` rounds (as
+    ``mpf_hypot``: exact squares, one round-down ``_add`` at prec + 4, a
+    correctly rounded sqrt), so an entry with a larger key never has a
+    smaller ``pair_abs``.  The mantissa is widened to exactly prec + 4 bits,
+    so keys compare as tuples.
     """
     (_, rm, re, _), (_, im, ie, _) = z
-    a, ea, b, eb = rm * rm, 2 * re, im * im, 2 * ie
-    p = prec + 4
-    ta, tb = ea + a.bit_length(), eb + b.bit_length()
-    if tb <= min(ea, ta - p):
-        s, e = a, ea
-    elif ta <= min(eb, tb - p):
-        s, e = b, eb
-    else:
-        e = min(ea, eb)
-        s = (a << ea - e) + (b << eb - e)
-    n = s.bit_length() - p
-    return e + n, (s >> n if n >= 0 else s << -n)
+    s, e = _add(rm * rm, re + re, im * im, ie + ie, prec + 4, down=True)
+    n = prec + 4 - s.bit_length()
+    return e - n, s << n
 
 
 def _raw_worst(rows, prec):
     """(exactly zero, float magnitude of the largest entry) of raw rows.
 
-    The largest ``mpc_abs`` is found as a raw mpf and rounded to float once,
-    as ``float(mpf)`` rounds it, and taken of two entries at most.  An
-    entry whose magnitude exponent lies 2 or more below the largest one
-    cannot exceed that entry's ``mpc_abs`` and is passed over.  Of an
-    entry with one nonzero part, ``mpc_abs`` is that part's magnitude
+    The largest :func:`scalars.pair_abs` is found as a raw mpf and rounded
+    to float once, as ``float(mpf)`` rounds it, and taken of two entries at
+    most.  An entry whose magnitude exponent lies 2 or more below the
+    largest one cannot exceed that entry's ``pair_abs`` and is passed over.
+    Of an entry with one nonzero part, ``pair_abs`` is that part's magnitude
     rounded to prec bits, so the largest comes from the largest |part|; of
     an entry with two, it grows with :func:`_hypot2`.  The two groups'
-    winners are compared by their ``mpc_abs``, not by exact magnitude: a
+    winners are compared by their ``pair_abs``, not by exact magnitude: a
     one-part entry can round above a two-part entry larger by less than
     2^-(prec+3) of it.
     """
@@ -290,7 +280,7 @@ def _raw_worst(rows, prec):
     worst = fzero
     for z in (single, pair):
         if z is not None:
-            mag = mpc_abs(z, prec, RND)
+            mag = pair_abs(z, prec)
             if mpf_gt(mag, worst):
                 worst = mag
     return worst == fzero, to_float(worst, rnd=RND)

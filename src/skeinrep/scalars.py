@@ -12,12 +12,14 @@ backends are provided:
 * ``bigfloat``: arbitrary-precision complex numbers at a fixed number of
   bits, with A = exp(i*pi/N).  Each is one libmp pair of finite ``_mpf_``
   tuples (:func:`finite_pair` refuses inf and nan where values enter).
-  Sums, differences and products round on Python ints through :func:`_add`,
-  which the matrix kernel in :mod:`matrices` shares; the rest calls libmp.
-  Every operation gives the bits of the ``mpc`` expression at the working
-  precision with mpmath's round-to-nearest.  Magnitude decisions read the
-  parts' exponents first (:func:`magnitude_exponent`) and take ``mpc_abs``
-  only near a cut.
+  Sums, differences, products, quotients, negations and magnitudes round
+  on Python ints (:func:`pair_mul`, :func:`pair_div`, :func:`pair_abs`, all
+  through the one rounding of :func:`_add`, which the matrix kernel in
+  :mod:`matrices` shares); powers, roots, ``A^k`` and the conversions call
+  libmp.  Every operation gives the bits of the ``mpc`` expression at the
+  working precision with mpmath's round-to-nearest.  Magnitude decisions
+  read the parts' exponents first (:func:`magnitude_exponent`) and take
+  :func:`pair_abs` only near a cut.
 
 ``is_zero()`` is the one zero test of a divisor (``|d| < rel_eps * (1 + |d|)``
 for a bigfloat); every refusal to divide raises :class:`VanishingDivisor`.
@@ -36,9 +38,9 @@ from typing import Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (fone, from_float, from_int, fzero, mpc_abs, mpc_div, mpc_expjpi, mpc_neg,
-                          mpc_nthroot, mpc_pow_int, mpc_sqrt, mpc_to_str, mpf_div, mpf_gt, mpf_lt,
-                          mpf_mul, mpf_pos, round_nearest, to_float, to_str)
+from mpmath.libmp import (fone, from_float, from_int, fzero, mpc_expjpi, mpc_nthroot, mpc_pow_int, mpc_sqrt,
+                          mpc_to_str, mpf_div, mpf_gt, mpf_lt, mpf_mul, mpf_pos, round_nearest, to_float,
+                          to_str)
 
 from .errors import BackendMismatch, NonFiniteScalar, UnsupportedExactOperation, VanishingDivisor
 
@@ -50,6 +52,9 @@ RND = round_nearest
 
 # the smallest normal float: is_zero's exponent bounds hold for any tolerance above it
 _MIN_NORMAL = 2.0 ** -1022
+
+# ints up to this magnitude that BigComplex arithmetic mixes in are cached per root system
+_SMALL_INT = 1 << 10
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +140,7 @@ class RootSystem:
             self.modulus = cyclotomic_polynomial(2 * N)
             self.degree = len(self.modulus) - 1
         self._apow_cache = {}
+        self._int_cache = {}
         self._bigfloat_companions = {}
 
     # -- identity of the system ------------------------------------------------
@@ -200,6 +206,15 @@ class RootSystem:
         else:
             raise TypeError(f"cannot place {type(value).__name__} in the bigfloat backend")
         return from_pair(self, finite_pair(pair))
+
+    def int_scalar(self, n: int):
+        """``scalar(n)`` for an int; the small ones arithmetic mixes in (2, 4, -1, ...) are made once."""
+        value = self._int_cache.get(n)
+        if value is None:
+            value = self.scalar(n)
+            if -_SMALL_INT <= n <= _SMALL_INT:
+                self._int_cache[n] = value
+        return value
 
     def a_pow(self, k: int):
         """A^k, canonically reduced.  Exponents live modulo 2N."""
@@ -479,8 +494,9 @@ class BigComplex:
     The value is one libmp pair ``(re, im)`` of finite ``_mpf_`` tuples,
     kept as given.  Every operation reads both parts at the working
     precision (:func:`working_pair`) and rounds as ``mpc`` arithmetic at
-    that context precision does: + - * on ints (:func:`pair_mul`), the rest
-    by libmp's own calls.
+    that context precision does: + - * / and ``abs`` on ints
+    (:func:`pair_mul`, :func:`pair_div`, :func:`pair_abs`), powers by
+    libmp's own call.
     """
 
     __slots__ = ("rs", "pair")
@@ -513,14 +529,14 @@ class BigComplex:
 
     def _abs(self):
         prec = self.rs.precision_bits
-        return mpc_abs(working_pair(self.pair, prec), prec, RND)
+        return pair_abs(working_pair(self.pair, prec), prec)
 
     def is_zero(self) -> bool:
         """|d| < rel_eps * (1 + |d|) on floats, settled from the exponents when far from the cut.
 
         With 2^(k-1) <= rel_eps < 2^k: E <= k - 3 puts |d| below 2^(k-2), under
         the cut; E >= k + 2 puts it at or above 2^(k+1), over the cut once
-        rel_eps < 1/2.  Only the four exponents between take ``mpc_abs``.
+        rel_eps < 1/2.  Only the four exponents between take :func:`pair_abs`.
         """
         eps = self.rs.tolerance.rel_eps
         prec = self.rs.precision_bits
@@ -532,7 +548,7 @@ class BigComplex:
                 return True
             if e >= k + 2:
                 return False
-        mag = to_float(mpc_abs(z, prec, RND), rnd=RND)
+        mag = to_float(pair_abs(z, prec), rnd=RND)
         return mag < eps * (1.0 + mag)
 
     def magnitude(self):
@@ -541,14 +557,27 @@ class BigComplex:
     # -- arithmetic --------------------------------------------------------------
 
     def _apply(self, fn, other, reflected=False):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        rs = self.rs
+        if other.__class__ is BigComplex:
+            if other.rs is not rs and not rs.compatible(other.rs):
+                raise BackendMismatch("bigfloat scalars from different root systems")
+            o = other
+        elif other.__class__ is int:
+            o = rs.int_scalar(other)
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
         a, b = (o, self) if reflected else (self, o)
-        if fn is _pair_div:
+        if fn is pair_div:
             b._check_divisor()
-        prec = self.rs.precision_bits
-        return from_pair(self.rs, fn(working_pair(a.pair, prec), working_pair(b.pair, prec), prec))
+        prec = rs.precision_bits
+        x, y = a.pair, b.pair
+        if x[0][3] > prec or x[1][3] > prec:
+            x = working_pair(x, prec)
+        if y[0][3] > prec or y[1][3] > prec:
+            y = working_pair(y, prec)
+        return from_pair(rs, fn(x, y, prec))
 
     def __add__(self, other):
         return self._apply(pair_add, other)
@@ -567,14 +596,15 @@ class BigComplex:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._apply(_pair_div, other)
+        return self._apply(pair_div, other)
 
     def __rtruediv__(self, other):
-        return self._apply(_pair_div, other, reflected=True)
+        return self._apply(pair_div, other, reflected=True)
 
     def __neg__(self):
-        # the rounding of a negated part is the negated rounding
-        return from_pair(self.rs, mpc_neg(self.pair, self.rs.precision_bits, RND))
+        # rounding to nearest is odd, so flipping the working pair's signs gives the rounded negation
+        x, y = working_pair(self.pair, self.rs.precision_bits)
+        return from_pair(self.rs, (_negated(x), _negated(y)))
 
     def _check_divisor(self):
         """Refuse to divide by a scalar that :meth:`is_zero`."""
@@ -638,16 +668,18 @@ def _ints(z):
     return (-rman if rsign else rman), rexp, (-iman if isign else iman), iexp
 
 
-def _add(m1, e1, m2, e2, prec):
+def _add(m1, e1, m2, e2, prec, down=False):
     """m1 2^e1 + m2 2^e2 rounded to ``prec`` bits as libmp adds two mpf values, on ints.
 
     Returns the signed mantissa and exponent of the rounded, normalized sum.
-    The exact sum is rounded half to even and stripped of trailing zeros, as
-    libmp's ``normalize`` does.  When one operand's exponent exceeds the
-    other's by more than 100 and its leading bit lies more than prec + 4 bits
-    above, libmp replaces the smaller operand by one unit of its sign,
-    prec + 4 bits below the last bit of the larger one, and so does this.  A
-    zero operand leaves the other one rounded.
+    The exact sum is rounded half to even (toward zero when ``down``,
+    libmp's default mode) and stripped of trailing zeros, as libmp's
+    ``normalize`` does.  When one operand's exponent exceeds the other's by
+    more than 100 and its leading bit lies more than prec + 4 bits above,
+    libmp replaces the smaller operand by one unit of its sign, prec + 4 bits
+    below the last bit of the larger one, and so does this.  A zero operand
+    leaves the other one rounded, so ``_add(m, e, 0, 0, prec)`` is the one
+    rounding of every int-rounded result: sums, quotients and square roots.
     """
     if not m1:
         m, e = m2, e2
@@ -672,17 +704,25 @@ def _add(m1, e1, m2, e2, prec):
     man = -m if m < 0 else m
     n = man.bit_length() - prec
     if n > 0:
-        t = man >> n - 1
-        if t & 1 and (t & 2 or man & (1 << n - 1) - 1):
-            man = (t >> 1) + 1
+        if down:
+            man >>= n
         else:
-            man = t >> 1
+            t = man >> n - 1
+            if t & 1 and (t & 2 or man & (1 << n - 1) - 1):
+                man = (t >> 1) + 1
+            else:
+                man = t >> 1
         e += n
     if not man & 1:
         z = (man & -man).bit_length() - 1
         man >>= z
         e += z
     return (-man if m < 0 else man), e
+
+
+def _negated(part):
+    """-part of a normalized finite ``_mpf_``: the sign bit flipped, zero kept."""
+    return (1 - part[0],) + part[1:] if part[1] else part
 
 
 def _mpf(m, e):
@@ -719,8 +759,64 @@ def pair_mul(x, y, prec):
     return _mpf(re, e), _mpf(im, f)
 
 
-def _pair_div(x, y, prec):
-    return mpc_div(x, y, prec, RND)
+def _quotient(m, e, d, f, prec):
+    """The ``_mpf_`` of m 2^e / d 2^f for an int d > 0, rounded to ``prec`` bits as ``mpf_div`` rounds it.
+
+    The quotient keeps at least 5 guard bits, and a nonzero remainder adds
+    a sticky last bit, so rounding it half to even rounds the exact
+    quotient.  A divisor with mantissa 1, which ``mpf_div`` takes apart,
+    leaves no remainder and gives the same bits.
+    """
+    man = -m if m < 0 else m
+    extra = max(5, prec - man.bit_length() + d.bit_length() + 5)
+    q, r = divmod(man << extra, d)
+    if r:
+        q = q << 1 | 1
+        extra += 1
+    return _mpf(*_add(-q if m < 0 else q, e - f - extra, 0, 0, prec))
+
+
+def pair_div(x, y, prec):
+    """x / y for finite pairs at ``prec`` bits, as ``mpc_div`` divides, on ints.
+
+    |y|^2 and the numerators re(x conj y), im(x conj y) are each two exact
+    mantissa products and one :func:`_add` rounded down to prec + 10 bits;
+    each part is then one :func:`_quotient`.  y must not be zero.
+    """
+    a, ea, b, eb = _ints(x)
+    c, ec, d, ed = _ints(y)
+    wp = prec + 10
+    mag, em = _add(c * c, ec + ec, d * d, ed + ed, wp, down=True)
+    re, e = _add(a * c, ea + ec, b * d, eb + ed, wp, down=True)
+    im, f = _add(b * c, eb + ec, -a * d, ea + ed, wp, down=True)
+    return _quotient(re, e, mag, em, prec), _quotient(im, f, mag, em, prec)
+
+
+def pair_abs(z, prec):
+    """|z| of a finite pair at ``prec`` bits as ``mpc_abs`` takes it (``mpf_hypot``), on ints.
+
+    A value with at most one nonzero part gives that part's magnitude
+    rounded.  Otherwise the exact squares are summed rounded down to
+    prec + 4 bits, and the square root keeps at least 4 guard bits plus a
+    sticky last bit for a nonzero remainder before it rounds half to even.
+    A sum with mantissa 1, whose root ``mpf_sqrt`` takes apart, has an exact
+    root and gives the same bits.
+    """
+    (_, xm, xe, _), (_, ym, ye, _) = z
+    if not xm or not ym:
+        return _mpf(*_add(xm, xe, ym, ye, prec))
+    s, e = _add(xm * xm, xe + xe, ym * ym, ye + ye, prec + 4, down=True)
+    if e & 1:
+        e -= 1
+        s <<= 1
+    shift = max(4, 2 * prec - s.bit_length() + 4)
+    shift += shift & 1
+    s <<= shift
+    r = isqrt(s)
+    if r * r != s:
+        r = r << 1 | 1
+        shift += 2
+    return _mpf(*_add(r, (e - shift) >> 1, 0, 0, prec))
 
 
 def magnitude_exponent(pair):
@@ -728,7 +824,7 @@ def magnitude_exponent(pair):
 
     A nonzero part lies in [2^(exp+bc-1), 2^(exp+bc)), and |z| is at least
     its larger part and below sqrt(2) times it.  The bounds are powers of
-    two, so ``mpc_abs`` rounded to nearest also lies in [2^(E-1), 2^(E+1)].
+    two, so :func:`pair_abs` rounded to nearest also lies in [2^(E-1), 2^(E+1)].
     """
     (_, rm, re, rb), (_, im, ie, ib) = pair
     if rm:
@@ -763,7 +859,7 @@ def _settled_below(d, scales, rel_eps):
 def below_cut(d, scales, rel_eps, prec):
     """|d| < rel_eps * max(1, |s| for s in ``scales``) on working pairs: ``approx_eq``'s decision.
 
-    Each magnitude is one rounded ``mpc_abs`` and the cut one rounded
+    Each magnitude is one rounded :func:`pair_abs` and the cut one rounded
     product, but the parts' exponents settle the decision unless |d| lies
     within a factor of about 4 of the cut; only then are the magnitudes
     taken.
@@ -773,10 +869,10 @@ def below_cut(d, scales, rel_eps, prec):
         return settled
     scale = fone
     for s in scales:
-        mag = mpc_abs(s, prec, RND)
+        mag = pair_abs(s, prec)
         if mpf_gt(mag, scale):
             scale = mag
-    return mpf_lt(mpc_abs(d, prec, RND), mpf_mul(from_float(rel_eps), scale, prec, RND))
+    return mpf_lt(pair_abs(d, prec), mpf_mul(from_float(rel_eps), scale, prec, RND))
 
 
 def working_pair(pair, prec):

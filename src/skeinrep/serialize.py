@@ -2,9 +2,12 @@
 
 Exact scalars serialize as coefficient vectors of "num/den" strings;
 bigfloat scalars as decimal strings with enough digits to round-trip the
-binary value exactly.  Reading refuses a coefficient that is not a number,
-a zero denominator and a bigfloat part that is not a string with
-``ValueError``, and "nan", "inf" and "-inf" with ``NonFiniteScalar``.
+binary value exactly.  Reading refuses a scalar, representation or root
+system that is not a JSON object, a coefficient that is not a number, a
+zero denominator and a bigfloat part that is not a string with
+``ValueError``, and "nan", "inf" and "-inf" with ``NonFiniteScalar``.  A
+representation's errors name the generator or puncture and the position of
+the entry, and its top-level "N" must be its root system's.
 Serialization is canonical: equal values produce byte-identical text.
 """
 
@@ -40,8 +43,15 @@ def scalar_to_json(s):
     }
 
 
+def _json_object(value, what: str) -> dict:
+    """``value`` if it is a JSON object, else a ValueError that names ``what``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def scalar_from_json(rs: RootSystem, obj):
-    if "coeffs" in obj:
+    if "coeffs" in _json_object(obj, "a scalar"):
         if rs.backend != "exact":
             raise ValueError("coefficient-vector scalar needs an exact root system")
         try:
@@ -99,27 +109,39 @@ def rep_to_json(rep: Representation):
     }
 
 
-def rep_from_json(obj) -> Representation:
-    """Read :func:`rep_to_json` output; a ValueError names a missing key or a bad shape."""
+def _scalar_at(rs: RootSystem, obj, where: str):
+    """:func:`scalar_from_json`, with a ValueError that names where the entry sits."""
     try:
-        rs = root_system_from_json(obj["root_system"])
+        return scalar_from_json(rs, obj)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def rep_from_json(obj) -> Representation:
+    """Read :func:`rep_to_json` output; a ValueError names a missing key, a bad shape or a bad entry."""
+    _json_object(obj, "a representation")
+    try:
+        rs = root_system_from_json(_json_object(obj["root_system"], "root_system"))
+        if obj["N"] != rs.N:
+            raise ValueError(f"N = {obj['N']!r} is not the root system's N = {rs.N}")
         surface = surface_from_tag(obj["surface"])
         dim = obj["dim"]
         for field, names in (("generators", surface.generators), ("punctures", surface.punctures)):
-            if sorted(obj[field]) != sorted(names):
+            if sorted(_json_object(obj[field], field)) != sorted(names):
                 raise ValueError(f"{field} {sorted(obj[field])} are not the {surface.tag} "
                                  f"names {sorted(names)}")
         mats = {}
         for name, rows in obj["generators"].items():
-            if len(rows) != dim or any(len(row) != dim for row in rows):
+            if (not isinstance(rows, list) or len(rows) != dim
+                    or any(not isinstance(row, list) or len(row) != dim for row in rows)):
                 raise ValueError(f"generator {name} is not a {dim} x {dim} matrix")
             mat = np.empty((dim, dim), dtype=object)
             for i in range(dim):
                 for j in range(dim):
-                    mat[i, j] = scalar_from_json(rs, rows[i][j])
+                    mat[i, j] = _scalar_at(rs, rows[i][j], f"generator {name} entry [{i}][{j}]")
             mat.flags.writeable = False
             mats[name] = mat
-        punctures = {name: scalar_from_json(rs, s) for name, s in obj["punctures"].items()}
+        punctures = {name: _scalar_at(rs, s, f"puncture {name}") for name, s in obj["punctures"].items()}
     except KeyError as exc:
         raise ValueError(f"representation JSON is missing the key {exc}") from None
     return Representation(surface, rs, dim, mats, punctures, obj.get("provenance", {}))

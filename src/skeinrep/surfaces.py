@@ -43,7 +43,7 @@ def sphere_k(k: int) -> Surface:
 
 
 def surface_from_tag(tag: str) -> Surface:
-    t = tag.strip().lower()
+    t = tag.strip().lower() if isinstance(tag, str) else ""
     if t == "torus1":
         return TORUS1
     if t == "torus0":

@@ -7,7 +7,7 @@ and the mpmath-matrix inversion that ``matrices.inverse`` wraps.
 Every comparison is on the ``_mpf_`` tuples of each entry, or on the
 residual floats.  The nullspace tests plant singular values on either side
 of the working-precision cut rel_eps * sigma_max.  The native-int rounding
-(``scalars._add``, which ``BigComplex`` sums, differences and products share)
+(``scalars._add``, which every ``BigComplex`` operation but powers shares)
 is checked against the libmp calls it replaced, and the exponent-first
 read-outs against ``mpc_abs``, with hypothesis.
 """
@@ -28,7 +28,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_abs, mpc_add, mpc_mul, mpc_sub, mpf_add,
-                          mpf_gt, mpf_mul, mpf_sub, to_float)
+                          mpf_gt, mpf_mul, mpf_pos, mpf_sub, round_down, to_float)
 
 import skeinrep
 from skeinrep import matrices
@@ -801,6 +801,19 @@ def test_one_rounding_primitive_lives_in_scalars():
         assert primitives == ({"_add", "_ints", "_mpf"} if path.name == "scalars.py" else set()), path.name
 
 
+def test_division_and_magnitude_do_not_import_libmp():
+    # division, abs and negation of bigfloat pairs round on ints (scalars.pair_div, pair_abs);
+    # docstrings may still name the libmp calls they mirror
+    package = pathlib.Path(skeinrep.__file__).parent
+    replaced = {"mpc_div", "mpc_abs", "mpc_neg"}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not (imported | read) & replaced, path.name
+
+
 def test_no_module_reads_the_context_rounding():
     # the rounding mode is libmp's round_nearest constant, not mpmath's private context state
     package = pathlib.Path(skeinrep.__file__).parent
@@ -894,11 +907,12 @@ def add_operands(draw, prec=None):
         t = draw(finite_mpf(prec, top=exp + bc + draw(st.integers(-3, 3))))
         return prec, s, t
     if draw(st.booleans()):
-        # a few units from a rounding midpoint, where libmp's stand-in for a
-        # far smaller operand can round otherwise than the exact sum
+        # a few units from a rounding midpoint or from a cut toward zero, where
+        # libmp's stand-in for a far smaller operand can round otherwise than the exact sum
         r = draw(st.sampled_from([8, prec // 2, prec]))
         hi = draw(st.integers(1 << (prec - 1), (1 << prec) - 1))
-        man, bc = (hi << r | 1 << (r - 1)) + draw(st.sampled_from([-3, -1, 1, 3])), prec + r
+        man = (hi << r | draw(st.sampled_from([0, 1 << (r - 1)]))) + draw(st.sampled_from([-3, -1, 1, 3]))
+        bc = man.bit_length()
         s = (sign, man, exp, bc)
     # exponent gaps either side of 100, leading bits either side of prec + 4 apart
     offset = draw(st.sampled_from([99, 100, 101, 102, 180, 700]))
@@ -918,6 +932,9 @@ def test_native_add_matches_mpf_add(operands):
     for x, y in ((s, t), (t, s), (s, neg_t)):
         got = scalars_module._mpf(*scalars_module._add(*signed(x), *signed(y), prec))
         assert got == mpf_add(x, y, prec, RND), (prec, x, y)
+        # rounded toward zero, as the sums inside a quotient and a magnitude are
+        got = scalars_module._mpf(*scalars_module._add(*signed(x), *signed(y), prec, down=True))
+        assert got == mpf_add(x, y, prec, round_down), (prec, x, y)
     got = scalars_module._mpf(*scalars_module._add(*signed(s), *signed(t), prec))
     assert got == mpf_sub(s, neg_t, prec, RND)
 
@@ -1139,6 +1156,32 @@ def test_raw_worst_matches_every_entry_mpc_abs_near_ties(case):
             assert man.bit_length() == prec + 4
 
 
+@pytest.mark.parametrize("prec", [113, 256])
+def test_hypot2_keeps_libmp_stand_in_for_a_far_square(prec):
+    """The key is libmp's sum, also where its stand-in for a far smaller square moves the floor.
+
+    With six ones just below the prec + 4 bit cut of x^2, a y^2 whose
+    leading bit lies under them but whose last bit lies more than 100
+    exponents below x^2's can carry the exact sum over the cut; libmp's
+    stand-in unit cannot.
+    """
+    p = prec + 4
+    rng = random.Random(prec)
+    carried = 0
+    for _ in range(3000):
+        xm = rng.getrandbits(prec) | 1 | 1 << (prec - 1)
+        cut = (xm * xm).bit_length() - p
+        if (xm * xm) >> (cut - 6) & 63 != 63:
+            continue
+        ym = rng.getrandbits(prec) | 1 | 1 << (prec - 1)
+        x, y = (0, xm, 0, prec), (0, ym, (cut - 5 - (ym * ym).bit_length()) // 2, prec)
+        want = mpf_add(mpf_mul(x, x), mpf_mul(y, y), p)
+        e, man = matrices._hypot2((x, y), prec)
+        assert from_man_exp(man, e) == want and man.bit_length() == p, (x, y)
+        carried += mpf_pos(mpf_add(mpf_mul(x, x), mpf_mul(y, y)), p, round_down) != want
+    assert carried
+
+
 @pytest.mark.parametrize("prec", PRECS)
 def test_to_complex128_rounds_as_float_of_mpf(prec):
     # wide parts, parts beyond double range, exact zeros and exact entries
@@ -1167,7 +1210,7 @@ def test_to_complex128_rounds_as_float_of_mpf(prec):
 
 
 def test_kernel_makes_no_libmp_arithmetic_calls(monkeypatch):
-    """Products, sums and scalar + - * round on ints, and read-outs far from the cut take no mpc_abs."""
+    """Products, sums and scalar + - * round on ints, and read-outs far from the cut take no magnitude."""
     rs = rs_of(5)
     rng = random.Random(17)
     a, b = dense(rs, rng, 4, 4), dense(rs, rng, 4, 4)
@@ -1178,8 +1221,8 @@ def test_kernel_makes_no_libmp_arithmetic_calls(monkeypatch):
     def counting(name):
         return lambda *args: calls.append(name)
 
-    monkeypatch.setattr(matrices, "mpc_abs", counting("mpc_abs"))
-    for name in ("mpc_abs", "mpf_mul", "mpf_pos"):
+    monkeypatch.setattr(matrices, "pair_abs", counting("pair_abs"))
+    for name in ("pair_abs", "mpf_mul", "mpf_pos"):
         monkeypatch.setattr(scalars_module, name, counting(f"scalars.{name}"))
     x, y = a[0, 0], b[0, 0]
     for op in (operator.add, operator.sub, operator.mul):

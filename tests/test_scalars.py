@@ -10,10 +10,10 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp, fzero
+from mpmath.libmp import from_int, from_man_exp, fzero, mpc_abs, mpc_div, mpc_neg, mpf_gt, to_float
 
 import skeinrep
-from skeinrep import scalars
+from skeinrep import matrices, scalars
 from skeinrep.chebyshev import solve_chebyshev
 from skeinrep.errors import (BackendMismatch, NonFiniteScalar, SkeinError, UnsupportedExactOperation,
                              VanishingDivisor)
@@ -471,6 +471,75 @@ def test_bigfloat_ops_match_mpc_arithmetic(reference_inputs):
             assert _parts(a ** e) == want, (e, a)
 
 
+def _sweep_pairs(rng, prec):
+    """Finite pairs for the int-rounded division and magnitude: random and libmp's branch cases."""
+    def part(bits, top):
+        man = rng.getrandbits(bits) | 1 | (1 << (bits - 1))
+        return from_man_exp(-man if rng.random() < 0.5 else man, top - bits)
+
+    def value():
+        bits = rng.choice([1, 2, 3, prec - 1, prec, prec + 1, 2 * prec])
+        top = rng.randint(-8, 8)
+        return part(bits, top), part(rng.choice([1, bits, prec]), top + rng.randint(-3, 3))
+
+    eps_top = -prec // 2
+    pairs = [value() for _ in range(40)]
+    for re, im in list(pairs[:8]):
+        pairs += [(re, fzero), (fzero, im)]  # one-part values
+        pairs.append((re, from_man_exp(1, im[2] + im[3] - prec - 60)))  # squares far apart
+        pairs.append((part(prec, eps_top + rng.randint(-1, 1)), part(3, eps_top - 1)))  # near the zero cut
+    for k in (-3, 0, 1, 4):
+        unit = from_man_exp(1, k)
+        pairs += [(unit, fzero), (unit, unit), (fzero, from_man_exp(-1, k))]  # |y|^2 with mantissa 1
+        pairs.append((unit, from_man_exp(3, k - prec)))  # |z|^2 rounds down to 2^2k
+    for a, b in ((3, 4), (5, -12), (1, 1)):
+        for g in ((1, 2), (-7, 0), (2, 3)):  # x = g y: a remainder-free quotient
+            pairs.append((from_int(a), from_int(b)))
+            pairs.append((from_int(a * g[0] - b * g[1]), from_int(a * g[1] + b * g[0])))
+    return pairs
+
+
+@pytest.mark.parametrize("prec", [64, 113, 256, 512])
+def test_int_rounded_division_and_magnitude_match_libmp(prec):
+    """``/``, ``k / x``, ``-x``, ``magnitude()``, ``is_zero()`` and ``_raw_worst`` against libmp.
+
+    libmp's mpc_div, mpc_abs and mpc_neg are the reference: every result has
+    their bits, on parts at or wider than the working precision.
+    """
+    RND = scalars.RND
+    rs = make_root_system(3, "bigfloat", prec)
+    eps = rs.tolerance.rel_eps
+    rng = random.Random(prec)
+    pairs = _sweep_pairs(rng, prec)
+    values = [from_pair(rs, z) for z in pairs] + [rs.zero]
+    work = [scalars.working_pair(z.pair, prec) for z in values]
+    assert any(z[0][3] > prec for z in pairs)
+    for z in pairs:
+        assert scalars.pair_abs(z, prec) == mpc_abs(z, prec, RND), z
+    for x, wx in zip(values, work):
+        assert (-x).pair == mpc_neg(x.pair, prec, RND), x
+        mag = mpc_abs(wx, prec, RND)
+        assert x.magnitude()._mpf_ == mag, x
+        assert x.is_zero() == (to_float(mag, rnd=RND) < eps * (1.0 + to_float(mag, rnd=RND))), x
+        if x.is_zero():
+            with pytest.raises(VanishingDivisor):
+                rs.one / x
+            continue
+        for k in (1, 2, -7):
+            assert (k / x).pair == mpc_div((from_int(k, prec, RND), fzero), wx, prec, RND), (k, x)
+        for y, wy, z in zip(values, work, pairs + [None]):
+            assert (y / x).pair == mpc_div(wy, wx, prec, RND), (y, x)
+            if z is not None:
+                assert scalars.pair_div(z, x.pair, prec) == mpc_div(z, x.pair, prec, RND), (z, x)
+    for i in range(0, len(work), 6):
+        rows = [[None if z == (fzero, fzero) else z for z in work[i:i + 6]]]
+        worst = fzero
+        for z in work[i:i + 6]:
+            if mpf_gt(mpc_abs(z, prec, RND), worst):
+                worst = mpc_abs(z, prec, RND)
+        assert matrices._raw_worst(rows, prec) == (worst == fzero, to_float(worst, rnd=RND)), rows
+
+
 def test_bigfloat_divisor_check_matches_mpc_arithmetic(reference_inputs):
     rs, xs = reference_inputs
     eps = rs.tolerance.rel_eps
@@ -779,7 +848,7 @@ def test_far_decisions_take_no_mpc_abs(monkeypatch):
               rs.scalar(eps * 64), rs.A]
     pairs = [(x, x + rs.scalar(eps / 64)) for x in values] + [(x, x * 2) for x in values]
     calls = []
-    monkeypatch.setattr(scalars, "mpc_abs", lambda *args: calls.append(args))
+    monkeypatch.setattr(scalars, "pair_abs", lambda *args: calls.append(args))
     zeros = [x.is_zero() for x in values]
     same = [approx_eq(x, y) for x, y in pairs] + [approx_eq(x, y, Tolerance(1e-20)) for x, y in pairs]
     assert not calls

@@ -276,6 +276,51 @@ def test_cli_verify_reports_malformed_rep(tmp_path, capsys, edit, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.fixture(scope="module")
+def torus_rep_file(tmp_path_factory):
+    status, out = _build_rep_file(tmp_path_factory.mktemp("rep"))
+    assert status == 0
+    return out
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda rep: rep["generators"]["X1"][0].__setitem__(0, 5),
+     "generator X1 entry [0][0]: a scalar must be a JSON object, got 5"),
+    (lambda rep: rep["generators"]["X2"][2].__setitem__(1, "0.5"),
+     "generator X2 entry [2][1]: a scalar must be a JSON object, got '0.5'"),
+    (lambda rep: rep["generators"].update(X1=7), "generator X1 is not a 3 x 3 matrix"),
+    (lambda rep: rep["generators"]["X3"].__setitem__(1, 4), "generator X3 is not a 3 x 3 matrix"),
+    (lambda rep: rep["punctures"].update(P=[1, 0]), "puncture P: a scalar must be a JSON object, got [1, 0]"),
+    (lambda rep: rep.update(generators=7), "generators must be a JSON object, got 7"),
+    (lambda rep: rep.update(root_system=7), "root_system must be a JSON object, got 7"),
+    (lambda rep: rep.update(surface=5), "unknown surface tag 5"),
+    (lambda rep: rep.update(N=4), "N = 4 is not the root system's N = 3"),
+    (lambda rep: rep.pop("N"), "missing the key 'N'"),
+], ids=["int-entry", "string-entry", "int-generator", "int-row", "list-puncture", "int-generators",
+        "int-root-system", "int-surface", "even-N", "no-N"])
+@pytest.mark.parametrize("command", ["verify", "invariants", "isomorphic"])
+def test_cli_refuses_malformed_rep_entries(tmp_path, capsys, torus_rep_file, command, edit, message):
+    # a malformed entry or a top-level N that is not the root system's ends in "error: ...", not a traceback
+    from skeinrep.serialize import write_json
+
+    payload = read_json(torus_rep_file)
+    edit(payload)
+    broken = tmp_path / "broken.json"
+    write_json(broken, payload)
+    argv = [command, str(broken)] if command != "isomorphic" else [command, str(torus_rep_file), str(broken)]
+    _assert_refused(capsys, argv, message)
+
+
+@pytest.mark.parametrize("command", ["verify", "invariants", "isomorphic"])
+def test_cli_refuses_rep_file_that_is_not_an_object(tmp_path, capsys, torus_rep_file, command):
+    from skeinrep.serialize import write_json
+
+    broken = tmp_path / "broken.json"
+    write_json(broken, [read_json(torus_rep_file)])
+    argv = [command, str(broken)] if command != "isomorphic" else [command, str(torus_rep_file), str(broken)]
+    _assert_refused(capsys, argv, "a representation must be a JSON object, got [{")
+
+
 @pytest.mark.parametrize("coeff,message", [(None, "bad exact coefficients [None,"),
                                            ("1/0", "bad exact coefficients ['1/0',")])
 def test_cli_verify_reports_malformed_exact_coefficient(tmp_path, capsys, coeff, message):
