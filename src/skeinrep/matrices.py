@@ -41,9 +41,9 @@ from mpmath import mp
 from mpmath.libmp import fzero, mpf_gt, to_float
 
 from .errors import NonScalarChebyshev, VanishingDivisor
-from .scalars import (RND, CyclotomicNumber, RootSystem, _add, _ints, _mpf, approx_eq, below_cut,
-                      from_pair, magnitude_exponent, numeric_bridge, pair_abs, pair_add, pair_mul,
-                      pair_sub, working_pair)
+from .scalars import (RND, CyclotomicNumber, RootSystem, _add, _hypot_sum, _ints, _mpf, approx_eq,
+                      below_cut, from_pair, magnitude_exponent, numeric_bridge, pair_abs, pair_add,
+                      pair_mul, pair_sub, working_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +234,14 @@ def _scalar_rows(rows) -> bool:
 
 
 def _hypot2(z, prec):
-    """re^2 + im^2 of a two-part entry rounded down to prec + 4 bits, as (exponent, mantissa).
+    """:func:`scalars._hypot_sum` of a two-part entry as (exponent, mantissa).
 
-    This is the sum whose square root :func:`scalars.pair_abs` rounds (as
-    ``mpf_hypot``: exact squares, one round-down ``_add`` at prec + 4, a
-    correctly rounded sqrt), so an entry with a larger key never has a
-    smaller ``pair_abs``.  The mantissa is widened to exactly prec + 4 bits,
-    so keys compare as tuples.
+    This is the sum whose square root :func:`scalars.pair_abs` rounds
+    correctly, so an entry with a larger key never has a smaller
+    ``pair_abs``.  The mantissa is widened to exactly prec + 4 bits, so keys
+    compare as tuples.
     """
-    (_, rm, re, _), (_, im, ie, _) = z
-    s, e = _add(rm * rm, re + re, im * im, ie + ie, prec + 4, down=True)
+    s, e = _hypot_sum(z, prec)
     n = prec + 4 - s.bit_length()
     return e - n, s << n
 

@@ -53,9 +53,6 @@ RND = round_nearest
 # the smallest normal float: is_zero's exponent bounds hold for any tolerance above it
 _MIN_NORMAL = 2.0 ** -1022
 
-# ints up to this magnitude that BigComplex arithmetic mixes in are cached per root system
-_SMALL_INT = 1 << 10
-
 
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials
@@ -140,7 +137,6 @@ class RootSystem:
             self.modulus = cyclotomic_polynomial(2 * N)
             self.degree = len(self.modulus) - 1
         self._apow_cache = {}
-        self._int_cache = {}
         self._bigfloat_companions = {}
 
     # -- identity of the system ------------------------------------------------
@@ -206,15 +202,6 @@ class RootSystem:
         else:
             raise TypeError(f"cannot place {type(value).__name__} in the bigfloat backend")
         return from_pair(self, finite_pair(pair))
-
-    def int_scalar(self, n: int):
-        """``scalar(n)`` for an int; the small ones arithmetic mixes in (2, 4, -1, ...) are made once."""
-        value = self._int_cache.get(n)
-        if value is None:
-            value = self.scalar(n)
-            if -_SMALL_INT <= n <= _SMALL_INT:
-                self._int_cache[n] = value
-        return value
 
     def a_pow(self, k: int):
         """A^k, canonically reduced.  Exponents live modulo 2N."""
@@ -557,27 +544,14 @@ class BigComplex:
     # -- arithmetic --------------------------------------------------------------
 
     def _apply(self, fn, other, reflected=False):
-        rs = self.rs
-        if other.__class__ is BigComplex:
-            if other.rs is not rs and not rs.compatible(other.rs):
-                raise BackendMismatch("bigfloat scalars from different root systems")
-            o = other
-        elif other.__class__ is int:
-            o = rs.int_scalar(other)
-        else:
-            o = self._coerce(other)
-            if o is None:
-                return NotImplemented
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         a, b = (o, self) if reflected else (self, o)
         if fn is pair_div:
             b._check_divisor()
-        prec = rs.precision_bits
-        x, y = a.pair, b.pair
-        if x[0][3] > prec or x[1][3] > prec:
-            x = working_pair(x, prec)
-        if y[0][3] > prec or y[1][3] > prec:
-            y = working_pair(y, prec)
-        return from_pair(rs, fn(x, y, prec))
+        prec = self.rs.precision_bits
+        return from_pair(self.rs, fn(working_pair(a.pair, prec), working_pair(b.pair, prec), prec))
 
     def __add__(self, other):
         return self._apply(pair_add, other)
@@ -792,6 +766,16 @@ def pair_div(x, y, prec):
     return _quotient(re, e, mag, em, prec), _quotient(im, f, mag, em, prec)
 
 
+def _hypot_sum(z, prec):
+    """re^2 + im^2 of a finite pair as ``mpf_hypot`` sums it: exact squares, rounded down to prec + 4 bits.
+
+    Returns the mantissa and exponent.  :func:`pair_abs` takes its square
+    root, and ``matrices._raw_worst`` ranks two-part entries by it.
+    """
+    (_, xm, xe, _), (_, ym, ye, _) = z
+    return _add(xm * xm, xe + xe, ym * ym, ye + ye, prec + 4, down=True)
+
+
 def pair_abs(z, prec):
     """|z| of a finite pair at ``prec`` bits as ``mpc_abs`` takes it (``mpf_hypot``), on ints.
 
@@ -805,7 +789,7 @@ def pair_abs(z, prec):
     (_, xm, xe, _), (_, ym, ye, _) = z
     if not xm or not ym:
         return _mpf(*_add(xm, xe, ym, ye, prec))
-    s, e = _add(xm * xm, xe + xe, ym * ym, ye + ye, prec + 4, down=True)
+    s, e = _hypot_sum(z, prec)
     if e & 1:
         e -= 1
         s <<= 1
