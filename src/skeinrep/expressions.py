@@ -434,15 +434,29 @@ def normalize(expr: SkeinExpr, rsys: RewriteSystem = None, order: str = "leftmos
     return NormalForm(surface, rs, cleaned)
 
 
+def _power_factors(names, exponents):
+    return [Power(Gen(n), e) if e > 1 else Gen(n) for n, e in zip(names, exponents) if e]
+
+
+def _product(factors):
+    return factors[0] if len(factors) == 1 else Prod(tuple(factors))
+
+
 def normal_form_to_expr(nf: NormalForm) -> SkeinExpr:
-    """The normal form as a sum of coeff * generator powers, in ``nf.terms`` order."""
+    """The normal form as a sum of monomial-first terms, in ``nf.terms`` order.
+
+    A term is ``Prod((word, scalar))``: the word is the X generator powers in
+    generator order, the scalar is ``Lit(coeff)`` times the puncture powers
+    (or ``Lit(coeff)`` alone), and a term with no X part is its scalar.  So
+    :func:`evaluate` reads each monomial through the rep's word memo and
+    scales it once by the merged scalar.
+    """
+    surface = nf.surface
     terms = []
     for (xexp, pexp), coeff in nf.terms.items():
-        factors = [Lit(coeff)]
-        for name, e in zip(nf.surface.generators, xexp + pexp):
-            if e:
-                factors.append(Power(Gen(name), e) if e > 1 else Gen(name))
-        terms.append(Prod(tuple(factors)) if len(factors) > 1 else factors[0])
+        word = _power_factors(surface.x_generators, xexp)
+        scalar = _product([Lit(coeff)] + _power_factors(surface.punctures, pexp))
+        terms.append(Prod((_product(word), scalar)) if word else scalar)
     node = Sum(tuple(terms)) if len(terms) != 1 else terms[0]
     if not terms:
         node = Lit(nf.rs.zero)
@@ -462,6 +476,19 @@ class _Id:
         self.s = s
 
 
+def _word_key(node):
+    """The (name, exponent) factors of a product of generator powers, else None."""
+    key = []
+    for f in node.factors if isinstance(node, Prod) else (node,):
+        if isinstance(f, Gen):
+            key.append((f.name, 1))
+        elif isinstance(f, Power) and isinstance(f.base, Gen):
+            key.append((f.base.name, f.exponent))
+        else:
+            return None
+    return tuple(key)
+
+
 def evaluate(expr: SkeinExpr, rep):
     """Homomorphic evaluation: sums to matrix sums, products to products.
 
@@ -469,9 +496,17 @@ def evaluate(expr: SkeinExpr, rep):
     the generator rows the rep keeps (:meth:`Representation.rows`), and only
     the result is wrapped, into a new array.  A literal is value * Id; sums
     and products run left to right; a power G^e is Id * G * ... * G
-    multiplied left to right.  A generator power starts from the highest
-    lower power of that generator already formed in the call, and only
-    requested powers are kept.
+    multiplied left to right.
+
+    Generator words (a power of a generator, or a product whose factors are
+    all generators or their powers) are read through a memo keyed by their
+    (name, exponent) factors.  A word of two or more factors is its prefix
+    word times its last factor, the same left fold, and a power starts from
+    the highest lower power of that generator already kept; both give the
+    bits of the fold from scratch.  The memo is the rep's
+    (``Representation._memo["words"]``) while all its images are frozen,
+    and lasts one call otherwise; only requested powers and words, and
+    their prefixes, are kept.
 
     A literal, and a generator whose rows are exactly s Id (a puncture
     image, in the usual case), stays the one entry s until the result is
@@ -489,7 +524,8 @@ def evaluate(expr: SkeinExpr, rep):
         raise ValueError("expression and representation use different root systems")
     rs, dim = rep.rs, rep.dim
     k = matrices.kernel(rs)
-    powers = {}  # name -> {exponent: power}
+    frozen = not any(m.flags.writeable for m in rep.matrices.values())
+    words = rep._memo.setdefault("words", {}) if frozen else {}  # (name, exponent) factors -> value
 
     def times(x, y):
         if isinstance(x, _Id):
@@ -504,36 +540,53 @@ def evaluate(expr: SkeinExpr, rep):
     def walk(node):
         if isinstance(node, Lit):
             return _Id(k.entry(node.value))
-        if isinstance(node, Gen):
-            rows = rep.rows(node.name)
-            return _Id(rows[0][0]) if k.is_scalar(rows) else rows
         if isinstance(node, Sum):
             return reduce(plus, map(walk, node.terms))
+        key = _word_key(node)
+        if key is not None:
+            return word(key)
         if isinstance(node, Prod):
             return reduce(times, map(walk, node.factors))
         if isinstance(node, Power):
-            return power(node.base, node.exponent)
+            if node.exponent == 0:
+                return _Id(k.entry(rs.one))
+            g = walk(node.base)
+            return reduce(times, [g] * node.exponent)  # Id * G is G: its entries are at working precision
         raise TypeError(f"not an expression node: {node!r}")
 
-    def power(base, e):
-        if e == 0:
-            return _Id(k.entry(rs.one))
-        done = powers.setdefault(base.name, {}) if isinstance(base, Gen) else {}
-        if e not in done:
-            g = walk(base)
-            start = max((d for d in done if d < e), default=1)
-            acc = done.get(start, g)  # Id * G is G: its entries are at working precision
-            for _ in range(e - start):
-                acc = times(acc, g)
-            done[e] = acc
-        return done[e]
+    def power(name, e):
+        key = ((name, e),)
+        if key not in words:
+            if e == 0:
+                value = _Id(k.entry(rs.one))
+            elif e == 1:
+                rows = rep.rows(name)
+                value = _Id(rows[0][0]) if k.is_scalar(rows) else rows
+            else:
+                start = next((d for d in range(e - 1, 1, -1) if ((name, d),) in words), 1)
+                value = power(name, start)
+                g = power(name, 1)
+                for _ in range(e - start):
+                    value = times(value, g)
+            words[key] = value
+        return words[key]
+
+    def word(key):
+        n = len(key)
+        while n > 1 and key[:n] not in words:
+            n -= 1
+        value = words[key[:n]] if n > 1 else power(*key[0])
+        for i in range(n, len(key)):
+            value = times(value, power(*key[i]))
+            words[key[:i + 1]] = value
+        return value
 
     value = walk(expr.node)
     return k.wrap(k.widen(value.s, dim) if isinstance(value, _Id) else value)
 
 
 def evaluate_normal_form(nf: NormalForm, rep):
-    """:func:`evaluate` of the normal form's expression (terms in ``nf.terms`` order)."""
+    """:func:`evaluate` of :func:`normal_form_to_expr`: each monomial scaled once by its scalar."""
     return evaluate(normal_form_to_expr(nf), rep)
 
 

@@ -6,7 +6,10 @@ identity, and that scalar is also stored separately.  T_N of each loop
 image (:meth:`Representation.chebyshev`), each image's rows in the matrix
 kernel's working format (:meth:`Representation.rows`) and the largest entry
 magnitude (:meth:`Representation.largest_entry`) are computed once and kept
-in one memo while the images they are read off are frozen.
+in one memo while the images they are read off are frozen.  The memo also
+holds, under ``"words"``, the generator words :func:`expressions.evaluate`
+forms, in kernel format and keyed by their (name, exponent) factors; they
+are kept only while every image of the rep is frozen.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ system that is not a JSON object, a coefficient that is not a number, a
 zero denominator and a bigfloat part that is not a string with
 ``ValueError``, and "nan", "inf" and "-inf" with ``NonFiniteScalar``.  A
 representation's errors name the generator or puncture and the position of
-the entry, and its top-level "N" must be its root system's.
+the entry; its top-level "N" must be its root system's, its "dim" a positive
+integer and its "provenance", when present, an object.
 Serialization is canonical: equal values produce byte-identical text.
 """
 
@@ -126,6 +127,8 @@ def rep_from_json(obj) -> Representation:
             raise ValueError(f"N = {obj['N']!r} is not the root system's N = {rs.N}")
         surface = surface_from_tag(obj["surface"])
         dim = obj["dim"]
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {dim!r}")
         for field, names in (("generators", surface.generators), ("punctures", surface.punctures)):
             if sorted(_json_object(obj[field], field)) != sorted(names):
                 raise ValueError(f"{field} {sorted(obj[field])} are not the {surface.tag} "
@@ -144,7 +147,8 @@ def rep_from_json(obj) -> Representation:
         punctures = {name: _scalar_at(rs, s, f"puncture {name}") for name, s in obj["punctures"].items()}
     except KeyError as exc:
         raise ValueError(f"representation JSON is missing the key {exc}") from None
-    return Representation(surface, rs, dim, mats, punctures, obj.get("provenance", {}))
+    return Representation(surface, rs, dim, mats, punctures,
+                          _json_object(obj.get("provenance", {}), "provenance"))
 
 
 def dumps_canonical(obj) -> str:

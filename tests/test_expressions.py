@@ -7,7 +7,7 @@ import pytest
 
 from skeinrep import invariants, matrices
 from skeinrep.errors import ExponentOverflow, ParseError, UnknownGenerator
-from skeinrep.expressions import (Gen, Lit, NormalForm, Prod, RewriteSystem, Sum,
+from skeinrep.expressions import (Gen, Lit, NormalForm, Power, Prod, RewriteSystem, Sum,
                                   _expand, _find_redex, _inversions, evaluate, evaluate_normal_form,
                                   normal_form_to_expr, normalize, parse, parse_scalar,
                                   puncture_element, random_word_expression, relation_defects)
@@ -164,8 +164,26 @@ def test_soundness_against_evaluation(rs3f):
 def test_normal_form_to_expr_keeps_term_order(rs3):
     nf = normalize(parse("X2 X1 + X3^2 + 1", TORUS1, rs3))
     again = normal_form_to_expr(nf)
-    assert [t.factors[0].value if isinstance(t, Prod) else t.value
-            for t in again.node.terms] == list(nf.terms.values())
+    # a term's scalar part is its second factor, or the term itself when it has no X part
+    scalars = [t.factors[1] if isinstance(t, Prod) and not isinstance(t.factors[0], Lit) else t
+               for t in again.node.terms]
+    assert [(s.factors[0] if isinstance(s, Prod) else s).value
+            for s in scalars] == list(nf.terms.values())
+
+
+def test_normal_form_to_expr_writes_terms_monomial_first(rs3):
+    nf = normalize(parse("2 X1^2 X2 X3 P + 3 P^2 + X1 + 1/2 X3 P", TORUS1, rs3))
+    x1, x2, x3, p = (Gen(g) for g in TORUS1.generators)
+    want = {
+        ((2, 1, 1), (1,)): Prod((Prod((Power(x1, 2), x2, x3)), Prod((Lit(rs3.scalar(2)), p)))),
+        ((0, 0, 0), (2,)): Prod((Lit(rs3.scalar(3)), Power(p, 2))),
+        ((1, 0, 0), (0,)): Prod((x1, Lit(rs3.one))),
+        ((0, 0, 1), (1,)): Prod((x3, Prod((Lit(rs3.scalar(Fraction(1, 2))), p)))),
+    }
+    assert sorted(nf.terms) == sorted(want)
+    assert normal_form_to_expr(nf).node == Sum(tuple(want[key] for key in nf.terms))
+    only = NormalForm(TORUS1, rs3, {((0, 0, 0), (0,)): rs3.scalar(5)})
+    assert normal_form_to_expr(only).node == Lit(rs3.scalar(5))
 
 
 def test_evaluate_normal_form_rejects_other_backend(rs3, rs3f):
@@ -234,18 +252,44 @@ def _stack_normalize(expr, rsys, order):
     return NormalForm(surface, rs, {k: v for k, v in result.items() if not v.is_zero()})
 
 
+def _object_power(rep, name, e):
+    power = matrices.identity(rep.rs, rep.dim)
+    for _ in range(e):
+        power = matrices.matmul(power, rep.matrix(name))
+    return power
+
+
 def _object_evaluate_normal_form(nf, rep):
-    """Reference: the evaluation steps on BigComplex object arrays."""
-    dim = rep.dim
-    total = matrices.zeros(rep.rs, dim)
+    """Reference: the monomial-first evaluation steps on BigComplex object arrays.
+
+    Each term is its word (the X generator powers, multiplied left to right)
+    times its scalar (coeff Id times the puncture powers); a term with no X
+    part is its scalar.
+    """
+    surface = nf.surface
+    total = matrices.zeros(rep.rs, rep.dim)
     for (xexp, pexp), coeff in nf.terms.items():
-        term = matrices.scalar_matrix(coeff, dim)
+        term = matrices.scalar_matrix(coeff, rep.dim)
+        for name, e in zip(surface.punctures, pexp):
+            if e:
+                term = matrices.matmul(term, _object_power(rep, name, e))
+        word = None
+        for name, e in zip(surface.x_generators, xexp):
+            if e:
+                power = _object_power(rep, name, e)
+                word = power if word is None else matrices.matmul(word, power)
+        total = total + (term if word is None else matrices.matmul(word, term))
+    return total
+
+
+def _object_evaluate_normal_form_coefficient_first(nf, rep):
+    """Accuracy oracle: each term as coeff Id times its generator powers, left to right."""
+    total = matrices.zeros(rep.rs, rep.dim)
+    for (xexp, pexp), coeff in nf.terms.items():
+        term = matrices.scalar_matrix(coeff, rep.dim)
         for name, e in zip(nf.surface.generators, xexp + pexp):
             if e:
-                power = matrices.identity(rep.rs, dim)
-                for _ in range(e):
-                    power = matrices.matmul(power, rep.matrix(name))
-                term = matrices.matmul(term, power)
+                term = matrices.matmul(term, _object_power(rep, name, e))
         total = total + term
     return total
 
@@ -357,6 +401,84 @@ def test_evaluate_normal_form_bit_identical_to_object_path(rs3f):
             nf = normalize(parse(text, surface, rs3f))
             assert _raw_parts(evaluate_normal_form(nf, rep)) == \
                 _raw_parts(_object_evaluate_normal_form(nf, rep)), (surface.tag, text)
+
+
+def _criterion9_reps(rs, seed):
+    """Torus1, Torus0, Sphere4 and Sphere3 reps over ``rs``, as the criterion-9 tests take them."""
+    rng = random.Random(seed)
+    torus = torus_rep_fixture(rs)
+    return [
+        torus,
+        assemble(TORUS0, rs, torus.dim, {g: torus.matrix(g) for g in TORUS0.generators}, {}),
+        sphere_rep_fixture(rs),
+        small_sphere_rep([rs.scalar(complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for _ in range(3)]),
+    ]
+
+
+def test_evaluate_normal_form_agrees_with_coefficient_first_order():
+    # monomial-first terms round in a new order; the old order stays an accuracy oracle
+    rs = make_root_system(3, "bigfloat", 256)
+    for rep in _criterion9_reps(rs, 32):
+        for text in _criterion9_words(rep.surface, 20, 78):
+            nf = normalize(parse(text, rep.surface, rs))
+            _, mag = matrices.residual_report(
+                evaluate_normal_form(nf, rep) - _object_evaluate_normal_form_coefficient_first(nf, rep))
+            assert mag < 1e-60, (rep.surface.tag, text, mag)
+
+
+def test_word_memo_cold_and_warm_evaluations_are_bit_identical(rs3f):
+    for rep in _criterion9_reps(rs3f, 33):
+        nfs = [normalize(parse(text, rep.surface, rs3f)) for text in _criterion9_words(rep.surface, 15, 79)]
+        cold = [_raw_parts(evaluate_normal_form(nf, dataclasses.replace(rep))) for nf in nfs]
+        warm_rep = dataclasses.replace(rep)
+        for nf in reversed(nfs):  # later words start from powers and prefixes the others kept
+            evaluate_normal_form(nf, warm_rep)
+        assert warm_rep._memo["words"]
+        for nf, want in zip(nfs, cold):
+            assert _raw_parts(evaluate_normal_form(nf, warm_rep)) == want, rep.surface.tag
+            assert _raw_parts(evaluate(normal_form_to_expr(nf), warm_rep)) == want, rep.surface.tag
+
+
+def test_word_memo_takes_each_word_product_once_per_frozen_rep(rs3f, monkeypatch):
+    rep = torus_rep_fixture(rs3f)
+    nfs = [normalize(parse(text, TORUS1, rs3f)) for text in ("X1 X2", "3 X1 X2 X3 + A X1 X2 P")]
+    original = matrices._raw_product
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(matrices, "_raw_product", counting)
+    for frozen in (rep, dataclasses.replace(rep)):
+        x1, x2 = frozen.rows("X1"), frozen.rows("X2")
+        for _ in range(2):
+            for nf in nfs:
+                evaluate_normal_form(nf, frozen)
+        assert sum(a is x1 and b is x2 for a, b in calls) == 1
+        calls.clear()
+
+
+def test_word_memo_keeps_nothing_from_a_writeable_image(rs3f):
+    rep = torus_rep_fixture(rs3f)
+    x1 = rep.matrix("X1").copy()
+    loose = dataclasses.replace(rep, matrices=dict(rep.matrices, X1=x1))
+    nf = normalize(parse("X1^2 X2 + X1 X2", TORUS1, rs3f))
+    before = _raw_parts(evaluate_normal_form(nf, loose))
+    assert before == _raw_parts(evaluate_normal_form(nf, rep))
+    x1[0, 1] = x1[0, 1] + rs3f.one
+    after = _raw_parts(evaluate_normal_form(nf, loose))
+    assert after != before
+    assert after == _raw_parts(evaluate_normal_form(nf, dataclasses.replace(loose, matrices=dict(
+        loose.matrices, X1=matrices.freeze(x1.copy())))))
+    assert "words" not in loose._memo
+
+
+def test_replaced_rep_starts_with_an_empty_word_memo(rs3f):
+    rep = torus_rep_fixture(rs3f)
+    evaluate_normal_form(normalize(parse("X1 X2 X3^2", TORUS1, rs3f)), rep)
+    assert rep._memo["words"]
+    assert dataclasses.replace(rep)._memo == {}
 
 
 def test_evaluate_bit_identical_to_object_path(rs3f, rs3):

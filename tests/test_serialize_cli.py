@@ -311,6 +311,39 @@ def test_cli_refuses_malformed_rep_entries(tmp_path, capsys, torus_rep_file, com
     _assert_refused(capsys, argv, message)
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda rep: rep.update(dim="3"), "dim must be a positive integer, got '3'"),
+    (lambda rep: rep.update(dim=0), "dim must be a positive integer, got 0"),
+    (lambda rep: rep.update(provenance=5), "provenance must be a JSON object, got 5"),
+], ids=["string-dim", "zero-dim", "int-provenance"])
+def test_cli_verify_refuses_bad_dim_and_provenance(tmp_path, capsys, torus_rep_file, edit, message):
+    from skeinrep.serialize import write_json
+
+    payload = read_json(torus_rep_file)
+    edit(payload)
+    broken = tmp_path / "broken.json"
+    write_json(broken, payload)
+    _assert_refused(capsys, ["verify", str(broken)], message)
+
+
+def test_cli_verify_refuses_boolean_dim(tmp_path, capsys):
+    # on an N = 1 file, true == 1 passed every shape check and ended in a TypeError traceback
+    from skeinrep.serialize import write_json
+
+    from skeinrep.chebyshev import solve_chebyshev
+    from skeinrep.torus import puncture_chebyshev_value
+
+    rs = make_root_system(1, "bigfloat", 192)
+    t1, t2, t3 = (rs.scalar(z) for z in (complex(1.1, 0.3), complex(0.8, -0.2), complex(2.5, 0.9)))
+    p = solve_chebyshev(puncture_chebyshev_value(t1, t2, t3)).values[0]
+    payload = rep_to_json(build_torus_rep(torus_params_from_shadow(t1, t2, t3, p)))
+    assert payload["dim"] == 1
+    payload["dim"] = True
+    broken = tmp_path / "broken.json"
+    write_json(broken, payload)
+    _assert_refused(capsys, ["verify", str(broken)], "dim must be a positive integer, got True")
+
+
 @pytest.mark.parametrize("command", ["verify", "invariants", "isomorphic"])
 def test_cli_refuses_rep_file_that_is_not_an_object(tmp_path, capsys, torus_rep_file, command):
     from skeinrep.serialize import write_json
