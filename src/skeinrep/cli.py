@@ -188,24 +188,20 @@ def build_parser():
         build.add_argument("--out")
         build.set_defaults(fn=fn)
 
-    vf = sub.add_parser("verify", help="check the presentation relations of a stored representation")
-    vf.add_argument("rep")
-    vf.add_argument("--tol", type=float, default=None)
-    vf.add_argument("--out")
-    vf.set_defaults(fn=_cmd_verify)
-
-    iv = sub.add_parser("invariants", help="extract the classical shadow and puncture invariants")
-    iv.add_argument("rep")
-    iv.add_argument("--tol", type=float, default=None)
-    iv.add_argument("--out")
-    iv.set_defaults(fn=_cmd_invariants)
-
-    iso = sub.add_parser("isomorphic", help="search for an invertible intertwiner")
-    iso.add_argument("repA")
-    iso.add_argument("repB")
-    iso.add_argument("--tol", type=float, default=None)
-    iso.add_argument("--out")
-    iso.set_defaults(fn=_cmd_isomorphic)
+    reads = (
+        ("verify", "check the presentation relations of a stored representation", ("rep",),
+         _cmd_verify),
+        ("invariants", "extract the classical shadow and puncture invariants", ("rep",),
+         _cmd_invariants),
+        ("isomorphic", "search for an invertible intertwiner", ("repA", "repB"), _cmd_isomorphic),
+    )
+    for name, help_text, paths, fn in reads:
+        read = sub.add_parser(name, help=help_text)
+        for path in paths:
+            read.add_argument(path)
+        read.add_argument("--tol", type=float, default=None)
+        read.add_argument("--out")
+        read.set_defaults(fn=fn)
 
     nm = sub.add_parser("normalize", help="rewrite an expression to ordered-monomial form")
     _add_system_flags(nm)

@@ -504,9 +504,8 @@ def evaluate(expr: SkeinExpr, rep):
     word times its last factor, the same left fold, and a power starts from
     the highest lower power of that generator already kept; both give the
     bits of the fold from scratch.  The memo is the rep's
-    (``Representation._memo["words"]``) while all its images are frozen,
-    and lasts one call otherwise; only requested powers and words, and
-    their prefixes, are kept.
+    (``Representation._memo["words"]``); only requested powers and words,
+    and their prefixes, are kept.
 
     A literal, and a generator whose rows are exactly s Id (a puncture
     image, in the usual case), stays the one entry s until the result is
@@ -524,8 +523,7 @@ def evaluate(expr: SkeinExpr, rep):
         raise ValueError("expression and representation use different root systems")
     rs, dim = rep.rs, rep.dim
     k = matrices.kernel(rs)
-    frozen = not any(m.flags.writeable for m in rep.matrices.values())
-    words = rep._memo.setdefault("words", {}) if frozen else {}  # (name, exponent) factors -> value
+    words = rep._memo.setdefault("words", {})  # (name, exponent) factors -> value
 
     def times(x, y):
         if isinstance(x, _Id):

@@ -9,19 +9,18 @@ dot products and sums round as ``BigComplex`` arithmetic rounds, in the same
 order and with the same primitive: ``scalars._add``, libmp's rounding on
 Python ints.  Only the results are wrapped back into ``BigComplex``, so
 every entry is bit-identical to the entrywise object arithmetic.  The
-scalar read-outs (:func:`read_scalar_matrix`, :func:`scalar_deviation`,
-:func:`scalar_residual`) likewise read each entry's pair once and give the
-decisions, messages and floats of their entrywise ``approx_eq`` and
-``BigComplex`` forms, deciding magnitudes from the parts' exponents and
-taking :func:`scalars.pair_abs` only near a cut; the largest entry of a
-residual takes it of two entries at most.
+scalar read-outs are one code for both backends: :func:`read_scalar_matrix`
+validates each entry with ``approx_eq``, and :func:`scalar_residual` (with
+:func:`scalar_deviation`) shifts the diagonal on the kernel; the largest
+entry of a bigfloat residual takes :func:`scalars.pair_abs` of two entries
+at most.
 
 Intertwiner defects M A - B M of a monomial M = P_sigma diag(m), the shape
 every ladder-walk certificate has, are formed from the two terms each entry
 holds, m_k A[k, l] and B[sigma(k), sigma(l)] m_l, with the bits of the fused
 product.  A monomial comes in as its (sigma, m); a dense M takes the fused
 product whatever its shape.  A and B come in as kernel rows, which a
-representation keeps per frozen image.
+representation keeps per image.
 
 Bigfloat rank and nullspace decisions come from one SVD at the root
 system's working precision: singular values below rel_eps * sigma_max count
@@ -40,10 +39,10 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import fzero, mpf_gt, to_float
 
-from .errors import NonScalarChebyshev, VanishingDivisor
+from .errors import NonScalarChebyshev
 from .scalars import (RND, CyclotomicNumber, RootSystem, _add, _hypot_sum, _ints, _mpf, approx_eq,
-                      below_cut, from_pair, magnitude_exponent, numeric_bridge, pair_abs, pair_add,
-                      pair_mul, pair_sub, working_pair)
+                      from_pair, magnitude_exponent, numeric_bridge, pair_abs, pair_add, pair_mul,
+                      pair_sub, working_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -428,19 +427,20 @@ def intertwining_defects(m, pairs):
     or, for a bigfloat (sigma, entries) with no entry zero at working
     precision, the same entries from their two terms
     (:func:`_monomial_defect`).  An object array always takes the fused
-    product, whatever its shape.  When A and B read as the
-    same bigfloat scalar matrix s Id, as puncture images do, the defect is
-    exactly zero and 0.0 is returned without the products: the kernel skips
-    zero terms, so entry (i, j) is m_ij s - s m_ij, and ``pair_mul`` rounds
-    both products alike because ``scalars._add`` is symmetric.  The test
-    reads the images themselves, which may come from a file.
+    product, whatever its shape.  When A and B are one scalar matrix s Id
+    (the kernel's ``is_scalar`` on both, and equal diagonals), as puncture
+    images are, the defect is exactly zero and 0.0 is returned without the
+    products: the bigfloat kernel skips zero terms, so entry (i, j) is
+    m_ij s - s m_ij, and ``pair_mul`` rounds both products alike because
+    ``scalars._add`` is symmetric.  The test reads the images themselves,
+    which may come from a file.
     """
     given = isinstance(m, tuple)
     rs = m[1][0].rs if given else m.flat[0].rs
     k = kernel(rs)
-    bigfloat, prec = rs.backend == "bigfloat", rs.precision_bits
+    prec = rs.precision_bits
     mono = None
-    if given and bigfloat:
+    if given and rs.backend == "bigfloat":
         raw = [working_pair(e.pair, prec) for e in m[1]]
         if _RAW_ZERO not in raw:
             mono = (m[0], raw)
@@ -448,7 +448,7 @@ def intertwining_defects(m, pairs):
         m_rows = k.unpack(monomial_matrix(*m) if given else m)
     out = []
     for a_rows, b_rows in pairs:
-        if bigfloat and a_rows == b_rows and _scalar_rows(a_rows):
+        if k.is_scalar(a_rows) and k.is_scalar(b_rows) and a_rows[0][0] == b_rows[0][0]:
             out.append(0.0)
         elif mono is not None:
             out.append(_raw_worst(_monomial_defect(*mono, a_rows, b_rows, prec), prec)[1])
@@ -471,59 +471,28 @@ def _diagonal_mean(mat, rs):
     return mean / rs.scalar(n)
 
 
-def _first_nonscalar_entry(mat, mean, rel_eps):
-    """(i, j) of the first entry, row by row, that ``approx_eq`` rejects against mean * Id.
-
-    The comparison is ``approx_eq``'s, |x - y| < rel_eps * max(1, |x|, |y|),
-    on each entry's working pair through :func:`below_cut`: a diagonal entry
-    compares x - mean against x and mean, an off-diagonal entry (y = 0) x
-    against itself.
-    """
-    prec = mean.rs.precision_bits
-    m = working_pair(mean.pair, prec)
-    for i, row in enumerate(mat):
-        for j, e in enumerate(row):
-            x = working_pair(e.pair, prec)
-            d, scales = (pair_sub(x, m, prec), (x, m)) if i == j else (x, (x,))
-            if not below_cut(d, scales, rel_eps, prec):
-                return i, j
-    return None
-
-
 def read_scalar_matrix(mat, rs, tol=None):
     """The scalar lambda with mat = lambda * Id, or raise NonScalarChebyshev.
 
     The scalar is read as the mean of the diagonal, which is the least
-    rounding-sensitive choice; every entry is then validated against it with
-    ``approx_eq``'s decision, on raw pairs in the bigfloat backend.
+    rounding-sensitive choice; every entry, row by row, is then validated
+    against it with ``approx_eq``.
     """
     mean = _diagonal_mean(mat, rs)
-    if rs.backend == "exact":
-        bad = next(((i, j) for (i, j), e in np.ndenumerate(mat)
-                    if not approx_eq(e, mean if i == j else rs.zero, tol)), None)
-    else:
-        bad = _first_nonscalar_entry(mat, mean, (tol or rs.tolerance).rel_eps)
-    if bad is not None:
-        i, j = bad
-        raise NonScalarChebyshev(f"entry ({i}, {j}) = {mat[i, j]} deviates from scalar structure")
+    for (i, j), e in np.ndenumerate(mat):
+        if not approx_eq(e, mean if i == j else rs.zero, tol):
+            raise NonScalarChebyshev(f"entry ({i}, {j}) = {e} deviates from scalar structure")
     return mean
 
 
 def scalar_residual(mat, s):
     """``residual_report(mat - scalar_matrix(s, n))``: (exactly zero, largest magnitude).
 
-    The bigfloat backend reads each entry's pair once and subtracts s from
-    the diagonal only, rounded as ``BigComplex.__sub__`` rounds it.
+    On the kernel this is mat + (-s) Id: -s is added to the diagonal only,
+    and x + (-s) rounds as x - s does.
     """
-    rs = s.rs
-    if rs.backend == "exact":
-        return residual_report(mat - scalar_matrix(s, mat.shape[0]))
-    prec = rs.precision_bits
-    target = working_pair(s.pair, prec)
-    rows = _raw_rows(mat, prec)
-    for i, row in enumerate(rows):
-        row[i] = pair_sub(row[i] or _RAW_ZERO, target, prec)
-    return _raw_worst(rows, prec)
+    k = kernel(s.rs)
+    return k.worst(k.shift(k.entry(-s), k.unpack(mat), right=True))
 
 
 def scalar_deviation(mat, rs):
@@ -573,26 +542,6 @@ def from_mp_vector(rs: RootSystem, vec, length):
     with mp.workprec(rs.precision_bits):
         for i in range(length):
             out[i] = from_pair(rs, mpmath.mpc(vec[i])._mpc_)
-    return out
-
-
-def inverse(mat):
-    """Inverse of a square bigfloat matrix by mpmath's LU at the working precision.
-
-    The LU carries guard bits; each entry is rounded once to the working
-    precision on the way back, as ``matmul`` would round it on input.  A
-    numerically singular matrix raises :class:`VanishingDivisor`.
-    """
-    rs = mat.flat[0].rs
-    n = mat.shape[0]
-    with mp.workprec(rs.precision_bits):
-        try:
-            inv = to_mp_matrix(mat) ** -1
-        except ZeroDivisionError as exc:
-            raise VanishingDivisor(f"inverse of a singular matrix: {exc}") from exc
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        out[i] = from_mp_vector(rs, [inv[i, j] for j in range(n)], n)
     return out
 
 

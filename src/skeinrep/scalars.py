@@ -112,6 +112,10 @@ class RootSystem:
     MAX_N = 499
 
     def __init__(self, N: int, backend: str, precision_bits=None):
+        checked = {"N": N} if precision_bits is None else {"N": N, "precision_bits": precision_bits}
+        for name, value in checked.items():
+            if type(value) is not int:  # a bool or a float is refused too
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if N < 1 or N % 2 == 0:
             raise ValueError(f"N must be odd and >= 1, got {N}")
         if N > self.MAX_N:
@@ -125,7 +129,7 @@ class RootSystem:
                 precision_bits = DEFAULT_PRECISION_BITS
             if precision_bits < 64:
                 raise ValueError("precision must be at least 64 bits")
-            self.precision_bits = int(precision_bits)
+            self.precision_bits = precision_bits
             self.tolerance = Tolerance(2.0 ** (-self.precision_bits // 2))
             self.modulus = None
             self.degree = None

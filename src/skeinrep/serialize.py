@@ -7,8 +7,9 @@ system that is not a JSON object, a coefficient that is not a number, a
 zero denominator and a bigfloat part that is not a string with
 ``ValueError``, and "nan", "inf" and "-inf" with ``NonFiniteScalar``.  A
 representation's errors name the generator or puncture and the position of
-the entry; its top-level "N" must be its root system's, its "dim" a positive
-integer and its "provenance", when present, an object.
+the entry; its root system's "N" and "precision_bits" must be integers, its
+top-level "N" the same int, its "dim" a positive integer and its
+"provenance", when present, an object.
 Serialization is canonical: equal values produce byte-identical text.
 """
 
@@ -123,7 +124,7 @@ def rep_from_json(obj) -> Representation:
     _json_object(obj, "a representation")
     try:
         rs = root_system_from_json(_json_object(obj["root_system"], "root_system"))
-        if obj["N"] != rs.N:
+        if type(obj["N"]) is not int or obj["N"] != rs.N:
             raise ValueError(f"N = {obj['N']!r} is not the root system's N = {rs.N}")
         surface = surface_from_tag(obj["surface"])
         dim = obj["dim"]
@@ -142,7 +143,6 @@ def rep_from_json(obj) -> Representation:
             for i in range(dim):
                 for j in range(dim):
                     mat[i, j] = _scalar_at(rs, rows[i][j], f"generator {name} entry [{i}][{j}]")
-            mat.flags.writeable = False
             mats[name] = mat
         punctures = {name: _scalar_at(rs, s, f"puncture {name}") for name, s in obj["punctures"].items()}
     except KeyError as exc:

@@ -34,9 +34,8 @@ variant takes its own gauge's powers once (:class:`ladder.Gauge`) and
 assembles its ladder once; the sampler assembles none.  The pair
 certificates M_j M_i^{-1} of two base certificates held as monomials are
 again monomial, take dim divisions and reach the residuals as monomials; a
-dense certificate goes through ``matrices.inverse`` and ``matrices.matmul``.
-Every pair is checked by :func:`intertwiner_residuals` on the raw libmp
-kernel.
+pair with a dense base certificate is searched for directly.  Every pair is
+checked by :func:`intertwiner_residuals` on the raw libmp kernel.
 
 Residuals that are known exactly are not computed.  When a generator's two
 images are one scalar matrix s Id bit for bit (every off-diagonal entry an
@@ -179,19 +178,21 @@ class Monomial(namedtuple("Monomial", "sigma entries")):
         return Monomial(sigma, entries)
 
 
-def _certificate(m, rep_a, rep_b):
-    """Normalized certificate for a candidate m, or None when m is not invertible.
+def _certificate(m, rep_a, rep_b, tol):
+    """Normalized certificate for a candidate m, or None when m is refused.
 
     ``m`` is a dense matrix or a :class:`Monomial`; both give the same
-    certificate for the same matrix.
+    certificate for the same matrix.  A walked and a dense candidate pass
+    the same rule: a condition estimate of at most 1e12, then residuals
+    over every generator within :func:`_within_gate` at ``tol``.
     """
     mono = isinstance(m, Monomial)
     cond = _condition_estimate(m.complex128() if mono else matrices.to_complex128(m))
     if not math.isfinite(cond) or cond > 1e12:
         return None
-    m = m.normalized() if mono else _normalize_by_largest(m)
-    residuals = intertwiner_residuals(m, rep_a, rep_b)
-    return IsomorphismCertificate(m if mono else matrices.freeze(m), residuals, cond)
+    m = m.normalized() if mono else matrices.freeze(_normalize_by_largest(m))
+    cert = IsomorphismCertificate(m, intertwiner_residuals(m, rep_a, rep_b), cond)
+    return cert if _within_gate(cert, rep_a, rep_b, tol) else None
 
 
 def _exact_diagonal(m):
@@ -210,17 +211,11 @@ def _dense_intertwiner(rep_a, rep_b, tol):
     n = rep_a.dim
     system = commuting_system(rep_a, rep_b)
     if system.shape[0] == 0:
-        # every generator is a matching scalar; the identity intertwines
-        ident = matrices.identity(rep_a.rs, n)
-        return IsomorphismCertificate(matrices.freeze(ident),
-                                      intertwiner_residuals(ident, rep_a, rep_b), 1.0)
-    _, vectors = matrices.nullspace(system, tol)
-    for vec in vectors:
-        m = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                m[i, j] = vec[i * n + j]
-        cert = _certificate(m, rep_a, rep_b)
+        candidates = [matrices.identity(rep_a.rs, n)]  # every generator is a matching scalar
+    else:
+        candidates = (vec.reshape(n, n) for vec in matrices.nullspace(system, tol)[1])
+    for m in candidates:
+        cert = _certificate(m, rep_a, rep_b, tol)
         if cert is not None:
             return cert
     return None
@@ -246,9 +241,8 @@ def _monomial_intertwiner(rep_a, rep_b, sigma, tol):
     m_r = g_b[sigma[r], sigma[l]] m_l / g_a[r, l].  A breadth-first walk from
     m_0 = 1 over the non-X3 images (for the ladders, X1 steps) takes dim - 1
     divisions.  A line the walk cannot reach goes to the dense system.  Up to
-    scale the walk's M is the only monomial candidate, so it is accepted only
-    when :func:`_certificate` accepts it and its residuals over every
-    generator pass :func:`_within_gate`; otherwise no intertwiner exists.
+    scale the walk's M is the only monomial candidate, so when
+    :func:`_certificate` refuses it no intertwiner exists.
     """
     n = rep_a.dim
     images = [(rep_a.matrix(g), rep_b.matrix(g))
@@ -264,10 +258,7 @@ def _monomial_intertwiner(rep_a, rep_b, sigma, tol):
                     reached.append(r)
     if len(reached) < n:
         return _dense_intertwiner(rep_a, rep_b, tol)
-    cert = _certificate(Monomial(sigma, m), rep_a, rep_b)
-    if cert is None or not _within_gate(cert, rep_a, rep_b, tol):
-        return None
-    return cert
+    return _certificate(Monomial(sigma, m), rep_a, rep_b, tol)
 
 
 def intertwiner_search(rep_a: Representation, rep_b: Representation,
@@ -279,12 +270,13 @@ def intertwiner_search(rep_a: Representation, rep_b: Representation,
     an X3 eigenvalue of ``rep_a`` without a partner in ``rep_b`` refuses, and
     a simple spectrum fixes the eigenline permutation.  The dim unknowns are
     then walked along the nonzero entries of the other images from m_0 = 1
-    (:func:`_monomial_intertwiner`), and the candidate must pass the
-    residual gate over every generator, at ``tol`` or the root system's
-    tolerance.  A non-diagonal X3 image, a spectrum repeating within
-    tolerance or a line the walk cannot reach goes to the dense commuting
-    system with dim^2 unknowns.  Certificates are normalized so the largest
-    entry is 1, and carry residuals over every generator.
+    (:func:`_monomial_intertwiner`).  A non-diagonal X3 image, a spectrum
+    repeating within tolerance or a line the walk cannot reach goes to the
+    dense commuting system with dim^2 unknowns.  Walked and dense candidates
+    alike must pass the residual gate over every generator, at ``tol`` or
+    the root system's tolerance (:func:`_certificate`).  Certificates are
+    normalized so the largest entry is 1, and carry residuals over every
+    generator.
     """
     if rep_a.surface != rep_b.surface:
         raise ValueError("representations live on different surfaces")
@@ -509,21 +501,6 @@ def _build_variant_reps(variants):
     return [build(v) for v in variants]
 
 
-def _pair_matrix(m_j, m_i):
-    """(M_j M_i^{-1}, its condition estimate) for two base certificates.
-
-    Two :class:`Monomial` certificates compose by dim divisions into a
-    :class:`Monomial`, and the estimate reads the dim nonzeros; a dense one
-    goes through ``matrices.inverse`` and ``matrices.matmul``.
-    """
-    if isinstance(m_j, Monomial) and isinstance(m_i, Monomial):
-        pair = m_j.over(m_i)
-        return pair, _condition_estimate(pair.complex128())
-    dense_j, dense_i = (m.matrix() if isinstance(m, Monomial) else m for m in (m_j, m_i))
-    m = matrices.matmul(dense_j, matrices.inverse(dense_i))
-    return m, _condition_estimate(matrices.to_complex128(m))
-
-
 def _roundtrip_ok(rep, invariants, tol):
     shadow = extract_invariants(rep)
     ok = True
@@ -539,11 +516,12 @@ def uniqueness_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Sample generic invariants and certify the whole gauge orbit isomorphic.
 
     Per sample: build the representation from every gauge variant, solve for
-    base intertwiners M_j against the first variant, compose M_j M_i^{-1}
-    into an intertwiner for every pair i < j (:func:`_pair_matrix`), and
-    verify each pair's residual (the largest of
-    :func:`intertwiner_residuals`) and its double-precision condition
-    estimate; a pair (0, j) takes both from its certificate.  Any failed
+    base intertwiners M_j against the first variant, and certify every pair
+    i < j: two monomial base certificates compose into M_j M_i^{-1}
+    (:meth:`Monomial.over`), and a pair with a dense one is passed to
+    :func:`intertwiner_search`.  Each pair's residual (the largest of
+    :func:`intertwiner_residuals`) and double-precision condition estimate
+    are then checked; a pair (0, j) takes both from its certificate.  Any failed
     certificate, oversized residual or failed invariant round-trip marks the
     report failed with full reproduction data.
     """
@@ -586,17 +564,24 @@ def uniqueness_experiment(config: ExperimentConfig) -> ExperimentReport:
             if not failures:
                 for i in range(len(reps) - 1):
                     for j in range(i + 1, len(reps)):
-                        # a base pair's residuals and condition estimate are its certificate's own
-                        base = base_certs[j]
-                        res, cond = base.worst_residual, base.condition_estimate
-                        if i:
-                            m, cond = _pair_matrix(base.intertwiner, base_certs[i].intertwiner)
-                            res = max(intertwiner_residuals(m, reps[i], reps[j]).values())
-                        worst_residual = max(worst_residual, res)
                         pairs_checked += 1
-                        if not math.isfinite(cond):
+                        cert = base_certs[j]  # a pair (0, j) is its base certificate
+                        if i:
+                            m_i, m_j = base_certs[i].intertwiner, cert.intertwiner
+                            if isinstance(m_i, Monomial) and isinstance(m_j, Monomial):
+                                pair = m_j.over(m_i)
+                                cert = IsomorphismCertificate(
+                                    pair, intertwiner_residuals(pair, reps[i], reps[j]),
+                                    _condition_estimate(pair.complex128()))
+                            else:
+                                cert = intertwiner_search(reps[i], reps[j])
+                        if cert is None:
+                            failures.append(f"no intertwiner between variants {i} and {j}")
+                            continue
+                        worst_residual = max(worst_residual, cert.worst_residual)
+                        if not math.isfinite(cert.condition_estimate):
                             failures.append(f"intertwiner {i}->{j} not invertible")
-                        if res >= config.residual_threshold:
+                        if cert.worst_residual >= config.residual_threshold:
                             failures.append(f"residual too large for pair {i}->{j}")
         except SkeinError as exc:
             failures.append(f"construction error: {exc}")

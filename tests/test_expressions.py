@@ -459,21 +459,6 @@ def test_word_memo_takes_each_word_product_once_per_frozen_rep(rs3f, monkeypatch
         calls.clear()
 
 
-def test_word_memo_keeps_nothing_from_a_writeable_image(rs3f):
-    rep = torus_rep_fixture(rs3f)
-    x1 = rep.matrix("X1").copy()
-    loose = dataclasses.replace(rep, matrices=dict(rep.matrices, X1=x1))
-    nf = normalize(parse("X1^2 X2 + X1 X2", TORUS1, rs3f))
-    before = _raw_parts(evaluate_normal_form(nf, loose))
-    assert before == _raw_parts(evaluate_normal_form(nf, rep))
-    x1[0, 1] = x1[0, 1] + rs3f.one
-    after = _raw_parts(evaluate_normal_form(nf, loose))
-    assert after != before
-    assert after == _raw_parts(evaluate_normal_form(nf, dataclasses.replace(loose, matrices=dict(
-        loose.matrices, X1=matrices.freeze(x1.copy())))))
-    assert "words" not in loose._memo
-
-
 def test_replaced_rep_starts_with_an_empty_word_memo(rs3f):
     rep = torus_rep_fixture(rs3f)
     evaluate_normal_form(normalize(parse("X1 X2 X3^2", TORUS1, rs3f)), rep)

@@ -20,6 +20,7 @@ from skeinrep.sphere import build_sphere_rep_with_u, make_sphere_params, small_s
 from skeinrep.surfaces import TORUS1
 from skeinrep.torus import build_torus_rep, torus_params_exact, torus_params_from_shadow
 from skeinrep.uniqueness import intertwiner_residuals, sample_torus_shadow
+from test_uniqueness import lu_inverse
 
 
 @pytest.fixture(scope="module")
@@ -216,21 +217,6 @@ def test_replaced_rep_evaluates_its_own_chebyshev(rs, monkeypatch):
     assert bits(moved_copy.chebyshev("X1")) != bits(rep.chebyshev("X1"))
 
 
-def test_chebyshev_memo_is_frozen_and_skips_writeable_images(rs, monkeypatch):
-    rep = fresh_torus_rep(rs)
-    with pytest.raises(ValueError):
-        rep.chebyshev("X1")[0, 0] = rs.zero
-    writeable = {g: np.array(m, dtype=object) for g, m in rep.matrices.items()}
-    loose = Representation(rep.surface, rs, rep.dim, writeable, rep.puncture_scalars, {})
-    args = counted_chebyshev(monkeypatch)
-    first = loose.chebyshev("X1")
-    loose.matrix("X1")[0, 1] = loose.matrix("X1")[0, 1] + rs.one
-    second = loose.chebyshev("X1")
-    assert len(args) == 2
-    assert bits(second) == bits(chebyshev_eval(rs.N, loose.matrix("X1")))
-    assert bits(first) != bits(second)
-
-
 def counted_unpacks(monkeypatch):
     """Record the argument of every bigfloat kernel unpack."""
     original = matrices._raw_rows
@@ -260,24 +246,30 @@ def test_rows_memo_reads_frozen_images_once(rs, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 3])
-def test_chebyshev_leaves_writeable_images_writeable(n):
-    rep = fresh_torus_rep(make_root_system(n, "bigfloat", 256))
-    loose = dataclasses.replace(rep, matrices={g: m.copy() for g, m in rep.matrices.items()})
-    t_n = loose.chebyshev("X1")
-    assert loose.matrix("X1").flags.writeable and t_n is not loose.matrix("X1")
-    assert [e.pair for e in t_n.flat] == [e.pair for e in rep.chebyshev("X1").flat]
-
-
-def test_rows_memo_skips_writeable_images(rs, monkeypatch):
+@pytest.mark.parametrize("given", ["writeable", "frozen-view"])
+def test_rep_keeps_frozen_copies_of_writeable_images(n, given):
+    # the arrays a rep was built from stay the caller's: changing them, or the
+    # writeable arrays they are frozen views of, moves none of the rep's
+    # images, T_N, kernel rows or generator words
+    rs = make_root_system(n, "bigfloat", 256)
     rep = fresh_torus_rep(rs)
     writeable = {g: np.array(m, dtype=object) for g, m in rep.matrices.items()}
-    loose = Representation(rep.surface, rs, rep.dim, writeable, rep.puncture_scalars, {})
-    args = counted_unpacks(monkeypatch)
-    first = loose.rows("X1")
-    loose.matrix("X1")[0, 1] = loose.matrix("X1")[0, 1] + rs.one
-    second = loose.rows("X1")
-    assert len(args) == 2
-    assert second == matrices.kernel(rs).unpack(loose.matrix("X1")) and second != first
+    images = {g: m if given == "writeable" else matrices.freeze(m.view()) for g, m in writeable.items()}
+    loose = Representation(rep.surface, rs, rep.dim, images, rep.puncture_scalars, {})
+    words = parse("X1^2 X2 + X1 X2", TORUS1, rs)
+
+    def read(r):
+        return ([bits(r.matrix(g)) for g in r.surface.generators], bits(r.chebyshev("X1")),
+                r.rows("X2"), bits(evaluate(words, r)))
+
+    before = read(loose)
+    kept = dict(loose._memo["words"])
+    for m in writeable.values():
+        m[0, 0] = m[0, 0] + rs.one
+    assert read(loose) == before == read(rep)
+    assert loose._memo["words"] == kept
+    assert not any(m.flags.writeable for m in loose.matrices.values())
+    assert all(m.flags.writeable for m in writeable.values())
 
 
 def test_puncture_deviations_keep_their_float_bits(rs):
@@ -345,7 +337,7 @@ def test_commutant_basis_change_invariant(rs, torus_rep):
     for i in range(n):
         for j in range(n):
             g[i, j] = rs.scalar(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-    g_inv = matrices.inverse(g)
+    g_inv = lu_inverse(g)
     mats = {}
     for name, m in rep.matrices.items():
         mats[name] = matrices.freeze(matrices.matmul(matrices.matmul(g, m), g_inv))
@@ -388,7 +380,7 @@ def test_support_commutant_declines(torus_rep, rs):
     # X3 no longer diagonal
     g = matrices.identity(rs, 3)
     g[0, 1] = rs.scalar(complex(0.5, 0.25))
-    g_inv = matrices.inverse(g)
+    g_inv = lu_inverse(g)
     conj = {name: matrices.freeze(matrices.matmul(matrices.matmul(g, m), g_inv))
             for name, m in rep.matrices.items()}
     conjugated = Representation(rep.surface, rs, 3, conj, rep.puncture_scalars, {})

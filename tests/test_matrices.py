@@ -2,8 +2,7 @@
 
 The references below are the mpc-under-``workprec`` product, the object
 T_n recurrence, the accumulating commutant assembly, the entrywise scalar
-read-outs and the object-array intertwiner defect that the kernel replaced,
-and the mpmath-matrix inversion that ``matrices.inverse`` wraps.
+read-outs and the object-array intertwiner defect that the kernel replaced.
 Every comparison is on the ``_mpf_`` tuples of each entry, or on the
 residual floats.  The nullspace tests plant singular values on either side
 of the working-precision cut rel_eps * sigma_max.  The native-int rounding
@@ -34,7 +33,7 @@ import skeinrep
 from skeinrep import matrices
 from skeinrep import scalars as scalars_module
 from skeinrep.chebyshev import chebyshev_eval
-from skeinrep.errors import NonScalarChebyshev, VanishingDivisor
+from skeinrep.errors import NonScalarChebyshev
 from skeinrep.invariants import commuting_system
 from skeinrep.scalars import (RND, BigComplex, CyclotomicNumber, Tolerance, approx_eq, from_pair,
                               make_root_system, numeric_bridge, working_pair)
@@ -130,19 +129,6 @@ def reference_scalar_deviation(mat, rs):
             target = mean if i == j else rs.zero
             worst = max(worst, matrices.entry_magnitude(mat[i, j] - target))
     return mean, worst
-
-
-def reference_inverse(g):
-    rs = g.flat[0].rs
-    n = g.shape[0]
-    out = np.empty((n, n), dtype=object)
-    with mp.workprec(rs.precision_bits):
-        gm = matrices.to_mp_matrix(g) ** -1
-        for i in range(n):
-            for j in range(n):
-                z = gm[i, j]
-                out[i, j] = BigComplex(rs, z.real, z.imag)
-    return out
 
 
 def bits(mat):
@@ -358,65 +344,6 @@ def test_commuting_system_wide_entries():
     wide = dense(rep.rs, rng, 3, 3, prec=512)
     rep = dataclasses.replace(rep, matrices=dict(rep.matrices, X2=wide))
     assert bits(commuting_system(rep, rep)) == bits(reference_commuting_system(rep, rep))
-
-
-# ---------------------------------------------------------------------------
-# inverse
-# ---------------------------------------------------------------------------
-
-def assert_matches_reference(g_inv, g):
-    """Entries are the LU inverse rounded once to working precision.
-
-    mpmath's LU carries guard bits into its result; ``matmul`` rounds such
-    wide entries to working precision first, so products agree bit for bit.
-    """
-    rs = g.flat[0].rs
-    ref = reference_inverse(g)
-    with mp.workprec(rs.precision_bits):
-        assert bits(g_inv) == [((+e.re)._mpf_, (+e.im)._mpf_) for e in ref.flat]
-    x = dense(rs, random.Random(1), 2, g.shape[0])
-    assert bits(matrices.matmul(x, g_inv)) == bits(matrices.matmul(x, ref))
-
-
-def assert_identity(mat, rs):
-    n = mat.shape[0]
-    for i in range(n):
-        for j in range(n):
-            assert approx_eq(mat[i, j], rs.one if i == j else rs.zero)
-
-
-@pytest.mark.parametrize("n", [3, 5])
-def test_inverse_of_dense_matrix(n):
-    rs = rs_of(n)
-    rng = random.Random(80 + n)
-    g = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            g[i, j] = rs.scalar(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-    g_inv = matrices.inverse(g)
-    assert_matches_reference(g_inv, g)
-    assert_identity(matrices.matmul(g, g_inv), rs)
-    assert_identity(matrices.matmul(g_inv, g), rs)
-
-
-def test_inverse_of_singular_matrix_is_refused():
-    rs = rs_of(3)
-    g = np.array([[rs.one, rs.A], [rs.one, rs.A]], dtype=object)
-    with pytest.raises(VanishingDivisor):
-        matrices.inverse(g)
-
-
-def test_inverse_of_monomial_certificate():
-    rs = rs_of(3)
-    inv = sample_torus_shadow(rs, random.Random(90))
-    variants = gauge_orbit(torus_params_from_shadow(inv["t1"], inv["t2"], inv["t3"], inv["p"]))
-    cert = intertwiner_search(build_torus_rep(variants[0]), build_torus_rep(variants[4]))
-    assert cert is not None
-    m = cert.matrix
-    assert sum(1 for e in m.flat if e.re or e.im) == 3  # one entry per row and column
-    m_inv = matrices.inverse(m)
-    assert_matches_reference(m_inv, m)
-    assert_identity(matrices.matmul(m, m_inv), rs)
 
 
 # ---------------------------------------------------------------------------

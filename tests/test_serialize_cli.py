@@ -315,7 +315,15 @@ def test_cli_refuses_malformed_rep_entries(tmp_path, capsys, torus_rep_file, com
     (lambda rep: rep.update(dim="3"), "dim must be a positive integer, got '3'"),
     (lambda rep: rep.update(dim=0), "dim must be a positive integer, got 0"),
     (lambda rep: rep.update(provenance=5), "provenance must be a JSON object, got 5"),
-], ids=["string-dim", "zero-dim", "int-provenance"])
+    (lambda rep: rep["root_system"].update(precision_bits="256"),
+     "precision_bits must be an integer, got '256'"),
+    (lambda rep: rep["root_system"].update(precision_bits=100.5),
+     "precision_bits must be an integer, got 100.5"),
+    (lambda rep: rep.update(N=3.0, root_system=dict(rep["root_system"], N=3.0)),
+     "N must be an integer, got 3.0"),
+    (lambda rep: rep.update(N=3.0), "N = 3.0 is not the root system's N = 3"),
+], ids=["string-dim", "zero-dim", "int-provenance", "string-precision", "float-precision",
+        "float-N", "float-top-level-N"])
 def test_cli_verify_refuses_bad_dim_and_provenance(tmp_path, capsys, torus_rep_file, edit, message):
     from skeinrep.serialize import write_json
 
@@ -326,10 +334,7 @@ def test_cli_verify_refuses_bad_dim_and_provenance(tmp_path, capsys, torus_rep_f
     _assert_refused(capsys, ["verify", str(broken)], message)
 
 
-def test_cli_verify_refuses_boolean_dim(tmp_path, capsys):
-    # on an N = 1 file, true == 1 passed every shape check and ended in a TypeError traceback
-    from skeinrep.serialize import write_json
-
+def _n1_torus_payload():
     from skeinrep.chebyshev import solve_chebyshev
     from skeinrep.torus import puncture_chebyshev_value
 
@@ -337,11 +342,30 @@ def test_cli_verify_refuses_boolean_dim(tmp_path, capsys):
     t1, t2, t3 = (rs.scalar(z) for z in (complex(1.1, 0.3), complex(0.8, -0.2), complex(2.5, 0.9)))
     p = solve_chebyshev(puncture_chebyshev_value(t1, t2, t3)).values[0]
     payload = rep_to_json(build_torus_rep(torus_params_from_shadow(t1, t2, t3, p)))
-    assert payload["dim"] == 1
+    assert payload["dim"] == payload["N"] == payload["root_system"]["N"] == 1
+    return payload
+
+
+def test_cli_verify_refuses_boolean_dim(tmp_path, capsys):
+    # on an N = 1 file, true == 1 passed every shape check and ended in a TypeError traceback
+    from skeinrep.serialize import write_json
+
+    payload = _n1_torus_payload()
     payload["dim"] = True
     broken = tmp_path / "broken.json"
     write_json(broken, payload)
     _assert_refused(capsys, ["verify", str(broken)], "dim must be a positive integer, got True")
+
+
+def test_cli_verify_refuses_boolean_n(tmp_path, capsys):
+    # on an N = 1 file, true == 1 was accepted as RootSystem(N=True)
+    from skeinrep.serialize import write_json
+
+    payload = _n1_torus_payload()
+    payload["N"] = payload["root_system"]["N"] = True
+    broken = tmp_path / "broken.json"
+    write_json(broken, payload)
+    _assert_refused(capsys, ["verify", str(broken)], "N must be an integer, got True")
 
 
 @pytest.mark.parametrize("command", ["verify", "invariants", "isomorphic"])

@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from mpmath import mp
 from mpmath.libmp import from_man_exp, fzero
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,12 +42,23 @@ def conjugate(rep, g, g_inv):
     return Representation(rep.surface, rep.rs, rep.dim, mats, rep.puncture_scalars, {})
 
 
+def lu_inverse(g):
+    """g^-1 by mpmath's LU at the working precision, each entry rounded once on the way back."""
+    rs, n = g.flat[0].rs, g.shape[0]
+    with mp.workprec(rs.precision_bits):
+        inv = matrices.to_mp_matrix(g) ** -1
+    out = np.empty((n, n), dtype=object)
+    for i in range(n):
+        out[i] = matrices.from_mp_vector(rs, [inv[i, j] for j in range(n)], n)
+    return out
+
+
 def random_invertible(rs, n, rng):
     g = np.empty((n, n), dtype=object)
     for i in range(n):
         for j in range(n):
             g[i, j] = rs.scalar(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-    return g, matrices.inverse(g)
+    return g, lu_inverse(g)
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +247,46 @@ def test_walk_refuses_perturbed_x2(base_rep, monkeypatch):
     x2 = np.array(rep.matrix("X2"), dtype=object)
     x2[0, 1] = x2[0, 1] * rep.rs.scalar(complex(1, 1e-10))
     other = with_matrices(rep, X2=x2)
-    accepted = []
-    real_certificate = uniqueness._certificate
+    gated = []
+    real_gate = uniqueness._within_gate
 
-    def spy(m, rep_a, rep_b):
-        cert = real_certificate(m, rep_a, rep_b)
-        accepted.append(cert is not None)
-        return cert
+    def spy(cert, rep_a, rep_b, tol):
+        gated.append(real_gate(cert, rep_a, rep_b, tol))
+        return gated[-1]
 
-    monkeypatch.setattr(uniqueness, "_certificate", spy)
+    monkeypatch.setattr(uniqueness, "_within_gate", spy)
     # same X3 and puncture scalars, so the walk runs; its candidate is
     # invertible, and only the residual gate refuses it
     assert intertwiner_search(rep, other) is None
-    assert accepted == [True]
+    assert gated == [False]
+
+
+@pytest.mark.parametrize("eps,certified", [(1e-38, False), (1e-39, True)])
+def test_dense_certificate_passes_the_residual_gate(base_rep, monkeypatch, eps, certified):
+    # a sheared conjugate has no diagonal X3, so its certificate comes from the
+    # dense system; moving its X2[0, 1] by a factor 1 + eps i leaves a residual
+    # of about 1.7e-38 at eps = 1e-38, above the gate of about 1.4e-38
+    rep, _, _ = base_rep
+    rs = rep.rs
+    g = matrices.identity(rs, rep.dim)
+    g[0, 1] = rs.scalar(complex(0.5, 0.25))
+    sheared = conjugate(rep, g, lu_inverse(g))
+    x2 = np.array(sheared.matrix("X2"), dtype=object)
+    x2[0, 1] = x2[0, 1] * rs.scalar(complex(1, eps))
+    moved = with_matrices(sheared, X2=x2)
+    dense = []
+    real_dense = uniqueness._dense_intertwiner
+
+    def spy(rep_a, rep_b, tol):
+        dense.append(real_dense(rep_a, rep_b, tol))
+        return dense[-1]
+
+    monkeypatch.setattr(uniqueness, "_dense_intertwiner", spy)
+    cert = intertwiner_search(rep, moved)
+    assert len(dense) == 1 and (cert is not None) == certified
+    if certified:
+        gate = rs.tolerance.rel_eps * max(rep.largest_entry(), moved.largest_entry())
+        assert cert.worst_residual < gate
 
 
 def test_walk_unreachable_line_goes_dense(base_rep, monkeypatch):
@@ -406,7 +445,7 @@ def test_experiment_sphere_avoids_dense_system(monkeypatch):
 @pytest.mark.parametrize("surface", [TORUS1, SPHERE4])
 def test_pair_loop_stays_monomial(surface, monkeypatch):
     # the pair loop starts when the last of the 2N - 1 base searches returns;
-    # from there no dense inverse, matmul or general-kernel product runs
+    # from there no matmul or general-kernel product runs
     calls = Counter()
     real_search = uniqueness.intertwiner_search
 
@@ -423,12 +462,34 @@ def test_pair_loop_stays_monomial(surface, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(uniqueness, "intertwiner_search", search)
-    for name in ("inverse", "matmul", "_raw_product", "intertwining_defects"):
+    for name in ("matmul", "_raw_product", "intertwining_defects"):
         monkeypatch.setattr(matrices, name, watched(name, getattr(matrices, name)))
     report = uniqueness_experiment(ExperimentConfig(surface, 3, 1, seed=4))
     assert report.passed and report.records[0]["pairs_checked"] == 15
     # the 10 pairs (i, j) with 0 < i < j < 6 each take one residual call
     assert calls == {"search": 5, "intertwining_defects": 10}
+
+
+@pytest.mark.parametrize("surface", [TORUS1, SPHERE4])
+def test_experiment_searches_pairs_of_a_dense_base_certificate(surface, monkeypatch):
+    # variant 2's base certificate is taken from the dense system, so the
+    # pairs (1, 2), (2, 3), (2, 4) and (2, 5) are searched for, not composed
+    calls = []
+    real_search = uniqueness.intertwiner_search
+
+    def search(rep_a, rep_b, tol=None):
+        calls.append((rep_a, rep_b))
+        if len(calls) == 2:
+            return uniqueness._dense_intertwiner(rep_a, rep_b, tol)
+        return real_search(rep_a, rep_b, tol)
+
+    monkeypatch.setattr(uniqueness, "intertwiner_search", search)
+    report = uniqueness_experiment(ExperimentConfig(surface, 3, 1, seed=4))
+    assert report.passed, report.records[0]["failures"]
+    assert report.records[0]["pairs_checked"] == 15
+    two = calls[1][1]
+    assert len(calls) == 9
+    assert [(a is two, b is two) for a, b in calls[5:]] == [(False, True)] + [(True, False)] * 3
 
 
 @pytest.mark.parametrize("surface", [TORUS1, SPHERE4])
