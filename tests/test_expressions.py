@@ -459,6 +459,23 @@ def test_word_memo_takes_each_word_product_once_per_frozen_rep(rs3f, monkeypatch
         calls.clear()
 
 
+def test_word_memo_keeps_nothing_from_a_writeable_image(rs3f):
+    # a rep holds a frozen copy of a writeable image, so its word memo keeps
+    # products of that copy and none of the caller's later changes
+    rep = torus_rep_fixture(rs3f)
+    x1 = rep.matrix("X1").copy()
+    loose = dataclasses.replace(rep, matrices=dict(rep.matrices, X1=x1))
+    nf = normalize(parse("X1^2 X2 + X1 X2", TORUS1, rs3f))
+    before = _raw_parts(evaluate_normal_form(nf, loose))
+    assert before == _raw_parts(evaluate_normal_form(nf, rep))
+    kept = dict(loose._memo["words"])
+    x1[0, 1] = x1[0, 1] + rs3f.one
+    assert _raw_parts(evaluate_normal_form(nf, loose)) == before
+    assert loose._memo["words"].keys() == kept.keys()
+    assert all(loose._memo["words"][w] is v for w, v in kept.items())
+    assert loose.matrix("X1") is not x1 and x1.flags.writeable
+
+
 def test_replaced_rep_starts_with_an_empty_word_memo(rs3f):
     rep = torus_rep_fixture(rs3f)
     evaluate_normal_form(normalize(parse("X1 X2 X3^2", TORUS1, rs3f)), rep)

@@ -245,31 +245,57 @@ def test_rows_memo_reads_frozen_images_once(rs, monkeypatch):
     assert copy.rows("X1") == first and copy.rows("X1") is not first
 
 
-@pytest.mark.parametrize("n", [1, 3])
-@pytest.mark.parametrize("given", ["writeable", "frozen-view"])
-def test_rep_keeps_frozen_copies_of_writeable_images(n, given):
-    # the arrays a rep was built from stay the caller's: changing them, or the
-    # writeable arrays they are frozen views of, moves none of the rep's
-    # images, T_N, kernel rows or generator words
-    rs = make_root_system(n, "bigfloat", 256)
+def loose_reps(rs):
+    """Yield a torus rep, the writeable arrays a copy of it is built from, and
+    that copy: once from the arrays and once from frozen views of them."""
     rep = fresh_torus_rep(rs)
-    writeable = {g: np.array(m, dtype=object) for g, m in rep.matrices.items()}
-    images = {g: m if given == "writeable" else matrices.freeze(m.view()) for g, m in writeable.items()}
-    loose = Representation(rep.surface, rs, rep.dim, images, rep.puncture_scalars, {})
-    words = parse("X1^2 X2 + X1 X2", TORUS1, rs)
+    for view in (False, True):
+        writeable = {g: np.array(m, dtype=object) for g, m in rep.matrices.items()}
+        images = {g: matrices.freeze(m.view()) if view else m for g, m in writeable.items()}
+        yield rep, writeable, Representation(rep.surface, rs, rep.dim, images, rep.puncture_scalars, {})
 
-    def read(r):
-        return ([bits(r.matrix(g)) for g in r.surface.generators], bits(r.chebyshev("X1")),
-                r.rows("X2"), bits(evaluate(words, r)))
 
-    before = read(loose)
-    kept = dict(loose._memo["words"])
+def bump(writeable, rs):
     for m in writeable.values():
         m[0, 0] = m[0, 0] + rs.one
-    assert read(loose) == before == read(rep)
-    assert loose._memo["words"] == kept
-    assert not any(m.flags.writeable for m in loose.matrices.values())
-    assert all(m.flags.writeable for m in writeable.values())
+
+
+def test_chebyshev_memo_is_frozen_and_skips_writeable_images(rs, monkeypatch):
+    # a rep holds frozen copies of the caller's writeable arrays, so T_N is
+    # taken once, is frozen, and does not follow later changes to the arrays
+    args = counted_chebyshev(monkeypatch)
+    for rep, writeable, loose in loose_reps(rs):
+        args.clear()
+        first = loose.chebyshev("X1")
+        with pytest.raises(ValueError):
+            first[0, 0] = rs.zero
+        bump(writeable, rs)
+        assert loose.chebyshev("X1") is first and len(args) == 1
+        assert bits(first) == bits(rep.chebyshev("X1")) == bits(chebyshev_eval(rs.N, loose.matrix("X1")))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_chebyshev_leaves_writeable_images_writeable(n):
+    rs = make_root_system(n, "bigfloat", 256)
+    for rep, writeable, loose in loose_reps(rs):
+        t_n = loose.chebyshev("X1")
+        assert all(m.flags.writeable for m in writeable.values())
+        assert not any(m.flags.writeable for m in loose.matrices.values())
+        bump(writeable, rs)
+        assert [e.pair for e in t_n.flat] == [e.pair for e in rep.chebyshev("X1").flat]
+        assert [bits(loose.matrix(g)) for g in rep.surface.generators] == \
+            [bits(rep.matrix(g)) for g in rep.surface.generators]
+
+
+def test_rows_memo_skips_writeable_images(rs, monkeypatch):
+    args = counted_unpacks(monkeypatch)
+    for rep, writeable, loose in loose_reps(rs):
+        args.clear()
+        first = loose.rows("X1")
+        bump(writeable, rs)
+        assert loose.rows("X1") is first and len(args) == 1
+        k = matrices.kernel(rs)
+        assert first == k.unpack(rep.matrix("X1")) == k.unpack(loose.matrix("X1"))
 
 
 def test_puncture_deviations_keep_their_float_bits(rs):
