@@ -558,8 +558,8 @@ def evaluate(expr: SkeinExpr, rep):
             if e == 0:
                 value = _Id(k.entry(rs.one))
             elif e == 1:
-                rows = rep.rows(name)
-                value = _Id(rows[0][0]) if k.is_scalar(rows) else rows
+                img = rep.image(name)
+                value = _Id(img.rows[0][0]) if img.scalar else img.rows
             else:
                 start = next((d for d in range(e - 1, 1, -1) if ((name, d),) in words), 1)
                 value = power(name, start)

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import matrices
 from .chebyshev import chebyshev_eval
 from .expressions import evaluate, relation_defects
@@ -84,8 +82,7 @@ def verify_relations(rep: Representation, tol: Tolerance = None,
     rs = rep.rs
     rel_eps = (tol.rel_eps if tol is not None else rs.tolerance.rel_eps)
     residuals, exact_flags, checks = {}, {}, {}
-    is_scalar = matrices.kernel(rs).is_scalar
-    central = {f"central_{p}_{x}" for p in rep.surface.punctures if is_scalar(rep.rows(p))
+    central = {f"central_{p}_{x}" for p in rep.surface.punctures if rep.image(p).scalar
                for x in rep.surface.x_generators}
 
     for name, expr in relation_defects(rep.surface, rs).items():
@@ -268,8 +265,8 @@ def _support_commutant(rep):
     n = rep.dim
     cut = None
     if rep.rs.backend != "exact":
-        cut = _SUPPORT_MARGIN * max(np.abs(matrices.to_complex128(rep.matrix(g))).max()
-                                    for g in gens)
+        cut = _SUPPORT_MARGIN * matrices.largest_magnitude([(rep.matrix(g), rep.rows(g))
+                                                            for g in gens])
         if not cut > 0.0:
             return None
     x3 = rep.matrix("X3")

@@ -19,8 +19,12 @@ Intertwiner defects M A - B M of a monomial M = P_sigma diag(m), the shape
 every ladder-walk certificate has, are formed from the two terms each entry
 holds, m_k A[k, l] and B[sigma(k), sigma(l)] m_l, with the bits of the fused
 product.  A monomial comes in as its (sigma, m); a dense M takes the fused
-product whatever its shape.  A and B come in as kernel rows, which a
-representation keeps per image.
+product whatever its shape.  A and B come in as :class:`Image` s, kernel
+rows with whether they are exactly s Id and each row's nonzero columns,
+which a representation keeps per image: a monomial defect visits only the
+entries where one of its two terms is nonzero, O(nnz) per image, and its
+backward error (M A - B M) M^-1 takes the same pass.  The largest entry
+magnitude of an image converts only the entries whose exponents can hold it.
 
 Bigfloat rank and nullspace decisions come from one SVD at the root
 system's working precision: singular values below rel_eps * sigma_max count
@@ -32,17 +36,17 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fzero, mpf_gt, to_float
+from mpmath.libmp import fzero, mpf_div, mpf_gt, to_float
 
 from .errors import NonScalarChebyshev
 from .scalars import (RND, CyclotomicNumber, RootSystem, _add, _hypot_sum, _ints, _mpf, approx_eq,
                       from_pair, magnitude_exponent, numeric_bridge, pair_abs, pair_add, pair_mul,
-                      pair_sub, working_pair)
+                      working_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +236,11 @@ def _scalar_rows(rows) -> bool:
     return all(z == (s if i == j else None) for i, row in enumerate(rows) for j, z in enumerate(row))
 
 
+def _raw_support(rows):
+    """Each raw row's columns that hold no exact zero (None)."""
+    return [[j for j, z in enumerate(row) if z is not None] for row in rows]
+
+
 def _hypot2(z, prec):
     """:func:`scalars._hypot_sum` of a two-part entry as (exponent, mantissa).
 
@@ -323,11 +332,15 @@ def _exact_is_scalar(mat):
     return all(e == s if i == j else e.is_zero() for (i, j), e in np.ndenumerate(mat))
 
 
+def _exact_support(mat):
+    return [[j for j, e in enumerate(row) if not e.is_zero()] for row in mat]
+
+
 Kernel = namedtuple("Kernel", "unpack wrap product add worst "
-                               "entry times plus scale shift widen is_scalar")
+                               "entry times plus scale shift widen is_scalar support")
 _EXACT_KERNEL = Kernel(_same, np.copy, _exact_product, operator.add, _exact_worst,
                        _same, operator.mul, operator.add, _exact_scale, _exact_shift, scalar_matrix,
-                       _exact_is_scalar)
+                       _exact_is_scalar, _exact_support)
 
 
 def kernel(rs: RootSystem) -> Kernel:
@@ -340,7 +353,8 @@ def kernel(rs: RootSystem) -> Kernel:
     reads it, ``times`` and ``plus`` multiply and add two of them,
     ``scale(s, B, right=False)`` is (s Id) B or B (s Id), ``shift(s, B,
     right=False)`` is s Id + B or B + s Id, ``widen(s, n)`` is s Id, and
-    ``is_scalar(B)`` tells whether B is exactly s Id, with s = B[0][0].
+    ``is_scalar(B)`` tells whether B is exactly s Id, with s = B[0][0];
+    ``support(B)`` lists each row's columns that hold no exact zero.
     Each gives the bits the matrix operation on s Id gives.  The exact
     kernel works on object arrays and scalars as they are; the bigfloat
     kernel is the raw-row functions above at the working precision.
@@ -353,7 +367,7 @@ def kernel(rs: RootSystem) -> Kernel:
                   partial(_raw_worst, prec=prec), partial(_raw_entry, prec=prec),
                   partial(_raw_times, prec=prec), partial(_raw_plus, prec=prec),
                   partial(_raw_scale, prec=prec), partial(_raw_shift, prec=prec), _raw_widen,
-                  _scalar_rows)
+                  _scalar_rows, _raw_support)
 
 
 # ---------------------------------------------------------------------------
@@ -386,26 +400,85 @@ def chebyshev_matrix(n: int, arg):
     return k.wrap(prev2 if n == 0 else prev1)
 
 
-def _monomial_defect(sigma, m, a_rows, b_rows, prec):
-    """Raw entries of M A - B M, as one row, for the monomial M[sigma[k], k] = m[k].
+class Image(namedtuple("Image", "rows scalar support")):
+    """Kernel rows of an image with their pattern, as a representation keeps them.
 
-    Entry (sigma[k], l) is m_k A[k, l] - B[sigma[k], sigma[l]] m_l: row
-    sigma[k] and column l of M hold one nonzero each, so the fused
-    ``_raw_product(M, A, minus=B M)`` forms exactly these two terms there,
-    rounded by the same ``pair_mul`` and ``pair_sub``.  A term with an exact
-    zero factor is not formed, and an entry with neither term is zero.
+    ``scalar`` tells whether the rows are exactly s Id (the kernel's
+    ``is_scalar``), and ``support`` lists each row's columns that hold no
+    exact zero (the kernel's ``support``).  For bigfloat rows, ``ints``
+    holds each entry's signed mantissas and exponents
+    (:func:`scalars._ints`), read once.
     """
-    out = []
-    for k, (mk, a_row) in enumerate(zip(m, a_rows)):
-        b_row = b_rows[sigma[k]]
-        for l, a in enumerate(a_row):
-            b = b_row[sigma[l]]
-            if a is None and b is None:
-                continue
-            left = _RAW_ZERO if a is None else pair_mul(mk, a, prec)
-            right = _RAW_ZERO if b is None else pair_mul(b, m[l], prec)
-            out.append(pair_sub(left, right, prec))
-    return [out]
+
+    @cached_property
+    def ints(self):
+        return [[_ints(z) for z in row] for row in self.rows]
+
+
+def kernel_image(k, rows):
+    """The :class:`Image` of kernel rows of the kernel ``k``."""
+    return Image(rows, k.is_scalar(rows), k.support(rows))
+
+
+def _raw_monomial(m, prec):
+    """(sigma, sigma^-1, int parts of the entries) of a bigfloat monomial (sigma, entries).
+
+    The entries are read at working precision; None when one is an exact zero.
+    """
+    sigma, entries = m
+    raw = [working_pair(e.pair, prec) for e in entries]
+    if _RAW_ZERO in raw:
+        return None
+    inverse = [0] * len(sigma)
+    for k, j in enumerate(sigma):
+        inverse[j] = k
+    return sigma, inverse, [_ints(z) for z in raw]
+
+
+def _monomial_defect(sigma, inverse, m, a, b, prec):
+    """(columns, raw entries) of M A - B M, row by row, for the monomial M[sigma[k], k] = m[k].
+
+    ``m`` holds the entries' int parts and ``a`` and ``b`` are
+    :class:`Image` s.  Entry (sigma[k], l) is m_k A[k, l] - B[sigma[k],
+    sigma[l]] m_l: row sigma[k] and column l of M hold one nonzero each, so
+    the fused ``_raw_product(M, A, minus=B M)`` forms exactly these two
+    terms there.  Each is rounded as ``pair_mul(m_k, A[k, l])`` and
+    ``pair_mul(B[...], m_l)`` round it, and their difference as
+    ``pair_sub`` does, on ints through ``scalars._add``, whose results are
+    normalized, so no bit moves by skipping the ``_mpf_`` tuples between.
+    A term with an exact zero factor is not formed (a zero right term
+    leaves the left one as it is), and an entry with neither term is zero
+    and is not visited: row k walks A's row k support, then the columns of
+    B's row sigma[k] support, taken back through sigma, where A is zero,
+    which is O(nnz) per image.  Each entry comes with its column l.
+    """
+    cols, out = [], []
+    b_ints, b_support = b.ints, b.support
+    for k, ((mr, me, mi, mf), a_row, a_cols) in enumerate(zip(m, a.ints, a.support)):
+        sk = sigma[k]
+        b_row = b_ints[sk]
+        for l in a_cols:
+            ar, ae, ai, af = a_row[l]
+            dr, de = _add(mr * ar, me + ae, -mi * ai, mf + af, prec)
+            di, df = _add(mr * ai, me + af, mi * ar, mf + ae, prec)
+            y = b_row[sigma[l]]
+            if y is not None:
+                (br, be, bi, bf), (nr, ne, ni, nf) = y, m[l]
+                sr, se = _add(br * nr, be + ne, -bi * ni, bf + nf, prec)
+                si, sf = _add(br * ni, be + nf, bi * nr, bf + ne, prec)
+                dr, de = _add(dr, de, -sr, se, prec)
+                di, df = _add(di, df, -si, sf, prec)
+            cols.append(l)
+            out.append((_mpf(dr, de), _mpf(di, df)))
+        for j in b_support[sk]:
+            l = inverse[j]
+            if a_row[l] is None:
+                (br, be, bi, bf), (nr, ne, ni, nf) = b_row[j], m[l]
+                sr, se = _add(br * nr, be + ne, -bi * ni, bf + nf, prec)
+                si, sf = _add(br * ni, be + nf, bi * nr, bf + ne, prec)
+                cols.append(l)
+                out.append((_mpf(-sr, se), _mpf(-si, sf)))
+    return cols, out
 
 
 def monomial_matrix(sigma, entries):
@@ -416,45 +489,79 @@ def monomial_matrix(sigma, entries):
     return out
 
 
+def _scalar_pair(a, b):
+    """Whether the images a and b are one scalar matrix s Id, bit for bit."""
+    return a.scalar and b.scalar and a.rows[0][0] == b.rows[0][0]
+
+
 def intertwining_defects(m, pairs):
     """Float magnitude of the largest entry of M A - B M for each (A, B) in ``pairs``.
 
     ``m`` is an object array, or a monomial (sigma, entries) standing for
-    :func:`monomial_matrix`; each pair holds the kernel rows of A and B
-    (``kernel(rs).unpack``).  Each float equals
-    ``residual_report(matmul(m, a) - matmul(b, m))[1]``: M is unpacked once
-    and each defect is one fused ``product(M, A, minus=B M)`` of the kernel,
-    or, for a bigfloat (sigma, entries) with no entry zero at working
-    precision, the same entries from their two terms
-    (:func:`_monomial_defect`).  An object array always takes the fused
-    product, whatever its shape.  When A and B are one scalar matrix s Id
-    (the kernel's ``is_scalar`` on both, and equal diagonals), as puncture
-    images are, the defect is exactly zero and 0.0 is returned without the
-    products: the bigfloat kernel skips zero terms, so entry (i, j) is
-    m_ij s - s m_ij, and ``pair_mul`` rounds both products alike because
-    ``scalars._add`` is symmetric.  The test reads the images themselves,
-    which may come from a file.
+    :func:`monomial_matrix`; A and B are :class:`Image` s, as a
+    representation keeps them (:meth:`Representation.image`).  Each float equals ``residual_report(matmul(m, a) - matmul(b, m))[1]``:
+    M is unpacked once and each defect is one fused ``product(M, A, minus=B
+    M)`` of the kernel, or, for a bigfloat (sigma, entries) with no entry
+    zero at working precision, the same entries from their two terms over
+    the two images' supports, O(nnz) per pair (:func:`_monomial_defect`).
+    An object array always takes the fused product, whatever its shape.
+    When A and B are one scalar matrix s Id (both ``scalar`` flags, and
+    equal diagonals), as puncture images are, the defect is exactly zero and
+    0.0 is returned without the products: the bigfloat kernel skips zero
+    terms, so entry (i, j) is m_ij s - s m_ij, and ``pair_mul`` rounds both
+    products alike because ``scalars._add`` is symmetric.  The flags are
+    read off the images themselves, which may come from a file.
     """
     given = isinstance(m, tuple)
     rs = m[1][0].rs if given else m.flat[0].rs
-    k = kernel(rs)
     prec = rs.precision_bits
-    mono = None
-    if given and rs.backend == "bigfloat":
-        raw = [working_pair(e.pair, prec) for e in m[1]]
-        if _RAW_ZERO not in raw:
-            mono = (m[0], raw)
+    mono = _raw_monomial(m, prec) if given and rs.backend == "bigfloat" else None
     if mono is None:
+        k = kernel(rs)
         m_rows = k.unpack(monomial_matrix(*m) if given else m)
     out = []
-    for a_rows, b_rows in pairs:
-        if k.is_scalar(a_rows) and k.is_scalar(b_rows) and a_rows[0][0] == b_rows[0][0]:
+    for a, b in pairs:
+        if _scalar_pair(a, b):
             out.append(0.0)
         elif mono is not None:
-            out.append(_raw_worst(_monomial_defect(*mono, a_rows, b_rows, prec), prec)[1])
+            out.append(_raw_worst([_monomial_defect(*mono, a, b, prec)[1]], prec)[1])
         else:
-            out.append(k.worst(k.product(m_rows, a_rows, minus=k.product(b_rows, m_rows)))[1])
+            out.append(k.worst(k.product(m_rows, a.rows, minus=k.product(b.rows, m_rows)))[1])
     return out
+
+
+def monomial_backward_error(m, pairs) -> float:
+    """Float max |E| over (A, B) in ``pairs``, E = (M A - B M) M^-1, for a bigfloat monomial.
+
+    ``m`` is (sigma, entries) with no entry zero at working precision, and
+    ``pairs`` is as for :func:`intertwining_defects`.  B + E = M A M^-1 is
+    exactly similar to A, and entry (sigma[k], sigma[l]) of E is the defect
+    entry R[sigma[k], l] divided by m_l, so one O(nnz) pass over the defect
+    entries gives it (:func:`_monomial_defect`).  |R| / |m_l| lies within a
+    factor 4 of 2^(E - F), E and F the magnitude exponents of the two, so
+    only entries within 3 of the largest E - F take the rounded
+    ``pair_abs`` quotient; the largest is rounded to float once.
+    """
+    rs = m[1][0].rs
+    prec = rs.precision_bits
+    mono = _raw_monomial(m, prec)
+    raw = [working_pair(e.pair, prec) for e in m[1]]
+    m_exp = [magnitude_exponent(z) for z in raw]
+    found = []
+    for a, b in pairs:
+        if not _scalar_pair(a, b):
+            for l, d in zip(*_monomial_defect(*mono, a, b, prec)):
+                e = magnitude_exponent(d)
+                if e is not None:
+                    found.append((e - m_exp[l], l, d))
+    top = max((gap for gap, _, _ in found), default=None)
+    worst = fzero
+    for gap, l, d in found:
+        if gap >= top - 3:
+            q = mpf_div(pair_abs(d, prec), pair_abs(raw[l], prec), prec, RND)
+            if mpf_gt(q, worst):
+                worst = q
+    return to_float(worst, rnd=RND)
 
 
 def residual_report(mat):
@@ -524,6 +631,29 @@ def to_complex128(mat):
         for j in range(m):
             out[i, j] = to_complex(mat[i, j])
     return out
+
+
+def largest_magnitude(images) -> float:
+    """``max(float(np.abs(to_complex128(mat)).max()) for mat, rows in images)``.
+
+    ``images`` holds (mat, rows) pairs, rows the kernel rows of mat.  A
+    bigfloat entry is converted only when the magnitude exponent of its
+    working pair in the rows is within 2 of the largest one: any other lies
+    below half of the largest entry's magnitude, a gap that neither the
+    working-precision read nor the float rounding of :func:`to_complex` and
+    ``abs`` can close.  The few that are converted go through numpy's
+    ``abs`` as one complex128 array, since Python's ``abs`` of a complex can
+    differ from it in the last bit.  Exact matrices take the dense form.
+    """
+    if isinstance(images[0][0].flat[0], CyclotomicNumber):
+        return max(float(np.abs(to_complex128(mat)).max()) for mat, _ in images)
+    found = [(magnitude_exponent(z), mat, i, j) for mat, rows in images
+             for i, row in enumerate(rows) for j, z in enumerate(row) if z is not None]
+    if not found:
+        return 0.0
+    top = max(e for e, *_ in found)
+    near = [to_complex(mat[i, j]) for e, mat, i, j in found if e >= top - 2]
+    return float(np.abs(np.array(near, dtype=np.complex128)).max())
 
 
 def to_mp_matrix(mat):

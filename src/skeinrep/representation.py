@@ -4,9 +4,13 @@ A representation assigns one square matrix to every generator of its surface
 vocabulary; puncture generators always map to their scalar times the
 identity, and that scalar is also stored separately.  T_N of each loop
 image (:meth:`Representation.chebyshev`), each image's rows in the matrix
-kernel's working format (:meth:`Representation.rows`) and the largest entry
-magnitude (:meth:`Representation.largest_entry`) are computed once and kept
-in one memo.  The memo also holds, under ``"words"``, the generator words
+kernel's working format (:meth:`Representation.rows`), each image's pattern
+(:meth:`Representation.image`: whether its rows are exactly s Id, and each
+row's nonzero columns) and the largest entry magnitude
+(:meth:`Representation.largest_entry`) are computed once and kept in one
+memo.  Residuals, the puncture shortcuts and the ladder walk read the
+pattern, so no image is rescanned per pair.  The memo also holds, under
+``"words"``, the generator words
 :func:`expressions.evaluate` forms, in kernel format and keyed by their
 (name, exponent) factors.  A representation holds only frozen images (a
 writeable one, or a view, is copied and the copy frozen), so nothing kept
@@ -16,8 +20,6 @@ can go stale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import matrices
 from .chebyshev import chebyshev_eval
@@ -69,10 +71,18 @@ class Representation:
         """
         return self._kept(("rows", name), lambda: matrices.kernel(self.rs).unpack(self.matrix(name)))
 
+    def image(self, name: str):
+        """The kept rows of ``name`` with their pattern (:class:`matrices.Image`), once per rep."""
+        return self._kept(("image", name),
+                          lambda: matrices.kernel_image(matrices.kernel(self.rs), self.rows(name)))
+
     def largest_entry(self) -> float:
-        """Largest double-precision magnitude of an entry of any generator image."""
-        return self._kept("largest", lambda: max(
-            float(np.abs(matrices.to_complex128(self.matrix(g))).max()) for g in self.surface.generators))
+        """Largest double-precision magnitude of an entry of any generator image.
+
+        Taken by :func:`matrices.largest_magnitude` from the kept rows.
+        """
+        return self._kept("largest", lambda: matrices.largest_magnitude(
+            [(self.matrix(g), self.rows(g)) for g in self.surface.generators]))
 
 
 def assemble(surface, rs, dim, x_matrices, puncture_scalars, provenance=None):

@@ -30,7 +30,7 @@ raises :class:`BackendMismatch`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import frexp, gcd, inf, isqrt, lcm
@@ -49,6 +49,9 @@ DEFAULT_PRECISION_BITS = 256
 # mpmath 1.3's context has no public rounding setter and always rounds to
 # nearest, so this is the mode of mpc arithmetic at any context precision
 RND = round_nearest
+
+# the libmp pair of an exact zero
+_ZERO_PAIR = (fzero, fzero)
 
 # the smallest normal float: is_zero's exponent bounds hold for any tolerance above it
 _MIN_NORMAL = 2.0 ** -1022
@@ -92,13 +95,19 @@ def _fraction_sqrt(q: Fraction):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Relative comparison threshold.  rel_eps = 0 only makes sense exactly."""
+    """Relative comparison threshold.  rel_eps = 0 only makes sense exactly.
+
+    ``exponent`` is k with 2^(k-1) <= rel_eps < 2^k (``frexp(rel_eps)[1]``),
+    which the zero test reads on every call.
+    """
 
     rel_eps: float
+    exponent: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.rel_eps < inf:
             raise ValueError(f"rel_eps must be finite and nonnegative, got {self.rel_eps}")
+        object.__setattr__(self, "exponent", frexp(self.rel_eps)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +517,8 @@ class BigComplex:
         return mpmath.mpc(self.re, self.im)
 
     def _coerce(self, other):
+        if type(other) is BigComplex and other.rs is self.rs:
+            return other
         if isinstance(other, BigComplex):
             if not self.rs.compatible(other.rs):
                 raise BackendMismatch("bigfloat scalars from different root systems")
@@ -529,12 +540,13 @@ class BigComplex:
         the cut; E >= k + 2 puts it at or above 2^(k+1), over the cut once
         rel_eps < 1/2.  Only the four exponents between take :func:`pair_abs`.
         """
-        eps = self.rs.tolerance.rel_eps
+        tol = self.rs.tolerance
+        eps = tol.rel_eps
         prec = self.rs.precision_bits
         z = working_pair(self.pair, prec)
         e = magnitude_exponent(z)
         if e is not None and _MIN_NORMAL <= eps < 0.5:
-            k = frexp(eps)[1]
+            k = tol.exponent
             if e <= k - 3:
                 return True
             if e >= k + 2:
@@ -903,13 +915,19 @@ def approx_eq(a: Scalar, b: Scalar, tol: Tolerance = None) -> bool:
     """Exact equality in the exact backend; relative-magnitude comparison otherwise.
 
     Two bigfloat scalars agree when |a - b| < rel_eps * max(1, |a|, |b|).
+    Against an exact zero b this is |a| < rel_eps * max(1, |a|), decided on
+    a's working pair without forming a - 0, which is that pair itself.
     """
     if isinstance(a, CyclotomicNumber):
         return a == b
     o = a._coerce(b)
     prec = a.rs.precision_bits
-    x, y = working_pair(a.pair, prec), working_pair(o.pair, prec)
-    return below_cut(pair_sub(x, y, prec), (x, y), (tol or a.rs.tolerance).rel_eps, prec)
+    rel_eps = (tol or a.rs.tolerance).rel_eps
+    x = working_pair(a.pair, prec)
+    if o.pair == _ZERO_PAIR:
+        return below_cut(x, (x,), rel_eps, prec)
+    y = working_pair(o.pair, prec)
+    return below_cut(pair_sub(x, y, prec), (x, y), rel_eps, prec)
 
 
 def solve_quadratic(a: Scalar, b: Scalar, c: Scalar):

@@ -11,15 +11,22 @@ reach falls back to the dense problem in dim^2 unknowns.  For irreducible
 representations the solution space has dimension at most one and the
 certificate is unique up to scale.
 
-A walked certificate keeps the :class:`Monomial` (sigma, m) it was found as:
-the condition estimate converts its dim nonzeros, and normalization takes
-dim magnitudes and dim products, with the bits of the dense forms.  Its
-residuals come from the two terms of each defect entry:
-:func:`matrices.intertwining_defects` takes the (sigma, m) itself, and the
-kernel rows of each rep's images as the rep keeps them
-(:meth:`Representation.rows`), so an image is unpacked once per rep.  The
-certificate holds the monomial as its ``intertwiner``; the dense
-``matrix`` is formed only when read, as the ``isomorphic`` command reads it.
+A walked certificate keeps the :class:`Monomial` (sigma, m) it was found as,
+and every step on it costs O(nnz), with no LAPACK call and no complex128
+matrix.  Its condition number is the closed form max |m_k| / min |m_k|
+(:meth:`Monomial.condition`), and normalization takes dim magnitudes and dim
+products with the bits of the dense form.  Its residuals come from the two
+terms of each defect entry: :func:`matrices.intertwining_defects` takes the
+(sigma, m) itself and each image as the rep keeps it
+(:meth:`Representation.image`: kernel rows, whether they are exactly s Id,
+each row's nonzero columns), so an image is unpacked and scanned once per
+rep, and a defect visits only the entries where one of its two terms is
+nonzero.  The walk reads the same patterns.  A monomial is accepted by its
+backward error, not by a condition cap (:func:`_within_gate`): at N >= 13
+gauge certificates reach condition numbers of 1e14 and more while their
+backward errors stay far inside working precision.  The certificate holds
+the monomial as its ``intertwiner``; the dense ``matrix`` is formed only
+when read, as the ``isomorphic`` command reads it.
 
 The gauge scalar x3 of a construction is determined only up to the 2N moves
 x3 -> x3 A^{2l} and x3 -> x3^{-1} A^{2l}, all preserving t3 = x3^N + x3^{-N}.
@@ -35,16 +42,18 @@ assembles its ladder once; the sampler assembles none.  The pair
 certificates M_j M_i^{-1} of two base certificates held as monomials are
 again monomial, take dim divisions and reach the residuals as monomials; a
 pair with a dense base certificate is searched for directly.  Every pair is
-checked by :func:`intertwiner_residuals` on the raw libmp kernel.
+checked by :func:`intertwiner_residuals` on the raw libmp kernel and by the
+gate of the base certificates.
 
 Residuals that are known exactly are not computed.  When a generator's two
 images are one scalar matrix s Id bit for bit (every off-diagonal entry an
 exact zero), as the puncture images of two reps with equal puncture scalars
 are, M s Id - s Id M is exactly zero in the kernel, so its residual is 0.0
-without the two products.  This is read off the images themselves, never
-off ``puncture_scalars``: a rep file may hold any puncture image.  The
-residual gate's scale, the largest entry over a rep's images, is taken once
-per rep (:meth:`Representation.largest_entry`).
+without the two products.  This is read off the images themselves (the
+flag each rep keeps per image), never off ``puncture_scalars``: a rep file
+may hold any puncture image.  The residual gate's scale, the largest entry
+over a rep's images, is taken once per rep from its kept rows
+(:meth:`Representation.largest_entry`).
 """
 
 from __future__ import annotations
@@ -64,7 +73,7 @@ from .errors import SkeinError
 from .invariants import commuting_system, extract_invariants
 from .ladder import is_pm2
 from .representation import Representation
-from .scalars import CyclotomicNumber, RootSystem, Tolerance, approx_eq, make_root_system
+from .scalars import RootSystem, Tolerance, approx_eq, make_root_system
 from .sphere import (build_sphere_rep_from_params, ladder_product_closed_form,
                      make_sphere_params, trace_laws)
 from .surfaces import Surface
@@ -104,12 +113,16 @@ def intertwiner_residuals(m, rep_a: Representation, rep_b: Representation) -> di
 
     ``m`` is a dense matrix or a :class:`Monomial`.  Bigfloat defects run on
     the raw libmp kernel through :func:`matrices.intertwining_defects`, on
-    the rows each rep keeps (:meth:`Representation.rows`), bit-identical to
-    ``residual_report(matmul(m, g_a) - matmul(g_b, m))``.
+    the rows and patterns each rep keeps (:meth:`Representation.image`),
+    bit-identical to ``residual_report(matmul(m, g_a) - matmul(g_b, m))``.
     """
-    gens = rep_a.surface.generators
-    pairs = [(rep_a.rows(g), rep_b.rows(g)) for g in gens]
-    return dict(zip(gens, matrices.intertwining_defects(m, pairs)))
+    return dict(zip(rep_a.surface.generators,
+                    matrices.intertwining_defects(m, _image_pairs(rep_a, rep_b))))
+
+
+def _image_pairs(rep_a, rep_b):
+    """Each generator's two images, with their patterns, as each rep keeps them."""
+    return [(rep_a.image(g), rep_b.image(g)) for g in rep_a.surface.generators]
 
 
 def _condition_estimate(md) -> float:
@@ -137,22 +150,26 @@ class Monomial(namedtuple("Monomial", "sigma entries")):
     """M = P_sigma diag(entries): M[sigma[k], k] = entries[k], exact zeros elsewhere.
 
     Every ladder-walk certificate has this shape, and so has the composition
-    of two; these methods give the bits of the dense matrix's
-    ``to_complex128`` and :func:`_normalize_by_largest` from the dim
-    nonzeros alone.
+    of two; these methods give the condition number and the bits of
+    :func:`_normalize_by_largest` from the dim nonzeros alone.
     """
-
-    __slots__ = ()
 
     def matrix(self):
         return matrices.monomial_matrix(self.sigma, self.entries)
 
-    def complex128(self):
-        n = len(self.entries)
-        out = np.zeros((n, n), dtype=np.complex128)
-        for k, e in enumerate(self.entries):
-            out[self.sigma[k], k] = matrices.to_complex(e)
-        return out
+    @cached_property
+    def magnitudes(self):
+        """Float magnitude of each entry, ``abs`` of :func:`matrices.to_complex`, taken once."""
+        return [abs(matrices.to_complex(e)) for e in self.entries]
+
+    def condition(self) -> float:
+        """max |m_k| / min |m_k|, the ratio of M's singular values; inf when one is 0.
+
+        The singular values of P_sigma diag(m) are the |m_k|, so this is the
+        closed form of :func:`_condition_estimate` of the dense matrix.
+        """
+        low = min(self.magnitudes)
+        return max(self.magnitudes) / low if low else math.inf
 
     def normalized(self):
         """Scaled by the inverse of the first entry, row by row, of the largest float magnitude.
@@ -181,29 +198,33 @@ class Monomial(namedtuple("Monomial", "sigma entries")):
 def _certificate(m, rep_a, rep_b, tol):
     """Normalized certificate for a candidate m, or None when m is refused.
 
-    ``m`` is a dense matrix or a :class:`Monomial`; both give the same
-    certificate for the same matrix.  A walked and a dense candidate pass
-    the same rule: a condition estimate of at most 1e12, then residuals
-    over every generator within :func:`_within_gate` at ``tol``.
+    ``m`` is a dense matrix or a :class:`Monomial`.  Either needs a finite
+    condition number, then residuals over every generator that pass
+    :func:`_within_gate` at ``tol``.  A monomial's condition number is its
+    closed form (:meth:`Monomial.condition`) and has no cap, since the gate
+    bounds its backward error; a dense candidate's is estimated by a
+    complex128 SVD, which cannot certify much above 1e15, and is capped at
+    1e12.
     """
     mono = isinstance(m, Monomial)
-    cond = _condition_estimate(m.complex128() if mono else matrices.to_complex128(m))
-    if not math.isfinite(cond) or cond > 1e12:
+    cond = m.condition() if mono else _condition_estimate(matrices.to_complex128(m))
+    if not math.isfinite(cond) or (not mono and cond > 1e12):
         return None
     m = m.normalized() if mono else matrices.freeze(_normalize_by_largest(m))
     cert = IsomorphismCertificate(m, intertwiner_residuals(m, rep_a, rep_b), cond)
     return cert if _within_gate(cert, rep_a, rep_b, tol) else None
 
 
-def _exact_diagonal(m):
-    """Diagonal of m when every off-diagonal entry is exactly zero, else None."""
-    n = m.shape[0]
-    for i in range(n):
-        for j in range(n):
-            e = m[i, j]
-            if i != j and (not e.is_zero() if isinstance(e, CyclotomicNumber) else e.re or e.im):
-                return None
-    return [m[i, i] for i in range(n)]
+def _exact_diagonal(rep, name):
+    """Diagonal of an image when every off-diagonal entry is exactly zero, else None.
+
+    Read off the image's kept pattern (:meth:`Representation.image`).
+    """
+    support = rep.image(name).support
+    if any(cols and cols != [i] for i, cols in enumerate(support)):
+        return None
+    m = rep.matrix(name)
+    return [m[i, i] for i in range(rep.dim)]
 
 
 def _dense_intertwiner(rep_a, rep_b, tol):
@@ -222,15 +243,53 @@ def _dense_intertwiner(rep_a, rep_b, tol):
 
 
 def _within_gate(cert, rep_a, rep_b, tol) -> bool:
-    """Whether every residual is below rel_eps * max(1, largest generator entry).
+    """Whether the certificate's error is below rel_eps * max(1, largest generator entry).
 
-    The exact backend requires every residual to be exactly zero.
+    A dense certificate's error is its worst residual.  A :class:`Monomial`
+    M's is its backward error (Higham, *Accuracy and Stability*, ch. 7):
+    the largest entry of E = (M g_a - g_b M) M^-1 over the generators.
+    g_b + E = M g_a M^-1 is exactly similar to g_a, so a small E puts every
+    g_b within the gate of an exact conjugate of the g_a, however large
+    M's condition number.  Entry (sigma[k], sigma[l]) of E is R[sigma[k], l]
+    / m_l, R the defect, so max |E| <= worst residual / min |m_k|, which is
+    worst residual * cond for a normalized M (largest |m_k| = 1).  That
+    bound costs nothing and settles most certificates; otherwise the exact
+    max |E| is taken in one O(nnz) pass
+    (:func:`matrices.monomial_backward_error`).  The exact backend requires
+    every residual to be exactly zero.
     """
     if rep_a.rs.backend == "exact":
         return cert.worst_residual == 0.0
     rel_eps = tol.rel_eps if tol is not None else rep_a.rs.tolerance.rel_eps
-    scale = max(rep_a.largest_entry(), rep_b.largest_entry())
-    return cert.worst_residual < rel_eps * max(1.0, scale)
+    cut = rel_eps * max(1.0, rep_a.largest_entry(), rep_b.largest_entry())
+    m = cert.intertwiner
+    if not isinstance(m, Monomial):
+        return cert.worst_residual < cut
+    if cert.worst_residual / min(m.magnitudes) < cut:
+        return True
+    return matrices.monomial_backward_error(m, _image_pairs(rep_a, rep_b)) < cut
+
+
+def _partners(lam_a, lam_b, tol):
+    """For each x of lam_a, the j in increasing order with ``approx_eq(lam_b[j], x, tol)``.
+
+    A complex128 screen passes over the pairs that cannot agree, so the
+    matching takes dim^2 float distances and about dim ``approx_eq`` calls:
+    each part is read within 2^-53 of its value, so agreeing x and y, with
+    |x - y| < rel_eps * max(1, |x|, |y|), are less than (rel_eps + 2^-50)
+    max(1, |x|, |y|) apart in floats, under half the screen's cut.  A value
+    too large for a float screens nothing.
+    """
+    rel_eps = (tol or lam_a[0].rs.tolerance).rel_eps
+    za = np.array([matrices.to_complex(x) for x in lam_a])
+    zb = np.array([matrices.to_complex(y) for y in lam_b])
+    if np.isfinite(za).all() and np.isfinite(zb).all():
+        scale = np.maximum(1.0, np.maximum.outer(np.abs(za), np.abs(zb)))
+        near = np.abs(za[:, None] - zb[None, :]) <= 2 * (rel_eps + 2.0 ** -48) * scale
+    else:
+        near = np.ones((len(lam_a), len(lam_b)), dtype=bool)
+    return [[j for j in np.flatnonzero(row).tolist() if approx_eq(lam_b[j], x, tol)]
+            for x, row in zip(lam_a, near)]
 
 
 def _monomial_intertwiner(rep_a, rep_b, sigma, tol):
@@ -242,17 +301,27 @@ def _monomial_intertwiner(rep_a, rep_b, sigma, tol):
     m_0 = 1 over the non-X3 images (for the ladders, X1 steps) takes dim - 1
     divisions.  A line the walk cannot reach goes to the dense system.  Up to
     scale the walk's M is the only monomial candidate, so when
-    :func:`_certificate` refuses it no intertwiner exists.
+    :func:`_certificate` refuses it no intertwiner exists.  Column l of each
+    g_a is read off its kept pattern: the rows r it lists are the entries
+    that are not exact zeros, in increasing r, and an exact zero is never
+    nonzero at working precision, so the walk takes the steps a scan of
+    every row would.
     """
     n = rep_a.dim
-    images = [(rep_a.matrix(g), rep_b.matrix(g))
-              for g in rep_a.surface.x_generators if g != "X3"]
+    images = []
+    for g in rep_a.surface.x_generators:
+        if g != "X3":
+            columns = [[] for _ in range(n)]
+            for r, cols in enumerate(rep_a.image(g).support):
+                for l in cols:
+                    columns[l].append(r)
+            images.append((rep_a.matrix(g), rep_b.matrix(g), columns))
     m = [None] * n
     m[0] = rep_a.rs.one
     reached = [0]
     for l in reached:  # grows while it is walked
-        for ga, gb in images:
-            for r in range(n):
+        for ga, gb, columns in images:
+            for r in columns[l]:
                 if m[r] is None and not ga[r, l].is_zero():
                     m[r] = gb[sigma[r], sigma[l]] * m[l] / ga[r, l]
                     reached.append(r)
@@ -287,12 +356,12 @@ def intertwiner_search(rep_a: Representation, rep_b: Representation,
             return None
     if "X3" not in rep_a.surface.x_generators:
         return _dense_intertwiner(rep_a, rep_b, tol)
-    lam_a = _exact_diagonal(rep_a.matrix("X3"))
-    lam_b = _exact_diagonal(rep_b.matrix("X3"))
+    lam_a = _exact_diagonal(rep_a, "X3")
+    lam_b = _exact_diagonal(rep_b, "X3")
     if lam_a is None or lam_b is None:
         return _dense_intertwiner(rep_a, rep_b, tol)
     n = rep_a.dim
-    partners = [[j for j, y in enumerate(lam_b) if approx_eq(y, x, tol)] for x in lam_a]
+    partners = _partners(lam_a, lam_b, tol)
     if not all(partners):
         return None  # similar diagonal matrices share their spectrum
     sigma = [p[0] for p in partners]
@@ -519,10 +588,14 @@ def uniqueness_experiment(config: ExperimentConfig) -> ExperimentReport:
     base intertwiners M_j against the first variant, and certify every pair
     i < j: two monomial base certificates compose into M_j M_i^{-1}
     (:meth:`Monomial.over`), and a pair with a dense one is passed to
-    :func:`intertwiner_search`.  Each pair's residual (the largest of
-    :func:`intertwiner_residuals`) and double-precision condition estimate
-    are then checked; a pair (0, j) takes both from its certificate.  Any failed
-    certificate, oversized residual or failed invariant round-trip marks the
+    :func:`intertwiner_search`.  Every pair's certificate must have a finite
+    condition number (the closed form :meth:`Monomial.condition` for a
+    composed pair), pass the gate of the base certificates
+    (:func:`_within_gate`, a backward-error rule for a monomial) and keep
+    its residual (the largest of :func:`intertwiner_residuals`) below
+    ``residual_threshold``; a pair (0, j) is its base certificate, which
+    passed the gate when it was found.  Any failed certificate, oversized
+    residual or backward error, or failed invariant round-trip marks the
     report failed with full reproduction data.
     """
     if config.samples < 1:
@@ -572,7 +645,7 @@ def uniqueness_experiment(config: ExperimentConfig) -> ExperimentReport:
                                 pair = m_j.over(m_i)
                                 cert = IsomorphismCertificate(
                                     pair, intertwiner_residuals(pair, reps[i], reps[j]),
-                                    _condition_estimate(pair.complex128()))
+                                    pair.condition())
                             else:
                                 cert = intertwiner_search(reps[i], reps[j])
                         if cert is None:
@@ -581,6 +654,8 @@ def uniqueness_experiment(config: ExperimentConfig) -> ExperimentReport:
                         worst_residual = max(worst_residual, cert.worst_residual)
                         if not math.isfinite(cert.condition_estimate):
                             failures.append(f"intertwiner {i}->{j} not invertible")
+                        elif not _within_gate(cert, reps[i], reps[j], None):
+                            failures.append(f"backward error too large for pair {i}->{j}")
                         if cert.worst_residual >= config.residual_threshold:
                             failures.append(f"residual too large for pair {i}->{j}")
         except SkeinError as exc:

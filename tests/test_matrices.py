@@ -27,7 +27,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_abs, mpc_add, mpc_mul, mpc_sub, mpf_add,
-                          mpf_gt, mpf_mul, mpf_pos, mpf_sub, round_down, to_float)
+                          mpf_div, mpf_gt, mpf_mul, mpf_pos, mpf_sub, round_down, to_float)
 
 import skeinrep
 from skeinrep import matrices
@@ -417,7 +417,8 @@ def test_scalar_pair_defect_is_exactly_zero(seed, n, monomial):
     k = matrices.kernel(rs)
     m_rows = k.unpack(m)
     assert k.worst(k.product(m_rows, k.unpack(a), minus=k.product(k.unpack(b), m_rows))) == (True, 0.0)
-    assert matrices.intertwining_defects(m, [(k.unpack(a), k.unpack(b))]) == [0.0]
+    images = [(matrices.kernel_image(k, k.unpack(a)), matrices.kernel_image(k, k.unpack(b)))]
+    assert matrices.intertwining_defects(m, images) == [0.0]
 
 
 def nonzero_spread_entry(rs, rng, prec):
@@ -425,6 +426,21 @@ def nonzero_spread_entry(rs, rng, prec):
         e = spread_entry(rs, rng, prec)
         if e.re or e.im:
             return e
+
+
+def sparse_defect(k, mono, sigma, a_rows, b_rows, prec):
+    """(image pairs, nonzero entries of ``_monomial_defect`` by (row, column)).
+
+    Checks that it visits, row by row, exactly the entries where a term is nonzero.
+    """
+    images = [(matrices.kernel_image(k, a_rows), matrices.kernel_image(k, b_rows))]
+    cols, defect = matrices._monomial_defect(*mono, *images[0], prec)
+    n = len(sigma)
+    terms = [(sigma[c], l) for c in range(n) for l in range(n)
+             if a_rows[c][l] is not None or b_rows[sigma[c]][sigma[l]] is not None]
+    visited = list(zip([i for i, _ in terms], cols))
+    assert sorted(visited) == sorted(terms)
+    return images, {ij: z for ij, z in zip(visited, defect) if z != (fzero, fzero)}
 
 
 @settings(max_examples=150, deadline=None)
@@ -448,25 +464,96 @@ def test_monomial_defect_matches_fused_product(seed, n, zero_share):
                         img[i, j] = spread_entry(rs, rng, prec)
     k = matrices.kernel(rs)
     m_rows, a_rows, b_rows = k.unpack(m), k.unpack(a), k.unpack(b)
-    mono = (sigma, [m_rows[sigma[c]][c] for c in range(n)])
+    mono = matrices._raw_monomial((sigma, [m[sigma[c], c] for c in range(n)]), prec)
     fused = k.product(m_rows, a_rows, minus=k.product(b_rows, m_rows))
     want = {(i, j): z for i, row in enumerate(fused) for j, z in enumerate(row) if z is not None}
-    entries = iter(matrices._monomial_defect(*mono, a_rows, b_rows, prec)[0])
-    got = {}
-    for c in range(n):
-        for l in range(n):
-            if a_rows[c][l] is not None or b_rows[sigma[c]][sigma[l]] is not None:
-                z = next(entries)
-                if z != (fzero, fzero):
-                    got[sigma[c], l] = z
-    assert next(entries, None) is None
+    images, got = sparse_defect(k, mono, sigma, a_rows, b_rows, prec)
     assert got == want
     worst = [mpc_worst(fused, prec)[1]]
     # the dense M takes the fused product, and the same monomial given as
     # (sigma, entries) takes the two-term path without being rebuilt
-    assert matrices.intertwining_defects(m, [(a_rows, b_rows)]) == worst
+    assert matrices.intertwining_defects(m, images) == worst
     entries = [m[sigma[c], c] for c in range(n)]
-    assert matrices.intertwining_defects((sigma, entries), [(a_rows, b_rows)]) == worst
+    assert matrices.intertwining_defects((sigma, entries), images) == worst
+
+
+def some_columns(rng, n):
+    """A nonempty random subset of range(n)."""
+    return rng.sample(range(n), rng.randint(1, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 7), spread=st.booleans(),
+       kinds=st.lists(st.sampled_from(["A", "B", "both", "neither"]), min_size=7, max_size=7))
+def test_sparse_monomial_defect_walks_both_supports(seed, n, spread, kinds):
+    # row k of A and row sigma[k] of B, taken back through sigma, hold their
+    # nonzeros at different columns: only A, only B, both (independently) or
+    # neither; entries 2^+-300 apart, or all within a factor 8 of each other
+    kinds = kinds[:n]
+    assume("B" in kinds)
+    rs = rs_of(3)
+    prec = rs.precision_bits
+    rng = random.Random(seed)
+    sigma = rng.sample(range(n), n)
+    m, a, b = matrices.zeros(rs, n), matrices.zeros(rs, n), matrices.zeros(rs, n)
+
+    def entry():
+        if spread:
+            return nonzero_spread_entry(rs, rng, prec)
+        return rs.scalar(complex(rng.uniform(0.5, 2), 0)) * rs.a_pow(rng.randrange(6))
+
+    with mp.workprec(prec):
+        for k in range(n):
+            m[sigma[k], k] = entry()
+        for k, kind in enumerate(kinds):
+            if kind in ("A", "both"):
+                for l in some_columns(rng, n):
+                    a[k, l] = entry()
+            if kind in ("B", "both"):
+                for l in some_columns(rng, n):
+                    b[sigma[k], sigma[l]] = entry()
+    k = matrices.kernel(rs)
+    m_rows, a_rows, b_rows = k.unpack(m), k.unpack(a), k.unpack(b)
+    entries = [m[sigma[c], c] for c in range(n)]
+    fused = k.product(m_rows, a_rows, minus=k.product(b_rows, m_rows))
+    want = {(i, j): z for i, row in enumerate(fused) for j, z in enumerate(row) if z is not None}
+    images, got = sparse_defect(k, matrices._raw_monomial((sigma, entries), prec), sigma,
+                                a_rows, b_rows, prec)
+    assert got == want
+    assert matrices.intertwining_defects((sigma, entries), images) == [mpc_worst(fused, prec)[1]]
+    # the backward error (M A - B M) M^-1 divides column l of the defect by m_l
+    worst = fzero
+    for (i, l), z in want.items():
+        q = mpf_div(mpc_abs(z, prec, RND), mpc_abs(m_rows[sigma[l]][l], prec, RND), prec, RND)
+        worst = q if mpf_gt(q, worst) else worst
+    assert matrices.monomial_backward_error((sigma, entries), images) == to_float(worst, rnd=RND)
+
+
+def edge_part(rng, prec):
+    """An mpf of 1, 53, prec or prec + 20 bits within 2^+-4 of 1, often at a power-of-two edge."""
+    bits = rng.choice([1, 53, prec, prec + 20])
+    man = rng.choice([(1 << bits) - 1, 1 << (bits - 1), rng.getrandbits(bits) | (1 << (bits - 1))])
+    return from_man_exp(rng.choice([-1, 1]) * man, rng.randint(-4, 3) - bits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6), count=st.integers(1, 3),
+       zero_share=st.sampled_from([0.0, 0.3, 1.0]))
+def test_largest_magnitude_matches_dense_float(seed, n, count, zero_share):
+    # entries wider than the working precision round across a power of two when read
+    rs = rs_of(3)
+    prec = rs.precision_bits
+    rng = random.Random(seed)
+    mats = [matrices.zeros(rs, n) for _ in range(count)]
+    for mat in mats:
+        for i in range(n):
+            for j in range(n):
+                if rng.random() >= zero_share:
+                    parts = [edge_part(rng, prec) if rng.random() < 0.8 else fzero for _ in range(2)]
+                    mat[i, j] = from_pair(rs, tuple(parts))
+    want = max(float(np.abs(matrices.to_complex128(mat)).max()) for mat in mats)
+    got = matrices.largest_magnitude([(mat, matrices.kernel(rs).unpack(mat)) for mat in mats])
+    assert type(got) is float and got == want
 
 
 def reference_residual_report(mat):

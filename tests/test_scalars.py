@@ -856,3 +856,40 @@ def test_far_decisions_take_no_mpc_abs(monkeypatch):
     # x + eps / 64 passes every cut; 2x lies |x| away, within eps only for |x| = eps / 64,
     # and within 1e-20 for 64 eps as well
     assert same == [True] * 5 + [False, False, True, False, False] + [True] * 5 + [False, False, True, True, False]
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_cut_cases())
+def test_approx_eq_against_zero_forms_no_difference(case):
+    # a - 0 is a's working pair, so the decision is read off a alone
+    rs, tol, a, _ = case
+    calls = []
+    real = scalars.pair_sub
+    scalars.pair_sub = lambda *args: calls.append(args) or real(*args)
+    try:
+        got = approx_eq(a, rs.zero, tol)
+    finally:
+        scalars.pair_sub = real
+    assert not calls
+    assert got == _reference_approx_eq(a, rs.zero, tol), a
+
+
+def test_coerce_takes_a_scalar_of_the_same_root_system_first(monkeypatch):
+    rs = make_root_system(3, "bigfloat", 256)
+    other = make_root_system(3, "bigfloat", 256)  # equal, not the same object
+    x, y = rs.scalar(complex(0.5, 1.5)), rs.scalar(2)
+    monkeypatch.setattr(scalars.RootSystem, "compatible",
+                        lambda self, o: pytest.fail("compatible() called"))
+    assert x._coerce(y) is y
+    monkeypatch.undo()
+    z = other.scalar(2)
+    assert x._coerce(z) is z
+    with pytest.raises(BackendMismatch):
+        x._coerce(make_root_system(5, "bigfloat", 256).scalar(2))
+
+
+@pytest.mark.parametrize("rel_eps", [0.0, 2.0 ** -128, 1e-20, 0.25, 3.0])
+def test_tolerance_keeps_the_exponent_of_rel_eps(rel_eps):
+    tol = Tolerance(rel_eps)
+    assert tol.exponent == frexp(rel_eps)[1]
+    assert tol == Tolerance(rel_eps) and repr(tol) == f"Tolerance(rel_eps={rel_eps!r})"

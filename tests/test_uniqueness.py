@@ -201,7 +201,9 @@ def test_monomial_normalization_matches_dense(rs, seed, n):
     mono = uniqueness.Monomial(rng.sample(range(n), n), tied_entries(rs, rng, n))
     dense = mono.matrix()
     assert bits(mono.normalized().matrix()) == bits(uniqueness._normalize_by_largest(dense))
-    assert mono.complex128().tobytes() == matrices.to_complex128(dense).tobytes()
+    # the closed-form condition number is the ratio of LAPACK's extreme singular values
+    lapack = uniqueness._condition_estimate(matrices.to_complex128(dense))
+    assert mono.condition() == pytest.approx(lapack, rel=1e-12)
 
 
 def test_monomial_normalization_matches_dense_exact_backend():
@@ -544,10 +546,11 @@ def test_sphere_orbit_repeats_no_work(monkeypatch):
             return reps
         return wrapper
 
-    def to_complex128(real):
-        def wrapper(mat):
-            converted[id(mat)] += 1
-            return real(mat)
+    def largest_magnitude(real):
+        def wrapper(images):
+            for mat, _ in images:
+                converted[id(mat)] += 1
+            return real(images)
         return wrapper
 
     def power(real):
@@ -570,7 +573,7 @@ def test_sphere_orbit_repeats_no_work(monkeypatch):
                         counting("roots", sphere.chebyshev_at_puncture_roots))
     monkeypatch.setattr(uniqueness, "solve_chebyshev", counting("x3", uniqueness.solve_chebyshev))
     monkeypatch.setattr(uniqueness, "_build_variant_reps", variants(uniqueness._build_variant_reps))
-    monkeypatch.setattr(matrices, "to_complex128", to_complex128(matrices.to_complex128))
+    monkeypatch.setattr(matrices, "largest_magnitude", largest_magnitude(matrices.largest_magnitude))
     monkeypatch.setattr(BigComplex, "__pow__", power(BigComplex.__pow__))
     report = uniqueness_experiment(ExperimentConfig(SPHERE4, 3, 1, seed=5))
     assert report.passed
@@ -584,3 +587,136 @@ def test_sphere_orbit_repeats_no_work(monkeypatch):
         (x3, e): 1 for x3 in x3s for e in (-1, 3, -3)}
     images = [rep.matrix(g) for rep in reps for g in SPHERE4.generators]
     assert [converted[id(m)] for m in images] == [1] * len(images)
+
+
+def test_sphere_experiment_passes_past_a_condition_cap(monkeypatch):
+    # seed 1's second N = 15 sample certifies variant 0 against variants 15-29
+    # (the x3^-1 branch) by monomials whose condition numbers pass 1e12
+    conds = []
+    real_search = uniqueness.intertwiner_search
+
+    def search(*args, **kwargs):
+        cert = real_search(*args, **kwargs)
+        conds.append(cert.condition_estimate)
+        return cert
+
+    monkeypatch.setattr(uniqueness, "intertwiner_search", search)
+    report = uniqueness_experiment(ExperimentConfig(SPHERE4, 15, 2, seed=1))
+    assert report.passed, [r["failures"] for r in report.records]
+    assert [r["pairs_checked"] for r in report.records] == [435, 435]
+    assert sum(c > 1e12 for c in conds[29:]) == 15
+
+
+@pytest.fixture(scope="module")
+def sphere15_pair():
+    """Variants 0 and 15 of the second Sphere4 N = 15 sample of seed 1."""
+    rs = make_root_system(15, "bigfloat", 256)
+    rng = random.Random(1)
+    for _ in range(2):
+        inv, x3 = uniqueness._sample_sphere(rs, rng)
+    params = make_sphere_params(inv["p0"], inv["p1"], inv["p2"], inv["p3"], inv["t1"], inv["t2"], x3)
+    variants = gauge_orbit(params)
+    return build_sphere_rep_from_params(variants[0]), build_sphere_rep_from_params(variants[15])
+
+
+def nudged(rep, entry, eps):
+    x1 = np.array(rep.matrix("X1"), dtype=object)
+    x1[entry] = x1[entry] * rep.rs.scalar(complex(1, eps))
+    return with_matrices(rep, X1=x1)
+
+
+@pytest.mark.parametrize("eps,certified", [(1e-30, False), (1e-45, True)])
+def test_backward_error_gate_on_an_ill_conditioned_pair(sphere15_pair, eps, certified):
+    # X1's largest entry (about 5.7e15) moved by a factor 1 + eps i puts the
+    # rep about 5.7e15 eps from an exact conjugate; the gate is 2^-128 times
+    # that largest entry, about 1.7e-23
+    rep, other = sphere15_pair
+    assert intertwiner_search(rep, other).condition_estimate > 1e14
+    x1 = other.matrix("X1")
+    n = other.dim
+    largest = max(((i, j) for i in range(n) for j in range(n)),
+                  key=lambda ij: matrices.entry_magnitude(x1[ij]))
+    assert (intertwiner_search(rep, nudged(other, largest, eps)) is not None) == certified
+
+
+def test_exact_backward_error_settles_what_its_bound_cannot(sphere15_pair, monkeypatch):
+    # X1[0, 1] moved by 1e-30: the residual times the condition number, about
+    # 2e-17, fails the gate, and the exact backward error, about 5e-30, passes it
+    rep, other = sphere15_pair
+    exact = []
+    real = matrices.monomial_backward_error
+
+    def spy(m, pairs):
+        exact.append(real(m, pairs))
+        return exact[-1]
+
+    monkeypatch.setattr(matrices, "monomial_backward_error", spy)
+    cert = intertwiner_search(rep, nudged(other, (0, 1), 1e-30))
+    assert cert is not None
+    cut = rep.rs.tolerance.rel_eps * max(rep.largest_entry(), other.largest_entry())
+    assert cert.worst_residual * cert.condition_estimate > cut
+    assert len(exact) == 1 and 1e-31 < exact[0] < 1e-28
+
+
+def test_torus_experiment_reads_patterns_once_and_takes_no_svd(monkeypatch):
+    # every certificate is monomial, so no condition number comes from LAPACK,
+    # and each image's s Id flag is read once per rep however many pairs use it
+    flags, reps = Counter(), []
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    def scalar_rows(real):
+        def wrapper(rows):
+            flags[id(rows)] += 1
+            return real(rows)
+        return wrapper
+
+    def variants(real):
+        def wrapper(params):
+            reps.extend(real(params))
+            return reps
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(matrices, "_scalar_rows", scalar_rows(matrices._scalar_rows))
+    monkeypatch.setattr(uniqueness, "_build_variant_reps", variants(uniqueness._build_variant_reps))
+    report = uniqueness_experiment(ExperimentConfig(TORUS1, 5, 1, seed=1))
+    assert report.passed and report.records[0]["pairs_checked"] == 45
+    images = [id(rep.rows(g)) for rep in reps for g in TORUS1.generators]
+    assert [flags[i] for i in images] == [1] * len(images)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8),
+       rel_eps=st.sampled_from([None, 1e-20, 1e-3]))
+def test_spectrum_screen_keeps_every_partner(rs, seed, n, rel_eps):
+    # partners equal, partners a fraction of the cut apart or just beyond it,
+    # and values 10^+-3 in size, against the plain dim^2 approx_eq matching
+    tol = None if rel_eps is None else Tolerance(rel_eps)
+    eps = (tol or rs.tolerance).rel_eps
+    rng = random.Random(seed)
+    lam_a = [rs.scalar(complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) * 10.0 ** rng.randint(-3, 3))
+             for _ in range(n)]
+    lam_b = []
+    for _ in range(n):
+        x = rng.choice(lam_a)
+        kind = rng.randrange(3)
+        if kind == 0:
+            lam_b.append(x)
+        elif kind == 1:
+            with mp.workprec(rs.precision_bits):
+                mag = max(mp.mpf(1), abs(x.mpc()))
+                step = mp.mpf(eps) * mag * rng.choice([0.5, 0.99, 1.01, 2]) * mp.expjpi(rng.random())
+            lam_b.append(x + rs.scalar(step))
+        else:
+            lam_b.append(rs.scalar(complex(rng.uniform(-3, 3), rng.uniform(-3, 3))))
+    want = [[j for j, y in enumerate(lam_b) if approx_eq(y, x, tol)] for x in lam_a]
+    assert uniqueness._partners(lam_a, lam_b, tol) == want
+
+
+def test_spectrum_screen_passes_values_beyond_floats(rs):
+    huge = from_pair(rs, (from_man_exp(3, 1100), fzero))
+    nudged = huge * rs.scalar(complex(1, 1e-50))
+    lam_a, lam_b = [huge, rs.one], [rs.one, nudged]
+    assert uniqueness._partners(lam_a, lam_b, None) == [[1], [0]]
