@@ -493,7 +493,7 @@ def evaluate(expr: SkeinExpr, rep):
     """Homomorphic evaluation: sums to matrix sums, products to products.
 
     The tree is walked on the root system's :func:`matrices.kernel`, from
-    the generator rows the rep keeps (:meth:`Representation.rows`), and only
+    the generator rows the rep keeps (:meth:`Representation.image`), and only
     the result is wrapped, into a new array.  A literal is value * Id; sums
     and products run left to right; a power G^e is Id * G * ... * G
     multiplied left to right.
@@ -510,12 +510,14 @@ def evaluate(expr: SkeinExpr, rep):
     A literal, and a generator whose rows are exactly s Id (a puncture
     image, in the usual case), stays the one entry s until the result is
     widened to s Id.  No bit moves, because the kernel skips exact zeros:
-    an entry of (s Id) B or B (s Id) has the one term s B[i, j] or B[i, j] s,
-    so it is that ``pair_mul`` with its operands in that order; s Id + B
-    adds s to the diagonal and leaves each off-diagonal entry e as
-    ``pair_add(0, e)`` leaves it, unchanged at the working precision; two
-    scalars multiply and add as one diagonal entry does, and an exact zero
-    stays one.  So the bits are those of the same steps on object arrays.
+    an entry of (s Id) B has the one term s B[i, j], so it is that
+    ``pair_mul``; s Id + B adds s to the diagonal and leaves each
+    off-diagonal entry e as ``pair_add(0, e)`` leaves it, unchanged at the
+    working precision; two scalars multiply and add as one diagonal entry
+    does, and an exact zero stays one.  B (s Id) and B + s Id are taken as
+    (s Id) B and s Id + B: ``pair_mul`` and ``pair_add`` are symmetric in
+    their operands (``scalars._add`` is), and exact products and sums
+    commute.  So the bits are those of the same steps on object arrays.
     """
     if expr.surface != rep.surface:
         raise ValueError(f"expression over {expr.surface.tag} evaluated in {rep.surface.tag}")
@@ -528,12 +530,12 @@ def evaluate(expr: SkeinExpr, rep):
     def times(x, y):
         if isinstance(x, _Id):
             return _Id(k.times(x.s, y.s)) if isinstance(y, _Id) else k.scale(x.s, y)
-        return k.scale(y.s, x, right=True) if isinstance(y, _Id) else k.product(x, y)
+        return k.scale(y.s, x) if isinstance(y, _Id) else k.product(x, y)
 
     def plus(x, y):
         if isinstance(x, _Id):
             return _Id(k.plus(x.s, y.s)) if isinstance(y, _Id) else k.shift(x.s, y)
-        return k.shift(y.s, x, right=True) if isinstance(y, _Id) else k.add(x, y)
+        return k.shift(y.s, x) if isinstance(y, _Id) else k.add(x, y)
 
     def walk(node):
         if isinstance(node, Lit):

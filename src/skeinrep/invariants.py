@@ -8,7 +8,9 @@ representation's memo (:meth:`Representation.chebyshev`), so verifying and
 extracting one representation evaluates it once, and both read scalar
 matrices with the raw-pair read-outs of :mod:`matrices`.  Presentation
 relations are checked as defect expressions evaluated through the expression
-module, and irreducibility is decided by the dimension of the commutant.
+module, and irreducibility is decided by the dimension of the commutant,
+which a diagonal X3 with a simple spectrum reduces to a component count over
+the nonzeros of the images' kept patterns (:meth:`Representation.image`).
 """
 
 from __future__ import annotations
@@ -62,8 +64,7 @@ def _passes(rep, exact_zero, magnitude, rel_eps):
     return magnitude < rel_eps
 
 
-def verify_relations(rep: Representation, tol: Tolerance = None,
-                     include_commutant: bool = True) -> VerificationReport:
+def verify_relations(rep: Representation, tol: Tolerance = None) -> VerificationReport:
     """Evaluate every presentation relation defect and scalar-structure check.
 
     Failures are recorded in the report, never raised.  Defects are
@@ -106,9 +107,8 @@ def verify_relations(rep: Representation, tol: Tolerance = None,
         punct_devs[name] = mag
         checks[f"{name} scalar"] = _passes(rep, exact_zero, mag, rel_eps)
 
-    commutant = commutant_dimension(rep, tol) if include_commutant else -1
-    if include_commutant:
-        checks["commutant dimension 1"] = commutant == 1
+    commutant = commutant_dimension(rep, tol)
+    checks["commutant dimension 1"] = commutant == 1
 
     return VerificationReport(
         surface=rep.surface.tag,
@@ -235,15 +235,13 @@ def commuting_system(rep_a: Representation, rep_b: Representation):
 
 
 def _clear(e, cut):
-    """True for a nonzero at least ``cut`` in magnitude, False for an exact zero, else None.
+    """Whether the scalar e is nonzero, and at least ``cut`` in double-precision magnitude.
 
     ``cut`` is None in the exact backend, where every nonzero is clear.
     """
     if cut is None:
         return not e.is_zero()
-    if not (e.re or e.im):
-        return False
-    return True if abs(complex(float(e.re), float(e.im))) >= cut else None
+    return abs(complex(float(e.re), float(e.im))) >= cut
 
 
 def _support_commutant(rep):
@@ -258,22 +256,21 @@ def _support_commutant(rep):
     least _SUPPORT_MARGIN times the largest entry, and every eigenvalue gap
     must clear the same cut, far above the nullspace SVD's rel_eps * sigma_max,
     so that the count agrees with the SVD's rank; any other rep returns None.
+    X3's shape, the exact zeros and the largest entry come from the images
+    the rep keeps (:meth:`Representation.image`), so the walk is O(nnz).
     """
     gens = rep.surface.x_generators
-    if "X3" not in gens:
+    if "X3" not in gens or not rep.image("X3").diagonal:
         return None
-    n = rep.dim
     cut = None
     if rep.rs.backend != "exact":
-        cut = _SUPPORT_MARGIN * matrices.largest_magnitude([(rep.matrix(g), rep.rows(g))
-                                                            for g in gens])
+        rows = [row for g in gens for row in rep.image(g).rows]
+        cut = _SUPPORT_MARGIN * matrices.kernel(rep.rs).worst(rows)[1]
         if not cut > 0.0:
             return None
-    x3 = rep.matrix("X3")
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    if any(_clear(x3[i, j], cut) is not False for i, j in pairs):
-        return None
-    if any(_clear(x3[i, i] - x3[j, j], cut) is not True for i, j in pairs if i < j):
+    lam = rep.matrix("X3").diagonal()
+    n = rep.dim
+    if not all(_clear(lam[i] - lam[j], cut) for i in range(n) for j in range(i + 1, n)):
         return None
     root = list(range(n))
 
@@ -282,13 +279,15 @@ def _support_commutant(rep):
             i = root[i]
         return i
 
-    for image in [rep.matrix(g) for g in gens if g != "X3"]:
-        for i, j in pairs:
-            state = _clear(image[i, j], cut)
-            if state is None:
-                return None
-            if state:
-                root[find(i)] = find(j)
+    for g in gens:
+        if g != "X3":
+            image = rep.matrix(g)
+            for i, cols in enumerate(rep.image(g).support):
+                for j in cols:
+                    if j != i:
+                        if not _clear(image[i, j], cut):
+                            return None
+                        root[find(i)] = find(j)
     return sum(1 for i in range(n) if find(i) == i)
 
 

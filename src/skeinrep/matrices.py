@@ -19,12 +19,13 @@ Intertwiner defects M A - B M of a monomial M = P_sigma diag(m), the shape
 every ladder-walk certificate has, are formed from the two terms each entry
 holds, m_k A[k, l] and B[sigma(k), sigma(l)] m_l, with the bits of the fused
 product.  A monomial comes in as its (sigma, m); a dense M takes the fused
-product whatever its shape.  A and B come in as :class:`Image` s, kernel
-rows with whether they are exactly s Id and each row's nonzero columns,
-which a representation keeps per image: a monomial defect visits only the
-entries where one of its two terms is nonzero, O(nnz) per image, and its
-backward error (M A - B M) M^-1 takes the same pass.  The largest entry
-magnitude of an image converts only the entries whose exponents can hold it.
+product whatever its shape.  A and B come in as :class:`Image` s, the one
+record a representation keeps per image of its kernel rows and their exact
+zero pattern (whether they are exactly s Id or diagonal, each row's and
+each column's nonzeros): a monomial defect visits only the entries where
+one of its two terms is nonzero, O(nnz) per image, and its backward error
+(M A - B M) M^-1 takes the same pass.  Every largest entry magnitude, of a
+residual or of an image, is the kernel's ``worst``.
 
 Bigfloat rank and nullspace decisions come from one SVD at the root
 system's working precision: singular values below rel_eps * sigma_max count
@@ -41,12 +42,12 @@ from functools import cached_property, partial
 import numpy as np
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fzero, mpf_div, mpf_gt, to_float
+from mpmath.libmp import fzero, mpf_gt, to_float
 
 from .errors import NonScalarChebyshev
 from .scalars import (RND, CyclotomicNumber, RootSystem, _add, _hypot_sum, _ints, _mpf, approx_eq,
-                      from_pair, magnitude_exponent, numeric_bridge, pair_abs, pair_add, pair_mul,
-                      working_pair)
+                      from_pair, magnitude_exponent, numeric_bridge, pair_abs, pair_add, pair_div,
+                      pair_mul, working_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -199,29 +200,27 @@ def _raw_times(a, b, prec):
     return None if a is None or b is None else pair_mul(a, b, prec)
 
 
-def _raw_scale(s, rows, prec, right=False):
-    """Raw rows of (s Id) B, or of B (s Id) when ``right``, for the raw entry s.
+def _raw_scale(s, rows, prec):
+    """Raw rows of (s Id) B for the raw entry s.
 
-    Entry (i, j) of the kernel's product has the one term s B[i, j], or
-    B[i, j] s, so each is one :func:`_raw_times` with the operands in that
-    order.
+    Entry (i, j) of the kernel's product has the one term s B[i, j], so each
+    is one :func:`_raw_times`.  ``pair_mul`` is symmetric in its operands
+    (``scalars._add`` is), so these are also the rows of B (s Id).
     """
-    if right:
-        return [[_raw_times(e, s, prec) for e in row] for row in rows]
     return [[_raw_times(s, e, prec) for e in row] for row in rows]
 
 
-def _raw_shift(s, rows, prec, right=False):
-    """Raw rows of s Id + B, or of B + s Id when ``right``, for the raw entry s.
+def _raw_shift(s, rows, prec):
+    """Raw rows of s Id + B, which are those of B + s Id, for the raw entry s.
 
-    Only the diagonal is added, by :func:`_raw_plus` in operand order.  An
-    off-diagonal entry of the kernel's sum is ``pair_add(0, e)``, which is
-    e: e already has at most prec bits and an odd mantissa, so ``_add``
-    neither rounds nor strips it.
+    Only the diagonal is added, by :func:`_raw_plus`, which is symmetric as
+    ``pair_add`` is.  An off-diagonal entry of the kernel's sum is
+    ``pair_add(0, e)``, which is e: e already has at most prec bits and an
+    odd mantissa, so ``_add`` neither rounds nor strips it.
     """
     out = [list(row) for row in rows]
     for i, row in enumerate(out):
-        row[i] = _raw_plus(row[i], s, prec) if right else _raw_plus(s, row[i], prec)
+        row[i] = _raw_plus(s, row[i], prec)
     return out
 
 
@@ -314,17 +313,14 @@ def _exact_product(a, b, minus=None):
     return a @ b if minus is None else a @ b - minus
 
 
-def _exact_worst(mat):
-    exact = is_zero_matrix(mat)
-    return exact, 0.0 if exact else max(entry_magnitude(e) for e in mat.flat)
+def _exact_worst(rows):
+    entries = [e for row in rows for e in row]
+    exact = all(e.is_zero() for e in entries)
+    return exact, 0.0 if exact else max(entry_magnitude(e) for e in entries)
 
 
-def _exact_scale(s, mat, right=False):
-    return mat_scale(s, mat)  # exact products commute
-
-
-def _exact_shift(s, mat, right=False):
-    return mat + scalar_matrix(s, mat.shape[0])  # exact sums commute
+def _exact_shift(s, mat):
+    return mat + scalar_matrix(s, mat.shape[0])
 
 
 def _exact_is_scalar(mat):
@@ -339,7 +335,7 @@ def _exact_support(mat):
 Kernel = namedtuple("Kernel", "unpack wrap product add worst "
                                "entry times plus scale shift widen is_scalar support")
 _EXACT_KERNEL = Kernel(_same, np.copy, _exact_product, operator.add, _exact_worst,
-                       _same, operator.mul, operator.add, _exact_scale, _exact_shift, scalar_matrix,
+                       _same, operator.mul, operator.add, mat_scale, _exact_shift, scalar_matrix,
                        _exact_is_scalar, _exact_support)
 
 
@@ -349,15 +345,17 @@ def kernel(rs: RootSystem) -> Kernel:
     ``unpack`` reads an object array into the working format and ``wrap``
     makes a new object array of a result; ``product(a, b, minus=None)`` is
     A B or A B - C, ``add`` is A + B, and ``worst`` is (exactly zero, float
-    magnitude of the largest entry).  A scalar s stands for s Id: ``entry``
+    magnitude of the largest entry) of any list of rows.  A scalar s stands for s Id: ``entry``
     reads it, ``times`` and ``plus`` multiply and add two of them,
-    ``scale(s, B, right=False)`` is (s Id) B or B (s Id), ``shift(s, B,
-    right=False)`` is s Id + B or B + s Id, ``widen(s, n)`` is s Id, and
-    ``is_scalar(B)`` tells whether B is exactly s Id, with s = B[0][0];
-    ``support(B)`` lists each row's columns that hold no exact zero.
-    Each gives the bits the matrix operation on s Id gives.  The exact
-    kernel works on object arrays and scalars as they are; the bigfloat
-    kernel is the raw-row functions above at the working precision.
+    ``scale(s, B)`` is (s Id) B, ``shift(s, B)`` is s Id + B, ``widen(s,
+    n)`` is s Id, and ``is_scalar(B)`` tells whether B is exactly s Id, with
+    s = B[0][0]; ``support(B)`` lists each row's columns that hold no exact
+    zero.  Each gives the bits the matrix operation on s Id gives; exact
+    products and sums commute, and ``pair_mul`` and ``pair_add`` are
+    symmetric in their operands, so ``scale`` and ``shift`` also give
+    B (s Id) and B + s Id.  The exact kernel works on object arrays and
+    scalars as they are; the bigfloat kernel is the raw-row functions above
+    at the working precision.
     """
     if rs.backend == "exact":
         return _EXACT_KERNEL
@@ -405,10 +403,24 @@ class Image(namedtuple("Image", "rows scalar support")):
 
     ``scalar`` tells whether the rows are exactly s Id (the kernel's
     ``is_scalar``), and ``support`` lists each row's columns that hold no
-    exact zero (the kernel's ``support``).  For bigfloat rows, ``ints``
-    holds each entry's signed mantissas and exponents
-    (:func:`scalars._ints`), read once.
+    exact zero (the kernel's ``support``).  Read once, on first use:
+    ``columns`` lists each column's rows that hold no exact zero, in
+    increasing order, ``diagonal`` tells whether every entry off the
+    diagonal is an exact zero, and, for bigfloat rows, ``ints`` holds each
+    entry's signed mantissas and exponents (:func:`scalars._ints`).
     """
+
+    @cached_property
+    def columns(self):
+        out = [[] for _ in self.support]  # images are square
+        for i, cols in enumerate(self.support):
+            for j in cols:
+                out[j].append(i)
+        return out
+
+    @cached_property
+    def diagonal(self):
+        return all(cols in ([], [i]) for i, cols in enumerate(self.support))
 
     @cached_property
     def ints(self):
@@ -499,8 +511,9 @@ def intertwining_defects(m, pairs):
 
     ``m`` is an object array, or a monomial (sigma, entries) standing for
     :func:`monomial_matrix`; A and B are :class:`Image` s, as a
-    representation keeps them (:meth:`Representation.image`).  Each float equals ``residual_report(matmul(m, a) - matmul(b, m))[1]``:
-    M is unpacked once and each defect is one fused ``product(M, A, minus=B
+    representation keeps them (:meth:`Representation.image`).  Each float
+    equals ``residual_report(matmul(m, a) - matmul(b, m))[1]``: M is
+    unpacked once and each defect is one fused ``product(M, A, minus=B
     M)`` of the kernel, or, for a bigfloat (sigma, entries) with no entry
     zero at working precision, the same entries from their two terms over
     the two images' supports, O(nnz) per pair (:func:`_monomial_defect`).
@@ -537,31 +550,16 @@ def monomial_backward_error(m, pairs) -> float:
     ``pairs`` is as for :func:`intertwining_defects`.  B + E = M A M^-1 is
     exactly similar to A, and entry (sigma[k], sigma[l]) of E is the defect
     entry R[sigma[k], l] divided by m_l, so one O(nnz) pass over the defect
-    entries gives it (:func:`_monomial_defect`).  |R| / |m_l| lies within a
-    factor 4 of 2^(E - F), E and F the magnitude exponents of the two, so
-    only entries within 3 of the largest E - F take the rounded
-    ``pair_abs`` quotient; the largest is rounded to float once.
+    entries gives it (:func:`_monomial_defect`): each quotient is one
+    :func:`scalars.pair_div`, and the largest is taken by the kernel's
+    ``worst``.
     """
-    rs = m[1][0].rs
-    prec = rs.precision_bits
+    prec = m[1][0].rs.precision_bits
     mono = _raw_monomial(m, prec)
     raw = [working_pair(e.pair, prec) for e in m[1]]
-    m_exp = [magnitude_exponent(z) for z in raw]
-    found = []
-    for a, b in pairs:
-        if not _scalar_pair(a, b):
-            for l, d in zip(*_monomial_defect(*mono, a, b, prec)):
-                e = magnitude_exponent(d)
-                if e is not None:
-                    found.append((e - m_exp[l], l, d))
-    top = max((gap for gap, _, _ in found), default=None)
-    worst = fzero
-    for gap, l, d in found:
-        if gap >= top - 3:
-            q = mpf_div(pair_abs(d, prec), pair_abs(raw[l], prec), prec, RND)
-            if mpf_gt(q, worst):
-                worst = q
-    return to_float(worst, rnd=RND)
+    quotients = [pair_div(d, raw[l], prec) for a, b in pairs if not _scalar_pair(a, b)
+                 for l, d in zip(*_monomial_defect(*mono, a, b, prec))]
+    return _raw_worst([quotients], prec)[1]
 
 
 def residual_report(mat):
@@ -599,7 +597,7 @@ def scalar_residual(mat, s):
     and x + (-s) rounds as x - s does.
     """
     k = kernel(s.rs)
-    return k.worst(k.shift(k.entry(-s), k.unpack(mat), right=True))
+    return k.worst(k.shift(k.entry(-s), k.unpack(mat)))
 
 
 def scalar_deviation(mat, rs):
@@ -631,29 +629,6 @@ def to_complex128(mat):
         for j in range(m):
             out[i, j] = to_complex(mat[i, j])
     return out
-
-
-def largest_magnitude(images) -> float:
-    """``max(float(np.abs(to_complex128(mat)).max()) for mat, rows in images)``.
-
-    ``images`` holds (mat, rows) pairs, rows the kernel rows of mat.  A
-    bigfloat entry is converted only when the magnitude exponent of its
-    working pair in the rows is within 2 of the largest one: any other lies
-    below half of the largest entry's magnitude, a gap that neither the
-    working-precision read nor the float rounding of :func:`to_complex` and
-    ``abs`` can close.  The few that are converted go through numpy's
-    ``abs`` as one complex128 array, since Python's ``abs`` of a complex can
-    differ from it in the last bit.  Exact matrices take the dense form.
-    """
-    if isinstance(images[0][0].flat[0], CyclotomicNumber):
-        return max(float(np.abs(to_complex128(mat)).max()) for mat, _ in images)
-    found = [(magnitude_exponent(z), mat, i, j) for mat, rows in images
-             for i, row in enumerate(rows) for j, z in enumerate(row) if z is not None]
-    if not found:
-        return 0.0
-    top = max(e for e, *_ in found)
-    near = [to_complex(mat[i, j]) for e, mat, i, j in found if e >= top - 2]
-    return float(np.abs(np.array(near, dtype=np.complex128)).max())
 
 
 def to_mp_matrix(mat):

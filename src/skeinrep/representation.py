@@ -3,18 +3,19 @@
 A representation assigns one square matrix to every generator of its surface
 vocabulary; puncture generators always map to their scalar times the
 identity, and that scalar is also stored separately.  T_N of each loop
-image (:meth:`Representation.chebyshev`), each image's rows in the matrix
-kernel's working format (:meth:`Representation.rows`), each image's pattern
-(:meth:`Representation.image`: whether its rows are exactly s Id, and each
-row's nonzero columns) and the largest entry magnitude
-(:meth:`Representation.largest_entry`) are computed once and kept in one
-memo.  Residuals, the puncture shortcuts and the ladder walk read the
-pattern, so no image is rescanned per pair.  The memo also holds, under
-``"words"``, the generator words
-:func:`expressions.evaluate` forms, in kernel format and keyed by their
-(name, exponent) factors.  A representation holds only frozen images (a
-writeable one, or a view, is copied and the copy frozen), so nothing kept
-can go stale.
+image (:meth:`Representation.chebyshev`), each image's
+:class:`matrices.Image` (:meth:`Representation.image`: its rows in the
+matrix kernel's working format and their exact-zero pattern) and the
+largest entry magnitude (:meth:`Representation.largest_entry`, the kernel's
+``worst`` of those rows) are computed once and kept in one memo.  The
+image is the one source of what is structural about a generator image:
+products, residuals, the puncture shortcuts, the X3 spectrum test, the
+ladder walk and the commutant's support graph all read it, so no image is
+unpacked or rescanned twice.  The memo also holds, under ``"words"``, the
+generator words :func:`expressions.evaluate` forms, in kernel format and
+keyed by their (name, exponent) factors.  A representation holds only
+frozen images (a writeable one, or a view, is copied and the copy frozen),
+so nothing kept can go stale.
 """
 
 from __future__ import annotations
@@ -63,26 +64,21 @@ class Representation:
         return self._kept(("chebyshev", name),
                           lambda: matrices.freeze(chebyshev_eval(self.rs.N, self.matrix(name))))
 
-    def rows(self, name: str):
-        """The image of ``name`` unpacked by :func:`matrices.kernel`, once per rep.
+    def image(self, name: str):
+        """The kernel rows of ``name`` with their pattern (:class:`matrices.Image`), once per rep.
 
         The kernel only reads the rows it is given, so kept rows are shared
         by every product and residual taken of the image.
         """
-        return self._kept(("rows", name), lambda: matrices.kernel(self.rs).unpack(self.matrix(name)))
-
-    def image(self, name: str):
-        """The kept rows of ``name`` with their pattern (:class:`matrices.Image`), once per rep."""
-        return self._kept(("image", name),
-                          lambda: matrices.kernel_image(matrices.kernel(self.rs), self.rows(name)))
+        def compute():
+            k = matrices.kernel(self.rs)
+            return matrices.kernel_image(k, k.unpack(self.matrix(name)))
+        return self._kept(("image", name), compute)
 
     def largest_entry(self) -> float:
-        """Largest double-precision magnitude of an entry of any generator image.
-
-        Taken by :func:`matrices.largest_magnitude` from the kept rows.
-        """
-        return self._kept("largest", lambda: matrices.largest_magnitude(
-            [(self.matrix(g), self.rows(g)) for g in self.surface.generators]))
+        """Float magnitude of the largest entry of any generator image, by the kernel's ``worst``."""
+        return self._kept("largest", lambda: matrices.kernel(self.rs).worst(
+            [row for g in self.surface.generators for row in self.image(g).rows])[1])
 
 
 def assemble(surface, rs, dim, x_matrices, puncture_scalars, provenance=None):

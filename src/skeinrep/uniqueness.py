@@ -21,7 +21,8 @@ terms of each defect entry: :func:`matrices.intertwining_defects` takes the
 (:meth:`Representation.image`: kernel rows, whether they are exactly s Id,
 each row's nonzero columns), so an image is unpacked and scanned once per
 rep, and a defect visits only the entries where one of its two terms is
-nonzero.  The walk reads the same patterns.  A monomial is accepted by its
+nonzero.  The X3 test reads the same record's ``diagonal`` and the walk its
+``columns``, each formed once per rep.  A monomial is accepted by its
 backward error, not by a condition cap (:func:`_within_gate`): at N >= 13
 gauge certificates reach condition numbers of 1e14 and more while their
 backward errors stay far inside working precision.  The certificate holds
@@ -52,8 +53,8 @@ are, M s Id - s Id M is exactly zero in the kernel, so its residual is 0.0
 without the two products.  This is read off the images themselves (the
 flag each rep keeps per image), never off ``puncture_scalars``: a rep file
 may hold any puncture image.  The residual gate's scale, the largest entry
-over a rep's images, is taken once per rep from its kept rows
-(:meth:`Representation.largest_entry`).
+over a rep's images, is taken once per rep by the kernel's ``worst`` of its
+kept rows (:meth:`Representation.largest_entry`).
 """
 
 from __future__ import annotations
@@ -215,18 +216,6 @@ def _certificate(m, rep_a, rep_b, tol):
     return cert if _within_gate(cert, rep_a, rep_b, tol) else None
 
 
-def _exact_diagonal(rep, name):
-    """Diagonal of an image when every off-diagonal entry is exactly zero, else None.
-
-    Read off the image's kept pattern (:meth:`Representation.image`).
-    """
-    support = rep.image(name).support
-    if any(cols and cols != [i] for i, cols in enumerate(support)):
-        return None
-    m = rep.matrix(name)
-    return [m[i, i] for i in range(rep.dim)]
-
-
 def _dense_intertwiner(rep_a, rep_b, tol):
     """Solve the full commuting system: dim^2 unknowns, any basis."""
     n = rep_a.dim
@@ -302,20 +291,14 @@ def _monomial_intertwiner(rep_a, rep_b, sigma, tol):
     divisions.  A line the walk cannot reach goes to the dense system.  Up to
     scale the walk's M is the only monomial candidate, so when
     :func:`_certificate` refuses it no intertwiner exists.  Column l of each
-    g_a is read off its kept pattern: the rows r it lists are the entries
-    that are not exact zeros, in increasing r, and an exact zero is never
-    nonzero at working precision, so the walk takes the steps a scan of
-    every row would.
+    g_a is read off its kept pattern (``Image.columns``): the rows r it
+    lists are the entries that are not exact zeros, in increasing r, and an
+    exact zero is never nonzero at working precision, so the walk takes the
+    steps a scan of every row would.
     """
     n = rep_a.dim
-    images = []
-    for g in rep_a.surface.x_generators:
-        if g != "X3":
-            columns = [[] for _ in range(n)]
-            for r, cols in enumerate(rep_a.image(g).support):
-                for l in cols:
-                    columns[l].append(r)
-            images.append((rep_a.matrix(g), rep_b.matrix(g), columns))
+    images = [(rep_a.matrix(g), rep_b.matrix(g), rep_a.image(g).columns)
+              for g in rep_a.surface.x_generators if g != "X3"]
     m = [None] * n
     m[0] = rep_a.rs.one
     reached = [0]
@@ -356,12 +339,10 @@ def intertwiner_search(rep_a: Representation, rep_b: Representation,
             return None
     if "X3" not in rep_a.surface.x_generators:
         return _dense_intertwiner(rep_a, rep_b, tol)
-    lam_a = _exact_diagonal(rep_a, "X3")
-    lam_b = _exact_diagonal(rep_b, "X3")
-    if lam_a is None or lam_b is None:
+    if not (rep_a.image("X3").diagonal and rep_b.image("X3").diagonal):
         return _dense_intertwiner(rep_a, rep_b, tol)
     n = rep_a.dim
-    partners = _partners(lam_a, lam_b, tol)
+    partners = _partners(rep_a.matrix("X3").diagonal(), rep_b.matrix("X3").diagonal(), tol)
     if not all(partners):
         return None  # similar diagonal matrices share their spectrum
     sigma = [p[0] for p in partners]

@@ -451,7 +451,7 @@ def test_word_memo_takes_each_word_product_once_per_frozen_rep(rs3f, monkeypatch
 
     monkeypatch.setattr(matrices, "_raw_product", counting)
     for frozen in (rep, dataclasses.replace(rep)):
-        x1, x2 = frozen.rows("X1"), frozen.rows("X2")
+        x1, x2 = frozen.image("X1").rows, frozen.image("X2").rows
         for _ in range(2):
             for nf in nfs:
                 evaluate_normal_form(nf, frozen)
@@ -525,7 +525,7 @@ def test_evaluate_returns_a_new_array(backend):
 @pytest.mark.parametrize("kind,n", CONSTRUCT_SHAPES + [("exact sphere4", 3)])
 def test_verify_relations_matches_object_evaluation(kind, n):
     rep = exact_sphere_rep(n) if kind == "exact sphere4" else ladder_rep(kind, n, 20 + n)
-    report = invariants.verify_relations(rep, include_commutant=False)
+    report = invariants.verify_relations(rep)
     for name, expr in relation_defects(rep.surface, rep.rs).items():
         exact_zero, mag = matrices.residual_report(_object_evaluate(expr.node, rep))
         assert report.relation_exact[name] == exact_zero, name
@@ -539,7 +539,7 @@ def test_central_defects_of_a_nonscalar_puncture_are_evaluated():
     p0 = rep.matrix("P0").copy()
     p0[0, 1] = rs.scalar(1e-20)
     bad = dataclasses.replace(rep, matrices=dict(rep.matrices, P0=matrices.freeze(p0)))
-    report = invariants.verify_relations(bad, include_commutant=False)
+    report = invariants.verify_relations(bad)
     for x in rep.surface.x_generators:
         name = f"central_P0_{x}"
         expr = relation_defects(rep.surface, rs)[name]

@@ -11,8 +11,8 @@ from skeinrep import invariants, matrices
 from skeinrep.chebyshev import chebyshev_eval
 from skeinrep.errors import NonScalarChebyshev
 from skeinrep.expressions import evaluate, parse
-from skeinrep.invariants import (_support_commutant, commutant_dimension, commuting_system,
-                                 extract_invariants, verify_relations)
+from skeinrep.invariants import (_SUPPORT_MARGIN, _support_commutant, commutant_dimension,
+                                 commuting_system, extract_invariants, verify_relations)
 from skeinrep.representation import Representation, assemble
 from skeinrep.scalars import approx_eq, make_root_system
 from skeinrep.serialize import rep_to_json
@@ -197,7 +197,7 @@ def test_verify_then_extract_evaluate_each_generator_once(rs, monkeypatch, kind)
     args = counted_chebyshev(monkeypatch)
     report = verify_relations(rep)
     extract_invariants(rep)
-    verify_relations(rep, include_commutant=False)
+    verify_relations(rep)
     gens = rep.surface.x_generators
     assert report.passed
     assert len(args) == len(gens)
@@ -233,8 +233,8 @@ def counted_unpacks(monkeypatch):
 def test_rows_memo_reads_frozen_images_once(rs, monkeypatch):
     rep = fresh_torus_rep(rs)
     args = counted_unpacks(monkeypatch)
-    first = rep.rows("X1")
-    assert rep.rows("X1") is first
+    first = rep.image("X1").rows
+    assert rep.image("X1").rows is first
     intertwiner_residuals(matrices.identity(rs, rep.dim), rep, rep)
     intertwiner_residuals(matrices.identity(rs, rep.dim), rep, rep)
     evaluate(parse("X1 X2", TORUS1, rs), rep)
@@ -242,7 +242,7 @@ def test_rows_memo_reads_frozen_images_once(rs, monkeypatch):
     assert [reads[id(rep.matrix(g))] for g in rep.surface.generators] == [1] * len(rep.matrices)
     assert first == matrices.kernel(rs).unpack(rep.matrix("X1"))
     copy = dataclasses.replace(rep, matrices=dict(rep.matrices))
-    assert copy.rows("X1") == first and copy.rows("X1") is not first
+    assert copy.image("X1").rows == first and copy.image("X1").rows is not first
 
 
 def loose_reps(rs):
@@ -291,9 +291,9 @@ def test_rows_memo_skips_writeable_images(rs, monkeypatch):
     args = counted_unpacks(monkeypatch)
     for rep, writeable, loose in loose_reps(rs):
         args.clear()
-        first = loose.rows("X1")
+        first = loose.image("X1").rows
         bump(writeable, rs)
-        assert loose.rows("X1") is first and len(args) == 1
+        assert loose.image("X1").rows is first and len(args) == 1
         k = matrices.kernel(rs)
         assert first == k.unpack(rep.matrix("X1")) == k.unpack(loose.matrix("X1"))
 
@@ -306,7 +306,7 @@ def test_puncture_deviations_keep_their_float_bits(rs):
     moved[1, 2] = rs.scalar(complex(0, 2e-41))
     mats = dict(rep.matrices, P1=matrices.freeze(moved))
     rep = Representation(rep.surface, rs, rep.dim, mats, rep.puncture_scalars, {})
-    report = verify_relations(rep, include_commutant=False)
+    report = verify_relations(rep)
     for name in rep.surface.punctures:
         target = matrices.scalar_matrix(rep.puncture_scalars[name], rep.dim)
         assert report.puncture_deviations[name] == matrices.residual_report(rep.matrix(name) - target)[1]
@@ -381,6 +381,113 @@ def test_support_commutant_matches_nullspace(torus_rep, rs):
     exact = build_torus_rep(torus_params_exact(*(make_root_system(3).scalar(v) for v in (2, 1, 3))))
     for r in (rep, sphere_rep(rs), exact):
         assert _support_commutant(r) == _nullspace_commutant(r) == 1
+
+
+def _dense_clear(e, cut):
+    """True for a nonzero at least ``cut`` in magnitude, False for an exact zero, else None."""
+    if cut is None:
+        return not e.is_zero()
+    if not (e.re or e.im):
+        return False
+    return True if abs(complex(float(e.re), float(e.im))) >= cut else None
+
+
+def dense_support_commutant(rep):
+    """The support-graph count as a scan of every entry of every image, cut by the dense float maximum."""
+    gens = rep.surface.x_generators
+    if "X3" not in gens:
+        return None
+    n = rep.dim
+    cut = None
+    if rep.rs.backend != "exact":
+        cut = _SUPPORT_MARGIN * max(float(np.abs(matrices.to_complex128(rep.matrix(g))).max()) for g in gens)
+        if not cut > 0.0:
+            return None
+    x3 = rep.matrix("X3")
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    if any(_dense_clear(x3[i, j], cut) is not False for i, j in pairs):
+        return None
+    if any(_dense_clear(x3[i, i] - x3[j, j], cut) is not True for i, j in pairs if i < j):
+        return None
+    root = list(range(n))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for image in [rep.matrix(g) for g in gens if g != "X3"]:
+        for i, j in pairs:
+            state = _dense_clear(image[i, j], cut)
+            if state is None:
+                return None
+            if state:
+                root[find(i)] = find(j)
+    return sum(1 for i in range(n) if find(i) == i)
+
+
+def with_entry(rep, name, ij, value):
+    image = np.array(rep.matrix(name), dtype=object)
+    image[ij] = value
+    return dataclasses.replace(rep, matrices=dict(rep.matrices, **{name: image}))
+
+
+def support_cases(rep):
+    """``rep`` with off-diagonal entries of X1 and X2 zeroed exactly (one at a
+    time, and all of line 0's), or placed just above or just below the support
+    margin (where they were nonzero, and where they were exact zeros), and with
+    X3 moved off the diagonal or an eigenvalue gap placed at the margin."""
+    rs, n = rep.rs, rep.dim
+    yield rep
+    bigfloat = rs.backend != "exact"
+    if bigfloat:
+        gens = rep.surface.x_generators
+        cut = _SUPPORT_MARGIN * max(float(np.abs(matrices.to_complex128(rep.matrix(g))).max()) for g in gens)
+    for name in ("X1", "X2"):
+        image = rep.matrix(name)
+        off = [(i, j) for i in range(n) for j in range(n) if i != j]
+        nonzero = [ij for ij in off if not image[ij].is_zero()]
+        zero = [ij for ij in off if image[ij].is_zero()]
+        for ij in nonzero[:2] + nonzero[-1:]:
+            yield with_entry(rep, name, ij, rs.zero)
+        if bigfloat:
+            for ij in nonzero[:1] + zero[:1]:
+                for factor in (1 + 1e-6, 1 - 1e-6, 1e3):
+                    yield with_entry(rep, name, ij, rs.scalar(complex(0.6, -0.8) * cut * factor))
+    isolated = rep  # line 0 cut off from the others
+    for name in ("X1", "X2"):
+        for k in range(1, n):
+            isolated = with_entry(with_entry(isolated, name, (0, k), rs.zero), name, (k, 0), rs.zero)
+    yield isolated
+    x3 = rep.matrix("X3")
+    if n > 1:
+        yield with_entry(rep, "X3", (0, n - 1), rs.one)
+        if bigfloat:
+            for factor in (1 + 1e-6, 1 - 1e-6):
+                yield with_entry(rep, "X3", (1, 1), x3[0, 0] + rs.scalar(complex(0.8, 0.6) * cut * factor))
+
+
+def test_support_commutant_matches_dense_scan(torus_rep, rs):
+    # the O(nnz) walk of the kept patterns against every entry scanned,
+    # on ladders, their direct sum, a conjugate and an exact ladder
+    exact = build_torus_rep(torus_params_exact(*(make_root_system(3).scalar(v) for v in (2, 1, 3))))
+    bases = [torus_rep[0], fresh_torus_rep(make_root_system(5, "bigfloat", 256), seed=2),
+             sphere_rep(rs), sphere_rep(make_root_system(5, "bigfloat", 256), seed=3), exact]
+    g = matrices.identity(rs, 3)
+    g[0, 1] = rs.scalar(complex(0.5, 0.25))
+    g_inv = lu_inverse(g)
+    conjugated = Representation(torus_rep[0].surface, rs, 3, {
+        name: matrices.freeze(matrices.matmul(matrices.matmul(g, m), g_inv))
+        for name, m in torus_rep[0].matrices.items()}, torus_rep[0].puncture_scalars, {})
+    found = Counter()
+    for base in bases:
+        for rep in support_cases(base):
+            got = _support_commutant(rep)
+            assert got == dense_support_commutant(rep)
+            found[got] += 1
+    for rep in (direct_sum(torus_rep[0]), conjugated):
+        assert _support_commutant(rep) is dense_support_commutant(rep) is None
+    assert found[None] and found[1] and set(found) - {None, 1}, found
 
 
 def test_verify_skips_commuting_system_on_ladders(torus_rep, rs, monkeypatch):

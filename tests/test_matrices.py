@@ -26,8 +26,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_abs, mpc_add, mpc_mul, mpc_sub, mpf_add,
-                          mpf_div, mpf_gt, mpf_mul, mpf_pos, mpf_sub, round_down, to_float)
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_abs, mpc_add, mpc_div, mpc_mul, mpc_sub, mpf_add,
+                          mpf_gt, mpf_mul, mpf_pos, mpf_sub, round_down, to_float)
 
 import skeinrep
 from skeinrep import matrices
@@ -35,9 +35,11 @@ from skeinrep import scalars as scalars_module
 from skeinrep.chebyshev import chebyshev_eval
 from skeinrep.errors import NonScalarChebyshev
 from skeinrep.invariants import commuting_system
+from skeinrep.representation import Representation
 from skeinrep.scalars import (RND, BigComplex, CyclotomicNumber, Tolerance, approx_eq, from_pair,
                               make_root_system, numeric_bridge, working_pair)
 from skeinrep.sphere import build_sphere_rep
+from skeinrep.surfaces import TORUS1
 from skeinrep.torus import build_torus_rep, torus_params_exact, torus_params_from_shadow
 from skeinrep.uniqueness import (gauge_orbit, intertwiner_residuals, intertwiner_search,
                                  sample_sphere_invariants, sample_torus_shadow)
@@ -524,7 +526,7 @@ def test_sparse_monomial_defect_walks_both_supports(seed, n, spread, kinds):
     # the backward error (M A - B M) M^-1 divides column l of the defect by m_l
     worst = fzero
     for (i, l), z in want.items():
-        q = mpf_div(mpc_abs(z, prec, RND), mpc_abs(m_rows[sigma[l]][l], prec, RND), prec, RND)
+        q = mpc_abs(mpc_div(z, m_rows[sigma[l]][l], prec, RND), prec, RND)
         worst = q if mpf_gt(q, worst) else worst
     assert matrices.monomial_backward_error((sigma, entries), images) == to_float(worst, rnd=RND)
 
@@ -537,22 +539,22 @@ def edge_part(rng, prec):
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6), count=st.integers(1, 3),
-       zero_share=st.sampled_from([0.0, 0.3, 1.0]))
-def test_largest_magnitude_matches_dense_float(seed, n, count, zero_share):
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6), zero_share=st.sampled_from([0.0, 0.3, 1.0]))
+def test_largest_entry_matches_mpmath(seed, n, zero_share):
     # entries wider than the working precision round across a power of two when read
     rs = rs_of(3)
     prec = rs.precision_bits
     rng = random.Random(seed)
-    mats = [matrices.zeros(rs, n) for _ in range(count)]
-    for mat in mats:
+    mats = {g: matrices.zeros(rs, n) for g in TORUS1.generators}
+    for mat in mats.values():
         for i in range(n):
             for j in range(n):
                 if rng.random() >= zero_share:
                     parts = [edge_part(rng, prec) if rng.random() < 0.8 else fzero for _ in range(2)]
                     mat[i, j] = from_pair(rs, tuple(parts))
-    want = max(float(np.abs(matrices.to_complex128(mat)).max()) for mat in mats)
-    got = matrices.largest_magnitude([(mat, matrices.kernel(rs).unpack(mat)) for mat in mats])
+    with mp.workprec(prec):
+        want = float(max(abs(e.mpc()) for mat in mats.values() for e in mat.flat))
+    got = Representation(TORUS1, rs, n, mats, {}).largest_entry()
     assert type(got) is float and got == want
 
 
@@ -951,6 +953,22 @@ def test_native_add_matches_mpf_add(operands):
         assert got == mpf_add(x, y, prec, round_down), (prec, x, y)
     got = scalars_module._mpf(*scalars_module._add(*signed(s), *signed(t), prec))
     assert got == mpf_sub(s, neg_t, prec, RND)
+
+
+@settings(max_examples=400, deadline=None)
+@given(add_operands(), st.data())
+def test_pair_sum_and_product_are_symmetric(operands, data):
+    # the premise of the kernel's one-sided scale and shift: _add is symmetric
+    # in its operands, also where it stands a far smaller operand (exponents
+    # more than 100 apart) in by one unit, so pair_add and pair_mul are too
+    prec, s, t = operands
+    _, u, v = data.draw(add_operands(prec))
+    assert scalars_module._add(*signed(s), *signed(t), prec) == \
+        scalars_module._add(*signed(t), *signed(s), prec)
+    one = from_int(1)
+    for x, y in (((s, t), (one, one)), ((s, u), (t, v)), ((s, fzero), (t, u))):
+        assert scalars_module.pair_add(x, y, prec) == scalars_module.pair_add(y, x, prec)
+        assert scalars_module.pair_mul(x, y, prec) == scalars_module.pair_mul(y, x, prec)
 
 
 @st.composite

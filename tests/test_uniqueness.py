@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -528,8 +529,8 @@ def test_sphere_orbit_repeats_no_work(monkeypatch):
     # assembles one; x3 is solved from t3 once; each variant takes x3^-1,
     # x3^3 and x3^-3 once; and each rep's largest entry for the residual gate
     # is taken once
-    calls, inside_variants, converted, powers = Counter(), Counter(), Counter(), Counter()
-    reps, orbit, aux_args = [], [], []
+    calls, inside_variants, powers = Counter(), Counter(), Counter()
+    reps, orbit, aux_args, worst_rows = [], [], [], []
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -546,11 +547,10 @@ def test_sphere_orbit_repeats_no_work(monkeypatch):
             return reps
         return wrapper
 
-    def largest_magnitude(real):
-        def wrapper(images):
-            for mat, _ in images:
-                converted[id(mat)] += 1
-            return real(images)
+    def worst(real):
+        def wrapper(rows, prec):
+            worst_rows.extend(rows)  # held, so no id is reused
+            return real(rows, prec)
         return wrapper
 
     def power(real):
@@ -573,7 +573,7 @@ def test_sphere_orbit_repeats_no_work(monkeypatch):
                         counting("roots", sphere.chebyshev_at_puncture_roots))
     monkeypatch.setattr(uniqueness, "solve_chebyshev", counting("x3", uniqueness.solve_chebyshev))
     monkeypatch.setattr(uniqueness, "_build_variant_reps", variants(uniqueness._build_variant_reps))
-    monkeypatch.setattr(matrices, "largest_magnitude", largest_magnitude(matrices.largest_magnitude))
+    monkeypatch.setattr(matrices, "_raw_worst", worst(matrices._raw_worst))
     monkeypatch.setattr(BigComplex, "__pow__", power(BigComplex.__pow__))
     report = uniqueness_experiment(ExperimentConfig(SPHERE4, 3, 1, seed=5))
     assert report.passed
@@ -585,8 +585,9 @@ def test_sphere_orbit_repeats_no_work(monkeypatch):
     x3s = [v.x3.pair for v in orbit]
     assert {key: c for key, c in powers.items() if key[0] in x3s} == {
         (x3, e): 1 for x3 in x3s for e in (-1, 3, -3)}
-    images = [rep.matrix(g) for rep in reps for g in SPHERE4.generators]
-    assert [converted[id(m)] for m in images] == [1] * len(images)
+    converted = Counter(map(id, worst_rows))
+    rows = [row for rep in reps for g in SPHERE4.generators for row in rep.image(g).rows]
+    assert [converted[id(row)] for row in rows] == [1] * len(rows)
 
 
 def test_sphere_experiment_passes_past_a_condition_cap(monkeypatch):
@@ -683,8 +684,42 @@ def test_torus_experiment_reads_patterns_once_and_takes_no_svd(monkeypatch):
     monkeypatch.setattr(uniqueness, "_build_variant_reps", variants(uniqueness._build_variant_reps))
     report = uniqueness_experiment(ExperimentConfig(TORUS1, 5, 1, seed=1))
     assert report.passed and report.records[0]["pairs_checked"] == 45
-    images = [id(rep.rows(g)) for rep in reps for g in TORUS1.generators]
+    images = [id(rep.image(g).rows) for rep in reps for g in TORUS1.generators]
     assert [flags[i] for i in images] == [1] * len(images)
+
+
+@pytest.mark.parametrize("surface,n", [(TORUS1, 5), (SPHERE4, 3)])
+def test_experiment_forms_walk_columns_once_per_image(monkeypatch, surface, n):
+    # every base certificate walks variant 0's images other than X3; their
+    # column lists are formed once per image, not once per search
+    built, reps, searches = Counter(), [], []
+    real = matrices.Image.columns.func
+
+    def columns(image):
+        built[id(image)] += 1
+        return real(image)
+
+    spy = cached_property(columns)
+    spy.__set_name__(matrices.Image, "columns")
+
+    def variants(real_build):
+        def wrapper(params):
+            reps.extend(real_build(params))
+            return reps
+        return wrapper
+
+    def search(*args, **kwargs):
+        searches.append(args)
+        return real_search(*args, **kwargs)
+
+    real_search = uniqueness.intertwiner_search
+    monkeypatch.setattr(matrices.Image, "columns", spy)
+    monkeypatch.setattr(uniqueness, "_build_variant_reps", variants(uniqueness._build_variant_reps))
+    monkeypatch.setattr(uniqueness, "intertwiner_search", search)
+    report = uniqueness_experiment(ExperimentConfig(surface, n, 1, seed=1))
+    assert report.passed and len(searches) == 2 * n - 1
+    walked = [id(reps[0].image(g)) for g in surface.x_generators if g != "X3"]
+    assert len(walked) == 2 and built == Counter(walked)
 
 
 @settings(max_examples=100, deadline=None)
