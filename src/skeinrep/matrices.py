@@ -18,14 +18,14 @@ at most.
 Intertwiner defects M A - B M of a monomial M = P_sigma diag(m), the shape
 every ladder-walk certificate has, are formed from the two terms each entry
 holds, m_k A[k, l] and B[sigma(k), sigma(l)] m_l, with the bits of the fused
-product.  A monomial comes in as its (sigma, m); a dense M takes the fused
-product whatever its shape.  A and B come in as :class:`Image` s, the one
-record a representation keeps per image of its kernel rows and their exact
-zero pattern (whether they are exactly s Id or diagonal, each row's and
-each column's nonzeros): a monomial defect visits only the entries where
-one of its two terms is nonzero, O(nnz) per image, and its backward error
-(M A - B M) M^-1 takes the same pass.  Every largest entry magnitude, of a
-residual or of an image, is the kernel's ``worst``.
+product.  :class:`Monomial` is the one owner of that (sigma, m) format and
+reads its entries once; a dense M takes the fused product whatever its
+shape.  A and B come in as :class:`Image` s, the one record a
+representation keeps per image of its kernel rows and their exact zero
+pattern (each row's and column's nonzeros, whence diagonal and s Id): a
+monomial defect visits only the entries where one of its two terms is
+nonzero, O(nnz) per image, and its backward error (M A - B M) M^-1 takes
+the same pass.  Every largest entry magnitude is the kernel's ``worst``.
 
 Bigfloat rank and nullspace decisions come from one SVD at the root
 system's working precision: singular values below rel_eps * sigma_max count
@@ -35,6 +35,7 @@ exact backend eliminates over the cyclotomic field.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import namedtuple
 from functools import cached_property, partial
@@ -229,12 +230,6 @@ def _raw_widen(s, n):
     return [[s if i == j else None for j in range(n)] for i in range(n)]
 
 
-def _scalar_rows(rows) -> bool:
-    """Whether raw rows hold s Id: one pair s on the diagonal and exact zeros (None) elsewhere."""
-    s = rows[0][0]
-    return all(z == (s if i == j else None) for i, row in enumerate(rows) for j, z in enumerate(row))
-
-
 def _raw_support(rows):
     """Each raw row's columns that hold no exact zero (None)."""
     return [[j for j, z in enumerate(row) if z is not None] for row in rows]
@@ -323,20 +318,15 @@ def _exact_shift(s, mat):
     return mat + scalar_matrix(s, mat.shape[0])
 
 
-def _exact_is_scalar(mat):
-    s = mat[0, 0]
-    return all(e == s if i == j else e.is_zero() for (i, j), e in np.ndenumerate(mat))
-
-
 def _exact_support(mat):
     return [[j for j, e in enumerate(row) if not e.is_zero()] for row in mat]
 
 
 Kernel = namedtuple("Kernel", "unpack wrap product add worst "
-                               "entry times plus scale shift widen is_scalar support")
+                               "entry times plus scale shift widen support")
 _EXACT_KERNEL = Kernel(_same, np.copy, _exact_product, operator.add, _exact_worst,
                        _same, operator.mul, operator.add, mat_scale, _exact_shift, scalar_matrix,
-                       _exact_is_scalar, _exact_support)
+                       _exact_support)
 
 
 def kernel(rs: RootSystem) -> Kernel:
@@ -347,9 +337,8 @@ def kernel(rs: RootSystem) -> Kernel:
     A B or A B - C, ``add`` is A + B, and ``worst`` is (exactly zero, float
     magnitude of the largest entry) of any list of rows.  A scalar s stands for s Id: ``entry``
     reads it, ``times`` and ``plus`` multiply and add two of them,
-    ``scale(s, B)`` is (s Id) B, ``shift(s, B)`` is s Id + B, ``widen(s,
-    n)`` is s Id, and ``is_scalar(B)`` tells whether B is exactly s Id, with
-    s = B[0][0]; ``support(B)`` lists each row's columns that hold no exact
+    ``scale(s, B)`` is (s Id) B, ``shift(s, B)`` is s Id + B and ``widen(s,
+    n)`` is s Id; ``support(B)`` lists each row's columns that hold no exact
     zero.  Each gives the bits the matrix operation on s Id gives; exact
     products and sums commute, and ``pair_mul`` and ``pair_add`` are
     symmetric in their operands, so ``scale`` and ``shift`` also give
@@ -365,7 +354,7 @@ def kernel(rs: RootSystem) -> Kernel:
                   partial(_raw_worst, prec=prec), partial(_raw_entry, prec=prec),
                   partial(_raw_times, prec=prec), partial(_raw_plus, prec=prec),
                   partial(_raw_scale, prec=prec), partial(_raw_shift, prec=prec), _raw_widen,
-                  _scalar_rows, _raw_support)
+                  _raw_support)
 
 
 # ---------------------------------------------------------------------------
@@ -398,16 +387,16 @@ def chebyshev_matrix(n: int, arg):
     return k.wrap(prev2 if n == 0 else prev1)
 
 
-class Image(namedtuple("Image", "rows scalar support")):
+class Image(namedtuple("Image", "rows support")):
     """Kernel rows of an image with their pattern, as a representation keeps them.
 
-    ``scalar`` tells whether the rows are exactly s Id (the kernel's
-    ``is_scalar``), and ``support`` lists each row's columns that hold no
-    exact zero (the kernel's ``support``).  Read once, on first use:
-    ``columns`` lists each column's rows that hold no exact zero, in
-    increasing order, ``diagonal`` tells whether every entry off the
-    diagonal is an exact zero, and, for bigfloat rows, ``ints`` holds each
-    entry's signed mantissas and exponents (:func:`scalars._ints`).
+    ``support`` lists each row's columns that hold no exact zero (the
+    kernel's ``support``).  Read once, on first use: ``columns`` lists each
+    column's rows that hold no exact zero, in increasing order, ``diagonal``
+    tells whether every entry off the diagonal is an exact zero, ``scalar``
+    whether the rows are exactly s Id (diagonal, each diagonal entry equal
+    to rows[0][0]), and, for bigfloat rows, ``ints`` holds each entry's
+    signed mantissas and exponents (:func:`scalars._ints`).
     """
 
     @cached_property
@@ -423,50 +412,112 @@ class Image(namedtuple("Image", "rows scalar support")):
         return all(cols in ([], [i]) for i, cols in enumerate(self.support))
 
     @cached_property
+    def scalar(self):
+        s = self.rows[0][0]
+        return self.diagonal and all(row[i] == s for i, row in enumerate(self.rows))
+
+    @cached_property
     def ints(self):
         return [[_ints(z) for z in row] for row in self.rows]
 
 
-def kernel_image(k, rows):
-    """The :class:`Image` of kernel rows of the kernel ``k``."""
-    return Image(rows, k.is_scalar(rows), k.support(rows))
+class Monomial(namedtuple("Monomial", "sigma entries")):
+    """M = P_sigma diag(entries): M[sigma[k], k] = entries[k], exact zeros elsewhere.
 
-
-def _raw_monomial(m, prec):
-    """(sigma, sigma^-1, int parts of the entries) of a bigfloat monomial (sigma, entries).
-
-    The entries are read at working precision; None when one is an exact zero.
+    Every ladder-walk certificate has this shape, and so has the composition
+    of two; this class is the one reader of that format.  Its condition
+    number and normalization come from the dim nonzeros alone, and a
+    bigfloat monomial's entries are read at working precision once
+    (``raw``), for its defects, backward error and quotients.
     """
-    sigma, entries = m
-    raw = [working_pair(e.pair, prec) for e in entries]
-    if _RAW_ZERO in raw:
-        return None
-    inverse = [0] * len(sigma)
-    for k, j in enumerate(sigma):
-        inverse[j] = k
-    return sigma, inverse, [_ints(z) for z in raw]
+
+    def matrix(self):
+        """The object array P_sigma diag(entries)."""
+        out = zeros(self.entries[0].rs, len(self.entries))
+        for k, e in enumerate(self.entries):
+            out[self.sigma[k], k] = e
+        return out
+
+    @cached_property
+    def magnitudes(self):
+        """Float magnitude of each entry, ``abs`` of :func:`to_complex`, taken once."""
+        return [abs(to_complex(e)) for e in self.entries]
+
+    def condition(self) -> float:
+        """max |m_k| / min |m_k|, the ratio of M's singular values (the |m_k|); inf when one is 0."""
+        low = min(self.magnitudes)
+        return max(self.magnitudes) / low if low else math.inf
+
+    def normalized(self):
+        """Scaled by the inverse of the first entry, row by row, of the largest float magnitude.
+
+        Row sigma[k] holds only entries[k]; a dense row-major scan's zeros
+        (magnitude 0.0) win only when no entry is larger, and then nothing is scaled.
+        """
+        best, best_mag = None, 0.0
+        for k in sorted(range(len(self.sigma)), key=self.sigma.__getitem__):
+            mag = entry_magnitude(self.entries[k])
+            if mag > best_mag:
+                best, best_mag = self.entries[k], mag
+        if best is None:
+            return self
+        scale = best ** (-1)
+        return Monomial(self.sigma, [scale * e for e in self.entries])
+
+    @cached_property
+    def raw(self):
+        """(sigma^-1, working pairs, int parts) of a bigfloat monomial; None if an entry is exactly 0."""
+        prec = self.entries[0].rs.precision_bits
+        pairs = [working_pair(e.pair, prec) for e in self.entries]
+        if _RAW_ZERO in pairs:
+            return None
+        inverse = sorted(range(len(self.sigma)), key=self.sigma.__getitem__)
+        return inverse, pairs, [_ints(z) for z in pairs]
+
+    @cached_property
+    def divisors(self):
+        """The working pairs, once every entry has passed ``BigComplex._check_divisor``."""
+        for e in self.entries:
+            e._check_divisor()
+        return self.raw[1]
+
+    def over(self, other):
+        """M M_o^{-1}: entry entries[k] / other.entries[k] at (sigma[k], other.sigma[k]).
+
+        Bigfloat only, as its one caller, the uniqueness experiment, is, and
+        ``entries`` holds no exact zero, as no certificate that passed the
+        gate does.  Each quotient is a :func:`scalars.pair_div` of kept working
+        pairs, with the bits of ``BigComplex`` ``/``, after ``divisors`` has
+        refused a vanishing divisor as ``/`` refuses it.
+        """
+        divisors, pairs, order = other.divisors, self.raw[1], other.raw[0]
+        prec = self.entries[0].rs.precision_bits
+        return Monomial([self.sigma[k] for k in order],
+                        [from_pair(self.entries[k].rs, pair_div(pairs[k], divisors[k], prec))
+                         for k in order])
 
 
-def _monomial_defect(sigma, inverse, m, a, b, prec):
-    """(columns, raw entries) of M A - B M, row by row, for the monomial M[sigma[k], k] = m[k].
+def _monomial_defect(m, a, b, prec):
+    """(columns, raw entries) of M A - B M, row by row, for a :class:`Monomial` M with ``raw``.
 
-    ``m`` holds the entries' int parts and ``a`` and ``b`` are
-    :class:`Image` s.  Entry (sigma[k], l) is m_k A[k, l] - B[sigma[k],
-    sigma[l]] m_l: row sigma[k] and column l of M hold one nonzero each, so
-    the fused ``_raw_product(M, A, minus=B M)`` forms exactly these two
-    terms there.  Each is rounded as ``pair_mul(m_k, A[k, l])`` and
-    ``pair_mul(B[...], m_l)`` round it, and their difference as
-    ``pair_sub`` does, on ints through ``scalars._add``, whose results are
-    normalized, so no bit moves by skipping the ``_mpf_`` tuples between.
-    A term with an exact zero factor is not formed (a zero right term
-    leaves the left one as it is), and an entry with neither term is zero
-    and is not visited: row k walks A's row k support, then the columns of
-    B's row sigma[k] support, taken back through sigma, where A is zero,
-    which is O(nnz) per image.  Each entry comes with its column l.
+    M[sigma[k], k] = m_k, and ``a`` and ``b`` are :class:`Image` s.  Entry
+    (sigma[k], l) is m_k A[k, l] - B[sigma[k], sigma[l]] m_l: row sigma[k]
+    and column l of M hold one nonzero each, so the fused
+    ``_raw_product(M, A, minus=B M)`` forms exactly these two terms there.
+    Each is rounded as ``pair_mul(m_k, A[k, l])`` and ``pair_mul(B[...],
+    m_l)`` round it, and their difference as ``pair_sub`` does, on ints
+    through ``scalars._add``, whose results are normalized, so no bit moves
+    by skipping the ``_mpf_`` tuples between.  A term with an exact zero
+    factor is not formed (a zero right term leaves the left one as it is),
+    and an entry with neither term is zero and is not visited: row k walks
+    A's row k support, then the columns of B's row sigma[k] support, taken
+    back through sigma, where A is zero, which is O(nnz) per image.  Each
+    entry comes with its column l.
     """
+    sigma, (inverse, _, ints) = m.sigma, m.raw
     cols, out = [], []
     b_ints, b_support = b.ints, b.support
-    for k, ((mr, me, mi, mf), a_row, a_cols) in enumerate(zip(m, a.ints, a.support)):
+    for k, ((mr, me, mi, mf), a_row, a_cols) in enumerate(zip(ints, a.ints, a.support)):
         sk = sigma[k]
         b_row = b_ints[sk]
         for l in a_cols:
@@ -475,7 +526,7 @@ def _monomial_defect(sigma, inverse, m, a, b, prec):
             di, df = _add(mr * ai, me + af, mi * ar, mf + ae, prec)
             y = b_row[sigma[l]]
             if y is not None:
-                (br, be, bi, bf), (nr, ne, ni, nf) = y, m[l]
+                (br, be, bi, bf), (nr, ne, ni, nf) = y, ints[l]
                 sr, se = _add(br * nr, be + ne, -bi * ni, bf + nf, prec)
                 si, sf = _add(br * ni, be + nf, bi * nr, bf + ne, prec)
                 dr, de = _add(dr, de, -sr, se, prec)
@@ -485,20 +536,12 @@ def _monomial_defect(sigma, inverse, m, a, b, prec):
         for j in b_support[sk]:
             l = inverse[j]
             if a_row[l] is None:
-                (br, be, bi, bf), (nr, ne, ni, nf) = b_row[j], m[l]
+                (br, be, bi, bf), (nr, ne, ni, nf) = b_row[j], ints[l]
                 sr, se = _add(br * nr, be + ne, -bi * ni, bf + nf, prec)
                 si, sf = _add(br * ni, be + nf, bi * nr, bf + ne, prec)
                 cols.append(l)
                 out.append((_mpf(-sr, se), _mpf(-si, sf)))
     return cols, out
-
-
-def monomial_matrix(sigma, entries):
-    """The object array P_sigma diag(entries): entry (sigma[k], k) is entries[k]."""
-    out = zeros(entries[0].rs, len(entries))
-    for k, e in enumerate(entries):
-        out[sigma[k], k] = e
-    return out
 
 
 def _scalar_pair(a, b):
@@ -509,56 +552,53 @@ def _scalar_pair(a, b):
 def intertwining_defects(m, pairs):
     """Float magnitude of the largest entry of M A - B M for each (A, B) in ``pairs``.
 
-    ``m`` is an object array, or a monomial (sigma, entries) standing for
-    :func:`monomial_matrix`; A and B are :class:`Image` s, as a
-    representation keeps them (:meth:`Representation.image`).  Each float
-    equals ``residual_report(matmul(m, a) - matmul(b, m))[1]``: M is
-    unpacked once and each defect is one fused ``product(M, A, minus=B
-    M)`` of the kernel, or, for a bigfloat (sigma, entries) with no entry
-    zero at working precision, the same entries from their two terms over
-    the two images' supports, O(nnz) per pair (:func:`_monomial_defect`).
-    An object array always takes the fused product, whatever its shape.
-    When A and B are one scalar matrix s Id (both ``scalar`` flags, and
-    equal diagonals), as puncture images are, the defect is exactly zero and
-    0.0 is returned without the products: the bigfloat kernel skips zero
-    terms, so entry (i, j) is m_ij s - s m_ij, and ``pair_mul`` rounds both
-    products alike because ``scalars._add`` is symmetric.  The flags are
-    read off the images themselves, which may come from a file.
+    ``m`` is an object array or a :class:`Monomial`; A and B are
+    :class:`Image` s, as a representation keeps them.  Each float equals
+    ``residual_report(matmul(m, a) - matmul(b, m))[1]``: M is unpacked once
+    and each defect is one fused ``product(M, A, minus=B M)`` of the kernel,
+    or, for a bigfloat monomial with ``raw`` parts, the same entries from
+    their two terms over the two images' supports, O(nnz) per pair
+    (:func:`_monomial_defect`).  An object array always takes the fused
+    product, whatever its shape.  When A and B are one scalar matrix s Id
+    (both ``scalar``, and equal diagonals), as puncture images are, the
+    defect is exactly zero and 0.0 is returned without the products: the
+    bigfloat kernel skips zero terms, so entry (i, j) is m_ij s - s m_ij,
+    and ``pair_mul`` rounds both products alike because ``scalars._add`` is
+    symmetric.  The flags are read off the images themselves, which may
+    come from a file.
     """
-    given = isinstance(m, tuple)
-    rs = m[1][0].rs if given else m.flat[0].rs
+    mono = isinstance(m, Monomial)
+    rs = m.entries[0].rs if mono else m.flat[0].rs
     prec = rs.precision_bits
-    mono = _raw_monomial(m, prec) if given and rs.backend == "bigfloat" else None
-    if mono is None:
+    walk = mono and rs.backend == "bigfloat" and m.raw is not None
+    if not walk:
         k = kernel(rs)
-        m_rows = k.unpack(monomial_matrix(*m) if given else m)
+        m_rows = k.unpack(m.matrix() if mono else m)
     out = []
     for a, b in pairs:
         if _scalar_pair(a, b):
             out.append(0.0)
-        elif mono is not None:
-            out.append(_raw_worst([_monomial_defect(*mono, a, b, prec)[1]], prec)[1])
+        elif walk:
+            out.append(_raw_worst([_monomial_defect(m, a, b, prec)[1]], prec)[1])
         else:
             out.append(k.worst(k.product(m_rows, a.rows, minus=k.product(b.rows, m_rows)))[1])
     return out
 
 
 def monomial_backward_error(m, pairs) -> float:
-    """Float max |E| over (A, B) in ``pairs``, E = (M A - B M) M^-1, for a bigfloat monomial.
+    """Float max |E| over (A, B) in ``pairs``, E = (M A - B M) M^-1, for a bigfloat :class:`Monomial`.
 
-    ``m`` is (sigma, entries) with no entry zero at working precision, and
+    ``m`` has ``raw`` parts (no entry zero at working precision), and
     ``pairs`` is as for :func:`intertwining_defects`.  B + E = M A M^-1 is
     exactly similar to A, and entry (sigma[k], sigma[l]) of E is the defect
     entry R[sigma[k], l] divided by m_l, so one O(nnz) pass over the defect
     entries gives it (:func:`_monomial_defect`): each quotient is one
-    :func:`scalars.pair_div`, and the largest is taken by the kernel's
-    ``worst``.
+    :func:`scalars.pair_div` by the kept working pair, and the largest is
+    taken by the kernel's ``worst``.
     """
-    prec = m[1][0].rs.precision_bits
-    mono = _raw_monomial(m, prec)
-    raw = [working_pair(e.pair, prec) for e in m[1]]
-    quotients = [pair_div(d, raw[l], prec) for a, b in pairs if not _scalar_pair(a, b)
-                 for l, d in zip(*_monomial_defect(*mono, a, b, prec))]
+    prec = m.entries[0].rs.precision_bits
+    quotients = [pair_div(d, m.raw[1][l], prec) for a, b in pairs if not _scalar_pair(a, b)
+                 for l, d in zip(*_monomial_defect(m, a, b, prec))]
     return _raw_worst([quotients], prec)[1]
 
 

@@ -72,7 +72,8 @@ class Representation:
         """
         def compute():
             k = matrices.kernel(self.rs)
-            return matrices.kernel_image(k, k.unpack(self.matrix(name)))
+            rows = k.unpack(self.matrix(name))
+            return matrices.Image(rows, k.support(rows))
         return self._kept(("image", name), compute)
 
     def largest_entry(self) -> float:

@@ -11,23 +11,24 @@ reach falls back to the dense problem in dim^2 unknowns.  For irreducible
 representations the solution space has dimension at most one and the
 certificate is unique up to scale.
 
-A walked certificate keeps the :class:`Monomial` (sigma, m) it was found as,
-and every step on it costs O(nnz), with no LAPACK call and no complex128
-matrix.  Its condition number is the closed form max |m_k| / min |m_k|
-(:meth:`Monomial.condition`), and normalization takes dim magnitudes and dim
-products with the bits of the dense form.  Its residuals come from the two
-terms of each defect entry: :func:`matrices.intertwining_defects` takes the
-(sigma, m) itself and each image as the rep keeps it
-(:meth:`Representation.image`: kernel rows, whether they are exactly s Id,
-each row's nonzero columns), so an image is unpacked and scanned once per
-rep, and a defect visits only the entries where one of its two terms is
-nonzero.  The X3 test reads the same record's ``diagonal`` and the walk its
-``columns``, each formed once per rep.  A monomial is accepted by its
-backward error, not by a condition cap (:func:`_within_gate`): at N >= 13
-gauge certificates reach condition numbers of 1e14 and more while their
-backward errors stay far inside working precision.  The certificate holds
-the monomial as its ``intertwiner``; the dense ``matrix`` is formed only
-when read, as the ``isomorphic`` command reads it.
+A walked certificate keeps the :class:`matrices.Monomial` (sigma, m) it was
+found as, the one owner of that format, and every step on it costs O(nnz),
+with no LAPACK call and no complex128 matrix.  Its condition number is the
+closed form max |m_k| / min |m_k| (:meth:`Monomial.condition`), and
+normalization takes dim magnitudes and dim products with the bits of the
+dense form.  Its residuals come from the two terms of each defect entry:
+:func:`matrices.intertwining_defects` takes the monomial, whose entries
+are read at working precision once (``Monomial.raw``), and each image as
+the rep keeps it (:meth:`Representation.image`: kernel rows and their
+nonzero pattern), so an image is unpacked and scanned once per rep, and a
+defect visits only the entries where one of its two terms is nonzero.  The
+X3 test reads the same record's ``diagonal`` and the walk its ``columns``,
+each formed once.  A monomial is accepted by its backward error, not by a
+condition cap (:func:`_within_gate`): at N >= 13 gauge certificates reach
+condition numbers of 1e14 and more while their backward errors stay far
+inside working precision.  The certificate holds the monomial as its
+``intertwiner``; the dense ``matrix`` is formed only when read, as the
+``isomorphic`` command reads it.
 
 The gauge scalar x3 of a construction is determined only up to the 2N moves
 x3 -> x3 A^{2l} and x3 -> x3^{-1} A^{2l}, all preserving t3 = x3^N + x3^{-N}.
@@ -62,7 +63,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -73,6 +73,7 @@ from .chebyshev import solve_chebyshev
 from .errors import SkeinError
 from .invariants import commuting_system, extract_invariants
 from .ladder import is_pm2
+from .matrices import Monomial
 from .representation import Representation
 from .scalars import RootSystem, Tolerance, approx_eq, make_root_system
 from .sphere import (build_sphere_rep_from_params, ladder_product_closed_form,
@@ -145,55 +146,6 @@ def _normalize_by_largest(m):
     if best_mag == 0.0:
         return m
     return matrices.mat_scale(best ** (-1), m)
-
-
-class Monomial(namedtuple("Monomial", "sigma entries")):
-    """M = P_sigma diag(entries): M[sigma[k], k] = entries[k], exact zeros elsewhere.
-
-    Every ladder-walk certificate has this shape, and so has the composition
-    of two; these methods give the condition number and the bits of
-    :func:`_normalize_by_largest` from the dim nonzeros alone.
-    """
-
-    def matrix(self):
-        return matrices.monomial_matrix(self.sigma, self.entries)
-
-    @cached_property
-    def magnitudes(self):
-        """Float magnitude of each entry, ``abs`` of :func:`matrices.to_complex`, taken once."""
-        return [abs(matrices.to_complex(e)) for e in self.entries]
-
-    def condition(self) -> float:
-        """max |m_k| / min |m_k|, the ratio of M's singular values; inf when one is 0.
-
-        The singular values of P_sigma diag(m) are the |m_k|, so this is the
-        closed form of :func:`_condition_estimate` of the dense matrix.
-        """
-        low = min(self.magnitudes)
-        return max(self.magnitudes) / low if low else math.inf
-
-    def normalized(self):
-        """Scaled by the inverse of the first entry, row by row, of the largest float magnitude.
-
-        Row sigma[k] holds only entries[k]; the dense scan's zeros (magnitude
-        0.0) win only when no entry is larger, and then nothing is scaled.
-        """
-        best, best_mag = None, 0.0
-        for k in sorted(range(len(self.sigma)), key=self.sigma.__getitem__):
-            mag = matrices.entry_magnitude(self.entries[k])
-            if mag > best_mag:
-                best, best_mag = self.entries[k], mag
-        if best is None:
-            return self
-        scale = best ** (-1)
-        return Monomial(self.sigma, [scale * e for e in self.entries])
-
-    def over(self, other):
-        """M M_o^{-1}: entry entries[k] / other.entries[k] at (sigma[k], other.sigma[k])."""
-        sigma, entries = [None] * len(self.sigma), [None] * len(self.sigma)
-        for k, col in enumerate(other.sigma):
-            sigma[col], entries[col] = self.sigma[k], self.entries[k] / other.entries[k]
-        return Monomial(sigma, entries)
 
 
 def _certificate(m, rep_a, rep_b, tol):
@@ -575,9 +527,10 @@ def uniqueness_experiment(config: ExperimentConfig) -> ExperimentReport:
     (:func:`_within_gate`, a backward-error rule for a monomial) and keep
     its residual (the largest of :func:`intertwiner_residuals`) below
     ``residual_threshold``; a pair (0, j) is its base certificate, which
-    passed the gate when it was found.  Any failed certificate, oversized
-    residual or backward error, or failed invariant round-trip marks the
-    report failed with full reproduction data.
+    :func:`_certificate` found finite and in the gate at the same reps and
+    tolerance, so only its residual is checked again.  Any failed certificate,
+    oversized residual or backward error, or failed invariant round-trip
+    marks the report failed with full reproduction data.
     """
     if config.samples < 1:
         raise ValueError(f"samples must be at least 1, got {config.samples}")
@@ -633,9 +586,9 @@ def uniqueness_experiment(config: ExperimentConfig) -> ExperimentReport:
                             failures.append(f"no intertwiner between variants {i} and {j}")
                             continue
                         worst_residual = max(worst_residual, cert.worst_residual)
-                        if not math.isfinite(cert.condition_estimate):
+                        if i and not math.isfinite(cert.condition_estimate):
                             failures.append(f"intertwiner {i}->{j} not invertible")
-                        elif not _within_gate(cert, reps[i], reps[j], None):
+                        elif i and not _within_gate(cert, reps[i], reps[j], None):
                             failures.append(f"backward error too large for pair {i}->{j}")
                         if cert.worst_residual >= config.residual_threshold:
                             failures.append(f"residual too large for pair {i}->{j}")

@@ -419,7 +419,8 @@ def test_scalar_pair_defect_is_exactly_zero(seed, n, monomial):
     k = matrices.kernel(rs)
     m_rows = k.unpack(m)
     assert k.worst(k.product(m_rows, k.unpack(a), minus=k.product(k.unpack(b), m_rows))) == (True, 0.0)
-    images = [(matrices.kernel_image(k, k.unpack(a)), matrices.kernel_image(k, k.unpack(b)))]
+    images = [tuple(matrices.Image(rows, k.support(rows)) for rows in (k.unpack(a), k.unpack(b)))]
+    assert images[0][0].scalar and images[0][1].scalar
     assert matrices.intertwining_defects(m, images) == [0.0]
 
 
@@ -430,13 +431,14 @@ def nonzero_spread_entry(rs, rng, prec):
             return e
 
 
-def sparse_defect(k, mono, sigma, a_rows, b_rows, prec):
-    """(image pairs, nonzero entries of ``_monomial_defect`` by (row, column)).
+def sparse_defect(k, mono, a_rows, b_rows, prec):
+    """(image pairs, nonzero entries of ``_monomial_defect`` by (row, column)) for a :class:`Monomial`.
 
     Checks that it visits, row by row, exactly the entries where a term is nonzero.
     """
-    images = [(matrices.kernel_image(k, a_rows), matrices.kernel_image(k, b_rows))]
-    cols, defect = matrices._monomial_defect(*mono, *images[0], prec)
+    images = [tuple(matrices.Image(rows, k.support(rows)) for rows in (a_rows, b_rows))]
+    cols, defect = matrices._monomial_defect(mono, *images[0], prec)
+    sigma = mono.sigma
     n = len(sigma)
     terms = [(sigma[c], l) for c in range(n) for l in range(n)
              if a_rows[c][l] is not None or b_rows[sigma[c]][sigma[l]] is not None]
@@ -466,17 +468,21 @@ def test_monomial_defect_matches_fused_product(seed, n, zero_share):
                         img[i, j] = spread_entry(rs, rng, prec)
     k = matrices.kernel(rs)
     m_rows, a_rows, b_rows = k.unpack(m), k.unpack(a), k.unpack(b)
-    mono = matrices._raw_monomial((sigma, [m[sigma[c], c] for c in range(n)]), prec)
+    mono = matrices.Monomial(sigma, [m[sigma[c], c] for c in range(n)])
+    # raw holds sigma^-1 and each entry read once at working precision, as the kernel reads it
+    inverse, pairs, ints = mono.raw
+    assert [sigma[j] for j in inverse] == list(range(n))
+    assert pairs == [m_rows[sigma[c]][c] for c in range(n)]
+    assert ints == [scalars_module._ints(z) for z in pairs]
     fused = k.product(m_rows, a_rows, minus=k.product(b_rows, m_rows))
     want = {(i, j): z for i, row in enumerate(fused) for j, z in enumerate(row) if z is not None}
-    images, got = sparse_defect(k, mono, sigma, a_rows, b_rows, prec)
+    images, got = sparse_defect(k, mono, a_rows, b_rows, prec)
     assert got == want
     worst = [mpc_worst(fused, prec)[1]]
-    # the dense M takes the fused product, and the same monomial given as
-    # (sigma, entries) takes the two-term path without being rebuilt
+    # the dense M takes the fused product, and the same monomial given as a
+    # Monomial takes the two-term path without being rebuilt
     assert matrices.intertwining_defects(m, images) == worst
-    entries = [m[sigma[c], c] for c in range(n)]
-    assert matrices.intertwining_defects((sigma, entries), images) == worst
+    assert matrices.intertwining_defects(mono, images) == worst
 
 
 def some_columns(rng, n):
@@ -516,19 +522,19 @@ def test_sparse_monomial_defect_walks_both_supports(seed, n, spread, kinds):
                     b[sigma[k], sigma[l]] = entry()
     k = matrices.kernel(rs)
     m_rows, a_rows, b_rows = k.unpack(m), k.unpack(a), k.unpack(b)
-    entries = [m[sigma[c], c] for c in range(n)]
+    mono = matrices.Monomial(sigma, [m[sigma[c], c] for c in range(n)])
+    assert mono.raw is not None
     fused = k.product(m_rows, a_rows, minus=k.product(b_rows, m_rows))
     want = {(i, j): z for i, row in enumerate(fused) for j, z in enumerate(row) if z is not None}
-    images, got = sparse_defect(k, matrices._raw_monomial((sigma, entries), prec), sigma,
-                                a_rows, b_rows, prec)
+    images, got = sparse_defect(k, mono, a_rows, b_rows, prec)
     assert got == want
-    assert matrices.intertwining_defects((sigma, entries), images) == [mpc_worst(fused, prec)[1]]
+    assert matrices.intertwining_defects(mono, images) == [mpc_worst(fused, prec)[1]]
     # the backward error (M A - B M) M^-1 divides column l of the defect by m_l
     worst = fzero
     for (i, l), z in want.items():
         q = mpc_abs(mpc_div(z, m_rows[sigma[l]][l], prec, RND), prec, RND)
         worst = q if mpf_gt(q, worst) else worst
-    assert matrices.monomial_backward_error((sigma, entries), images) == to_float(worst, rnd=RND)
+    assert matrices.monomial_backward_error(mono, images) == to_float(worst, rnd=RND)
 
 
 def edge_part(rng, prec):

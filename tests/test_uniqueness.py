@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from mpmath import mp
 from mpmath.libmp import from_man_exp, fzero
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skeinrep import matrices, sphere, uniqueness
 from skeinrep.chebyshev import chebyshev_eval, solve_chebyshev
+from skeinrep.errors import VanishingDivisor
 from skeinrep.scalars import BigComplex, Tolerance, approx_eq, from_pair, make_root_system
 from skeinrep.serialize import dumps_canonical
 from skeinrep.sphere import build_sphere_rep_from_params, make_sphere_params
@@ -214,6 +215,43 @@ def test_monomial_normalization_matches_dense_exact_backend():
     got = mono.normalized().matrix()
     assert list(got.flat) == list(uniqueness._normalize_by_largest(mono.matrix()).flat)
     assert got[0, 1] == exact.one
+
+
+def wide_entry(rs, rng, top):
+    """A scalar of 300-bit parts, wider than working precision, of magnitude near 2^top; a part may be 0."""
+    def part():
+        if rng.random() < 0.15:
+            return fzero
+        return from_man_exp(rng.choice([-1, 1]) * rng.getrandbits(300), top - 300 + rng.randint(-3, 3))
+    return from_pair(rs, (part(), part()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 7), exact_zero=st.booleans())
+def test_monomial_over_matches_entrywise_division(rs, seed, n, exact_zero):
+    # divisors far from the zero cut 2^-128, near it, or exactly zero: the
+    # quotients are those of BigComplex /, and a divisor that is_zero raises as / does
+    rng = random.Random(seed)
+    num = uniqueness.Monomial(rng.sample(range(n), n),
+                              [wide_entry(rs, rng, rng.randint(-100, 100)) for _ in range(n)])
+    assume(num.raw is not None)
+    tops = [rng.randint(-132, -124) if rng.random() < 0.15 else rng.randint(-100, 100) for _ in range(n)]
+    den_entries = [wide_entry(rs, rng, top) for top in tops]
+    if exact_zero:
+        den_entries[rng.randrange(n)] = rs.zero
+    den = uniqueness.Monomial(rng.sample(range(n), n), den_entries)
+    try:
+        want = [x / y for x, y in zip(num.entries, den.entries)]
+    except VanishingDivisor as exc:
+        assert any(y.is_zero() for y in den.entries)
+        with pytest.raises(VanishingDivisor) as raised:
+            num.over(den)
+        assert str(raised.value) == str(exc)
+        return
+    got = num.over(den)
+    for k, col in enumerate(den.sigma):
+        assert got.sigma[col] == num.sigma[k]
+        assert got.entries[col].pair == want[k].pair and got.entries[col].rs is want[k].rs
 
 
 def test_distinct_t3_refused_by_spectrum(rs, monkeypatch):
@@ -448,7 +486,9 @@ def test_experiment_sphere_avoids_dense_system(monkeypatch):
 @pytest.mark.parametrize("surface", [TORUS1, SPHERE4])
 def test_pair_loop_stays_monomial(surface, monkeypatch):
     # the pair loop starts when the last of the 2N - 1 base searches returns;
-    # from there no matmul or general-kernel product runs
+    # from there no matmul or general-kernel product runs, and each entry of
+    # the divisor monomials M_1 .. M_4 is tested as a divisor once,
+    # dim (2N - 2) = 12 tests, not once per composed pair (30)
     calls = Counter()
     real_search = uniqueness.intertwiner_search
 
@@ -467,10 +507,12 @@ def test_pair_loop_stays_monomial(surface, monkeypatch):
     monkeypatch.setattr(uniqueness, "intertwiner_search", search)
     for name in ("matmul", "_raw_product", "intertwining_defects"):
         monkeypatch.setattr(matrices, name, watched(name, getattr(matrices, name)))
+    monkeypatch.setattr(BigComplex, "_check_divisor",
+                        watched("_check_divisor", BigComplex._check_divisor))
     report = uniqueness_experiment(ExperimentConfig(surface, 3, 1, seed=4))
     assert report.passed and report.records[0]["pairs_checked"] == 15
     # the 10 pairs (i, j) with 0 < i < j < 6 each take one residual call
-    assert calls == {"search": 5, "intertwining_defects": 10}
+    assert calls == {"search": 5, "intertwining_defects": 10, "_check_divisor": 12}
 
 
 @pytest.mark.parametrize("surface", [TORUS1, SPHERE4])
@@ -500,26 +542,26 @@ def test_experiment_forms_no_dense_certificate(surface, monkeypatch):
     # every base certificate keeps the Monomial its walk found, and the
     # experiment never reads its dense matrix, which is formed on first read
     certs, formed = [], Counter()
-    real_search, real_formed = uniqueness.intertwiner_search, matrices.monomial_matrix
+    real_search, real_formed = uniqueness.intertwiner_search, matrices.Monomial.matrix
 
     def search(*args, **kwargs):
         certs.append(real_search(*args, **kwargs))
         return certs[-1]
 
-    def monomial_matrix(sigma, entries):
-        formed["monomial_matrix"] += 1
-        return real_formed(sigma, entries)
+    def monomial_matrix(mono):
+        formed["Monomial.matrix"] += 1
+        return real_formed(mono)
 
     monkeypatch.setattr(uniqueness, "intertwiner_search", search)
-    monkeypatch.setattr(matrices, "monomial_matrix", monomial_matrix)
+    monkeypatch.setattr(matrices.Monomial, "matrix", monomial_matrix)
     report = uniqueness_experiment(ExperimentConfig(surface, 3, 1, seed=4))
     assert report.passed and len(certs) == 5 and not formed
     for cert in certs:
         assert isinstance(cert.intertwiner, uniqueness.Monomial)
         first = cert.matrix
         assert cert.matrix is first and not first.flags.writeable
-        assert bits(first) == bits(real_formed(*cert.intertwiner))
-    assert formed == {"monomial_matrix": 5}
+        assert bits(first) == bits(real_formed(cert.intertwiner))
+    assert formed == {"Monomial.matrix": 5}
 
 
 def test_sphere_orbit_repeats_no_work(monkeypatch):
@@ -661,17 +703,20 @@ def test_exact_backward_error_settles_what_its_bound_cannot(sphere15_pair, monke
 
 def test_torus_experiment_reads_patterns_once_and_takes_no_svd(monkeypatch):
     # every certificate is monomial, so no condition number comes from LAPACK,
-    # and each image's s Id flag is read once per rep however many pairs use it
+    # and each image's s Id flag is computed at most once per rep however many
+    # pairs read it
     flags, reps = Counter(), []
+    real_scalar = matrices.Image.scalar.func
 
     def no_svd(*args, **kwargs):
         raise AssertionError("np.linalg.svd called")
 
-    def scalar_rows(real):
-        def wrapper(rows):
-            flags[id(rows)] += 1
-            return real(rows)
-        return wrapper
+    def scalar(image):
+        flags[id(image.rows)] += 1
+        return real_scalar(image)
+
+    spy = cached_property(scalar)
+    spy.__set_name__(matrices.Image, "scalar")
 
     def variants(real):
         def wrapper(params):
@@ -680,12 +725,16 @@ def test_torus_experiment_reads_patterns_once_and_takes_no_svd(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    monkeypatch.setattr(matrices, "_scalar_rows", scalar_rows(matrices._scalar_rows))
+    monkeypatch.setattr(matrices.Image, "scalar", spy)
     monkeypatch.setattr(uniqueness, "_build_variant_reps", variants(uniqueness._build_variant_reps))
     report = uniqueness_experiment(ExperimentConfig(TORUS1, 5, 1, seed=1))
     assert report.passed and report.records[0]["pairs_checked"] == 45
-    images = [id(rep.image(g).rows) for rep in reps for g in TORUS1.generators]
-    assert [flags[i] for i in images] == [1] * len(images)
+    # the flag is computed on first read, and the pairs' reads and one more
+    # after the run compute it once
+    images = [rep.image(g) for rep in reps for g in TORUS1.generators]
+    assert all(flags[id(image.rows)] <= 1 for image in images)
+    assert all(flags[id(rep.image("P").rows)] == 1 for rep in reps)
+    assert [(image.scalar, flags[id(image.rows)])[1] for image in images] == [1] * len(images)
 
 
 @pytest.mark.parametrize("surface,n", [(TORUS1, 5), (SPHERE4, 3)])
