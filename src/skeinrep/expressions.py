@@ -19,9 +19,9 @@ coefficient.  Exact normal forms are the same as term-by-term rewriting
 gives; bigfloat coefficients round in merge order.
 
 Evaluation in a representation walks the syntax tree on the root system's
-matrix kernel (:func:`matrices.kernel`: raw libmp rows in the bigfloat
-backend), keeps literals and scalar images as scalars, and wraps only the
-result, bit-identical to the same steps on object arrays.  A normal form is
+matrix kernel (:func:`matrices.kernel`: rows of int quadruples in the
+bigfloat backend), keeps literals and scalar images as scalars, and wraps
+only the result, bit-identical to the same steps on object arrays.  A normal form is
 evaluated as its expression.
 """
 

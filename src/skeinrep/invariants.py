@@ -6,7 +6,9 @@ stored trace is Tr r(X) = -t.  Each puncture generator must act by a scalar
 p with T_N(p) = -Tr r(P).  Both checks read T_N of a generator from the
 representation's memo (:meth:`Representation.chebyshev`), so verifying and
 extracting one representation evaluates it once, and both read scalar
-matrices with the raw-pair read-outs of :mod:`matrices`.  Presentation
+matrices with the read-outs of :mod:`matrices`.  The Sphere4 classical
+relation takes T_N of the puncture values from :func:`sphere.puncture_data`,
+which the construction filled.  Presentation
 relations are checked as defect expressions evaluated through the expression
 module, and irreducibility is decided by the dimension of the commutant,
 which a diagonal X3 with a simple spectrum reduces to a component count over
@@ -22,7 +24,7 @@ from .chebyshev import chebyshev_eval
 from .expressions import evaluate, relation_defects
 from .representation import Representation
 from .scalars import Tolerance, approx_eq
-from .sphere import sphere_aux_invariants
+from .sphere import puncture_data
 from .torus import puncture_chebyshev_value
 
 TRACE_CONVENTION = "traces store Tr r(X) = -t where T_N(rho(X)) = t*Id"
@@ -144,8 +146,13 @@ class ShadowInvariants:
 
 
 def _sphere_classical_relation_ok(t_vals, p_vals, rs, tol):
-    """Trace relation of the four-puncture sphere at the classical level."""
-    q1, q2, q3, delta = sphere_aux_invariants(*(chebyshev_eval(rs.N, p) for p in p_vals))
+    """Trace relation of the four-puncture sphere at the classical level.
+
+    (Q1, Q2, Q3, Delta') at T_N(p_k) are the ``shadow_aux`` that
+    :func:`sphere.puncture_data` keeps by exact value, so puncture values
+    read back bit for bit, as a gauge orbit's are, take no new T_N.
+    """
+    q1, q2, q3, delta = puncture_data(rs, *p_vals).shadow_aux
     t1, t2, t3 = t_vals
     lhs = (t1 * t2 * t3 - t1 * t1 - t2 * t2 - t3 * t3
            - q1 * t1 - q2 * t2 - q3 * t3 + 4)

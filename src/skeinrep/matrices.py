@@ -3,14 +3,17 @@
 Matrices are numpy object arrays whose entries are scalars of a single root
 system.  Products, sums, the T_n recurrence and residuals go through
 :func:`kernel`, the one place that picks a backend's working format: the
-object arrays themselves (exact), or the libmp pairs the entries hold
-(bigfloat).  Bigfloat entries are read once at the working precision, and
-dot products and sums round as ``BigComplex`` arithmetic rounds, in the same
-order and with the same primitive: ``scalars._add``, libmp's rounding on
-Python ints.  Only the results are wrapped back into ``BigComplex``, so
-every entry is bit-identical to the entrywise object arithmetic.  The
-scalar read-outs are one code for both backends: :func:`read_scalar_matrix`
-validates each entry with ``approx_eq``, and :func:`scalar_residual` (with
+object arrays themselves (exact), or rows of int quadruples (bigfloat):
+(re mantissa, re exponent, im mantissa, im exponent) with signed mantissas,
+the values ``scalars._add`` reads and returns, and None for an exact zero.
+Bigfloat entries are read into that format once, at the working precision
+(``unpack``), and dot products and sums round as ``BigComplex`` arithmetic
+rounds, in the same order and with the same primitive: ``scalars._add``,
+libmp's rounding on Python ints.  Only the results are packed back into
+libmp pairs and wrapped into ``BigComplex`` (``wrap``), so every entry is
+bit-identical to the entrywise object arithmetic.  The scalar read-outs are
+one code for both backends: :func:`read_scalar_matrix` validates each entry
+with ``approx_eq``, and :func:`scalar_residual` (with
 :func:`scalar_deviation`) shifts the diagonal on the kernel; the largest
 entry of a bigfloat residual takes :func:`scalars.pair_abs` of two entries
 at most.
@@ -38,7 +41,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 import mpmath
@@ -46,9 +49,8 @@ from mpmath import mp
 from mpmath.libmp import fzero, mpf_gt, to_float
 
 from .errors import NonScalarChebyshev
-from .scalars import (RND, CyclotomicNumber, RootSystem, _add, _hypot_sum, _ints, _mpf, approx_eq,
-                      from_pair, magnitude_exponent, numeric_bridge, pair_abs, pair_add, pair_div,
-                      pair_mul, working_pair)
+from .scalars import (_ZERO_PAIR, RND, CyclotomicNumber, RootSystem, _add, _div, _hypot_sum, _ints, _mpf,
+                      _pack, approx_eq, from_pair, numeric_bridge, pair_abs, working_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -102,13 +104,14 @@ def mat_scale(s, mat):
 # kernels: one working format per backend
 # ---------------------------------------------------------------------------
 
-_RAW_ZERO = (fzero, fzero)
-
-
 def _raw_entry(s, prec):
-    """The libmp pair of a scalar read at the working precision, or None for an exact zero."""
+    """The int quadruple of a scalar read at the working precision, or None for an exact zero.
+
+    The quadruple is :func:`scalars._ints` of the working pair: each part's
+    signed mantissa and exponent, as ``scalars._add`` reads and returns them.
+    """
     z = working_pair(s.pair, prec)
-    return None if z == _RAW_ZERO else z
+    return None if z == _ZERO_PAIR else _ints(z)
 
 
 def _raw_rows(mat, prec):
@@ -117,12 +120,16 @@ def _raw_rows(mat, prec):
 
 
 def _wrap(rs, rows):
-    """Object array of BigComplex from raw rows."""
+    """Object array of BigComplex from raw rows: each quadruple packed into its libmp pair."""
     out = np.empty((len(rows), len(rows[0])), dtype=object)
     zero = rs.zero
     for i, row in enumerate(rows):
         for j, z in enumerate(row):
-            out[i, j] = zero if z is None else from_pair(rs, z)
+            if z is None:
+                out[i, j] = zero
+            else:
+                re, e, im, f = z
+                out[i, j] = from_pair(rs, (_mpf(re, e), _mpf(im, f)))
     return out
 
 
@@ -134,20 +141,19 @@ def _raw_product(a_rows, b_rows, prec, minus=None):
     of a complex product is two exact mantissa products and one rounded sum,
     and each accumulation and the fused subtraction of C are one rounded sum
     per part, as ``BigComplex`` makes them (:func:`scalars.pair_mul`,
-    :func:`scalars.pair_add`).  All run on Python ints through
-    ``scalars._add``.  A zero term leaves a rounded accumulator unchanged,
-    and mpmath has no signed zero, so skipping exact zeros moves no bit;
-    neither does starting the sum at the first term instead of at 0.
+    :func:`scalars.pair_add`).  All run on the entries' ints through
+    ``scalars._add``, whose results are the next entries as they are.  A
+    zero term leaves a rounded accumulator unchanged, and mpmath has no
+    signed zero, so skipping exact zeros moves no bit; neither does starting
+    the sum at the first term instead of at 0.
     """
-    b_ints = [[_ints(z) for z in row] for row in b_rows]
     cols = range(len(b_rows[0]))
     out = []
     for i, a_row in enumerate(a_rows):
-        terms = [(b_row, z) for b_row, z in zip(b_ints, map(_ints, a_row)) if z is not None]
+        terms = [(b_row, z) for b_row, z in zip(b_rows, a_row) if z is not None]
         c_row = None if minus is None else minus[i]
         row = []
         for j in cols:
-            c_ints = None if c_row is None else _ints(c_row[j])
             re = im = None
             for b_row, (ar, er, ai, ei) in terms:
                 b = b_row[j]
@@ -161,13 +167,14 @@ def _raw_product(a_rows, b_rows, prec, minus=None):
                 else:
                     re, e = _add(re, e, tr, te, prec)
                     im, f = _add(im, f, ti, tf, prec)
-            if c_ints is not None:
-                cr, cre, ci, cie = c_ints
+            c = None if c_row is None else c_row[j]
+            if c is not None:
+                cr, ce, ci, cf = c
                 if re is None:
                     re = e = im = f = 0
-                re, e = _add(re, e, -cr, cre, prec)
-                im, f = _add(im, f, -ci, cie, prec)
-            row.append(None if re is None or not (re or im) else (_mpf(re, e), _mpf(im, f)))
+                re, e = _add(re, e, -cr, ce, prec)
+                im, f = _add(im, f, -ci, cf, prec)
+            row.append(None if re is None or not (re or im) else (re, e, im, f))
         out.append(row)
     return out
 
@@ -175,13 +182,20 @@ def _raw_product(a_rows, b_rows, prec, minus=None):
 def _raw_plus(a, b, prec):
     """a + b of two raw entries, rounded as ``BigComplex.__add__`` rounds it.
 
-    One ``scalars.pair_add``, with an exact zero read as 0; two exact zeros
-    give one.
+    One ``scalars._add`` per part, as :func:`scalars.pair_add` makes them,
+    and a zero sum is an exact zero.  An exact zero operand leaves the other
+    one as it is: a raw entry has at most prec bits and odd mantissas, so
+    ``_add`` with 0 neither rounds nor strips it.
     """
-    if a is None and b is None:
-        return None
-    z = pair_add(a or _RAW_ZERO, b or _RAW_ZERO, prec)
-    return None if z == _RAW_ZERO else z
+    if a is None:
+        return b
+    if b is None:
+        return a
+    ar, ae, ai, af = a
+    br, be, bi, bf = b
+    re, e = _add(ar, ae, br, be, prec)
+    im, f = _add(ai, af, bi, bf, prec)
+    return (re, e, im, f) if re or im else None
 
 
 def _raw_sum(a_rows, b_rows, prec):
@@ -193,12 +207,18 @@ def _raw_sum(a_rows, b_rows, prec):
 def _raw_times(a, b, prec):
     """a b of two raw entries: the product entry of the kernel that has this one term.
 
-    ``_raw_product`` forms it with the parts of ``scalars.pair_mul``, a
-    first.  An exact zero factor forms no term and gives None; otherwise the
-    parts round the exact parts of a b, which are not both zero, so neither
-    is the result.
+    ``_raw_product`` forms it with the two ``scalars._add`` calls of
+    :func:`scalars.pair_mul`, a first.  An exact zero factor forms no term
+    and gives None; otherwise the parts round the exact parts of a b, which
+    are not both zero, so neither is the result.
     """
-    return None if a is None or b is None else pair_mul(a, b, prec)
+    if a is None or b is None:
+        return None
+    ar, er, ai, ei = a
+    br, fr, bi, fi = b
+    re, e = _add(ar * br, er + fr, -ai * bi, ei + fi, prec)
+    im, f = _add(ar * bi, er + fi, ai * br, ei + fr, prec)
+    return re, e, im, f
 
 
 def _raw_scale(s, rows, prec):
@@ -235,17 +255,31 @@ def _raw_support(rows):
     return [[j for j, z in enumerate(row) if z is not None] for row in rows]
 
 
+def _raw_exponent(z):
+    """:func:`scalars.magnitude_exponent` of a raw entry: its larger part's exp + bits; None for 0 + 0i."""
+    re, e, im, f = z
+    if re:
+        return max(e + re.bit_length(), f + im.bit_length()) if im else e + re.bit_length()
+    return f + im.bit_length() if im else None
+
+
 def _hypot2(z, prec):
-    """:func:`scalars._hypot_sum` of a two-part entry as (exponent, mantissa).
+    """:func:`scalars._hypot_sum` of a two-part raw entry as (exponent, mantissa).
 
     This is the sum whose square root :func:`scalars.pair_abs` rounds
     correctly, so an entry with a larger key never has a smaller
     ``pair_abs``.  The mantissa is widened to exactly prec + 4 bits, so keys
     compare as tuples.
     """
-    s, e = _hypot_sum(z, prec)
+    s, e = _hypot_sum(*z, prec)
     n = prec + 4 - s.bit_length()
     return e - n, s << n
+
+
+def _exceeds(m, e, n, f):
+    """Whether m 2^e > n 2^f, exactly."""
+    lo = min(e, f)
+    return m << e - lo > n << f - lo
 
 
 def _raw_worst(rows, prec):
@@ -253,7 +287,8 @@ def _raw_worst(rows, prec):
 
     The largest :func:`scalars.pair_abs` is found as a raw mpf and rounded
     to float once, as ``float(mpf)`` rounds it, and taken of two entries at
-    most.  An entry whose magnitude exponent lies 2 or more below the
+    most, packed into their pairs.  An entry 0 + 0i, as a defect can hold,
+    is zero; an entry whose magnitude exponent lies 2 or more below the
     largest one cannot exceed that entry's ``pair_abs`` and is passed over.
     Of an entry with one nonzero part, ``pair_abs`` is that part's magnitude
     rounded to prec bits, so the largest comes from the largest |part|; of
@@ -262,17 +297,17 @@ def _raw_worst(rows, prec):
     one-part entry can round above a two-part entry larger by less than
     2^-(prec+3) of it.
     """
-    found = [(e, z) for row in rows for z in row
-             if z is not None and (e := magnitude_exponent(z)) is not None]
-    cut = max((e for e, _ in found), default=0) - 1
+    found = [(t, z) for row in rows for z in row
+             if z is not None and (t := _raw_exponent(z)) is not None]
+    cut = max((t for t, _ in found), default=0) - 1
     single = single_abs = pair = pair_key = None
-    for e, z in found:
-        if e >= cut:
-            x, y = z
-            if x == fzero or y == fzero:
-                part = (0,) + (y if x == fzero else x)[1:]
-                if single is None or mpf_gt(part, single_abs):
-                    single, single_abs = z, part
+    for t, z in found:
+        if t >= cut:
+            re, e, im, f = z
+            if not re or not im:
+                m, x = (abs(re), e) if re else (abs(im), f)
+                if single is None or _exceeds(m, x, *single_abs):
+                    single, single_abs = z, (m, x)
             else:
                 key = _hypot2(z, prec)
                 if pair is None or key > pair_key:
@@ -280,7 +315,7 @@ def _raw_worst(rows, prec):
     worst = fzero
     for z in (single, pair):
         if z is not None:
-            mag = pair_abs(z, prec)
+            mag = pair_abs(_pack(z), prec)
             if mpf_gt(mag, worst):
                 worst = mag
     return worst == fzero, to_float(worst, rnd=RND)
@@ -329,8 +364,24 @@ _EXACT_KERNEL = Kernel(_same, np.copy, _exact_product, operator.add, _exact_wors
                        _exact_support)
 
 
+def _bigfloat_kernel(rs):
+    """The raw-row functions at the working precision of ``rs``.
+
+    Each is looked up by name when called, so a kernel built once still calls
+    a module function that is rebound later.
+    """
+    prec = rs.precision_bits
+    return Kernel(lambda mat: _raw_rows(mat, prec), lambda rows: _wrap(rs, rows),
+                  lambda a, b, minus=None: _raw_product(a, b, prec, minus),
+                  lambda a, b: _raw_sum(a, b, prec), lambda rows: _raw_worst(rows, prec),
+                  lambda s: _raw_entry(s, prec), lambda a, b: _raw_times(a, b, prec),
+                  lambda a, b: _raw_plus(a, b, prec), lambda s, rows: _raw_scale(s, rows, prec),
+                  lambda s, rows: _raw_shift(s, rows, prec), lambda s, n: _raw_widen(s, n),
+                  lambda rows: _raw_support(rows))
+
+
 def kernel(rs: RootSystem) -> Kernel:
-    """Matrix and scalar arithmetic in the working format of ``rs``.
+    """Matrix and scalar arithmetic in the working format of ``rs``, one kernel per root system.
 
     ``unpack`` reads an object array into the working format and ``wrap``
     makes a new object array of a result; ``product(a, b, minus=None)`` is
@@ -344,17 +395,16 @@ def kernel(rs: RootSystem) -> Kernel:
     symmetric in their operands, so ``scale`` and ``shift`` also give
     B (s Id) and B + s Id.  The exact kernel works on object arrays and
     scalars as they are; the bigfloat kernel is the raw-row functions above
-    at the working precision.
+    at the working precision, on rows of int quadruples (None for an exact
+    zero), and is kept on the root system object itself, whose scalars it
+    wraps.
     """
     if rs.backend == "exact":
         return _EXACT_KERNEL
-    prec = rs.precision_bits
-    return Kernel(partial(_raw_rows, prec=prec), partial(_wrap, rs),
-                  partial(_raw_product, prec=prec), partial(_raw_sum, prec=prec),
-                  partial(_raw_worst, prec=prec), partial(_raw_entry, prec=prec),
-                  partial(_raw_times, prec=prec), partial(_raw_plus, prec=prec),
-                  partial(_raw_scale, prec=prec), partial(_raw_shift, prec=prec), _raw_widen,
-                  _raw_support)
+    k = rs.__dict__.get("_kernel")
+    if k is None:
+        k = rs._kernel = _bigfloat_kernel(rs)
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +424,14 @@ def chebyshev_matrix(n: int, arg):
 
     Every step is one fused ``product(arg, T_k, minus=T_{k-1})`` of the
     kernel, and only T_n is wrapped; each step rounds as ``matmul`` followed
-    by an entrywise subtraction does.
+    by an entrywise subtraction does.  T_0 is the kernel's ``widen`` of 2,
+    the rows ``unpack`` reads from 2 Id.
     """
     if n == 1:
         return arg.copy()  # a new array, as for every other n; the entries are immutable
     rs = arg.flat[0].rs
     k = kernel(rs)
-    prev2 = k.unpack(scalar_matrix(rs.scalar(2), arg.shape[0]))
+    prev2 = k.widen(k.entry(rs.scalar(2)), arg.shape[0])
     prev1 = a = k.unpack(arg)
     for _ in range(n - 1):
         prev2, prev1 = prev1, k.product(a, prev1, minus=prev2)
@@ -395,8 +446,7 @@ class Image(namedtuple("Image", "rows support")):
     column's rows that hold no exact zero, in increasing order, ``diagonal``
     tells whether every entry off the diagonal is an exact zero, ``scalar``
     whether the rows are exactly s Id (diagonal, each diagonal entry equal
-    to rows[0][0]), and, for bigfloat rows, ``ints`` holds each entry's
-    signed mantissas and exponents (:func:`scalars._ints`).
+    to rows[0][0]).
     """
 
     @cached_property
@@ -416,10 +466,6 @@ class Image(namedtuple("Image", "rows support")):
         s = self.rows[0][0]
         return self.diagonal and all(row[i] == s for i, row in enumerate(self.rows))
 
-    @cached_property
-    def ints(self):
-        return [[_ints(z) for z in row] for row in self.rows]
-
 
 class Monomial(namedtuple("Monomial", "sigma entries")):
     """M = P_sigma diag(entries): M[sigma[k], k] = entries[k], exact zeros elsewhere.
@@ -427,8 +473,8 @@ class Monomial(namedtuple("Monomial", "sigma entries")):
     Every ladder-walk certificate has this shape, and so has the composition
     of two; this class is the one reader of that format.  Its condition
     number and normalization come from the dim nonzeros alone, and a
-    bigfloat monomial's entries are read at working precision once
-    (``raw``), for its defects, backward error and quotients.
+    bigfloat monomial's entries are read into the kernel's int quadruples
+    once (``raw``), for its defects, backward error and quotients.
     """
 
     def matrix(self):
@@ -466,17 +512,16 @@ class Monomial(namedtuple("Monomial", "sigma entries")):
 
     @cached_property
     def raw(self):
-        """(sigma^-1, working pairs, int parts) of a bigfloat monomial; None if an entry is exactly 0."""
+        """(sigma^-1, kernel entries :func:`_raw_entry`) of a bigfloat monomial; None if one is exactly 0."""
         prec = self.entries[0].rs.precision_bits
-        pairs = [working_pair(e.pair, prec) for e in self.entries]
-        if _RAW_ZERO in pairs:
+        entries = [_raw_entry(e, prec) for e in self.entries]
+        if None in entries:
             return None
-        inverse = sorted(range(len(self.sigma)), key=self.sigma.__getitem__)
-        return inverse, pairs, [_ints(z) for z in pairs]
+        return sorted(range(len(self.sigma)), key=self.sigma.__getitem__), entries
 
     @cached_property
     def divisors(self):
-        """The working pairs, once every entry has passed ``BigComplex._check_divisor``."""
+        """The raw entries, once every entry has passed ``BigComplex._check_divisor``."""
         for e in self.entries:
             e._check_divisor()
         return self.raw[1]
@@ -486,14 +531,15 @@ class Monomial(namedtuple("Monomial", "sigma entries")):
 
         Bigfloat only, as its one caller, the uniqueness experiment, is, and
         ``entries`` holds no exact zero, as no certificate that passed the
-        gate does.  Each quotient is a :func:`scalars.pair_div` of kept working
-        pairs, with the bits of ``BigComplex`` ``/``, after ``divisors`` has
-        refused a vanishing divisor as ``/`` refuses it.
+        gate does.  Each quotient is a :func:`scalars._div` of kept raw
+        entries, packed into its pair, with the bits of ``BigComplex`` ``/``
+        (:func:`scalars.pair_div`), after ``divisors`` has refused a
+        vanishing divisor as ``/`` refuses it.
         """
-        divisors, pairs, order = other.divisors, self.raw[1], other.raw[0]
+        divisors, raw, order = other.divisors, self.raw[1], other.raw[0]
         prec = self.entries[0].rs.precision_bits
         return Monomial([self.sigma[k] for k in order],
-                        [from_pair(self.entries[k].rs, pair_div(pairs[k], divisors[k], prec))
+                        [from_pair(self.entries[k].rs, _pack(_div(raw[k], divisors[k], prec)))
                          for k in order])
 
 
@@ -505,42 +551,42 @@ def _monomial_defect(m, a, b, prec):
     and column l of M hold one nonzero each, so the fused
     ``_raw_product(M, A, minus=B M)`` forms exactly these two terms there.
     Each is rounded as ``pair_mul(m_k, A[k, l])`` and ``pair_mul(B[...],
-    m_l)`` round it, and their difference as ``pair_sub`` does, on ints
-    through ``scalars._add``, whose results are normalized, so no bit moves
-    by skipping the ``_mpf_`` tuples between.  A term with an exact zero
-    factor is not formed (a zero right term leaves the left one as it is),
-    and an entry with neither term is zero and is not visited: row k walks
-    A's row k support, then the columns of B's row sigma[k] support, taken
-    back through sigma, where A is zero, which is O(nnz) per image.  Each
-    entry comes with its column l.
+    m_l)`` round it, and their difference as ``pair_sub`` does, through
+    ``scalars._add``, as the fused product rounds them.  A term with an
+    exact zero factor is not formed (a zero right term leaves the left one
+    as it is), and an entry with neither term is zero and is not visited:
+    row k walks A's row k support, then the columns of B's row sigma[k]
+    support, taken back through sigma, where A is zero, which is O(nnz) per
+    image.  Each entry comes with its column l; an entry whose terms cancel
+    is 0 + 0i, not None.
     """
-    sigma, (inverse, _, ints) = m.sigma, m.raw
+    sigma, (inverse, raw) = m.sigma, m.raw
     cols, out = [], []
-    b_ints, b_support = b.ints, b.support
-    for k, ((mr, me, mi, mf), a_row, a_cols) in enumerate(zip(ints, a.ints, a.support)):
+    b_rows, b_support = b.rows, b.support
+    for k, ((mr, me, mi, mf), a_row, a_cols) in enumerate(zip(raw, a.rows, a.support)):
         sk = sigma[k]
-        b_row = b_ints[sk]
+        b_row = b_rows[sk]
         for l in a_cols:
             ar, ae, ai, af = a_row[l]
             dr, de = _add(mr * ar, me + ae, -mi * ai, mf + af, prec)
             di, df = _add(mr * ai, me + af, mi * ar, mf + ae, prec)
             y = b_row[sigma[l]]
             if y is not None:
-                (br, be, bi, bf), (nr, ne, ni, nf) = y, ints[l]
+                (br, be, bi, bf), (nr, ne, ni, nf) = y, raw[l]
                 sr, se = _add(br * nr, be + ne, -bi * ni, bf + nf, prec)
                 si, sf = _add(br * ni, be + nf, bi * nr, bf + ne, prec)
                 dr, de = _add(dr, de, -sr, se, prec)
                 di, df = _add(di, df, -si, sf, prec)
             cols.append(l)
-            out.append((_mpf(dr, de), _mpf(di, df)))
+            out.append((dr, de, di, df))
         for j in b_support[sk]:
             l = inverse[j]
             if a_row[l] is None:
-                (br, be, bi, bf), (nr, ne, ni, nf) = b_row[j], ints[l]
+                (br, be, bi, bf), (nr, ne, ni, nf) = b_row[j], raw[l]
                 sr, se = _add(br * nr, be + ne, -bi * ni, bf + nf, prec)
                 si, sf = _add(br * ni, be + nf, bi * nr, bf + ne, prec)
                 cols.append(l)
-                out.append((_mpf(-sr, se), _mpf(-si, sf)))
+                out.append((-sr, se, -si, sf))
     return cols, out
 
 
@@ -593,11 +639,12 @@ def monomial_backward_error(m, pairs) -> float:
     exactly similar to A, and entry (sigma[k], sigma[l]) of E is the defect
     entry R[sigma[k], l] divided by m_l, so one O(nnz) pass over the defect
     entries gives it (:func:`_monomial_defect`): each quotient is one
-    :func:`scalars.pair_div` by the kept working pair, and the largest is
-    taken by the kernel's ``worst``.
+    :func:`scalars._div` by the kept raw entry, with the bits of
+    :func:`scalars.pair_div`, and the largest is taken by the kernel's
+    ``worst``.
     """
     prec = m.entries[0].rs.precision_bits
-    quotients = [pair_div(d, m.raw[1][l], prec) for a, b in pairs if not _scalar_pair(a, b)
+    quotients = [_div(d, m.raw[1][l], prec) for a, b in pairs if not _scalar_pair(a, b)
                  for l, d in zip(*_monomial_defect(m, a, b, prec))]
     return _raw_worst([quotients], prec)[1]
 

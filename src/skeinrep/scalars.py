@@ -15,9 +15,10 @@ backends are provided:
   Sums, differences, products, quotients, negations and magnitudes round
   on Python ints (:func:`pair_mul`, :func:`pair_div`, :func:`pair_abs`, all
   through the one rounding of :func:`_add`, which the matrix kernel in
-  :mod:`matrices` shares); powers, roots, ``A^k`` and the conversions call
-  libmp.  Every operation gives the bits of the ``mpc`` expression at the
-  working precision with mpmath's round-to-nearest.  Magnitude decisions
+  :mod:`matrices` shares on the int quadruples of :func:`_ints`); powers,
+  roots, ``A^k`` and the conversions call libmp.  Every operation gives
+  the bits of the ``mpc`` expression at the working precision with
+  mpmath's round-to-nearest.  Magnitude decisions
   read the parts' exponents first (:func:`magnitude_exponent`) and take
   :func:`pair_abs` only near a cut.
 
@@ -651,9 +652,12 @@ def finite_pair(pair):
 # ---------------------------------------------------------------------------
 
 def _ints(z):
-    """(re man, re exp, im man, im exp) of a finite pair, mantissas signed; None for None."""
-    if z is None:
-        return None
+    """The int quadruple (re man, re exp, im man, im exp) of a finite pair, mantissas signed.
+
+    A zero part reads (0, 0), as :func:`_add` returns a zero.  This is the
+    working format of the bigfloat matrix kernel (``matrices.kernel``);
+    :func:`_pack` turns a quadruple back into a pair.
+    """
     (rsign, rman, rexp, _), (isign, iman, iexp, _) = z
     return (-rman if rsign else rman), rexp, (-iman if isign else iman), iexp
 
@@ -722,6 +726,12 @@ def _mpf(m, e):
     return (0, m, e, m.bit_length()) if m else fzero
 
 
+def _pack(z):
+    """The finite pair of an int quadruple whose parts :func:`_add` returned; the inverse of :func:`_ints`."""
+    re, e, im, f = z
+    return _mpf(re, e), _mpf(im, f)
+
+
 def pair_add(x, y, prec):
     """x + y for finite pairs at ``prec`` bits, as ``mpc`` adds: one rounded :func:`_add` per part."""
     (xs, xm, xe, _), (xt, xn, xf, _) = x
@@ -750,7 +760,7 @@ def pair_mul(x, y, prec):
 
 
 def _quotient(m, e, d, f, prec):
-    """The ``_mpf_`` of m 2^e / d 2^f for an int d > 0, rounded to ``prec`` bits as ``mpf_div`` rounds it.
+    """(mantissa, exponent) of m 2^e / d 2^f, d > 0 an int, rounded to ``prec`` bits as ``mpf_div`` does.
 
     The quotient keeps at least 5 guard bits, and a nonzero remainder adds
     a sticky last bit, so rounding it half to even rounds the exact
@@ -763,32 +773,36 @@ def _quotient(m, e, d, f, prec):
     if r:
         q = q << 1 | 1
         extra += 1
-    return _mpf(*_add(-q if m < 0 else q, e - f - extra, 0, 0, prec))
+    return _add(-q if m < 0 else q, e - f - extra, 0, 0, prec)
 
 
-def pair_div(x, y, prec):
-    """x / y for finite pairs at ``prec`` bits, as ``mpc_div`` divides, on ints.
+def _div(x, y, prec):
+    """x / y of two int quadruples (:func:`_ints`) at ``prec`` bits, as ``mpc_div`` divides.
 
     |y|^2 and the numerators re(x conj y), im(x conj y) are each two exact
     mantissa products and one :func:`_add` rounded down to prec + 10 bits;
     each part is then one :func:`_quotient`.  y must not be zero.
     """
-    a, ea, b, eb = _ints(x)
-    c, ec, d, ed = _ints(y)
+    a, ea, b, eb = x
+    c, ec, d, ed = y
     wp = prec + 10
     mag, em = _add(c * c, ec + ec, d * d, ed + ed, wp, down=True)
     re, e = _add(a * c, ea + ec, b * d, eb + ed, wp, down=True)
     im, f = _add(b * c, eb + ec, -a * d, ea + ed, wp, down=True)
-    return _quotient(re, e, mag, em, prec), _quotient(im, f, mag, em, prec)
+    return _quotient(re, e, mag, em, prec) + _quotient(im, f, mag, em, prec)
 
 
-def _hypot_sum(z, prec):
-    """re^2 + im^2 of a finite pair as ``mpf_hypot`` sums it: exact squares, rounded down to prec + 4 bits.
+def pair_div(x, y, prec):
+    """x / y for finite pairs at ``prec`` bits, as ``mpc_div`` divides: :func:`_div` on their ints."""
+    return _pack(_div(_ints(x), _ints(y), prec))
+
+
+def _hypot_sum(xm, xe, ym, ye, prec):
+    """xm^2 2^(2 xe) + ym^2 2^(2 ye) as ``mpf_hypot`` sums it: exact squares, rounded down to prec + 4 bits.
 
     Returns the mantissa and exponent.  :func:`pair_abs` takes its square
     root, and ``matrices._raw_worst`` ranks two-part entries by it.
     """
-    (_, xm, xe, _), (_, ym, ye, _) = z
     return _add(xm * xm, xe + xe, ym * ym, ye + ye, prec + 4, down=True)
 
 
@@ -805,7 +819,7 @@ def pair_abs(z, prec):
     (_, xm, xe, _), (_, ym, ye, _) = z
     if not xm or not ym:
         return _mpf(*_add(xm, xe, ym, ye, prec))
-    s, e = _hypot_sum(z, prec)
+    s, e = _hypot_sum(xm, xe, ym, ye, prec)
     if e & 1:
         e -= 1
         s <<= 1

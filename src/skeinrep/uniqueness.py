@@ -44,8 +44,8 @@ assembles its ladder once; the sampler assembles none.  The pair
 certificates M_j M_i^{-1} of two base certificates held as monomials are
 again monomial, take dim divisions and reach the residuals as monomials; a
 pair with a dense base certificate is searched for directly.  Every pair is
-checked by :func:`intertwiner_residuals` on the raw libmp kernel and by the
-gate of the base certificates.
+checked by :func:`intertwiner_residuals` on the int-quadruple kernel and by
+the gate of the base certificates.
 
 Residuals that are known exactly are not computed.  When a generator's two
 images are one scalar matrix s Id bit for bit (every off-diagonal entry an
@@ -114,8 +114,8 @@ def intertwiner_residuals(m, rep_a: Representation, rep_b: Representation) -> di
     """Largest entry magnitude of M rho_a(g) - rho_b(g) M, as a float, per generator.
 
     ``m`` is a dense matrix or a :class:`Monomial`.  Bigfloat defects run on
-    the raw libmp kernel through :func:`matrices.intertwining_defects`, on
-    the rows and patterns each rep keeps (:meth:`Representation.image`),
+    the kernel's int quadruples through :func:`matrices.intertwining_defects`,
+    on the rows and patterns each rep keeps (:meth:`Representation.image`),
     bit-identical to ``residual_report(matmul(m, g_a) - matmul(g_b, m))``.
     """
     return dict(zip(rep_a.surface.generators,
@@ -494,7 +494,8 @@ class ExperimentReport:
     worst_residual: float
 
     def to_json(self):
-        return dataclasses.asdict(self)
+        return {"config": self.config, "records": self.records, "passed": self.passed,
+                "worst_residual": self.worst_residual}
 
 
 def _build_variant_reps(variants):

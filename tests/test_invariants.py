@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from skeinrep import invariants, matrices
+from skeinrep import invariants, matrices, sphere
 from skeinrep.chebyshev import chebyshev_eval
 from skeinrep.errors import NonScalarChebyshev
 from skeinrep.expressions import evaluate, parse
@@ -16,10 +16,10 @@ from skeinrep.invariants import (_SUPPORT_MARGIN, _support_commutant, commutant_
 from skeinrep.representation import Representation, assemble
 from skeinrep.scalars import approx_eq, make_root_system
 from skeinrep.serialize import rep_to_json
-from skeinrep.sphere import build_sphere_rep_with_u, make_sphere_params, small_sphere_rep
+from skeinrep.sphere import build_sphere_rep, build_sphere_rep_with_u, make_sphere_params, small_sphere_rep
 from skeinrep.surfaces import TORUS1
 from skeinrep.torus import build_torus_rep, torus_params_exact, torus_params_from_shadow
-from skeinrep.uniqueness import intertwiner_residuals, sample_torus_shadow
+from skeinrep.uniqueness import intertwiner_residuals, sample_sphere_invariants, sample_torus_shadow
 from test_uniqueness import lu_inverse
 
 
@@ -108,6 +108,24 @@ def test_extract_roundtrip(torus_rep):
     assert shadow.compatibility_ok
     # stored traces follow the minus convention
     assert approx_eq(shadow.traces["X1"], -inv["t1"])
+
+
+def test_sphere_extract_reads_the_kept_puncture_shadow(rs, monkeypatch):
+    # (Q1, Q2, Q3, Delta') at T_N of the read puncture values are the ones
+    # sphere.puncture_data keeps, bit for bit, so extraction takes neither
+    # a puncture T_N nor the aux combinations again
+    inv = sample_sphere_invariants(rs, random.Random(4))
+    rep = build_sphere_rep(*(inv[k] for k in ("p0", "p1", "p2", "p3", "t1", "t2", "t3")))
+    p_vals = [matrices.read_scalar_matrix(rep.matrix(p), rs) for p in rep.surface.punctures]
+    want = sphere.sphere_aux_invariants(*(chebyshev_eval(rs.N, p) for p in p_vals))
+    got = sphere.puncture_data(rs, *p_vals).shadow_aux
+    assert [z.pair for z in got] == [z.pair for z in want]
+    calls = []
+    monkeypatch.setattr(sphere, "sphere_aux_invariants", lambda *args: calls.append("aux"))
+    for module in (sphere, invariants):
+        monkeypatch.setattr(module, "chebyshev_eval", lambda *args: calls.append("T_N"))
+    assert extract_invariants(rep).compatibility_ok
+    assert calls == []
 
 
 def test_extract_dimension_one():

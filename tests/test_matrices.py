@@ -444,7 +444,7 @@ def sparse_defect(k, mono, a_rows, b_rows, prec):
              if a_rows[c][l] is not None or b_rows[sigma[c]][sigma[l]] is not None]
     visited = list(zip([i for i, _ in terms], cols))
     assert sorted(visited) == sorted(terms)
-    return images, {ij: z for ij, z in zip(visited, defect) if z != (fzero, fzero)}
+    return images, {ij: z for ij, z in zip(visited, defect) if z != (0, 0, 0, 0)}
 
 
 @settings(max_examples=150, deadline=None)
@@ -470,15 +470,14 @@ def test_monomial_defect_matches_fused_product(seed, n, zero_share):
     m_rows, a_rows, b_rows = k.unpack(m), k.unpack(a), k.unpack(b)
     mono = matrices.Monomial(sigma, [m[sigma[c], c] for c in range(n)])
     # raw holds sigma^-1 and each entry read once at working precision, as the kernel reads it
-    inverse, pairs, ints = mono.raw
+    inverse, raw = mono.raw
     assert [sigma[j] for j in inverse] == list(range(n))
-    assert pairs == [m_rows[sigma[c]][c] for c in range(n)]
-    assert ints == [scalars_module._ints(z) for z in pairs]
+    assert raw == [m_rows[sigma[c]][c] for c in range(n)]
     fused = k.product(m_rows, a_rows, minus=k.product(b_rows, m_rows))
     want = {(i, j): z for i, row in enumerate(fused) for j, z in enumerate(row) if z is not None}
     images, got = sparse_defect(k, mono, a_rows, b_rows, prec)
     assert got == want
-    worst = [mpc_worst(fused, prec)[1]]
+    worst = [mpc_worst(pairs_of(fused), prec)[1]]
     # the dense M takes the fused product, and the same monomial given as a
     # Monomial takes the two-term path without being rebuilt
     assert matrices.intertwining_defects(m, images) == worst
@@ -528,11 +527,12 @@ def test_sparse_monomial_defect_walks_both_supports(seed, n, spread, kinds):
     want = {(i, j): z for i, row in enumerate(fused) for j, z in enumerate(row) if z is not None}
     images, got = sparse_defect(k, mono, a_rows, b_rows, prec)
     assert got == want
-    assert matrices.intertwining_defects(mono, images) == [mpc_worst(fused, prec)[1]]
+    assert matrices.intertwining_defects(mono, images) == [mpc_worst(pairs_of(fused), prec)[1]]
     # the backward error (M A - B M) M^-1 divides column l of the defect by m_l
     worst = fzero
     for (i, l), z in want.items():
-        q = mpc_abs(mpc_div(z, m_rows[sigma[l]][l], prec, RND), prec, RND)
+        q = mpc_abs(mpc_div(scalars_module._pack(z), scalars_module._pack(m_rows[sigma[l]][l]), prec, RND),
+                    prec, RND)
         worst = q if mpf_gt(q, worst) else worst
     assert matrices.monomial_backward_error(mono, images) == to_float(worst, rnd=RND)
 
@@ -858,6 +858,41 @@ def test_kernel_round_trip_and_arithmetic(backend):
     assert k.worst(k.unpack(two)) == (False, 2.0)
 
 
+@pytest.mark.parametrize("backend", ["exact", "bigfloat"])
+def test_one_kernel_per_root_system(backend):
+    rs = make_root_system(3, backend)
+    assert matrices.kernel(rs) is matrices.kernel(rs)
+    # an equal root system gets its own kernel, which wraps into its own scalars
+    twin = make_root_system(3, backend)
+    assert matrices.kernel(twin).wrap(matrices.kernel(twin).unpack(matrices.identity(twin, 2)))[0, 0].rs is twin
+
+
+def test_bigfloat_rows_are_int_quadruples_and_only_the_result_is_packed(monkeypatch):
+    rep = torus_rep(3, 18)
+    rows = rep.image("X1").rows
+    k = matrices.kernel(rep.rs)
+    for raw in (rows, k.product(rows, rep.image("X2").rows)):
+        entries = [z for row in raw for z in row if z is not None]
+        assert entries and all(len(z) == 4 and all(type(p) is int for p in z) for z in entries)
+    calls = {"_ints": 0, "_mpf": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(matrices, name, counting(name, getattr(matrices, name)))
+    x1 = rep.matrix("X1")
+    t = matrices.chebyshev_matrix(5, x1)
+    # each nonzero entry of arg and the scalar 2 are read once, and each
+    # part of a nonzero entry of T_5 is packed once
+    read = sum(z is not None for row in rows for z in row) + 1
+    nonzero = sum(e is not rep.rs.zero for e in t.flat)
+    assert nonzero and calls == {"_ints": read, "_mpf": 2 * nonzero}
+
+
 # ---------------------------------------------------------------------------
 # native-int rounding against the libmp call sequence
 # ---------------------------------------------------------------------------
@@ -892,6 +927,18 @@ def libmp_product(a_rows, b_rows, prec, minus=None):
             row.append(None if zero else (acc_re, acc_im))
         out.append(row)
     return out
+
+
+def ints_of(rows):
+    """Rows of libmp pairs as the kernel's rows of int quadruples (``scalars._ints``); None stays None."""
+    if rows is None:
+        return None
+    return [[None if z is None else scalars_module._ints(z) for z in row] for row in rows]
+
+
+def pairs_of(rows):
+    """Kernel rows of int quadruples as rows of libmp pairs (``scalars._pack``)."""
+    return [[None if z is None else scalars_module._pack(z) for z in row] for row in rows]
 
 
 def signed(x):
@@ -1036,7 +1083,8 @@ def raw_factors(draw):
 @given(raw_factors())
 def test_raw_product_matches_libmp_oracle(factors):
     prec, a, b, c = factors
-    assert matrices._raw_product(a, b, prec, minus=c) == libmp_product(a, b, prec, minus=c)
+    got = matrices._raw_product(ints_of(a), ints_of(b), prec, minus=ints_of(c))
+    assert pairs_of(got) == libmp_product(a, b, prec, minus=c)
 
 
 def test_raw_product_rounds_gaps_and_carries_like_libmp():
@@ -1053,7 +1101,7 @@ def test_raw_product_rounds_gaps_and_carries_like_libmp():
     a = [[(ones, fzero), (half_ulp, far)], [(one, one), (one, one)]]
     b = [[(one, fzero), (one, far)], [(one, fzero), (far, one)]]
     c = [[(half_ulp, far), None], [((1, 1, 1, 1), fzero), None]]
-    got = matrices._raw_product(a, b, prec, minus=c)
+    got = pairs_of(matrices._raw_product(ints_of(a), ints_of(b), prec, minus=ints_of(c)))
     assert got == libmp_product(a, b, prec, minus=c)
     # (1 - 2^-256) + 2^-257 carries to 1, and taking 2^-257 off again rounds back to 1
     assert got[0][0][0] == (0, 1, 0, 1)
@@ -1133,10 +1181,10 @@ def test_read_outs_match_mpc_abs_near_the_cut(case):
         assert bad is not None and str(exc).startswith(f"entry {bad} = ")
     prec = rs.precision_bits
     rows = matrices._raw_rows(mat, prec)
-    assert matrices._raw_worst(rows, prec) == mpc_worst(rows, prec)
+    assert matrices._raw_worst(rows, prec) == mpc_worst(pairs_of(rows), prec)
     mean = matrices._diagonal_mean(mat, rs)
     shifted = [[mpc_sub(z or (fzero, fzero), mean.pair, prec, RND) if i == j else z
-                for j, z in enumerate(row)] for i, row in enumerate(rows)]
+                for j, z in enumerate(row)] for i, row in enumerate(pairs_of(rows))]
     assert matrices.scalar_deviation(mat, rs)[1] == mpc_worst(shifted, prec)[1]
 
 
@@ -1185,10 +1233,10 @@ def near_tie_rows(draw):
 @given(near_tie_rows())
 def test_raw_worst_matches_every_entry_mpc_abs_near_ties(case):
     prec, rows = case
-    assert matrices._raw_worst(rows, prec) == mpc_worst(rows, prec)
+    assert matrices._raw_worst(ints_of(rows), prec) == mpc_worst(rows, prec)
     for z in rows[0]:
         if z is not None and z[0] != fzero and z[1] != fzero:
-            e, man = matrices._hypot2(z, prec)
+            e, man = matrices._hypot2(scalars_module._ints(z), prec)
             x, y = z
             assert from_man_exp(man, e) == mpf_add(mpf_mul(x, x), mpf_mul(y, y), prec + 4)
             assert man.bit_length() == prec + 4
@@ -1214,7 +1262,7 @@ def test_hypot2_keeps_libmp_stand_in_for_a_far_square(prec):
         ym = rng.getrandbits(prec) | 1 | 1 << (prec - 1)
         x, y = (0, xm, 0, prec), (0, ym, (cut - 5 - (ym * ym).bit_length()) // 2, prec)
         want = mpf_add(mpf_mul(x, x), mpf_mul(y, y), p)
-        e, man = matrices._hypot2((x, y), prec)
+        e, man = matrices._hypot2(scalars_module._ints((x, y)), prec)
         assert from_man_exp(man, e) == want and man.bit_length() == p, (x, y)
         carried += mpf_pos(mpf_add(mpf_mul(x, x), mpf_mul(y, y)), p, round_down) != want
     assert carried

@@ -532,7 +532,7 @@ def test_int_rounded_division_and_magnitude_match_libmp(prec):
             if z is not None:
                 assert scalars.pair_div(z, x.pair, prec) == mpc_div(z, x.pair, prec, RND), (z, x)
     for i in range(0, len(work), 6):
-        rows = [[None if z == (fzero, fzero) else z for z in work[i:i + 6]]]
+        rows = [[None if z == (fzero, fzero) else scalars._ints(z) for z in work[i:i + 6]]]
         worst = fzero
         for z in work[i:i + 6]:
             if mpf_gt(mpc_abs(z, prec, RND), worst):
