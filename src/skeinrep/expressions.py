@@ -511,11 +511,11 @@ def evaluate(expr: SkeinExpr, rep):
     image, in the usual case), stays the one entry s until the result is
     widened to s Id.  No bit moves, because the kernel skips exact zeros:
     an entry of (s Id) B has the one term s B[i, j], so it is that
-    ``pair_mul``; s Id + B adds s to the diagonal and leaves each
-    off-diagonal entry e as ``pair_add(0, e)`` leaves it, unchanged at the
+    ``quad_mul``; s Id + B adds s to the diagonal and leaves each
+    off-diagonal entry e as ``quad_add(0, e)`` leaves it, unchanged at the
     working precision; two scalars multiply and add as one diagonal entry
     does, and an exact zero stays one.  B (s Id) and B + s Id are taken as
-    (s Id) B and s Id + B: ``pair_mul`` and ``pair_add`` are symmetric in
+    (s Id) B and s Id + B: ``quad_mul`` and ``quad_add`` are symmetric in
     their operands (``scalars._add`` is), and exact products and sums
     commute.  So the bits are those of the same steps on object arrays.
     """

@@ -3,12 +3,15 @@
 The shadow of a representation is read off through the degree-N Chebyshev
 polynomial: T_N of each loop generator image must be a scalar t, and the
 stored trace is Tr r(X) = -t.  Each puncture generator must act by a scalar
-p with T_N(p) = -Tr r(P).  Both checks read T_N of a generator from the
-representation's memo (:meth:`Representation.chebyshev`), so verifying and
-extracting one representation evaluates it once, and both read scalar
-matrices with the read-outs of :mod:`matrices`.  The Sphere4 classical
-relation takes T_N of the puncture values from :func:`sphere.puncture_data`,
-which the construction filled.  Presentation
+p with T_N(p) = -Tr r(P).  Both checks read T_N of a generator and its
+diagonal mean from the representation's memo
+(:meth:`Representation.chebyshev_image`, :meth:`Representation.chebyshev`
+and :meth:`Representation.chebyshev_mean`), so verifying and extracting one
+representation evaluates it and takes the mean once, and both read scalar
+matrices with the read-outs of :mod:`matrices`, the deviations from kept
+kernel rows: no array the representation holds is unpacked again.  The
+Sphere4 classical relation takes T_N of the puncture values from
+:func:`sphere.puncture_data`, which the construction filled.  Presentation
 relations are checked as defect expressions evaluated through the expression
 module, and irreducibility is decided by the dimension of the commutant,
 which a diagonal X3 with a simple spectrum reduces to a component count over
@@ -77,7 +80,7 @@ def verify_relations(rep: Representation, tol: Tolerance = None) -> Verification
     backend s X = X s.  In the bigfloat one the defect is P X + (-1) X P,
     and the kernel forms entry (i, j), for x = X[i, j] not an exact zero,
     as s x + (-x) s: (-1) x is an exact negation, rounding to nearest is
-    odd in the sign, and ``pair_mul`` rounds s x and x s alike because
+    odd in the sign, and ``quad_mul`` rounds s x and x s alike because
     ``scalars._add`` is symmetric, so the sum is exactly zero.  The test
     reads the puncture image itself, which may come from a file: an image
     that is not exactly s Id is evaluated like every other defect.
@@ -99,13 +102,13 @@ def verify_relations(rep: Representation, tol: Tolerance = None) -> Verification
 
     cheb_devs = {}
     for name in rep.surface.x_generators:
-        _, worst = matrices.scalar_deviation(rep.chebyshev(name), rs)
+        _, worst = matrices.scalar_residual(rep.chebyshev_image(name).rows, rep.chebyshev_mean(name))
         cheb_devs[name] = worst
         checks[f"T_N({name}) scalar"] = _passes(rep, worst == 0.0, worst, rel_eps)
 
     punct_devs = {}
     for name in rep.surface.punctures:
-        exact_zero, mag = matrices.scalar_residual(rep.matrix(name), rep.puncture_scalars[name])
+        exact_zero, mag = matrices.scalar_residual(rep.image(name).rows, rep.puncture_scalars[name])
         punct_devs[name] = mag
         checks[f"{name} scalar"] = _passes(rep, exact_zero, mag, rel_eps)
 
@@ -170,7 +173,7 @@ def extract_invariants(rep: Representation, tol: Tolerance = None) -> ShadowInva
     traces = {}
     t_vals = {}
     for name in rep.surface.x_generators:
-        t = matrices.read_scalar_matrix(rep.chebyshev(name), rs, tol)
+        t = matrices.read_scalar(rep.chebyshev(name), rep.chebyshev_mean(name), tol)
         t_vals[name] = t
         traces[name] = -t
     puncture_values = {}

@@ -6,17 +6,18 @@ system.  Products, sums, the T_n recurrence and residuals go through
 object arrays themselves (exact), or rows of int quadruples (bigfloat):
 (re mantissa, re exponent, im mantissa, im exponent) with signed mantissas,
 the values ``scalars._add`` reads and returns, and None for an exact zero.
-Bigfloat entries are read into that format once, at the working precision
-(``unpack``), and dot products and sums round as ``BigComplex`` arithmetic
-rounds, in the same order and with the same primitive: ``scalars._add``,
-libmp's rounding on Python ints.  Only the results are packed back into
-libmp pairs and wrapped into ``BigComplex`` (``wrap``), so every entry is
+That quadruple is what a ``BigComplex`` holds (``BigComplex.w``), so
+``unpack`` reads each entry's own quadruple and ``wrap`` makes each result
+entry a ``BigComplex`` of its quadruple (``scalars.from_quad``): nothing is
+converted at either end.  Dot products and sums round as ``BigComplex``
+arithmetic rounds, in the same order and with the same primitive:
+``scalars._add``, libmp's rounding on Python ints, so every entry is
 bit-identical to the entrywise object arithmetic.  The scalar read-outs are
-one code for both backends: :func:`read_scalar_matrix` validates each entry
-with ``approx_eq``, and :func:`scalar_residual` (with
-:func:`scalar_deviation`) shifts the diagonal on the kernel; the largest
-entry of a bigfloat residual takes :func:`scalars.pair_abs` of two entries
-at most.
+one code for both backends: :func:`read_scalar_matrix` (with
+:func:`read_scalar`) validates each entry with ``approx_eq``, and
+:func:`scalar_residual` shifts the diagonal of kernel rows, the ones a
+representation keeps; the largest entry of a bigfloat residual takes
+:func:`scalars.quad_abs` of two entries at most.
 
 Intertwiner defects M A - B M of a monomial M = P_sigma diag(m), the shape
 every ladder-walk certificate has, are formed from the two terms each entry
@@ -49,8 +50,8 @@ from mpmath import mp
 from mpmath.libmp import fzero, mpf_gt, to_float
 
 from .errors import NonScalarChebyshev
-from .scalars import (_ZERO_PAIR, RND, CyclotomicNumber, RootSystem, _add, _div, _hypot_sum, _ints, _mpf,
-                      _pack, approx_eq, from_pair, numeric_bridge, pair_abs, working_pair)
+from .scalars import (RND, CyclotomicNumber, RootSystem, _add, _hypot_sum, approx_eq, from_pair, from_quad,
+                      numeric_bridge, quad_abs, quad_add, quad_div, quad_exponent, quad_mul)
 
 
 # ---------------------------------------------------------------------------
@@ -104,32 +105,24 @@ def mat_scale(s, mat):
 # kernels: one working format per backend
 # ---------------------------------------------------------------------------
 
-def _raw_entry(s, prec):
-    """The int quadruple of a scalar read at the working precision, or None for an exact zero.
-
-    The quadruple is :func:`scalars._ints` of the working pair: each part's
-    signed mantissa and exponent, as ``scalars._add`` reads and returns them.
-    """
-    z = working_pair(s.pair, prec)
-    return None if z == _ZERO_PAIR else _ints(z)
+def _raw_entry(s):
+    """The int quadruple ``s.w`` of a scalar, each part's signed mantissa and exponent; None for an exact zero."""
+    w = s.w
+    return w if w[0] or w[2] else None
 
 
-def _raw_rows(mat, prec):
+def _raw_rows(mat):
     """Rows of raw entries (:func:`_raw_entry`)."""
-    return [[_raw_entry(e, prec) for e in row] for row in mat]
+    return [[_raw_entry(e) for e in row] for row in mat]
 
 
 def _wrap(rs, rows):
-    """Object array of BigComplex from raw rows: each quadruple packed into its libmp pair."""
+    """Object array of BigComplex from raw rows, each holding its quadruple as it is."""
     out = np.empty((len(rows), len(rows[0])), dtype=object)
     zero = rs.zero
     for i, row in enumerate(rows):
         for j, z in enumerate(row):
-            if z is None:
-                out[i, j] = zero
-            else:
-                re, e, im, f = z
-                out[i, j] = from_pair(rs, (_mpf(re, e), _mpf(im, f)))
+            out[i, j] = zero if z is None else from_quad(rs, z)
     return out
 
 
@@ -140,8 +133,8 @@ def _raw_product(a_rows, b_rows, prec, minus=None):
     nonzero entries of the row of A, in increasing column order: each part
     of a complex product is two exact mantissa products and one rounded sum,
     and each accumulation and the fused subtraction of C are one rounded sum
-    per part, as ``BigComplex`` makes them (:func:`scalars.pair_mul`,
-    :func:`scalars.pair_add`).  All run on the entries' ints through
+    per part, as ``BigComplex`` makes them (:func:`scalars.quad_mul`,
+    :func:`scalars.quad_add`).  All run on the entries' ints through
     ``scalars._add``, whose results are the next entries as they are.  A
     zero term leaves a rounded accumulator unchanged, and mpmath has no
     signed zero, so skipping exact zeros moves no bit; neither does starting
@@ -182,20 +175,16 @@ def _raw_product(a_rows, b_rows, prec, minus=None):
 def _raw_plus(a, b, prec):
     """a + b of two raw entries, rounded as ``BigComplex.__add__`` rounds it.
 
-    One ``scalars._add`` per part, as :func:`scalars.pair_add` makes them,
-    and a zero sum is an exact zero.  An exact zero operand leaves the other
-    one as it is: a raw entry has at most prec bits and odd mantissas, so
-    ``_add`` with 0 neither rounds nor strips it.
+    :func:`scalars.quad_add`, and a zero sum is an exact zero.  An exact
+    zero operand leaves the other one as it is: a raw entry has at most prec
+    bits and odd mantissas, so ``_add`` with 0 neither rounds nor strips it.
     """
     if a is None:
         return b
     if b is None:
         return a
-    ar, ae, ai, af = a
-    br, be, bi, bf = b
-    re, e = _add(ar, ae, br, be, prec)
-    im, f = _add(ai, af, bi, bf, prec)
-    return (re, e, im, f) if re or im else None
+    z = quad_add(a, b, prec)
+    return z if z[0] or z[2] else None
 
 
 def _raw_sum(a_rows, b_rows, prec):
@@ -207,25 +196,21 @@ def _raw_sum(a_rows, b_rows, prec):
 def _raw_times(a, b, prec):
     """a b of two raw entries: the product entry of the kernel that has this one term.
 
-    ``_raw_product`` forms it with the two ``scalars._add`` calls of
-    :func:`scalars.pair_mul`, a first.  An exact zero factor forms no term
-    and gives None; otherwise the parts round the exact parts of a b, which
-    are not both zero, so neither is the result.
+    ``_raw_product`` forms it as :func:`scalars.quad_mul` does, a first.
+    An exact zero factor forms no term and gives None; otherwise the parts
+    round the exact parts of a b, which are not both zero, so neither is the
+    result.
     """
     if a is None or b is None:
         return None
-    ar, er, ai, ei = a
-    br, fr, bi, fi = b
-    re, e = _add(ar * br, er + fr, -ai * bi, ei + fi, prec)
-    im, f = _add(ar * bi, er + fi, ai * br, ei + fr, prec)
-    return re, e, im, f
+    return quad_mul(a, b, prec)
 
 
 def _raw_scale(s, rows, prec):
     """Raw rows of (s Id) B for the raw entry s.
 
     Entry (i, j) of the kernel's product has the one term s B[i, j], so each
-    is one :func:`_raw_times`.  ``pair_mul`` is symmetric in its operands
+    is one :func:`_raw_times`.  ``quad_mul`` is symmetric in its operands
     (``scalars._add`` is), so these are also the rows of B (s Id).
     """
     return [[_raw_times(s, e, prec) for e in row] for row in rows]
@@ -235,8 +220,8 @@ def _raw_shift(s, rows, prec):
     """Raw rows of s Id + B, which are those of B + s Id, for the raw entry s.
 
     Only the diagonal is added, by :func:`_raw_plus`, which is symmetric as
-    ``pair_add`` is.  An off-diagonal entry of the kernel's sum is
-    ``pair_add(0, e)``, which is e: e already has at most prec bits and an
+    ``quad_add`` is.  An off-diagonal entry of the kernel's sum is
+    ``quad_add(0, e)``, which is e: e already has at most prec bits and an
     odd mantissa, so ``_add`` neither rounds nor strips it.
     """
     out = [list(row) for row in rows]
@@ -255,20 +240,12 @@ def _raw_support(rows):
     return [[j for j, z in enumerate(row) if z is not None] for row in rows]
 
 
-def _raw_exponent(z):
-    """:func:`scalars.magnitude_exponent` of a raw entry: its larger part's exp + bits; None for 0 + 0i."""
-    re, e, im, f = z
-    if re:
-        return max(e + re.bit_length(), f + im.bit_length()) if im else e + re.bit_length()
-    return f + im.bit_length() if im else None
-
-
 def _hypot2(z, prec):
     """:func:`scalars._hypot_sum` of a two-part raw entry as (exponent, mantissa).
 
-    This is the sum whose square root :func:`scalars.pair_abs` rounds
+    This is the sum whose square root :func:`scalars.quad_abs` rounds
     correctly, so an entry with a larger key never has a smaller
-    ``pair_abs``.  The mantissa is widened to exactly prec + 4 bits, so keys
+    ``quad_abs``.  The mantissa is widened to exactly prec + 4 bits, so keys
     compare as tuples.
     """
     s, e = _hypot_sum(*z, prec)
@@ -285,20 +262,20 @@ def _exceeds(m, e, n, f):
 def _raw_worst(rows, prec):
     """(exactly zero, float magnitude of the largest entry) of raw rows.
 
-    The largest :func:`scalars.pair_abs` is found as a raw mpf and rounded
+    The largest :func:`scalars.quad_abs` is found as a raw mpf and rounded
     to float once, as ``float(mpf)`` rounds it, and taken of two entries at
-    most, packed into their pairs.  An entry 0 + 0i, as a defect can hold,
-    is zero; an entry whose magnitude exponent lies 2 or more below the
-    largest one cannot exceed that entry's ``pair_abs`` and is passed over.
-    Of an entry with one nonzero part, ``pair_abs`` is that part's magnitude
+    most.  An entry 0 + 0i, as a defect can hold, is zero; an entry whose
+    magnitude exponent (:func:`scalars.quad_exponent`) lies 2 or more below
+    the largest one cannot exceed that entry's ``quad_abs`` and is passed
+    over.  Of an entry with one nonzero part, ``quad_abs`` is that part's magnitude
     rounded to prec bits, so the largest comes from the largest |part|; of
     an entry with two, it grows with :func:`_hypot2`.  The two groups'
-    winners are compared by their ``pair_abs``, not by exact magnitude: a
+    winners are compared by their ``quad_abs``, not by exact magnitude: a
     one-part entry can round above a two-part entry larger by less than
     2^-(prec+3) of it.
     """
     found = [(t, z) for row in rows for z in row
-             if z is not None and (t := _raw_exponent(z)) is not None]
+             if z is not None and (t := quad_exponent(z)) is not None]
     cut = max((t for t, _ in found), default=0) - 1
     single = single_abs = pair = pair_key = None
     for t, z in found:
@@ -315,7 +292,7 @@ def _raw_worst(rows, prec):
     worst = fzero
     for z in (single, pair):
         if z is not None:
-            mag = pair_abs(_pack(z), prec)
+            mag = quad_abs(z, prec)
             if mpf_gt(mag, worst):
                 worst = mag
     return worst == fzero, to_float(worst, rnd=RND)
@@ -371,10 +348,10 @@ def _bigfloat_kernel(rs):
     a module function that is rebound later.
     """
     prec = rs.precision_bits
-    return Kernel(lambda mat: _raw_rows(mat, prec), lambda rows: _wrap(rs, rows),
+    return Kernel(lambda mat: _raw_rows(mat), lambda rows: _wrap(rs, rows),
                   lambda a, b, minus=None: _raw_product(a, b, prec, minus),
                   lambda a, b: _raw_sum(a, b, prec), lambda rows: _raw_worst(rows, prec),
-                  lambda s: _raw_entry(s, prec), lambda a, b: _raw_times(a, b, prec),
+                  lambda s: _raw_entry(s), lambda a, b: _raw_times(a, b, prec),
                   lambda a, b: _raw_plus(a, b, prec), lambda s, rows: _raw_scale(s, rows, prec),
                   lambda s, rows: _raw_shift(s, rows, prec), lambda s, n: _raw_widen(s, n),
                   lambda rows: _raw_support(rows))
@@ -391,13 +368,13 @@ def kernel(rs: RootSystem) -> Kernel:
     ``scale(s, B)`` is (s Id) B, ``shift(s, B)`` is s Id + B and ``widen(s,
     n)`` is s Id; ``support(B)`` lists each row's columns that hold no exact
     zero.  Each gives the bits the matrix operation on s Id gives; exact
-    products and sums commute, and ``pair_mul`` and ``pair_add`` are
+    products and sums commute, and ``quad_mul`` and ``quad_add`` are
     symmetric in their operands, so ``scale`` and ``shift`` also give
     B (s Id) and B + s Id.  The exact kernel works on object arrays and
     scalars as they are; the bigfloat kernel is the raw-row functions above
-    at the working precision, on rows of int quadruples (None for an exact
-    zero), and is kept on the root system object itself, whose scalars it
-    wraps.
+    at the working precision, on rows of the scalars' own int quadruples
+    (``BigComplex.w``, None for an exact zero), and is kept on the root
+    system object itself, whose scalars it wraps.
     """
     if rs.backend == "exact":
         return _EXACT_KERNEL
@@ -419,23 +396,29 @@ def matmul(a, b):
     return k.wrap(k.product(k.unpack(a), k.unpack(b)))
 
 
-def chebyshev_matrix(n: int, arg):
-    """T_n of a square matrix by T_{k+1} = arg T_k - T_{k-1}, T_0 = 2 Id.
+def chebyshev_rows(n: int, rs: RootSystem, rows):
+    """Kernel rows of T_n of the square matrix whose kernel rows are ``rows``.
 
-    Every step is one fused ``product(arg, T_k, minus=T_{k-1})`` of the
-    kernel, and only T_n is wrapped; each step rounds as ``matmul`` followed
-    by an entrywise subtraction does.  T_0 is the kernel's ``widen`` of 2,
-    the rows ``unpack`` reads from 2 Id.
+    T_{k+1} = arg T_k - T_{k-1} from T_0 = 2 Id: every step is one fused
+    ``product(arg, T_k, minus=T_{k-1})`` of the kernel of ``rs``, which
+    rounds as ``matmul`` followed by an entrywise subtraction does.  T_0 is
+    the kernel's ``widen`` of 2, the rows ``unpack`` reads from 2 Id, and
+    T_1 is ``rows`` itself.
     """
+    k = kernel(rs)
+    prev2, prev1 = k.widen(k.entry(rs.scalar(2)), len(rows)), rows
+    for _ in range(n - 1):
+        prev2, prev1 = prev1, k.product(rows, prev1, minus=prev2)
+    return prev2 if n == 0 else prev1
+
+
+def chebyshev_matrix(n: int, arg):
+    """T_n of a square matrix: :func:`chebyshev_rows` of its unpacked rows, and only T_n wrapped."""
     if n == 1:
         return arg.copy()  # a new array, as for every other n; the entries are immutable
     rs = arg.flat[0].rs
     k = kernel(rs)
-    prev2 = k.widen(k.entry(rs.scalar(2)), arg.shape[0])
-    prev1 = a = k.unpack(arg)
-    for _ in range(n - 1):
-        prev2, prev1 = prev1, k.product(a, prev1, minus=prev2)
-    return k.wrap(prev2 if n == 0 else prev1)
+    return k.wrap(chebyshev_rows(n, rs, k.unpack(arg)))
 
 
 class Image(namedtuple("Image", "rows support")):
@@ -513,8 +496,7 @@ class Monomial(namedtuple("Monomial", "sigma entries")):
     @cached_property
     def raw(self):
         """(sigma^-1, kernel entries :func:`_raw_entry`) of a bigfloat monomial; None if one is exactly 0."""
-        prec = self.entries[0].rs.precision_bits
-        entries = [_raw_entry(e, prec) for e in self.entries]
+        entries = [_raw_entry(e) for e in self.entries]
         if None in entries:
             return None
         return sorted(range(len(self.sigma)), key=self.sigma.__getitem__), entries
@@ -531,15 +513,14 @@ class Monomial(namedtuple("Monomial", "sigma entries")):
 
         Bigfloat only, as its one caller, the uniqueness experiment, is, and
         ``entries`` holds no exact zero, as no certificate that passed the
-        gate does.  Each quotient is a :func:`scalars._div` of kept raw
-        entries, packed into its pair, with the bits of ``BigComplex`` ``/``
-        (:func:`scalars.pair_div`), after ``divisors`` has refused a
-        vanishing divisor as ``/`` refuses it.
+        gate does.  Each quotient is a :func:`scalars.quad_div` of kept raw
+        entries, the bits of ``BigComplex`` ``/``, after ``divisors`` has
+        refused a vanishing divisor as ``/`` refuses it.
         """
         divisors, raw, order = other.divisors, self.raw[1], other.raw[0]
         prec = self.entries[0].rs.precision_bits
         return Monomial([self.sigma[k] for k in order],
-                        [from_pair(self.entries[k].rs, _pack(_div(raw[k], divisors[k], prec)))
+                        [from_quad(self.entries[k].rs, quad_div(raw[k], divisors[k], prec))
                          for k in order])
 
 
@@ -550,8 +531,8 @@ def _monomial_defect(m, a, b, prec):
     (sigma[k], l) is m_k A[k, l] - B[sigma[k], sigma[l]] m_l: row sigma[k]
     and column l of M hold one nonzero each, so the fused
     ``_raw_product(M, A, minus=B M)`` forms exactly these two terms there.
-    Each is rounded as ``pair_mul(m_k, A[k, l])`` and ``pair_mul(B[...],
-    m_l)`` round it, and their difference as ``pair_sub`` does, through
+    Each is rounded as ``quad_mul(m_k, A[k, l])`` and ``quad_mul(B[...],
+    m_l)`` round it, and their difference as ``quad_sub`` does, through
     ``scalars._add``, as the fused product rounds them.  A term with an
     exact zero factor is not formed (a zero right term leaves the left one
     as it is), and an entry with neither term is zero and is not visited:
@@ -609,7 +590,7 @@ def intertwining_defects(m, pairs):
     (both ``scalar``, and equal diagonals), as puncture images are, the
     defect is exactly zero and 0.0 is returned without the products: the
     bigfloat kernel skips zero terms, so entry (i, j) is m_ij s - s m_ij,
-    and ``pair_mul`` rounds both products alike because ``scalars._add`` is
+    and ``quad_mul`` rounds both products alike because ``scalars._add`` is
     symmetric.  The flags are read off the images themselves, which may
     come from a file.
     """
@@ -639,12 +620,11 @@ def monomial_backward_error(m, pairs) -> float:
     exactly similar to A, and entry (sigma[k], sigma[l]) of E is the defect
     entry R[sigma[k], l] divided by m_l, so one O(nnz) pass over the defect
     entries gives it (:func:`_monomial_defect`): each quotient is one
-    :func:`scalars._div` by the kept raw entry, with the bits of
-    :func:`scalars.pair_div`, and the largest is taken by the kernel's
-    ``worst``.
+    :func:`scalars.quad_div` by the kept raw entry, and the largest is taken
+    by the kernel's ``worst``.
     """
     prec = m.entries[0].rs.precision_bits
-    quotients = [_div(d, m.raw[1][l], prec) for a, b in pairs if not _scalar_pair(a, b)
+    quotients = [quad_div(d, m.raw[1][l], prec) for a, b in pairs if not _scalar_pair(a, b)
                  for l, d in zip(*_monomial_defect(m, a, b, prec))]
     return _raw_worst([quotients], prec)[1]
 
@@ -655,7 +635,8 @@ def residual_report(mat):
     return k.worst(k.unpack(mat))
 
 
-def _diagonal_mean(mat, rs):
+def diagonal_mean(mat, rs):
+    """The mean of the diagonal of a square matrix, summed in order and divided by n."""
     n = mat.shape[0]
     mean = mat[0, 0]
     for i in range(1, n):
@@ -667,30 +648,33 @@ def read_scalar_matrix(mat, rs, tol=None):
     """The scalar lambda with mat = lambda * Id, or raise NonScalarChebyshev.
 
     The scalar is read as the mean of the diagonal, which is the least
-    rounding-sensitive choice; every entry, row by row, is then validated
-    against it with ``approx_eq``.
+    rounding-sensitive choice (:func:`diagonal_mean`), and validated by
+    :func:`read_scalar`.
     """
-    mean = _diagonal_mean(mat, rs)
+    return read_scalar(mat, diagonal_mean(mat, rs), tol)
+
+
+def read_scalar(mat, mean, tol=None):
+    """``mean``, once every entry of mat, row by row, passes ``approx_eq`` against mean * Id.
+
+    An entry that does not raises NonScalarChebyshev.
+    """
+    zero = mean.rs.zero
     for (i, j), e in np.ndenumerate(mat):
-        if not approx_eq(e, mean if i == j else rs.zero, tol):
+        if not approx_eq(e, mean if i == j else zero, tol):
             raise NonScalarChebyshev(f"entry ({i}, {j}) = {e} deviates from scalar structure")
     return mean
 
 
-def scalar_residual(mat, s):
-    """``residual_report(mat - scalar_matrix(s, n))``: (exactly zero, largest magnitude).
+def scalar_residual(rows, s):
+    """``residual_report(mat - scalar_matrix(s, n))`` of the kernel rows of mat: (exactly zero, largest magnitude).
 
     On the kernel this is mat + (-s) Id: -s is added to the diagonal only,
-    and x + (-s) rounds as x - s does.
+    and x + (-s) rounds as x - s does.  The rows are those a representation
+    keeps (:class:`Image`), so nothing is unpacked.
     """
     k = kernel(s.rs)
-    return k.worst(k.shift(k.entry(-s), k.unpack(mat)))
-
-
-def scalar_deviation(mat, rs):
-    """Float magnitude of the worst deviation of mat from (mean diagonal) * Id."""
-    mean = _diagonal_mean(mat, rs)
-    return mean, scalar_residual(mat, mean)[1]
+    return k.worst(k.shift(k.entry(-s), rows))
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,16 @@
 
 A representation assigns one square matrix to every generator of its surface
 vocabulary; puncture generators always map to their scalar times the
-identity, and that scalar is also stored separately.  T_N of each loop
-image (:meth:`Representation.chebyshev`), each image's
+identity, and that scalar is also stored separately.  Each image's
 :class:`matrices.Image` (:meth:`Representation.image`: its rows in the
-matrix kernel's working format and their exact-zero pattern) and the
-largest entry magnitude (:meth:`Representation.largest_entry`, the kernel's
-``worst`` of those rows) are computed once and kept in one memo.  The
+matrix kernel's working format and their exact-zero pattern), T_N of each
+loop image (:meth:`Representation.chebyshev_image`, run from those rows and
+kept as rows too; :meth:`Representation.chebyshev`, the frozen array;
+:meth:`Representation.chebyshev_mean`, its diagonal mean) and the largest
+entry magnitude (:meth:`Representation.largest_entry`, the kernel's
+``worst`` of the images' rows) are computed once and kept in one memo.  The
 image is the one source of what is structural about a generator image:
-products, residuals, the puncture shortcuts, the X3 spectrum test, the
+products, residuals, T_N, the puncture shortcuts, the X3 spectrum test, the
 ladder walk and the commutant's support graph all read it, so no image is
 unpacked or rescanned twice.  The memo also holds, under ``"words"``, the
 generator words :func:`expressions.evaluate` forms, in kernel format and
@@ -23,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import matrices
-from .chebyshev import chebyshev_eval
 from .scalars import RootSystem
 from .surfaces import Surface
 
@@ -59,10 +60,30 @@ class Representation:
             self._memo[key] = compute()
         return self._memo[key]
 
+    def chebyshev_image(self, name: str):
+        """T_N of the image of ``name`` as kernel rows with their pattern (:class:`matrices.Image`), once per rep.
+
+        The recurrence (:func:`matrices.chebyshev_rows`) starts from the kept
+        rows of :meth:`image`, so nothing is unpacked.
+        """
+        def compute():
+            k = matrices.kernel(self.rs)
+            rows = matrices.chebyshev_rows(self.rs.N, self.rs, self.image(name).rows)
+            return matrices.Image(rows, k.support(rows))
+        return self._kept(("chebyshev image", name), compute)
+
     def chebyshev(self, name: str):
-        """T_N of the image of ``name``, frozen, through ``chebyshev_eval`` once per rep."""
-        return self._kept(("chebyshev", name),
-                          lambda: matrices.freeze(chebyshev_eval(self.rs.N, self.matrix(name))))
+        """T_N of the image of ``name``, frozen, once per rep: the rows of :meth:`chebyshev_image` wrapped."""
+        return self._kept(("chebyshev", name), lambda: matrices.freeze(
+            matrices.kernel(self.rs).wrap(self.chebyshev_image(name).rows)))
+
+    def chebyshev_mean(self, name: str):
+        """The diagonal mean of :meth:`chebyshev` (:func:`matrices.diagonal_mean`), once per rep.
+
+        ``verify_relations`` measures T_N's deviation from it and
+        ``extract_invariants`` reads it as the trace scalar.
+        """
+        return self._kept(("chebyshev mean", name), lambda: matrices.diagonal_mean(self.chebyshev(name), self.rs))
 
     def image(self, name: str):
         """The kernel rows of ``name`` with their pattern (:class:`matrices.Image`), once per rep.

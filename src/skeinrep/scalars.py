@@ -10,17 +10,20 @@ backends are provided:
   inverse's Euclid and the ``coeffs`` read-out build Fractions); the form is
   canonical, so equality is field equality.
 * ``bigfloat``: arbitrary-precision complex numbers at a fixed number of
-  bits, with A = exp(i*pi/N).  Each is one libmp pair of finite ``_mpf_``
-  tuples (:func:`finite_pair` refuses inf and nan where values enter).
+  bits, with A = exp(i*pi/N).  Each holds ``w``, the int quadruple
+  (re man, re exp, im man, im exp) of its value at the working precision,
+  which is also the entry format of the matrix kernel in :mod:`matrices`.
   Sums, differences, products, quotients, negations and magnitudes round
-  on Python ints (:func:`pair_mul`, :func:`pair_div`, :func:`pair_abs`, all
-  through the one rounding of :func:`_add`, which the matrix kernel in
-  :mod:`matrices` shares on the int quadruples of :func:`_ints`); powers,
-  roots, ``A^k`` and the conversions call libmp.  Every operation gives
-  the bits of the ``mpc`` expression at the working precision with
-  mpmath's round-to-nearest.  Magnitude decisions
-  read the parts' exponents first (:func:`magnitude_exponent`) and take
-  :func:`pair_abs` only near a cut.
+  on those ints (:func:`quad_add`, :func:`quad_sub`, :func:`quad_mul`,
+  :func:`quad_div`, :func:`quad_abs`, all through the one rounding of
+  :func:`_add`) and build their results as quadruples; powers, roots,
+  ``A^k`` and the conversions call libmp.  A libmp pair is held only where
+  a value enters as one (:func:`from_pair`, which refuses inf and nan), as
+  given, and is otherwise packed from ``w`` when ``pair`` is first read.
+  Every operation gives the bits of the ``mpc`` expression at the working
+  precision with mpmath's round-to-nearest.  Magnitude decisions read the
+  parts' exponents first (:func:`quad_exponent`) and take :func:`quad_abs`
+  only near a cut.
 
 ``is_zero()`` is the one zero test of a divisor (``|d| < rel_eps * (1 + |d|)``
 for a bigfloat); every refusal to divide raises :class:`VanishingDivisor`.
@@ -51,8 +54,8 @@ DEFAULT_PRECISION_BITS = 256
 # nearest, so this is the mode of mpc arithmetic at any context precision
 RND = round_nearest
 
-# the libmp pair of an exact zero
-_ZERO_PAIR = (fzero, fzero)
+# the int quadruple of an exact zero
+_ZERO_QUAD = (0, 0, 0, 0)
 
 # the smallest normal float: is_zero's exponent bounds hold for any tolerance above it
 _MIN_NORMAL = 2.0 ** -1022
@@ -215,7 +218,7 @@ class RootSystem:
             pair = value._mpc_
         else:
             raise TypeError(f"cannot place {type(value).__name__} in the bigfloat backend")
-        return from_pair(self, finite_pair(pair))
+        return from_pair(self, pair)
 
     def a_pow(self, k: int):
         """A^k, canonically reduced.  Exponents live modulo 2N."""
@@ -492,19 +495,37 @@ def _poly_sub(a, b):
 class BigComplex:
     """Arbitrary-precision complex number pinned to its root system's precision.
 
-    The value is one libmp pair ``(re, im)`` of finite ``_mpf_`` tuples,
-    kept as given.  Every operation reads both parts at the working
-    precision (:func:`working_pair`) and rounds as ``mpc`` arithmetic at
-    that context precision does: + - * / and ``abs`` on ints
-    (:func:`pair_mul`, :func:`pair_div`, :func:`pair_abs`), powers by
-    libmp's own call.
+    The value is ``w``, its int quadruple (re man, re exp, im man, im exp)
+    at the working precision, with signed mantissas and a zero part (0, 0):
+    the format :func:`_add` reads and returns, and the entry format of the
+    bigfloat matrix kernel.  + - * / and ``abs`` round on it as ``mpc``
+    arithmetic at that context precision rounds (:func:`quad_add`,
+    :func:`quad_sub`, :func:`quad_mul`, :func:`quad_div`, :func:`quad_abs`)
+    and build their results from the quadruples they round; powers and roots
+    are libmp's own calls.  The libmp pair is an edge format: a value that
+    enters as one (:func:`from_pair`) keeps it as given, which may be wider
+    than the working precision, and any other value packs ``pair`` from
+    ``w`` on its first read.
     """
 
-    __slots__ = ("rs", "pair")
+    __slots__ = ("rs", "w", "_pair")
 
     def __init__(self, rs: RootSystem, re, im):
+        self._enter(rs, (re._mpf_, im._mpf_))
+
+    def _enter(self, rs, pair):
+        """Keep the finite libmp ``pair`` as given, and ``w`` read from it at the working precision."""
         self.rs = rs
-        self.pair = finite_pair((re._mpf_, im._mpf_))
+        self._pair = finite_pair(pair)
+        self.w = _ints(working_pair(pair, rs.precision_bits))
+
+    @property
+    def pair(self):
+        """The libmp pair: as given where the value entered as one, else packed from ``w`` once."""
+        p = self._pair
+        if p is None:
+            p = self._pair = _pack(self.w)
+        return p
 
     re = property(lambda self: mp.make_mpf(self.pair[0]))
     im = property(lambda self: mp.make_mpf(self.pair[1]))
@@ -531,28 +552,25 @@ class BigComplex:
         return None
 
     def _abs(self):
-        prec = self.rs.precision_bits
-        return pair_abs(working_pair(self.pair, prec), prec)
+        return quad_abs(self.w, self.rs.precision_bits)
 
     def is_zero(self) -> bool:
         """|d| < rel_eps * (1 + |d|) on floats, settled from the exponents when far from the cut.
 
         With 2^(k-1) <= rel_eps < 2^k: E <= k - 3 puts |d| below 2^(k-2), under
         the cut; E >= k + 2 puts it at or above 2^(k+1), over the cut once
-        rel_eps < 1/2.  Only the four exponents between take :func:`pair_abs`.
+        rel_eps < 1/2.  Only the four exponents between take :func:`quad_abs`.
         """
         tol = self.rs.tolerance
         eps = tol.rel_eps
-        prec = self.rs.precision_bits
-        z = working_pair(self.pair, prec)
-        e = magnitude_exponent(z)
+        e = quad_exponent(self.w)
         if e is not None and _MIN_NORMAL <= eps < 0.5:
             k = tol.exponent
             if e <= k - 3:
                 return True
             if e >= k + 2:
                 return False
-        mag = to_float(pair_abs(z, prec), rnd=RND)
+        mag = to_float(self._abs(), rnd=RND)
         return mag < eps * (1.0 + mag)
 
     def magnitude(self):
@@ -565,37 +583,36 @@ class BigComplex:
         if o is None:
             return NotImplemented
         a, b = (o, self) if reflected else (self, o)
-        if fn is pair_div:
+        if fn is quad_div:
             b._check_divisor()
-        prec = self.rs.precision_bits
-        return from_pair(self.rs, fn(working_pair(a.pair, prec), working_pair(b.pair, prec), prec))
+        return from_quad(self.rs, fn(a.w, b.w, self.rs.precision_bits))
 
     def __add__(self, other):
-        return self._apply(pair_add, other)
+        return self._apply(quad_add, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._apply(pair_sub, other)
+        return self._apply(quad_sub, other)
 
     def __rsub__(self, other):
-        return self._apply(pair_sub, other, reflected=True)
+        return self._apply(quad_sub, other, reflected=True)
 
     def __mul__(self, other):
-        return self._apply(pair_mul, other)
+        return self._apply(quad_mul, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._apply(pair_div, other)
+        return self._apply(quad_div, other)
 
     def __rtruediv__(self, other):
-        return self._apply(pair_div, other, reflected=True)
+        return self._apply(quad_div, other, reflected=True)
 
     def __neg__(self):
-        # rounding to nearest is odd, so flipping the working pair's signs gives the rounded negation
-        x, y = working_pair(self.pair, self.rs.precision_bits)
-        return from_pair(self.rs, (_negated(x), _negated(y)))
+        # rounding to nearest is odd, so flipping the mantissas' signs gives the rounded negation
+        re, e, im, f = self.w
+        return from_quad(self.rs, (-re, e, -im, f))
 
     def _check_divisor(self):
         """Refuse to divide by a scalar that :meth:`is_zero`."""
@@ -612,19 +629,17 @@ class BigComplex:
         if exponent < 0:
             self._check_divisor()
         prec = self.rs.precision_bits
-        return from_pair(self.rs, mpc_pow_int(working_pair(self.pair, prec), exponent, prec, RND))
+        return from_pair(self.rs, mpc_pow_int(_pack(self.w), exponent, prec, RND))
 
     # -- comparison / display ----------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, BigComplex):
             return NotImplemented
-        prec = self.rs.precision_bits
-        return (self.rs.compatible(other.rs)
-                and working_pair(self.pair, prec) == working_pair(other.pair, prec))
+        return self.rs.compatible(other.rs) and self.w == other.w
 
     def __hash__(self):
-        return hash((self.rs.key(), working_pair(self.pair, self.rs.precision_bits)))
+        return hash((self.rs.key(), self.w))
 
     def __repr__(self):
         # nstr's digits without its parentheses, bare like CyclotomicNumber's
@@ -632,10 +647,21 @@ class BigComplex:
 
 
 def from_pair(rs: RootSystem, pair) -> BigComplex:
-    """The BigComplex holding the finite libmp pair ``pair`` as given."""
+    """The BigComplex that enters as the libmp pair ``pair``, kept as given.
+
+    A part that is inf or nan raises :class:`NonFiniteScalar` (:func:`finite_pair`).
+    """
+    z = object.__new__(BigComplex)
+    z._enter(rs, pair)
+    return z
+
+
+def from_quad(rs: RootSystem, w) -> BigComplex:
+    """The BigComplex whose value is the int quadruple ``w``, parts as :func:`_add` returns them."""
     z = object.__new__(BigComplex)
     z.rs = rs
-    z.pair = pair
+    z.w = w
+    z._pair = None
     return z
 
 
@@ -648,14 +674,14 @@ def finite_pair(pair):
 
 
 # ---------------------------------------------------------------------------
-# finite pairs: one int rounding for sums, differences and products; magnitudes from exponents
+# int quadruples: one int rounding for sums, differences and products; magnitudes from exponents
 # ---------------------------------------------------------------------------
 
 def _ints(z):
     """The int quadruple (re man, re exp, im man, im exp) of a finite pair, mantissas signed.
 
-    A zero part reads (0, 0), as :func:`_add` returns a zero.  This is the
-    working format of the bigfloat matrix kernel (``matrices.kernel``);
+    A zero part reads (0, 0), as :func:`_add` returns a zero.  Read from a
+    working pair (:func:`working_pair`), this is ``BigComplex.w``;
     :func:`_pack` turns a quadruple back into a pair.
     """
     (rsign, rman, rexp, _), (isign, iman, iexp, _) = z
@@ -714,11 +740,6 @@ def _add(m1, e1, m2, e2, prec, down=False):
     return (-man if m < 0 else man), e
 
 
-def _negated(part):
-    """-part of a normalized finite ``_mpf_``: the sign bit flipped, zero kept."""
-    return (1 - part[0],) + part[1:] if part[1] else part
-
-
 def _mpf(m, e):
     """The normalized ``_mpf_`` tuple of a signed mantissa and exponent from ``_add``."""
     if m < 0:
@@ -732,31 +753,34 @@ def _pack(z):
     return _mpf(re, e), _mpf(im, f)
 
 
-def pair_add(x, y, prec):
-    """x + y for finite pairs at ``prec`` bits, as ``mpc`` adds: one rounded :func:`_add` per part."""
-    (xs, xm, xe, _), (xt, xn, xf, _) = x
-    (ys, ym, ye, _), (yt, yn, yf, _) = y
-    re, e = _add(-xm if xs else xm, xe, -ym if ys else ym, ye, prec)
-    im, f = _add(-xn if xt else xn, xf, -yn if yt else yn, yf, prec)
-    return _mpf(re, e), _mpf(im, f)
+def quad_add(x, y, prec):
+    """x + y of two int quadruples at ``prec`` bits, as ``mpc`` adds: one rounded :func:`_add` per part."""
+    xr, xe, xi, xf = x
+    yr, ye, yi, yf = y
+    re, e = _add(xr, xe, yr, ye, prec)
+    im, f = _add(xi, xf, yi, yf, prec)
+    return re, e, im, f
 
 
-def pair_sub(x, y, prec):
-    """x - y for finite pairs at ``prec`` bits, as ``mpc`` subtracts: one :func:`_add` per part."""
-    (xs, xm, xe, _), (xt, xn, xf, _) = x
-    (ys, ym, ye, _), (yt, yn, yf, _) = y
-    re, e = _add(-xm if xs else xm, xe, ym if ys else -ym, ye, prec)
-    im, f = _add(-xn if xt else xn, xf, yn if yt else -yn, yf, prec)
-    return _mpf(re, e), _mpf(im, f)
+def quad_sub(x, y, prec):
+    """x - y of two int quadruples at ``prec`` bits, as ``mpc`` subtracts: one :func:`_add` per part."""
+    xr, xe, xi, xf = x
+    yr, ye, yi, yf = y
+    re, e = _add(xr, xe, -yr, ye, prec)
+    im, f = _add(xi, xf, -yi, yf, prec)
+    return re, e, im, f
 
 
-def pair_mul(x, y, prec):
-    """x y at ``prec`` bits as ``mpc`` multiplies: per part, two exact products and one rounded :func:`_add`."""
-    ar, er, ai, ei = _ints(x)
-    br, fr, bi, fi = _ints(y)
+def quad_mul(x, y, prec):
+    """x y of two int quadruples at ``prec`` bits as ``mpc`` multiplies.
+
+    Per part, two exact mantissa products and one rounded :func:`_add`.
+    """
+    ar, er, ai, ei = x
+    br, fr, bi, fi = y
     re, e = _add(ar * br, er + fr, -ai * bi, ei + fi, prec)
     im, f = _add(ar * bi, er + fi, ai * br, ei + fr, prec)
-    return _mpf(re, e), _mpf(im, f)
+    return re, e, im, f
 
 
 def _quotient(m, e, d, f, prec):
@@ -776,8 +800,8 @@ def _quotient(m, e, d, f, prec):
     return _add(-q if m < 0 else q, e - f - extra, 0, 0, prec)
 
 
-def _div(x, y, prec):
-    """x / y of two int quadruples (:func:`_ints`) at ``prec`` bits, as ``mpc_div`` divides.
+def quad_div(x, y, prec):
+    """x / y of two int quadruples at ``prec`` bits, as ``mpc_div`` divides.
 
     |y|^2 and the numerators re(x conj y), im(x conj y) are each two exact
     mantissa products and one :func:`_add` rounded down to prec + 10 bits;
@@ -792,22 +816,17 @@ def _div(x, y, prec):
     return _quotient(re, e, mag, em, prec) + _quotient(im, f, mag, em, prec)
 
 
-def pair_div(x, y, prec):
-    """x / y for finite pairs at ``prec`` bits, as ``mpc_div`` divides: :func:`_div` on their ints."""
-    return _pack(_div(_ints(x), _ints(y), prec))
-
-
 def _hypot_sum(xm, xe, ym, ye, prec):
     """xm^2 2^(2 xe) + ym^2 2^(2 ye) as ``mpf_hypot`` sums it: exact squares, rounded down to prec + 4 bits.
 
-    Returns the mantissa and exponent.  :func:`pair_abs` takes its square
+    Returns the mantissa and exponent.  :func:`quad_abs` takes its square
     root, and ``matrices._raw_worst`` ranks two-part entries by it.
     """
     return _add(xm * xm, xe + xe, ym * ym, ye + ye, prec + 4, down=True)
 
 
-def pair_abs(z, prec):
-    """|z| of a finite pair at ``prec`` bits as ``mpc_abs`` takes it (``mpf_hypot``), on ints.
+def quad_abs(z, prec):
+    """|z| of an int quadruple at ``prec`` bits as ``mpc_abs`` takes it (``mpf_hypot``), as an ``_mpf_``.
 
     A value with at most one nonzero part gives that part's magnitude
     rounded.  Otherwise the exact squares are summed rounded down to
@@ -816,9 +835,9 @@ def pair_abs(z, prec):
     A sum with mantissa 1, whose root ``mpf_sqrt`` takes apart, has an exact
     root and gives the same bits.
     """
-    (_, xm, xe, _), (_, ym, ye, _) = z
+    xm, xe, ym, ye = z
     if not xm or not ym:
-        return _mpf(*_add(xm, xe, ym, ye, prec))
+        return _mpf(*_add(abs(xm), xe, abs(ym), ye, prec))
     s, e = _hypot_sum(xm, xe, ym, ye, prec)
     if e & 1:
         e -= 1
@@ -833,17 +852,17 @@ def pair_abs(z, prec):
     return _mpf(*_add(r, (e - shift) >> 1, 0, 0, prec))
 
 
-def magnitude_exponent(pair):
-    """E with 2^(E-1) <= |z| < 2^(E+1), read from the parts' exp + bc; None for zero.
+def quad_exponent(z):
+    """E with 2^(E-1) <= |z| < 2^(E+1), read from the parts' exponent + bit length; None for zero.
 
-    A nonzero part lies in [2^(exp+bc-1), 2^(exp+bc)), and |z| is at least
-    its larger part and below sqrt(2) times it.  The bounds are powers of
-    two, so :func:`pair_abs` rounded to nearest also lies in [2^(E-1), 2^(E+1)].
+    A nonzero part lies in [2^(exp+bits-1), 2^(exp+bits)), and |z| is at
+    least its larger part and below sqrt(2) times it.  The bounds are powers
+    of two, so :func:`quad_abs` rounded to nearest also lies in [2^(E-1), 2^(E+1)].
     """
-    (_, rm, re, rb), (_, im, ie, ib) = pair
-    if rm:
-        return max(re + rb, ie + ib) if im else re + rb
-    return ie + ib if im else None
+    re, e, im, f = z
+    if re:
+        return max(e + re.bit_length(), f + im.bit_length()) if im else e + re.bit_length()
+    return f + im.bit_length() if im else None
 
 
 def _settled_below(d, scales, rel_eps):
@@ -856,10 +875,10 @@ def _settled_below(d, scales, rel_eps):
         return None
     lo = hi = 0
     for s in scales:
-        e = magnitude_exponent(s)
+        e = quad_exponent(s)
         if e is not None:
             lo, hi = max(lo, e - 1), max(hi, e + 1)
-    e = magnitude_exponent(d)
+    e = quad_exponent(d)
     if e is None:
         return True
     k = frexp(rel_eps)[1]
@@ -871,9 +890,9 @@ def _settled_below(d, scales, rel_eps):
 
 
 def below_cut(d, scales, rel_eps, prec):
-    """|d| < rel_eps * max(1, |s| for s in ``scales``) on working pairs: ``approx_eq``'s decision.
+    """|d| < rel_eps * max(1, |s| for s in ``scales``) on int quadruples: ``approx_eq``'s decision.
 
-    Each magnitude is one rounded :func:`pair_abs` and the cut one rounded
+    Each magnitude is one rounded :func:`quad_abs` and the cut one rounded
     product, but the parts' exponents settle the decision unless |d| lies
     within a factor of about 4 of the cut; only then are the magnitudes
     taken.
@@ -883,10 +902,10 @@ def below_cut(d, scales, rel_eps, prec):
         return settled
     scale = fone
     for s in scales:
-        mag = pair_abs(s, prec)
+        mag = quad_abs(s, prec)
         if mpf_gt(mag, scale):
             scale = mag
-    return mpf_lt(pair_abs(d, prec), mpf_mul(from_float(rel_eps), scale, prec, RND))
+    return mpf_lt(quad_abs(d, prec), mpf_mul(from_float(rel_eps), scale, prec, RND))
 
 
 def working_pair(pair, prec):
@@ -930,18 +949,17 @@ def approx_eq(a: Scalar, b: Scalar, tol: Tolerance = None) -> bool:
 
     Two bigfloat scalars agree when |a - b| < rel_eps * max(1, |a|, |b|).
     Against an exact zero b this is |a| < rel_eps * max(1, |a|), decided on
-    a's working pair without forming a - 0, which is that pair itself.
+    a's quadruple without forming a - 0, which is that quadruple itself.
     """
     if isinstance(a, CyclotomicNumber):
         return a == b
     o = a._coerce(b)
     prec = a.rs.precision_bits
     rel_eps = (tol or a.rs.tolerance).rel_eps
-    x = working_pair(a.pair, prec)
-    if o.pair == _ZERO_PAIR:
+    x, y = a.w, o.w
+    if y == _ZERO_QUAD:
         return below_cut(x, (x,), rel_eps, prec)
-    y = working_pair(o.pair, prec)
-    return below_cut(pair_sub(x, y, prec), (x, y), rel_eps, prec)
+    return below_cut(quad_sub(x, y, prec), (x, y), rel_eps, prec)
 
 
 def solve_quadratic(a: Scalar, b: Scalar, c: Scalar):
@@ -963,7 +981,7 @@ def solve_quadratic(a: Scalar, b: Scalar, c: Scalar):
                 f"exact quadratic requires a rational perfect-square discriminant, got {disc!r}")
         sq = rs.scalar(root)
     else:
-        sq = from_pair(rs, mpc_sqrt(disc.pair, rs.precision_bits, RND))
+        sq = from_pair(rs, mpc_sqrt(_pack(disc.w), rs.precision_bits, RND))
     two_a = 2 * a
     return (-b + sq) / two_a, (-b - sq) / two_a
 
@@ -973,4 +991,4 @@ def nth_root(y: Scalar, n: int) -> Scalar:
     if isinstance(y, CyclotomicNumber):
         raise UnsupportedExactOperation("n-th roots are not supported in the exact backend")
     prec = y.rs.precision_bits
-    return from_pair(y.rs, mpc_nthroot(working_pair(y.pair, prec), n, prec, RND))
+    return from_pair(y.rs, mpc_nthroot(_pack(y.w), n, prec, RND))

@@ -22,7 +22,7 @@ import numpy as np
 from mpmath.libmp import from_str, to_str
 
 from .representation import Representation
-from .scalars import RND, BigComplex, CyclotomicNumber, RootSystem, finite_pair, from_pair, make_root_system
+from .scalars import RND, BigComplex, CyclotomicNumber, RootSystem, from_pair, make_root_system
 from .surfaces import surface_from_tag
 
 
@@ -69,7 +69,7 @@ def scalar_from_json(rs: RootSystem, obj):
     if not all(isinstance(part, str) for part in parts):
         raise ValueError(f"bigfloat parts must be decimal strings, got {parts[0]!r} and {parts[1]!r}")
     prec = rs.precision_bits
-    return from_pair(rs, finite_pair(tuple(from_str(part, prec, RND) for part in parts)))
+    return from_pair(rs, tuple(from_str(part, prec, RND) for part in parts))
 
 
 def to_jsonable(value):

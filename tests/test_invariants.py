@@ -192,15 +192,15 @@ def test_nonscalar_chebyshev_on_mixed_sum(rs, torus_rep):
 # ---------------------------------------------------------------------------
 
 def counted_chebyshev(monkeypatch):
-    """Record the argument of every matrix T_N evaluation."""
-    original = matrices.chebyshev_matrix
+    """Record the kernel rows of the argument of every matrix T_N evaluation."""
+    original = matrices.chebyshev_rows
     args = []
 
-    def count(n, arg):
-        args.append(arg)
-        return original(n, arg)
+    def count(n, rs, rows):
+        args.append(rows)
+        return original(n, rs, rows)
 
-    monkeypatch.setattr(matrices, "chebyshev_matrix", count)
+    monkeypatch.setattr(matrices, "chebyshev_rows", count)
     return args
 
 
@@ -219,7 +219,7 @@ def test_verify_then_extract_evaluate_each_generator_once(rs, monkeypatch, kind)
     gens = rep.surface.x_generators
     assert report.passed
     assert len(args) == len(gens)
-    assert all(a is rep.matrix(g) for a, g in zip(args, gens))
+    assert all(a is rep.image(g).rows for a, g in zip(args, gens))
 
 
 def test_replaced_rep_evaluates_its_own_chebyshev(rs, monkeypatch):
@@ -240,9 +240,9 @@ def counted_unpacks(monkeypatch):
     original = matrices._raw_rows
     args = []
 
-    def count(mat, prec):
+    def count(mat):
         args.append(mat)
-        return original(mat, prec)
+        return original(mat)
 
     monkeypatch.setattr(matrices, "_raw_rows", count)
     return args

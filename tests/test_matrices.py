@@ -18,6 +18,7 @@ import operator
 import pathlib
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -26,8 +27,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_abs, mpc_add, mpc_div, mpc_mul, mpc_sub, mpf_add,
-                          mpf_gt, mpf_mul, mpf_pos, mpf_sub, round_down, to_float)
+from mpmath.libmp import (from_float, from_int, from_man_exp, fzero, mpc_abs, mpc_add, mpc_div, mpc_mul, mpc_sub,
+                          mpf_add, mpf_gt, mpf_mul, mpf_pos, mpf_sub, round_down, to_float)
 
 import skeinrep
 from skeinrep import matrices
@@ -110,7 +111,7 @@ def reference_commuting_system(rep_a, rep_b):
 def reference_read_scalar_matrix(mat, rs, tol=None):
     """The entrywise ``approx_eq`` read-out that the raw-pair one replaced."""
     n = mat.shape[0]
-    mean = matrices._diagonal_mean(mat, rs)
+    mean = matrices.diagonal_mean(mat, rs)
     zero = rs.zero
     for i in range(n):
         for j in range(n):
@@ -124,7 +125,7 @@ def reference_read_scalar_matrix(mat, rs, tol=None):
 def reference_scalar_deviation(mat, rs):
     """The entrywise ``entry_magnitude`` deviation that the raw-pair one replaced."""
     n = mat.shape[0]
-    mean = matrices._diagonal_mean(mat, rs)
+    mean = matrices.diagonal_mean(mat, rs)
     worst = 0.0
     for i in range(n):
         for j in range(n):
@@ -634,7 +635,8 @@ def assert_read_outs_agree(mat, rs, tol=None):
     """Same decision, message and bits as the references; returns the decision."""
     got = read_outcome(matrices.read_scalar_matrix, mat, rs, tol)
     assert got == read_outcome(reference_read_scalar_matrix, mat, rs, tol)
-    mean, worst = matrices.scalar_deviation(mat, rs)
+    mean = matrices.diagonal_mean(mat, rs)
+    worst = matrices.scalar_residual(matrices.kernel(rs).unpack(mat), mean)[1]
     ref_mean, ref_worst = reference_scalar_deviation(mat, rs)
     assert mean == ref_mean and worst == ref_worst
     assert type(worst) is float
@@ -691,17 +693,18 @@ def test_scalar_residual_matches_entrywise_subtraction():
     mats = [matrices.scalar_matrix(p, 3), placed(rs, p, (0, 0), 1.5, 1e-30),
             placed(rs, p, (1, 2), 1.5, 1e-30), dense(rs, rng, 3, 3)]
     mats += [widened(m, rng) for m in mats]
+    unpack = matrices.kernel(rs).unpack
     for mat in mats:
         for s in (p, rs.zero, p + rs.scalar(1e-45)):
             want = matrices.residual_report(mat - matrices.scalar_matrix(s, 3))
-            assert matrices.scalar_residual(mat, s) == want
-    assert matrices.scalar_residual(mats[0], p) == (True, 0.0)
+            assert matrices.scalar_residual(unpack(mat), s) == want
+    assert matrices.scalar_residual(unpack(mats[0]), p) == (True, 0.0)
     exact = make_root_system(3)
     q = exact.A - exact.one
     shifted = matrices.scalar_matrix(q, 2)
     shifted[0, 1] = exact.one
     for mat in (matrices.scalar_matrix(q, 2), shifted):
-        assert (matrices.scalar_residual(mat, q)
+        assert (matrices.scalar_residual(matrices.kernel(exact).unpack(mat), q)
                 == matrices.residual_report(mat - matrices.scalar_matrix(q, 2)))
 
 
@@ -824,7 +827,7 @@ def test_one_rounding_primitive_lives_in_scalars():
 
 
 def test_division_and_magnitude_do_not_import_libmp():
-    # division, abs and negation of bigfloat pairs round on ints (scalars.pair_div, pair_abs);
+    # division, abs and negation of bigfloat scalars round on ints (scalars.quad_div, quad_abs);
     # docstrings may still name the libmp calls they mirror
     package = pathlib.Path(skeinrep.__file__).parent
     replaced = {"mpc_div", "mpc_abs", "mpc_neg"}
@@ -867,14 +870,18 @@ def test_one_kernel_per_root_system(backend):
     assert matrices.kernel(twin).wrap(matrices.kernel(twin).unpack(matrices.identity(twin, 2)))[0, 0].rs is twin
 
 
-def test_bigfloat_rows_are_int_quadruples_and_only_the_result_is_packed(monkeypatch):
+def test_scalars_and_kernel_share_one_quadruple_and_pack_a_pair_once(monkeypatch):
     rep = torus_rep(3, 18)
+    rs, x1 = rep.rs, rep.matrix("X1")
     rows = rep.image("X1").rows
-    k = matrices.kernel(rep.rs)
+    k = matrices.kernel(rs)
     for raw in (rows, k.product(rows, rep.image("X2").rows)):
         entries = [z for row in raw for z in row if z is not None]
         assert entries and all(len(z) == 4 and all(type(p) is int for p in z) for z in entries)
-    calls = {"_ints": 0, "_mpf": 0}
+    # a kernel row entry is its scalar's own quadruple
+    assert all(z is e.w for row, mat_row in zip(rows, x1) for z, e in zip(row, mat_row) if z is not None)
+    x, y = rs.scalar(complex(0.3, -1.7)), rs.A
+    calls = Counter()
 
     def counting(name, fn):
         def wrapper(*args):
@@ -882,15 +889,21 @@ def test_bigfloat_rows_are_int_quadruples_and_only_the_result_is_packed(monkeypa
             return fn(*args)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(matrices, name, counting(name, getattr(matrices, name)))
-    x1 = rep.matrix("X1")
-    t = matrices.chebyshev_matrix(5, x1)
-    # each nonzero entry of arg and the scalar 2 are read once, and each
-    # part of a nonzero entry of T_5 is packed once
-    read = sum(z is not None for row in rows for z in row) + 1
-    nonzero = sum(e is not rep.rs.zero for e in t.flat)
-    assert nonzero and calls == {"_ints": read, "_mpf": 2 * nonzero}
+    for name in ("working_pair", "_ints", "_pack", "_mpf"):
+        for module in (scalars_module, matrices):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    # + - * / and negation, both orders, and the kernel's unpack, product and wrap convert nothing
+    results = [x + y, y + x, x - y, y - x, x * y, y * x, x / y, y / x, -x]
+    wrapped = [k.wrap(k.unpack(x1)), matrices.matmul(x1, x1), k.wrap(k.product(rows, rows, minus=rows))]
+    assert not calls
+    assert [e.w for e in wrapped[0].flat] == [e.w for e in x1.flat]
+    # a value that entered as a pair keeps it; a computed one packs its pair once, on first read
+    assert x.pair == (from_float(0.3, 256, RND), from_float(-1.7, 256, RND)) and not calls
+    z = results[4]
+    first = z.pair
+    assert z.pair is first and calls == {"_pack": 1, "_mpf": 2}
+    assert first == mpc_mul(x.pair, y.pair, rs.precision_bits, RND)
 
 
 # ---------------------------------------------------------------------------
@@ -1013,15 +1026,16 @@ def test_native_add_matches_mpf_add(operands):
 def test_pair_sum_and_product_are_symmetric(operands, data):
     # the premise of the kernel's one-sided scale and shift: _add is symmetric
     # in its operands, also where it stands a far smaller operand (exponents
-    # more than 100 apart) in by one unit, so pair_add and pair_mul are too
+    # more than 100 apart) in by one unit, so quad_add and quad_mul are too
     prec, s, t = operands
     _, u, v = data.draw(add_operands(prec))
     assert scalars_module._add(*signed(s), *signed(t), prec) == \
         scalars_module._add(*signed(t), *signed(s), prec)
     one = from_int(1)
     for x, y in (((s, t), (one, one)), ((s, u), (t, v)), ((s, fzero), (t, u))):
-        assert scalars_module.pair_add(x, y, prec) == scalars_module.pair_add(y, x, prec)
-        assert scalars_module.pair_mul(x, y, prec) == scalars_module.pair_mul(y, x, prec)
+        x, y = scalars_module._ints(x), scalars_module._ints(y)
+        assert scalars_module.quad_add(x, y, prec) == scalars_module.quad_add(y, x, prec)
+        assert scalars_module.quad_mul(x, y, prec) == scalars_module.quad_mul(y, x, prec)
 
 
 @st.composite
@@ -1054,6 +1068,29 @@ def test_bigcomplex_arithmetic_matches_libmp(operands, n):
              (n * a, mpc_mul, wn, wx), (a * n, mpc_mul, wx, wn)]
     for got, fn, u, v in cases:
         assert got.pair == fn(u, v, prec, RND), (prec, fn.__name__, u, v)
+
+
+@settings(max_examples=400, deadline=None)
+@given(complex_operands())
+def test_quadruple_ops_match_libmp_on_wide_and_far_apart_parts(operands):
+    """The quadruple ops on ``w`` of values entered wider than prec, against mpc_add/sub/mul/div/abs.
+
+    Parts may be wider than the precision, zero, or more than 100 exponents apart.
+    """
+    prec, x, y = operands
+    rs = rs_of(3, prec)
+    a, b = from_pair(rs, x), from_pair(rs, y)
+    wx, wy = working_pair(x, prec), working_pair(y, prec)
+    assert a.pair == x and a.w == scalars_module._ints(wx)
+    pack = scalars_module._pack
+    for fn, ref in ((scalars_module.quad_add, mpc_add), (scalars_module.quad_sub, mpc_sub),
+                    (scalars_module.quad_mul, mpc_mul)):
+        assert pack(fn(a.w, b.w, prec)) == ref(wx, wy, prec, RND), (prec, ref.__name__, wx, wy)
+    assert scalars_module.quad_abs(a.w, prec) == a.magnitude()._mpf_ == mpc_abs(wx, prec, RND), (prec, wx)
+    if wy != (fzero, fzero):
+        assert pack(scalars_module.quad_div(a.w, b.w, prec)) == mpc_div(wx, wy, prec, RND), (prec, wx, wy)
+        if not b.is_zero():
+            assert (a / b).pair == mpc_div(wx, wy, prec, RND), (prec, wx, wy)
 
 
 @st.composite
@@ -1120,7 +1157,7 @@ def mpc_approx_eq(x, y, rel_eps):
 
 def mpc_first_nonscalar_entry(mat, rs, tol):
     rel_eps = (tol or rs.tolerance).rel_eps
-    mean = matrices._diagonal_mean(mat, rs)
+    mean = matrices.diagonal_mean(mat, rs)
     return next(((i, j) for (i, j), e in np.ndenumerate(mat)
                  if not mpc_approx_eq(e, mean if i == j else rs.zero, rel_eps)), None)
 
@@ -1180,12 +1217,12 @@ def test_read_outs_match_mpc_abs_near_the_cut(case):
     except NonScalarChebyshev as exc:
         assert bad is not None and str(exc).startswith(f"entry {bad} = ")
     prec = rs.precision_bits
-    rows = matrices._raw_rows(mat, prec)
+    rows = matrices._raw_rows(mat)
     assert matrices._raw_worst(rows, prec) == mpc_worst(pairs_of(rows), prec)
-    mean = matrices._diagonal_mean(mat, rs)
+    mean = matrices.diagonal_mean(mat, rs)
     shifted = [[mpc_sub(z or (fzero, fzero), mean.pair, prec, RND) if i == j else z
                 for j, z in enumerate(row)] for i, row in enumerate(pairs_of(rows))]
-    assert matrices.scalar_deviation(mat, rs)[1] == mpc_worst(shifted, prec)[1]
+    assert matrices.scalar_residual(rows, mean)[1] == mpc_worst(shifted, prec)[1]
 
 
 @st.composite
@@ -1307,8 +1344,8 @@ def test_kernel_makes_no_libmp_arithmetic_calls(monkeypatch):
     def counting(name):
         return lambda *args: calls.append(name)
 
-    monkeypatch.setattr(matrices, "pair_abs", counting("pair_abs"))
-    for name in ("pair_abs", "mpf_mul", "mpf_pos"):
+    monkeypatch.setattr(matrices, "quad_abs", counting("quad_abs"))
+    for name in ("quad_abs", "mpf_mul", "mpf_pos"):
         monkeypatch.setattr(scalars_module, name, counting(f"scalars.{name}"))
     x, y = a[0, 0], b[0, 0]
     for op in (operator.add, operator.sub, operator.mul):

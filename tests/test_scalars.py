@@ -10,7 +10,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_int, from_man_exp, fzero, mpc_abs, mpc_div, mpc_neg, mpf_gt, to_float
+from mpmath.libmp import from_int, from_man_exp, fzero, mpc_abs, mpc_div, mpc_neg, mpf_gt, to_float, to_str
 
 import skeinrep
 from skeinrep import matrices, scalars
@@ -29,9 +29,12 @@ from skeinrep.scalars import (
     nth_root,
     numeric_bridge,
     solve_quadratic,
+    working_pair,
 )
-from skeinrep.serialize import scalar_from_json, scalar_to_json
+from skeinrep.serialize import scalar_from_json, scalar_to_json, to_jsonable
 from skeinrep.surfaces import SPHERE4, TORUS0, TORUS1, sphere_k
+from skeinrep.torus import build_torus_rep, torus_params_from_shadow
+from skeinrep.uniqueness import sample_torus_shadow
 
 
 def random_exact(rs, rng, height=9):
@@ -515,7 +518,7 @@ def test_int_rounded_division_and_magnitude_match_libmp(prec):
     work = [scalars.working_pair(z.pair, prec) for z in values]
     assert any(z[0][3] > prec for z in pairs)
     for z in pairs:
-        assert scalars.pair_abs(z, prec) == mpc_abs(z, prec, RND), z
+        assert scalars.quad_abs(scalars._ints(z), prec) == mpc_abs(z, prec, RND), z
     for x, wx in zip(values, work):
         assert (-x).pair == mpc_neg(x.pair, prec, RND), x
         mag = mpc_abs(wx, prec, RND)
@@ -530,7 +533,8 @@ def test_int_rounded_division_and_magnitude_match_libmp(prec):
         for y, wy, z in zip(values, work, pairs + [None]):
             assert (y / x).pair == mpc_div(wy, wx, prec, RND), (y, x)
             if z is not None:
-                assert scalars.pair_div(z, x.pair, prec) == mpc_div(z, x.pair, prec, RND), (z, x)
+                got = scalars._pack(scalars.quad_div(scalars._ints(z), scalars._ints(x.pair), prec))
+                assert got == mpc_div(z, x.pair, prec, RND), (z, x)
     for i in range(0, len(work), 6):
         rows = [[None if z == (fzero, fzero) else scalars._ints(z) for z in work[i:i + 6]]]
         worst = fzero
@@ -716,6 +720,55 @@ def test_serialize_round_trip_matches_mpc(reference_inputs):
         assert back.pair == want and back == x, x
 
 
+# ---------------------------------------------------------------------------
+# values wider than the working precision
+# ---------------------------------------------------------------------------
+
+def test_wide_values_keep_their_pair_and_compute_as_their_working_value():
+    """x3 from ``nth_root`` and a 512-bit mpc in a 256-bit system keep the pair they entered with.
+
+    Each prints that pair in ``serialize`` and provenance, and compares,
+    hashes and computes as the value rounded to the working precision.
+    """
+    rs = make_root_system(3, "bigfloat", 256)
+    prec = rs.precision_bits
+    inv = sample_torus_shadow(rs, random.Random(1))
+    params = torus_params_from_shadow(inv["t1"], inv["t2"], inv["t3"], inv["p"])
+    x3 = params.x3
+    with mpmath.mp.workprec(512):
+        given_mpc = mpmath.mpc(mpmath.mpf(1) / 3, -mpmath.mpf(2) / 7)
+    wide = rs.scalar(given_mpc)
+    assert wide.pair == given_mpc._mpc_
+    others = [rs.A, rs.scalar(complex(0.5, -2)), rs.scalar(3), rs.zero]
+    for z in (x3, wide):
+        pair = z.pair
+        assert max(part[3] for part in pair) > prec
+        working = from_pair(rs, working_pair(pair, prec))
+        assert z == working and hash(z) == hash(working) and z.w == working.w
+        # serialize prints the kept pair, which is not the working one
+        digits = int(prec * 0.30103) + 8
+        assert scalar_to_json(z) == {"re": to_str(pair[0], digits, strip_zeros=True),
+                                     "im": to_str(pair[1], digits, strip_zeros=True), "prec_bits": prec}
+        assert scalar_to_json(z) != scalar_to_json(working)
+        for o in others:
+            for op in (operator.add, operator.sub, operator.mul):
+                assert op(z, o).pair == op(working, o).pair and op(o, z).pair == op(o, working).pair
+            assert (o / z).pair == (o / working).pair
+            if not o.is_zero():
+                assert (z / o).pair == (working / o).pair
+        assert (-z).pair == (-working).pair and (z ** -3).pair == (working ** -3).pair
+        assert z.magnitude() == working.magnitude() and z.is_zero() is working.is_zero() is False
+        assert nth_root(z, 5).pair == nth_root(working, 5).pair
+        assert approx_eq(z, working) and approx_eq(z - working, rs.zero)
+    rep = build_torus_rep(params)
+    assert to_jsonable(rep.provenance)["gauge"]["x3"] == scalar_to_json(x3)
+    # inf and nan are still refused where values enter
+    with pytest.raises(NonFiniteScalar):
+        from_pair(rs, (mpmath.mpf("inf")._mpf_, fzero))
+    with pytest.raises(NonFiniteScalar):
+        matrices.from_mp_vector(rs, [mpmath.mpc(0, mpmath.mpf("nan"))], 1)
+
+
 def test_only_the_matrix_bridge_enters_workprec():
     # the scalar layer computes on libmp pairs, and refusals to divide are typed
     for path in sorted(Path(skeinrep.__file__).parent.glob("*.py")):
@@ -848,7 +901,7 @@ def test_far_decisions_take_no_mpc_abs(monkeypatch):
               rs.scalar(eps * 64), rs.A]
     pairs = [(x, x + rs.scalar(eps / 64)) for x in values] + [(x, x * 2) for x in values]
     calls = []
-    monkeypatch.setattr(scalars, "pair_abs", lambda *args: calls.append(args))
+    monkeypatch.setattr(scalars, "quad_abs", lambda *args: calls.append(args))
     zeros = [x.is_zero() for x in values]
     same = [approx_eq(x, y) for x, y in pairs] + [approx_eq(x, y, Tolerance(1e-20)) for x, y in pairs]
     assert not calls
@@ -861,15 +914,15 @@ def test_far_decisions_take_no_mpc_abs(monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(near_cut_cases())
 def test_approx_eq_against_zero_forms_no_difference(case):
-    # a - 0 is a's working pair, so the decision is read off a alone
+    # a - 0 is a's quadruple, so the decision is read off a alone
     rs, tol, a, _ = case
     calls = []
-    real = scalars.pair_sub
-    scalars.pair_sub = lambda *args: calls.append(args) or real(*args)
+    real = scalars.quad_sub
+    scalars.quad_sub = lambda *args: calls.append(args) or real(*args)
     try:
         got = approx_eq(a, rs.zero, tol)
     finally:
-        scalars.pair_sub = real
+        scalars.quad_sub = real
     assert not calls
     assert got == _reference_approx_eq(a, rs.zero, tol), a
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from skeinrep import chebyshev, invariants, matrices, representation, sphere, torus, uniqueness
+from skeinrep import chebyshev, invariants, matrices, sphere, torus, uniqueness
 from skeinrep.chebyshev import chebyshev_eval, solve_chebyshev
 from skeinrep.errors import (DegenerateShadow, NoConsistentRoot, UnsupportedExactOperation,
                              VanishingCycle)
@@ -372,9 +372,10 @@ def test_solve_u_and_sampler_read_no_matrix(rs3, monkeypatch):
         args.append(arg)
         return chebyshev_eval(n, arg)
 
-    for module in (chebyshev, sphere, representation, invariants, torus):
+    for module in (chebyshev, sphere, invariants, torus):
         monkeypatch.setattr(module, "chebyshev_eval", counting)
-    monkeypatch.setattr(matrices, "read_scalar_matrix", None)
+    for name in ("chebyshev_rows", "read_scalar_matrix", "read_scalar"):
+        monkeypatch.setattr(matrices, name, None)
     puncture_data.cache_clear()
     inv = sample_sphere_invariants(rs3, random.Random(18))
     x3 = solve_chebyshev(inv["t3"]).base
