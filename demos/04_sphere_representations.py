@@ -40,13 +40,13 @@ print(f"  difference: {float((prod - closed).magnitude()):.2e}")
 # ---------------------------------------------------------------------------
 
 u_true = rs.scalar(complex(0.85, -0.4))
-rep = build_sphere_rep_with_u(params, u_true, ladder)
+rep = build_sphere_rep_with_u(params, u_true)
 print(f"\nbuilt dimension-{rep.dim} sphere representation")
 print(verify_relations(rep).summary())
 
 t1 = matrices.read_scalar_matrix(chebyshev_eval(rs.N, rep.matrix("X1")), rs)
 t2 = matrices.read_scalar_matrix(chebyshev_eval(rs.N, rep.matrix("X2")), rs)
-u_rec = solve_u(params, t1, t2, ladder)
+u_rec = solve_u(params, t1, t2)
 print(f"\nwraparound recovery: |u_recovered - u_true| = "
       f"{float((u_rec - u_true).magnitude()):.2e}")
 

@@ -9,7 +9,10 @@ expression source works for both backends.
 
 Normalization rewrites every word into the ordered-monomial form
 X1^a X2^b X3^c times a monomial in the central puncture generators, using
-the oriented q-commutation rules of the surface presentation.  Every rule
+the oriented q-commutation rules of the surface presentation: each rule is
+a relation of :attr:`Surface.relations` solved for its out-of-order pair, and
+the relation defects, the puncture element and the centrality defect names
+come from the same table.  Every rule
 output either sorts the contracted pair or strictly lowers the word degree,
 so the key (word length, inversion count) strictly falls and rewriting
 terminates; the empirical confluence suite checks independence of the
@@ -183,6 +186,8 @@ class _Parser:
     def parse_atom(self):
         kind, val, pos = self.next()
         if kind == "num":
+            if "/" in val and not int(val.partition("/")[2]):
+                raise ParseError(f"zero denominator in {val!r}", pos)
             return Lit(self.rs.scalar(Fraction(val)))
         if kind == "name":
             if val == "A":
@@ -229,50 +234,30 @@ class RewriteSystem:
         self.rs = rs
         self.rules = self._build_rules()
 
-    def _pvec(self, *names):
-        vec = [0] * len(self.surface.punctures)
-        for n in names:
-            vec[self.surface.punctures.index(n)] += 1
-        return tuple(vec)
-
     def _build_rules(self):
-        rs = self.rs
-        if self.surface.kind in ("torus1", "torus0"):
-            a2 = rs.a_pow(2)
-            gap = rs.a_pow(2) - rs.a_pow(-2)
-            z = self._pvec()
-            return {
-                ("X2", "X1"): [(a2, ("X1", "X2"), z), (-rs.A * gap, ("X3",), z)],
-                ("X3", "X2"): [(a2, ("X2", "X3"), z), (-rs.A * gap, ("X1",), z)],
-                ("X3", "X1"): [(rs.a_pow(-2), ("X1", "X3"), z), (rs.a_pow(-1) * gap, ("X2",), z)],
-            }
-        if self.surface.kind == "sphere4":
-            a4 = rs.a_pow(4)
-            gap4 = rs.a_pow(4) - rs.a_pow(-4)
-            gap2 = rs.a_pow(2) - rs.a_pow(-2)
-            c_hi = -rs.a_pow(2) * gap2
-            c_lo = rs.a_pow(-2) * gap2
-            return {
-                ("X2", "X1"): [
-                    (a4, ("X1", "X2"), self._pvec()),
-                    (-rs.a_pow(2) * gap4, ("X3",), self._pvec()),
-                    (c_hi, (), self._pvec("P0", "P3")),
-                    (c_hi, (), self._pvec("P1", "P2")),
-                ],
-                ("X3", "X2"): [
-                    (a4, ("X2", "X3"), self._pvec()),
-                    (-rs.a_pow(2) * gap4, ("X1",), self._pvec()),
-                    (c_hi, (), self._pvec("P0", "P1")),
-                    (c_hi, (), self._pvec("P2", "P3")),
-                ],
-                ("X3", "X1"): [
-                    (rs.a_pow(-4), ("X1", "X3"), self._pvec()),
-                    (rs.a_pow(-2) * gap4, ("X2",), self._pvec()),
-                    (c_lo, (), self._pvec("P0", "P2")),
-                    (c_lo, (), self._pvec("P1", "P3")),
-                ],
-            }
-        return {}
+        """Each relation solved for its out-of-order pair.
+
+        With A^w l r - A^-w r l = (A^2w - A^-2w) out + (A^w - A^-w) q, a pair
+        r l with l first in generator order becomes
+        A^2w l r - A^w (A^2w - A^-2w) out - A^w (A^w - A^-w) q, and a pair
+        l r with r first becomes A^-2w r l + A^-w (A^2w - A^-2w) out
+        + A^-w (A^w - A^-w) q; q gives one term per puncture pair.
+        """
+        rs, w, punctures = self.rs, self.surface.weight, self.surface.punctures
+        rank = self.surface.x_generators.index
+        zero = (0,) * len(punctures)
+        rules = {}
+        for l, r, out, pairs in self.surface.relations:
+            if rank(l) < rank(r):
+                key, swap, scale = (r, l), rs.a_pow(2 * w), -rs.a_pow(w)
+            else:
+                key, swap, scale = (l, r), rs.a_pow(-2 * w), rs.a_pow(-w)
+            central = scale * (rs.a_pow(w) - rs.a_pow(-w))
+            rules[key] = [(swap, key[::-1], zero),
+                          (scale * (rs.a_pow(2 * w) - rs.a_pow(-2 * w)), (out,), zero),
+                          *((central, (), tuple(int(i in pair) for i in range(len(punctures))))
+                            for pair in pairs)]
+        return rules
 
 
 @dataclass
@@ -594,48 +579,33 @@ def evaluate_normal_form(nf: NormalForm, rep):
 # distinguished elements and presentation relations
 # ---------------------------------------------------------------------------
 
-def _torus_puncture_polynomial(rs):
-    """A X1 X2 X3 - A^2 X1^2 - A^-2 X2^2 - A^2 X3^2 + A^2 + A^-2."""
-    return Sum((
-        Prod((Lit(rs.A), Gen("X1"), Gen("X2"), Gen("X3"))),
-        Prod((Lit(-rs.a_pow(2)), Power(Gen("X1"), 2))),
-        Prod((Lit(-rs.a_pow(-2)), Power(Gen("X2"), 2))),
-        Prod((Lit(-rs.a_pow(2)), Power(Gen("X3"), 2))),
-        Lit(rs.a_pow(2) + rs.a_pow(-2)),
-    ))
+def _q_sum(surface, pairs):
+    """The central term q of a relation: the sum of its puncture pair products."""
+    return Sum(tuple(Prod(tuple(Gen(surface.punctures[i]) for i in pair)) for pair in pairs))
 
 
-# q1, q2, q3 of the sphere relations
-_SPHERE_Q = (
-    Sum((Prod((Gen("P0"), Gen("P1"))), Prod((Gen("P2"), Gen("P3"))))),
-    Sum((Prod((Gen("P0"), Gen("P2"))), Prod((Gen("P1"), Gen("P3"))))),
-    Sum((Prod((Gen("P0"), Gen("P3"))), Prod((Gen("P1"), Gen("P2"))))),
-)
+def _cubic(surface, rs):
+    """The cubic relation's defect on the sphere, the puncture loop on the tori.
 
-
-def _sphere_relation_defect(rs):
-    """Left minus right side of the degree-three sphere relation.
-
-    Evaluates to zero in every representation of the four-puncture sphere
-    algebra.
+    The head A^w X1 X2 X3 - A^2w X1^2 - A^-2w X2^2 - A^2w X3^2 is followed,
+    on the sphere, by -A^w q1 X1 - A^-w q2 X2 - A^w q3 X3, with each q that
+    of the relation with that out generator.  The tail is A^2 + A^-2 on the
+    tori and (A^2 + A^-2)^2 - P0 P1 P2 P3 - P0^2 - P1^2 - P2^2 - P3^2 on the
+    sphere, where the whole evaluates to zero in every representation.
     """
-    q1, q2, q3 = _SPHERE_Q
+    w = surface.weight
+    q = {out: pairs for _, _, out, pairs in surface.relations}
+    signs = tuple(zip(surface.x_generators, (1, -1, 1)))  # X2's terms take A^-2w and A^-w
+    terms = [Prod((Lit(rs.a_pow(w)),) + tuple(Gen(x) for x in surface.x_generators))]
+    terms += [Prod((Lit(-rs.a_pow(2 * w * e)), Power(Gen(x), 2))) for x, e in signs]
+    terms += [Prod((Lit(-rs.a_pow(w * e)), _q_sum(surface, q[x]), Gen(x))) for x, e in signs if q[x]]
     square = rs.a_pow(2) + rs.a_pow(-2)
-    return Sum((
-        Prod((Lit(rs.a_pow(2)), Gen("X1"), Gen("X2"), Gen("X3"))),
-        Prod((Lit(-rs.a_pow(4)), Power(Gen("X1"), 2))),
-        Prod((Lit(-rs.a_pow(-4)), Power(Gen("X2"), 2))),
-        Prod((Lit(-rs.a_pow(4)), Power(Gen("X3"), 2))),
-        Prod((Lit(-rs.a_pow(2)), q1, Gen("X1"))),
-        Prod((Lit(-rs.a_pow(-2)), q2, Gen("X2"))),
-        Prod((Lit(-rs.a_pow(2)), q3, Gen("X3"))),
-        Lit(square * square),
-        Prod((Lit(rs.scalar(-1)), Gen("P0"), Gen("P1"), Gen("P2"), Gen("P3"))),
-        Prod((Lit(rs.scalar(-1)), Power(Gen("P0"), 2))),
-        Prod((Lit(rs.scalar(-1)), Power(Gen("P1"), 2))),
-        Prod((Lit(rs.scalar(-1)), Power(Gen("P2"), 2))),
-        Prod((Lit(rs.scalar(-1)), Power(Gen("P3"), 2))),
-    ))
+    if surface.kind != "sphere4":
+        return Sum(tuple(terms) + (Lit(square),))
+    minus = Lit(rs.scalar(-1))
+    terms += [Lit(square * square), Prod((minus,) + tuple(Gen(p) for p in surface.punctures))]
+    terms += [Prod((minus, Power(Gen(p), 2))) for p in surface.punctures]
+    return Sum(tuple(terms))
 
 
 def puncture_element(surface: Surface, rs: RootSystem) -> SkeinExpr:
@@ -645,54 +615,39 @@ def puncture_element(surface: Surface, rs: RootSystem) -> SkeinExpr:
     in the X generators; for the four-puncture sphere it is the defect of
     the degree-three relation, which must evaluate to zero.
     """
-    if surface.kind == "torus1":
-        return SkeinExpr(surface, rs, _torus_puncture_polynomial(rs))
-    if surface.kind == "sphere4":
-        return SkeinExpr(surface, rs, _sphere_relation_defect(rs))
-    raise ValueError(f"no distinguished puncture element for surface {surface.tag}")
+    if surface.kind not in ("torus1", "sphere4"):
+        raise ValueError(f"no distinguished puncture element for surface {surface.tag}")
+    return SkeinExpr(surface, rs, _cubic(surface, rs))
 
 
-def _qcomm(rs, w, gl, gr, out, central=None):
-    """A^w gl gr - A^-w gr gl - (A^2w - A^-2w) out - (A^w - A^-w) central."""
-    terms = [
-        Prod((Lit(rs.a_pow(w)), Gen(gl), Gen(gr))),
-        Prod((Lit(-rs.a_pow(-w)), Gen(gr), Gen(gl))),
-        Prod((Lit(-(rs.a_pow(2 * w) - rs.a_pow(-2 * w))), Gen(out))),
-    ]
-    if central is not None:
-        terms.append(Prod((Lit(-(rs.a_pow(w) - rs.a_pow(-w))), central)))
-    return Sum(tuple(terms))
+def central_names(surface: Surface, puncture: str) -> dict:
+    """The names of the centrality defects P X - X P of ``puncture``, by X."""
+    return {x: f"central_{puncture}_{x}" for x in surface.x_generators}
 
 
 def relation_defects(surface: Surface, rs: RootSystem) -> dict:
     """Defect expressions of all presentation relations; zero on representations."""
     defects = {}
-    if surface.kind in ("torus1", "torus0"):
-        defects["qcomm_12"] = _qcomm(rs, 1, "X1", "X2", "X3")
-        defects["qcomm_23"] = _qcomm(rs, 1, "X2", "X3", "X1")
-        defects["qcomm_31"] = _qcomm(rs, 1, "X3", "X1", "X2")
-        if surface.kind == "torus1":
-            defects["puncture"] = Sum((
-                _torus_puncture_polynomial(rs),
-                Prod((Lit(rs.scalar(-1)), Gen("P"))),
-            ))
-        else:
-            defects["closed_puncture"] = Sum((
-                _torus_puncture_polynomial(rs),
-                Lit(rs.a_pow(2) + rs.a_pow(-2)),
-            ))
+    w = surface.weight
+    for l, r, out, pairs in surface.relations:
+        terms = (
+            Prod((Lit(rs.a_pow(w)), Gen(l), Gen(r))),
+            Prod((Lit(-rs.a_pow(-w)), Gen(r), Gen(l))),
+            Prod((Lit(-(rs.a_pow(2 * w) - rs.a_pow(-2 * w))), Gen(out))),
+        )
+        if pairs:
+            terms += (Prod((Lit(-(rs.a_pow(w) - rs.a_pow(-w))), _q_sum(surface, pairs))),)
+        defects[f"qcomm_{l[1:]}{r[1:]}"] = Sum(terms)
+    minus = Lit(rs.scalar(-1))
+    if surface.kind == "torus1":
+        defects["puncture"] = Sum((_cubic(surface, rs), Prod((minus, Gen("P")))))
+    elif surface.kind == "torus0":
+        defects["closed_puncture"] = Sum((_cubic(surface, rs), Lit(rs.a_pow(2) + rs.a_pow(-2))))
     elif surface.kind == "sphere4":
-        q1, q2, q3 = _SPHERE_Q
-        defects["qcomm_12"] = _qcomm(rs, 2, "X1", "X2", "X3", q3)
-        defects["qcomm_23"] = _qcomm(rs, 2, "X2", "X3", "X1", q1)
-        defects["qcomm_31"] = _qcomm(rs, 2, "X3", "X1", "X2", q2)
-        defects["cubic"] = _sphere_relation_defect(rs)
+        defects["cubic"] = _cubic(surface, rs)
         for p in surface.punctures:
-            for x in surface.x_generators:
-                defects[f"central_{p}_{x}"] = Sum((
-                    Prod((Gen(p), Gen(x))),
-                    Prod((Lit(rs.scalar(-1)), Gen(x), Gen(p))),
-                ))
+            for x, name in central_names(surface, p).items():
+                defects[name] = Sum((Prod((Gen(p), Gen(x))), Prod((minus, Gen(x), Gen(p)))))
     return {name: SkeinExpr(surface, rs, node) for name, node in defects.items()}
 
 

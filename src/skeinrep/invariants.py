@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import matrices
 from .chebyshev import chebyshev_eval
-from .expressions import evaluate, relation_defects
+from .expressions import central_names, evaluate, relation_defects
 from .representation import Representation
 from .scalars import Tolerance, approx_eq
 from .sphere import puncture_data
@@ -88,8 +88,8 @@ def verify_relations(rep: Representation, tol: Tolerance = None) -> Verification
     rs = rep.rs
     rel_eps = (tol.rel_eps if tol is not None else rs.tolerance.rel_eps)
     residuals, exact_flags, checks = {}, {}, {}
-    central = {f"central_{p}_{x}" for p in rep.surface.punctures if rep.image(p).scalar
-               for x in rep.surface.x_generators}
+    central = {name for p in rep.surface.punctures if rep.image(p).scalar
+               for name in central_names(rep.surface, p).values()}
 
     for name, expr in relation_defects(rep.surface, rs).items():
         if name in central:

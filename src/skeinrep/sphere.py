@@ -8,7 +8,9 @@ puncture combinations
     q1 = p0 p1 + p2 p3,  q2 = p0 p2 + p1 p3,  q3 = p0 p3 + p1 p2,
     Delta = p0 p1 p2 p3 + p0^2 + p1^2 + p2^2 + p3^2,
 
-and the down-then-up composite acts on the k-th eigenline by the scalar R_k,
+whose q sums are those of the presentation's puncture pairs
+(:data:`surfaces.PUNCTURE_PAIRS`, which the relations' central terms read).
+The down-then-up composite acts on the k-th eigenline by the scalar R_k,
 which is the down scalar of column k + 1.
 The product of all R_k has a closed form in terms of T_N at the four roots
 of (r^2 + p0 p3 r + p0^2 + p3^2 - 4)(r^2 + p1 p2 r + p1^2 + p2^2 - 4); its
@@ -45,7 +47,10 @@ depend on t3 and the punctures alone, so all 2N gauges share them, and
 Each derived quantity is computed once, at the level it depends on.  The
 gauge's powers and products x3 A^j come from the parameters'
 :class:`~skeinrep.ladder.Gauge`, which the offsets, the R_k, the ladder
-assembly, t3 and :func:`solve_u` share.  (q1, q2, q3, Delta), (Q1, Q2) and
+assembly, t3 and :func:`solve_u` share.  The offsets and R_k are the
+parameters' one :class:`LadderScalars` (``SphereParams.ladder``), which
+:func:`solve_u`, the assembly and the ladder operators share.
+(q1, q2, q3, Delta), (Q1, Q2) and
 T_N at the four puncture roots depend on N and p0..p3 alone, which the 2N
 gauge moves keep; they come from one bounded cache keyed by the exact values
 (:func:`puncture_data`), so a gauge orbit, the sampler that drew its
@@ -64,16 +69,14 @@ from .ladder import (Gauge, LadderSystem, check_nondegenerate_t3, ladder_matrice
                      ladder_system)
 from .representation import Representation, assemble
 from .scalars import BigComplex, RootSystem, Scalar, approx_eq, solve_quadratic
-from .surfaces import SPHERE4, sphere_k
+from .surfaces import PUNCTURE_PAIRS, SPHERE4, sphere_k
 
 
 def sphere_aux_invariants(p0, p1, p2, p3):
-    """The four symmetric combinations (q1, q2, q3, Delta)."""
-    q1 = p0 * p1 + p2 * p3
-    q2 = p0 * p2 + p1 * p3
-    q3 = p0 * p3 + p1 * p2
-    delta = p0 * p1 * p2 * p3 + p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3
-    return q1, q2, q3, delta
+    """The four symmetric combinations (q1, q2, q3, Delta), q from the relations' pairs."""
+    p = (p0, p1, p2, p3)
+    q = tuple(p[a] * p[b] + p[c] * p[d] for (a, b), (c, d) in PUNCTURE_PAIRS)
+    return q + (p0 * p1 * p2 * p3 + p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3,)
 
 
 def chebyshev_at_puncture_roots(rs, p0, p1, p2, p3) -> tuple:
@@ -137,6 +140,11 @@ class SphereParams:
     @cached_property
     def gauge(self) -> Gauge:
         return Gauge(self.rs, self.x3)
+
+    @cached_property
+    def ladder(self) -> LadderScalars:
+        """The offsets and R_k (:func:`ladder_scalars_sphere`), taken once."""
+        return ladder_scalars_sphere(self)
 
     @property
     def t3(self):
@@ -225,15 +233,13 @@ def ladder_product_closed_form(params: SphereParams) -> Scalar:
     return -num / (t3 * t3 - 4)
 
 
-def build_sphere_rep_with_u(params: SphereParams, u: Scalar,
-                            ladder: LadderScalars = None) -> Representation:
+def build_sphere_rep_with_u(params: SphereParams, u: Scalar) -> Representation:
     """Assemble the matrices from the eigenline ladder with wraparound u."""
     rs = params.rs
     n = rs.N
     if u.is_zero():
         raise VanishingCycle("the wraparound constant u must be nonzero")
-    if ladder is None:
-        ladder = ladder_scalars_sphere(params)
+    ladder = params.ladder
     r = ladder.r_scalars
     # column k steps down by R_{k-1}, column 1 by R_N / u
     m1, m2, m3 = ladder_matrices(params.gauge, 4, r[n - 1:] + r[:n - 1], u,
@@ -273,8 +279,7 @@ def trace_laws(params: SphereParams, prod_r) -> tuple:
             TraceLaw(-params.rs.one / s, prod_r / s, (big_q1 * t3 + 2 * big_q2) / den))
 
 
-def solve_u(params: SphereParams, t1_target, t2_target,
-            ladder: LadderScalars = None) -> Scalar:
+def solve_u(params: SphereParams, t1_target, t2_target) -> Scalar:
     """Determine the wraparound constant from the two target traces.
 
     With the laws of :func:`trace_laws` at the ladder's cycle product, whose
@@ -283,9 +288,7 @@ def solve_u(params: SphereParams, t1_target, t2_target,
     alpha u^2 + (f - t1) u + beta = 0 and return the root whose t2(u)
     reproduces the second target.  No matrix is built or read.
     """
-    if ladder is None:
-        ladder = ladder_scalars_sphere(params)
-    prod_r = ladder.cycle_product()
+    prod_r = params.ladder.cycle_product()
     if prod_r.is_zero():
         raise VanishingCycle("the ladder cycle product vanishes; u is not determined")
     law1, law2 = trace_laws(params, prod_r)
@@ -309,12 +312,10 @@ def build_sphere_rep(p0, p1, p2, p3, t1, t2, t3) -> Representation:
 
 def build_sphere_rep_from_params(params: SphereParams) -> Representation:
     """Pipeline for a prescribed gauge x3 (used by gauge-orbit enumeration)."""
-    ladder = ladder_scalars_sphere(params)
     closed = ladder_product_closed_form(params)
     if closed.is_zero():
         raise VanishingCycle("the ladder cycle product vanishes for these invariants")
-    u = solve_u(params, params.t1, params.t2, ladder)
-    return build_sphere_rep_with_u(params, u, ladder)
+    return build_sphere_rep_with_u(params, solve_u(params, params.t1, params.t2))
 
 
 def small_sphere_rep(p_values, rs: RootSystem = None) -> Representation:
@@ -339,5 +340,4 @@ def ladder_system_sphere(rep: Representation, params: SphereParams) -> LadderSys
     U_k = A^2 X1 - x3 A^{4k} X2 + beta_k^+,
     D_k = A^2 X1 - x3^{-1} A^{-4k} X2 + beta_k^-.
     """
-    offsets = ladder_scalars_sphere(params)
-    return ladder_system(rep, 4, params.gauge, offsets.beta_plus, offsets.beta_minus)
+    return ladder_system(rep, 4, params.gauge, params.ladder.beta_plus, params.ladder.beta_minus)

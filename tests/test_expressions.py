@@ -86,8 +86,10 @@ def test_parse_imaginary_literal(rs3, rs3f):
 @pytest.mark.parametrize("text,position", [
     ("X1 + ?", 5), ("X1 $", 3), ("X1    #", 6),
     ("X1 +", 4), ("(X1", 3), ("X1^", 3), ("X1^-", 4),
+    ("X1 + 1/0", 5), ("0/0", 0), ("X1 3/00 X2", 3),
 ], ids=["question-mark", "dollar", "hash-after-spaces",
-        "end-after-plus", "end-in-paren", "end-after-caret", "end-after-minus"])
+        "end-after-plus", "end-in-paren", "end-after-caret", "end-after-minus",
+        "one-over-zero", "zero-over-zero", "zero-denominator-00"])
 def test_parse_error_position(rs3, text, position):
     # the offending character's own offset, or len(text) at the end of input
     with pytest.raises(ParseError) as err:

@@ -180,6 +180,16 @@ def test_cli_rejects_degenerate(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args,position", [
+    (["normalize", "--surface", "torus1", "--expr", "X1 + 1/0"], 5),
+    (["build-torus", "--t1", "1/0", "--t2", "1", "--t3", "3", "--p", "1"], 0),
+], ids=["normalize", "build-torus"])
+def test_cli_refuses_a_zero_denominator(args, position, capsys):
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip().endswith(f"(at position {position})")
+
+
 def test_cli_normalize(capsys):
     status = main(["normalize", "--surface", "torus1", "--N", "3",
                    "--expr", "A X1 X2 - A^-1 X2 X1"])

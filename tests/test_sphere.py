@@ -229,6 +229,19 @@ def test_down_up_composite_acts_by_r(rs3):
             assert approx_eq(comp[i, k - 1], target)
 
 
+def test_ladder_scalars_are_taken_once_per_params(rs3, monkeypatch):
+    # solve_u, the assembly and the ladder operators share params.ladder
+    calls = []
+    real = sphere.ladder_scalars_sphere
+    monkeypatch.setattr(sphere, "ladder_scalars_sphere", lambda params: calls.append(1) or real(params))
+    inv = sample_sphere_invariants(rs3, random.Random(12))
+    params = make_sphere_params(*(inv[k] for k in ("p0", "p1", "p2", "p3", "t1", "t2")),
+                                solve_chebyshev(inv["t3"]).base)
+    rep = build_sphere_rep_from_params(params)
+    ladder_system_sphere(rep, params)
+    assert calls == [1] and params.ladder.r_scalars == real(params).r_scalars
+
+
 @pytest.mark.parametrize("N", [3, 5])
 def test_exact_relations_identically_zero(N):
     # exact arithmetic catches any index or sign slip in the ladder assembly
@@ -277,7 +290,7 @@ def test_trace_is_moebius_in_u(rs3):
     u1, u2 = rnd_scalar(rs3, rng, 0.5, 1.5), rnd_scalar(rs3, rng, 0.5, 1.5)
     traces = []
     for u in (u1, u2):
-        rep = build_sphere_rep_with_u(params, u, ladder)
+        rep = build_sphere_rep_with_u(params, u)
         traces.append(matrices.read_scalar_matrix(chebyshev_eval(3, rep.matrix("X1")), rs3))
     lhs = traces[0] - traces[1]
     rhs = alpha * (u1 - u2) + beta * (u1 ** -1 - u2 ** -1)
@@ -295,7 +308,7 @@ def test_trace_linear_coefficients_by_three_point_fit(rs3):
     beta = params.x3 ** 3 * ladder.cycle_product() / s
 
     def t1_of(u):
-        rep = build_sphere_rep_with_u(params, u, ladder)
+        rep = build_sphere_rep_with_u(params, u)
         return matrices.read_scalar_matrix(chebyshev_eval(3, rep.matrix("X1")), rs3)
 
     u0 = rs3.one
@@ -331,7 +344,7 @@ def test_trace_offsets_match_trial_measurement(N):
         ladder = ladder_scalars_sphere(params)
         prod_r = ladder.cycle_product()
         s = params.x3 ** N - params.x3 ** -N
-        trial = build_sphere_rep_with_u(params, rs.one, ladder)
+        trial = build_sphere_rep_with_u(params, rs.one)
         f = matrices.read_scalar_matrix(chebyshev_eval(N, trial.matrix("X1")), rs) - (
             -(params.x3 ** -N) / s + params.x3 ** N * prod_r / s)
         g = matrices.read_scalar_matrix(chebyshev_eval(N, trial.matrix("X2")), rs) - (
