@@ -185,12 +185,26 @@ def test_closed_torus_cli_digest(tmp_path):
     assert _digest(out.read_text()) == "15b80e3dab87358b"
 
 
+_NORMALIZE_SPHERE = "X2 X1 P0 + (X3 X2 - A^2 X1 P3) (X3 X1 P1 P2 - 2/3 X2^2) - P0^2 X3 X1"
+
+
 def test_normalize_cli_digest(tmp_path):
     out = tmp_path / "nf.json"
-    expr = "X2 X1 P0 + (X3 X2 - A^2 X1 P3) (X3 X1 P1 P2 - 2/3 X2^2) - P0^2 X3 X1"
     assert main(["normalize", "--surface", "sphere4", "--N", "5", "--out", str(out),
-                 "--expr", expr]) == 0
+                 "--expr", _NORMALIZE_SPHERE]) == 0
     assert _digest(out.read_text()) == "1e48edb8a0ab9557"
+
+
+# bigfloat coefficients round in merge order, so these pin the rewriter's contraction order too
+@pytest.mark.parametrize("surface,n,expr,digest", [
+    ("sphere4", 5, _NORMALIZE_SPHERE, "5459d38ec07c6680"),
+    ("torus1", 3, "X2 X1 X2 X1 X2 X1 X2 X1 X2 X1", "a3ca2af7ce1f3441"),
+])
+def test_normalize_bigfloat_cli_digest(surface, n, expr, digest, tmp_path):
+    out = tmp_path / "nf.json"
+    assert main(["normalize", "--backend", "bigfloat", "--surface", surface, "--N", str(n),
+                 "--out", str(out), "--expr", expr]) == 0
+    assert _digest(out.read_text()) == digest
 
 
 # at N = 1 every ladder step lands on the diagonal, beside the offsets
