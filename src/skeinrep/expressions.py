@@ -18,14 +18,17 @@ so the key (word length, inversion count) strictly falls and rewriting
 terminates; the empirical confluence suite checks independence of the
 rewrite order.  Like terms merge within one call: words are contracted in
 decreasing key order, so each is contracted once, with its full merged
-coefficient.  Exact normal forms are the same as term-by-term rewriting
-gives; bigfloat coefficients round in merge order.
+coefficient; every heap entry carries its key, counted only for the
+outputs shorter than their word.  Exact normal forms are the same as
+term-by-term rewriting gives; bigfloat coefficients round in merge order.
 
 Evaluation in a representation walks the syntax tree on the root system's
 matrix kernel (:func:`matrices.kernel`: rows of int quadruples in the
-bigfloat backend), keeps literals and scalar images as scalars, and wraps
-only the result, bit-identical to the same steps on object arrays.  A normal form is
-evaluated as its expression.
+bigfloat backend), keeps literals and scalar images as scalars, folds each
+sum in one kernel ``combine``, and wraps only the result, bit-identical to
+the same steps on object arrays.  A normal form's terms go to ``combine``
+directly, each word scaled by its scalar as it is added, with the bits of
+evaluating its expression.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from fractions import Fraction
 from functools import reduce
 
 from . import matrices
+from .matrices import Scaled
 from .errors import ExponentOverflow, ParseError, UnknownGenerator
 from .scalars import RootSystem, Scalar
 from .surfaces import Surface
@@ -233,6 +237,12 @@ class RewriteSystem:
         self.surface = surface
         self.rs = rs
         self.rules = self._build_rules()
+        # normalize's reading of each rule: the swap's scalar, then the
+        # shorter outputs with None for a zero puncture delta
+        self.contractions = {
+            pair: (outputs[0][0], [(scal, repl, pdelta if any(pdelta) else None)
+                                   for scal, repl, pdelta in outputs[1:]])
+            for pair, outputs in self.rules.items()}
 
     def _build_rules(self):
         """Each relation solved for its out-of-order pair.
@@ -241,7 +251,9 @@ class RewriteSystem:
         r l with l first in generator order becomes
         A^2w l r - A^w (A^2w - A^-2w) out - A^w (A^w - A^-w) q, and a pair
         l r with r first becomes A^-2w r l + A^-w (A^2w - A^-2w) out
-        + A^-w (A^w - A^-w) q; q gives one term per puncture pair.
+        + A^-w (A^w - A^-w) q; q gives one term per puncture pair.  The
+        first output is always the swapped pair, which has one inversion
+        fewer; :func:`normalize` relies on that.
         """
         rs, w, punctures = self.rs, self.surface.weight, self.surface.punctures
         rank = self.surface.x_generators.index
@@ -359,7 +371,11 @@ def normalize(expr: SkeinExpr, rsys: RewriteSystem = None, order: str = "leftmos
     Every (letter word, puncture vector) pair carries one merged coefficient.
     Words are contracted in decreasing (length, inversion count) order: every
     rule output either swaps one out-of-order pair or is shorter, so once a
-    word is taken off the heap nothing can add to it again.  A merged
+    word is taken off the heap nothing can add to it again.  Each heap entry
+    carries its key: the swap (every rule's first output) keeps the length
+    and has exactly one inversion fewer than the contracted word, so only a
+    shorter output has its inversions counted, and an output with a zero
+    puncture delta keeps the contracted word's puncture vector.  A merged
     coefficient that is exactly zero (exact backend only) is dropped; bigfloat
     coefficients round in merge order, and the finished normal form drops
     coefficients that are zero within tolerance.  ``order`` selects which
@@ -371,7 +387,7 @@ def normalize(expr: SkeinExpr, rsys: RewriteSystem = None, order: str = "leftmos
     if rsys.surface != expr.surface or not rsys.rs.compatible(expr.rs):
         raise ValueError("expression and rewrite system disagree on surface or backend")
     surface, rs = expr.surface, expr.rs
-    rules = rsys.rules
+    contractions = rsys.contractions
     punctures = surface.punctures
     xnames = surface.x_generators
     rank = {g: i for i, g in enumerate(xnames)}
@@ -380,13 +396,16 @@ def normalize(expr: SkeinExpr, rsys: RewriteSystem = None, order: str = "leftmos
     pending = {}  # (word, pvec) -> merged coefficient, not yet contracted
     heap = []
 
-    def add(coeff, word, pvec):
+    def add(coeff, word, pvec, inversions=None):
+        """Merge coeff into (word, pvec); a new word is pushed with -inversions as given, or counted."""
         key = (word, pvec)
         if key in pending:
             pending[key] = pending[key] + coeff
         else:
             pending[key] = coeff
-            heapq.heappush(heap, (-len(word), -_inversions(word, rank), word, pvec))
+            if inversions is None:
+                inversions = -_inversions(word, rank)
+            heapq.heappush(heap, (-len(word), inversions, word, pvec))
 
     for coeff, word in _expand(expr.node, rs):
         pvec = [0] * len(punctures)
@@ -400,20 +419,23 @@ def normalize(expr: SkeinExpr, rsys: RewriteSystem = None, order: str = "leftmos
 
     result = {}
     while heap:
-        _, _, word, pvec = heapq.heappop(heap)
+        _, inversions, word, pvec = heapq.heappop(heap)
         coeff = pending.pop((word, pvec))
         if exact and coeff.is_zero():
             continue
-        pos = _find_redex(word, rules, order)
+        pos = _find_redex(word, contractions, order)
         if pos is None:
             xexp = tuple(word.count(n) for n in xnames)
             if any(e > EXPONENT_CAP for e in xexp) or any(e > EXPONENT_CAP for e in pvec):
                 raise ExponentOverflow("monomial exponent exceeds the cap")
             result[(xexp, pvec)] = coeff  # one sorted word per monomial
             continue
-        for scal, repl, pdelta in rules[(word[pos], word[pos + 1])]:
-            new_p = tuple(p + d for p, d in zip(pvec, pdelta))
-            add(coeff * scal, word[:pos] + repl + word[pos + 2:], new_p)
+        head, tail = word[:pos], word[pos + 2:]
+        swap, shorter = contractions[word[pos:pos + 2]]
+        add(coeff * swap, head + (word[pos + 1], word[pos]) + tail, pvec, inversions + 1)
+        for scal, repl, pdelta in shorter:
+            add(coeff * scal, head + repl + tail,
+                pvec if pdelta is None else tuple(p + d for p, d in zip(pvec, pdelta)))
 
     cleaned = {k: v for k, v in result.items() if not v.is_zero()}
     return NormalForm(surface, rs, cleaned)
@@ -452,15 +474,6 @@ def normal_form_to_expr(nf: NormalForm) -> SkeinExpr:
 # evaluation in a representation
 # ---------------------------------------------------------------------------
 
-class _Id:
-    """s Id during :func:`evaluate`, kept as the kernel entry s."""
-
-    __slots__ = ("s",)
-
-    def __init__(self, s):
-        self.s = s
-
-
 def _word_key(node):
     """The (name, exponent) factors of a product of generator powers, else None."""
     key = []
@@ -474,6 +487,92 @@ def _word_key(node):
     return tuple(key)
 
 
+class _Evaluation:
+    """Kernel values in one representation, for :func:`evaluate` and :func:`evaluate_normal_form`.
+
+    A value is kernel rows, or ``Scaled(s, None)``: s Id kept as the
+    kernel entry s.  Generator words are read through the rep's word memo.
+    """
+
+    def __init__(self, surface, rs, rep):
+        if surface != rep.surface:
+            raise ValueError(f"expression over {surface.tag} evaluated in {rep.surface.tag}")
+        if not rs.compatible(rep.rs):
+            raise ValueError("expression and representation use different root systems")
+        self.rep = rep
+        self.k = matrices.kernel(rep.rs)
+        self.words = rep._memo.setdefault("words", {})  # (name, exponent) factors -> value
+
+    def scalar(self, s):
+        return Scaled(self.k.entry(s), None)
+
+    def times(self, x, y):
+        k = self.k
+        if isinstance(x, Scaled):
+            return Scaled(k.times(x.s, y.s), None) if isinstance(y, Scaled) else k.scale(x.s, y)
+        return k.scale(y.s, x) if isinstance(y, Scaled) else k.product(x, y)
+
+    def summand(self, x, y):
+        """x y as a term of ``combine``: (s Id) B and B (s Id) stay ``Scaled(s, B)``."""
+        if isinstance(x, Scaled) == isinstance(y, Scaled):
+            return self.times(x, y)
+        return Scaled(x.s, y) if isinstance(x, Scaled) else Scaled(y.s, x)
+
+    def walk(self, node, summand=False):
+        if isinstance(node, Lit):
+            return self.scalar(node.value)
+        if isinstance(node, Sum):
+            return self.k.combine([self.walk(t, summand=True) for t in node.terms])
+        key = _word_key(node)
+        if key is not None:
+            return self.word(key)
+        if isinstance(node, Prod):
+            *head, last = [self.walk(f) for f in node.factors]
+            if not head:
+                return last
+            return (self.summand if summand else self.times)(reduce(self.times, head), last)
+        if isinstance(node, Power):
+            if node.exponent == 0:
+                return self.scalar(self.rep.rs.one)
+            g = self.walk(node.base)
+            return reduce(self.times, [g] * node.exponent)  # Id * G is G: its entries are at working precision
+        raise TypeError(f"not an expression node: {node!r}")
+
+    def power(self, name, e):
+        words = self.words
+        key = ((name, e),)
+        if key not in words:
+            if e == 0:
+                value = self.scalar(self.rep.rs.one)
+            elif e == 1:
+                img = self.rep.image(name)
+                value = Scaled(img.rows[0][0], None) if img.scalar else img.rows
+            else:
+                start = next((d for d in range(e - 1, 1, -1) if ((name, d),) in words), 1)
+                value = self.power(name, start)
+                g = self.power(name, 1)
+                for _ in range(e - start):
+                    value = self.times(value, g)
+            words[key] = value
+        return words[key]
+
+    def word(self, key):
+        words = self.words
+        n = len(key)
+        while n > 1 and key[:n] not in words:
+            n -= 1
+        value = words[key[:n]] if n > 1 else self.power(*key[0])
+        for i in range(n, len(key)):
+            value = self.times(value, self.power(*key[i]))
+            words[key[:i + 1]] = value
+        return value
+
+    def result(self, value):
+        """A new object array of the value."""
+        k = self.k
+        return k.wrap(k.widen(value.s, self.rep.dim) if isinstance(value, Scaled) else value)
+
+
 def evaluate(expr: SkeinExpr, rep):
     """Homomorphic evaluation: sums to matrix sums, products to products.
 
@@ -481,7 +580,10 @@ def evaluate(expr: SkeinExpr, rep):
     the generator rows the rep keeps (:meth:`Representation.image`), and only
     the result is wrapped, into a new array.  A literal is value * Id; sums
     and products run left to right; a power G^e is Id * G * ... * G
-    multiplied left to right.
+    multiplied left to right.  A sum is one ``combine`` of its terms, folded
+    entry by entry; a term that is a product whose last step multiplies by
+    s Id, or multiplies s Id by rows B, is handed over as ``Scaled(s, B)``
+    and scaled as it is added, with the bits of scaling first.
 
     Generator words (a power of a generator, or a product whose factors are
     all generators or their powers) are read through a memo keyed by their
@@ -504,75 +606,30 @@ def evaluate(expr: SkeinExpr, rep):
     their operands (``scalars._add`` is), and exact products and sums
     commute.  So the bits are those of the same steps on object arrays.
     """
-    if expr.surface != rep.surface:
-        raise ValueError(f"expression over {expr.surface.tag} evaluated in {rep.surface.tag}")
-    if not expr.rs.compatible(rep.rs):
-        raise ValueError("expression and representation use different root systems")
-    rs, dim = rep.rs, rep.dim
-    k = matrices.kernel(rs)
-    words = rep._memo.setdefault("words", {})  # (name, exponent) factors -> value
-
-    def times(x, y):
-        if isinstance(x, _Id):
-            return _Id(k.times(x.s, y.s)) if isinstance(y, _Id) else k.scale(x.s, y)
-        return k.scale(y.s, x) if isinstance(y, _Id) else k.product(x, y)
-
-    def plus(x, y):
-        if isinstance(x, _Id):
-            return _Id(k.plus(x.s, y.s)) if isinstance(y, _Id) else k.shift(x.s, y)
-        return k.shift(y.s, x) if isinstance(y, _Id) else k.add(x, y)
-
-    def walk(node):
-        if isinstance(node, Lit):
-            return _Id(k.entry(node.value))
-        if isinstance(node, Sum):
-            return reduce(plus, map(walk, node.terms))
-        key = _word_key(node)
-        if key is not None:
-            return word(key)
-        if isinstance(node, Prod):
-            return reduce(times, map(walk, node.factors))
-        if isinstance(node, Power):
-            if node.exponent == 0:
-                return _Id(k.entry(rs.one))
-            g = walk(node.base)
-            return reduce(times, [g] * node.exponent)  # Id * G is G: its entries are at working precision
-        raise TypeError(f"not an expression node: {node!r}")
-
-    def power(name, e):
-        key = ((name, e),)
-        if key not in words:
-            if e == 0:
-                value = _Id(k.entry(rs.one))
-            elif e == 1:
-                img = rep.image(name)
-                value = _Id(img.rows[0][0]) if img.scalar else img.rows
-            else:
-                start = next((d for d in range(e - 1, 1, -1) if ((name, d),) in words), 1)
-                value = power(name, start)
-                g = power(name, 1)
-                for _ in range(e - start):
-                    value = times(value, g)
-            words[key] = value
-        return words[key]
-
-    def word(key):
-        n = len(key)
-        while n > 1 and key[:n] not in words:
-            n -= 1
-        value = words[key[:n]] if n > 1 else power(*key[0])
-        for i in range(n, len(key)):
-            value = times(value, power(*key[i]))
-            words[key[:i + 1]] = value
-        return value
-
-    value = walk(expr.node)
-    return k.wrap(k.widen(value.s, dim) if isinstance(value, _Id) else value)
+    ev = _Evaluation(expr.surface, expr.rs, rep)
+    return ev.result(ev.walk(expr.node))
 
 
 def evaluate_normal_form(nf: NormalForm, rep):
-    """:func:`evaluate` of :func:`normal_form_to_expr`: each monomial scaled once by its scalar."""
-    return evaluate(normal_form_to_expr(nf), rep)
+    """:func:`evaluate` of :func:`normal_form_to_expr`, without building the expression.
+
+    Each term of ``nf.terms``, in order, is its word (the X generator powers
+    in generator order, read through the word memo) and its scalar (the
+    coefficient times the puncture powers, left to right), and the word is
+    scaled by the scalar as the terms are added in one ``combine``: each
+    monomial is scaled once, with the bits of walking the expression.
+    """
+    ev = _Evaluation(nf.surface, nf.rs, rep)
+    surface = nf.surface
+    terms = []
+    for (xexp, pexp), coeff in nf.terms.items():
+        scalar = ev.scalar(coeff)
+        for name, e in zip(surface.punctures, pexp):
+            if e:
+                scalar = ev.times(scalar, ev.power(name, e))
+        key = tuple((name, e) for name, e in zip(surface.x_generators, xexp) if e)
+        terms.append(ev.summand(ev.word(key), scalar) if key else scalar)
+    return ev.result(ev.k.combine(terms or [ev.scalar(nf.rs.zero)]))
 
 
 # ---------------------------------------------------------------------------

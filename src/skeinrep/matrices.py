@@ -187,10 +187,62 @@ def _raw_plus(a, b, prec):
     return z if z[0] or z[2] else None
 
 
-def _raw_sum(a_rows, b_rows, prec):
-    """Raw rows of A + B: one :func:`_raw_plus` per entry."""
-    return [[_raw_plus(a, b, prec) for a, b in zip(a_row, b_row)]
-            for a_row, b_row in zip(a_rows, b_rows)]
+class Scaled(namedtuple("Scaled", "s rows")):
+    """s times the kernel rows ``rows``, or s Id when ``rows`` is None, for a kernel entry s.
+
+    A term of the kernel's ``combine`` other than plain rows.
+    """
+
+    __slots__ = ()
+
+
+def _raw_combine(terms, prec):
+    """Raw rows of the sum of ``terms``, or ``Scaled(s, None)`` when every term is an s Id.
+
+    The sum is folded left to right, entry by entry, with the bits of
+    adding each term with :func:`_raw_plus` after :func:`_raw_scale` has
+    formed it: plain rows add their entries, a :class:`Scaled` term with
+    rows adds ``quad_mul(s, e)`` (:func:`_raw_times`) for each entry e, and
+    an s Id adds s to the diagonal.  Leading s Id terms add as scalars until
+    the first term with rows, whose dimension the sum takes.  An
+    off-diagonal entry of s Id is an exact zero, and an exact zero term
+    leaves an entry as it is; a sum that is exactly zero is None.  The
+    terms' rows are read, never changed.
+    """
+    lead = acc = None
+    for term in terms:
+        scaled = isinstance(term, Scaled)
+        s, rows = term if scaled else (None, term)
+        if rows is None:
+            if acc is None:
+                lead = _raw_plus(lead, s, prec)
+            else:
+                for i, row in enumerate(acc):
+                    row[i] = _raw_plus(row[i], s, prec)
+            continue
+        if acc is None:
+            acc = _raw_widen(lead, len(rows))
+        if scaled:
+            if s is None:  # every product has an exact zero factor
+                continue
+            sr, se, si, sf = s
+        for acc_row, row in zip(acc, rows):
+            for j, e in enumerate(row):
+                if e is None:
+                    continue
+                if scaled:
+                    br, fr, bi, fi = e
+                    re, x = _add(sr * br, se + fr, -si * bi, sf + fi, prec)
+                    im, y = _add(sr * bi, se + fi, si * br, sf + fr, prec)
+                    e = re, x, im, y
+                a = acc_row[j]
+                if a is None:
+                    acc_row[j] = e
+                else:
+                    re, x = _add(a[0], a[1], e[0], e[1], prec)
+                    im, y = _add(a[2], a[3], e[2], e[3], prec)
+                    acc_row[j] = (re, x, im, y) if re or im else None
+    return Scaled(lead, None) if acc is None else acc
 
 
 def _raw_times(a, b, prec):
@@ -334,11 +386,29 @@ def _exact_support(mat):
     return [[j for j, e in enumerate(row) if not e.is_zero()] for row in mat]
 
 
-Kernel = namedtuple("Kernel", "unpack wrap product add worst "
-                               "entry times plus scale shift widen support")
-_EXACT_KERNEL = Kernel(_same, np.copy, _exact_product, operator.add, _exact_worst,
-                       _same, operator.mul, operator.add, mat_scale, _exact_shift, scalar_matrix,
-                       _exact_support)
+def _exact_combine(terms):
+    """:func:`_raw_combine` on object arrays: leading scalars add as scalars, then whole arrays."""
+    lead = total = None
+    for term in terms:
+        s, mat = term if isinstance(term, Scaled) else (None, term)
+        if mat is None:
+            if total is None:
+                lead = s if lead is None else lead + s
+            else:
+                total = _exact_shift(s, total)
+            continue
+        value = mat if s is None else mat_scale(s, mat)
+        if total is None:
+            total = value if lead is None else _exact_shift(lead, value)
+        else:
+            total = total + value
+    return Scaled(lead, None) if total is None else total
+
+
+Kernel = namedtuple("Kernel", "unpack wrap product combine worst "
+                               "entry times scale shift widen support")
+_EXACT_KERNEL = Kernel(_same, np.copy, _exact_product, _exact_combine, _exact_worst,
+                       _same, operator.mul, mat_scale, _exact_shift, scalar_matrix, _exact_support)
 
 
 def _bigfloat_kernel(rs):
@@ -350,9 +420,9 @@ def _bigfloat_kernel(rs):
     prec = rs.precision_bits
     return Kernel(lambda mat: _raw_rows(mat), lambda rows: _wrap(rs, rows),
                   lambda a, b, minus=None: _raw_product(a, b, prec, minus),
-                  lambda a, b: _raw_sum(a, b, prec), lambda rows: _raw_worst(rows, prec),
+                  lambda terms: _raw_combine(terms, prec), lambda rows: _raw_worst(rows, prec),
                   lambda s: _raw_entry(s), lambda a, b: _raw_times(a, b, prec),
-                  lambda a, b: _raw_plus(a, b, prec), lambda s, rows: _raw_scale(s, rows, prec),
+                  lambda s, rows: _raw_scale(s, rows, prec),
                   lambda s, rows: _raw_shift(s, rows, prec), lambda s, n: _raw_widen(s, n),
                   lambda rows: _raw_support(rows))
 
@@ -362,19 +432,24 @@ def kernel(rs: RootSystem) -> Kernel:
 
     ``unpack`` reads an object array into the working format and ``wrap``
     makes a new object array of a result; ``product(a, b, minus=None)`` is
-    A B or A B - C, ``add`` is A + B, and ``worst`` is (exactly zero, float
-    magnitude of the largest entry) of any list of rows.  A scalar s stands for s Id: ``entry``
-    reads it, ``times`` and ``plus`` multiply and add two of them,
-    ``scale(s, B)`` is (s Id) B, ``shift(s, B)`` is s Id + B and ``widen(s,
-    n)`` is s Id; ``support(B)`` lists each row's columns that hold no exact
-    zero.  Each gives the bits the matrix operation on s Id gives; exact
-    products and sums commute, and ``quad_mul`` and ``quad_add`` are
-    symmetric in their operands, so ``scale`` and ``shift`` also give
-    B (s Id) and B + s Id.  The exact kernel works on object arrays and
-    scalars as they are; the bigfloat kernel is the raw-row functions above
-    at the working precision, on rows of the scalars' own int quadruples
-    (``BigComplex.w``, None for an exact zero), and is kept on the root
-    system object itself, whose scalars it wraps.
+    A B or A B - C, and ``worst`` is (exactly zero, float magnitude of the
+    largest entry) of any list of rows.  ``combine(terms)`` is the sum of a
+    list of terms, each plain rows, ``Scaled(s, rows)`` (s rows, scaled as
+    it is added) or ``Scaled(s, None)`` (s Id), folded left to right entry
+    by entry; it is rows, or ``Scaled(s, None)`` when every term is an s Id
+    (:func:`_raw_combine`).  A scalar s stands for s Id: ``entry`` reads it,
+    ``times`` multiplies two of them, ``scale(s, B)`` is (s Id) B,
+    ``shift(s, B)`` is s Id + B and ``widen(s, n)`` is s Id; ``support(B)``
+    lists each row's columns that hold no exact zero.  Each gives the bits
+    the matrix operation on s Id gives; exact products and sums commute, and
+    ``quad_mul`` and ``quad_add`` are symmetric in their operands, so
+    ``scale`` and ``shift`` also give B (s Id) and B + s Id.  The exact
+    kernel works on object arrays and scalars as they are, and its
+    ``combine`` adds whole arrays (:func:`_exact_combine`); the bigfloat
+    kernel is the raw-row functions above at the working precision, on rows
+    of the scalars' own int quadruples (``BigComplex.w``, None for an exact
+    zero), and is kept on the root system object itself, whose scalars it
+    wraps.
     """
     if rs.backend == "exact":
         return _EXACT_KERNEL

@@ -1,4 +1,6 @@
 import dataclasses
+import heapq
+import json
 import random
 import time
 from fractions import Fraction
@@ -13,6 +15,7 @@ from skeinrep.expressions import (Gen, Lit, NormalForm, Power, Prod, RewriteSyst
                                   puncture_element, random_word_expression, relation_defects)
 from skeinrep.representation import assemble
 from skeinrep.scalars import approx_eq, make_root_system
+from skeinrep.serialize import dumps_canonical, rep_from_json, rep_to_json, scalar_to_json
 from skeinrep.surfaces import SPHERE4, TORUS0, TORUS1, sphere_k
 from skeinrep.torus import (build_torus_rep, puncture_chebyshev_value, torus_params_exact,
                             torus_params_from_shadow)
@@ -513,6 +516,49 @@ def test_evaluate_bit_identical_to_object_path(rs3f, rs3):
                 (surface.tag, rep.rs.N, rep.rs.backend, text)
 
 
+def _json_torus_rep(rs):
+    """The Torus1 fixture read back from JSON, with a nonzero entry off the diagonal of P."""
+    obj = json.loads(dumps_canonical(rep_to_json(torus_rep_fixture(rs))))
+    obj["generators"]["P"][0][1] = scalar_to_json(rs.scalar(complex(0.25, -0.5)))
+    rep = rep_from_json(obj)
+    assert not rep.image("P").scalar
+    return rep
+
+
+@pytest.mark.parametrize("backend", ["exact", "bigfloat"])
+def test_combine_edge_cases_match_object_path(backend):
+    rs = make_root_system(3, backend)
+    reps = [exact_torus_rep(rs)] if backend == "exact" else [torus_rep_fixture(rs), _json_torus_rep(rs)]
+    for rep in reps:
+        p = rep.matrix("P")[0, 0]
+        nfs = [
+            NormalForm(TORUS1, rs, {}),
+            normalize(parse("3/4 P^2", TORUS1, rs)),
+            normalize(parse("A X1 X2^2 P", TORUS1, rs)),
+            normalize(parse("X2 X1 P + 2", TORUS1, rs)),
+        ]
+        assert [len(nf.terms) for nf in nfs[:3]] == [0, 1, 1]
+        if backend == "exact":  # X1 - p^-1 X1 P cancels exactly when P is p Id
+            nfs.append(NormalForm(TORUS1, rs, {((1, 0, 0), (0,)): rs.one, ((1, 0, 0), (1,)): -p ** -1}))
+        for nf in nfs:
+            assert _entries(evaluate_normal_form(nf, rep)) == \
+                _entries(_object_evaluate_normal_form(nf, rep)), str(nf)
+        for text in ("2 + 3 + X1", "X1 + 2", "2 + 3", "2 X1 + P - 3 X1 X2 + A", "X1 - X1",
+                     "X1 P - P X1", "0 X1 + 2"):
+            expr = parse(text, TORUS1, rs)
+            assert _entries(evaluate(expr, rep)) == _entries(_object_evaluate(expr.node, rep)), text
+    # entries that cancel are exact zeros, and no term's rows change
+    k = matrices.kernel(rs)
+    rows = reps[0].image("X1").rows
+    kept = [list(row) for row in rows]
+    zero = k.combine([rows, matrices.Scaled(k.entry(rs.scalar(-1)), rows)])
+    assert k.worst(zero) == (True, 0.0)
+    assert [list(row) for row in rows] == kept
+    if backend == "bigfloat":
+        assert all(e is None for row in zero for e in row)
+    assert evaluate(parse("X1 - X1", TORUS1, rs), reps[0])[0, 0].is_zero()
+
+
 @pytest.mark.parametrize("backend", ["exact", "bigfloat"])
 def test_evaluate_returns_a_new_array(backend):
     rs = make_root_system(3, backend)
@@ -582,6 +628,35 @@ def test_every_rule_output_lowers_length_and_inversions(backend):
             key = (len(pair), _inversions(pair, rank))
             for _, repl, _ in outputs:
                 assert (len(repl), _inversions(repl, rank)) < key, (surface.tag, pair, repl)
+            # normalize carries the swap's key instead of counting it
+            _, swapped, pdelta = outputs[0]
+            assert swapped == pair[::-1] and not any(pdelta), (surface.tag, pair)
+            assert _inversions(swapped, rank) == _inversions(pair, rank) - 1, (surface.tag, pair)
+
+
+@pytest.mark.parametrize("backend", ["exact", "bigfloat"])
+def test_every_heap_key_is_its_words_length_and_inversions(backend, monkeypatch):
+    rs = make_root_system(3, backend)
+    pushes = []
+    original = heapq.heappush
+
+    def recording(heap, entry):
+        pushes.append(entry)
+        original(heap, entry)
+
+    monkeypatch.setattr(heapq, "heappush", recording)
+    for surface in (TORUS1, TORUS0, SPHERE4, sphere_k(3)):
+        rsys = RewriteSystem(surface, rs)
+        rank = {g: i for i, g in enumerate(surface.x_generators)}
+        alternating = [" ".join(["X2", "X1"] * 4)] if surface.x_generators else []  # Sphere3 has none
+        for text in _criterion9_words(surface, 15, 404) + alternating:
+            for order in ("leftmost", "rightmost"):
+                pushes.clear()
+                normalize(parse(text, surface, rs), rsys, order=order)
+                assert pushes, (surface.tag, text)
+                for neg_len, neg_inv, word, _ in pushes:
+                    assert (neg_len, neg_inv) == (-len(word), -_inversions(word, rank)), \
+                        (surface.tag, text, order, word)
 
 
 def test_normalize_keeps_no_state_on_its_rewrite_system(rs3):

@@ -805,7 +805,7 @@ def test_mpmath_matrices_stay_inside_matrices_module():
 
 def test_raw_kernel_names_stay_inside_matrices_module():
     package = pathlib.Path(skeinrep.__file__).parent
-    private = re.compile(r"\b(_raw_rows|_raw_product|_raw_sum|_wrap|_prec_rnd)\b")
+    private = re.compile(r"\b(_raw_rows|_raw_product|_raw_combine|_wrap|_prec_rnd)\b")
     for path in sorted(package.glob("*.py")):
         if path.name != "matrices.py":
             found = private.search(path.read_text())
@@ -853,7 +853,7 @@ def test_kernel_round_trip_and_arithmetic(backend):
     two = matrices.scalar_matrix(rs.scalar(2), 2)
     ident = matrices.identity(rs, 2)
     assert list(k.wrap(k.unpack(two)).flat) == list(two.flat)
-    three = k.wrap(k.add(k.unpack(two), k.unpack(ident)))
+    three = k.wrap(k.combine([k.unpack(two), k.unpack(ident)]))
     assert list(three.flat) == list(matrices.scalar_matrix(rs.scalar(3), 2).flat)
     # 2 Id 2 Id - 4 Id is exactly zero
     four = k.unpack(matrices.scalar_matrix(rs.scalar(4), 2))
@@ -1353,7 +1353,7 @@ def test_kernel_makes_no_libmp_arithmetic_calls(monkeypatch):
         op(2, x)
         op(x, 3)
     k = matrices.kernel(rs)
-    k.add(k.unpack(a), k.unpack(b))
+    k.combine([k.unpack(a), k.unpack(b)])
     matrices.matmul(a, b)
     matrices.chebyshev_matrix(5, a)
     t = matrices.chebyshev_matrix(3, rep.matrix("X1"))
