@@ -50,8 +50,9 @@ def chebyshev_eval(n: int, arg):
 
     Matrix evaluation costs n - 1 multiplications and avoids expanding the
     coefficient form.  It runs in :func:`matrices.chebyshev_matrix`, which
-    fuses each step T_{k+1} = arg T_k - T_{k-1} into one product of the root
-    system's matrix kernel and returns the same bits as the object recurrence.
+    forms each step T_{k+1} = arg T_k - T_{k-1} as one product of the root
+    system's matrix kernel, each part of each entry its exact value rounded
+    once; a scalar argument takes the object recurrence.
     """
     if isinstance(arg, np.ndarray):
         if arg.ndim != 2 or arg.shape[0] != arg.shape[1]:

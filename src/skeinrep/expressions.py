@@ -25,10 +25,13 @@ term-by-term rewriting gives; bigfloat coefficients round in merge order.
 Evaluation in a representation walks the syntax tree on the root system's
 matrix kernel (:func:`matrices.kernel`: rows of int quadruples in the
 bigfloat backend), keeps literals and scalar images as scalars, folds each
-sum in one kernel ``combine``, and wraps only the result, bit-identical to
-the same steps on object arrays.  A normal form's terms go to ``combine``
-directly, each word scaled by its scalar as it is added, with the bits of
-evaluating its expression.
+sum in one kernel ``combine``, and wraps only the result.  Each entry of a
+matrix product is its exact value rounded once (the kernel's ``product``);
+scalings and sums round as the same steps on object arrays do.  A normal
+form's terms go to ``combine`` directly, each word scaled by its scalar as
+it is added, with the bits of evaluating its expression.  The relation
+defect trees are built once per surface and root system and kept on the
+root system (:func:`relation_defects`).
 """
 
 from __future__ import annotations
@@ -604,7 +607,8 @@ def evaluate(expr: SkeinExpr, rep):
     does, and an exact zero stays one.  B (s Id) and B + s Id are taken as
     (s Id) B and s Id + B: ``quad_mul`` and ``quad_add`` are symmetric in
     their operands (``scalars._add`` is), and exact products and sums
-    commute.  So the bits are those of the same steps on object arrays.
+    commute.  So the bits are those of the same steps on object arrays, with
+    :func:`matrices.matmul` for each product.
     """
     ev = _Evaluation(expr.surface, expr.rs, rep)
     return ev.result(ev.walk(expr.node))
@@ -683,7 +687,20 @@ def central_names(surface: Surface, puncture: str) -> dict:
 
 
 def relation_defects(surface: Surface, rs: RootSystem) -> dict:
-    """Defect expressions of all presentation relations; zero on representations."""
+    """Defect expressions of all presentation relations; zero on representations.
+
+    The trees are built once per surface and root system and kept on the
+    root system object, as its matrix kernel is; each call returns a new
+    dict of the kept expressions.
+    """
+    kept = rs.__dict__.setdefault("_relation_defects", {})
+    if surface not in kept:
+        kept[surface] = _relation_defect_trees(surface, rs)
+    return dict(kept[surface])
+
+
+def _relation_defect_trees(surface, rs):
+    """The defect expressions of :func:`relation_defects`, built from :attr:`Surface.relations`."""
     defects = {}
     w = surface.weight
     for l, r, out, pairs in surface.relations:

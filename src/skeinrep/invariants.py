@@ -74,8 +74,9 @@ def verify_relations(rep: Representation, tol: Tolerance = None) -> Verification
 
     Failures are recorded in the report, never raised.  Defects are
     evaluated with :func:`evaluate`, whose bits are those of the object
-    arithmetic, except the centrality defects central_P_X = P X - X P of a
-    puncture P whose kernel rows are exactly s Id: each is exactly zero, and
+    arithmetic with :func:`matrices.matmul` for each product (each product
+    entry rounded once), except the centrality defects central_P_X =
+    P X - X P of a puncture P whose kernel rows are exactly s Id: each is exactly zero, and
     is recorded as (exactly zero, 0.0) without evaluating it.  In the exact
     backend s X = X s.  In the bigfloat one the defect is P X + (-1) X P,
     and the kernel forms entry (i, j), for x = X[i, j] not an exact zero,

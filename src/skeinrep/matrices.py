@@ -9,11 +9,13 @@ the values ``scalars._add`` reads and returns, and None for an exact zero.
 That quadruple is what a ``BigComplex`` holds (``BigComplex.w``), so
 ``unpack`` reads each entry's own quadruple and ``wrap`` makes each result
 entry a ``BigComplex`` of its quadruple (``scalars.from_quad``): nothing is
-converted at either end.  Dot products and sums round as ``BigComplex``
-arithmetic rounds, in the same order and with the same primitive:
-``scalars._add``, libmp's rounding on Python ints, so every entry is
-bit-identical to the entrywise object arithmetic.  The scalar read-outs are
-one code for both backends: :func:`read_scalar_matrix` (with
+converted at either end.  Each part of a product entry, A B or A B - C,
+is its exact value rounded once by ``scalars._add``, libmp's rounding on
+Python ints, so it is in general not the entrywise object arithmetic's,
+which rounds every term and accumulation; ``combine``, the scalar
+arithmetic and monomial defects round as ``BigComplex`` arithmetic rounds,
+in the same order and with the same primitive, and keep its bits.  The
+scalar read-outs are one code for both backends: :func:`read_scalar_matrix` (with
 :func:`read_scalar`) validates each entry with ``approx_eq``, and
 :func:`scalar_residual` shifts the diagonal of kernel rows, the ones a
 representation keeps; the largest entry of a bigfloat residual takes
@@ -21,10 +23,11 @@ representation keeps; the largest entry of a bigfloat residual takes
 
 Intertwiner defects M A - B M of a monomial M = P_sigma diag(m), the shape
 every ladder-walk certificate has, are formed from the two terms each entry
-holds, m_k A[k, l] and B[sigma(k), sigma(l)] m_l, with the bits of the fused
-product.  :class:`Monomial` is the one owner of that (sigma, m) format and
-reads its entries once; a dense M takes the fused product whatever its
-shape.  A and B come in as :class:`Image` s, the one record a
+holds, m_k A[k, l] and B[sigma(k), sigma(l)] m_l, with the bits of the dense
+form: the products M A and B M, and their rounded difference.
+:class:`Monomial` is the one owner of that (sigma, m) format and reads its
+entries once; a dense M takes the dense form whatever its shape.  A and B
+come in as :class:`Image` s, the one record a
 representation keeps per image of its kernel rows and their exact zero
 pattern (each row's and column's nonzeros, whence diagonal and s Id): a
 monomial defect visits only the entries where one of its two terms is
@@ -126,20 +129,129 @@ def _wrap(rs, rows):
     return out
 
 
+def _span(rows):
+    """(least, largest) exponent of the nonzero parts of raw rows, or None when every part is zero."""
+    exps = [z[1] for row in rows for z in row if z is not None and z[0]]
+    exps += [z[3] for row in rows for z in row if z is not None and z[2]]
+    return (min(exps), max(exps)) if exps else None
+
+
+def _on_grid(rows, base):
+    """Rows of (re, im) ints, each part of a raw entry shifted to the exponent ``base``; None stays None."""
+    return [[None if z is None else (z[0] << z[1] - base if z[0] else 0, z[2] << z[3] - base if z[2] else 0)
+             for z in row] for row in rows]
+
+
+_GRID_SPREAD = 4  # times prec: the widest exponent spread whose product entries are summed on one grid
+
+
 def _raw_product(a_rows, b_rows, prec, minus=None):
     """Raw rows of A B, or of A B - C when ``minus`` holds the rows of C.
 
-    Every entry has the bits of ``acc += a * b`` on mpc values over the
-    nonzero entries of the row of A, in increasing column order: each part
-    of a complex product is two exact mantissa products and one rounded sum,
-    and each accumulation and the fused subtraction of C are one rounded sum
-    per part, as ``BigComplex`` makes them (:func:`scalars.quad_mul`,
-    :func:`scalars.quad_add`).  All run on the entries' ints through
-    ``scalars._add``, whose results are the next entries as they are.  A
-    zero term leaves a rounded accumulator unchanged, and mpmath has no
-    signed zero, so skipping exact zeros moves no bit; neither does starting
-    the sum at the first term instead of at 0.
+    Each part of entry (i, j) is the exact value of sum_k A[i, k] B[k, j] -
+    C[i, j], rounded once, half to even, by ``scalars._add(m, e, 0, 0,
+    prec)``; an entry whose exact value is zero is None, and exact zeros
+    form no term.  So an entry's bits depend neither on the order of its
+    terms nor on how they are summed.  The exact value is one int per part:
+    when the exponents of the nonzero parts of the products' terms and of C
+    spread over at most ``_GRID_SPREAD`` prec bits, each matrix is shifted
+    once onto the grid of its least exponent (:func:`_on_grid`), the
+    mantissa products add with no shift, and the sum is shifted to the least
+    exponent of all, where C is.  A wider spread is summed entry by entry by
+    :func:`_term_product`, whose work stays bounded however far apart the
+    terms lie.
     """
+    sa, sb = _span(a_rows), _span(b_rows)
+    sc = None if minus is None else _span(minus)
+    spans = ([(sa[0] + sb[0], sa[1] + sb[1])] if sa and sb else []) + ([sc] if sc else [])
+    if not spans:
+        return [[None] * len(b_rows[0]) for _ in a_rows]
+    lo, hi = min(s[0] for s in spans), max(s[1] for s in spans)
+    if hi - lo > _GRID_SPREAD * prec:
+        return _term_product(a_rows, b_rows, prec, minus)
+    if sa and sb:
+        a, b = _on_grid(a_rows, sa[0]), _on_grid(b_rows, sb[0])
+        shift = sa[0] + sb[0] - lo
+    else:  # every product term has a zero factor
+        a, b, shift = [[]] * len(a_rows), [], 0
+    c = None if sc is None else _on_grid(minus, lo)
+    cols = range(len(b_rows[0]))
+    out = []
+    for i, a_row in enumerate(a):
+        terms = [(b_row, z) for b_row, z in zip(b, a_row) if z is not None]
+        c_row = None if c is None else c[i]
+        row = []
+        for j in cols:
+            re = im = 0
+            for b_row, (ar, ai) in terms:
+                y = b_row[j]
+                if y is not None:
+                    br, bi = y
+                    re += ar * br - ai * bi
+                    im += ar * bi + ai * br
+            re <<= shift
+            im <<= shift
+            y = None if c_row is None else c_row[j]
+            if y is not None:
+                re -= y[0]
+                im -= y[1]
+            if re or im:
+                x, e = _add(re, lo, 0, 0, prec)
+                y, f = _add(im, lo, 0, 0, prec)
+                row.append((x, e, y, f))
+            else:
+                row.append(None)
+        out.append(row)
+    return out
+
+
+def _leading_sum(terms, prec, reach):
+    """(s, lo, g, rest): s 2^lo is the exact sum of the leading ``terms``, nonzero (m, e) pairs by falling top.
+
+    Terms are added until the sum is nonzero and every term left lies below
+    2^(g - reach), where g is the lesser of the sum's last bit and prec + 8
+    bits below its leading bit; ``rest`` holds those terms, and is empty
+    (with g None) when every term was added.
+    """
+    s = lo = 0
+    for k, (m, e) in enumerate(terms):
+        if s:
+            g = min(lo, lo + s.bit_length() - prec - 8)
+            if e + m.bit_length() + reach <= g:
+                return s, lo, g, terms[k:]
+            if e < lo:
+                s, lo = (s << lo - e) + m, e
+            else:
+                s += m << e - lo
+        else:
+            s, lo = m, e
+    return s, lo, None, []
+
+
+def _sticky_sum(terms, prec):
+    """(m, e) that rounds to ``prec`` bits as the exact sum of ``terms``, a list of (m, e) with m nonzero.
+
+    The terms are summed exactly, largest top (e + m.bit_length()) first, by
+    :func:`_leading_sum` with reach bit_length(len(terms)).  The terms it
+    leaves sum to less than 2^g, the spacing of a grid on which the sum and
+    every rounding boundary near it lie, so they are replaced by half a unit
+    of their sign, and the sum rounds as the exact one does.  That sign is
+    the sign of their own leading sum, which outweighs whatever it leaves.
+    A sum that cancels to zero starts again at the next term, so the int
+    never spans much more than prec + 8 bits and two terms' mantissas,
+    however far apart the exponents lie.  No terms give (0, 0).
+    """
+    terms = sorted(terms, key=lambda t: t[1] + t[0].bit_length(), reverse=True)
+    reach = len(terms).bit_length()
+    s, lo, g, rest = _leading_sum(terms, prec, reach)
+    if not rest:
+        return s, lo
+    r = _leading_sum(rest, prec, reach)[0]
+    return (s << lo - g + 1) + (r > 0) - (r < 0), g - 1
+
+
+def _term_product(a_rows, b_rows, prec, minus=None):
+    """:func:`_raw_product` entry by entry: each part's terms, as (mantissa, exponent), go to :func:`_sticky_sum`."""
     cols = range(len(b_rows[0]))
     out = []
     for i, a_row in enumerate(a_rows):
@@ -147,27 +259,20 @@ def _raw_product(a_rows, b_rows, prec, minus=None):
         c_row = None if minus is None else minus[i]
         row = []
         for j in cols:
-            re = im = None
+            re, im = [], []
             for b_row, (ar, er, ai, ei) in terms:
-                b = b_row[j]
-                if b is None:
-                    continue
-                br, fr, bi, fi = b
-                tr, te = _add(ar * br, er + fr, -ai * bi, ei + fi, prec)
-                ti, tf = _add(ar * bi, er + fi, ai * br, ei + fr, prec)
-                if re is None:
-                    re, e, im, f = tr, te, ti, tf
-                else:
-                    re, e = _add(re, e, tr, te, prec)
-                    im, f = _add(im, f, ti, tf, prec)
-            c = None if c_row is None else c_row[j]
-            if c is not None:
-                cr, ce, ci, cf = c
-                if re is None:
-                    re = e = im = f = 0
-                re, e = _add(re, e, -cr, ce, prec)
-                im, f = _add(im, f, -ci, cf, prec)
-            row.append(None if re is None or not (re or im) else (re, e, im, f))
+                y = b_row[j]
+                if y is not None:
+                    br, fr, bi, fi = y
+                    re += (ar * br, er + fr), (-ai * bi, ei + fi)
+                    im += (ar * bi, er + fi), (ai * br, ei + fr)
+            y = None if c_row is None else c_row[j]
+            if y is not None:
+                re.append((-y[0], y[1]))
+                im.append((-y[2], y[3]))
+            x, e = _add(*_sticky_sum([t for t in re if t[0]], prec), 0, 0, prec)
+            y, f = _add(*_sticky_sum([t for t in im if t[0]], prec), 0, 0, prec)
+            row.append((x, e, y, f) if x or y else None)
         out.append(row)
     return out
 
@@ -432,8 +537,10 @@ def kernel(rs: RootSystem) -> Kernel:
 
     ``unpack`` reads an object array into the working format and ``wrap``
     makes a new object array of a result; ``product(a, b, minus=None)`` is
-    A B or A B - C, and ``worst`` is (exactly zero, float magnitude of the
-    largest entry) of any list of rows.  ``combine(terms)`` is the sum of a
+    A B or A B - C, each part of each bigfloat entry rounded once from its
+    exact value (:func:`_raw_product`), and ``worst`` is (exactly zero,
+    float magnitude of the largest entry) of any list of rows.
+    ``combine(terms)`` is the sum of a
     list of terms, each plain rows, ``Scaled(s, rows)`` (s rows, scaled as
     it is added) or ``Scaled(s, None)`` (s Id), folded left to right entry
     by entry; it is rows, or ``Scaled(s, None)`` when every term is an s Id
@@ -464,7 +571,7 @@ def kernel(rs: RootSystem) -> Kernel:
 # ---------------------------------------------------------------------------
 
 def matmul(a, b):
-    """Matrix product, bit-identical to accumulating products entrywise."""
+    """Matrix product: each part of each entry its exact value rounded once (the kernel's ``product``)."""
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
     k = kernel(a.flat[0].rs)
@@ -474,11 +581,12 @@ def matmul(a, b):
 def chebyshev_rows(n: int, rs: RootSystem, rows):
     """Kernel rows of T_n of the square matrix whose kernel rows are ``rows``.
 
-    T_{k+1} = arg T_k - T_{k-1} from T_0 = 2 Id: every step is one fused
-    ``product(arg, T_k, minus=T_{k-1})`` of the kernel of ``rs``, which
-    rounds as ``matmul`` followed by an entrywise subtraction does.  T_0 is
-    the kernel's ``widen`` of 2, the rows ``unpack`` reads from 2 Id, and
-    T_1 is ``rows`` itself.
+    T_{k+1} = arg T_k - T_{k-1} from T_0 = 2 Id: every step is one
+    ``product(arg, T_k, minus=T_{k-1})`` of the kernel of ``rs``, each part
+    of each entry of T_{k+1} the exact value of its row of arg times T_k's
+    column minus T_{k-1}'s entry, rounded once.  T_0 is the kernel's
+    ``widen`` of 2, the rows ``unpack`` reads from 2 Id, and T_1 is
+    ``rows`` itself.
     """
     k = kernel(rs)
     prev2, prev1 = k.widen(k.entry(rs.scalar(2)), len(rows)), rows
@@ -604,12 +712,12 @@ def _monomial_defect(m, a, b, prec):
 
     M[sigma[k], k] = m_k, and ``a`` and ``b`` are :class:`Image` s.  Entry
     (sigma[k], l) is m_k A[k, l] - B[sigma[k], sigma[l]] m_l: row sigma[k]
-    and column l of M hold one nonzero each, so the fused
-    ``_raw_product(M, A, minus=B M)`` forms exactly these two terms there.
-    Each is rounded as ``quad_mul(m_k, A[k, l])`` and ``quad_mul(B[...],
-    m_l)`` round it, and their difference as ``quad_sub`` does, through
-    ``scalars._add``, as the fused product rounds them.  A term with an
-    exact zero factor is not formed (a zero right term leaves the left one
+    and column l of M hold one nonzero each, so each of the dense form's
+    products M A and B M has the one term there, rounded once as
+    ``quad_mul(m_k, A[k, l])`` and ``quad_mul(B[...], m_l)`` round it, and
+    ``combine`` of M A and (-1) B M negates B M exactly and rounds the
+    difference as ``quad_sub`` does, all through ``scalars._add``.  A term
+    with an exact zero factor is not formed (a zero right term leaves the left one
     as it is), and an entry with neither term is zero and is not visited:
     row k walks A's row k support, then the columns of B's row sigma[k]
     support, taken back through sigma, where A is zero, which is O(nnz) per
@@ -657,17 +765,18 @@ def intertwining_defects(m, pairs):
     ``m`` is an object array or a :class:`Monomial`; A and B are
     :class:`Image` s, as a representation keeps them.  Each float equals
     ``residual_report(matmul(m, a) - matmul(b, m))[1]``: M is unpacked once
-    and each defect is one fused ``product(M, A, minus=B M)`` of the kernel,
-    or, for a bigfloat monomial with ``raw`` parts, the same entries from
-    their two terms over the two images' supports, O(nnz) per pair
-    (:func:`_monomial_defect`).  An object array always takes the fused
-    product, whatever its shape.  When A and B are one scalar matrix s Id
-    (both ``scalar``, and equal diagonals), as puncture images are, the
-    defect is exactly zero and 0.0 is returned without the products: the
-    bigfloat kernel skips zero terms, so entry (i, j) is m_ij s - s m_ij,
-    and ``quad_mul`` rounds both products alike because ``scalars._add`` is
-    symmetric.  The flags are read off the images themselves, which may
-    come from a file.
+    and each defect is the kernel's ``combine`` of the products M A and
+    (-1) B M, each product entry rounded once, the negation exact and the
+    difference rounded as ``-`` rounds it; or, for a bigfloat monomial with
+    ``raw`` parts, the same entries from their two terms over the two
+    images' supports, O(nnz) per pair (:func:`_monomial_defect`).  An object
+    array always takes the two products, whatever its shape.  When A and B
+    are one scalar matrix s Id (both ``scalar``, and equal diagonals), as
+    puncture images are, the defect is exactly zero and 0.0 is returned
+    without the products: zero terms form no term, so entry (i, j) of each
+    product is the one exact product m_ij s rounded once, the same for
+    s m_ij, and the difference is exactly zero.  The flags are read off the
+    images themselves, which may come from a file.
     """
     mono = isinstance(m, Monomial)
     rs = m.entries[0].rs if mono else m.flat[0].rs
@@ -676,6 +785,7 @@ def intertwining_defects(m, pairs):
     if not walk:
         k = kernel(rs)
         m_rows = k.unpack(m.matrix() if mono else m)
+        minus_one = k.entry(rs.scalar(-1))
     out = []
     for a, b in pairs:
         if _scalar_pair(a, b):
@@ -683,7 +793,8 @@ def intertwining_defects(m, pairs):
         elif walk:
             out.append(_raw_worst([_monomial_defect(m, a, b, prec)[1]], prec)[1])
         else:
-            out.append(k.worst(k.product(m_rows, a.rows, minus=k.product(b.rows, m_rows)))[1])
+            difference = [k.product(m_rows, a.rows), Scaled(minus_one, k.product(b.rows, m_rows))]
+            out.append(k.worst(k.combine(difference))[1])
     return out
 
 

@@ -235,6 +235,29 @@ def test_replaced_rep_evaluates_its_own_chebyshev(rs, monkeypatch):
     assert bits(moved_copy.chebyshev("X1")) != bits(rep.chebyshev("X1"))
 
 
+def test_relation_defect_trees_are_built_once_per_root_system(monkeypatch):
+    from skeinrep import expressions
+
+    builds = []
+    original = expressions._relation_defect_trees
+
+    def counting(surface, rs):
+        builds.append((surface, rs))
+        return original(surface, rs)
+
+    monkeypatch.setattr(expressions, "_relation_defect_trees", counting)
+    fresh = make_root_system(3, "bigfloat", 256)
+    rep = fresh_torus_rep(fresh)
+    first, second = verify_relations(rep), verify_relations(rep)
+    assert builds == [(rep.surface, fresh)]
+    assert first.relation_residuals == second.relation_residuals
+    # each call hands out a new dict, so a caller's edit reaches no kept tree
+    defects = expressions.relation_defects(rep.surface, fresh)
+    defects.clear()
+    assert expressions.relation_defects(rep.surface, fresh).keys() == first.relation_residuals.keys()
+    assert len(builds) == 1
+
+
 def counted_unpacks(monkeypatch):
     """Record the argument of every bigfloat kernel unpack."""
     original = matrices._raw_rows

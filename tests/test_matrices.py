@@ -1,10 +1,11 @@
-"""Bit-identity of the raw-value matrix kernel against the object arithmetic.
+"""Bit-identity of the raw-value matrix kernel against independent references.
 
-The references below are the mpc-under-``workprec`` product, the object
-T_n recurrence, the accumulating commutant assembly, the entrywise scalar
-read-outs and the object-array intertwiner defect that the kernel replaced.
-Every comparison is on the ``_mpf_`` tuples of each entry, or on the
-residual floats.  The nullspace tests plant singular values on either side
+Products and the T_n recurrence are checked against exact rational sums
+rounded once per part by libmp's ``from_rational``; the commutant assembly,
+the scalar read-outs and the intertwiner defects against the accumulating,
+entrywise and object-array forms that the kernel replaced.  Every
+comparison is on the ``_mpf_`` tuples of each entry, or on the residual
+floats.  The nullspace tests plant singular values on either side
 of the working-precision cut rel_eps * sigma_max.  The native-int rounding
 (``scalars._add``, which every ``BigComplex`` operation but powers shares)
 is checked against the libmp calls it replaced, and the exponent-first
@@ -18,6 +19,7 @@ import operator
 import pathlib
 import random
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -27,8 +29,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import (from_float, from_int, from_man_exp, fzero, mpc_abs, mpc_add, mpc_div, mpc_mul, mpc_sub,
-                          mpf_add, mpf_gt, mpf_mul, mpf_pos, mpf_sub, round_down, to_float)
+from mpmath.libmp import (from_float, from_int, from_man_exp, from_rational, fzero, mpc_abs, mpc_add, mpc_div,
+                          mpc_mul, mpc_sub, mpf_add, mpf_gt, mpf_mul, mpf_pos, mpf_sub, round_down, round_nearest,
+                          to_float)
 
 import skeinrep
 from skeinrep import matrices
@@ -50,31 +53,70 @@ from skeinrep.uniqueness import (gauge_orbit, intertwiner_residuals, intertwiner
 # references
 # ---------------------------------------------------------------------------
 
-def reference_matmul(a, b):
-    rs = a.flat[0].rs
-    n, k = a.shape
-    m = b.shape[1]
-    out = np.empty((n, m), dtype=object)
-    with mp.workprec(rs.precision_bits):
-        am = [[a[i, j].mpc() for j in range(k)] for i in range(n)]
-        bm = [[b[i, j].mpc() for j in range(m)] for i in range(k)]
-        for i in range(n):
-            for j in range(m):
-                acc = mpmath.mpc(0)
-                for l in range(k):
-                    acc += am[i][l] * bm[l][j]
-                out[i, j] = BigComplex(rs, acc.real, acc.imag)
+def exact_value(m, e):
+    """m 2^e as a Fraction."""
+    return Fraction(m) * Fraction(2) ** e
+
+
+def rational_product(a_rows, b_rows, prec, minus=None):
+    """Rows of libmp pairs of A B, or A B - C, from rows of int quadruples (None or 0 + 0i for zero).
+
+    Each part of each entry is summed exactly over the rationals and
+    rounded once, to nearest at ``prec`` bits, by libmp's ``from_rational``;
+    an entry whose exact value is zero is None.  Nothing of the kernel's
+    arithmetic is used.
+    """
+    def parts(z):
+        return (0, 0) if z is None else (exact_value(z[0], z[1]), exact_value(z[2], z[3]))
+
+    out = []
+    for i, a_row in enumerate(a_rows):
+        row = []
+        for j in range(len(b_rows[0])):
+            re = im = Fraction(0)
+            for a, b_row in zip(a_row, b_rows):
+                (ar, ai), (br, bi) = parts(a), parts(b_row[j])
+                re += ar * br - ai * bi
+                im += ar * bi + ai * br
+            if minus is not None:
+                cr, ci = parts(minus[i][j])
+                re, im = re - cr, im - ci
+            rounded = tuple(from_rational(x.numerator, x.denominator, prec, round_nearest) for x in (re, im))
+            row.append(rounded if re or im else None)
+        out.append(row)
     return out
 
 
+def quads(mat):
+    """Rows of each entry's working-precision int quadruple, as the kernel reads them."""
+    return [[e.w for e in row] for row in mat]
+
+
+def from_pairs(rs, rows):
+    """Object array of the libmp pair rows; None is zero."""
+    out = np.empty((len(rows), len(rows[0])), dtype=object)
+    for i, row in enumerate(rows):
+        for j, z in enumerate(row):
+            out[i, j] = rs.zero if z is None else from_pair(rs, z)
+    return out
+
+
+def reference_matmul(a, b):
+    """A B with each entry's parts summed exactly and rounded once (:func:`rational_product`)."""
+    rs = a.flat[0].rs
+    return from_pairs(rs, rational_product(quads(a), quads(b), rs.precision_bits))
+
+
 def reference_chebyshev(n, arg):
+    """T_n by the recurrence, each step's entries A T_k - T_{k-1} summed exactly and rounded once."""
     rs = arg.flat[0].rs
     two_id = matrices.mat_scale(rs.scalar(2), matrices.identity(rs, arg.shape[0]))
     if n == 0:
         return two_id
     prev2, prev1 = two_id, arg
     for _ in range(n - 1):
-        prev2, prev1 = prev1, reference_matmul(arg, prev1) - prev2
+        step = rational_product(quads(arg), quads(prev1), rs.precision_bits, minus=quads(prev2))
+        prev2, prev1 = prev1, from_pairs(rs, step)
     return prev1
 
 
@@ -350,7 +392,7 @@ def test_commuting_system_wide_entries():
 
 
 # ---------------------------------------------------------------------------
-# fused intertwiner residuals
+# intertwiner residuals
 # ---------------------------------------------------------------------------
 
 def reference_residuals(m, rep_a, rep_b):
@@ -375,9 +417,9 @@ def test_intertwiner_residuals_bit_identical(n):
         cert = intertwiner_search(rep_a, rep_b)
         assert cert is not None
         for m in (cert.matrix, dense(rep_a.rs, random.Random(n), n, n)):
-            fused = intertwiner_residuals(m, rep_a, rep_b)
-            assert fused == reference_residuals(m, rep_a, rep_b)
-            assert all(isinstance(v, float) for v in fused.values())
+            residuals = intertwiner_residuals(m, rep_a, rep_b)
+            assert residuals == reference_residuals(m, rep_a, rep_b)
+            assert all(isinstance(v, float) for v in residuals.values())
 
 
 def test_intertwiner_residuals_exact_backend():
@@ -401,10 +443,21 @@ def spread_entry(rs, rng, prec):
     return BigComplex(rs, *parts)
 
 
+def dense_defect(rs, m_rows, a_rows, b_rows):
+    """Kernel rows of M A - B M as the dense branch of ``intertwining_defects`` forms them.
+
+    The two products, each entry rounded once, and their difference rounded
+    by ``combine`` of M A and (-1) B M.
+    """
+    k = matrices.kernel(rs)
+    minus_one = k.entry(rs.scalar(-1))
+    return k.combine([k.product(m_rows, a_rows), matrices.Scaled(minus_one, k.product(b_rows, m_rows))])
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5), monomial=st.booleans())
 def test_scalar_pair_defect_is_exactly_zero(seed, n, monomial):
-    # the premise of intertwining_defects' shortcut, checked on the fused kernel defect
+    # the premise of intertwining_defects' shortcut, checked on the dense kernel defect
     rs = rs_of(3)
     rng = random.Random(seed)
     with mp.workprec(rs.precision_bits):
@@ -419,7 +472,7 @@ def test_scalar_pair_defect_is_exactly_zero(seed, n, monomial):
     b = matrices.scalar_matrix(from_pair(rs, s.pair), n)  # bit-identical, not the same objects
     k = matrices.kernel(rs)
     m_rows = k.unpack(m)
-    assert k.worst(k.product(m_rows, k.unpack(a), minus=k.product(k.unpack(b), m_rows))) == (True, 0.0)
+    assert k.worst(dense_defect(rs, m_rows, k.unpack(a), k.unpack(b))) == (True, 0.0)
     images = [tuple(matrices.Image(rows, k.support(rows)) for rows in (k.unpack(a), k.unpack(b)))]
     assert images[0][0].scalar and images[0][1].scalar
     assert matrices.intertwining_defects(m, images) == [0.0]
@@ -474,12 +527,12 @@ def test_monomial_defect_matches_fused_product(seed, n, zero_share):
     inverse, raw = mono.raw
     assert [sigma[j] for j in inverse] == list(range(n))
     assert raw == [m_rows[sigma[c]][c] for c in range(n)]
-    fused = k.product(m_rows, a_rows, minus=k.product(b_rows, m_rows))
-    want = {(i, j): z for i, row in enumerate(fused) for j, z in enumerate(row) if z is not None}
+    dense = dense_defect(rs, m_rows, a_rows, b_rows)
+    want = {(i, j): z for i, row in enumerate(dense) for j, z in enumerate(row) if z is not None}
     images, got = sparse_defect(k, mono, a_rows, b_rows, prec)
     assert got == want
-    worst = [mpc_worst(pairs_of(fused), prec)[1]]
-    # the dense M takes the fused product, and the same monomial given as a
+    worst = [mpc_worst(pairs_of(dense), prec)[1]]
+    # the dense M takes the two products, and the same monomial given as a
     # Monomial takes the two-term path without being rebuilt
     assert matrices.intertwining_defects(m, images) == worst
     assert matrices.intertwining_defects(mono, images) == worst
@@ -524,11 +577,11 @@ def test_sparse_monomial_defect_walks_both_supports(seed, n, spread, kinds):
     m_rows, a_rows, b_rows = k.unpack(m), k.unpack(a), k.unpack(b)
     mono = matrices.Monomial(sigma, [m[sigma[c], c] for c in range(n)])
     assert mono.raw is not None
-    fused = k.product(m_rows, a_rows, minus=k.product(b_rows, m_rows))
-    want = {(i, j): z for i, row in enumerate(fused) for j, z in enumerate(row) if z is not None}
+    dense = dense_defect(rs, m_rows, a_rows, b_rows)
+    want = {(i, j): z for i, row in enumerate(dense) for j, z in enumerate(row) if z is not None}
     images, got = sparse_defect(k, mono, a_rows, b_rows, prec)
     assert got == want
-    assert matrices.intertwining_defects(mono, images) == [mpc_worst(pairs_of(fused), prec)[1]]
+    assert matrices.intertwining_defects(mono, images) == [mpc_worst(pairs_of(dense), prec)[1]]
     # the backward error (M A - B M) M^-1 divides column l of the defect by m_l
     worst = fzero
     for (i, l), z in want.items():
@@ -913,35 +966,6 @@ def test_scalars_and_kernel_share_one_quadruple_and_pack_a_pair_once(monkeypatch
 PRECS = (64, 256, 512)
 
 
-def libmp_product(a_rows, b_rows, prec, minus=None):
-    """The libmp product that the native kernel replaced: mpc_mul's calls, then one mpf_add per part."""
-    out = []
-    for i, a_row in enumerate(a_rows):
-        row = []
-        for j in range(len(b_rows[0])):
-            acc_re = acc_im = None
-            for a, b_row in zip(a_row, b_rows):
-                b = b_row[j]
-                if a is None or b is None:
-                    continue
-                (ar, ai), (br, bi) = a, b
-                re = mpf_sub(mpf_mul(ar, br), mpf_mul(ai, bi), prec, RND)
-                im = mpf_add(mpf_mul(ar, bi), mpf_mul(ai, br), prec, RND)
-                if acc_re is None:
-                    acc_re, acc_im = re, im
-                else:
-                    acc_re, acc_im = mpf_add(acc_re, re, prec, RND), mpf_add(acc_im, im, prec, RND)
-            c = None if minus is None else minus[i][j]
-            if c is not None:
-                if acc_re is None:
-                    acc_re = acc_im = fzero
-                acc_re, acc_im = mpf_sub(acc_re, c[0], prec, RND), mpf_sub(acc_im, c[1], prec, RND)
-            zero = acc_re is None or (acc_re == fzero and acc_im == fzero)
-            row.append(None if zero else (acc_re, acc_im))
-        out.append(row)
-    return out
-
-
 def ints_of(rows):
     """Rows of libmp pairs as the kernel's rows of int quadruples (``scalars._ints``); None stays None."""
     if rows is None:
@@ -1119,16 +1143,20 @@ def raw_factors(draw):
 @settings(max_examples=300, deadline=None)
 @given(raw_factors())
 def test_raw_product_matches_libmp_oracle(factors):
+    # parts up to 2 prec bits wide and 6 prec apart: both the grid and the per-term sums
     prec, a, b, c = factors
+    want = rational_product(ints_of(a), ints_of(b), prec, minus=ints_of(c))
     got = matrices._raw_product(ints_of(a), ints_of(b), prec, minus=ints_of(c))
-    assert pairs_of(got) == libmp_product(a, b, prec, minus=c)
+    assert pairs_of(got) == want
+    assert pairs_of(matrices._term_product(ints_of(a), ints_of(b), prec, minus=ints_of(c))) == want
 
 
 def test_raw_product_rounds_gaps_and_carries_like_libmp():
-    """Terms that cancel, carry to a power of two, or lie past libmp's prec + 4 perturbation.
+    """Terms that cancel, carry to a power of two, or lie far below the others.
 
     Entry (0, 1) adds about 3 * 2^-656 to 1 - 2^-256: an exponent gap above
-    100 with leading bits more than prec + 4 apart.
+    100 with leading bits more than prec + 4 apart, which libmp's ``mpf_add``
+    would stand in by one unit; the exact sum is rounded once.
     """
     prec = 256
     one = (0, 1, 0, 1)
@@ -1139,9 +1167,43 @@ def test_raw_product_rounds_gaps_and_carries_like_libmp():
     b = [[(one, fzero), (one, far)], [(one, fzero), (far, one)]]
     c = [[(half_ulp, far), None], [((1, 1, 1, 1), fzero), None]]
     got = pairs_of(matrices._raw_product(ints_of(a), ints_of(b), prec, minus=ints_of(c)))
-    assert got == libmp_product(a, b, prec, minus=c)
-    # (1 - 2^-256) + 2^-257 carries to 1, and taking 2^-257 off again rounds back to 1
-    assert got[0][0][0] == (0, 1, 0, 1)
+    assert got == rational_product(ints_of(a), ints_of(b), prec, minus=ints_of(c))
+    # (1 - 2^-256) + 2^-257 - 2^-257 is exactly 1 - 2^-256, which 256 bits hold
+    assert got[0][0] == (ones, fzero)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_factors(), st.randoms(use_true_random=False))
+def test_product_bits_do_not_depend_on_the_summation_order(factors, rng):
+    # each entry is its exact sum rounded once, so permuting the summation
+    # index, A's columns together with B's rows, moves no bit
+    prec, a, b, c = factors
+    order = list(range(len(b)))
+    rng.shuffle(order)
+    a_perm = [[row[k] for k in order] for row in a]
+    b_perm = [b[k] for k in order]
+    want = matrices._raw_product(ints_of(a), ints_of(b), prec, minus=ints_of(c))
+    assert matrices._raw_product(ints_of(a_perm), ints_of(b_perm), prec, minus=ints_of(c)) == want
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("prec", [64, 256])
+def test_far_apart_terms_take_bounded_work(prec, sign):
+    # an entry whose two terms lie 2^40 bits apart: the far term only decides
+    # the tie its neighbour leaves, as one signed unit, and the exact sum is
+    # never formed
+    gap = 1 << 40
+    near = ((0, (1 << prec) + 1, -prec, prec + 1), fzero)  # a tie at prec bits, times 1
+    far = ((1 - sign) // 2, 3, -gap, 2), fzero
+    one = (from_int(1), fzero)
+    a, b = [[near, far]], [[one], [(from_int(5), fzero)]]
+    start = time.perf_counter()
+    got = pairs_of(matrices._raw_product(ints_of(a), ints_of(b), prec))
+    assert time.perf_counter() - start < 0.5
+    terms = [mpf_mul(x[0], y[0]) for x, y in ((near, one), (far, b[1][0]))]  # exact products
+    assert got == [[(mpf_add(*terms, prec, RND), fzero)]]
+    # 1 + 2^-prec alone rounds to even, 1; the far term's sign moves it off the tie
+    assert got[0][0][0][1] == ((1 << (prec - 1)) + 1 if sign > 0 else 1)
 
 
 # ---------------------------------------------------------------------------
