@@ -49,10 +49,13 @@ def chebyshev_eval(n: int, arg):
     """T_n at a scalar or a square matrix, by the three-term recurrence.
 
     Matrix evaluation costs n - 1 multiplications and avoids expanding the
-    coefficient form.  It runs in :func:`matrices.chebyshev_matrix`, which
-    forms each step T_{k+1} = arg T_k - T_{k-1} as one product of the root
-    system's matrix kernel, each part of each entry its exact value rounded
-    once; a scalar argument takes the object recurrence.
+    coefficient form.  It runs in :func:`matrices.chebyshev_matrix`: on the
+    bigfloat kernel the recurrence T_{k+1} = arg T_k - T_{k-1} keeps T_{k-1}
+    and T_k on one block grid with 64 guard bits below the working
+    precision, forms each step from the exact sums of arg T_k with one
+    rounding per part onto that grid, and rounds each part of T_n once, at
+    the end; exact zeros stay zero.  The exact backend steps on object
+    arrays, and a scalar argument takes the object recurrence.
     """
     if isinstance(arg, np.ndarray):
         if arg.ndim != 2 or arg.shape[0] != arg.shape[1]:

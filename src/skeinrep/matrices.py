@@ -9,12 +9,19 @@ the values ``scalars._add`` reads and returns, and None for an exact zero.
 That quadruple is what a ``BigComplex`` holds (``BigComplex.w``), so
 ``unpack`` reads each entry's own quadruple and ``wrap`` makes each result
 entry a ``BigComplex`` of its quadruple (``scalars.from_quad``): nothing is
-converted at either end.  Each part of a product entry, A B or A B - C,
-is its exact value rounded once by ``scalars._add``, libmp's rounding on
-Python ints, so it is in general not the entrywise object arithmetic's,
-which rounds every term and accumulation; ``combine``, the scalar
-arithmetic and monomial defects round as ``BigComplex`` arithmetic rounds,
-in the same order and with the same primitive, and keep its bits.  The
+converted at either end.  Each part of a product entry of A B is its
+exact value rounded once by ``scalars._add``, libmp's rounding on Python
+ints, so it is in general not the entrywise object arithmetic's, which
+rounds every term and accumulation; a one-term product (``times``,
+``scale``, a scaled term of ``combine``, a monomial defect's terms) is the
+product entry with that one term.  The additions of ``combine`` and the
+scalar arithmetic round as ``BigComplex`` arithmetic rounds, in the same
+order and with the same primitive, and keep its bits.  T_n of a matrix
+runs on one block grid with guard bits: its argument goes onto its exact
+grid once, T_{k-1} and T_k stay ints on a grid prec + ``_GUARD`` bits
+below their top bit, each step rounds the exact sums of arg T_k onto it
+once per part, and each part of T_n is rounded once, at the end, by
+``scalars._add``; exact zeros stay None (:func:`chebyshev_rows`).  The
 scalar read-outs are one code for both backends: :func:`read_scalar_matrix` (with
 :func:`read_scalar`) validates each entry with ``approx_eq``, and
 :func:`scalar_residual` shifts the diagonal of kernel rows, the ones a
@@ -46,6 +53,7 @@ import math
 import operator
 from collections import namedtuple
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 import mpmath
@@ -54,7 +62,7 @@ from mpmath.libmp import fzero, mpf_gt, to_float
 
 from .errors import NonScalarChebyshev
 from .scalars import (RND, CyclotomicNumber, RootSystem, _add, _hypot_sum, approx_eq, from_pair, from_quad,
-                      numeric_bridge, quad_abs, quad_add, quad_div, quad_exponent, quad_mul)
+                      numeric_bridge, quad_abs, quad_add, quad_div, quad_exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -137,71 +145,99 @@ def _span(rows):
 
 
 def _on_grid(rows, base):
-    """Rows of (re, im) ints, each part of a raw entry shifted to the exponent ``base``; None stays None."""
-    return [[None if z is None else (z[0] << z[1] - base if z[0] else 0, z[2] << z[3] - base if z[2] else 0)
-             for z in row] for row in rows]
+    """Rows of (re, im) ints, each part of a raw entry as an int on the grid 2^base; None stays None.
+
+    A part at or above ``base`` is shifted there exactly; a part below it,
+    which only a clamped T_n argument holds (:func:`_raw_chebyshev`), is
+    rounded onto it (:func:`_shifted`).
+    """
+    return [[None if z is None else (
+        (z[0] << z[1] - base if z[1] >= base else _shifted(z[0], base - z[1])) if z[0] else 0,
+        (z[2] << z[3] - base if z[3] >= base else _shifted(z[2], base - z[3])) if z[2] else 0)
+        for z in row] for row in rows]
+
+
+def _shifted(x, s):
+    """The int x 2^-s: x shifted left by -s bits when s <= 0, else rounded to nearest, ties up."""
+    if s <= 0:
+        return x << -s
+    return (x >> s - 1) + 1 >> 1
+
+
+def _mac(a, b, m):
+    """Rows of the exact (re, im) int sums of A B, for A and B as rows of (re, im) ints on grids.
+
+    Entry (i, j) of the m columns is sum_k A[i, k] B[k, j] over the k where
+    neither is None, on the grid of the two grids' exponents added, and
+    (0, 0) when there is no such k.  Each term takes three int products,
+    (ar + i ai)(br + i bi) = ar br - ai bi + i ((ar + ai)(br + bi) - ar br -
+    ai bi), with ar + ai formed once per row.  This is the kernel's one
+    multiply-accumulate loop: :func:`_raw_product` and the T_n recurrence
+    (:func:`_raw_chebyshev`) round its sums.
+    """
+    cols = range(m)
+    out = []
+    for a_row in a:
+        terms = [(b_row, z[0], z[1], z[0] + z[1]) for b_row, z in zip(b, a_row) if z is not None]
+        row = []
+        for j in cols:
+            re = im = 0
+            for b_row, ar, ai, a_sum in terms:
+                y = b_row[j]
+                if y is not None:
+                    br, bi = y
+                    rr = ar * br
+                    ii = ai * bi
+                    re += rr - ii
+                    im += a_sum * (br + bi) - rr - ii
+            row.append((re, im))
+        out.append(row)
+    return out
 
 
 _GRID_SPREAD = 4  # times prec: the widest exponent spread whose product entries are summed on one grid
 
 
-def _raw_product(a_rows, b_rows, prec, minus=None):
-    """Raw rows of A B, or of A B - C when ``minus`` holds the rows of C.
+def _raw_product(a_rows, b_rows, prec):
+    """Raw rows of A B.
 
-    Each part of entry (i, j) is the exact value of sum_k A[i, k] B[k, j] -
-    C[i, j], rounded once, half to even, by ``scalars._add(m, e, 0, 0,
-    prec)``; an entry whose exact value is zero is None, and exact zeros
-    form no term.  So an entry's bits depend neither on the order of its
-    terms nor on how they are summed.  The exact value is one int per part:
-    when the exponents of the nonzero parts of the products' terms and of C
-    spread over at most ``_GRID_SPREAD`` prec bits, each matrix is shifted
-    once onto the grid of its least exponent (:func:`_on_grid`), the
-    mantissa products add with no shift, and the sum is shifted to the least
-    exponent of all, where C is.  A wider spread is summed entry by entry by
-    :func:`_term_product`, whose work stays bounded however far apart the
-    terms lie.
+    Each part of entry (i, j) is the exact value of sum_k A[i, k] B[k, j],
+    rounded once, half to even, by ``scalars._add(m, e, 0, 0, prec)``; an
+    entry whose exact value is zero is None, and exact zeros form no term.
+    So an entry's bits depend neither on the order of its terms nor on how
+    they are summed.  The exact value is one int per part: when the
+    exponents of the nonzero parts of the products' terms spread over at
+    most ``_GRID_SPREAD`` prec bits, each matrix is shifted once onto the
+    grid of its least exponent (:func:`_on_grid`) and the mantissa products
+    add with no shift (:func:`_mac`).  A wider spread is summed entry by
+    entry by :func:`_term_product`, whose work stays bounded however far
+    apart the terms lie.
     """
     sa, sb = _span(a_rows), _span(b_rows)
-    sc = None if minus is None else _span(minus)
-    spans = ([(sa[0] + sb[0], sa[1] + sb[1])] if sa and sb else []) + ([sc] if sc else [])
-    if not spans:
+    if sa is None or sb is None:  # every product term has a zero factor
         return [[None] * len(b_rows[0]) for _ in a_rows]
-    lo, hi = min(s[0] for s in spans), max(s[1] for s in spans)
-    if hi - lo > _GRID_SPREAD * prec:
-        return _term_product(a_rows, b_rows, prec, minus)
-    if sa and sb:
-        a, b = _on_grid(a_rows, sa[0]), _on_grid(b_rows, sb[0])
-        shift = sa[0] + sb[0] - lo
-    else:  # every product term has a zero factor
-        a, b, shift = [[]] * len(a_rows), [], 0
-    c = None if sc is None else _on_grid(minus, lo)
-    cols = range(len(b_rows[0]))
+    if sa[1] + sb[1] - sa[0] - sb[0] > _GRID_SPREAD * prec:
+        return _term_product(a_rows, b_rows, prec)
+    return _rounded(_mac(_on_grid(a_rows, sa[0]), _on_grid(b_rows, sb[0]), len(b_rows[0])), sa[0] + sb[0], prec)
+
+
+def _rounded(rows, e, prec):
+    """Raw rows of rows of (re, im) ints on the grid 2^e, each part rounded once by ``scalars._add``.
+
+    An entry that is None or 0 + 0i is None.
+    """
     out = []
-    for i, a_row in enumerate(a):
-        terms = [(b_row, z) for b_row, z in zip(b, a_row) if z is not None]
-        c_row = None if c is None else c[i]
-        row = []
-        for j in cols:
-            re = im = 0
-            for b_row, (ar, ai) in terms:
-                y = b_row[j]
-                if y is not None:
-                    br, bi = y
-                    re += ar * br - ai * bi
-                    im += ar * bi + ai * br
-            re <<= shift
-            im <<= shift
-            y = None if c_row is None else c_row[j]
-            if y is not None:
-                re -= y[0]
-                im -= y[1]
-            if re or im:
-                x, e = _add(re, lo, 0, 0, prec)
-                y, f = _add(im, lo, 0, 0, prec)
-                row.append((x, e, y, f))
+    for row in rows:
+        new = []
+        for z in row:
+            if z and (z[0] or z[1]):
+                re, f = _add(z[0], e, 0, 0, prec)
+                im, g = _add(z[1], e, 0, 0, prec)
+                z = re, f, im, g
             else:
-                row.append(None)
-        out.append(row)
+                z = None
+            new.append(z)
+        out.append(new)
     return out
 
 
@@ -250,13 +286,12 @@ def _sticky_sum(terms, prec):
     return (s << lo - g + 1) + (r > 0) - (r < 0), g - 1
 
 
-def _term_product(a_rows, b_rows, prec, minus=None):
+def _term_product(a_rows, b_rows, prec):
     """:func:`_raw_product` entry by entry: each part's terms, as (mantissa, exponent), go to :func:`_sticky_sum`."""
     cols = range(len(b_rows[0]))
     out = []
-    for i, a_row in enumerate(a_rows):
+    for a_row in a_rows:
         terms = [(b_row, z) for b_row, z in zip(b_rows, a_row) if z is not None]
-        c_row = None if minus is None else minus[i]
         row = []
         for j in cols:
             re, im = [], []
@@ -266,10 +301,6 @@ def _term_product(a_rows, b_rows, prec, minus=None):
                     br, fr, bi, fi = y
                     re += (ar * br, er + fr), (-ai * bi, ei + fi)
                     im += (ar * bi, er + fi), (ai * br, ei + fr)
-            y = None if c_row is None else c_row[j]
-            if y is not None:
-                re.append((-y[0], y[1]))
-                im.append((-y[2], y[3]))
             x, e = _add(*_sticky_sum([t for t in re if t[0]], prec), 0, 0, prec)
             y, f = _add(*_sticky_sum([t for t in im if t[0]], prec), 0, 0, prec)
             row.append((x, e, y, f) if x or y else None)
@@ -307,8 +338,8 @@ def _raw_combine(terms, prec):
     The sum is folded left to right, entry by entry, with the bits of
     adding each term with :func:`_raw_plus` after :func:`_raw_scale` has
     formed it: plain rows add their entries, a :class:`Scaled` term with
-    rows adds ``quad_mul(s, e)`` (:func:`_raw_times`) for each entry e, and
-    an s Id adds s to the diagonal.  Leading s Id terms add as scalars until
+    rows adds s e, each part rounded once (:func:`_raw_times`), for each
+    entry e, and an s Id adds s to the diagonal.  Leading s Id terms add as scalars until
     the first term with rows, whose dimension the sum takes.  An
     off-diagonal entry of s Id is an exact zero, and an exact zero term
     leaves an entry as it is; a sum that is exactly zero is None.  The
@@ -335,10 +366,10 @@ def _raw_combine(terms, prec):
             for j, e in enumerate(row):
                 if e is None:
                     continue
-                if scaled:
+                if scaled:  # _raw_times(s, e), inline
                     br, fr, bi, fi = e
-                    re, x = _add(sr * br, se + fr, -si * bi, sf + fi, prec)
-                    im, y = _add(sr * bi, se + fi, si * br, sf + fr, prec)
+                    re, x = _add(sr * br, se + fr, -si * bi, sf + fi, prec, exact=True)
+                    im, y = _add(sr * bi, se + fi, si * br, sf + fr, prec, exact=True)
                     e = re, x, im, y
                 a = acc_row[j]
                 if a is None:
@@ -351,24 +382,33 @@ def _raw_combine(terms, prec):
 
 
 def _raw_times(a, b, prec):
-    """a b of two raw entries: the product entry of the kernel that has this one term.
+    """a b of two raw entries, each part its exact value rounded once: the kernel's one-term product.
 
-    ``_raw_product`` forms it as :func:`scalars.quad_mul` does, a first.
-    An exact zero factor forms no term and gives None; otherwise the parts
-    round the exact parts of a b, which are not both zero, so neither is the
-    result.
+    This is the entry of :func:`_raw_product` that has the one term a b, so
+    ``times`` and ``scale`` round as the dense product does, and so do the
+    :class:`Scaled` terms of :func:`_raw_combine` and the terms of
+    :func:`_monomial_defect`, which form it inline.  Each part adds its two
+    mantissa products by ``scalars._add`` with ``exact``;
+    :func:`scalars.quad_mul`, the scalar ``*``, keeps libmp's shortcut for
+    products lying far apart, and can differ in the last bit.  An exact
+    zero factor forms no term and gives None; otherwise the exact parts of
+    a b are not both zero, and neither is the result.
     """
     if a is None or b is None:
         return None
-    return quad_mul(a, b, prec)
+    ar, er, ai, ei = a
+    br, fr, bi, fi = b
+    re, e = _add(ar * br, er + fr, -ai * bi, ei + fi, prec, exact=True)
+    im, f = _add(ar * bi, er + fi, ai * br, ei + fr, prec, exact=True)
+    return re, e, im, f
 
 
 def _raw_scale(s, rows, prec):
     """Raw rows of (s Id) B for the raw entry s.
 
     Entry (i, j) of the kernel's product has the one term s B[i, j], so each
-    is one :func:`_raw_times`.  ``quad_mul`` is symmetric in its operands
-    (``scalars._add`` is), so these are also the rows of B (s Id).
+    is one :func:`_raw_times`, which is symmetric in its operands (the exact
+    value is), so these are also the rows of B (s Id).
     """
     return [[_raw_times(s, e, prec) for e in row] for row in rows]
 
@@ -473,10 +513,6 @@ def _same(mat):
     return mat
 
 
-def _exact_product(a, b, minus=None):
-    return a @ b if minus is None else a @ b - minus
-
-
 def _exact_worst(rows):
     entries = [e for row in rows for e in row]
     exact = all(e.is_zero() for e in entries)
@@ -512,7 +548,7 @@ def _exact_combine(terms):
 
 Kernel = namedtuple("Kernel", "unpack wrap product combine worst "
                                "entry times scale shift widen support")
-_EXACT_KERNEL = Kernel(_same, np.copy, _exact_product, _exact_combine, _exact_worst,
+_EXACT_KERNEL = Kernel(_same, np.copy, operator.matmul, _exact_combine, _exact_worst,
                        _same, operator.mul, mat_scale, _exact_shift, scalar_matrix, _exact_support)
 
 
@@ -524,7 +560,7 @@ def _bigfloat_kernel(rs):
     """
     prec = rs.precision_bits
     return Kernel(lambda mat: _raw_rows(mat), lambda rows: _wrap(rs, rows),
-                  lambda a, b, minus=None: _raw_product(a, b, prec, minus),
+                  lambda a, b: _raw_product(a, b, prec),
                   lambda terms: _raw_combine(terms, prec), lambda rows: _raw_worst(rows, prec),
                   lambda s: _raw_entry(s), lambda a, b: _raw_times(a, b, prec),
                   lambda s, rows: _raw_scale(s, rows, prec),
@@ -536,12 +572,11 @@ def kernel(rs: RootSystem) -> Kernel:
     """Matrix and scalar arithmetic in the working format of ``rs``, one kernel per root system.
 
     ``unpack`` reads an object array into the working format and ``wrap``
-    makes a new object array of a result; ``product(a, b, minus=None)`` is
-    A B or A B - C, each part of each bigfloat entry rounded once from its
-    exact value (:func:`_raw_product`), and ``worst`` is (exactly zero,
-    float magnitude of the largest entry) of any list of rows.
-    ``combine(terms)`` is the sum of a
-    list of terms, each plain rows, ``Scaled(s, rows)`` (s rows, scaled as
+    makes a new object array of a result; ``product(a, b)`` is A B, each
+    part of each bigfloat entry rounded once from its exact value
+    (:func:`_raw_product`), and ``worst`` is (exactly zero, float magnitude
+    of the largest entry) of any list of rows.  ``combine(terms)`` is the
+    sum of a list of terms, each plain rows, ``Scaled(s, rows)`` (s rows, scaled as
     it is added) or ``Scaled(s, None)`` (s Id), folded left to right entry
     by entry; it is rows, or ``Scaled(s, None)`` when every term is an s Id
     (:func:`_raw_combine`).  A scalar s stands for s Id: ``entry`` reads it,
@@ -549,7 +584,7 @@ def kernel(rs: RootSystem) -> Kernel:
     ``shift(s, B)`` is s Id + B and ``widen(s, n)`` is s Id; ``support(B)``
     lists each row's columns that hold no exact zero.  Each gives the bits
     the matrix operation on s Id gives; exact products and sums commute, and
-    ``quad_mul`` and ``quad_add`` are symmetric in their operands, so
+    :func:`_raw_times` and ``quad_add`` are symmetric in their operands, so
     ``scale`` and ``shift`` also give B (s Id) and B + s Id.  The exact
     kernel works on object arrays and scalars as they are, and its
     ``combine`` adds whole arrays (:func:`_exact_combine`); the bigfloat
@@ -578,20 +613,100 @@ def matmul(a, b):
     return k.wrap(k.product(k.unpack(a), k.unpack(b)))
 
 
+_GUARD = 64  # bits the T_n recurrence keeps below prec under its block's top bit
+
+
+def _regrid(rows, s):
+    """Rows of (re, im) ints, each part shifted by s bits as :func:`_shifted` shifts it; None stays None."""
+    if s <= 0:
+        return [[None if z is None else (z[0] << -s, z[1] << -s) for z in row] for row in rows]
+    s -= 1
+    return [[None if z is None else ((z[0] >> s) + 1 >> 1, (z[1] >> s) + 1 >> 1) for z in row] for row in rows]
+
+
+def _bit_length(rows):
+    """The largest bit length of a part in rows of (re, im) ints; 0 when every part is 0."""
+    return max(map(abs, chain.from_iterable(filter(None, chain.from_iterable(rows)))), default=0).bit_length()
+
+
+def _raw_chebyshev(n, rows, prec):
+    """Raw rows of T_n, n >= 2, of the square matrix X whose raw rows are ``rows``.
+
+    X goes onto its exact grid once, the grid of its least exponent
+    (:func:`_on_grid`); parts lying more than ``_GRID_SPREAD`` prec bits
+    below its largest exponent are rounded onto that grid instead, so the
+    work stays bounded.  T_{k-1} and T_k are kept as (re, im) ints on one
+    block grid, prec + ``_GUARD`` bits below the block's top bit t, with t at
+    first the top bit of T_0 = 2 Id and T_1 = X.  A step forms the exact
+    sums of X T_k (:func:`_mac`); when their top bit exceeds t, t becomes
+    it and T_{k-1} and T_k are re-based onto the new grid, and otherwise
+    the grid stays.  The sums are then shifted onto the block grid, each
+    part rounded to nearest, ties up (:func:`_shifted`), and T_{k-1} is
+    subtracted exactly.  An entry whose block value is 0 + 0i is None, so
+    exact zeros stay None (T_n of a diagonal X is diagonal).  Each part of
+    T_n is rounded once, at the end, by ``scalars._add(m, e, 0, 0, prec)``.
+
+    Every block rounding moves a part by at most half a grid unit, 2^(t -
+    prec - _GUARD - 1), and t follows the largest |T_k|; the error of T_n
+    is each step's rounding carried through the rest of the recurrence.
+    Against the exact T_n of stored Torus1 images up to N = 15 and Sphere4
+    images up to N = 7, the block value stays within 2^-(prec + 52) of the
+    largest |T_k|, so the final rounding dominates.
+    """
+    dim = len(rows)
+    span = _span(rows)
+    base = 0 if span is None else max(span[0], span[1] - _GRID_SPREAD * prec)
+    arg = _on_grid(rows, base)
+    bits = _bit_length(arg)
+    top = max(2, base + bits) if bits else 2
+    grid = top - prec - _GUARD
+    two = _shifted(1, grid - 1)  # 2 = 1 2^1 on the block grid
+    prev2 = [[(two, 0) if i == j and two else None for j in range(dim)] for i in range(dim)]
+    prev1 = _regrid(arg, grid - base)
+    for _ in range(n - 1):
+        sums = _mac(arg, prev1, dim)
+        bits = _bit_length(sums)
+        new = grid
+        if bits and base + grid + bits > top:
+            top = base + grid + bits
+            new = top - prec - _GUARD
+            prev2, prev1 = _regrid(prev2, new - grid), _regrid(prev1, new - grid)
+        s = new - base - grid
+        step = []
+        for sum_row, prev_row in zip(sums, prev2):
+            row = []
+            for (re, im), z in zip(sum_row, prev_row):
+                if s > 0:
+                    re = (re >> s - 1) + 1 >> 1
+                    im = (im >> s - 1) + 1 >> 1
+                else:
+                    re <<= -s
+                    im <<= -s
+                if z is not None:
+                    re -= z[0]
+                    im -= z[1]
+                row.append((re, im) if re or im else None)
+            step.append(row)
+        prev2, prev1, grid = prev1, step, new
+    return _rounded(prev1, grid, prec)
+
+
 def chebyshev_rows(n: int, rs: RootSystem, rows):
     """Kernel rows of T_n of the square matrix whose kernel rows are ``rows``.
 
-    T_{k+1} = arg T_k - T_{k-1} from T_0 = 2 Id: every step is one
-    ``product(arg, T_k, minus=T_{k-1})`` of the kernel of ``rs``, each part
-    of each entry of T_{k+1} the exact value of its row of arg times T_k's
-    column minus T_{k-1}'s entry, rounded once.  T_0 is the kernel's
-    ``widen`` of 2, the rows ``unpack`` reads from 2 Id, and T_1 is
-    ``rows`` itself.
+    T_{k+1} = arg T_k - T_{k-1} from T_0 = 2 Id, the kernel's ``widen`` of
+    2, and T_1 = ``rows`` itself.  The exact kernel steps on object arrays.
+    The bigfloat kernel runs the recurrence on one block grid with
+    ``_GUARD`` guard bits below the working precision, from the exact sums
+    of arg times T_k, and rounds each part of T_n once, at the end
+    (:func:`_raw_chebyshev`); exact zeros stay None.
     """
+    if n >= 2 and rs.backend == "bigfloat":
+        return _raw_chebyshev(n, rows, rs.precision_bits)
     k = kernel(rs)
     prev2, prev1 = k.widen(k.entry(rs.scalar(2)), len(rows)), rows
     for _ in range(n - 1):
-        prev2, prev1 = prev1, k.product(rows, prev1, minus=prev2)
+        prev2, prev1 = prev1, rows @ prev1 - prev2
     return prev2 if n == 0 else prev1
 
 
@@ -713,10 +828,10 @@ def _monomial_defect(m, a, b, prec):
     M[sigma[k], k] = m_k, and ``a`` and ``b`` are :class:`Image` s.  Entry
     (sigma[k], l) is m_k A[k, l] - B[sigma[k], sigma[l]] m_l: row sigma[k]
     and column l of M hold one nonzero each, so each of the dense form's
-    products M A and B M has the one term there, rounded once as
-    ``quad_mul(m_k, A[k, l])`` and ``quad_mul(B[...], m_l)`` round it, and
-    ``combine`` of M A and (-1) B M negates B M exactly and rounds the
-    difference as ``quad_sub`` does, all through ``scalars._add``.  A term
+    products M A and B M has the one term there, each part its exact value
+    rounded once (:func:`_raw_times`), and ``combine`` of M A and (-1) B M
+    negates B M exactly and rounds the difference as ``quad_sub`` does, all
+    through ``scalars._add``.  A term
     with an exact zero factor is not formed (a zero right term leaves the left one
     as it is), and an entry with neither term is zero and is not visited:
     row k walks A's row k support, then the columns of B's row sigma[k]
@@ -727,18 +842,19 @@ def _monomial_defect(m, a, b, prec):
     sigma, (inverse, raw) = m.sigma, m.raw
     cols, out = [], []
     b_rows, b_support = b.rows, b.support
+    # each one-term product is _raw_times, inline
     for k, ((mr, me, mi, mf), a_row, a_cols) in enumerate(zip(raw, a.rows, a.support)):
         sk = sigma[k]
         b_row = b_rows[sk]
         for l in a_cols:
             ar, ae, ai, af = a_row[l]
-            dr, de = _add(mr * ar, me + ae, -mi * ai, mf + af, prec)
-            di, df = _add(mr * ai, me + af, mi * ar, mf + ae, prec)
+            dr, de = _add(mr * ar, me + ae, -mi * ai, mf + af, prec, exact=True)
+            di, df = _add(mr * ai, me + af, mi * ar, mf + ae, prec, exact=True)
             y = b_row[sigma[l]]
             if y is not None:
                 (br, be, bi, bf), (nr, ne, ni, nf) = y, raw[l]
-                sr, se = _add(br * nr, be + ne, -bi * ni, bf + nf, prec)
-                si, sf = _add(br * ni, be + nf, bi * nr, bf + ne, prec)
+                sr, se = _add(br * nr, be + ne, -bi * ni, bf + nf, prec, exact=True)
+                si, sf = _add(br * ni, be + nf, bi * nr, bf + ne, prec, exact=True)
                 dr, de = _add(dr, de, -sr, se, prec)
                 di, df = _add(di, df, -si, sf, prec)
             cols.append(l)
@@ -747,8 +863,8 @@ def _monomial_defect(m, a, b, prec):
             l = inverse[j]
             if a_row[l] is None:
                 (br, be, bi, bf), (nr, ne, ni, nf) = b_row[j], raw[l]
-                sr, se = _add(br * nr, be + ne, -bi * ni, bf + nf, prec)
-                si, sf = _add(br * ni, be + nf, bi * nr, bf + ne, prec)
+                sr, se = _add(br * nr, be + ne, -bi * ni, bf + nf, prec, exact=True)
+                si, sf = _add(br * ni, be + nf, bi * nr, bf + ne, prec, exact=True)
                 cols.append(l)
                 out.append((-sr, se, -si, sf))
     return cols, out

@@ -64,7 +64,10 @@ class Representation:
         """T_N of the image of ``name`` as kernel rows with their pattern (:class:`matrices.Image`), once per rep.
 
         The recurrence (:func:`matrices.chebyshev_rows`) starts from the kept
-        rows of :meth:`image`, so nothing is unpacked.
+        rows of :meth:`image`, so nothing is unpacked.  On the bigfloat kernel
+        it runs on one block grid with guard bits below the working precision
+        and rounds each part of T_N once, at the end; an exact zero stays
+        None, so T_N of a diagonal X3 is diagonal.
         """
         def compute():
             k = matrices.kernel(self.rs)

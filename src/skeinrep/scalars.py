@@ -688,7 +688,7 @@ def _ints(z):
     return (-rman if rsign else rman), rexp, (-iman if isign else iman), iexp
 
 
-def _add(m1, e1, m2, e2, prec, down=False):
+def _add(m1, e1, m2, e2, prec, down=False, exact=False):
     """m1 2^e1 + m2 2^e2 rounded to ``prec`` bits as libmp adds two mpf values, on ints.
 
     Returns the signed mantissa and exponent of the rounded, normalized sum.
@@ -697,9 +697,12 @@ def _add(m1, e1, m2, e2, prec, down=False):
     ``normalize`` does.  When one operand's exponent exceeds the other's by
     more than 100 and its leading bit lies more than prec + 4 bits above,
     libmp replaces the smaller operand by one unit of its sign, prec + 4 bits
-    below the last bit of the larger one, and so does this.  A zero operand
-    leaves the other one rounded, so ``_add(m, e, 0, 0, prec)`` is the one
-    rounding of every int-rounded result: sums, quotients and square roots.
+    below the last bit of the larger one, and so does this.  When the larger
+    operand has more than prec bits, as a mantissa product has, that unit
+    can round otherwise than the exact sum; with ``exact`` the sum is the
+    exact one rounded once (:func:`_far_sum`).  A zero operand leaves the
+    other one rounded, so ``_add(m, e, 0, 0, prec)`` is the one rounding of
+    every int-rounded result: sums, quotients and square roots.
     """
     if not m1:
         m, e = m2, e2
@@ -709,12 +712,18 @@ def _add(m1, e1, m2, e2, prec, down=False):
         d = e1 - e2
         if d > 0:
             if d > 100 and m1.bit_length() - m2.bit_length() + d > prec + 4:
-                m, e = (m1 << prec + 4) + (1 if m2 > 0 else -1), e1 - prec - 4
+                if exact:
+                    m, e = _far_sum(m1, e1, m2, e2, prec)
+                else:
+                    m, e = (m1 << prec + 4) + (1 if m2 > 0 else -1), e1 - prec - 4
             else:
                 m, e = (m1 << d) + m2, e2
         elif d < 0:
             if d < -100 and m2.bit_length() - m1.bit_length() - d > prec + 4:
-                m, e = (m2 << prec + 4) + (1 if m1 > 0 else -1), e2 - prec - 4
+                if exact:
+                    m, e = _far_sum(m2, e2, m1, e1, prec)
+                else:
+                    m, e = (m2 << prec + 4) + (1 if m1 > 0 else -1), e2 - prec - 4
             else:
                 m, e = m1 + (m2 << -d), e1
         else:
@@ -738,6 +747,25 @@ def _add(m1, e1, m2, e2, prec, down=False):
         man >>= z
         e += z
     return (-man if m < 0 else man), e
+
+
+def _far_sum(m1, e1, m2, e2, prec):
+    """(m, e) that rounds to ``prec`` bits as m1 2^e1 + m2 2^e2 does, both nonzero, the second far below.
+
+    Let p be the lesser of e1 and e1 + bit_length(m1) - prec - 2: the first
+    term's last bit, or prec + 2 bits below its top.  Every rounding
+    boundary near the sum is a
+    multiple of 2^p, and so is the first term; a second term below 2^(p-1)
+    in magnitude leaves the sum strictly between the first term and the
+    next multiple of 2^(p-1) on its side, so a unit of its sign at 2^(p-2)
+    rounds the same.  A larger second term is added exactly; its exponent
+    then lies at most prec + 1 plus its own bit length below e1, so the
+    work stays bounded at any gap.
+    """
+    p = min(e1, e1 + m1.bit_length() - prec - 2)
+    if e2 + m2.bit_length() < p:
+        return (m1 << e1 - p + 2) + (1 if m2 > 0 else -1), p - 2
+    return (m1 << e1 - e2) + m2, e2
 
 
 def _mpf(m, e):

@@ -1,7 +1,9 @@
 """Bit-identity of the raw-value matrix kernel against independent references.
 
-Products and the T_n recurrence are checked against exact rational sums
-rounded once per part by libmp's ``from_rational``; the commutant assembly,
+Products are checked against exact rational sums rounded once per part by
+libmp's ``from_rational``, and the T_n recurrence against a block-grid
+oracle over Fractions rounded the same way and against an exact T_n of
+stored rows; the commutant assembly,
 the scalar read-outs and the intertwiner defects against the accumulating,
 entrywise and object-array forms that the kernel replaced.  Every
 comparison is on the ``_mpf_`` tuples of each entry, or on the residual
@@ -26,7 +28,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import (from_float, from_int, from_man_exp, from_rational, fzero, mpc_abs, mpc_add, mpc_div,
@@ -87,6 +89,22 @@ def rational_product(a_rows, b_rows, prec, minus=None):
     return out
 
 
+def folded(a_rows, b_rows, c_rows):
+    """Rows of A' and B' with A' B' = A B - C, for rows of int quadruples: -C as A's extra columns, Id as B's extra rows.
+
+    The kernel's one product then forms each entry of A B - C from all its
+    terms at once, C's entries as terms times 1.  No C leaves A and B as
+    they are.
+    """
+    if c_rows is None:
+        return a_rows, b_rows
+    m = len(c_rows[0])
+    one = (1, 0, 0, 0)
+    return ([row + [None if z is None else (-z[0], z[1], -z[2], z[3]) for z in c_row]
+             for row, c_row in zip(a_rows, c_rows)],
+            b_rows + [[one if i == j else None for j in range(m)] for i in range(m)])
+
+
 def quads(mat):
     """Rows of each entry's working-precision int quadruple, as the kernel reads them."""
     return [[e.w for e in row] for row in mat]
@@ -107,17 +125,89 @@ def reference_matmul(a, b):
     return from_pairs(rs, rational_product(quads(a), quads(b), rs.precision_bits))
 
 
-def reference_chebyshev(n, arg):
-    """T_n by the recurrence, each step's entries A T_k - T_{k-1} summed exactly and rounded once."""
-    rs = arg.flat[0].rs
-    two_id = matrices.mat_scale(rs.scalar(2), matrices.identity(rs, arg.shape[0]))
-    if n == 0:
-        return two_id
-    prev2, prev1 = two_id, arg
+def top_bit(v):
+    """The least t with |v| < 2^t, for a nonzero Fraction v."""
+    num, den = abs(v.numerator), v.denominator
+    t = num.bit_length() - den.bit_length()
+    return t + 1 if Fraction(num, den) >= Fraction(2) ** t else t
+
+
+def exponent_of(v):
+    """The exponent e of v = m 2^e with m an odd int, for a nonzero dyadic Fraction v."""
+    num, den = abs(v.numerator), v.denominator
+    return (num & -num).bit_length() - den.bit_length()
+
+
+def onto_grid(v, g):
+    """v rounded to a multiple of 2^g, to nearest with ties up: floor(v / 2^g + 1/2) 2^g."""
+    unit = Fraction(2) ** g
+    return math.floor(v / unit + Fraction(1, 2)) * unit
+
+
+def block_chebyshev(n, arg_rows, prec, guard=64):
+    """T_n, n >= 2, of the matrix with rows of (re, im) Fractions, on one block grid, before the last rounding.
+
+    X keeps each part exact, except that parts whose exponent lies more than
+    4 prec below the largest one are rounded onto that grid.  The block's
+    top bit t starts as the top bit of 2 Id and X, and T_{k-1} and T_k lie on
+    the grid 2^(t - prec - guard).  A step sums X T_k exactly; when that
+    sum's top bit exceeds t, t becomes it and T_{k-1} and T_k are rounded
+    onto the new grid.  T_{k+1} is the sum rounded onto the grid, minus
+    T_{k-1}.  Rounding is to nearest, ties up (:func:`onto_grid`).  Returns
+    the rows of T_n as (re, im) Fractions and the top bits t took.
+    """
+    dim = len(arg_rows)
+    parts = [v for row in arg_rows for z in row for v in z if v]
+    base = max(min(map(exponent_of, parts)), max(map(exponent_of, parts)) - 4 * prec) if parts else 0
+
+    def regrid(rows, g):
+        return [[tuple(onto_grid(v, g) for v in z) for z in row] for row in rows]
+
+    x = regrid(arg_rows, base)
+    tops = [top_bit(v) for row in x for z in row for v in z if v]
+    t = max([2] + tops)
+    grid = t - prec - guard
+    prev2 = [[(Fraction(2 if i == j else 0), Fraction(0)) for j in range(dim)] for i in range(dim)]
+    prev1 = regrid(x, grid)
+    seen = [t]
     for _ in range(n - 1):
-        step = rational_product(quads(arg), quads(prev1), rs.precision_bits, minus=quads(prev2))
-        prev2, prev1 = prev1, from_pairs(rs, step)
-    return prev1
+        sums = [[(sum(x[i][k][0] * prev1[k][j][0] - x[i][k][1] * prev1[k][j][1] for k in range(dim)),
+                  sum(x[i][k][0] * prev1[k][j][1] + x[i][k][1] * prev1[k][j][0] for k in range(dim)))
+                 for j in range(dim)] for i in range(dim)]
+        grown = max([top_bit(v) for row in sums for z in row for v in z if v], default=t)
+        if grown > t:
+            t, grid = grown, grown - prec - guard
+            prev2, prev1 = regrid(prev2, grid), regrid(prev1, grid)
+            seen.append(t)
+        step = [[tuple(onto_grid(s, grid) - p for s, p in zip(sz, pz)) for sz, pz in zip(srow, prow)]
+                for srow, prow in zip(sums, prev2)]
+        prev2, prev1 = prev1, step
+    return prev1, seen
+
+
+def fraction_rows(mat):
+    """Rows of (re, im) Fractions of each entry's working-precision value."""
+    return [[(exact_value(w[0], w[1]), exact_value(w[2], w[3])) for w in row] for row in quads(mat)]
+
+
+def reference_chebyshev(n, arg):
+    """T_n of a matrix, from its working-precision entries, on the block grid, each part rounded once at the end.
+
+    :func:`block_chebyshev` over Fractions, then libmp's ``from_rational``
+    to nearest at the working precision; an entry whose block value is 0 is
+    zero.  T_0 is 2 Id and T_1 the argument itself.  Nothing of the kernel's
+    arithmetic is used.
+    """
+    rs = arg.flat[0].rs
+    prec = rs.precision_bits
+    if n == 0:
+        return matrices.mat_scale(rs.scalar(2), matrices.identity(rs, arg.shape[0]))
+    if n == 1:
+        return arg
+    block, _ = block_chebyshev(n, fraction_rows(arg), prec)
+    rounded = [[tuple(from_rational(v.numerator, v.denominator, prec, round_nearest) for v in z) if any(z) else None
+                for z in row] for row in block]
+    return from_pairs(rs, rounded)
 
 
 def reference_commuting_system(rep_a, rep_b):
@@ -365,6 +455,190 @@ def test_chebyshev_matrix_exact_backend():
     assert all(x == y for x, y in zip(chebyshev_eval(0, arg).flat, two_id.flat))
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_chebyshev_rows_low_degrees(n):
+    rep = torus_rep(5, 25)
+    k = matrices.kernel(rep.rs)
+    for g in ("X1", "X2", "X3"):
+        rows = rep.image(g).rows
+        got = matrices.chebyshev_rows(n, rep.rs, rows)
+        assert bits(k.wrap(got)) == bits(reference_chebyshev(n, rep.matrix(g)))
+        # T_1 is the kept rows themselves
+        assert (got is rows) == (n == 1)
+
+
+def test_chebyshev_of_the_zero_matrix():
+    rs = rs_of(3)
+    k = matrices.kernel(rs)
+    zero = matrices.zeros(rs, 4)
+    rows = k.unpack(zero)
+    for n in range(8):
+        got = matrices.chebyshev_rows(n, rs, rows)
+        # T_n(0) = 2 cos(n pi / 2) Id, and every entry off the diagonal stays None
+        scalar = (2, 0, -2, 0)[n % 4]
+        want = matrices.scalar_matrix(rs.scalar(scalar), 4)
+        assert bits(k.wrap(got)) == bits(reference_chebyshev(n, zero)) == bits(want)
+        assert all(z is None for i, row in enumerate(got) for j, z in enumerate(row) if i != j or not scalar)
+
+
+@pytest.mark.parametrize("kind,n", [("torus", 7), ("sphere", 5)])
+def test_chebyshev_of_a_diagonal_image_stays_diagonal(kind, n):
+    rep = torus_rep(n, 27) if kind == "torus" else sphere_rep(n, 35)
+    image = rep.image("X3")
+    assert image.diagonal
+    got = matrices.chebyshev_rows(n, rep.rs, image.rows)
+    assert all((z is None) == (i != j) for i, row in enumerate(got) for j, z in enumerate(row))
+    assert bits(matrices.kernel(rep.rs).wrap(got)) == bits(reference_chebyshev(n, rep.matrix("X3")))
+    assert rep.chebyshev_image("X3").diagonal
+
+
+@pytest.mark.parametrize("gap", [300, 700])
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_chebyshev_of_entries_far_apart(n, gap):
+    # parts 2^+-gap apart, some of them zero; at 700 the smallest lie more
+    # than 4 prec bits below the largest and are rounded onto its grid
+    rs = rs_of(5)
+    rng = random.Random(n + gap)
+    arg = matrices.zeros(rs, 4)
+    with mp.workprec(rs.precision_bits):
+        for i in range(4):
+            for j in range(4):
+                parts = [mp.mpf(0) if rng.random() < 0.2 else
+                         full_mpf(rng, rs.precision_bits) * mp.mpf(2) ** rng.choice([-gap, 0, gap])
+                         for _ in range(2)]
+                arg[i, j] = BigComplex(rs, *parts)
+    assert bits(chebyshev_eval(n, arg)) == bits(reference_chebyshev(n, arg))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_chebyshev_of_parts_far_below_takes_bounded_work(sign):
+    # an entry 2^(2^40) below the others is rounded away on the argument's
+    # grid and moves no bit; the gap is never spanned by an int
+    rs = rs_of(3)
+    arg = dense(rs, random.Random(11), 3, 3)
+    cleared = arg.copy()
+    cleared[1, 2] = rs.zero
+    with mp.workprec(rs.precision_bits):
+        tiny = mp.mpf((3, -(1 << 40)))
+        arg[1, 2] = BigComplex(rs, sign * tiny, -tiny)
+    start = time.perf_counter()
+    got = chebyshev_eval(5, arg)
+    assert time.perf_counter() - start < 1.0
+    assert bits(got) == bits(chebyshev_eval(5, cleared))
+
+
+@pytest.mark.parametrize("scale,rebases", [(20, 5), (0, 5), (-20, 0)])
+def test_chebyshev_rebases_only_when_the_top_bit_grows(monkeypatch, scale, rebases):
+    # entries near 2^20 make T_k grow by about 24 bits a step, and entries
+    # near 1 by about 4, so every step re-bases T_{k-1} and T_k; entries near
+    # 2^-20 keep T_k near 2 (-1)^k Id, on the grid of T_0
+    rs = rs_of(3)
+    n = 6
+    arg = matrices.mat_scale(rs.scalar(2.0 ** scale), dense(rs, random.Random(12), 3, 3))
+    regrids = []
+    original = matrices._regrid
+
+    def counting(rows, s):
+        regrids.append(s)
+        return original(rows, s)
+
+    monkeypatch.setattr(matrices, "_regrid", counting)
+    got = chebyshev_eval(n, arg)
+    _, tops = block_chebyshev(n, fraction_rows(arg), rs.precision_bits)
+    assert bits(got) == bits(reference_chebyshev(n, arg))
+    # T_1 is put on the block grid once, and each growth re-bases the two kept T
+    assert len(tops) == 1 + rebases
+    assert len(regrids) == 1 + 2 * rebases
+    assert all(s > 0 for s in regrids[1:])
+
+
+def exact_chebyshev(n, rows):
+    """(rows of exact T_n as (re, im) ints, their grid exponent, the largest top bit of a part of T_0 ... T_n).
+
+    Kernel rows in, each T_k exact on the dyadic grid k times the argument's
+    least exponent; no rounding anywhere.
+    """
+    parts = [(m, e) for row in rows for z in row if z is not None for m, e in ((z[0], z[1]), (z[2], z[3])) if m]
+    lo = min(e for _, e in parts)
+    x = [[(0, 0) if z is None else ((z[0] << z[1] - lo) if z[0] else 0, (z[2] << z[3] - lo) if z[2] else 0)
+          for z in row] for row in rows]
+    dim = len(rows)
+
+    def top(mat, g):
+        return max(max(abs(re), abs(im)) for row in mat for re, im in row).bit_length() + g
+
+    prev2, g2 = [[(2 if i == j else 0, 0) for j in range(dim)] for i in range(dim)], 0
+    prev1, g1 = x, lo
+    tops = [2, top(x, lo)]
+    for _ in range(n - 1):
+        g = g1 + lo
+        low = min(g, g2)
+        step = [[(sum(x[i][k][0] * prev1[k][j][0] - x[i][k][1] * prev1[k][j][1] for k in range(dim)) << g - low,
+                  sum(x[i][k][0] * prev1[k][j][1] + x[i][k][1] * prev1[k][j][0] for k in range(dim)) << g - low)
+                 for j in range(dim)] for i in range(dim)]
+        step = [[(re - (p[0] << g2 - low), im - (p[1] << g2 - low)) for (re, im), p in zip(srow, prow)]
+                for srow, prow in zip(step, prev2)]
+        prev2, g2, prev1, g1 = prev1, g1, step, low
+        tops.append(top(step, low))
+    return prev1, g1, max(tops)
+
+
+def chebyshev_error(got, exact, g):
+    """The largest |part of got - exact part|, as a Fraction."""
+    return max(abs((exact_value(z[p], z[p + 1]) if z is not None else 0) - exact_value(x[p // 2], g))
+               for row, xrow in zip(got, exact) for z, x in zip(row, xrow) for p in (0, 2))
+
+
+# the recurrence's own error may grow to 2^32 block half units before the
+# guard bits stop covering it; measured, it stays far below
+GUARD_GROWTH = 32
+
+
+@pytest.mark.parametrize("kind,n", [("torus", 3), ("torus", 5), ("torus", 7), ("torus", 15),
+                                    ("sphere", 3), ("sphere", 5), ("sphere", 7)])
+def test_chebyshev_of_stored_rows_is_within_one_rounding_of_exact(kind, n):
+    # |T_N - exact T_N| per part is at most one final rounding, half a unit in
+    # the last place of a part below 2^t, plus the guard term, where 2^t
+    # bounds every |part| of T_0 ... T_N
+    rep = torus_rep(n, 0) if kind == "torus" else sphere_rep(n, 0)
+    prec = rep.rs.precision_bits
+    k = matrices.kernel(rep.rs)
+    for g in ("X1", "X2", "X3"):
+        rows = rep.image(g).rows
+        exact, grid, t = exact_chebyshev(n, rows)
+        bound = Fraction(2) ** (t - prec - 1) + Fraction(2) ** (t - prec - matrices._GUARD + GUARD_GROWTH)
+        assert chebyshev_error(matrices.chebyshev_rows(n, rep.rs, rows), exact, grid) <= bound
+        if (kind, n, g) == ("torus", 15, "X1"):
+            # the step-wise recurrence, each step rounded to prec bits, does not meet it
+            prev2, prev1 = k.widen(k.entry(rep.rs.scalar(2)), n), rows
+            for _ in range(n - 1):
+                prev2, prev1 = prev1, k.product(*folded(rows, prev1, prev2))
+            assert chebyshev_error(prev1, exact, grid) > bound
+
+
+def test_chebyshev_puts_its_argument_on_a_grid_once(monkeypatch):
+    # in the style of the one-build-per-root-system counts: one T_N reads its
+    # argument onto a grid once, runs one multiply-accumulate per step, takes
+    # no product, and rounds each part of T_N once
+    rep = torus_rep(7, 27)
+    n = rep.rs.N
+    calls = Counter()
+    for name in ("_on_grid", "_span", "_mac", "_add", "_raw_product"):
+        original = getattr(matrices, name)
+
+        def counting(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(matrices, name, counting)
+    rows = rep.chebyshev_image("X1").rows
+    nonzero = sum(z is not None for row in rows for z in row)
+    assert nonzero == n * n
+    assert calls["_on_grid"] == calls["_span"] == 1
+    assert calls["_mac"] == n - 1 and not calls["_raw_product"]
+    assert calls["_add"] <= 2 * nonzero
+
+
 # ---------------------------------------------------------------------------
 # commutant system
 # ---------------------------------------------------------------------------
@@ -504,6 +778,9 @@ def sparse_defect(k, mono, a_rows, b_rows, prec):
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 7),
        zero_share=st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+# entry (2, 1) holds a product whose parts' mantissa products lie more than
+# 100 bits apart, where libmp's shortcut would round otherwise than the exact value
+@example(seed=393610, n=4, zero_share=0.0)
 def test_monomial_defect_matches_fused_product(seed, n, zero_share):
     # parts 2^+-300 apart, and images whose entries are exact zeros at random
     rs = rs_of(3)
@@ -536,6 +813,31 @@ def test_monomial_defect_matches_fused_product(seed, n, zero_share):
     # Monomial takes the two-term path without being rebuilt
     assert matrices.intertwining_defects(m, images) == worst
     assert matrices.intertwining_defects(mono, images) == worst
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4))
+# s times entry (0, 0): libmp's shortcut would round its real part otherwise
+@example(seed=2074, n=1)
+def test_scale_matches_product_with_widened_scalar(seed, n):
+    # the premise of the kernel's scale, times and Scaled terms: a one-term
+    # product entry is its exact value rounded once, also where the parts'
+    # mantissa products lie far apart
+    rs = rs_of(3)
+    prec = rs.precision_bits
+    rng = random.Random(seed)
+    b = matrices.zeros(rs, n)
+    with mp.workprec(prec):
+        s = nonzero_spread_entry(rs, rng, prec)
+        for i in range(n):
+            for j in range(n):
+                b[i, j] = spread_entry(rs, rng, prec)
+    k = matrices.kernel(rs)
+    s_raw, b_rows = k.entry(s), k.unpack(b)
+    want = k.product(k.widen(s_raw, n), b_rows)
+    assert k.scale(s_raw, b_rows) == want == k.product(b_rows, k.widen(s_raw, n))
+    assert k.combine([matrices.Scaled(s_raw, b_rows)]) == want
+    assert [[k.times(s_raw, z) for z in row] for row in b_rows] == want
 
 
 def some_columns(rng, n):
@@ -909,8 +1211,8 @@ def test_kernel_round_trip_and_arithmetic(backend):
     three = k.wrap(k.combine([k.unpack(two), k.unpack(ident)]))
     assert list(three.flat) == list(matrices.scalar_matrix(rs.scalar(3), 2).flat)
     # 2 Id 2 Id - 4 Id is exactly zero
-    four = k.unpack(matrices.scalar_matrix(rs.scalar(4), 2))
-    assert k.worst(k.product(k.unpack(two), k.unpack(two), minus=four)) == (True, 0.0)
+    minus_four = matrices.Scaled(k.entry(rs.scalar(-1)), k.unpack(matrices.scalar_matrix(rs.scalar(4), 2)))
+    assert k.worst(k.combine([k.product(k.unpack(two), k.unpack(two)), minus_four])) == (True, 0.0)
     assert k.worst(k.unpack(two)) == (False, 2.0)
 
 
@@ -948,7 +1250,7 @@ def test_scalars_and_kernel_share_one_quadruple_and_pack_a_pair_once(monkeypatch
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     # + - * / and negation, both orders, and the kernel's unpack, product and wrap convert nothing
     results = [x + y, y + x, x - y, y - x, x * y, y * x, x / y, y / x, -x]
-    wrapped = [k.wrap(k.unpack(x1)), matrices.matmul(x1, x1), k.wrap(k.product(rows, rows, minus=rows))]
+    wrapped = [k.wrap(k.unpack(x1)), matrices.matmul(x1, x1), k.wrap(k.combine([rows, k.product(rows, rows)]))]
     assert not calls
     assert [e.w for e in wrapped[0].flat] == [e.w for e in x1.flat]
     # a value that entered as a pair keeps it; a computed one packs its pair once, on first read
@@ -1043,6 +1345,20 @@ def test_native_add_matches_mpf_add(operands):
         assert got == mpf_add(x, y, prec, round_down), (prec, x, y)
     got = scalars_module._mpf(*scalars_module._add(*signed(s), *signed(t), prec))
     assert got == mpf_sub(s, neg_t, prec, RND)
+
+
+@settings(max_examples=400, deadline=None)
+@given(add_operands())
+def test_exact_add_rounds_the_exact_sum_once(operands):
+    # what the kernel's one-term products use: where libmp stands a far
+    # smaller operand in by one unit, ``exact`` still rounds the exact sum
+    prec, s, t = operands
+    neg_t = (1 - t[0],) + t[1:] if t[1] else t
+    for x, y in ((s, t), (t, s), (s, neg_t)):
+        total = exact_value(*signed(x)) + exact_value(*signed(y))
+        want = from_rational(total.numerator, total.denominator, prec, round_nearest)
+        got = scalars_module._mpf(*scalars_module._add(*signed(x), *signed(y), prec, exact=True))
+        assert got == want, (prec, x, y)
 
 
 @settings(max_examples=400, deadline=None)
@@ -1146,9 +1462,9 @@ def test_raw_product_matches_libmp_oracle(factors):
     # parts up to 2 prec bits wide and 6 prec apart: both the grid and the per-term sums
     prec, a, b, c = factors
     want = rational_product(ints_of(a), ints_of(b), prec, minus=ints_of(c))
-    got = matrices._raw_product(ints_of(a), ints_of(b), prec, minus=ints_of(c))
-    assert pairs_of(got) == want
-    assert pairs_of(matrices._term_product(ints_of(a), ints_of(b), prec, minus=ints_of(c))) == want
+    a, b = folded(ints_of(a), ints_of(b), ints_of(c))
+    assert pairs_of(matrices._raw_product(a, b, prec)) == want
+    assert pairs_of(matrices._term_product(a, b, prec)) == want
 
 
 def test_raw_product_rounds_gaps_and_carries_like_libmp():
@@ -1166,7 +1482,7 @@ def test_raw_product_rounds_gaps_and_carries_like_libmp():
     a = [[(ones, fzero), (half_ulp, far)], [(one, one), (one, one)]]
     b = [[(one, fzero), (one, far)], [(one, fzero), (far, one)]]
     c = [[(half_ulp, far), None], [((1, 1, 1, 1), fzero), None]]
-    got = pairs_of(matrices._raw_product(ints_of(a), ints_of(b), prec, minus=ints_of(c)))
+    got = pairs_of(matrices._raw_product(*folded(ints_of(a), ints_of(b), ints_of(c)), prec))
     assert got == rational_product(ints_of(a), ints_of(b), prec, minus=ints_of(c))
     # (1 - 2^-256) + 2^-257 - 2^-257 is exactly 1 - 2^-256, which 256 bits hold
     assert got[0][0] == (ones, fzero)
@@ -1178,12 +1494,13 @@ def test_product_bits_do_not_depend_on_the_summation_order(factors, rng):
     # each entry is its exact sum rounded once, so permuting the summation
     # index, A's columns together with B's rows, moves no bit
     prec, a, b, c = factors
+    a, b = folded(ints_of(a), ints_of(b), ints_of(c))
     order = list(range(len(b)))
     rng.shuffle(order)
     a_perm = [[row[k] for k in order] for row in a]
     b_perm = [b[k] for k in order]
-    want = matrices._raw_product(ints_of(a), ints_of(b), prec, minus=ints_of(c))
-    assert matrices._raw_product(ints_of(a_perm), ints_of(b_perm), prec, minus=ints_of(c)) == want
+    want = matrices._raw_product(a, b, prec)
+    assert matrices._raw_product(a_perm, b_perm, prec) == want
 
 
 @pytest.mark.parametrize("sign", [1, -1])
