@@ -511,9 +511,9 @@ class _Evaluation:
 
     def times(self, x, y):
         k = self.k
-        if isinstance(x, Scaled):
-            return Scaled(k.times(x.s, y.s), None) if isinstance(y, Scaled) else k.scale(x.s, y)
-        return k.scale(y.s, x) if isinstance(y, Scaled) else k.product(x, y)
+        if isinstance(x, Scaled) != isinstance(y, Scaled):
+            return k.combine([self.summand(x, y)])
+        return Scaled(k.times(x.s, y.s), None) if isinstance(x, Scaled) else k.product(x, y)
 
     def summand(self, x, y):
         """x y as a term of ``combine``: (s Id) B and B (s Id) stay ``Scaled(s, B)``."""
@@ -600,14 +600,15 @@ def evaluate(expr: SkeinExpr, rep):
     A literal, and a generator whose rows are exactly s Id (a puncture
     image, in the usual case), stays the one entry s until the result is
     widened to s Id.  No bit moves, because the kernel skips exact zeros:
-    an entry of (s Id) B has the one term s B[i, j], so it is that
-    ``quad_mul``; s Id + B adds s to the diagonal and leaves each
-    off-diagonal entry e as ``quad_add(0, e)`` leaves it, unchanged at the
-    working precision; two scalars multiply and add as one diagonal entry
-    does, and an exact zero stays one.  B (s Id) and B + s Id are taken as
-    (s Id) B and s Id + B: ``quad_mul`` and ``quad_add`` are symmetric in
-    their operands (``scalars._add`` is), and exact products and sums
-    commute.  So the bits are those of the same steps on object arrays, with
+    an entry of (s Id) B has the one term s B[i, j], so it is that exact
+    product rounded once (``matrices._raw_times``, by ``combine``); s Id + B
+    adds s to the diagonal and leaves each off-diagonal entry e as
+    ``quad_add(0, e)`` leaves it, unchanged at the working precision; two
+    scalars multiply and add as one diagonal entry does, and an exact zero
+    stays one.  B (s Id) and B + s Id are taken as (s Id) B and s Id + B:
+    ``_raw_times`` and ``quad_add`` are symmetric in their operands
+    (``scalars._add`` is), and exact products and sums commute.  So the bits
+    are those of the same steps on object arrays, with
     :func:`matrices.matmul` for each product.
     """
     ev = _Evaluation(expr.surface, expr.rs, rep)

@@ -69,6 +69,12 @@ def _passes(rep, exact_zero, magnitude, rel_eps):
     return magnitude < rel_eps
 
 
+def _puncture_scalar(rep, name, rel_eps):
+    """(largest deviation, passed) of the ``P scalar`` check: puncture ``name``'s image against its stored scalar."""
+    exact_zero, mag = matrices.scalar_residual(rep.image(name).rows, rep.puncture_scalars[name])
+    return mag, _passes(rep, exact_zero, mag, rel_eps)
+
+
 def verify_relations(rep: Representation, tol: Tolerance = None) -> VerificationReport:
     """Evaluate every presentation relation defect and scalar-structure check.
 
@@ -81,7 +87,8 @@ def verify_relations(rep: Representation, tol: Tolerance = None) -> Verification
     backend s X = X s.  In the bigfloat one the defect is P X + (-1) X P,
     and the kernel forms entry (i, j), for x = X[i, j] not an exact zero,
     as s x + (-x) s: (-1) x is an exact negation, rounding to nearest is
-    odd in the sign, and ``quad_mul`` rounds s x and x s alike because
+    odd in the sign, and the kernel's one-term product (``_raw_times``, the
+    exact value rounded once) rounds s x and x s alike because
     ``scalars._add`` is symmetric, so the sum is exactly zero.  The test
     reads the puncture image itself, which may come from a file: an image
     that is not exactly s Id is evaluated like every other defect.
@@ -109,9 +116,7 @@ def verify_relations(rep: Representation, tol: Tolerance = None) -> Verification
 
     punct_devs = {}
     for name in rep.surface.punctures:
-        exact_zero, mag = matrices.scalar_residual(rep.image(name).rows, rep.puncture_scalars[name])
-        punct_devs[name] = mag
-        checks[f"{name} scalar"] = _passes(rep, exact_zero, mag, rel_eps)
+        punct_devs[name], checks[f"{name} scalar"] = _puncture_scalar(rep, name, rel_eps)
 
     commutant = commutant_dimension(rep, tol)
     checks["commutant dimension 1"] = commutant == 1
@@ -197,22 +202,25 @@ def extract_invariants(rep: Representation, tol: Tolerance = None) -> ShadowInva
     return ShadowInvariants(rep.surface.tag, traces, puncture_values, compat)
 
 
-def commuting_system(rep_a: Representation, rep_b: Representation):
+def commuting_system(rep_a: Representation, rep_b: Representation, tol: Tolerance = None):
     """Stacked linear system for M with M rho_a(g) = rho_b(g) M over all generators.
 
     Unknowns are the row-major entries of M; one block of dim^2 equations
-    per generator.  A puncture generator acting by the same scalar on both
-    sides contributes only zero equations and is skipped; differing scalars
-    contribute the block (p_a - p_b) M = 0, which is what excludes
-    intertwiners across distinct central characters.
+    per generator.  A puncture whose two images pass the ``P scalar`` check
+    of :func:`verify_relations` acts by its stored scalars: the same scalar
+    on both sides contributes only zero equations and is skipped; differing
+    scalars contribute the block (p_a - p_b) M = 0, which is what excludes
+    intertwiners across distinct central characters.  Any other puncture
+    image takes a dense block.
     """
     if rep_a.dim != rep_b.dim:
         raise ValueError("dimension mismatch")
     n = rep_a.dim
     rs = rep_a.rs
+    rel_eps = tol.rel_eps if tol is not None else rs.tolerance.rel_eps
     dense_gens, scalar_rows = [], []
     for g in rep_a.surface.generators:
-        if g in rep_a.puncture_scalars:
+        if g in rep_a.puncture_scalars and all(_puncture_scalar(r, g, rel_eps)[1] for r in (rep_a, rep_b)):
             pa, pb = rep_a.puncture_scalars[g], rep_b.puncture_scalars[g]
             diff = pa - pb
             if not diff.is_zero():
@@ -262,11 +270,12 @@ def _support_commutant(rep):
     a commuting M is diagonal, and D X = X D holds exactly when D_i = D_l at
     every nonzero off-diagonal X[i, l].  The commutant is then the diagonals
     constant on each connected component of the graph of those entries of
-    the other images, and its dimension is the component count.  In the
-    bigfloat backend every off-diagonal entry must be an exact zero or at
-    least _SUPPORT_MARGIN times the largest entry, and every eigenvalue gap
-    must clear the same cut, far above the nullspace SVD's rel_eps * sigma_max,
-    so that the count agrees with the SVD's rank; any other rep returns None.
+    every other image, puncture images included, and its dimension is the
+    component count.  In the bigfloat backend every off-diagonal entry must
+    be an exact zero or at least _SUPPORT_MARGIN times the largest entry of
+    the loop images, and every eigenvalue gap must clear the same cut, far
+    above the nullspace SVD's rel_eps * sigma_max, so that the count agrees
+    with the SVD's rank; any other rep returns None.
     X3's shape, the exact zeros and the largest entry come from the images
     the rep keeps (:meth:`Representation.image`), so the walk is O(nnz).
     """
@@ -290,7 +299,7 @@ def _support_commutant(rep):
             i = root[i]
         return i
 
-    for g in gens:
+    for g in rep.surface.generators:
         if g != "X3":
             image = rep.matrix(g)
             for i, cols in enumerate(rep.image(g).support):
@@ -315,7 +324,7 @@ def commutant_dimension(rep: Representation, tol: Tolerance = None) -> int:
     components = _support_commutant(rep)
     if components is not None:
         return components
-    system = commuting_system(rep, rep)
+    system = commuting_system(rep, rep, tol)
     if system.shape[0] == 0:
         # only scalar generators, all matching: every matrix commutes,
         # which for a 1-dimensional representation still means dimension 1

@@ -12,11 +12,11 @@ entry a ``BigComplex`` of its quadruple (``scalars.from_quad``): nothing is
 converted at either end.  Each part of a product entry of A B is its
 exact value rounded once by ``scalars._add``, libmp's rounding on Python
 ints, so it is in general not the entrywise object arithmetic's, which
-rounds every term and accumulation; a one-term product (``times``,
-``scale``, a scaled term of ``combine``, a monomial defect's terms) is the
-product entry with that one term.  The additions of ``combine`` and the
-scalar arithmetic round as ``BigComplex`` arithmetic rounds, in the same
-order and with the same primitive, and keep its bits.  T_n of a matrix
+rounds every term and accumulation; a one-term product (``times``, a
+scaled term of ``combine``, a monomial defect's terms) is the product entry
+with that one term.  ``combine``, the kernel's one sum, and the scalar
+arithmetic round as ``BigComplex`` arithmetic rounds, in the same order and
+with the same primitive, and keep its bits.  T_n of a matrix
 runs on one block grid with guard bits: its argument goes onto its exact
 grid once, T_{k-1} and T_k stay ints on a grid prec + ``_GUARD`` bits
 below their top bit, each step rounds the exact sums of arg T_k onto it
@@ -24,7 +24,7 @@ once per part, and each part of T_n is rounded once, at the end, by
 ``scalars._add``; exact zeros stay None (:func:`chebyshev_rows`).  The
 scalar read-outs are one code for both backends: :func:`read_scalar_matrix` (with
 :func:`read_scalar`) validates each entry with ``approx_eq``, and
-:func:`scalar_residual` shifts the diagonal of kernel rows, the ones a
+:func:`scalar_residual` adds -s to the diagonal of kernel rows, the ones a
 representation keeps; the largest entry of a bigfloat residual takes
 :func:`scalars.quad_abs` of two entries at most.
 
@@ -335,15 +335,17 @@ class Scaled(namedtuple("Scaled", "s rows")):
 def _raw_combine(terms, prec):
     """Raw rows of the sum of ``terms``, or ``Scaled(s, None)`` when every term is an s Id.
 
-    The sum is folded left to right, entry by entry, with the bits of
-    adding each term with :func:`_raw_plus` after :func:`_raw_scale` has
-    formed it: plain rows add their entries, a :class:`Scaled` term with
-    rows adds s e, each part rounded once (:func:`_raw_times`), for each
-    entry e, and an s Id adds s to the diagonal.  Leading s Id terms add as scalars until
-    the first term with rows, whose dimension the sum takes.  An
-    off-diagonal entry of s Id is an exact zero, and an exact zero term
-    leaves an entry as it is; a sum that is exactly zero is None.  The
-    terms' rows are read, never changed.
+    Leading s Id terms add as scalars until the first term with rows, which
+    seeds the sum and gives its dimension: plain rows are copied, a
+    :class:`Scaled` term gives s e, each part rounded once
+    (:func:`_raw_times`), for each entry e, and the leading scalar adds to
+    the diagonal.  Later terms fold in left to right, entry by entry, by
+    :func:`_raw_plus`: rows add their entries, a scaled term adds s e, and
+    an s Id adds s to the diagonal.  The bits are those of folding every
+    term from s Id: ``_raw_times`` and ``quad_add`` are symmetric in their
+    operands, and an exact zero (None) adds as assignment and forms no
+    term.  A sum that is exactly zero is None; the terms' rows are read,
+    never changed.
     """
     lead = acc = None
     for term in terms:
@@ -357,7 +359,14 @@ def _raw_combine(terms, prec):
                     row[i] = _raw_plus(row[i], s, prec)
             continue
         if acc is None:
-            acc = _raw_widen(lead, len(rows))
+            if scaled:
+                acc = [[_raw_times(s, e, prec) for e in row] for row in rows]
+            else:
+                acc = [list(row) for row in rows]
+            if lead is not None:
+                for i, row in enumerate(acc):
+                    row[i] = _raw_plus(row[i], lead, prec)
+            continue
         if scaled:
             if s is None:  # every product has an exact zero factor
                 continue
@@ -385,7 +394,7 @@ def _raw_times(a, b, prec):
     """a b of two raw entries, each part its exact value rounded once: the kernel's one-term product.
 
     This is the entry of :func:`_raw_product` that has the one term a b, so
-    ``times`` and ``scale`` round as the dense product does, and so do the
+    ``times`` rounds as the dense product does, and so do the
     :class:`Scaled` terms of :func:`_raw_combine` and the terms of
     :func:`_monomial_defect`, which form it inline.  Each part adds its two
     mantissa products by ``scalars._add`` with ``exact``;
@@ -401,30 +410,6 @@ def _raw_times(a, b, prec):
     re, e = _add(ar * br, er + fr, -ai * bi, ei + fi, prec, exact=True)
     im, f = _add(ar * bi, er + fi, ai * br, ei + fr, prec, exact=True)
     return re, e, im, f
-
-
-def _raw_scale(s, rows, prec):
-    """Raw rows of (s Id) B for the raw entry s.
-
-    Entry (i, j) of the kernel's product has the one term s B[i, j], so each
-    is one :func:`_raw_times`, which is symmetric in its operands (the exact
-    value is), so these are also the rows of B (s Id).
-    """
-    return [[_raw_times(s, e, prec) for e in row] for row in rows]
-
-
-def _raw_shift(s, rows, prec):
-    """Raw rows of s Id + B, which are those of B + s Id, for the raw entry s.
-
-    Only the diagonal is added, by :func:`_raw_plus`, which is symmetric as
-    ``quad_add`` is.  An off-diagonal entry of the kernel's sum is
-    ``quad_add(0, e)``, which is e: e already has at most prec bits and an
-    odd mantissa, so ``_add`` neither rounds nor strips it.
-    """
-    out = [list(row) for row in rows]
-    for i, row in enumerate(out):
-        row[i] = _raw_plus(s, row[i], prec)
-    return out
 
 
 def _raw_widen(s, n):
@@ -519,10 +504,6 @@ def _exact_worst(rows):
     return exact, 0.0 if exact else max(entry_magnitude(e) for e in entries)
 
 
-def _exact_shift(s, mat):
-    return mat + scalar_matrix(s, mat.shape[0])
-
-
 def _exact_support(mat):
     return [[j for j, e in enumerate(row) if not e.is_zero()] for row in mat]
 
@@ -536,20 +517,19 @@ def _exact_combine(terms):
             if total is None:
                 lead = s if lead is None else lead + s
             else:
-                total = _exact_shift(s, total)
+                total = total + scalar_matrix(s, total.shape[0])
             continue
         value = mat if s is None else mat_scale(s, mat)
         if total is None:
-            total = value if lead is None else _exact_shift(lead, value)
+            total = value if lead is None else value + scalar_matrix(lead, value.shape[0])
         else:
             total = total + value
     return Scaled(lead, None) if total is None else total
 
 
-Kernel = namedtuple("Kernel", "unpack wrap product combine worst "
-                               "entry times scale shift widen support")
+Kernel = namedtuple("Kernel", "unpack wrap product combine worst entry times widen support")
 _EXACT_KERNEL = Kernel(_same, np.copy, operator.matmul, _exact_combine, _exact_worst,
-                       _same, operator.mul, mat_scale, _exact_shift, scalar_matrix, _exact_support)
+                       _same, operator.mul, scalar_matrix, _exact_support)
 
 
 def _bigfloat_kernel(rs):
@@ -563,9 +543,7 @@ def _bigfloat_kernel(rs):
                   lambda a, b: _raw_product(a, b, prec),
                   lambda terms: _raw_combine(terms, prec), lambda rows: _raw_worst(rows, prec),
                   lambda s: _raw_entry(s), lambda a, b: _raw_times(a, b, prec),
-                  lambda s, rows: _raw_scale(s, rows, prec),
-                  lambda s, rows: _raw_shift(s, rows, prec), lambda s, n: _raw_widen(s, n),
-                  lambda rows: _raw_support(rows))
+                  lambda s, n: _raw_widen(s, n), lambda rows: _raw_support(rows))
 
 
 def kernel(rs: RootSystem) -> Kernel:
@@ -576,22 +554,22 @@ def kernel(rs: RootSystem) -> Kernel:
     part of each bigfloat entry rounded once from its exact value
     (:func:`_raw_product`), and ``worst`` is (exactly zero, float magnitude
     of the largest entry) of any list of rows.  ``combine(terms)`` is the
-    sum of a list of terms, each plain rows, ``Scaled(s, rows)`` (s rows, scaled as
-    it is added) or ``Scaled(s, None)`` (s Id), folded left to right entry
-    by entry; it is rows, or ``Scaled(s, None)`` when every term is an s Id
-    (:func:`_raw_combine`).  A scalar s stands for s Id: ``entry`` reads it,
-    ``times`` multiplies two of them, ``scale(s, B)`` is (s Id) B,
-    ``shift(s, B)`` is s Id + B and ``widen(s, n)`` is s Id; ``support(B)``
-    lists each row's columns that hold no exact zero.  Each gives the bits
-    the matrix operation on s Id gives; exact products and sums commute, and
-    :func:`_raw_times` and ``quad_add`` are symmetric in their operands, so
-    ``scale`` and ``shift`` also give B (s Id) and B + s Id.  The exact
-    kernel works on object arrays and scalars as they are, and its
-    ``combine`` adds whole arrays (:func:`_exact_combine`); the bigfloat
-    kernel is the raw-row functions above at the working precision, on rows
-    of the scalars' own int quadruples (``BigComplex.w``, None for an exact
-    zero), and is kept on the root system object itself, whose scalars it
-    wraps.
+    sum of a list of terms, each plain rows, ``Scaled(s, rows)`` (s rows) or
+    ``Scaled(s, None)`` (s Id), folded left to right entry by entry; it is
+    rows, or ``Scaled(s, None)`` when every term is an s Id
+    (:func:`_raw_combine`).  It is the one way a scalar acts on rows: (s Id)
+    B is ``combine([Scaled(s, B)])`` and B + s Id is ``combine([B, Scaled(s,
+    None)])``, which are also B (s Id) and s Id + B, as exact products and
+    sums commute and :func:`_raw_times` and ``quad_add`` are symmetric in
+    their operands.  A scalar s stands for s Id: ``entry`` reads it,
+    ``times`` multiplies two of them and ``widen(s, n)`` is s Id, with the
+    bits the matrix operation on s Id gives; ``support(B)`` lists each row's
+    columns that hold no exact zero.  The exact kernel works on object
+    arrays and scalars as they are, and its ``combine`` adds whole arrays
+    (:func:`_exact_combine`); the bigfloat kernel is the raw-row functions
+    above at the working precision, on rows of the scalars' own int
+    quadruples (``BigComplex.w``, None for an exact zero), and is kept on
+    the root system object itself, whose scalars it wraps.
     """
     if rs.backend == "exact":
         return _EXACT_KERNEL
@@ -971,12 +949,12 @@ def read_scalar(mat, mean, tol=None):
 def scalar_residual(rows, s):
     """``residual_report(mat - scalar_matrix(s, n))`` of the kernel rows of mat: (exactly zero, largest magnitude).
 
-    On the kernel this is mat + (-s) Id: -s is added to the diagonal only,
-    and x + (-s) rounds as x - s does.  The rows are those a representation
+    On the kernel this is ``combine`` of the rows and (-s) Id: -s is added
+    to the diagonal only, and x + (-s) rounds as x - s does.  The rows are those a representation
     keeps (:class:`Image`), so nothing is unpacked.
     """
     k = kernel(s.rs)
-    return k.worst(k.shift(k.entry(-s), rows))
+    return k.worst(k.combine([rows, Scaled(k.entry(-s), None)]))
 
 
 # ---------------------------------------------------------------------------

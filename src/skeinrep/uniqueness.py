@@ -171,7 +171,7 @@ def _certificate(m, rep_a, rep_b, tol):
 def _dense_intertwiner(rep_a, rep_b, tol):
     """Solve the full commuting system: dim^2 unknowns, any basis."""
     n = rep_a.dim
-    system = commuting_system(rep_a, rep_b)
+    system = commuting_system(rep_a, rep_b, tol)
     if system.shape[0] == 0:
         candidates = [matrices.identity(rep_a.rs, n)]  # every generator is a matching scalar
     else:

@@ -544,7 +544,7 @@ def test_combine_edge_cases_match_object_path(backend):
             assert _entries(evaluate_normal_form(nf, rep)) == \
                 _entries(_object_evaluate_normal_form(nf, rep)), str(nf)
         for text in ("2 + 3 + X1", "X1 + 2", "2 + 3", "2 X1 + P - 3 X1 X2 + A", "X1 - X1",
-                     "X1 P - P X1", "0 X1 + 2"):
+                     "X1 P - P X1", "0 X1 + 2", "3 + 2 X1 - X2", "P + 2 X1"):
             expr = parse(text, TORUS1, rs)
             assert _entries(evaluate(expr, rep)) == _entries(_object_evaluate(expr.node, rep)), text
     # entries that cancel are exact zeros, and no term's rows change

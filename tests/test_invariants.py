@@ -384,6 +384,29 @@ def test_commutant_direct_sum_at_least_four(torus_rep):
     assert commutant_dimension(direct_sum(rep)) >= 4
 
 
+def test_commutant_reads_puncture_images(torus_rep):
+    # rep + rep with P acting by p on one summand and 2p on the other: the
+    # stored scalar p does not describe the image, and the commutant is the
+    # block diagonals, not all of M_2
+    rep, _ = torus_rep
+    rs, n = rep.rs, rep.dim
+    p = rep.puncture_scalars["P"]
+    both = direct_sum(rep)
+    split = matrices.freeze(matrices.diagonal([p] * n + [p * rs.scalar(2)] * n))
+    rep2 = dataclasses.replace(both, matrices=dict(both.matrices, P=split))
+    assert not verify_relations(rep2).checks["P scalar"]
+    assert commutant_dimension(rep2) == 2
+    assert commutant_dimension(both) == 4
+    # with X3 simple, the support walk reads an off-diagonal entry of P too
+    isolated = rep
+    for name in ("X1", "X2"):
+        for k in range(1, n):
+            isolated = with_entry(with_entry(isolated, name, (0, k), rs.zero), name, (k, 0), rs.zero)
+    joined = with_entry(isolated, "P", (0, 1), rs.one)
+    assert _support_commutant(isolated) == _nullspace_commutant(isolated) == 2
+    assert _support_commutant(joined) == _nullspace_commutant(joined) == 1
+
+
 def test_commutant_dimension_one_rep(rs):
     rep = small_sphere_rep([rs.scalar(5)])
     assert commutant_dimension(rep) == 1
@@ -457,7 +480,7 @@ def dense_support_commutant(rep):
             i = root[i]
         return i
 
-    for image in [rep.matrix(g) for g in gens if g != "X3"]:
+    for image in [rep.matrix(g) for g in rep.surface.generators if g != "X3"]:
         for i, j in pairs:
             state = _dense_clear(image[i, j], cut)
             if state is None:

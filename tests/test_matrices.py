@@ -820,7 +820,7 @@ def test_monomial_defect_matches_fused_product(seed, n, zero_share):
 # s times entry (0, 0): libmp's shortcut would round its real part otherwise
 @example(seed=2074, n=1)
 def test_scale_matches_product_with_widened_scalar(seed, n):
-    # the premise of the kernel's scale, times and Scaled terms: a one-term
+    # the premise of the kernel's times and Scaled terms: a one-term
     # product entry is its exact value rounded once, also where the parts'
     # mantissa products lie far apart
     rs = rs_of(3)
@@ -835,7 +835,8 @@ def test_scale_matches_product_with_widened_scalar(seed, n):
     k = matrices.kernel(rs)
     s_raw, b_rows = k.entry(s), k.unpack(b)
     want = k.product(k.widen(s_raw, n), b_rows)
-    assert k.scale(s_raw, b_rows) == want == k.product(b_rows, k.widen(s_raw, n))
+    assert want == k.product(b_rows, k.widen(s_raw, n))
+    assert k.combine([b_rows, matrices.Scaled(s_raw, None)]) == k.unpack(b + matrices.scalar_matrix(s, n))
     assert k.combine([matrices.Scaled(s_raw, b_rows)]) == want
     assert [[k.times(s_raw, z) for z in row] for row in b_rows] == want
 
@@ -1165,6 +1166,14 @@ def test_raw_kernel_names_stay_inside_matrices_module():
         if path.name != "matrices.py":
             found = private.search(path.read_text())
             assert found is None, f"{path.name} names {found.group()}"
+
+
+def test_every_kernel_operation_is_read_outside_matrices_module():
+    # an operation that only matrices itself reads is an internal helper, not part of the kernel
+    package = pathlib.Path(skeinrep.__file__).parent
+    text = "".join(path.read_text() for path in sorted(package.glob("*.py")) if path.name != "matrices.py")
+    unread = [f for f in matrices.Kernel._fields if not re.search(rf"\.{f}\(", text)]
+    assert unread == []
 
 
 def test_one_rounding_primitive_lives_in_scalars():
