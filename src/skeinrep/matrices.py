@@ -13,10 +13,10 @@ converted at either end.  Each part of a product entry of A B is its
 exact value rounded once by ``scalars._add``, libmp's rounding on Python
 ints, so it is in general not the entrywise object arithmetic's, which
 rounds every term and accumulation; a one-term product (``times``, a
-scaled term of ``combine``, a monomial defect's terms) is the product entry
-with that one term.  ``combine``, the kernel's one sum, and the scalar
-arithmetic round as ``BigComplex`` arithmetic rounds, in the same order and
-with the same primitive, and keep its bits.  T_n of a matrix
+scaled term of ``combine``) is the product entry with that one term.
+``combine``, the kernel's one sum, and the scalar arithmetic round as
+``BigComplex`` arithmetic rounds, in the same order and with the same
+primitive, and keep its bits.  T_n of a matrix
 runs on one block grid with guard bits: its argument goes onto its exact
 grid once, T_{k-1} and T_k stay ints on a grid prec + ``_GUARD`` bits
 below their top bit, each step rounds the exact sums of arg T_k onto it
@@ -28,18 +28,21 @@ scalar read-outs are one code for both backends: :func:`read_scalar_matrix` (wit
 representation keeps; the largest entry of a bigfloat residual takes
 :func:`scalars.quad_abs` of two entries at most.
 
-Intertwiner defects M A - B M of a monomial M = P_sigma diag(m), the shape
-every ladder-walk certificate has, are formed from the two terms each entry
-holds, m_k A[k, l] and B[sigma(k), sigma(l)] m_l, with the bits of the dense
-form: the products M A and B M, and their rounded difference.
-:class:`Monomial` is the one owner of that (sigma, m) format and reads its
-entries once; a dense M takes the dense form whatever its shape.  A and B
-come in as :class:`Image` s, the one record a
-representation keeps per image of its kernel rows and their exact zero
-pattern (each row's and column's nonzeros, whence diagonal and s Id): a
-monomial defect visits only the entries where one of its two terms is
-nonzero, O(nnz) per image, and its backward error (M A - B M) M^-1 takes
-the same pass.  Every largest entry magnitude is the kernel's ``worst``.
+Each part of each entry of an intertwiner defect M A - B M is its exact
+value rounded once: a dense M, whatever its shape, takes the one product
+[M | -B] [A ; M].  A monomial M = P_sigma diag(m), the shape every
+ladder-walk certificate has, forms each entry from the two terms it holds,
+m_k A[k, l] and B[sigma(k), sigma(l)] m_l, as exact ints on the grids M, A
+and B keep, and rounds only the entries that can be the largest; both give
+the same residual floats.  :class:`Monomial` is the one owner of that
+(sigma, m) format and reads its entries once.  A and B come in as
+:class:`Image` s, the one record a representation keeps per image of its
+kernel rows, their exact grid and their exact zero pattern (each row's and
+column's nonzeros, whence diagonal and s Id): a monomial defect visits only
+the entries where one of its two terms is nonzero, O(nnz) per image, and
+its backward error (M A - B M) M^-1 takes the same pass.  Every largest
+entry magnitude is the kernel's ``worst``, or the largest of its entries
+that can be (:func:`_grid_worst`).
 
 Bigfloat rank and nullspace decisions come from one SVD at the root
 system's working precision: singular values below rel_eps * sigma_max count
@@ -172,7 +175,8 @@ def _mac(a, b, m):
     (0, 0) when there is no such k.  Each term takes three int products,
     (ar + i ai)(br + i bi) = ar br - ai bi + i ((ar + ai)(br + bi) - ar br -
     ai bi), with ar + ai formed once per row.  This is the kernel's one
-    multiply-accumulate loop: :func:`_raw_product` and the T_n recurrence
+    multiply-accumulate loop: :func:`_raw_product`, the dense intertwiner
+    defect (:func:`_dense_defect`) and the T_n recurrence
     (:func:`_raw_chebyshev`) round its sums.
     """
     cols = range(m)
@@ -395,11 +399,10 @@ def _raw_times(a, b, prec):
 
     This is the entry of :func:`_raw_product` that has the one term a b, so
     ``times`` rounds as the dense product does, and so do the
-    :class:`Scaled` terms of :func:`_raw_combine` and the terms of
-    :func:`_monomial_defect`, which form it inline.  Each part adds its two
-    mantissa products by ``scalars._add`` with ``exact``;
-    :func:`scalars.quad_mul`, the scalar ``*``, keeps libmp's shortcut for
-    products lying far apart, and can differ in the last bit.  An exact
+    :class:`Scaled` terms of :func:`_raw_combine`, which form it inline.
+    Each part adds its two mantissa products by ``scalars._add`` with
+    ``exact``; :func:`scalars.quad_mul`, the scalar ``*``, keeps libmp's
+    shortcut for products lying far apart, and can differ in the last bit.  An exact
     zero factor forms no term and gives None; otherwise the exact parts of
     a b are not both zero, and neither is the result.
     """
@@ -454,10 +457,12 @@ def _raw_worst(rows, prec):
     an entry with two, it grows with :func:`_hypot2`.  The two groups'
     winners are compared by their ``quad_abs``, not by exact magnitude: a
     one-part entry can round above a two-part entry larger by less than
-    2^-(prec+3) of it.
+    2^-(prec+3) of it.  A lone nonzero entry is not ranked.
     """
     found = [(t, z) for row in rows for z in row
              if z is not None and (t := quad_exponent(z)) is not None]
+    if len(found) == 1:
+        return False, to_float(quad_abs(found[0][1], prec), rnd=RND)
     cut = max((t for t, _ in found), default=0) - 1
     single = single_abs = pair = pair_key = None
     for t, z in found:
@@ -705,8 +710,22 @@ class Image(namedtuple("Image", "rows support")):
     column's rows that hold no exact zero, in increasing order, ``diagonal``
     tells whether every entry off the diagonal is an exact zero, ``scalar``
     whether the rows are exactly s Id (diagonal, each diagonal entry equal
-    to rows[0][0]).
+    to rows[0][0]).  Of bigfloat rows, ``span`` is the (least, largest)
+    exponent of their nonzero parts (None when every entry is an exact
+    zero), and ``grid`` the rows on the grid of that least exponent
+    (:func:`_on_grid`), each entry x + i y as the exact ints (x, y - x,
+    x + y), the factors the intertwining defects' three-product form reads
+    (:func:`_monomial_defect`).
     """
+
+    @cached_property
+    def span(self):
+        return _span(self.rows)
+
+    @cached_property
+    def grid(self):
+        return [[None if z is None else (z[0], z[1] - z[0], z[0] + z[1]) for z in row]
+                for row in _on_grid(self.rows, self.span[0])]
 
     @cached_property
     def columns(self):
@@ -733,7 +752,9 @@ class Monomial(namedtuple("Monomial", "sigma entries")):
     of two; this class is the one reader of that format.  Its condition
     number and normalization come from the dim nonzeros alone, and a
     bigfloat monomial's entries are read into the kernel's int quadruples
-    once (``raw``), for its defects, backward error and quotients.
+    once (``raw``), for its defects, backward error and quotients, and put
+    on their exact grid once (``span``, ``grid``, as :class:`Image` has
+    them), for its defects.
     """
 
     def matrix(self):
@@ -778,6 +799,16 @@ class Monomial(namedtuple("Monomial", "sigma entries")):
         return sorted(range(len(self.sigma)), key=self.sigma.__getitem__), entries
 
     @cached_property
+    def span(self):
+        """(least, largest) exponent of the nonzero parts of the ``raw`` entries."""
+        return _span([self.raw[1]])
+
+    @cached_property
+    def grid(self):
+        """The ``raw`` entries on the grid of their least exponent, each x + i y as the exact ints (x, y, x + y)."""
+        return [(re, im, re + im) for re, im in _on_grid([self.raw[1]], self.span[0])[0]]
+
+    @cached_property
     def divisors(self):
         """The raw entries, once every entry has passed ``BigComplex._check_divisor``."""
         for e in self.entries:
@@ -801,51 +832,98 @@ class Monomial(namedtuple("Monomial", "sigma entries")):
 
 
 def _monomial_defect(m, a, b, prec):
-    """(columns, raw entries) of M A - B M, row by row, for a :class:`Monomial` M with ``raw``.
+    """(columns, e, entries) of M A - B M, row by row, for a :class:`Monomial` M with ``raw``.
 
     M[sigma[k], k] = m_k, and ``a`` and ``b`` are :class:`Image` s.  Entry
     (sigma[k], l) is m_k A[k, l] - B[sigma[k], sigma[l]] m_l: row sigma[k]
-    and column l of M hold one nonzero each, so each of the dense form's
-    products M A and B M has the one term there, each part its exact value
-    rounded once (:func:`_raw_times`), and ``combine`` of M A and (-1) B M
-    negates B M exactly and rounds the difference as ``quad_sub`` does, all
-    through ``scalars._add``.  A term
-    with an exact zero factor is not formed (a zero right term leaves the left one
-    as it is), and an entry with neither term is zero and is not visited:
-    row k walks A's row k support, then the columns of B's row sigma[k]
-    support, taken back through sigma, where A is zero, which is O(nnz) per
-    image.  Each entry comes with its column l; an entry whose terms cancel
-    is 0 + 0i, not None.
+    and column l of M hold one nonzero each, so these are the one term each
+    of the products M A and B M has there.  A term with an exact zero
+    factor is not formed, and an entry with neither term is zero and is not
+    visited: row k walks A's row k support, then the columns of B's row
+    sigma[k] support, taken back through sigma, where A is zero, which is
+    O(nnz) per image.  Each entry comes with its column l.
+
+    When the exponents of the terms' parts spread over at most
+    ``_GRID_SPREAD`` prec bits, each entry is its exact value, (re, im) ints
+    on the grid 2^e, formed from the grids M, A and B keep (``grid``), the
+    monomial's shifted once per image onto the lower of the two products'
+    grids (:func:`_lifted`).  Each term takes three int products: with
+    m = r + i s and x + i y an image entry, m (x + i y) = x (r + s) - s (x +
+    y) + i (x (r + s) + r (y - x)), and the grids hold r + s, y - x and
+    x + y.  An entry whose terms cancel is (0, 0).  A wider spread takes
+    the dense product [M | -B] [A ; M] (:func:`_dense_defect`, whose work
+    stays bounded however far apart the terms lie): e is None, and the
+    entries are its nonzero raw entries, row by row, each part its exact
+    value rounded once.
     """
-    sigma, (inverse, raw) = m.sigma, m.raw
+    spans = [s for s in (a.span, b.span) if s is not None]
+    if not spans:  # both images are exactly zero
+        return [], None, []
+    lo, hi = m.span
+    e = lo + min(s[0] for s in spans)
+    if hi + max(s[1] for s in spans) - e > _GRID_SPREAD * prec:
+        rs = m.entries[0].rs
+        rows = _dense_defect(rs, kernel(rs).unpack(m.matrix()), a.rows, b.rows)
+        return [l for row in rows for l, z in enumerate(row) if z], None, [z for row in rows for z in row if z]
+    sigma, inverse, grid = m.sigma, m.raw[0], m.grid
+    a_rows, left = (a.rows, None) if a.span is None else (a.grid, _lifted(grid, lo + a.span[0] - e))
+    b_rows, right = (b.rows, None) if b.span is None else (b.grid, _lifted(grid, lo + b.span[0] - e))
+    b_support = b.support
     cols, out = [], []
-    b_rows, b_support = b.rows, b.support
-    # each one-term product is _raw_times, inline
-    for k, ((mr, me, mi, mf), a_row, a_cols) in enumerate(zip(raw, a.rows, a.support)):
+    col, entry = cols.append, out.append
+    for k, (a_row, a_cols) in enumerate(zip(a_rows, a.support)):
         sk = sigma[k]
         b_row = b_rows[sk]
+        if a_cols:
+            mr, mi, ms = left[k]
         for l in a_cols:
-            ar, ae, ai, af = a_row[l]
-            dr, de = _add(mr * ar, me + ae, -mi * ai, mf + af, prec, exact=True)
-            di, df = _add(mr * ai, me + af, mi * ar, mf + ae, prec, exact=True)
+            ar, ad, am = a_row[l]
             y = b_row[sigma[l]]
-            if y is not None:
-                (br, be, bi, bf), (nr, ne, ni, nf) = y, raw[l]
-                sr, se = _add(br * nr, be + ne, -bi * ni, bf + nf, prec, exact=True)
-                si, sf = _add(br * ni, be + nf, bi * nr, bf + ne, prec, exact=True)
-                dr, de = _add(dr, de, -sr, se, prec)
-                di, df = _add(di, df, -si, sf, prec)
-            cols.append(l)
-            out.append((dr, de, di, df))
+            col(l)
+            p = ar * ms
+            if y is None:
+                entry((p - mi * am, p + mr * ad))
+            else:
+                (br, bd, bm), (nr, ni, ns) = y, right[l]
+                q = br * ns
+                entry((p - mi * am - q + ni * bm, p + mr * ad - q - nr * bd))
         for j in b_support[sk]:
             l = inverse[j]
             if a_row[l] is None:
-                (br, be, bi, bf), (nr, ne, ni, nf) = b_row[j], raw[l]
-                sr, se = _add(br * nr, be + ne, -bi * ni, bf + nf, prec, exact=True)
-                si, sf = _add(br * ni, be + nf, bi * nr, bf + ne, prec, exact=True)
-                cols.append(l)
-                out.append((-sr, se, -si, sf))
-    return cols, out
+                (br, bd, bm), (nr, ni, ns) = b_row[j], right[l]
+                q = br * ns
+                col(l)
+                entry((ni * bm - q, -q - nr * bd))
+    return cols, e, out
+
+
+def _lifted(grid, s):
+    """The int triples of ``grid`` shifted left by s >= 0 bits; ``grid`` itself when s is 0."""
+    return [(x << s, y << s, z << s) for x, y, z in grid] if s else grid
+
+
+def _grid_worst(entries, e, prec):
+    """Float magnitude of the largest entry of (re, im) ints on the grid 2^e, each part rounded once.
+
+    This is :func:`_raw_worst` of every entry rounded by ``scalars._add``
+    (:func:`_rounded`), but only the entries whose exact |z|^2 is at least
+    top - floor(top 2^-(prec - 8)), top the largest |z|^2, are rounded.
+    Any other entry has |z|^2 <= (1 - 2^-(prec - 8)) top, so |z| lies at
+    least 2^-(prec - 7) of the largest |z| below it, while rounding its parts
+    and taking ``quad_abs`` move each magnitude by less than 3 2^-prec of
+    it: it cannot have the larger ``quad_abs``.
+    """
+    bits = [max(re.bit_length(), im.bit_length()) for re, im in entries]
+    most = max(bits, default=0)
+    if not most:
+        return 0.0
+    # a part of most bits makes |z|^2 >= 2^(2 most - 2), and parts of at
+    # most most - 2 bits keep it below 2^(2 most - 3), under the cut
+    near = [z for z, n in zip(entries, bits) if n >= most - 1]
+    keys = [re * re + im * im for re, im in near]
+    top = max(keys)
+    cut = top - (top >> prec - 8)
+    return _raw_worst(_rounded([[z for z, key in zip(near, keys) if key >= cut]], e, prec), prec)[1]
 
 
 def _scalar_pair(a, b):
@@ -853,24 +931,53 @@ def _scalar_pair(a, b):
     return a.scalar and b.scalar and a.rows[0][0] == b.rows[0][0]
 
 
+def _dense_defect(rs, m_rows, a_rows, b_rows):
+    """Kernel rows of M A - B M, the one product [M | -B] [A ; M].
+
+    Exact rows subtract the exact products.  Each part of each bigfloat
+    entry is its exact value rounded once (:func:`_rounded`), an exact zero
+    None.  Every term of M A and of B M lies on the grid of M's least
+    exponent plus the images' least exponent, so M goes onto its own grid
+    and A and B onto one shared grid (:func:`_on_grid`), and :func:`_mac`
+    sums the stacked product on ints no wider than the two products' own
+    exponent range.  Terms spread over more than ``_GRID_SPREAD`` prec bits
+    are summed entry by entry by :func:`_term_product`.
+    """
+    if rs.backend == "exact":
+        return m_rows @ a_rows - b_rows @ m_rows
+    prec, n = rs.precision_bits, len(m_rows)
+    sm, spans = _span(m_rows), [s for s in (_span(a_rows), _span(b_rows)) if s is not None]
+    if sm is None or not spans:  # every term has a zero factor
+        return [[None] * n for _ in range(n)]
+    g = min(s[0] for s in spans)
+    if sm[1] + max(s[1] for s in spans) - sm[0] - g > _GRID_SPREAD * prec:
+        minus_b = [[None if z is None else (-z[0], z[1], -z[2], z[3]) for z in row] for row in b_rows]
+        return _term_product([r + s for r, s in zip(m_rows, minus_b)], a_rows + m_rows, prec)
+    m_grid = _on_grid(m_rows, sm[0])
+    minus_b = [[None if z is None else (-z[0], -z[1]) for z in row] for row in _on_grid(b_rows, g)]
+    return _rounded(_mac([r + s for r, s in zip(m_grid, minus_b)], _on_grid(a_rows, g) + m_grid, n), sm[0] + g, prec)
+
+
 def intertwining_defects(m, pairs):
     """Float magnitude of the largest entry of M A - B M for each (A, B) in ``pairs``.
 
     ``m`` is an object array or a :class:`Monomial`; A and B are
-    :class:`Image` s, as a representation keeps them.  Each float equals
-    ``residual_report(matmul(m, a) - matmul(b, m))[1]``: M is unpacked once
-    and each defect is the kernel's ``combine`` of the products M A and
-    (-1) B M, each product entry rounded once, the negation exact and the
-    difference rounded as ``-`` rounds it; or, for a bigfloat monomial with
-    ``raw`` parts, the same entries from their two terms over the two
-    images' supports, O(nnz) per pair (:func:`_monomial_defect`).  An object
-    array always takes the two products, whatever its shape.  When A and B
-    are one scalar matrix s Id (both ``scalar``, and equal diagonals), as
-    puncture images are, the defect is exactly zero and 0.0 is returned
-    without the products: zero terms form no term, so entry (i, j) of each
-    product is the one exact product m_ij s rounded once, the same for
-    s m_ij, and the difference is exactly zero.  The flags are read off the
-    images themselves, which may come from a file.
+    :class:`Image` s, as a representation keeps them.  Each part of each
+    bigfloat entry of M A - B M is its exact value rounded once, by
+    ``scalars._add``, and the float is the largest ``quad_abs`` of those
+    entries, as the kernel's ``worst`` takes it: each float equals
+    ``residual_report(matmul(M_B, A_M))[1]``, with M_B = [M | -B] and A_M =
+    [A ; M].  An object array, or a monomial of the exact backend or with an
+    entry zero at working precision, takes that one product
+    (:func:`_dense_defect`; M is unpacked once).  A bigfloat monomial with ``raw`` parts forms each
+    entry's exact value from its two terms over the two images' supports,
+    O(nnz) per pair (:func:`_monomial_defect`), and rounds only the entries
+    that can be the largest (:func:`_grid_worst`); so a walked certificate
+    and its dense matrix give equal floats.  When A and B are one scalar
+    matrix s Id (both ``scalar``, and equal diagonals), as puncture images
+    are, M s Id - s Id M is exactly zero and 0.0 is returned without the
+    product.  The flags are read off the images themselves, which may come
+    from a file.
     """
     mono = isinstance(m, Monomial)
     rs = m.entries[0].rs if mono else m.flat[0].rs
@@ -879,16 +986,15 @@ def intertwining_defects(m, pairs):
     if not walk:
         k = kernel(rs)
         m_rows = k.unpack(m.matrix() if mono else m)
-        minus_one = k.entry(rs.scalar(-1))
     out = []
     for a, b in pairs:
         if _scalar_pair(a, b):
             out.append(0.0)
         elif walk:
-            out.append(_raw_worst([_monomial_defect(m, a, b, prec)[1]], prec)[1])
+            _, e, entries = _monomial_defect(m, a, b, prec)
+            out.append(_raw_worst([entries], prec)[1] if e is None else _grid_worst(entries, e, prec))
         else:
-            difference = [k.product(m_rows, a.rows), Scaled(minus_one, k.product(b.rows, m_rows))]
-            out.append(k.worst(k.combine(difference))[1])
+            out.append(k.worst(_dense_defect(rs, m_rows, a.rows, b.rows))[1])
     return out
 
 
@@ -899,13 +1005,20 @@ def monomial_backward_error(m, pairs) -> float:
     ``pairs`` is as for :func:`intertwining_defects`.  B + E = M A M^-1 is
     exactly similar to A, and entry (sigma[k], sigma[l]) of E is the defect
     entry R[sigma[k], l] divided by m_l, so one O(nnz) pass over the defect
-    entries gives it (:func:`_monomial_defect`): each quotient is one
-    :func:`scalars.quad_div` by the kept raw entry, and the largest is taken
-    by the kernel's ``worst``.
+    entries gives it (:func:`_monomial_defect`): each defect entry is its
+    exact value rounded once, as :func:`intertwining_defects` rounds it,
+    each quotient is one :func:`scalars.quad_div` by the kept raw entry, and
+    the largest is taken by the kernel's ``worst``.
     """
     prec = m.entries[0].rs.precision_bits
-    quotients = [quad_div(d, m.raw[1][l], prec) for a, b in pairs if not _scalar_pair(a, b)
-                 for l, d in zip(*_monomial_defect(m, a, b, prec))]
+    raw = m.raw[1]
+    quotients = []
+    for a, b in pairs:
+        if not _scalar_pair(a, b):
+            cols, e, entries = _monomial_defect(m, a, b, prec)
+            if e is not None:
+                entries = _rounded([entries], e, prec)[0]
+            quotients += [quad_div(d, raw[l], prec) for l, d in zip(cols, entries) if d is not None]
     return _raw_worst([quotients], prec)[1]
 
 

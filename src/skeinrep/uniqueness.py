@@ -16,12 +16,16 @@ found as, the one owner of that format, and every step on it costs O(nnz),
 with no LAPACK call and no complex128 matrix.  Its condition number is the
 closed form max |m_k| / min |m_k| (:meth:`Monomial.condition`), and
 normalization takes dim magnitudes and dim products with the bits of the
-dense form.  Its residuals come from the two terms of each defect entry:
-:func:`matrices.intertwining_defects` takes the monomial, whose entries
-are read at working precision once (``Monomial.raw``), and each image as
-the rep keeps it (:meth:`Representation.image`: kernel rows and their
-nonzero pattern), so an image is unpacked and scanned once per rep, and a
-defect visits only the entries where one of its two terms is nonzero.  The
+dense form.  Each part of each entry of a defect M g_a - g_b M is its exact
+value rounded once, and a residual is the largest magnitude of those
+entries, walked or dense alike.  A monomial's residuals come from the two
+terms of each defect entry: :func:`matrices.intertwining_defects` takes the
+monomial, whose entries are read at working precision and put on their
+exact grid once (``Monomial.raw``, ``Monomial.grid``), and each image as
+the rep keeps it (:meth:`Representation.image`: kernel rows, their exact
+grid and their nonzero pattern), so an image is unpacked and scanned once
+per rep, a defect visits only the entries where one of its two terms is
+nonzero, and only the entries that can be the largest are rounded.  The
 X3 test reads the same record's ``diagonal`` and the walk its ``columns``,
 each formed once.  A monomial is accepted by its backward error, not by a
 condition cap (:func:`_within_gate`): at N >= 13 gauge certificates reach
@@ -51,7 +55,7 @@ Residuals that are known exactly are not computed.  When a generator's two
 images are one scalar matrix s Id bit for bit (every off-diagonal entry an
 exact zero), as the puncture images of two reps with equal puncture scalars
 are, M s Id - s Id M is exactly zero in the kernel, so its residual is 0.0
-without the two products.  This is read off the images themselves (the
+without the product.  This is read off the images themselves (the
 flag each rep keeps per image), never off ``puncture_scalars``: a rep file
 may hold any puncture image.  The residual gate's scale, the largest entry
 over a rep's images, is taken once per rep by the kernel's ``worst`` of its
@@ -115,8 +119,12 @@ def intertwiner_residuals(m, rep_a: Representation, rep_b: Representation) -> di
 
     ``m`` is a dense matrix or a :class:`Monomial`.  Bigfloat defects run on
     the kernel's int quadruples through :func:`matrices.intertwining_defects`,
-    on the rows and patterns each rep keeps (:meth:`Representation.image`),
-    bit-identical to ``residual_report(matmul(m, g_a) - matmul(g_b, m))``.
+    on the rows, grids and patterns each rep keeps
+    (:meth:`Representation.image`): each part of each entry of M g_a - g_b M
+    is its exact value rounded once, bit-identical to
+    ``residual_report(matmul([m | -g_b], [g_a ; m]))``, the one product of
+    the stacked matrices, and a monomial and its dense matrix give the same
+    floats.
     """
     return dict(zip(rep_a.surface.generators,
                     matrices.intertwining_defects(m, _image_pairs(rep_a, rep_b))))
@@ -169,18 +177,32 @@ def _certificate(m, rep_a, rep_b, tol):
 
 
 def _dense_intertwiner(rep_a, rep_b, tol):
-    """Solve the full commuting system: dim^2 unknowns, any basis."""
+    """Solve the full commuting system: dim^2 unknowns, any basis.
+
+    Each nullvector is tried alone.  When the nullity exceeds 1 and every
+    one is refused, one combination of them with fixed integer coefficients
+    (``random.Random(0)``, which either backend takes) is tried before
+    giving up: the determinant is a polynomial on the nullspace, nonzero
+    when any intertwiner in it is invertible, and such a polynomial vanishes
+    on no open set of real points, so almost every real combination is
+    invertible, while each basis vector alone can be singular (a reducible
+    rep against itself).
+    """
     n = rep_a.dim
     system = commuting_system(rep_a, rep_b, tol)
     if system.shape[0] == 0:
         candidates = [matrices.identity(rep_a.rs, n)]  # every generator is a matching scalar
     else:
-        candidates = (vec.reshape(n, n) for vec in matrices.nullspace(system, tol)[1])
+        candidates = [vec.reshape(n, n) for vec in matrices.nullspace(system, tol)[1]]
     for m in candidates:
         cert = _certificate(m, rep_a, rep_b, tol)
         if cert is not None:
             return cert
-    return None
+    if len(candidates) < 2:
+        return None
+    rng = random.Random(0)
+    terms = [matrices.mat_scale(rep_a.rs.scalar(rng.randint(1, 1 << 16)), m) for m in candidates]
+    return _certificate(sum(terms[1:], terms[0]), rep_a, rep_b, tol)
 
 
 def _within_gate(cert, rep_a, rep_b, tol) -> bool:

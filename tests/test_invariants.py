@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from skeinrep import invariants, matrices, sphere
+from skeinrep import invariants, matrices, sphere, uniqueness
 from skeinrep.chebyshev import chebyshev_eval
 from skeinrep.errors import NonScalarChebyshev
 from skeinrep.expressions import evaluate, parse
@@ -151,16 +151,17 @@ def test_extract_exact_backend():
     assert shadow.compatibility_ok
 
 
-def direct_sum(rep):
+def direct_sum(rep, other=None):
     rs = rep.rs
     n = rep.dim
+    other = rep if other is None else other
     mats = {}
     for g, m in rep.matrices.items():
         big = matrices.zeros(rs, 2 * n)
         for i in range(n):
             for j in range(n):
                 big[i, j] = m[i, j]
-                big[n + i, n + j] = m[i, j]
+                big[n + i, n + j] = other.matrices[g][i, j]
         mats[g] = matrices.freeze(big)
     return Representation(rep.surface, rs, 2 * n, mats, rep.puncture_scalars, {})
 
@@ -382,6 +383,51 @@ def test_commutant_generic_is_one(torus_rep):
 def test_commutant_direct_sum_at_least_four(torus_rep):
     rep, _ = torus_rep
     assert commutant_dimension(direct_sum(rep)) >= 4
+
+
+def test_dense_search_combines_nullvectors_of_a_reducible_rep(torus_rep, monkeypatch):
+    # rep + rep against itself: the commuting system has nullity 4 and each of
+    # its orthonormal nullvectors alone is singular, so the search tries one
+    # fixed combination of them, which is invertible and certified
+    rep, _ = torus_rep
+    both = direct_sum(rep)
+    tried = []
+    real = uniqueness._certificate
+
+    def spy(m, *args):
+        tried.append(real(m, *args))
+        return tried[-1]
+
+    monkeypatch.setattr(uniqueness, "_certificate", spy)
+    cert = uniqueness.intertwiner_search(both, both)
+    assert len(tried) == 5 and tried[:4] == [None] * 4
+    assert cert is tried[4] and not isinstance(cert.intertwiner, matrices.Monomial)
+    assert cert.condition_estimate < 10 and cert.worst_residual < 1e-70
+
+
+def test_dense_search_combines_exact_nullvectors(monkeypatch):
+    # the same fallback in the exact backend, whose scalars are ints and
+    # fractions: V + V against itself is certified with zero residuals, and
+    # V + V against V + W, W not isomorphic to V with the same X3 spectrum
+    # and puncture scalar, has only singular intertwiners and gives None
+    rs = make_root_system(3)
+    v = build_torus_rep(torus_params_exact(rs.A + 1, rs.A - 2, rs.scalar(Fraction(3, 2))))
+    w = build_torus_rep(torus_params_exact(rs.A + 1, rs.A - 2, rs.scalar(2)))
+    assert uniqueness.intertwiner_search(v, w) is None
+    tried = []
+    real = uniqueness._certificate
+
+    def spy(m, *args):
+        tried.append(real(m, *args))
+        return tried[-1]
+
+    monkeypatch.setattr(uniqueness, "_certificate", spy)
+    cert = uniqueness.intertwiner_search(direct_sum(v), direct_sum(v))
+    assert len(tried) == 5 and tried[:4] == [None] * 4 and cert is tried[4]
+    assert cert.condition_estimate < 10 and cert.worst_residual == 0.0
+    tried.clear()
+    assert uniqueness.intertwiner_search(direct_sum(v), direct_sum(v, w)) is None
+    assert tried == [None] * 3
 
 
 def test_commutant_reads_puncture_images(torus_rep):

@@ -3,9 +3,10 @@
 Products are checked against exact rational sums rounded once per part by
 libmp's ``from_rational``, and the T_n recurrence against a block-grid
 oracle over Fractions rounded the same way and against an exact T_n of
-stored rows; the commutant assembly,
-the scalar read-outs and the intertwiner defects against the accumulating,
-entrywise and object-array forms that the kernel replaced.  Every
+stored rows, and the intertwiner defects against the same exact sums,
+whose largest entry the monomial walk's screen must find; the commutant
+assembly and the scalar read-outs against the accumulating, entrywise and
+object-array forms that the kernel replaced.  Every
 comparison is on the ``_mpf_`` tuples of each entry, or on the residual
 floats.  The nullspace tests plant singular values on either side
 of the working-precision cut rel_eps * sigma_max.  The native-int rounding
@@ -669,11 +670,29 @@ def test_commuting_system_wide_entries():
 # intertwiner residuals
 # ---------------------------------------------------------------------------
 
+def rational_defect(m_rows, a_rows, b_rows, prec):
+    """Rows of int quadruples of M A - B M, each part of each entry its exact value rounded once.
+
+    :func:`rational_product` of [M | -B] by [A ; M]; an exact zero is None.
+    """
+    left = [row + [None if z is None else (-z[0], z[1], -z[2], z[3]) for z in b_row]
+            for row, b_row in zip(m_rows, b_rows)]
+    return ints_of(rational_product(left, a_rows + m_rows, prec))
+
+
 def reference_residuals(m, rep_a, rep_b):
+    """Each generator's largest defect entry, ``_raw_worst`` of every entry of :func:`rational_defect`.
+
+    The exact backend subtracts the exact products.
+    """
     out = {}
     for g in rep_a.surface.generators:
-        defect = matrices.matmul(m, rep_a.matrix(g)) - matrices.matmul(rep_b.matrix(g), m)
-        out[g] = matrices.residual_report(defect)[1]
+        a, b = rep_a.matrix(g), rep_b.matrix(g)
+        if rep_a.rs.backend == "exact":
+            out[g] = matrices.residual_report(matrices.matmul(m, a) - matrices.matmul(b, m))[1]
+        else:
+            prec = rep_a.rs.precision_bits
+            out[g] = matrices._raw_worst(rational_defect(quads(m), quads(a), quads(b), prec), prec)[1]
     return out
 
 
@@ -717,21 +736,10 @@ def spread_entry(rs, rng, prec):
     return BigComplex(rs, *parts)
 
 
-def dense_defect(rs, m_rows, a_rows, b_rows):
-    """Kernel rows of M A - B M as the dense branch of ``intertwining_defects`` forms them.
-
-    The two products, each entry rounded once, and their difference rounded
-    by ``combine`` of M A and (-1) B M.
-    """
-    k = matrices.kernel(rs)
-    minus_one = k.entry(rs.scalar(-1))
-    return k.combine([k.product(m_rows, a_rows), matrices.Scaled(minus_one, k.product(b_rows, m_rows))])
-
-
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5), monomial=st.booleans())
 def test_scalar_pair_defect_is_exactly_zero(seed, n, monomial):
-    # the premise of intertwining_defects' shortcut, checked on the dense kernel defect
+    # the premise of intertwining_defects' shortcut, checked on the exact defect
     rs = rs_of(3)
     rng = random.Random(seed)
     with mp.workprec(rs.precision_bits):
@@ -746,7 +754,7 @@ def test_scalar_pair_defect_is_exactly_zero(seed, n, monomial):
     b = matrices.scalar_matrix(from_pair(rs, s.pair), n)  # bit-identical, not the same objects
     k = matrices.kernel(rs)
     m_rows = k.unpack(m)
-    assert k.worst(dense_defect(rs, m_rows, k.unpack(a), k.unpack(b))) == (True, 0.0)
+    assert k.worst(rational_defect(m_rows, k.unpack(a), k.unpack(b), rs.precision_bits)) == (True, 0.0)
     images = [tuple(matrices.Image(rows, k.support(rows)) for rows in (k.unpack(a), k.unpack(b)))]
     assert images[0][0].scalar and images[0][1].scalar
     assert matrices.intertwining_defects(m, images) == [0.0]
@@ -762,17 +770,25 @@ def nonzero_spread_entry(rs, rng, prec):
 def sparse_defect(k, mono, a_rows, b_rows, prec):
     """(image pairs, nonzero entries of ``_monomial_defect`` by (row, column)) for a :class:`Monomial`.
 
-    Checks that it visits, row by row, exactly the entries where a term is nonzero.
+    Checks that the walk visits, row by row, exactly the entries where a
+    term is nonzero; a spread too wide for one grid gives the dense
+    product's nonzero entries, row by row.
     """
     images = [tuple(matrices.Image(rows, k.support(rows)) for rows in (a_rows, b_rows))]
-    cols, defect = matrices._monomial_defect(mono, *images[0], prec)
+    cols, e, defect = matrices._monomial_defect(mono, *images[0], prec)
+    if e is None:
+        dense = matrices._dense_defect(mono.entries[0].rs, k.unpack(mono.matrix()), a_rows, b_rows)
+        nonzero = [(i, l) for i, row in enumerate(dense) for l, z in enumerate(row) if z is not None]
+        assert cols == [l for _, l in nonzero]
+        return images, dict(zip(nonzero, defect))
+    defect = matrices._rounded([defect], e, prec)[0]  # exact (re, im) ints on the grid 2^e
     sigma = mono.sigma
     n = len(sigma)
     terms = [(sigma[c], l) for c in range(n) for l in range(n)
              if a_rows[c][l] is not None or b_rows[sigma[c]][sigma[l]] is not None]
     visited = list(zip([i for i, _ in terms], cols))
     assert sorted(visited) == sorted(terms)
-    return images, {ij: z for ij, z in zip(visited, defect) if z != (0, 0, 0, 0)}
+    return images, {ij: z for ij, z in zip(visited, defect) if z is not None}
 
 
 @settings(max_examples=150, deadline=None)
@@ -804,7 +820,7 @@ def test_monomial_defect_matches_fused_product(seed, n, zero_share):
     inverse, raw = mono.raw
     assert [sigma[j] for j in inverse] == list(range(n))
     assert raw == [m_rows[sigma[c]][c] for c in range(n)]
-    dense = dense_defect(rs, m_rows, a_rows, b_rows)
+    dense = rational_defect(m_rows, a_rows, b_rows, prec)
     want = {(i, j): z for i, row in enumerate(dense) for j, z in enumerate(row) if z is not None}
     images, got = sparse_defect(k, mono, a_rows, b_rows, prec)
     assert got == want
@@ -880,7 +896,7 @@ def test_sparse_monomial_defect_walks_both_supports(seed, n, spread, kinds):
     m_rows, a_rows, b_rows = k.unpack(m), k.unpack(a), k.unpack(b)
     mono = matrices.Monomial(sigma, [m[sigma[c], c] for c in range(n)])
     assert mono.raw is not None
-    dense = dense_defect(rs, m_rows, a_rows, b_rows)
+    dense = rational_defect(m_rows, a_rows, b_rows, prec)
     want = {(i, j): z for i, row in enumerate(dense) for j, z in enumerate(row) if z is not None}
     images, got = sparse_defect(k, mono, a_rows, b_rows, prec)
     assert got == want
@@ -892,6 +908,96 @@ def test_sparse_monomial_defect_walks_both_supports(seed, n, spread, kinds):
                     prec, RND)
         worst = q if mpf_gt(q, worst) else worst
     assert matrices.monomial_backward_error(mono, images) == to_float(worst, rnd=RND)
+
+
+def defect_entry(rs, rng, prec, reach):
+    """A bigfloat scalar with parts of random sign, 2^+-reach apart; a part is zero one time in five."""
+    parts = [full_mpf(rng, prec) * mp.mpf(2) ** rng.randint(-reach, reach) for _ in range(2)]
+    return BigComplex(rs, *(mp.mpf(0) if rng.random() < 0.2 else x for x in parts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6), zero_share=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       reach=st.sampled_from([0, 40, 300, 600]), related=st.booleans())
+def test_walked_and_dense_defects_match_the_exact_oracle(seed, n, zero_share, reach, related):
+    # the monomial walk, which rounds only the defect entries that can be the
+    # largest, and the dense product [M | -B] [A ; M] both give the largest
+    # entry of the exact M A - B M rounded once per part; parts 2^+-300 apart
+    # often take the bounded path and 2^+-600 apart nearly always, and
+    # B = M A M^-1 at working precision makes every entry cancel to the last bits
+    rs = rs_of(3)
+    prec = rs.precision_bits
+    rng = random.Random(seed)
+    sigma = rng.sample(range(n), n)
+    a, b = matrices.zeros(rs, n), matrices.zeros(rs, n)
+    with mp.workprec(prec):
+        # a divisor 2^-300 from 1 would be a vanishing one
+        entries = [defect_entry(rs, rng, prec, min(reach, 40) if related else reach) for _ in range(n)]
+        entries = [e if e.re or e.im else rs.one for e in entries]
+        for k in range(n):
+            for l in range(n):
+                if rng.random() >= zero_share:
+                    a[k, l] = defect_entry(rs, rng, prec, reach)
+                if related:
+                    b[sigma[k], sigma[l]] = entries[k] * a[k, l] / entries[l]
+                elif rng.random() >= zero_share:
+                    b[sigma[k], sigma[l]] = defect_entry(rs, rng, prec, reach)
+    mono = matrices.Monomial(sigma, entries)
+    k = matrices.kernel(rs)
+    a_rows, b_rows = k.unpack(a), k.unpack(b)
+    images = [tuple(matrices.Image(rows, k.support(rows)) for rows in (a_rows, b_rows))]
+    want = matrices._raw_worst(rational_defect(k.unpack(mono.matrix()), a_rows, b_rows, prec), prec)[1]
+    assert matrices.intertwining_defects(mono, images) == [want]
+    assert matrices.intertwining_defects(mono.matrix(), images) == [want]
+
+
+def test_dense_defect_stays_on_one_grid_when_m_spreads(monkeypatch):
+    # M's entries lie 2^600 apart, so the stacked factors [M | -B] and
+    # [A ; M] each span about 600 bits and their product's terms would span
+    # over 4 prec bits through the block M M, which no defect entry holds;
+    # the terms of M A and B M span about 600 bits, and are summed on one grid
+    rs = rs_of(3)
+    prec = rs.precision_bits
+    rng = random.Random(5)
+    n = 3
+    m, a, b = matrices.zeros(rs, n), matrices.zeros(rs, n), matrices.zeros(rs, n)
+    with mp.workprec(prec):
+        for i in range(n):
+            for j in range(n):
+                scale = mp.mpf(2) ** (-600 if (i + j) % 2 else 0)
+                m[i, j] = BigComplex(rs, full_mpf(rng, prec) * scale, full_mpf(rng, prec) * scale)
+                a[i, j] = BigComplex(rs, full_mpf(rng, prec), full_mpf(rng, prec))
+                b[i, j] = BigComplex(rs, full_mpf(rng, prec), full_mpf(rng, prec))
+    k = matrices.kernel(rs)
+    m_rows, a_rows, b_rows = k.unpack(m), k.unpack(a), k.unpack(b)
+    images = [tuple(matrices.Image(rows, k.support(rows)) for rows in (a_rows, b_rows))]
+    want = matrices._raw_worst(rational_defect(m_rows, a_rows, b_rows, prec), prec)[1]
+    monkeypatch.setattr(matrices, "_term_product", None)  # the per-entry sum is not called
+    assert matrices.intertwining_defects(m, images) == [want]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("prec", [64, 256])
+def test_far_apart_defect_terms_take_bounded_work(prec, sign):
+    # entry (0, 0) of M A - B M, M = Id, is a tie at prec bits from A less a
+    # term of B 2^40 bits below it: the far term only decides the tie, and
+    # no exact sum or grid of that width is formed
+    rs = rs_of(3, prec)
+    gap = 1 << 40
+    near = ((1 << prec) + 1, -prec, 0, 0)  # 1 + 2^-prec, a tie at prec bits
+    far = (-sign * 3, -gap, 0, 0)
+    mono = matrices.Monomial([0, 1], [rs.one, rs.one])
+    images = [(matrices.Image([[near, None], [None, None]], [[0], []]),
+               matrices.Image([[far, None], [None, None]], [[0], []]))]
+    start = time.perf_counter()
+    cols, e, entries = matrices._monomial_defect(mono, *images[0], prec)
+    worst = matrices.intertwining_defects(mono, images)
+    error = matrices.monomial_backward_error(mono, images)
+    assert time.perf_counter() - start < 0.5
+    # 1 + 2^-prec alone rounds to even, 1; the far term's sign moves it off the tie
+    assert (cols, e) == ([0], None)
+    assert entries == [((1 << (prec - 1)) + 1, 1 - prec, 0, 0) if sign > 0 else (1, 0, 0, 0)]
+    assert worst == [error] == [1.0]
 
 
 def edge_part(rng, prec):
@@ -1665,6 +1771,65 @@ def test_raw_worst_matches_every_entry_mpc_abs_near_ties(case):
             x, y = z
             assert from_man_exp(man, e) == mpf_add(mpf_mul(x, x), mpf_mul(y, y), prec + 4)
             assert man.bit_length() == prec + 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_tie_rows(), st.booleans(), st.randoms(use_true_random=False))
+def test_defect_screen_keeps_near_ties(case, in_b, rng):
+    # a one-part and a two-part defect entry whose exact magnitudes mostly
+    # differ by less than 2^-(prec+3) of them, far inside the screen's
+    # 2^-(prec-8): both are rounded, and quad_abs decides between them.  The
+    # entries sit on the diagonal of A (defect c A[k, k]) or of B (-B[k, k] c),
+    # times c = 1 + 2^(1-prec), so each product rounds
+    prec, rows = case
+    n = len(rows[0])
+    rs = rs_of(3, prec)
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    c = from_pair(rs, (from_man_exp((1 << (prec - 1)) + 1, 1 - prec), fzero))
+    mono = matrices.Monomial(sigma, [c] * n)
+    diag = matrices.zeros(rs, n)
+    for i, z in enumerate(rows[0]):
+        if z is not None:
+            diag[i, i] = from_pair(rs, z)
+    k = matrices.kernel(rs)
+    filled = k.unpack(diag)
+    empty = [[None] * n for _ in range(n)]
+    a_rows, b_rows = (empty, filled) if in_b else (filled, empty)
+    images = [tuple(matrices.Image(rows, k.support(rows)) for rows in (a_rows, b_rows))]
+    want = matrices._raw_worst(rational_defect(k.unpack(mono.matrix()), a_rows, b_rows, prec), prec)[1]
+    assert matrices.intertwining_defects(mono, images) == [want]
+    assert matrices.intertwining_defects(mono.matrix(), images) == [want]
+
+
+@pytest.mark.parametrize("in_b", [False, True])
+@pytest.mark.parametrize("imaginary", [False, True])
+def test_defect_screen_keeps_an_entry_that_rounds_past_the_exact_largest(in_b, imaginary):
+    """A one-part entry that rounds up beats a two-part entry larger than it before rounding.
+
+    At 64 bits, with M = 2^63 + 7 2^11 + 2^10 - 1: the one-part entry
+    W = (M + 1/2 + 2^-10) 2^10 rounds up to (M + 1) 2^10, while the
+    two-part entry (X, Y), X = (M + 1/2 - 2^-10) 2^10 and Y = 2^38, has the
+    larger exact |z| and rounds to X = M 2^10 with quad_abs M 2^10.  They
+    differ by less than 2^-(prec - 8) of |z|, so both pass the screen; and
+    float(M) != float(M + 1).  M = Id, and the entries sit in A, or in B as
+    their negatives.
+    """
+    rs = rs_of(3, 64)
+    m = (1 << 63) + (7 << 11) + (1 << 10) - 1
+    w, x, y = (m << 10) + 513, (m << 10) + 511, 1 << 38
+    assert x * x + y * y > w * w and float(m) != float(m + 1)
+    s = -1 if in_b else 1
+    filled = [[(0, 0, s * w, 0) if imaginary else (s * w, 0, 0, 0), None], [None, (s * x, 0, s * y, 0)]]
+    empty = [[None, None], [None, None]]
+    a_rows, b_rows = (empty, filled) if in_b else (filled, empty)
+    mono = matrices.Monomial([0, 1], [rs.one, rs.one])
+    images = [tuple(matrices.Image(rows, [[j for j, z in enumerate(row) if z] for row in rows])
+                    for rows in (a_rows, b_rows))]
+    want = matrices._raw_worst(rational_defect(matrices.kernel(rs).unpack(mono.matrix()), a_rows, b_rows, 64), 64)[1]
+    assert want == float((m + 1) << 10)
+    assert matrices.intertwining_defects(mono, images) == [want]
+    assert matrices.intertwining_defects(mono.matrix(), images) == [want]
 
 
 @pytest.mark.parametrize("prec", [113, 256])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from skeinrep import matrices, sphere, uniqueness
 from skeinrep.chebyshev import chebyshev_eval, solve_chebyshev
 from skeinrep.errors import VanishingDivisor
-from skeinrep.scalars import BigComplex, Tolerance, approx_eq, from_pair, make_root_system
+from skeinrep.scalars import BigComplex, Tolerance, approx_eq, from_pair, make_root_system, quad_div
 from skeinrep.serialize import dumps_canonical
 from skeinrep.sphere import build_sphere_rep_from_params, make_sphere_params
 from skeinrep.surfaces import SPHERE4, TORUS1
@@ -21,6 +21,7 @@ from skeinrep.torus import (build_torus_rep, puncture_chebyshev_value,
 from skeinrep.uniqueness import (ExperimentConfig, gauge_orbit, genericity_check,
                                  intertwiner_search, sample_sphere_invariants,
                                  sample_torus_shadow, uniqueness_experiment)
+from test_matrices import quads, rational_defect
 
 
 @pytest.fixture(scope="module")
@@ -699,6 +700,62 @@ def test_exact_backward_error_settles_what_its_bound_cannot(sphere15_pair, monke
     cut = rep.rs.tolerance.rel_eps * max(rep.largest_entry(), other.largest_entry())
     assert cert.worst_residual * cert.condition_estimate > cut
     assert len(exact) == 1 and 1e-31 < exact[0] < 1e-28
+
+
+def test_backward_error_matches_the_exact_oracle(monkeypatch):
+    # Sphere4 N = 13, seed 1, variants 0 and 13 with X1[0, 1] of the second
+    # moved by a factor 1 + 1e-35 i: the residual over min |m_k| fails the
+    # gate, and the exact backward error, about 1.7e-35, passes it.  It is
+    # the quad_div by m_l of each defect entry, that entry's exact value
+    # rounded once
+    rs = make_root_system(13, "bigfloat", 256)
+    inv, x3 = uniqueness._sample_sphere(rs, random.Random(1))
+    variants = gauge_orbit(make_sphere_params(inv["p0"], inv["p1"], inv["p2"], inv["p3"], inv["t1"], inv["t2"], x3))
+    rep = build_sphere_rep_from_params(variants[0])
+    other = nudged(build_sphere_rep_from_params(variants[13]), (0, 1), 1e-35)
+    errors = []
+    real = matrices.monomial_backward_error
+
+    def spy(m, pairs):
+        errors.append((m, real(m, pairs)))
+        return errors[-1][1]
+
+    monkeypatch.setattr(matrices, "monomial_backward_error", spy)
+    cert = intertwiner_search(rep, other)
+    assert cert is not None and len(errors) == 1
+    m, error = errors[0]
+    assert m is cert.intertwiner
+    cut = rs.tolerance.rel_eps * max(rep.largest_entry(), other.largest_entry())
+    assert cert.worst_residual / min(m.magnitudes) >= cut > error
+    prec, raw = rs.precision_bits, m.raw[1]
+    quotients = []
+    for g in SPHERE4.generators:
+        defect = rational_defect(quads(m.matrix()), quads(rep.matrix(g)), quads(other.matrix(g)), prec)
+        quotients += [quad_div(z, raw[l], prec) for row in defect for l, z in enumerate(row) if z is not None]
+    assert error == matrices._raw_worst([quotients], prec)[1]
+
+
+@pytest.mark.parametrize("surface", [TORUS1, SPHERE4])
+def test_composed_pair_residuals_equal_their_dense_matrix(surface, monkeypatch):
+    # each composed pair M_j M_i^-1 keeps its monomial through the residuals;
+    # the dense matrix of it, one kernel product [M | -B] [A ; M] per
+    # generator, gives the same floats
+    calls = []
+    real = uniqueness.intertwiner_residuals
+
+    def spy(m, rep_a, rep_b):
+        calls.append((m, rep_a, rep_b, real(m, rep_a, rep_b)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(uniqueness, "intertwiner_residuals", spy)
+    report = uniqueness_experiment(ExperimentConfig(surface, 3, 1, seed=4))
+    # the 5 base certificates (0, j), then the 10 pairs (i, j) with 0 < i < j < 6
+    assert report.passed and len(calls) == 15
+    first = calls[0][1]
+    assert all(rep_a is first for _, rep_a, _, _ in calls[:5])
+    for m, rep_a, rep_b, residuals in calls[5:]:
+        assert isinstance(m, uniqueness.Monomial) and rep_a is not first
+        assert real(m.matrix(), rep_a, rep_b) == residuals
 
 
 def test_torus_experiment_reads_patterns_once_and_takes_no_svd(monkeypatch):
