@@ -31,7 +31,10 @@ scalings and sums round as the same steps on object arrays do.  A normal
 form's terms go to ``combine`` directly, each word scaled by its scalar as
 it is added, with the bits of evaluating its expression.  The relation
 defect trees are built once per surface and root system and kept on the
-root system (:func:`relation_defects`).
+root system (:func:`relation_defects`).  A defect's residual
+(:func:`defect_residual`) walks its tree the same way on exact ints
+(:func:`matrices.grid_kernel`), so each part of each entry is its exact
+value, rounded once.
 """
 
 from __future__ import annotations
@@ -497,14 +500,23 @@ class _Evaluation:
     kernel entry s.  Generator words are read through the rep's word memo.
     """
 
+    memo = "words"  # the rep's memo key for this kernel's generator words
+
     def __init__(self, surface, rs, rep):
         if surface != rep.surface:
             raise ValueError(f"expression over {surface.tag} evaluated in {rep.surface.tag}")
         if not rs.compatible(rep.rs):
             raise ValueError("expression and representation use different root systems")
         self.rep = rep
-        self.k = matrices.kernel(rep.rs)
-        self.words = rep._memo.setdefault("words", {})  # (name, exponent) factors -> value
+        self.k = self.kernel(rep.rs)
+        self.words = rep._memo.setdefault(self.memo, {})  # (name, exponent) factors -> value
+
+    def kernel(self, rs):
+        return matrices.kernel(rs)
+
+    def rows(self, img):
+        """The kernel value of a generator's :class:`matrices.Image`: its kept rows."""
+        return img.rows
 
     def scalar(self, s):
         return Scaled(self.k.entry(s), None)
@@ -549,7 +561,7 @@ class _Evaluation:
                 value = self.scalar(self.rep.rs.one)
             elif e == 1:
                 img = self.rep.image(name)
-                value = Scaled(img.rows[0][0], None) if img.scalar else img.rows
+                value = Scaled(self.k.entry(self.rep.matrix(name)[0, 0]), None) if img.scalar else self.rows(img)
             else:
                 start = next((d for d in range(e - 1, 1, -1) if ((name, d),) in words), 1)
                 value = self.power(name, start)
@@ -574,6 +586,23 @@ class _Evaluation:
         """A new object array of the value."""
         k = self.k
         return k.wrap(k.widen(value.s, self.rep.dim) if isinstance(value, Scaled) else value)
+
+
+class _GridEvaluation(_Evaluation):
+    """Exact values of a bigfloat expression on :func:`matrices.grid_kernel`, for :func:`defect_residual`.
+
+    Generator words are kept under the rep's ``"grid words"`` memo, apart
+    from the rounded ones of ``"words"``.
+    """
+
+    memo = "grid words"
+
+    def kernel(self, rs):
+        return matrices.grid_kernel(rs)
+
+    def rows(self, img):
+        """The rows of an image that is not s Id (so not exactly zero) on the grid of their least exponent."""
+        return self.k.unpack(img)
 
 
 def evaluate(expr: SkeinExpr, rep):
@@ -635,6 +664,27 @@ def evaluate_normal_form(nf: NormalForm, rep):
         key = tuple((name, e) for name, e in zip(surface.x_generators, xexp) if e)
         terms.append(ev.summand(ev.word(key), scalar) if key else scalar)
     return ev.result(ev.k.combine(terms or [ev.scalar(nf.rs.zero)]))
+
+
+def defect_residual(expr: SkeinExpr, rep):
+    """(exactly zero, float magnitude of the largest entry) of the value of ``expr`` in ``rep``.
+
+    In the bigfloat backend each part of each entry is the exact value of
+    the expression, rounded once by ``scalars._add``, and the magnitude is
+    the largest ``quad_abs`` of those entries: the tree is walked as
+    :func:`evaluate` walks it, on exact ints (:func:`matrices.grid_kernel`),
+    and only the entries that can be the largest are rounded.  "Exactly
+    zero" means every exact entry is 0.  Where a value would spread over too
+    many bits for one grid (:class:`matrices.OffGrid`), and in the exact
+    backend, it is ``residual_report(evaluate(expr, rep))``.
+    """
+    if rep.rs.backend == "bigfloat":
+        ev = _GridEvaluation(expr.surface, expr.rs, rep)
+        try:
+            return ev.k.worst(ev.walk(expr.node))
+        except matrices.OffGrid:
+            pass
+    return matrices.residual_report(evaluate(expr, rep))
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ matrices with the read-outs of :mod:`matrices`, the deviations from kept
 kernel rows: no array the representation holds is unpacked again.  The
 Sphere4 classical relation takes T_N of the puncture values from
 :func:`sphere.puncture_data`, which the construction filled.  Presentation
-relations are checked as defect expressions evaluated through the expression
-module, and irreducibility is decided by the dimension of the commutant,
+relations are checked as defect expressions, each residual the largest
+``quad_abs`` of the defect's entries with each part its exact value rounded
+once (:func:`expressions.defect_residual`), and irreducibility is decided by
+the dimension of the commutant,
 which a diagonal X3 with a simple spectrum reduces to a component count over
 the nonzeros of the images' kept patterns (:meth:`Representation.image`).
 """
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 from . import matrices
 from .chebyshev import chebyshev_eval
-from .expressions import central_names, evaluate, relation_defects
+from .expressions import central_names, defect_residual, relation_defects
 from .representation import Representation
 from .scalars import Tolerance, approx_eq
 from .sphere import puncture_data
@@ -78,20 +80,18 @@ def _puncture_scalar(rep, name, rel_eps):
 def verify_relations(rep: Representation, tol: Tolerance = None) -> VerificationReport:
     """Evaluate every presentation relation defect and scalar-structure check.
 
-    Failures are recorded in the report, never raised.  Defects are
-    evaluated with :func:`evaluate`, whose bits are those of the object
-    arithmetic with :func:`matrices.matmul` for each product (each product
-    entry rounded once), except the centrality defects central_P_X =
-    P X - X P of a puncture P whose kernel rows are exactly s Id: each is exactly zero, and
-    is recorded as (exactly zero, 0.0) without evaluating it.  In the exact
-    backend s X = X s.  In the bigfloat one the defect is P X + (-1) X P,
-    and the kernel forms entry (i, j), for x = X[i, j] not an exact zero,
-    as s x + (-x) s: (-1) x is an exact negation, rounding to nearest is
-    odd in the sign, and the kernel's one-term product (``_raw_times``, the
-    exact value rounded once) rounds s x and x s alike because
-    ``scalars._add`` is symmetric, so the sum is exactly zero.  The test
-    reads the puncture image itself, which may come from a file: an image
-    that is not exactly s Id is evaluated like every other defect.
+    Failures are recorded in the report, never raised.  Each residual is
+    :func:`defect_residual` of its defect: in the bigfloat backend the
+    largest ``quad_abs`` of the defect's entries, each part its exact value
+    rounded once (the tree walked on exact ints, and only the entries that
+    can be the largest rounded), and "exactly zero" when every exact entry
+    is 0; in the exact backend, and for a defect too widely spread for one
+    grid, ``residual_report(evaluate(expr, rep))``.  The centrality defects
+    central_P_X = P X - X P of a puncture P whose kernel rows are exactly
+    s Id are exactly zero, since s X = X s, and are recorded as (exactly
+    zero, 0.0) without evaluating them.  The test reads the puncture image
+    itself, which may come from a file: an image that is not exactly s Id
+    is evaluated like every other defect.
     """
     rs = rep.rs
     rel_eps = (tol.rel_eps if tol is not None else rs.tolerance.rel_eps)
@@ -103,7 +103,7 @@ def verify_relations(rep: Representation, tol: Tolerance = None) -> Verification
         if name in central:
             exact_zero, mag = True, 0.0
         else:
-            exact_zero, mag = matrices.residual_report(evaluate(expr, rep))
+            exact_zero, mag = defect_residual(expr, rep)
         residuals[name] = mag
         exact_flags[name] = exact_zero
         checks[f"relation {name}"] = _passes(rep, exact_zero, mag, rel_eps)

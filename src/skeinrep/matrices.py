@@ -44,6 +44,12 @@ its backward error (M A - B M) M^-1 takes the same pass.  Every largest
 entry magnitude is the kernel's ``worst``, or the largest of its entries
 that can be (:func:`_grid_worst`).
 
+The relation defects of a bigfloat representation take the grid kernel
+(:func:`grid_kernel`): the same operations on exact (re, im) ints on a grid
+2^e, products by :func:`_mac` and sums shifted onto their least exponent,
+so each part of each entry of a defect is its exact value, and only the
+entries that can be the largest are rounded, once.
+
 Bigfloat rank and nullspace decisions come from one SVD at the root
 system's working precision: singular values below rel_eps * sigma_max count
 as zero, and the nullvectors are the matching right singular vectors.  The
@@ -64,8 +70,8 @@ from mpmath import mp
 from mpmath.libmp import fzero, mpf_gt, to_float
 
 from .errors import NonScalarChebyshev
-from .scalars import (RND, CyclotomicNumber, RootSystem, _add, _hypot_sum, approx_eq, from_pair, from_quad,
-                      numeric_bridge, quad_abs, quad_add, quad_div, quad_exponent)
+from .scalars import (RND, CyclotomicNumber, RootSystem, _add, _hypot_sum, approx_eq, float_abs, from_pair,
+                      from_quad, numeric_bridge, quad_abs, quad_add, quad_div, quad_exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +591,193 @@ def kernel(rs: RootSystem) -> Kernel:
 
 
 # ---------------------------------------------------------------------------
+# the grid kernel: exact values of bigfloat expressions
+# ---------------------------------------------------------------------------
+
+class OffGrid(Exception):
+    """A grid-kernel value would spread over more than ``_GRID_SPREAD`` prec bits; take the rounded kernel."""
+
+
+class Grid(namedtuple("Grid", "rows e")):
+    """Rows of exact (re, im) ints on the grid 2^e, None for an exact zero: the grid kernel's rows."""
+
+    __slots__ = ()
+
+
+def _grid_image(img, prec):
+    """The rows of an :class:`Image` that is not exactly zero as a :class:`Grid`, on the grid of their least exponent.
+
+    Raises :class:`OffGrid` when their ``span`` exceeds ``_GRID_SPREAD`` prec bits.
+    """
+    lo, hi = img.span
+    if hi - lo > _GRID_SPREAD * prec:
+        raise OffGrid
+    return Grid(_on_grid(img.rows, lo), lo)
+
+
+def _grid_entry(s, prec):
+    """A scalar's exact value as (re, im, e), ints on the grid 2^e of its least part exponent; None for zero.
+
+    Raises :class:`OffGrid` when the parts lie over ``_GRID_SPREAD`` prec bits apart.
+    """
+    re, e, im, f = s.w
+    if not (re and im):
+        return (re, 0, e) if re else (0, im, f) if im else None
+    if abs(e - f) > _GRID_SPREAD * prec:
+        raise OffGrid
+    lo = min(e, f)
+    return re << e - lo, im << f - lo, lo
+
+
+def _grid_times(a, b):
+    """The exact product of two grid entries; an exact zero factor gives None."""
+    if a is None or b is None:
+        return None
+    ar, ai, e = a
+    br, bi, f = b
+    return ar * br - ai * bi, ar * bi + ai * br, e + f
+
+
+def _grid_product(a, b):
+    """The exact product A B of two :class:`Grid` s (:func:`_mac`), on the grid of their exponents added."""
+    return Grid([[z if z[0] or z[1] else None for z in row] for row in _mac(a.rows, b.rows, len(b.rows[0]))],
+                a.e + b.e)
+
+
+def _grid_combine(terms, prec):
+    """The exact sum of ``terms``, as a :class:`Grid`, or ``Scaled(s, None)`` when it is s Id.
+
+    Terms are as for :func:`_raw_combine`, of grid values.  Each is formed
+    exactly (s B by the exact products of its entries) on the least grid
+    exponent among them, rows are added entry by entry as ints, and the
+    s Id terms, summed, are added to the diagonal; an entry that sums to
+    zero is None.  The terms' rows are read, never changed.  Raises
+    :class:`OffGrid` when the terms' grid exponents spread over
+    ``_GRID_SPREAD`` prec bits and the common grid would widen the sum by
+    more than that (:func:`_live_parts`).
+    """
+    parts = []
+    for term in terms:
+        if not isinstance(term, Scaled):
+            parts.append((None, term, term.e))
+        elif term.s is not None:  # else an exact zero
+            s, g = term
+            parts.append((s, g, s[2] + (0 if g is None else g.e)))
+    base = min((e for _, _, e in parts), default=None)
+    if parts and max(e for _, _, e in parts) - base > _GRID_SPREAD * prec:
+        parts, base = _live_parts(parts, prec)
+    if not parts:
+        return Scaled(None, None)
+    lead = (0, 0)  # the s Id terms, summed
+    acc, owned = None, False  # owned: acc is a new list, not a term's rows
+    for s, g, e in parts:
+        d = e - base
+        if g is None:
+            lead = lead[0] + (s[0] << d), lead[1] + (s[1] << d)
+            continue
+        if s is not None:
+            sr, si = s[0] << d, s[1] << d
+            rows = [[None if y is None else (sr * y[0] - si * y[1], sr * y[1] + si * y[0]) for y in row]
+                    for row in g.rows]
+        elif d:
+            rows = [[None if y is None else (y[0] << d, y[1] << d) for y in row] for row in g.rows]
+        else:
+            rows = g.rows
+        if acc is None:
+            acc, owned = rows, rows is not g.rows
+            continue
+        if not owned:
+            acc, owned = [list(row) for row in acc], True
+        for acc_row, row in zip(acc, rows):
+            for j, y in enumerate(row):
+                if y is not None:
+                    z = acc_row[j]
+                    if z is None:
+                        acc_row[j] = y
+                    else:
+                        re, im = z[0] + y[0], z[1] + y[1]
+                        acc_row[j] = (re, im) if re or im else None
+    if acc is None:
+        return Scaled(lead + (base,) if lead[0] or lead[1] else None, None)
+    if lead[0] or lead[1]:
+        if not owned:
+            acc = [list(row) for row in acc]
+        for i, row in enumerate(acc):
+            z = row[i]
+            if z is None:
+                row[i] = lead
+            else:
+                re, im = z[0] + lead[0], z[1] + lead[1]
+                row[i] = (re, im) if re or im else None
+    return Grid(acc, base)
+
+
+def _live_parts(parts, prec):
+    """The nonzero (s, B, e) terms of a :func:`_grid_combine` sum, and the least grid exponent among them.
+
+    A term's width is the bit length of its widest int, of s plus of B for
+    s B.  On the least exponent the sum is as wide as the highest top (e +
+    width) less that exponent; when this exceeds the widest term's own
+    width by more than ``_GRID_SPREAD`` prec bits, :class:`OffGrid` is
+    raised, so the common grid never widens the work by more than that.
+    """
+    live = []
+    for s, g, e in parts:
+        width = 0 if s is None else _bit_length([[s[:2]]])
+        if g is not None:
+            bits = _bit_length(g.rows)
+            if not bits:  # every entry is an exact zero
+                continue
+            width += bits
+        live.append((s, g, e, width))
+    if not live:
+        return [], None
+    low = min(e for _, _, e, _ in live)
+    if max(e + w for _, _, e, w in live) - low - max(w for *_, w in live) > _GRID_SPREAD * prec:
+        raise OffGrid
+    return [t[:3] for t in live], low
+
+
+def _grid_value_worst(value, prec):
+    """(exactly zero, float magnitude of the largest entry) of a :class:`Grid` or s Id (:func:`_grid_worst`)."""
+    if isinstance(value, Scaled):
+        s = value.s
+        return _grid_worst([] if s is None else [s[:2]], 0 if s is None else s[2], prec)
+    return _grid_worst([z for row in value.rows for z in row if z is not None], value.e, prec)
+
+
+GridKernel = namedtuple("GridKernel", "unpack entry times product combine worst")
+
+
+def grid_kernel(rs: RootSystem) -> GridKernel:
+    """Exact arithmetic on bigfloat values, one grid kernel per root system, kept on it as :func:`kernel` is.
+
+    A value is a :class:`Grid`, rows of exact (re, im) ints on the grid 2^e
+    with None for an exact zero, or ``Scaled(s, None)``, s Id for a grid
+    entry s = (re, im, e).  ``unpack`` puts an :class:`Image` not exactly
+    zero onto the grid of its least exponent (``Image.span``,
+    :func:`_on_grid`) and ``entry`` a scalar onto its own; ``times`` and ``product`` multiply exactly, adding
+    the exponents (:func:`_mac`), and ``combine`` is the kernel's sum, with
+    the terms of :func:`kernel`'s ``combine``, each shifted onto the least
+    grid exponent among them and added as ints (:func:`_grid_combine`).
+    ``worst`` is (exactly zero, float magnitude of the largest entry), each
+    part its exact value rounded once, as the kernel's ``worst`` takes it of
+    rows rounded by ``scalars._add``, but only entries that can be the
+    largest are rounded (:func:`_grid_worst`).  ``unpack``, ``entry`` and
+    ``combine`` raise :class:`OffGrid` when a value would spread over
+    ``_GRID_SPREAD`` prec bits, so the work stays bounded.
+    """
+    k = rs.__dict__.get("_grid_kernel")
+    if k is None:
+        prec = rs.precision_bits
+        k = rs._grid_kernel = GridKernel(
+            lambda img: _grid_image(img, prec), lambda s: _grid_entry(s, prec),
+            lambda a, b: _grid_times(a, b), lambda a, b: _grid_product(a, b),
+            lambda terms: _grid_combine(terms, prec), lambda value: _grid_value_worst(value, prec))
+    return k
+
+
+# ---------------------------------------------------------------------------
 # products and residuals
 # ---------------------------------------------------------------------------
 
@@ -766,8 +959,8 @@ class Monomial(namedtuple("Monomial", "sigma entries")):
 
     @cached_property
     def magnitudes(self):
-        """Float magnitude of each entry, ``abs`` of :func:`to_complex`, taken once."""
-        return [abs(to_complex(e)) for e in self.entries]
+        """Float magnitude of each entry, ``abs`` of :func:`to_complex`, taken once (bigfloat: :func:`scalars.float_abs`)."""
+        return [abs(to_complex(e)) if isinstance(e, CyclotomicNumber) else float_abs(e) for e in self.entries]
 
     def condition(self) -> float:
         """max |m_k| / min |m_k|, the ratio of M's singular values (the |m_k|); inf when one is 0."""
@@ -903,7 +1096,7 @@ def _lifted(grid, s):
 
 
 def _grid_worst(entries, e, prec):
-    """Float magnitude of the largest entry of (re, im) ints on the grid 2^e, each part rounded once.
+    """(exactly zero, float magnitude of the largest entry) of (re, im) ints on the grid 2^e, each part rounded once.
 
     This is :func:`_raw_worst` of every entry rounded by ``scalars._add``
     (:func:`_rounded`), but only the entries whose exact |z|^2 is at least
@@ -916,14 +1109,14 @@ def _grid_worst(entries, e, prec):
     bits = [max(re.bit_length(), im.bit_length()) for re, im in entries]
     most = max(bits, default=0)
     if not most:
-        return 0.0
+        return True, 0.0
     # a part of most bits makes |z|^2 >= 2^(2 most - 2), and parts of at
     # most most - 2 bits keep it below 2^(2 most - 3), under the cut
     near = [z for z, n in zip(entries, bits) if n >= most - 1]
     keys = [re * re + im * im for re, im in near]
     top = max(keys)
     cut = top - (top >> prec - 8)
-    return _raw_worst(_rounded([[z for z, key in zip(near, keys) if key >= cut]], e, prec), prec)[1]
+    return _raw_worst(_rounded([[z for z, key in zip(near, keys) if key >= cut]], e, prec), prec)
 
 
 def _scalar_pair(a, b):
@@ -992,7 +1185,7 @@ def intertwining_defects(m, pairs):
             out.append(0.0)
         elif walk:
             _, e, entries = _monomial_defect(m, a, b, prec)
-            out.append(_raw_worst([entries], prec)[1] if e is None else _grid_worst(entries, e, prec))
+            out.append((_raw_worst([entries], prec) if e is None else _grid_worst(entries, e, prec))[1])
         else:
             out.append(k.worst(_dense_defect(rs, m_rows, a.rows, b.rows))[1])
     return out

@@ -15,7 +15,9 @@ products, residuals, T_N, the puncture shortcuts, the X3 spectrum test, the
 ladder walk and the commutant's support graph all read it, so no image is
 unpacked or rescanned twice.  The memo also holds, under ``"words"``, the
 generator words :func:`expressions.evaluate` forms, in kernel format and
-keyed by their (name, exponent) factors.  A representation holds only
+keyed by their (name, exponent) factors, and under ``"grid words"`` the
+exact ones of the relation defects (:func:`expressions.defect_residual`),
+apart from them.  A representation holds only
 frozen images (a writeable one, or a view, is copied and the copy frozen),
 so nothing kept can go stale.
 """

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import frexp, gcd, inf, isqrt, lcm
+from math import frexp, gcd, inf, isqrt, lcm, ldexp
 from typing import Union
 
 import mpmath
@@ -878,6 +878,36 @@ def quad_abs(z, prec):
         r = r << 1 | 1
         shift += 2
     return _mpf(*_add(r, (e - shift) >> 1, 0, 0, prec))
+
+
+def _double(m, e):
+    """m 2^e as a double, as libmp's ``to_float`` rounds it with ``RND``: 53 bits, then ``ldexp``, +-inf past the range.
+
+    ``float`` of an int rounds it to 53 bits half to even, as libmp's
+    ``normalize`` does; a mantissa too wide for ``float`` keeps its top 64
+    bits and a sticky last bit, which round alike.
+    """
+    if m.bit_length() > 1000:
+        n = m.bit_length() - 64
+        a = -m if m < 0 else m
+        a = (a >> n) | ((a & ((1 << n) - 1)) != 0)
+        m, e = (-a if m < 0 else a), e + n
+    try:
+        return ldexp(float(m), e)
+    except OverflowError:
+        return inf if m > 0 else -inf
+
+
+def float_abs(z) -> float:
+    """``abs`` of the double-precision value of a BigComplex, each part as ``to_float`` rounds that part of ``z.pair``.
+
+    The parts are read off ``w``, or off the pair where the value entered
+    as one (:func:`from_pair`), which may be wider than the working
+    precision and then rounds from all its bits; no pair is packed.
+    """
+    p = z._pair
+    re, e, im, f = z.w if p is None else _ints(p)
+    return abs(complex(_double(re, e), _double(im, f)))
 
 
 def quad_exponent(z):

@@ -4,17 +4,22 @@ import json
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, from_rational, fzero, mpc_abs, mpf_gt, round_nearest, to_float
 
 from skeinrep import invariants, matrices
 from skeinrep.errors import ExponentOverflow, ParseError, UnknownGenerator
 from skeinrep.expressions import (Gen, Lit, NormalForm, Power, Prod, RewriteSystem, Sum,
-                                  _expand, _find_redex, _inversions, evaluate, evaluate_normal_form,
-                                  normal_form_to_expr, normalize, parse, parse_scalar,
+                                  _expand, _find_redex, _inversions, defect_residual, evaluate,
+                                  evaluate_normal_form, normal_form_to_expr, normalize, parse, parse_scalar,
                                   puncture_element, random_word_expression, relation_defects)
 from skeinrep.representation import assemble
-from skeinrep.scalars import approx_eq, make_root_system
+from skeinrep.scalars import RND, approx_eq, from_pair, make_root_system
 from skeinrep.serialize import dumps_canonical, rep_from_json, rep_to_json, scalar_to_json
 from skeinrep.surfaces import SPHERE4, TORUS0, TORUS1, sphere_k
 from skeinrep.torus import (build_torus_rep, puncture_chebyshev_value, torus_params_exact,
@@ -570,29 +575,90 @@ def test_evaluate_returns_a_new_array(backend):
     assert not rep.matrix("X1").flags.writeable
 
 
+def _fraction_entry(w):
+    """(re, im) Fractions of an int quadruple."""
+    re, e, im, f = w
+    return Fraction(re) * Fraction(2) ** e, Fraction(im) * Fraction(2) ** f
+
+
+def rational_value(node, rep):
+    """Rows of (re, im) Fractions of the exact value of a syntax tree in rep, from its entries' quadruples."""
+    n = rep.dim
+    zero = (Fraction(0), Fraction(0))
+    if isinstance(node, Lit):
+        s = _fraction_entry(node.value.w)
+        return [[s if i == j else zero for j in range(n)] for i in range(n)]
+    if isinstance(node, Gen):
+        return [[_fraction_entry(e.w) for e in row] for row in rep.matrix(node.name)]
+    if isinstance(node, Sum):
+        values = [rational_value(t, rep) for t in node.terms]
+        return [[(sum(v[i][j][0] for v in values), sum(v[i][j][1] for v in values)) for j in range(n)]
+                for i in range(n)]
+    if isinstance(node, Prod):
+        factors = [rational_value(f, rep) for f in node.factors]
+    else:
+        factors = [rational_value(node.base, rep)] * node.exponent
+    acc = factors[0]
+    for b in factors[1:]:
+        acc = [[(sum(a[k][0] * b[k][j][0] - a[k][1] * b[k][j][1] for k in range(n)),
+                 sum(a[k][0] * b[k][j][1] + a[k][1] * b[k][j][0] for k in range(n))) for j in range(n)]
+               for a in acc]
+    return acc
+
+
+def rational_residual(expr, rep):
+    """Exact-once oracle: (exactly zero, largest ``mpc_abs``) of the value of ``expr``, each part rounded once.
+
+    The tree is evaluated over the rationals, each part of each entry is
+    rounded to nearest at the working precision by libmp's
+    ``from_rational``, and the largest magnitude (``mpf_hypot``) is rounded
+    to float once.  Nothing of the kernels is used.
+    """
+    prec = rep.rs.precision_bits
+    worst, exact = fzero, True
+    for row in rational_value(expr.node, rep):
+        for re, im in row:
+            if re or im:
+                exact = False
+                z = tuple(from_rational(x.numerator, x.denominator, prec, round_nearest) for x in (re, im))
+                mag = mpc_abs(z, prec, RND)
+                if mpf_gt(mag, worst):
+                    worst = mag
+    return exact, to_float(worst, rnd=RND)
+
+
 @pytest.mark.parametrize("kind,n", CONSTRUCT_SHAPES + [("exact sphere4", 3)])
 def test_verify_relations_matches_object_evaluation(kind, n):
+    # bigfloat residuals are the exact-once oracle's; exact ones the object evaluation's
     rep = exact_sphere_rep(n) if kind == "exact sphere4" else ladder_rep(kind, n, 20 + n)
     report = invariants.verify_relations(rep)
     for name, expr in relation_defects(rep.surface, rep.rs).items():
-        exact_zero, mag = matrices.residual_report(_object_evaluate(expr.node, rep))
+        if rep.rs.backend == "exact":
+            exact_zero, mag = matrices.residual_report(_object_evaluate(expr.node, rep))
+        else:
+            exact_zero, mag = rational_residual(expr, rep)
         assert report.relation_exact[name] == exact_zero, name
         assert report.relation_residuals[name] == mag, name
     assert report.passed
 
 
+def _with_nonscalar_puncture(rep, entry):
+    """rep with ``entry`` at (0, 1) of its first puncture image, which is then not s Id."""
+    p = rep.surface.punctures[0]
+    image = rep.matrix(p).copy()
+    image[0, 1 % rep.dim] = entry
+    return dataclasses.replace(rep, matrices=dict(rep.matrices, **{p: matrices.freeze(image)}))
+
+
 def test_central_defects_of_a_nonscalar_puncture_are_evaluated():
     rep = ladder_rep("sphere4", 3, 6)
     rs = rep.rs
-    p0 = rep.matrix("P0").copy()
-    p0[0, 1] = rs.scalar(1e-20)
-    bad = dataclasses.replace(rep, matrices=dict(rep.matrices, P0=matrices.freeze(p0)))
+    bad = _with_nonscalar_puncture(rep, rs.scalar(1e-20))
     report = invariants.verify_relations(bad)
     for x in rep.surface.x_generators:
         name = f"central_P0_{x}"
         expr = relation_defects(rep.surface, rs)[name]
-        assert (report.relation_exact[name], report.relation_residuals[name]) == \
-            matrices.residual_report(_object_evaluate(expr.node, bad))
+        assert (report.relation_exact[name], report.relation_residuals[name]) == rational_residual(expr, bad)
         assert report.relation_residuals[name] > 0.0 and not report.checks[f"relation {name}"]
         other = f"central_P1_{x}"
         assert report.relation_exact[other] and report.relation_residuals[other] == 0.0
@@ -600,22 +666,107 @@ def test_central_defects_of_a_nonscalar_puncture_are_evaluated():
 
 
 def test_verify_relations_kernel_products(monkeypatch):
-    # Sphere4 N = 5 after its T_N memo is read: 2 products per q-commutator
-    # and 5 for the cubic (X1 X2 X3 and three squares).  Evaluating scalars
-    # as dense s Id, with the twelve central defects, took 93.
+    # Sphere4 N = 5 after its T_N memo is read: 2 exact products per
+    # q-commutator and 5 for the cubic (X1 X2 X3 and three squares), and no
+    # rounded one.  Evaluating scalars as dense s Id, with the twelve central
+    # defects, took 93.
     rep = ladder_rep("sphere4", 5, 7)
     for x in rep.surface.x_generators:
         rep.chebyshev(x)
-    original = matrices._raw_product
-    calls = []
+    calls = {"_raw_product": 0, "_grid_product": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(name):
+        original = getattr(matrices, name)
 
-    monkeypatch.setattr(matrices, "_raw_product", counting)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(matrices, name, counting(name))
     assert invariants.verify_relations(rep).passed
-    assert len(calls) == 11
+    assert calls == {"_raw_product": 0, "_grid_product": 11}
+
+
+@lru_cache(maxsize=None)
+def _oracle_base(kind, n, seed):
+    return ladder_rep(kind, n, seed)
+
+
+def _random_image(rs, rng, zero_share, reach, diagonal=False):
+    """An image of random entries: exact zeros at random, a part zero one time in five, parts 2^+-reach apart."""
+    prec = rs.precision_bits
+    n = rs.N
+    image = matrices.zeros(rs, n)
+    for i in range(n):
+        for j in range(n):
+            if (diagonal and i != j) or rng.random() < zero_share:
+                continue
+            parts = [from_man_exp(rng.choice([-1, 1]) * (rng.getrandbits(prec) | 1 << (prec - 1)),
+                                  rng.randint(-reach, reach) - prec) for _ in range(2)]
+            if rng.random() < 0.2:
+                parts[rng.randrange(2)] = fzero
+            image[i, j] = from_pair(rs, tuple(parts))
+    return image
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["torus1", "sphere4"]), n=st.sampled_from([1, 3, 5]), base=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 32 - 1), shape=st.sampled_from(["ladder", "zeros", "spread", "puncture"]))
+def test_relation_residuals_match_the_exact_oracle(kind, n, base, seed, shape):
+    # ladder reps as built; random images with exact-zero patterns and
+    # one-part entries; parts 2^+-300 apart; and a puncture image that is
+    # not s Id, whose defects are evaluated.  At N = 1 the up and down
+    # steps share one cell.  The commutant is not what is checked here.
+    rep = dataclasses.replace(_oracle_base(kind, n, base))
+    rs = rep.rs
+    rng = random.Random(seed)
+    if shape in ("zeros", "spread"):
+        reach = 300 if shape == "spread" else 20
+        share = 0.0 if shape == "spread" else rng.choice([0.3, 0.6, 0.9])
+        rep = dataclasses.replace(rep, matrices=dict(
+            rep.matrices, X1=_random_image(rs, rng, share, reach), X2=_random_image(rs, rng, share, reach),
+            X3=_random_image(rs, rng, share, reach, diagonal=rng.random() < 0.5)))
+    elif shape == "puncture":
+        rep = _with_nonscalar_puncture(rep, rep.matrix(rep.surface.punctures[0])[0, 0] * rs.scalar(1e-30))
+    with mock.patch.object(invariants, "commutant_dimension", lambda rep, tol=None: 1):
+        report = invariants.verify_relations(rep)
+    for name, expr in relation_defects(rep.surface, rs).items():
+        assert (report.relation_exact[name], report.relation_residuals[name]) == rational_residual(expr, rep), name
+
+
+@pytest.mark.parametrize("whole", [False, True])
+def test_far_apart_image_entries_take_the_rounded_evaluation(whole):
+    # one X3 entry 2^40 bits below the others (the image spans that far), or
+    # all of X3 (the terms of each sum spread that far): no image or sum is
+    # put on one grid that wide, and each defect is the rounded evaluation's
+    rep = ladder_rep("torus1", 3, 1)
+    rs = rep.rs
+    far_scale = from_pair(rs, (from_man_exp(3, -(1 << 40)), fzero))
+    x3 = rep.matrix("X3") * far_scale if whole else rep.matrix("X3").copy()
+    if not whole:
+        x3[0, 0] = far_scale
+    far = dataclasses.replace(rep, matrices=dict(rep.matrices, X3=matrices.freeze(x3)))
+    start = time.perf_counter()
+    report = invariants.verify_relations(far)
+    assert time.perf_counter() - start < 0.5
+    assert not report.passed
+    for name, expr in relation_defects(rep.surface, rs).items():
+        want = matrices.residual_report(evaluate(expr, far))
+        assert (report.relation_exact[name], report.relation_residuals[name]) == want, name
+
+
+def test_grid_words_stay_apart_from_rounded_words():
+    # the exact words verify_relations keeps never enter evaluate's rounded memo
+    rep = ladder_rep("sphere4", 3, 6)
+    exprs = relation_defects(rep.surface, rep.rs)
+    fresh = [_entries(evaluate(expr, dataclasses.replace(rep))) for expr in exprs.values()]
+    report = invariants.verify_relations(rep)
+    assert rep._memo["grid words"] and "words" not in rep._memo
+    assert [_entries(evaluate(expr, rep)) for expr in exprs.values()] == fresh
+    assert invariants.verify_relations(rep) == report
+    assert defect_residual(exprs["cubic"], rep) == (report.relation_exact["cubic"], report.relation_residuals["cubic"])
 
 
 @pytest.mark.parametrize("backend", ["exact", "bigfloat"])

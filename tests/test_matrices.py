@@ -1267,7 +1267,9 @@ def test_mpmath_matrices_stay_inside_matrices_module():
 
 def test_raw_kernel_names_stay_inside_matrices_module():
     package = pathlib.Path(skeinrep.__file__).parent
-    private = re.compile(r"\b(_raw_rows|_raw_product|_raw_combine|_wrap|_prec_rnd)\b")
+    private = re.compile(r"\b(_raw_rows|_raw_product|_raw_combine|_wrap|_prec_rnd|_on_grid|_mac|Grid|_grid_image"
+                         r"|_grid_entry|_grid_times|_grid_product|_grid_combine|_live_parts|_grid_value_worst"
+                         r"|_grid_worst)\b")
     for path in sorted(package.glob("*.py")):
         if path.name != "matrices.py":
             found = private.search(path.read_text())
@@ -1278,7 +1280,8 @@ def test_every_kernel_operation_is_read_outside_matrices_module():
     # an operation that only matrices itself reads is an internal helper, not part of the kernel
     package = pathlib.Path(skeinrep.__file__).parent
     text = "".join(path.read_text() for path in sorted(package.glob("*.py")) if path.name != "matrices.py")
-    unread = [f for f in matrices.Kernel._fields if not re.search(rf"\.{f}\(", text)]
+    fields = matrices.Kernel._fields + matrices.GridKernel._fields
+    unread = [f for f in fields if not re.search(rf"\.{f}\(", text)]
     assert unread == []
 
 
@@ -1883,6 +1886,54 @@ def test_to_complex128_rounds_as_float_of_mpf(prec):
     bridged = [[numeric_bridge(e, 64) for e in row] for row in cyclo]
     want = np.array([[complex(float(e.re), float(e.im)) for e in row] for row in bridged])
     assert matrices.to_complex128(cyclo).tobytes() == want.tobytes()
+
+
+@st.composite
+def double_edge_entries(draw):
+    """(rs, entries): bigfloat scalars whose parts lie near ties at 53 bits and near or past a double's range.
+
+    Each entry enters as a libmp pair, possibly wider than the working
+    precision, or as the quadruple it holds at that precision alone (no pair).
+    """
+    prec = draw(st.sampled_from(PRECS))
+    rs = rs_of(3, prec)
+
+    def part():
+        if draw(st.integers(0, 5)) == 0:
+            return fzero
+        bits = draw(st.sampled_from([1, 53, 54, 55, prec, 2 * prec + 7, 1100]))
+        man = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+        if bits > 55 and draw(st.booleans()):  # a tie at 53 bits, broken (or not) far below
+            man = (man >> (bits - 53) << (bits - 53)) | 1 << (bits - 54) | draw(st.sampled_from([0, 1]))
+        top = draw(st.one_of(st.integers(-60, 60), st.integers(1018, 1030), st.integers(-1080, -1016),
+                             st.sampled_from([-5000, 5000])))
+        return from_man_exp(-man if draw(st.booleans()) else man, top - bits)
+
+    entries = []
+    for _ in range(draw(st.integers(1, 4))):
+        e = from_pair(rs, (part(), part()))
+        entries.append(e if draw(st.booleans()) else scalars_module.from_quad(rs, e.w))
+    return rs, entries
+
+
+def float_outcome(f):
+    """The float f() as hex, or the type of the exception it raises."""
+    try:
+        return f().hex()
+    except OverflowError as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(double_edge_entries())
+def test_monomial_magnitudes_are_abs_of_to_complex(case):
+    # read off each entry's quadruple, or off a pair wider than the working
+    # precision where one was given; a quadruple alone packs no pair
+    _, entries = case
+    unpacked = [e for e in entries if e._pair is None]
+    got = [float_outcome(lambda: matrices.Monomial([0], [e]).magnitudes[0]) for e in entries]
+    assert all(e._pair is None for e in unpacked)
+    assert got == [float_outcome(lambda: abs(matrices.to_complex(e))) for e in entries]
 
 
 def test_kernel_makes_no_libmp_arithmetic_calls(monkeypatch):
